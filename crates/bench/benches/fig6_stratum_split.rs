@@ -1,7 +1,7 @@
 //! Perf-2 (§4.5/§6 claim): pushing the sort into the DBMS wins — the
 //! `push-sort-into-dbms` (≡L) rule's profitability, measured.
 //!
-//! Series: `sort_A(Tˢ(π(scan)))` (stratum's merge sort) vs
+//! Series: `sort_A(Tˢ(π(scan)))` (sorted in the stratum) vs
 //! `Tˢ(sort_A(π(scan)))` (the DBMS's mature sort), over scaled workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,11 +1,11 @@
 //! Optimizer-mode ablation (§7's heuristics discussion): exhaustive
-//! Figure 5 enumeration + cost selection vs greedy hill-climbing vs memo
-//! search — plan quality (estimated cost) and optimization time.
+//! Figure 5 enumeration + cost selection vs memo search — plan quality
+//! (estimated cost) and optimization time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tqo_bench::{figure2a_plan, workload};
-use tqo_core::optimizer::{optimize, optimize_greedy, OptimizerConfig, SearchStrategy};
+use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
 use tqo_core::rules::RuleSet;
 
 fn bench(c: &mut Criterion) {
@@ -26,24 +26,19 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("exhaustive", "fig2a"), &plan, |b, plan| {
         b.iter(|| optimize(plan, &rules, &cfg).expect("ok").cost.0)
     });
-    group.bench_with_input(BenchmarkId::new("greedy", "fig2a"), &plan, |b, plan| {
-        b.iter(|| optimize_greedy(plan, &rules, &cfg).expect("ok").cost.0)
-    });
     group.bench_with_input(BenchmarkId::new("memo", "fig2a"), &plan, |b, plan| {
         b.iter(|| optimize(plan, &rules, &memo_cfg).expect("ok").cost.0)
     });
 
     // Report plan quality once.
     let exhaustive = optimize(&plan, &rules, &cfg).expect("ok");
-    let greedy = optimize_greedy(&plan, &rules, &cfg).expect("ok");
     let memo = optimize(&plan, &rules, &memo_cfg).expect("ok");
     let initial = cfg.cost_model.cost(&plan).expect("ok");
     let memo_stats = memo.memo.expect("memo stats");
     println!(
-        "plan cost: initial={:.0} greedy={:.0} exhaustive={:.0} memo={:.0} \
+        "plan cost: initial={:.0} exhaustive={:.0} memo={:.0} \
          ({} plans enumerated; memo: {} exprs in {} groups)",
         initial.0,
-        greedy.cost.0,
         exhaustive.cost.0,
         memo.cost.0,
         exhaustive.enumeration.plans.len(),

@@ -292,10 +292,6 @@ fn main() {
     );
     for (i, case) in acases.iter().enumerate() {
         let static_config = PlannerConfig::default();
-        let adaptive_config = PlannerConfig {
-            adaptive: Some(tqo_exec::AdaptiveConfig::default()),
-            ..static_config
-        };
         let mut static_ms = f64::MAX;
         let mut adaptive_ms = f64::MAX;
         let mut static_q = 1.0f64;
@@ -304,8 +300,14 @@ fn main() {
         for _ in 0..ITERS {
             let (s, sm) = execute_logical(&case.plan, &case.env, static_config)
                 .expect("static adaptive-workload run");
-            let (a, am) =
-                execute_logical(&case.plan, &case.env, adaptive_config).expect("adaptive run");
+            let (a, am) = tqo_exec::execute_adaptive(
+                &case.plan,
+                &case.env,
+                None,
+                static_config,
+                tqo_exec::AdaptiveConfig::default(),
+            )
+            .expect("adaptive run");
             assert!(
                 tqo_core::equivalence::equiv_multiset(&s, &a).expect("comparable results"),
                 "adaptive diverged from static on {}",

@@ -27,6 +27,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use tqo_core::cost::CostModel;
+use tqo_core::enumerate::EnumerationConfig;
 use tqo_core::equivalence::ResultType;
 use tqo_core::interp::{eval_plan, Env};
 use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
@@ -69,6 +71,13 @@ fn adaptive_pressure() -> AdaptiveConfig {
         max_reopt: 8,
     }
 }
+
+/// Plan budget of the exhaustive-closure legs. They check that *a chosen
+/// plan* evaluates to the reference, which a truncated closure still
+/// provides; at the default 4096 every join query runs the closure to
+/// truncation twice and the matrix takes minutes instead of seconds.
+/// Cost-equality at full budget is `tests/memo_optimizer.rs`'s job.
+const EXHAUSTIVE_BUDGET: EnumerationConfig = EnumerationConfig { max_plans: 256 };
 
 /// Run one `.slt` file. `bless` rewrites expected blocks in place.
 pub fn run_slt_file(path: &Path, bless: bool) -> Result<FileOutcome, String> {
@@ -310,6 +319,7 @@ fn run_matrix(
     for strategy in [SearchStrategy::Memo, SearchStrategy::Exhaustive] {
         let config = OptimizerConfig {
             strategy,
+            enumeration: EXHAUSTIVE_BUDGET,
             ..OptimizerConfig::default()
         };
         let optimized =
@@ -332,8 +342,20 @@ fn run_matrix(
             if got != reference {
                 return Err("stratum relation differs from the interpreter".into());
             }
-            let (got, _, _) = stratum
-                .run_sql_optimized(sql)
+            // `run_sql_optimized` with the closure budgeted: the same
+            // search (exhaustive, priced by the stratum's faithful cost
+            // model) over the same layered plan, then `run`.
+            let config = OptimizerConfig {
+                enumeration: EXHAUSTIVE_BUDGET,
+                cost_model: CostModel::calibrated(stratum.exec_mode().engine())
+                    .with_fast_algorithms(false),
+                ..OptimizerConfig::default()
+            };
+            let best = optimize(&layered, &rules, &config)
+                .map_err(|e| format!("stratum optimize: {e}"))?
+                .best;
+            let (got, _) = stratum
+                .run(&best)
                 .map_err(|e| format!("stratum optimized: {e}"))?;
             if canon(&got) != canonical {
                 return Err("optimized stratum diverges from reference".into());
@@ -350,9 +372,8 @@ fn run_matrix(
             allow_fast,
             mode,
             strategy: SearchStrategy::Memo,
-            adaptive: Some(adaptive_pressure()),
         };
-        let (got, _) = execute_adaptive(&plan, env, None, config)
+        let (got, _) = execute_adaptive(&plan, env, None, config, adaptive_pressure())
             .map_err(|e| format!("adaptive(allow_fast={allow_fast}): {e}"))?;
         if canon(&got) != canonical {
             return Err(format!(

@@ -170,99 +170,6 @@ pub fn optimize_memo(
     })
 }
 
-/// Greedy (hill-climbing) optimization: repeatedly apply the single
-/// admissible rule application that lowers the estimated cost the most,
-/// until no application improves the plan.
-///
-/// §7 notes that exhaustive enumeration "has to be used with heuristics"
-/// to be practical; greedy descent is the simplest such heuristic. It
-/// explores `O(steps · rules · nodes)` plans instead of the full closure —
-/// the `optimizer_modes` bench measures the plan-quality/time trade-off
-/// against exhaustive enumeration.
-pub fn optimize_greedy(
-    initial: &LogicalPlan,
-    rules: &RuleSet,
-    config: &OptimizerConfig,
-) -> Result<Optimized> {
-    use crate::enumerate::applicable;
-    use crate::plan::props::annotate;
-
-    let mut current = initial.clone();
-    let mut current_cost = config.cost_model.cost(&current)?;
-    let mut derivation: Vec<RuleApplication> = Vec::new();
-    let max_steps = 64usize;
-
-    for _ in 0..max_steps {
-        let ann = annotate(&current)?;
-        let mut best: Option<(Cost, LogicalPlan, RuleApplication)> = None;
-        for rule in rules.rules() {
-            for path in current.root.paths() {
-                let node = current.root.get(&path)?;
-                for m in rule.try_apply(node, &path, &ann) {
-                    if !applicable(rule.equivalence(), &path, &m.matched, &ann) {
-                        continue;
-                    }
-                    let new_root = current.root.replace(&path, m.replacement)?;
-                    let candidate = current.with_root(new_root);
-                    // Mirror the enumerator's sdf guard for snapshot-type
-                    // rewrites (see enumerate.rs).
-                    if rule.equivalence().is_snapshot() {
-                        let was_sdf = ann
-                            .get(&path)
-                            .map(|p| p.stat.snapshot_dup_free)
-                            .unwrap_or(false);
-                        let now_sdf = annotate(&candidate)
-                            .ok()
-                            .and_then(|a| a.get(&path).map(|p| p.stat.snapshot_dup_free))
-                            .unwrap_or(false);
-                        if was_sdf && !now_sdf {
-                            continue;
-                        }
-                    }
-                    let cost = match config.cost_model.cost(&candidate) {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    if cost < current_cost && best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
-                        best = Some((
-                            cost,
-                            candidate,
-                            RuleApplication {
-                                rule: rule.name().to_owned(),
-                                equivalence: rule.equivalence(),
-                                location: path.clone(),
-                                parent: derivation.len(),
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        match best {
-            Some((cost, plan, step)) => {
-                current = plan;
-                current_cost = cost;
-                derivation.push(step);
-            }
-            None => break, // local optimum
-        }
-    }
-
-    Ok(Optimized {
-        best: current,
-        cost: current_cost,
-        best_index: 0,
-        derivation,
-        truncated: false,
-        memo: None,
-        enumeration: Enumeration {
-            plans: Vec::new(),
-            truncated: false,
-            applications: 0,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,35 +207,6 @@ mod tests {
         let out = optimize(&plan, &RuleSet::standard(), &OptimizerConfig::default()).unwrap();
         assert!(out.best.root.size() < plan.root.size());
         assert!(!out.derivation.is_empty());
-    }
-
-    #[test]
-    fn greedy_improves_and_agrees_with_exhaustive_on_small_plans() {
-        let plan = tscan("A", 1000)
-            .rdup_t()
-            .difference_t(tscan("B", 1000))
-            .rdup_t()
-            .coalesce()
-            .sort(Order::asc(&["E"]))
-            .build_list(Order::asc(&["E"]));
-        let cfg = OptimizerConfig::default();
-        let greedy = optimize_greedy(&plan, &RuleSet::standard(), &cfg).unwrap();
-        let exhaustive = optimize(&plan, &RuleSet::standard(), &cfg).unwrap();
-        let input_cost = cfg.cost_model.cost(&plan).unwrap();
-        assert!(greedy.cost <= input_cost);
-        // Greedy can only be as good or worse than exhaustive.
-        assert!(exhaustive.cost <= greedy.cost);
-        assert!(!greedy.derivation.is_empty());
-    }
-
-    #[test]
-    fn greedy_stops_at_local_optimum() {
-        // A plan with nothing to improve.
-        let plan = tscan("A", 10).build_multiset();
-        let out =
-            optimize_greedy(&plan, &RuleSet::standard(), &OptimizerConfig::default()).unwrap();
-        assert!(out.derivation.is_empty());
-        assert_eq!(out.best.root, plan.root);
     }
 
     #[test]

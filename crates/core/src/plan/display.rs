@@ -177,7 +177,7 @@ mod tests {
         );
         let text = annotated_to_string(&plan).unwrap();
         assert!(text.contains("[- T T]"), "root vector expected in:\n{text}");
-        assert!(text.contains("[- - T]"), "scan vector expected in:\n{text}");
+        assert!(text.contains("[T - T]"), "scan vector expected in:\n{text}");
         assert!(text.contains("@stratum"));
     }
 }

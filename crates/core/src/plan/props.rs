@@ -13,7 +13,10 @@
 //! (below `sort` order is not required; below `rdup`/`rdupᵀ` duplicates are
 //! not relevant; below `coalᵀ` over a snapshot-duplicate-free input periods
 //! need not be preserved; the right branch of `\ᵀ` needs neither order nor
-//! periods, nor duplicates when the left branch is snapshot-duplicate-free).
+//! periods, nor duplicates when the left branch is snapshot-duplicate-free)
+//! and tightens them in one place: below an `rdupᵀ` whose periods must be
+//! preserved order is required, because `rdupᵀ` of a reordered argument is
+//! only snapshot-equivalent.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -985,8 +988,13 @@ pub fn child_flags(
                 ..f
             }]
         }
+        // rdupᵀ keeps the first of two overlapping value-equivalent
+        // tuples whole and cuts the later one, so a reordered argument
+        // yields only a snapshot-equivalent result: where periods must be
+        // preserved above, the argument's order must be preserved below.
         PlanNode::RdupT { .. } => {
             vec![PropsFlags {
+                order_required: f.order_required || f.period_preserving,
                 duplicates_relevant: false,
                 ..f
             }]
@@ -1208,6 +1216,25 @@ mod tests {
         let ann = annotate(&plan).unwrap();
         assert!(ann[&vec![]].flags.order_required);
         assert!(!ann[&vec![0]].flags.order_required);
+        // …and re-required below the rdupᵀ, whose periods (to be
+        // preserved here) depend on its argument's order.
+        assert!(ann[&vec![0, 0]].flags.order_required);
+    }
+
+    #[test]
+    fn order_not_required_below_rdup_t_when_periods_are_free() {
+        let plan = LogicalPlan::new(
+            PlanNode::Coalesce {
+                input: Arc::new(PlanNode::RdupT {
+                    input: Arc::new(scan("EMP", false)),
+                }),
+            },
+            ResultType::Multiset,
+        );
+        let ann = annotate(&plan).unwrap();
+        // rdupᵀ output is snapshot-duplicate-free, so coalᵀ frees the
+        // periods below it, and with them the order below the rdupᵀ.
+        assert!(!ann[&vec![0]].flags.period_preserving);
         assert!(!ann[&vec![0, 0]].flags.order_required);
     }
 

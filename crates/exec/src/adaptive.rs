@@ -7,29 +7,32 @@
 //! statistics layer left open (`est_rows` / `q_error()` were recorded in
 //! [`crate::metrics::OperatorMetrics`] but nothing acted on them):
 //!
-//! 1. **Stage execution.** The plan is executed stage by stage at its
-//!    pipeline breakers — the materialization points (`sort`, hash and
-//!    sweep boundaries) that already exist in every engine. The deepest
-//!    breaker subtree runs first, on whichever engine is active
-//!    (row/batch/parallel).
-//! 2. **Checkpoint.** The completed breaker's materialized output is bound
-//!    as a synthetic base table with *measured* statistics
-//!    ([`tqo_core::stats::TableSummary::measure`]: row and distinct
-//!    counts, histograms, time range, snapshot-overlap degree) and
-//!    measured invariants ([`tqo_core::plan::BaseProps::measured`]).
-//! 3. **Feedback.** The breaker's estimated-vs-actual q-error is compared
-//!    against [`AdaptiveConfig::q_threshold`]. Below the threshold the
-//!    executed subtree is spliced out of the *static physical plan*
-//!    unchanged — an untriggered adaptive run executes exactly the
+//! 1. **Stage execution.** The physical plan is cut at its pipeline
+//!    breakers by the one cutter the scheduler also uses
+//!    ([`StageGraph`]) and its stages run in order — deepest breaker
+//!    first — on whichever engine is active (row/batch/parallel).
+//! 2. **Checkpoint.** A checkpoint *is* a finished non-final stage: its
+//!    materialized output is bound under the stage's binding
+//!    (`__adaptive{round}_stage{k}`), exactly as the scheduler binds it.
+//! 3. **Feedback.** The stage root's estimated-vs-actual q-error is
+//!    compared against [`AdaptiveConfig::q_threshold`]. Below the
+//!    threshold the remaining stages of the *static* graph simply keep
+//!    running — an untriggered adaptive run executes exactly the
 //!    operators the static run would, so its result is byte-identical to
 //!    the static result. At or above the threshold (and within
-//!    [`AdaptiveConfig::max_reopt`]), the unexecuted remainder re-enters
-//!    the planner with the measured statistics: lowering re-picks
-//!    algorithms within their equivalence licenses, and when a rule set is
-//!    supplied the memo (or exhaustive) optimizer re-searches the
-//!    remainder's plan space. The executed prefix is pinned by
-//!    construction — it is now a scan leaf, which no rule can rewrite
-//!    away.
+//!    [`AdaptiveConfig::max_reopt`]), every finished stage is pinned in
+//!    the logical plan as a scan with *measured* statistics
+//!    ([`tqo_core::plan::BaseProps::measured`]: row and distinct counts,
+//!    histograms, time range, snapshot-overlap degree) and the unexecuted
+//!    remainder re-enters the planner: lowering re-picks algorithms
+//!    within their equivalence licenses, and when a rule set is supplied
+//!    the memo (or exhaustive) optimizer re-searches the remainder's plan
+//!    space. The new plan is cut again and the loop continues. The
+//!    executed prefix is pinned by construction — it is now a scan leaf,
+//!    which no rule can rewrite away.
+//!
+//! The root's stage is never a checkpoint: nothing is left to re-plan
+//! above it, so it runs to completion and its output is the result.
 //!
 //! **Result guarantees.** Every re-planning step preserves the query's
 //! declared result type (`≡SQL`), exactly like static optimization; and
@@ -40,14 +43,11 @@
 //! mode, the adaptive result is byte-identical to the reference
 //! interpreter. See `docs/adaptive.md` for the full invariant table.
 
-use std::sync::Arc;
-
 use tqo_core::context;
-use tqo_core::cost::CostModel;
 use tqo_core::error::Result;
 use tqo_core::interp::Env;
-use tqo_core::optimizer::{optimize, Optimized, OptimizerConfig};
-use tqo_core::plan::{BaseProps, LogicalPlan, Path, PlanNode};
+use tqo_core::optimizer::optimize;
+use tqo_core::plan::{BaseProps, LogicalPlan, PlanNode};
 use tqo_core::relation::Relation;
 use tqo_core::rules::RuleSet;
 
@@ -55,11 +55,11 @@ use tqo_core::trace::{self, counters, Category};
 
 use crate::executor::execute_mode;
 use crate::metrics::{ExecMetrics, ReoptEvent};
-use crate::physical::{PhysicalNode, PhysicalPlan};
-use crate::planner::{lower, optimize_and_lower, PlannerConfig};
+use crate::parallel::StageGraph;
+use crate::physical::PhysicalNode;
+use crate::planner::{lower, optimizer_config, PlannerConfig};
 
-/// Knobs of the adaptive re-optimization loop, carried on
-/// [`PlannerConfig::adaptive`].
+/// Knobs of the adaptive re-optimization loop ([`execute_adaptive`]).
 ///
 /// ```
 /// use tqo_exec::adaptive::AdaptiveConfig;
@@ -93,103 +93,10 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// True for logical operators the engines materialize at (the batch
-/// pipeline's blocking operators and the row engine's equivalents) —
-/// the only places a mid-query checkpoint is free.
-fn is_breaker(node: &PlanNode) -> bool {
-    matches!(
-        node,
-        PlanNode::Sort { .. }
-            | PlanNode::Aggregate { .. }
-            | PlanNode::AggregateT { .. }
-            | PlanNode::Product { .. }
-            | PlanNode::ProductT { .. }
-            | PlanNode::DifferenceT { .. }
-            | PlanNode::RdupT { .. }
-            | PlanNode::UnionMax { .. }
-            | PlanNode::UnionT { .. }
-            | PlanNode::Coalesce { .. }
-    )
-}
-
-/// The next checkpoint site: the deepest-leftmost non-root breaker with no
-/// breaker strictly below it (its whole subtree completes in one stage).
-/// `None` when the only breaker left is the root — the remainder then runs
-/// to completion.
-fn checkpoint_site(root: &PlanNode) -> Option<Path> {
-    fn walk(node: &PlanNode, path: &mut Path, found: &mut Option<Path>) -> bool {
-        let mut below = false;
-        for (i, c) in node.children().iter().enumerate() {
-            path.push(i);
-            below |= walk(c, path, found);
-            path.pop();
-            if found.is_some() {
-                return true;
-            }
-        }
-        if is_breaker(node) {
-            if !below && !path.is_empty() {
-                *found = Some(path.clone());
-            }
-            return true;
-        }
-        below
-    }
-    let mut found = None;
-    walk(root, &mut Vec::new(), &mut found);
-    found
-}
-
-/// Post-order index of the first node of the subtree at `path` (post-order
-/// is the sequence both engines emit metrics and the planner emits
-/// estimates in; a subtree occupies a contiguous range there).
-fn postorder_start(root: &PhysicalNode, path: &[usize]) -> usize {
-    let mut start = 0;
-    let mut cur = root;
-    for &i in path {
-        let children = cur.children();
-        for c in children.iter().take(i) {
-            start += c.size();
-        }
-        cur = children[i];
-    }
-    start
-}
-
-/// The static remainder: `plan` with the executed subtree at `path`
-/// replaced by a scan of the checkpoint, estimates spliced so the scan
-/// reports the (now known) actual cardinality. Algorithm choices of the
-/// surviving operators are untouched.
-fn splice_checkpoint(
-    plan: &PhysicalPlan,
-    path: &[usize],
-    name: &str,
-    actual_rows: u64,
-) -> Result<PhysicalPlan> {
-    let start = postorder_start(&plan.root, path);
-    let len = plan.root.get(path)?.size();
-    let root = plan.root.replace(
-        path,
-        PhysicalNode::Scan {
-            name: name.to_owned(),
-        },
-    )?;
-    let mut estimates = plan.estimates.clone();
-    if estimates.len() == plan.root.size() {
-        estimates.splice(start..start + len, [Some(actual_rows)]);
-    } else {
-        estimates = Vec::new();
-    }
-    Ok(PhysicalPlan {
-        root: Arc::new(root),
-        estimates,
-    })
-}
-
 /// Execute a logical plan adaptively: lower it, run it stage by stage at
 /// its pipeline breakers, and re-plan the remainder with measured
-/// statistics whenever a checkpoint's q-error reaches the configured
-/// threshold (`config.adaptive`, defaulted when `None`).
+/// statistics whenever a checkpoint's q-error reaches `adaptive`'s
+/// threshold. The one door into the adaptive loop.
 ///
 /// With `rules: None` re-planning is *re-lowering only* — algorithm
 /// selection re-runs against measured statistics within the equivalence
@@ -203,149 +110,110 @@ pub fn execute_adaptive(
     env: &Env,
     rules: Option<&RuleSet>,
     config: PlannerConfig,
+    adaptive: AdaptiveConfig,
 ) -> Result<(Relation, ExecMetrics)> {
-    let physical = lower(plan, config)?;
-    drive(plan.clone(), physical, env, rules, config)
-}
-
-/// Statically optimize with `rules`, then execute the winner adaptively
-/// (re-entering the same rule set at checkpoints). The adaptive analogue
-/// of [`crate::planner::optimize_and_lower`] + execute.
-pub fn optimize_and_execute_adaptive(
-    plan: &LogicalPlan,
-    rules: &RuleSet,
-    env: &Env,
-    config: PlannerConfig,
-) -> Result<(Relation, ExecMetrics, Optimized)> {
-    let (physical, optimized) = optimize_and_lower(plan, rules, config)?;
-    let (result, metrics) = drive(optimized.best.clone(), physical, env, rules.into(), config)?;
-    Ok((result, metrics, optimized))
-}
-
-/// The optimizer configuration a re-plan uses: the caller's search
-/// strategy, the cost model calibrated to the engine that keeps executing.
-fn reopt_config(config: PlannerConfig) -> OptimizerConfig {
-    OptimizerConfig {
-        strategy: config.strategy,
-        cost_model: CostModel::calibrated(config.mode.engine())
-            .with_fast_algorithms(config.allow_fast),
-        ..OptimizerConfig::default()
-    }
-}
-
-fn drive(
-    mut logical: LogicalPlan,
-    mut physical: PhysicalPlan,
-    env: &Env,
-    rules: Option<&RuleSet>,
-    config: PlannerConfig,
-) -> Result<(Relation, ExecMetrics)> {
-    let acfg = config.adaptive.unwrap_or_default();
+    let mut logical = plan.clone();
+    let mut physical = lower(plan, config)?;
     // A private clone: checkpoint bindings must not leak into the caller's
     // environment (the columnar cache is shared and identity-checked).
     let mut env = env.clone();
     let mut metrics = ExecMetrics::default();
     let mut replans = 0usize;
 
-    for ckpt in 0.. {
-        // Governance checkpoint: between stages is the natural cancellation
-        // point of the adaptive loop (each stage's engine also checks
-        // internally at its own granularity).
-        context::check_current()?;
-        let Some(path) = checkpoint_site(&logical.root) else {
-            break;
-        };
+    // One round per plan: cut it, run its stages, start over on a re-plan.
+    'plans: loop {
+        // Lowering is node-for-node, so stage paths index `logical` too.
         debug_assert_eq!(logical.root.size(), physical.root.size());
-        let mut ckpt_span = trace::span_with(Category::Adaptive, || format!("checkpoint {ckpt}"));
+        let graph = StageGraph::lower(&physical, &format!("__adaptive{replans}_"))?;
+        let (last, checkpoints) = graph
+            .stages
+            .split_last()
+            .expect("a stage graph ends in the root's stage");
+        for stage in checkpoints {
+            // Governance checkpoint: between stages is the natural
+            // cancellation point of the adaptive loop (each stage's engine
+            // also checks internally at its own granularity).
+            context::check_current()?;
+            let mut ckpt_span = trace::span_with(Category::Adaptive, || {
+                format!("checkpoint {}", metrics.reopts.len())
+            });
+            let (rel, stage_metrics) = execute_mode(&stage.plan, &env, config.mode)?;
+            let breaker = stage_metrics.operators.last().expect("stage has operators");
+            let (label, est, q) = (breaker.label.clone(), breaker.est_rows, breaker.q_error());
+            let actual = rel.len();
+            metrics.operators.extend(stage_metrics.operators);
+            env.insert(graph.binding(stage.id), rel);
 
-        // Execute the stage subtree on the active engine, with its slice
-        // of the post-order estimates so the breaker reports a q-error.
-        let stage_root = Arc::new(physical.root.get(&path)?.clone());
-        let start = postorder_start(&physical.root, &path);
-        let len = stage_root.size();
-        let stage = PhysicalPlan {
-            root: stage_root,
-            estimates: if physical.estimates.len() == physical.root.size() {
-                physical.estimates[start..start + len].to_vec()
-            } else {
-                Vec::new()
-            },
-        };
-        let (rel, stage_metrics) = execute_mode(&stage, &env, config.mode)?;
-        let breaker = stage_metrics.operators.last().expect("stage has operators");
-        let (label, est, q) = (breaker.label.clone(), breaker.est_rows, breaker.q_error());
-        let actual = rel.len();
-        metrics.operators.extend(stage_metrics.operators);
-
-        // Bind the materialized intermediate as a synthetic base table
-        // with measured statistics and invariants. Once the re-plan
-        // budget is spent no future re-plan can consume statistics, so
-        // skip the per-column measurement sweep and bind bare counts.
-        let budget_left = replans < acfg.max_reopt;
-        let name = format!("__adaptive{ckpt}");
-        let base = if budget_left {
-            BaseProps::measured(&rel)?
-        } else {
-            BaseProps::unordered(rel.schema().clone(), rel.len() as u64)
-        };
-        env.insert(name.clone(), rel);
-        logical = logical.with_root(logical.root.replace(
-            &path,
-            PlanNode::Scan {
-                name: name.clone(),
-                base,
-            },
-        )?);
-
-        // The remainder a non-adaptive run would execute: checkpoint scan
-        // spliced in, every surviving algorithm choice untouched.
-        let spliced = splice_checkpoint(&physical, &path, &name, actual as u64)?;
-
-        let triggered = budget_left && q.is_some_and(|q| q >= acfg.q_threshold);
-        if triggered {
-            counters::REOPTS_TRIGGERED.incr();
-            replans += 1;
-            if let Some(rules) = rules {
-                logical = optimize(&logical, rules, &reopt_config(config))?.best;
+            let triggered =
+                replans < adaptive.max_reopt && q.is_some_and(|q| q >= adaptive.q_threshold);
+            let mut plan_changed = false;
+            if triggered {
+                counters::REOPTS_TRIGGERED.incr();
+                replans += 1;
+                // Pin the finished work: every finished stage that no
+                // other finished stage consumed becomes a scan of its
+                // binding — with measured statistics in the logical plan,
+                // and as-is in `kept`, the remainder a static run would
+                // go on to execute.
+                let done = &graph.stages[..=stage.id];
+                let mut kept = (*physical.root).clone();
+                for s in done
+                    .iter()
+                    .filter(|s| !done.iter().any(|t| t.deps.contains(&s.id)))
+                {
+                    let name = graph.binding(s.id);
+                    let base = BaseProps::measured(env.get(&name)?)?;
+                    kept = kept.replace(&s.path, PhysicalNode::Scan { name: name.clone() })?;
+                    let pinned = logical
+                        .root
+                        .replace(&s.path, PlanNode::Scan { name, base })?;
+                    logical = logical.with_root(pinned);
+                }
+                if let Some(rules) = rules {
+                    logical = optimize(&logical, rules, &optimizer_config(config))?.best;
+                }
+                physical = lower(&logical, config)?;
+                plan_changed = *physical.root != kept;
             }
-            physical = lower(&logical, config)?;
-        } else {
-            physical = spliced.clone();
-        }
-        trace::instant_with(
-            Category::Adaptive,
-            || format!("reopt @ {label}"),
-            || {
+            trace::instant_with(
+                Category::Adaptive,
+                || format!("reopt @ {label}"),
+                || {
+                    format!(
+                        "\"est\": {}, \"actual\": {actual}, \"q\": {}, \"replanned\": {triggered}, \
+                         \"plan_changed\": {plan_changed}",
+                        est.map_or_else(|| "null".into(), |e| e.to_string()),
+                        q.map_or_else(|| "null".into(), |q| format!("{q:.2}")),
+                    )
+                },
+            );
+            ckpt_span.note_with(|| {
                 format!(
-                    "\"est\": {}, \"actual\": {actual}, \"q\": {}, \"replanned\": {triggered}, \
-                     \"plan_changed\": {}",
-                    est.map_or_else(|| "null".into(), |e| e.to_string()),
-                    q.map_or_else(|| "null".into(), |q| format!("{q:.2}")),
-                    triggered && physical.root != spliced.root,
+                    "\"breaker\": \"{}\", \"rows\": {actual}",
+                    trace::json_escape(&label)
                 )
-            },
-        );
-        ckpt_span.note_with(|| {
-            format!(
-                "\"breaker\": \"{}\", \"rows\": {actual}",
-                trace::json_escape(&label)
-            )
-        });
-        drop(ckpt_span);
-        metrics.reopts.push(ReoptEvent {
-            checkpoint: label,
-            est_rows: est,
-            actual_rows: actual,
-            q_error: q,
-            replanned: triggered,
-            plan_changed: triggered && physical.root != spliced.root,
-        });
-    }
+            });
+            drop(ckpt_span);
+            metrics.reopts.push(ReoptEvent {
+                checkpoint: label,
+                est_rows: est,
+                actual_rows: actual,
+                q_error: q,
+                replanned: triggered,
+                plan_changed,
+            });
+            if triggered {
+                continue 'plans;
+            }
+        }
 
-    // No non-root breakers left: run the remainder to completion.
-    let (result, final_metrics) = execute_mode(&physical, &env, config.mode)?;
-    metrics.operators.extend(final_metrics.operators);
-    Ok((result, metrics))
+        // Nothing above the root's stage is left to re-plan: run it to
+        // completion.
+        context::check_current()?;
+        let (result, final_metrics) = execute_mode(&last.plan, &env, config.mode)?;
+        metrics.operators.extend(final_metrics.operators);
+        return Ok((result, metrics));
+    }
 }
 
 #[cfg(test)]
@@ -354,7 +222,6 @@ mod tests {
     use crate::executor::ExecMode;
     use tqo_core::plan::PlanBuilder;
     use tqo_core::schema::Schema;
-    use tqo_core::sortspec::Order;
     use tqo_core::stats::TableSummary;
     use tqo_core::tuple::Tuple;
     use tqo_core::value::{DataType, Value};
@@ -386,26 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_sites_are_deepest_non_root_breakers() {
-        let a = temporal(10, 3);
-        let plan = stale_scan("A", &a, 10)
-            .rdup_t()
-            .coalesce()
-            .sort(Order::asc(&["E"]))
-            .build_multiset();
-        // rdupT is the deepest breaker.
-        assert_eq!(checkpoint_site(&plan.root), Some(vec![0, 0]));
-        // A plan whose only breaker is the root has no checkpoint site.
-        let sort_only = stale_scan("A", &a, 10)
-            .sort(Order::asc(&["E"]))
-            .build_multiset();
-        assert_eq!(checkpoint_site(&sort_only.root), None);
-        // A streaming-only plan has none either.
-        let streaming = stale_scan("A", &a, 10).rdup().build_multiset();
-        assert_eq!(checkpoint_site(&streaming.root), None);
-    }
-
-    #[test]
     fn untriggered_adaptive_runs_are_byte_identical_to_static() {
         let a = temporal(200, 10);
         let b = temporal(40, 10);
@@ -423,11 +270,8 @@ mod tests {
                 ..PlannerConfig::default()
             };
             let (expected, _) = crate::executor::execute_logical(&plan, &env, config).unwrap();
-            let adaptive_config = PlannerConfig {
-                adaptive: Some(AdaptiveConfig::default()),
-                ..config
-            };
-            let (got, m) = execute_adaptive(&plan, &env, None, adaptive_config).unwrap();
+            let (got, m) =
+                execute_adaptive(&plan, &env, None, config, AdaptiveConfig::default()).unwrap();
             assert_eq!(got, expected, "untriggered adaptive diverged ({mode:?})");
             assert_eq!(m.replanned_count(), 0, "accurate stats must not trigger");
             assert!(!m.reopts.is_empty(), "breakers still checkpoint");
@@ -439,14 +283,12 @@ mod tests {
         let a = temporal(400, 20);
         let env = Env::new().with("A", a.clone());
         let plan = stale_scan("A", &a, 8).rdup_t().coalesce().build_multiset();
-        let config = PlannerConfig {
-            adaptive: Some(AdaptiveConfig {
-                q_threshold: 1.0,
-                max_reopt: 0,
-            }),
-            ..PlannerConfig::default()
+        let pinned = AdaptiveConfig {
+            q_threshold: 1.0,
+            max_reopt: 0,
         };
-        let (got, m) = execute_adaptive(&plan, &env, None, config).unwrap();
+        let (got, m) =
+            execute_adaptive(&plan, &env, None, PlannerConfig::default(), pinned).unwrap();
         let (expected, _) =
             crate::executor::execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
         assert_eq!(got, expected);
@@ -461,14 +303,11 @@ mod tests {
         let a = temporal(400, 20);
         let env = Env::new().with("A", a.clone());
         let plan = stale_scan("A", &a, 8).rdup_t().coalesce().build_multiset();
-        let config = PlannerConfig {
-            adaptive: Some(AdaptiveConfig {
-                q_threshold: 1.0,
-                max_reopt: 4,
-            }),
-            ..PlannerConfig::default()
+        let eager = AdaptiveConfig {
+            q_threshold: 1.0,
+            max_reopt: 4,
         };
-        let (_, m) = execute_adaptive(&plan, &env, None, config).unwrap();
+        let (_, m) = execute_adaptive(&plan, &env, None, PlannerConfig::default(), eager).unwrap();
         assert_eq!(m.replanned_count(), 1);
         let coalesce = m
             .operators

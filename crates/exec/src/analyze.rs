@@ -38,44 +38,25 @@ pub struct Analyzed {
     pub result: Relation,
     /// The per-operator metrics the report was rendered from.
     pub metrics: ExecMetrics,
-    /// The executed physical plan (`None` under adaptive execution,
-    /// which stages and re-lowers rather than fixing one plan).
-    pub plan: Option<PhysicalPlan>,
+    /// The executed physical plan.
+    pub plan: PhysicalPlan,
     /// The annotated report.
     pub report: String,
 }
 
-/// Lower and execute `plan` on the engine selected by `config.mode`
-/// (adaptively when `config.adaptive` is set), then render the analyze
-/// report.
+/// Lower and execute `plan` on the engine selected by `config.mode`,
+/// then render the analyze report. (An adaptive run's metrics render
+/// through [`render`] with no plan.)
 pub fn explain_analyze(plan: &LogicalPlan, env: &Env, config: PlannerConfig) -> Result<Analyzed> {
-    if config.adaptive.is_some() {
-        let (result, metrics) = crate::adaptive::execute_adaptive(plan, env, None, config)?;
-        let report = render(None, &metrics, &engine_name(config));
-        return Ok(Analyzed {
-            result,
-            metrics,
-            plan: None,
-            report,
-        });
-    }
     let physical = lower(plan, config)?;
     let (result, metrics) = execute_mode(&physical, env, config.mode)?;
-    let report = render(Some(&physical), &metrics, &engine_name(config));
+    let report = render(Some(&physical), &metrics, &format!("{:?}", config.mode));
     Ok(Analyzed {
         result,
         metrics,
-        plan: Some(physical),
+        plan: physical,
         report,
     })
-}
-
-fn engine_name(config: PlannerConfig) -> String {
-    if config.adaptive.is_some() {
-        format!("{:?}, adaptive", config.mode)
-    } else {
-        format!("{:?}", config.mode)
-    }
 }
 
 /// Render the analyze report for an executed plan.
@@ -248,8 +229,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(a.result, paper::figure1_result());
-            let plan = a.plan.as_ref().unwrap();
-            assert_eq!(plan.root.size(), a.metrics.operators.len());
+            assert_eq!(a.plan.root.size(), a.metrics.operators.len());
             for col in ["est rows", "act rows", "q-err", "cpu", "thr", "rows/s"] {
                 assert!(
                     a.report.contains(col),

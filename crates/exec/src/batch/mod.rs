@@ -1,10 +1,10 @@
 //! The vectorized batch execution engine.
 //!
-//! Where the row engine ([`crate::executor::execute_row`]) walks the
+//! Where the row engine ([`crate::executor::ExecMode::Row`]) walks the
 //! physical tree materializing a full `Relation` per operator, this engine
 //! streams **batches** — column-major windows of ~[`BATCH_SIZE`] rows over
 //! shared [`Column`] vectors — through a pipeline of
-//! [`pipeline::BatchOperator`]s:
+//! `pipeline::BatchOperator`s:
 //!
 //! * a [`Batch`] never owns rows it did not create: it holds `Arc`s to its
 //!   source columns plus a *selection* ([`Sel`]) naming the live rows, so

@@ -44,7 +44,7 @@ use super::kernels;
 use super::{concat, Batch, BATCH_SIZE};
 
 /// A pull-based operator producing column-major batches.
-pub trait BatchOperator {
+pub(crate) trait BatchOperator {
     /// Output schema, known before any batch is produced.
     fn out_schema(&self) -> Arc<Schema>;
     /// Prepare: open children, build blocking state.

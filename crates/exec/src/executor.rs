@@ -92,11 +92,6 @@ impl ExecMode {
     }
 }
 
-/// Execute a physical plan with the default (batch) engine.
-pub fn execute(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMetrics)> {
-    execute_mode(plan, env, ExecMode::default())
-}
-
 /// Execute a physical plan with an explicit engine choice.
 pub fn execute_mode(
     plan: &PhysicalPlan,
@@ -124,26 +119,20 @@ pub fn execute_mode(
 }
 
 /// Execute a physical plan with the row-at-a-time engine.
-pub fn execute_row(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMetrics)> {
+pub(crate) fn execute_row(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMetrics)> {
     let mut metrics = ExecMetrics::default();
     let (result, _reserved) = run(&plan.root, env, &mut metrics)?;
     Ok((result, metrics))
 }
 
 /// Lower a logical plan and execute it in one step (engine chosen by
-/// `config.mode`). When `config.adaptive` is set, execution is staged at
-/// pipeline breakers and the remainder is re-lowered against measured
-/// checkpoint statistics on large q-errors (see [`crate::adaptive`];
-/// rule-based re-optimization additionally needs
-/// [`crate::adaptive::execute_adaptive`] with a rule set).
+/// `config.mode`). The plan runs as lowered; staged execution with
+/// mid-query re-planning is [`crate::adaptive::execute_adaptive`].
 pub fn execute_logical(
     plan: &LogicalPlan,
     env: &Env,
     config: PlannerConfig,
 ) -> Result<(Relation, ExecMetrics)> {
-    if config.adaptive.is_some() {
-        return crate::adaptive::execute_adaptive(plan, env, None, config);
-    }
     let physical = lower(plan, config)?;
     execute_mode(&physical, env, config.mode)
 }

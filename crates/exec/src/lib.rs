@@ -16,15 +16,16 @@
 //! | `\ᵀ` | count-timeline sweep | per-tuple subtract-union | `≡SM` |
 //!
 //! The planner ([`planner::lower`]) consults the property annotations to
-//! pick the fastest admissible algorithm; [`executor::execute`] runs the
-//! physical plan collecting per-operator metrics.
+//! pick the fastest admissible algorithm; [`executor::execute_mode`] runs
+//! the physical plan collecting per-operator metrics.
 //!
-//! Two engines execute physical plans ([`executor::ExecMode`]): the
+//! Three engines execute physical plans ([`executor::ExecMode`]): the
 //! vectorized batch pipeline in [`batch`] (default — columnar ~1024-row
 //! batches, selection vectors, column-wise hashing, period-column
-//! sweeps) and the row-at-a-time materializing walk
-//! ([`executor::execute_row`], the semantic baseline). For any one
-//! physical plan the two produce identical relations.
+//! sweeps), the morsel-parallel engine in [`parallel`], and the
+//! row-at-a-time materializing walk ([`executor::ExecMode::Row`], the
+//! semantic baseline). For any one physical plan they produce identical
+//! relations.
 
 #![warn(missing_docs)]
 
@@ -38,13 +39,11 @@ pub mod parallel;
 pub mod physical;
 pub mod planner;
 
-pub use adaptive::{execute_adaptive, optimize_and_execute_adaptive, AdaptiveConfig};
+pub use adaptive::{execute_adaptive, AdaptiveConfig};
 pub use analyze::{explain_analyze, Analyzed};
-pub use batch::pipeline::BatchOperator;
 pub use batch::Batch;
-pub use executor::{execute, execute_logical, execute_mode, execute_row, ExecMode};
+pub use executor::{execute_logical, execute_mode, ExecMode};
 pub use metrics::{ExecMetrics, OperatorMetrics, ReoptEvent};
-pub use parallel::{execute_parallel, WorkerPool, MORSEL_SIZE};
 pub use parallel::{QueryHandle, Scheduler, SchedulerConfig, StageGraph, SubmitOptions};
 pub use physical::{PhysicalNode, PhysicalPlan};
 pub use planner::{lower, PlannerConfig};

@@ -42,7 +42,6 @@ pub mod sched;
 pub mod stage;
 pub mod sweep;
 
-pub use morsel::{WorkerPool, MORSEL_SIZE};
 pub use sched::{QueryHandle, Scheduler, SchedulerConfig, SubmitOptions};
 pub use stage::{Stage, StageGraph};
 
@@ -68,11 +67,12 @@ use crate::physical::{
 };
 
 use morsel::{for_each_chunk_mut, morsels_of, try_map_morsels};
+pub(crate) use morsel::{WorkerPool, MORSEL_SIZE};
 
 /// Execute a physical plan with the morsel-parallel engine on `threads`
 /// workers (clamped to at least one). Produces a relation equal (`==`) to
 /// the row and batch engines' output for the same plan.
-pub fn execute_parallel(
+pub(crate) fn execute_parallel(
     plan: &PhysicalPlan,
     env: &Env,
     threads: usize,

@@ -608,10 +608,64 @@ mod tests {
         });
         let (out, metrics) = sched.run(&plan, &e, SubmitOptions::default()).unwrap();
         assert_eq!(out, serial);
-        // Stage metrics cover every operator of the plan (plus the
-        // synthetic final-stage scan).
-        assert!(metrics.operators.len() >= plan.root.size());
+        // Stage metrics cover exactly the operators of the plan: the
+        // root breaker's stage is the final stage.
+        assert_eq!(metrics.operators.len(), plan.root.size());
         sched.shutdown();
+    }
+
+    #[test]
+    fn staged_operators_report_the_plans_estimates() {
+        use tqo_core::plan::{BaseProps, PlanBuilder};
+        let e = env();
+        let base = BaseProps::measured(e.get("R").unwrap()).unwrap();
+        let logical = PlanBuilder::scan("R", base)
+            .rdup_t()
+            .coalesce()
+            .sort(Order::asc(&["E"]))
+            .build_multiset();
+        let plan =
+            crate::planner::lower(&logical, crate::planner::PlannerConfig::default()).unwrap();
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 0,
+            max_queries: 4,
+        });
+        let h = sched.submit(&plan, &e, SubmitOptions::default()).unwrap();
+        while sched.step().is_some() {}
+        let (_, metrics) = h.wait().unwrap();
+        // Three stages; the two inter-stage scans are the only operators
+        // without an estimate.
+        assert_eq!(metrics.operators.len(), plan.root.size() + 2);
+        for op in &metrics.operators {
+            assert_eq!(
+                op.est_rows.is_none(),
+                op.label.starts_with("scan(__q"),
+                "{}",
+                op.label
+            );
+        }
+    }
+
+    #[test]
+    fn a_result_is_charged_to_the_budget_once() {
+        let e = env();
+        let plan = PhysicalPlan::new(PhysicalNode::Sort {
+            input: Arc::new(PhysicalNode::Scan { name: "R".into() }),
+            order: Order::asc(&["E"]),
+        });
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 0,
+            max_queries: 4,
+        });
+        let ctx = QueryContext::new().with_memory_limit(1 << 30);
+        let opts = SubmitOptions {
+            ctx: ctx.clone(),
+            ..Default::default()
+        };
+        let h = sched.submit(&plan, &e, opts).unwrap();
+        while sched.step().is_some() {}
+        let (out, _) = h.wait().unwrap();
+        assert_eq!(ctx.budget().used(), out.approx_bytes());
     }
 
     #[test]
@@ -654,7 +708,7 @@ mod tests {
         while sched.step().is_some() {
             steps += 1;
         }
-        assert_eq!(steps, 2); // sort stage + final scan stage
+        assert_eq!(steps, 1); // the sort is the root: one stage
         assert!(h.is_finished());
         let (out, _) = h.wait().unwrap();
         assert_eq!(out, serial);

@@ -1,24 +1,26 @@
 //! Lowering physical plans into partition-pipeline task graphs.
 //!
-//! The multi-query scheduler ([`super::sched`]) does not execute whole
-//! plans: it executes **stages**. A stage is a maximal breaker-bounded
-//! fragment of a physical plan — the same boundaries the adaptive
-//! executor checkpoints at ([`crate::adaptive`]) — and the stage graph
-//! is the plan rewritten so each breaker subtree becomes its own
-//! runnable unit whose output downstream stages consume through a
-//! synthetic scan binding.
+//! Nothing executes whole plans in stages except through this module: a
+//! **stage** is a maximal breaker-bounded fragment of a physical plan,
+//! and the stage graph is the plan rewritten so each breaker subtree
+//! becomes its own runnable unit whose output downstream stages consume
+//! through a synthetic scan binding. The multi-query scheduler
+//! ([`super::sched`]) runs the stages of many queries on one pool; the
+//! adaptive executor ([`crate::adaptive`]) runs the stages of one query
+//! in order and may re-plan between them — a checkpoint *is* a finished
+//! stage.
 //!
 //! The cut is byte-preserving by construction: a breaker fully
 //! materializes its output anyway, so executing the subtree separately
 //! and re-reading the materialized relation through `scan(__qN_stageK)`
 //! feeds every downstream operator exactly the input it would have seen
-//! inline. This is the same argument that makes an untriggered adaptive
-//! run byte-identical to a static one, and `tests/serve_stress.rs` holds
-//! the scheduler to it under concurrency.
+//! inline. `tests/serve_stress.rs` holds the scheduler to it under
+//! concurrency, `tests/adaptive_reopt.rs` the adaptive loop.
 
 use std::sync::Arc;
 
 use tqo_core::error::Result;
+use tqo_core::plan::Path;
 
 use crate::physical::{PhysicalNode, PhysicalPlan};
 
@@ -29,17 +31,27 @@ pub struct Stage {
     /// Index of this stage in [`StageGraph::stages`] (topological:
     /// dependencies always have smaller ids).
     pub id: usize,
-    /// The fragment to execute. Dependency outputs appear as
-    /// `scan(<binding>)` leaves (see [`StageGraph::binding`]).
+    /// The fragment to execute, with its slice of the cut plan's
+    /// post-order estimates (a synthetic scan carries none). Dependency
+    /// outputs appear as `scan(<binding>)` leaves (see
+    /// [`StageGraph::binding`]).
     pub plan: PhysicalPlan,
     /// Stage ids whose outputs this fragment scans.
     pub deps: Vec<usize>,
+    /// Where this stage's root sits in the plan that was cut. Lowering
+    /// ([`crate::planner::lower`]) is node-for-node, so the same path
+    /// addresses the operator in the logical plan the physical plan came
+    /// from — how the adaptive loop pins finished stages before it
+    /// re-plans.
+    pub path: Path,
 }
 
 /// A physical plan decomposed into pipeline stages at its breakers.
 ///
-/// `stages` is in topological order; the **last** stage produces the
-/// query result. A plan with no internal breakers lowers to exactly one
+/// `stages` is in topological order — the post-order of the plan's
+/// breakers, so the deepest-leftmost breaker runs first — and the
+/// **last** stage is rooted at the plan's root and produces the query
+/// result. A plan with no breaker below its root lowers to exactly one
 /// stage containing the whole tree.
 #[derive(Debug, Clone)]
 pub struct StageGraph {
@@ -49,8 +61,8 @@ pub struct StageGraph {
 }
 
 /// Pipeline breakers: operators that fully materialize their output
-/// before anything downstream can consume a row. The set mirrors the
-/// adaptive executor's checkpoint sites, translated to physical nodes.
+/// before anything downstream can consume a row — the only places a
+/// plan can be cut (and a mid-query checkpoint taken) for free.
 fn is_breaker(node: &PhysicalNode) -> bool {
     matches!(
         node,
@@ -67,29 +79,43 @@ fn is_breaker(node: &PhysicalNode) -> bool {
     )
 }
 
+/// A fragment under construction: the rewritten node, the stages it
+/// scans, and its post-order estimates (empty when the plan has none).
+type Fragment = (Arc<PhysicalNode>, Vec<usize>, Vec<Option<u64>>);
+
+/// The walk's position in the plan being cut.
+struct Cursor<'a> {
+    path: Path,
+    /// The plan's post-order estimates not yet consumed; empty from the
+    /// start for plans that carry none (hand-built) — fragments then
+    /// carry none either.
+    estimates: std::slice::Iter<'a, Option<u64>>,
+}
+
 impl StageGraph {
     /// Decompose `plan` into breaker-bounded stages. `prefix` namespaces
     /// the inter-stage bindings (`{prefix}stage{id}`) so concurrent
     /// queries sharing one scheduler never collide in the environment or
     /// its columnar cache — the scheduler passes a per-query prefix.
-    ///
-    /// Estimates are not threaded through to the fragments (stage
-    /// operators report no estimates); results are unaffected.
     pub fn lower(plan: &PhysicalPlan, prefix: &str) -> Result<StageGraph> {
         let mut graph = StageGraph {
             stages: Vec::new(),
             prefix: prefix.to_owned(),
         };
-        let (root, deps) = graph.cut(&plan.root)?;
-        let id = graph.stages.len();
-        graph.stages.push(Stage {
-            id,
-            plan: PhysicalPlan {
-                root,
-                estimates: Vec::new(),
-            },
-            deps,
-        });
+        let estimates: &[Option<u64>] = if plan.estimates.len() == plan.root.size() {
+            &plan.estimates
+        } else {
+            &[]
+        };
+        let mut cursor = Cursor {
+            path: Path::new(),
+            estimates: estimates.iter(),
+        };
+        // The root's fragment is the final stage whether or not the root
+        // is a breaker: nothing re-reads a root breaker's output, so it
+        // gets no trailing `scan` stage.
+        let root = graph.fragment(&plan.root, &mut cursor)?;
+        graph.push(root, cursor.path);
         Ok(graph)
     }
 
@@ -98,104 +124,150 @@ impl StageGraph {
         format!("{}stage{id}", self.prefix)
     }
 
-    /// Recursively rebuild `node` with breaker subtrees cut into stages;
-    /// returns the rewritten node plus the stage ids the rewritten
-    /// fragment scans.
-    fn cut(&mut self, node: &Arc<PhysicalNode>) -> Result<(Arc<PhysicalNode>, Vec<usize>)> {
-        let mut deps = Vec::new();
+    fn push(&mut self, (root, deps, estimates): Fragment, path: Path) -> usize {
+        let id = self.stages.len();
+        self.stages.push(Stage {
+            id,
+            plan: PhysicalPlan { root, estimates },
+            deps,
+            path,
+        });
+        id
+    }
+
+    /// Rebuild `node` with the breaker subtrees below it cut into stages.
+    fn fragment(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Cursor) -> Result<Fragment> {
         let children = node.children();
-        let rebuilt = if children.is_empty() {
-            Arc::clone(node)
-        } else {
-            let mut new_children = Vec::with_capacity(children.len());
-            let mut changed = false;
-            for c in children {
-                let (nc, d) = self.cut(c)?;
-                changed |= !Arc::ptr_eq(&nc, c);
-                new_children.push(nc);
-                deps.extend(d);
-            }
-            if changed {
-                Arc::new(node.with_children(new_children)?)
-            } else {
-                Arc::clone(node)
-            }
-        };
-        if is_breaker(node) {
-            let id = self.stages.len();
-            self.stages.push(Stage {
-                id,
-                plan: PhysicalPlan {
-                    root: rebuilt,
-                    estimates: Vec::new(),
-                },
-                deps,
-            });
-            Ok((
-                Arc::new(PhysicalNode::Scan {
-                    name: self.binding(id),
-                }),
-                vec![id],
-            ))
-        } else {
-            Ok((rebuilt, deps))
+        let mut deps = Vec::new();
+        let mut estimates = Vec::new();
+        let mut new_children = Vec::with_capacity(children.len());
+        let mut changed = false;
+        for (i, c) in children.iter().enumerate() {
+            cursor.path.push(i);
+            let (nc, d, e) = self.cut(c, cursor)?;
+            cursor.path.pop();
+            changed |= !Arc::ptr_eq(&nc, c);
+            new_children.push(nc);
+            deps.extend(d);
+            estimates.extend(e);
         }
+        // Post-order: the node's own estimate follows its children's.
+        estimates.extend(cursor.estimates.next());
+        let rebuilt = if changed {
+            Arc::new(node.with_children(new_children)?)
+        } else {
+            Arc::clone(node)
+        };
+        Ok((rebuilt, deps, estimates))
+    }
+
+    /// [`StageGraph::fragment`] for a non-root node: a breaker becomes a
+    /// stage of its own and is replaced by a scan of its binding.
+    fn cut(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Cursor) -> Result<Fragment> {
+        let fragment = self.fragment(node, cursor)?;
+        if !is_breaker(node) {
+            return Ok(fragment);
+        }
+        // The synthetic scan takes a slot in its parent's post-order
+        // estimates (when the plan has any) but estimates nothing.
+        let estimates = vec![None; usize::from(!fragment.2.is_empty())];
+        let id = self.push(fragment, cursor.path.clone());
+        let scan = PhysicalNode::Scan {
+            name: self.binding(id),
+        };
+        Ok((Arc::new(scan), vec![id], estimates))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{lower, PlannerConfig};
     use tqo_core::expr::Expr;
+    use tqo_core::plan::{BaseProps, PlanBuilder, PlanNode};
+    use tqo_core::schema::Schema;
     use tqo_core::sortspec::Order;
+    use tqo_core::value::DataType;
 
     fn scan(name: &str) -> Arc<PhysicalNode> {
         Arc::new(PhysicalNode::Scan { name: name.into() })
     }
 
+    fn select(input: Arc<PhysicalNode>) -> Arc<PhysicalNode> {
+        Arc::new(PhysicalNode::Select {
+            input,
+            predicate: Expr::eq(Expr::col("E"), Expr::lit("a")),
+        })
+    }
+
+    fn tscan(name: &str) -> PlanBuilder {
+        let s = Schema::temporal(&[("E", DataType::Str)]);
+        PlanBuilder::scan(name, BaseProps::unordered(s, 100))
+    }
+
+    /// No stage merely re-reads another stage's binding.
+    fn assert_no_bare_scan_stage(g: &StageGraph) {
+        for s in &g.stages {
+            let bare =
+                matches!(&*s.plan.root, PhysicalNode::Scan { name } if name.starts_with(&g.prefix));
+            assert!(!bare, "stage {} is a bare scan: {}", s.id, s.plan);
+        }
+    }
+
     #[test]
     fn pipeline_without_breakers_is_one_stage() {
-        let plan = PhysicalPlan::new(PhysicalNode::Select {
-            input: scan("R"),
-            predicate: Expr::eq(Expr::col("E"), Expr::lit("a")),
-        });
+        let plan = PhysicalPlan {
+            root: select(scan("R")),
+            estimates: Vec::new(),
+        };
         let g = StageGraph::lower(&plan, "__q0_").unwrap();
         assert_eq!(g.stages.len(), 1);
         assert!(g.stages[0].deps.is_empty());
         assert_eq!(g.stages[0].plan.root, plan.root);
+        assert!(g.stages[0].path.is_empty());
+    }
+
+    #[test]
+    fn root_breaker_is_the_final_stage_not_followed_by_a_scan() {
+        // sort(select(scan R)): the only breaker is the root.
+        let plan = PhysicalPlan::new(PhysicalNode::Sort {
+            input: select(scan("R")),
+            order: Order::asc(&["E"]),
+        });
+        let g = StageGraph::lower(&plan, "__q3_").unwrap();
+        assert_eq!(g.stages.len(), 1);
+        assert_eq!(g.stages[0].plan.root, plan.root);
+        assert_no_bare_scan_stage(&g);
     }
 
     #[test]
     fn breakers_cut_into_dependent_stages() {
         // sort(select(product(R, S))): product and sort are breakers.
         let plan = PhysicalPlan::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::Select {
-                input: Arc::new(PhysicalNode::Product {
-                    left: scan("R"),
-                    right: scan("S"),
-                }),
-                predicate: Expr::eq(Expr::col("E"), Expr::lit("a")),
-            }),
+            input: select(Arc::new(PhysicalNode::Product {
+                left: scan("R"),
+                right: scan("S"),
+            })),
             order: Order::asc(&["E"]),
         });
         let g = StageGraph::lower(&plan, "__q7_").unwrap();
-        assert_eq!(g.stages.len(), 3);
+        assert_eq!(g.stages.len(), 2);
         // Stage 0: the product subtree, no deps.
         assert_eq!(g.stages[0].plan.root.label(), "product");
         assert!(g.stages[0].deps.is_empty());
-        // Stage 1: sort(select(scan(__q7_stage0))).
+        assert_eq!(g.stages[0].path, vec![0, 0]);
+        // Final stage: sort(select(scan(__q7_stage0))), the root breaker.
         assert_eq!(g.stages[1].deps, vec![0]);
         assert_eq!(g.stages[1].plan.root.label(), "sort[stable]");
+        assert!(g.stages[1].path.is_empty());
         let inner = &g.stages[1].plan.root.children()[0];
         assert_eq!(inner.children()[0].label(), "scan(__q7_stage0)");
-        // Final stage: just re-reads the root breaker's binding.
-        assert_eq!(g.stages[2].deps, vec![1]);
-        assert_eq!(g.stages[2].plan.root.label(), "scan(__q7_stage1)");
+        assert_no_bare_scan_stage(&g);
     }
 
     #[test]
     fn binary_breakers_collect_deps_from_both_sides() {
-        // union-max over two sorted inputs: three breakers below the root.
+        // union-max over two sorted inputs: two breakers below the root.
         let plan = PhysicalPlan::new(PhysicalNode::UnionMax {
             left: Arc::new(PhysicalNode::Sort {
                 input: scan("R"),
@@ -207,9 +279,79 @@ mod tests {
             }),
         });
         let g = StageGraph::lower(&plan, "__q1_").unwrap();
-        assert_eq!(g.stages.len(), 4);
+        assert_eq!(g.stages.len(), 3);
         assert_eq!(g.stages[2].deps, vec![0, 1]);
         assert_eq!(g.stages[2].plan.root.label(), "union-max");
-        assert_eq!(g.stages[3].deps, vec![2]);
+        assert_no_bare_scan_stage(&g);
+    }
+
+    #[test]
+    fn stages_run_deepest_breaker_first_and_the_root_is_never_a_checkpoint() {
+        // The order the adaptive loop checkpoints in: every stage but the
+        // last, i.e. the non-root breakers in post-order.
+        let checkpoints = |plan: &tqo_core::plan::LogicalPlan| -> Vec<Path> {
+            let physical = lower(plan, PlannerConfig::default()).unwrap();
+            let g = StageGraph::lower(&physical, "__a_").unwrap();
+            let (_final, rest) = g.stages.split_last().unwrap();
+            rest.iter().map(|s| s.path.clone()).collect()
+        };
+        let by_e = Order::asc(&["E"]);
+        let plan = tscan("A")
+            .rdup_t()
+            .coalesce()
+            .sort(by_e.clone())
+            .build_multiset();
+        // rdupT is the deepest breaker, then the coalesce above it.
+        assert_eq!(checkpoints(&plan), vec![vec![0, 0], vec![0]]);
+        // A plan whose only breaker is the root has no checkpoint.
+        let sort_only = tscan("A").sort(by_e).build_multiset();
+        assert_eq!(checkpoints(&sort_only), Vec::<Path>::new());
+        // A streaming-only plan has none either.
+        let streaming = tscan("A").rdup().build_multiset();
+        assert_eq!(checkpoints(&streaming), Vec::<Path>::new());
+    }
+
+    #[test]
+    fn stage_paths_and_estimates_index_the_plan_that_was_lowered() {
+        let logical = tscan("A")
+            .rdup_t()
+            .difference_t(tscan("B").select(Expr::eq(Expr::col("E"), Expr::lit("a"))))
+            .coalesce()
+            .build_multiset();
+        let physical = lower(&logical, PlannerConfig::default()).unwrap();
+        let g = StageGraph::lower(&physical, "__q2_").unwrap();
+        assert_eq!(g.stages.len(), 3);
+        let mut post_order = physical.estimates.iter();
+        for s in &g.stages {
+            // Same path, same operator, in the physical and the logical plan.
+            let at = physical.root.get(&s.path).unwrap();
+            assert_eq!(at.label(), s.plan.root.label());
+            let op = logical.root.get(&s.path).unwrap();
+            assert!(
+                matches!(
+                    (op, at),
+                    (PlanNode::RdupT { .. }, PhysicalNode::RdupT { .. })
+                        | (
+                            PlanNode::DifferenceT { .. },
+                            PhysicalNode::DifferenceT { .. }
+                        )
+                        | (PlanNode::Coalesce { .. }, PhysicalNode::Coalesce { .. })
+                ),
+                "stage {} is {} but the logical plan has {} there",
+                s.id,
+                at.label(),
+                op.op_name()
+            );
+            // One estimate per operator of the fragment; the real
+            // operators carry the plan's, in the plan's post-order (the
+            // stages are themselves in post-order), synthetic scans none.
+            assert_eq!(s.plan.estimates.len(), s.plan.root.size());
+            for est in s.plan.estimates.iter().filter(|e| e.is_some()) {
+                assert_eq!(est, post_order.next().unwrap());
+            }
+            let synthetic = s.plan.estimates.iter().filter(|e| e.is_none()).count();
+            assert_eq!(synthetic, s.deps.len());
+        }
+        assert!(post_order.next().is_none());
     }
 }

@@ -31,11 +31,6 @@ pub struct PlannerConfig {
     /// Execution engine [`crate::executor::execute_logical`] dispatches to
     /// (vectorized batch pipeline by default).
     pub mode: crate::executor::ExecMode,
-    /// Adaptive mid-query re-optimization ([`crate::adaptive`]): when set,
-    /// [`crate::executor::execute_logical`] observes actual cardinalities
-    /// at pipeline breakers and re-plans the remainder on large q-errors.
-    /// `None` (the default) executes the static plan unchanged.
-    pub adaptive: Option<crate::adaptive::AdaptiveConfig>,
 }
 
 impl Default for PlannerConfig {
@@ -44,7 +39,6 @@ impl Default for PlannerConfig {
             allow_fast: true,
             strategy: SearchStrategy::default(),
             mode: crate::executor::ExecMode::default(),
-            adaptive: None,
         }
     }
 }
@@ -68,21 +62,26 @@ pub fn lower(plan: &LogicalPlan, config: PlannerConfig) -> Result<PhysicalPlan> 
     Ok(PhysicalPlan::new(root).with_estimates(estimates))
 }
 
+/// The optimizer configuration a planner configuration implies: the
+/// caller's search strategy, the cost model calibrated to the engine that
+/// will execute the plan (`config.mode`).
+pub(crate) fn optimizer_config(config: PlannerConfig) -> OptimizerConfig {
+    OptimizerConfig {
+        strategy: config.strategy,
+        cost_model: tqo_core::cost::CostModel::calibrated(config.mode.engine())
+            .with_fast_algorithms(config.allow_fast),
+        ..OptimizerConfig::default()
+    }
+}
+
 /// Optimize a logical plan with the configured search strategy, then lower
-/// the winner to a physical plan. The cost model is calibrated to the
-/// engine that will execute the plan (`config.mode`).
+/// the winner to a physical plan.
 pub fn optimize_and_lower(
     plan: &LogicalPlan,
     rules: &RuleSet,
     config: PlannerConfig,
 ) -> Result<(PhysicalPlan, Optimized)> {
-    let optimizer_config = OptimizerConfig {
-        strategy: config.strategy,
-        cost_model: tqo_core::cost::CostModel::calibrated(config.mode.engine())
-            .with_fast_algorithms(config.allow_fast),
-        ..OptimizerConfig::default()
-    };
-    let optimized = optimize(plan, rules, &optimizer_config)?;
+    let optimized = optimize(plan, rules, &optimizer_config(config))?;
     let physical = lower(&optimized.best, config)?;
     Ok((physical, optimized))
 }

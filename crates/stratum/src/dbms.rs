@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use tqo_core::error::{Error, Result};
-use tqo_core::ops;
+use tqo_core::interp;
 use tqo_core::plan::PlanNode;
 use tqo_core::relation::Relation;
 use tqo_core::trace::counters;
@@ -64,45 +64,23 @@ impl SimulatedDbms {
         Ok((result, stats))
     }
 
-    fn eval(&self, node: &PlanNode) -> Result<Relation> {
-        if !node.is_dbms_supported() {
-            return Err(Error::Plan {
-                reason: format!(
-                    "operation {} reached the DBMS; temporal operations live in the stratum",
-                    node.op_name()
-                ),
-            });
-        }
-        Ok(match node {
-            PlanNode::Scan { name, .. } => self.catalog.get(name)?.relation().clone(),
-            PlanNode::Select { input, predicate } => ops::select(&self.eval(input)?, predicate)?,
-            PlanNode::Project { input, items } => ops::project(&self.eval(input)?, items)?,
-            PlanNode::UnionAll { left, right } => {
-                ops::union_all(&self.eval(left)?, &self.eval(right)?)?
-            }
-            PlanNode::Product { left, right } => {
-                ops::product(&self.eval(left)?, &self.eval(right)?)?
-            }
-            PlanNode::Difference { left, right } => {
-                ops::difference(&self.eval(left)?, &self.eval(right)?)?
-            }
-            PlanNode::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => ops::aggregate(&self.eval(input)?, group_by, aggs)?,
-            PlanNode::Rdup { input } => ops::rdup(&self.eval(input)?)?,
-            PlanNode::UnionMax { left, right } => {
-                ops::union_max(&self.eval(left)?, &self.eval(right)?)?
-            }
-            // std's stable hybrid sort — the "mature engine" sort.
-            PlanNode::Sort { input, order } => ops::sort(&self.eval(input)?, order)?,
-            other => {
+    /// The DBMS knows only conventional operations: reject a fragment
+    /// containing anything else, then evaluate it with the reference
+    /// operators over the catalog's tables.
+    fn eval(&self, fragment: &PlanNode) -> Result<Relation> {
+        fn check(node: &PlanNode) -> Result<()> {
+            if !node.is_dbms_supported() {
                 return Err(Error::Plan {
-                    reason: format!("unsupported DBMS operation {}", other.op_name()),
-                })
+                    reason: format!(
+                        "operation {} reached the DBMS; temporal operations live in the stratum",
+                        node.op_name()
+                    ),
+                });
             }
-        })
+            node.children().into_iter().try_for_each(|c| check(c))
+        }
+        check(fragment)?;
+        interp::eval(fragment, &self.catalog.env())
     }
 }
 

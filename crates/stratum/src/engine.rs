@@ -1,29 +1,24 @@
 //! The stratum executor: runs layered plans, delegating DBMS fragments to
 //! the simulated DBMS and moving rows across the serialized wire.
 //!
-//! Stratum-side operators are the *thin layer's* implementations. By
-//! default the stratum's local operator tree — everything above the
-//! transfers — is handed to `tqo-exec`'s vectorized batch pipeline in one
-//! piece (faithful algorithms only, so results are bit-identical to the
-//! reference interpreter); [`ExecMode::Row`] retains the original
-//! node-at-a-time walk over the specification-faithful operators plus a
-//! simple hand-rolled stable merge sort — deliberately less engineered
-//! than the DBMS's operators, preserving the paper's premise that "the
-//! DBMS sorts faster than the stratum" (§2.1).
+//! The stratum owns no operator implementations of its own: its local
+//! operator tree — everything above the transfers — is handed in one
+//! piece to whichever `tqo-exec` engine [`Stratum::with_exec_mode`]
+//! selects (batch by default), lowered to the faithful algorithms only, so
+//! results are bit-identical to the reference interpreter on every
+//! engine. The paper's premise that "the DBMS sorts faster than the
+//! stratum" (§2.1) lives in the cost model's site factors, not in a
+//! deliberately slow sort.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::interp::Env;
-use tqo_core::ops;
 use tqo_core::plan::{BaseProps, LogicalPlan, PlanNode};
 use tqo_core::relation::Relation;
-use tqo_core::sortspec::Order;
 use tqo_core::trace::{self, counters, Category};
-use tqo_core::tuple::Tuple;
 use tqo_exec::ExecMode;
 use tqo_storage::Catalog;
 
@@ -45,17 +40,17 @@ pub struct StratumMetrics {
     pub transferred_rows: usize,
     /// Number of DBMS fragments executed.
     pub fragments: usize,
-    /// Per-operator metrics of the stratum-local plan (batch and parallel
-    /// modes; empty for the legacy row walk). Parallel-mode operators
+    /// Per-operator metrics of the stratum-local plan (empty for
+    /// fully-pushed plans, which have none). Parallel-mode operators
     /// carry their per-thread breakdown — `\timing` in the shell prints
     /// this report.
     pub operators: Vec<tqo_exec::OperatorMetrics>,
     /// Adaptive checkpoint decisions of the stratum-local plan (adaptive
     /// mode only; see [`Stratum::with_adaptive`]). `\timing` prints these.
     pub reopts: Vec<tqo_exec::ReoptEvent>,
-    /// The lowered stratum-local physical plan (static pipelined modes
-    /// only; `None` for the legacy row walk, fully-pushed plans, and
-    /// adaptive runs, whose executed plan is staged rather than fixed).
+    /// The lowered stratum-local physical plan (`None` for fully-pushed
+    /// plans and for adaptive runs, whose executed plan is staged rather
+    /// than fixed).
     /// `operators` is this plan's post-order — what EXPLAIN ANALYZE joins
     /// against to render the annotated tree.
     pub local_plan: Option<tqo_exec::PhysicalPlan>,
@@ -151,7 +146,7 @@ impl Stratum {
 
     /// Select the engine executing the stratum's local operator tree: the
     /// vectorized batch pipeline (default), the morsel-parallel engine
-    /// ([`ExecMode::Parallel`]), or the legacy row-at-a-time walk.
+    /// ([`ExecMode::Parallel`]), or the row-at-a-time engine.
     /// Recalibrates the optimizer's cost model to the chosen engine
     /// (apply [`Stratum::with_cost_model`] afterwards to override).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Stratum {
@@ -167,7 +162,7 @@ impl Stratum {
     }
 
     /// Enable adaptive mid-query re-optimization for the stratum-local
-    /// plan (pipelined modes only; the legacy row walk stays static).
+    /// plan.
     ///
     /// The wire transfer is the first checkpoint: every DBMS fragment's
     /// wired result is bound with *measured* statistics, so the stratum
@@ -197,16 +192,18 @@ impl Stratum {
         &self.dbms
     }
 
-    /// Execute a layered plan (validated first).
+    /// Execute a layered plan (validated first): execute every DBMS
+    /// fragment (bottom of the layered plan), bind the wired results as
+    /// synthetic base relations, and run the entire stratum-local operator
+    /// tree through the selected engine in one piece. Faithful algorithms
+    /// only — the stratum's semantics stay those of the reference
+    /// operators.
     pub fn run(&self, plan: &LogicalPlan) -> Result<(Relation, StratumMetrics)> {
         validate_layered(plan)?;
         counters::QUERIES_EXECUTED.incr();
         let mut span = trace::span(Category::Stratum, "stratum.run");
         let mut metrics = StratumMetrics::default();
-        let result = match self.exec_mode {
-            ExecMode::Row => self.eval(&plan.root, &mut metrics)?,
-            mode => self.eval_pipelined(plan, &mut metrics, mode)?,
-        };
+        let result = self.run_layered(plan, &mut metrics)?;
         span.note_with(|| {
             format!(
                 "\"fragments\": {}, \"wire_rows\": {}, \"rows\": {}",
@@ -218,18 +215,7 @@ impl Stratum {
         Ok((result, metrics))
     }
 
-    /// Pipelined evaluation (batch or parallel mode): execute every DBMS
-    /// fragment (bottom of the layered plan), bind the wired results as
-    /// synthetic base relations, and run the entire stratum-local operator
-    /// tree through the chosen columnar engine in one piece. Faithful
-    /// algorithms only — the stratum's semantics stay those of the
-    /// reference operators.
-    fn eval_pipelined(
-        &self,
-        plan: &LogicalPlan,
-        metrics: &mut StratumMetrics,
-        mode: ExecMode,
-    ) -> Result<Relation> {
+    fn run_layered(&self, plan: &LogicalPlan, metrics: &mut StratumMetrics) -> Result<Relation> {
         // The root may itself be a transfer (fully-pushed plans).
         if let PlanNode::TransferS { input } = &*plan.root {
             return self.run_fragment(input, metrics);
@@ -240,27 +226,28 @@ impl Stratum {
         let local_plan = LogicalPlan::new(local_root, plan.result_type.clone());
         let config = tqo_exec::PlannerConfig {
             allow_fast: false,
-            mode,
+            mode: self.exec_mode,
             strategy: self.optimizer.strategy,
-            adaptive: self.adaptive,
         };
         let span = trace::span(Category::Stratum, "stratum.local");
         let started = Instant::now();
-        let (result, exec_metrics) = if self.adaptive.is_some() {
+        let (result, exec_metrics) = match self.adaptive {
             // Adaptive: the fragment scans already carry measured wire
             // statistics; the local remainder re-enters the rule-based
             // optimizer at its own pipeline breakers.
-            tqo_exec::adaptive::execute_adaptive(
+            Some(adaptive) => tqo_exec::execute_adaptive(
                 &local_plan,
                 &env,
                 Some(&tqo_core::rules::RuleSet::standard()),
                 config,
-            )?
-        } else {
-            let physical = tqo_exec::lower(&local_plan, config)?;
-            let out = tqo_exec::execute_mode(&physical, &env, mode)?;
-            metrics.local_plan = Some(physical);
-            out
+                adaptive,
+            )?,
+            None => {
+                let physical = tqo_exec::lower(&local_plan, config)?;
+                let out = tqo_exec::execute_mode(&physical, &env, self.exec_mode)?;
+                metrics.local_plan = Some(physical);
+                out
+            }
         };
         metrics.stratum_time += started.elapsed();
         drop(span);
@@ -432,8 +419,8 @@ impl Stratum {
     }
 
     /// Replace every `Tˢ` subtree with a scan of a synthetic base relation
-    /// holding the fragment's wired result; rejects the same plan shapes
-    /// the row walk rejects (bare scans, `Tᴰ`).
+    /// holding the fragment's wired result; rejects plan shapes the
+    /// stratum cannot run (bare scans, `Tᴰ`).
     fn bind_fragments(
         &self,
         node: &PlanNode,
@@ -506,9 +493,7 @@ impl Stratum {
     /// DBMS/stratum time split, followed by the stratum-local plan's
     /// per-operator analyze table (est vs actual rows, q-error, exclusive
     /// wall time, cpu/threads, throughput; re-opt events inlined under
-    /// adaptive mode). The result is byte-identical to a plain run; the
-    /// legacy row walk carries no per-operator metrics and reports the
-    /// header only.
+    /// adaptive mode). The result is byte-identical to a plain run.
     pub fn run_sql_analyzed(&self, sql: &str) -> Result<(Relation, StratumMetrics, String)> {
         let (result, metrics, _plan) = self.run_sql_optimized(sql)?;
         let mut report = format!(
@@ -519,150 +504,22 @@ impl Stratum {
             metrics.dbms_time,
             metrics.stratum_time,
         );
-        if metrics.operators.is_empty() {
-            report.push_str("(legacy row walk: no per-operator breakdown)\n");
+        let exec_metrics = tqo_exec::ExecMetrics {
+            operators: metrics.operators.clone(),
+            reopts: metrics.reopts.clone(),
+        };
+        let engine = if self.adaptive.is_some() {
+            format!("{:?}, adaptive", self.exec_mode)
         } else {
-            let exec_metrics = tqo_exec::ExecMetrics {
-                operators: metrics.operators.clone(),
-                reopts: metrics.reopts.clone(),
-            };
-            let engine = if self.adaptive.is_some() {
-                format!("{:?}, adaptive", self.exec_mode)
-            } else {
-                format!("{:?}", self.exec_mode)
-            };
-            report.push_str(&tqo_exec::analyze::render(
-                metrics.local_plan.as_ref(),
-                &exec_metrics,
-                &engine,
-            ));
-        }
+            format!("{:?}", self.exec_mode)
+        };
+        report.push_str(&tqo_exec::analyze::render(
+            metrics.local_plan.as_ref(),
+            &exec_metrics,
+            &engine,
+        ));
         Ok((result, metrics, report))
     }
-
-    fn eval(&self, node: &PlanNode, metrics: &mut StratumMetrics) -> Result<Relation> {
-        match node {
-            // DBMS boundary: ship the fragment, wire the rows back.
-            PlanNode::TransferS { input } => self.run_fragment(input, metrics),
-            PlanNode::TransferD { .. } => Err(Error::Plan {
-                reason: "Tᴰ execution (shipping stratum results into the DBMS) is not \
-                         supported by the simulated DBMS; keep stratum results in the \
-                         stratum"
-                    .into(),
-            }),
-            PlanNode::Scan { name, .. } => Err(Error::Plan {
-                reason: format!(
-                    "scan of `{name}` reached the stratum executor; wrap scans in Tˢ \
-                     (make_layered)"
-                ),
-            }),
-            _ => {
-                // Children first (their own timings recorded separately).
-                let mut inputs = Vec::with_capacity(node.children().len());
-                for c in node.children() {
-                    inputs.push(self.eval(c, metrics)?);
-                }
-                let started = Instant::now();
-                let out = self.eval_local(node, &inputs)?;
-                metrics.stratum_time += started.elapsed();
-                Ok(out)
-            }
-        }
-    }
-
-    /// Stratum-side operator implementations.
-    fn eval_local(&self, node: &PlanNode, inputs: &[Relation]) -> Result<Relation> {
-        Ok(match node {
-            PlanNode::Select { predicate, .. } => ops::select(&inputs[0], predicate)?,
-            PlanNode::Project { items, .. } => ops::project(&inputs[0], items)?,
-            PlanNode::UnionAll { .. } => ops::union_all(&inputs[0], &inputs[1])?,
-            PlanNode::Product { .. } => ops::product(&inputs[0], &inputs[1])?,
-            PlanNode::Difference { .. } => ops::difference(&inputs[0], &inputs[1])?,
-            PlanNode::Aggregate { group_by, aggs, .. } => {
-                ops::aggregate(&inputs[0], group_by, aggs)?
-            }
-            PlanNode::Rdup { .. } => ops::rdup(&inputs[0])?,
-            PlanNode::UnionMax { .. } => ops::union_max(&inputs[0], &inputs[1])?,
-            PlanNode::Sort { order, .. } => stratum_sort(&inputs[0], order)?,
-            PlanNode::Limit { limit, offset, .. } => ops::limit(&inputs[0], *limit, *offset)?,
-            PlanNode::ProductT { .. } => ops::product_t(&inputs[0], &inputs[1])?,
-            PlanNode::DifferenceT { .. } => ops::difference_t(&inputs[0], &inputs[1])?,
-            PlanNode::AggregateT { group_by, aggs, .. } => {
-                ops::aggregate_t(&inputs[0], group_by, aggs)?
-            }
-            PlanNode::RdupT { .. } => ops::rdup_t(&inputs[0])?,
-            PlanNode::UnionT { .. } => ops::union_t(&inputs[0], &inputs[1])?,
-            PlanNode::Coalesce { .. } => ops::coalesce(&inputs[0])?,
-            PlanNode::Scan { .. } | PlanNode::TransferS { .. } | PlanNode::TransferD { .. } => {
-                unreachable!("handled in eval")
-            }
-        })
-    }
-}
-
-/// The stratum's sort: a plain top-down stable merge sort. Semantically
-/// identical to the DBMS sort (stable, same comparator) but without the
-/// engineering of a mature engine — the measured asymmetry behind the
-/// `push-sort-into-dbms` rule's profitability.
-pub fn stratum_sort(r: &Relation, order: &Order) -> Result<Relation> {
-    let schema = r.schema().clone();
-    for key in order.keys() {
-        schema.resolve(&key.attr)?;
-    }
-    let mut tuples = r.tuples().to_vec();
-    let mut scratch = tuples.clone();
-    let cmp = |a: &Tuple, b: &Tuple| -> Ordering {
-        order.compare(&schema, a, b).expect("keys validated")
-    };
-    merge_sort(&mut tuples, &mut scratch, &cmp);
-    Ok(Relation::new_unchecked(schema, tuples))
-}
-
-fn merge_sort<F: Fn(&Tuple, &Tuple) -> Ordering>(
-    data: &mut [Tuple],
-    scratch: &mut [Tuple],
-    cmp: &F,
-) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let mid = n / 2;
-    let (left, right) = data.split_at_mut(mid);
-    let (sl, sr) = scratch.split_at_mut(mid);
-    merge_sort(left, sl, cmp);
-    merge_sort(right, sr, cmp);
-    // Merge into scratch, then copy back (simple, allocation-free after the
-    // initial clone, but with the extra copy a mature implementation
-    // avoids).
-    let (mut i, mut j, mut k) = (0usize, mid, 0usize);
-    while i < mid && j < n {
-        // `data` is split; index via the two halves.
-        let take_left = {
-            let a = &data[..mid][i];
-            let b = &data[mid..][j - mid];
-            cmp(a, b) != Ordering::Greater
-        };
-        if take_left {
-            scratch[k] = data[..mid][i].clone();
-            i += 1;
-        } else {
-            scratch[k] = data[mid..][j - mid].clone();
-            j += 1;
-        }
-        k += 1;
-    }
-    while i < mid {
-        scratch[k] = data[..mid][i].clone();
-        i += 1;
-        k += 1;
-    }
-    while j < n {
-        scratch[k] = data[mid..][j - mid].clone();
-        j += 1;
-        k += 1;
-    }
-    data.clone_from_slice(&scratch[..n]);
 }
 
 #[cfg(test)]
@@ -721,28 +578,6 @@ mod tests {
             (c1.0 - c2.0).abs() <= 1e-9 * c1.0.max(1.0),
             "{c1:?} vs {c2:?}"
         );
-    }
-
-    #[test]
-    fn stratum_sort_is_stable_and_correct() {
-        use tqo_core::schema::Schema;
-        use tqo_core::sortspec::Order;
-        use tqo_core::tuple;
-        use tqo_core::value::DataType;
-        let r = Relation::new(
-            Schema::of(&[("A", DataType::Int), ("B", DataType::Str)]),
-            vec![
-                tuple![2i64, "x"],
-                tuple![1i64, "b"],
-                tuple![2i64, "a"],
-                tuple![1i64, "a"],
-            ],
-        )
-        .unwrap();
-        let order = Order::asc(&["A"]);
-        let ours = stratum_sort(&r, &order).unwrap();
-        let reference = ops::sort(&r, &order).unwrap();
-        assert_eq!(ours, reference);
     }
 
     #[test]

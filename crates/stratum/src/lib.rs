@@ -10,12 +10,12 @@
 //! commercial DBMS; here the DBMS is *simulated* by [`dbms::SimulatedDbms`]
 //! — a conventional executor using the mature, optimized operator
 //! implementations (std's hybrid stable sort, hash-based set operations),
-//! while the stratum ([`engine`]) deliberately executes with the thin
-//! layer's simple implementations (a hand-rolled merge sort, the
-//! specification-faithful temporal operators). Together with real
-//! per-tuple serialization at the transfers ([`wire`]), this preserves the
+//! while the stratum ([`engine`]) hands its local operator tree to a
+//! `tqo-exec` engine lowered to the specification-faithful algorithms.
+//! Together with real per-tuple serialization at the transfers
+//! ([`wire`]) and the cost model's site factors, this preserves the
 //! behaviour the paper's optimization exploits: the DBMS evaluates
-//! conventional fragments faster than the stratum, transfers cost, and
+//! conventional fragments cheaper than the stratum, transfers cost, and
 //! temporal operations must run in the stratum.
 
 pub mod dbms;

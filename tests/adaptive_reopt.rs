@@ -91,11 +91,14 @@ fn seeded_misestimate_switches_the_difference_algorithm_mid_query() {
     // Adaptive run: the rdupᵀ breaker completes with actual 2000 rows
     // (q ≈ 50), the checkpoint re-enters the planner with measured
     // statistics, and B × 16 ≤ 2000 now licenses subtract-union.
-    let config = PlannerConfig {
-        adaptive: Some(AdaptiveConfig::default()),
-        ..PlannerConfig::default()
-    };
-    let (_, metrics) = execute_adaptive(&plan, &env, None, config).unwrap();
+    let (_, metrics) = execute_adaptive(
+        &plan,
+        &env,
+        None,
+        PlannerConfig::default(),
+        AdaptiveConfig::default(),
+    )
+    .unwrap();
     assert!(
         metrics.replanned_count() >= 1,
         "re-opt event count must be ≥ 1:\n{}",
@@ -139,11 +142,8 @@ fn switched_plans_are_byte_identical_to_the_static_run_on_every_engine() {
             static_metrics.reopts.is_empty(),
             "non-adaptive runs record no re-opt events"
         );
-        let adaptive_config = PlannerConfig {
-            adaptive: Some(AdaptiveConfig::default()),
-            ..static_config
-        };
-        let (got, metrics) = execute_logical(&plan, &env, adaptive_config).unwrap();
+        let (got, metrics) =
+            execute_adaptive(&plan, &env, None, static_config, AdaptiveConfig::default()).unwrap();
         assert!(metrics.plans_switched() >= 1, "scenario must switch");
         assert_eq!(
             got, expected,
@@ -155,11 +155,14 @@ fn switched_plans_are_byte_identical_to_the_static_run_on_every_engine() {
 #[test]
 fn adaptive_estimates_snap_to_truth_after_the_checkpoint() {
     let (env, plan) = flip_scenario();
-    let config = PlannerConfig {
-        adaptive: Some(AdaptiveConfig::default()),
-        ..PlannerConfig::default()
-    };
-    let (_, metrics) = execute_adaptive(&plan, &env, None, config).unwrap();
+    let (_, metrics) = execute_adaptive(
+        &plan,
+        &env,
+        None,
+        PlannerConfig::default(),
+        AdaptiveConfig::default(),
+    )
+    .unwrap();
     // Operators executed after the re-plan price from measured statistics:
     // their q-errors collapse to ~1 while the static run's stay ~50.
     let after: Vec<f64> = metrics

@@ -218,9 +218,8 @@ pub fn assert_adaptive_agrees(
                 allow_fast,
                 mode,
                 strategy: SearchStrategy::Memo,
-                adaptive: Some(acfg),
             };
-            let (got, metrics) = execute_adaptive(plan, env, None, config)
+            let (got, metrics) = execute_adaptive(plan, env, None, config, acfg)
                 .unwrap_or_else(|e| panic!("adaptive run failed on {context}: {e:?}"));
             // Under maximum pressure every in-budget checkpoint re-plans.
             assert!(
@@ -260,9 +259,8 @@ pub fn assert_adaptive_agrees(
             allow_fast: true,
             mode,
             strategy: SearchStrategy::Memo,
-            adaptive: Some(acfg),
         };
-        let (got, _) = execute_adaptive(plan, env, Some(&rules), config)
+        let (got, _) = execute_adaptive(plan, env, Some(&rules), config, acfg)
             .unwrap_or_else(|e| panic!("rule re-entry failed on {context}: {e:?}"));
         assert!(
             plan.result_type.admits(reference, &got).unwrap(),

@@ -170,7 +170,16 @@ proptest! {
             .rdup()
             .node();
 
-        for shape in [shape1, shape2, shape3, shape4] {
+        // rdupᵀ where periods must be preserved: which of two overlapping
+        // periods survives whole depends on the argument's order, so the
+        // `⊔` below must not commute (it did — the closure of the SQL
+        // `VALIDTIME … UNION VALIDTIME …` was half inadmissible plans).
+        let shape5 = scan_of("T1R", &t1)
+            .union_all(scan_of("T2R", &t2))
+            .rdup_t()
+            .node();
+
+        for shape in [shape1, shape2, shape3, shape4, shape5] {
             for rt in [ResultType::Multiset, ResultType::Set] {
                 let plan = LogicalPlan::new(shape.clone(), rt);
                 check_all_plans(&plan, &env, 1000)?;

@@ -8,10 +8,11 @@
 
 mod common;
 
-use common::{fixture_tscan, optimizer_fixtures};
+use common::{fixture_tscan, optimizer_fixtures, SQL_POOL};
 use proptest::prelude::*;
 
 use tqo_core::cost::CostModel;
+use tqo_core::interp::eval_plan;
 use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
 use tqo_core::plan::props::annotate;
 use tqo_core::plan::LogicalPlan;
@@ -204,5 +205,51 @@ fn memo_derivations_name_real_rules() {
                 "rewritten plan with empty derivation"
             );
         }
+    }
+}
+
+/// Admissibility on *layered* plans — the form `Stratum::run_sql_optimized`
+/// searches: whatever memo search extracts must evaluate to a result the
+/// query's declared type admits. The last query is the regression: both
+/// searches used to admit `union-all-commute` below an `rdupᵀ` whose
+/// periods must be preserved (order was not required there), memo picked
+/// the commuted `⊔` on a cost tie, and `rdupᵀ` — which keeps the first of
+/// two overlapping periods whole — returned 18 rows for the reference's 4.
+#[test]
+fn memo_plans_for_layered_sql_are_admissible() {
+    let catalog = tqo_storage::paper::catalog();
+    let env = catalog.env();
+    let rules = RuleSet::standard();
+    // The memo is valid at every prefix of its worklist, so admissibility
+    // must hold under any budget; a small one keeps the layered joins
+    // (which otherwise run ~10 s each to the default 20k expressions)
+    // from dominating the suite.
+    let config = OptimizerConfig {
+        memo: tqo_core::memo::MemoConfig {
+            max_exprs: 2_000,
+            ..Default::default()
+        },
+        ..memo_config()
+    };
+    let layered_union = "VALIDTIME SELECT EmpName FROM EMPLOYEE UNION \
+                         VALIDTIME SELECT EmpName FROM PROJECT";
+    for sql in SQL_POOL.iter().chain([&layered_union]) {
+        let plan = tqo_sql::compile(sql, &catalog).unwrap();
+        // Plans the layering declines have no layered form to search.
+        let Ok(layered) = tqo_stratum::make_layered(&plan) else {
+            continue;
+        };
+        let reference = eval_plan(&plan, &env).unwrap();
+        let memo = optimize(&layered, &rules, &config).expect("memo");
+        annotate(&memo.best).expect("memo plan annotates");
+        tqo_stratum::validate_layered(&memo.best).expect("memo plan stays layered");
+        let got = eval_plan(&memo.best, &env).unwrap();
+        assert!(
+            plan.result_type.admits(&reference, &got).unwrap(),
+            "memo plan for `{sql}` is not admissible ({} rows, reference {}):\n{}",
+            got.len(),
+            reference.len(),
+            tqo_core::plan::display::plan_to_string(&memo.best.root),
+        );
     }
 }

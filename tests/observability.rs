@@ -97,16 +97,15 @@ fn assert_traced_identical(
 
     // Adaptive leg at maximum re-planning pressure: every checkpoint
     // decision replays identically under tracing.
-    let acfg = common::adaptive_pressure_config();
-    let adaptive = PlannerConfig {
-        adaptive: Some(acfg),
-        ..config(ExecMode::Batch)
+    let adaptive = || {
+        let acfg = common::adaptive_pressure_config();
+        execute_adaptive(plan, env, None, config(ExecMode::Batch), acfg).unwrap()
     };
-    let (untraced, _) = execute_adaptive(plan, env, None, adaptive).unwrap();
+    let (untraced, _) = adaptive();
     let collector = Collector::new();
     let (traced, _) = {
         let _guard = trace::install(&collector);
-        execute_adaptive(plan, env, None, adaptive).unwrap()
+        adaptive()
     };
     assert_eq!(
         traced, untraced,
@@ -181,10 +180,8 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
         &plan,
         &env,
         None,
-        PlannerConfig {
-            adaptive: Some(common::adaptive_pressure_config()),
-            ..config(ExecMode::Batch)
-        },
+        config(ExecMode::Batch),
+        common::adaptive_pressure_config(),
     )
     .unwrap();
     tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed(), true);
@@ -220,24 +217,20 @@ fn explain_analyze_is_uniform_across_engines_and_stratum() {
         );
     }
 
-    // Adaptive: flat execution-order view, same columns.
-    let a = explain_analyze(
+    // Adaptive: flat execution-order view (no single static plan), same
+    // columns.
+    let (_, metrics) = execute_adaptive(
         &plan,
         &env,
-        PlannerConfig {
-            adaptive: Some(common::adaptive_pressure_config()),
-            ..config(ExecMode::Batch)
-        },
+        None,
+        config(ExecMode::Batch),
+        common::adaptive_pressure_config(),
     )
     .unwrap();
+    let report = tqo_exec::analyze::render(None, &metrics, "Batch, adaptive");
     for col in columns {
-        assert!(
-            a.report.contains(col),
-            "adaptive missing {col}:\n{}",
-            a.report
-        );
+        assert!(report.contains(col), "adaptive missing {col}:\n{report}");
     }
-    assert!(a.plan.is_none(), "adaptive runs have no single static plan");
 
     // Stratum: wire header plus the same analyze table.
     let stratum = Stratum::new(paper::catalog());

@@ -1,12 +1,11 @@
 //! Optimizer quality across generated workloads: the cost-based selection
 //! over Figure 5's enumeration must improve the running example's plan,
-//! greedy descent must land between the initial plan and the exhaustive
-//! optimum, and every chosen plan must still compute the right answer.
+//! and every chosen plan must still compute the right answer.
 
 use tqo_core::cost::CostModel;
 use tqo_core::equivalence::ResultType;
 use tqo_core::interp::eval_plan;
-use tqo_core::optimizer::{optimize, optimize_greedy, OptimizerConfig};
+use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::plan::{LogicalPlan, PlanBuilder};
 use tqo_core::rules::RuleSet;
 use tqo_core::sortspec::Order;
@@ -40,7 +39,6 @@ fn optimizer_strictly_improves_the_running_example() {
         let initial_cost = cfg.cost_model.cost(&initial).unwrap();
 
         let exhaustive = optimize(&initial, &rules, &cfg).unwrap();
-        let greedy = optimize_greedy(&initial, &rules, &cfg).unwrap();
 
         assert!(
             exhaustive.cost.0 < initial_cost.0,
@@ -48,25 +46,15 @@ fn optimizer_strictly_improves_the_running_example() {
             exhaustive.cost,
             initial_cost
         );
-        assert!(
-            greedy.cost.0 < initial_cost.0,
-            "seed {seed}: greedy must improve"
-        );
-        assert!(
-            exhaustive.cost <= greedy.cost,
-            "seed {seed}: exhaustive must be at least as good as greedy"
-        );
 
         // Semantics preserved (≡L,⟨EmpName ASC⟩).
         let env = catalog.env();
         let reference = eval_plan(&initial, &env).unwrap();
-        for plan in [&exhaustive.best, &greedy.best] {
-            let result = eval_plan(plan, &env).unwrap();
-            assert!(
-                initial.result_type.admits(&reference, &result).unwrap(),
-                "seed {seed}: optimized plan changed the result"
-            );
-        }
+        let result = eval_plan(&exhaustive.best, &env).unwrap();
+        assert!(
+            initial.result_type.admits(&reference, &result).unwrap(),
+            "seed {seed}: optimized plan changed the result"
+        );
 
         // The chosen plan still runs on the layered engine.
         let stratum = Stratum::new(catalog.clone());

@@ -171,16 +171,21 @@ fn adaptive_checkpoints_are_governed() {
                EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
                COALESCE ORDER BY EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
-    let acfg = PlannerConfig {
-        adaptive: Some(common::adaptive_pressure_config()),
-        ..config(ExecMode::Batch)
+    let run = || {
+        execute_adaptive(
+            &plan,
+            &env,
+            None,
+            config(ExecMode::Batch),
+            common::adaptive_pressure_config(),
+        )
     };
-    let (clean, _) = execute_adaptive(&plan, &env, None, acfg).unwrap();
+    let (clean, _) = run().unwrap();
 
     let ctx = QueryContext::new().with_timeout(Duration::ZERO);
     let err = {
         let _guard = context::install(&ctx);
-        execute_adaptive(&plan, &env, None, acfg).unwrap_err()
+        run().unwrap_err()
     };
     assert_eq!(err, Error::DeadlineExceeded { limit_ms: 0 });
 
@@ -189,7 +194,7 @@ fn adaptive_checkpoints_are_governed() {
         let ctx = QueryContext::new().with_cancel_after(polls);
         let result = {
             let _guard = context::install(&ctx);
-            execute_adaptive(&plan, &env, None, acfg)
+            run()
         };
         match result {
             Ok((got, _)) => assert_eq!(got, clean, "cancel perturbed adaptive (polls={polls})"),
@@ -198,7 +203,7 @@ fn adaptive_checkpoints_are_governed() {
         }
     }
     assert!(cancelled, "adaptive loop never observed the token");
-    let (after, _) = execute_adaptive(&plan, &env, None, acfg).unwrap();
+    let (after, _) = run().unwrap();
     assert_eq!(after, clean, "adaptive loop not reusable");
 }
 
