@@ -20,7 +20,7 @@ fn bench(c: &mut Criterion) {
 
     for rows in [10_000usize, 100_000] {
         let (env, cases) = exec_throughput_workload(rows, 17);
-        // Warm the environment's columnar cache outside the timed region
+        // Build the base relations' transposes outside the timed region
         // (first batch execution pays the one-time transpose).
         for case in &cases {
             execute_mode(&case.plan, &env, ExecMode::Batch).expect("warms");

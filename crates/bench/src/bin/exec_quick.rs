@@ -62,8 +62,8 @@ fn main() {
     let out_path = args.next().unwrap_or_else(|| "BENCH_exec.json".into());
 
     let (env, cases) = exec_throughput_workload(rows, 17);
-    // Warm the columnar cache so batch numbers measure the pipeline, not
-    // the one-time base-table transpose.
+    // Build the transposes first so batch numbers measure the pipeline,
+    // not the one-time base-table transpose.
     for case in &cases {
         execute_mode(&case.plan, &env, ExecMode::Batch).expect("warms");
     }

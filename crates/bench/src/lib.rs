@@ -72,8 +72,8 @@ pub struct ExecCase {
 
 /// The exec-throughput workload: `rows`-scaled base tables plus one case
 /// per hot operator. All cases run under both engines against the same
-/// environment; the environment's columnar cache is shared, so batch-mode
-/// iterations measure the pipeline, not the one-time transpose.
+/// environment; a relation's transpose stays resident in its storage, so
+/// batch-mode iterations measure the pipeline, not the one-time transpose.
 pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::Env, Vec<ExecCase>) {
     use std::sync::Arc;
     use tqo_core::expr::{AggFunc, AggItem, BinOp, Expr};

@@ -13,31 +13,34 @@
 //! models; the reference interpreter is fully deterministic).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::columnar::ColumnarRelation;
 use crate::error::{Error, Result};
 use crate::ops;
 use crate::plan::{LogicalPlan, PlanNode};
 use crate::relation::Relation;
 
-// name → (the relation the transpose was built from, the transpose).
-// Entries carry the source relation so a clone that rebound the name can
-// never be served a stale transpose (storage identity is checked on every
-// hit).
-type ColumnarCache = HashMap<String, (Relation, Arc<ColumnarRelation>)>;
-
 /// A set of named base relations.
 ///
-/// Besides the row-layout relations, the environment lazily caches each
-/// base relation's columnar transpose (shared across clones), so repeated
-/// batch-mode executions of plans over the same tables pay the
-/// row-to-column conversion once.
+/// Two layers: a map shared by every clone (what a catalog snapshot
+/// collects into) and the few bindings this value added since (a query's
+/// stage outputs), which shadow the map. Cloning is therefore a handful of
+/// reference-count bumps however many tables are bound — the scheduler
+/// clones one per task. Each relation carries its own columnar transpose
+/// ([`Relation::columnar`]), so an environment holds no cache of its own.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    relations: HashMap<String, Relation>,
-    // Shared across clones of this environment.
-    columnar: Arc<Mutex<ColumnarCache>>,
+    shared: Arc<HashMap<String, Relation>>,
+    own: Vec<(Arc<str>, Relation)>,
+}
+
+impl FromIterator<(String, Relation)> for Env {
+    fn from_iter<I: IntoIterator<Item = (String, Relation)>>(bindings: I) -> Env {
+        Env {
+            shared: Arc::new(bindings.into_iter().collect()),
+            own: Vec::new(),
+        }
+    }
 }
 
 impl Env {
@@ -52,40 +55,38 @@ impl Env {
         self
     }
 
-    /// Bind `name` to `relation`, invalidating any cached transpose.
+    /// Bind `name` to `relation` in this value only; clones taken earlier
+    /// do not see it.
     pub fn insert(&mut self, name: impl Into<String>, relation: Relation) {
-        let name = name.into();
-        // Invalidate any cached transpose of an overwritten binding.
-        self.columnar.lock().expect("env cache lock").remove(&name);
-        self.relations.insert(name, relation);
+        let name: String = name.into();
+        match self.own.iter_mut().find(|(n, _)| **n == *name) {
+            Some(binding) => binding.1 = relation,
+            None => self.own.push((name.into(), relation)),
+        }
     }
 
     /// The relation bound to `name`.
     pub fn get(&self, name: &str) -> Result<&Relation> {
-        self.relations.get(name).ok_or_else(|| Error::Storage {
-            reason: format!("unknown base relation `{name}`"),
-        })
-    }
-
-    /// The columnar transpose of a base relation, converted on first use
-    /// and cached (shared by all clones of this environment).
-    pub fn columnar(&self, name: &str) -> Result<Arc<ColumnarRelation>> {
-        let r = self.get(name)?;
-        let mut cache = self.columnar.lock().expect("env cache lock");
-        if let Some((source, c)) = cache.get(name) {
-            if source.shares_tuples(r) {
-                return Ok(c.clone());
-            }
-        }
-        let c = Arc::new(ColumnarRelation::from_relation(r)?);
-        cache.insert(name.to_owned(), (r.clone(), c.clone()));
-        Ok(c)
+        self.own
+            .iter()
+            .find(|(n, _)| **n == *name)
+            .map(|(_, r)| r)
+            .or_else(|| self.shared.get(name))
+            .ok_or_else(|| Error::Storage {
+                reason: format!("unknown base relation `{name}`"),
+            })
     }
 
     /// All bound names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.relations.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self
+            .shared
+            .keys()
+            .map(String::as_str)
+            .chain(self.own.iter().map(|(n, _)| &**n))
+            .collect();
         names.sort_unstable();
+        names.dedup();
         names
     }
 }

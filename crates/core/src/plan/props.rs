@@ -99,28 +99,32 @@ impl BaseProps {
     /// declared unknown so no rewrite can rely on an order the
     /// materialization does not guarantee.
     pub fn measured(relation: &crate::relation::Relation) -> crate::error::Result<BaseProps> {
-        let summary = stats::TableSummary::measure(relation)?;
-        let temporal = relation.is_temporal();
-        let dup_free = summary.distinct_rows == summary.rows;
-        let snapshot_dup_free = if temporal {
-            summary.max_class_overlap <= 1
-        } else {
-            dup_free
-        };
-        let coalesced = if temporal {
-            relation.is_coalesced()?
-        } else {
-            true
-        };
-        Ok(BaseProps {
-            schema: relation.schema().clone(),
+        let (summary, profile) = TableSummary::profiled(relation)?;
+        Ok(BaseProps::from_profile(relation.schema().clone(), &profile)
+            .with_summary(Arc::new(summary)))
+    }
+
+    /// Table 2's base properties as facts about one concrete relation,
+    /// read off its profile: duplicate-free iff every tuple is distinct,
+    /// snapshot-duplicate-free iff no value class has two tuples alive at
+    /// once, coalesced iff no value class holds two periods that meet.
+    /// (On snapshot relations the last two are vacuous: `dup_free`, true.)
+    /// No statistics attached, delivery order unknown.
+    pub fn from_profile(schema: Schema, profile: &stats::RelationProfile) -> BaseProps {
+        let dup_free = profile.distinct_rows == profile.rows;
+        BaseProps {
+            snapshot_dup_free: if schema.is_temporal() {
+                profile.max_class_overlap <= 1
+            } else {
+                dup_free
+            },
+            coalesced: profile.uncoalesced_classes == 0,
+            schema,
             order: Order::unordered(),
             dup_free,
-            snapshot_dup_free,
-            coalesced,
-            card: summary.rows,
-            stats: Some(Arc::new(summary)),
-        })
+            card: profile.rows,
+            stats: None,
+        }
     }
 }
 

@@ -8,46 +8,91 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::columnar::ColumnarRelation;
 use crate::error::Result;
 use crate::schema::Schema;
 use crate::time::{Instant, Period};
+use crate::trace::counters;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A list-based relation instance.
 ///
-/// The tuple payload sits behind an `Arc`: cloning a relation — which the
-/// execution engines do for every `Scan` — shares storage instead of
-/// deep-copying it. Relations are immutable after construction, so the
-/// sharing is never observable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Schema, tuple list and the list's columnar transpose sit behind one
+/// `Arc`: cloning a relation — which the execution engines do for every
+/// `Scan`, and the scheduler for every task — is one reference-count
+/// bump. Relations are immutable after construction, so the sharing is
+/// never observable, and a transpose built through any clone is the
+/// transpose of every clone.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Relation {
+    body: Arc<Body>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct Body {
     schema: Schema,
-    tuples: Arc<Vec<Tuple>>,
+    tuples: Vec<Tuple>,
+    /// Built at most once, by the first [`Relation::columnar`] call on any
+    /// clone.
+    #[serde(skip)]
+    columnar: OnceLock<Result<Arc<ColumnarRelation>>>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
+            || (self.body.schema == other.body.schema && self.body.tuples == other.body.tuples)
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.body.schema)
+            .field("tuples", &self.body.tuples)
+            .finish()
+    }
+}
+
+/// Check one tuple against a schema: arity, domains and — for temporal
+/// schemas — a well-formed, non-empty period. What [`Relation::new`]
+/// requires of every tuple.
+pub fn validate(schema: &Schema, t: &Tuple) -> Result<()> {
+    t.conforms_to(schema)?;
+    if schema.is_temporal() {
+        let p = t.period(schema)?;
+        if p.is_empty() {
+            return Err(crate::error::Error::InvalidPeriod {
+                start: p.start,
+                end: p.end,
+            });
+        }
+    }
+    Ok(())
 }
 
 impl Relation {
+    fn from_parts(schema: Schema, tuples: Vec<Tuple>) -> Relation {
+        Relation {
+            body: Arc::new(Body {
+                schema,
+                tuples,
+                columnar: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Create a relation, validating every tuple against the schema.
     pub fn new(schema: Schema, tuples: Vec<Tuple>) -> Result<Relation> {
         for t in &tuples {
-            t.conforms_to(&schema)?;
-            if schema.is_temporal() {
-                // Periods must be well-formed and non-empty.
-                let p = t.period(&schema)?;
-                if p.is_empty() {
-                    return Err(crate::error::Error::InvalidPeriod {
-                        start: p.start,
-                        end: p.end,
-                    });
-                }
-            }
+            validate(&schema, t)?;
         }
-        Ok(Relation {
-            schema,
-            tuples: Arc::new(tuples),
-        })
+        Ok(Relation::from_parts(schema, tuples))
     }
 
     /// Create without validation — for operator implementations whose
@@ -56,53 +101,58 @@ impl Relation {
     /// uphold the schema invariants themselves; prefer [`Relation::new`].
     pub fn new_unchecked(schema: Schema, tuples: Vec<Tuple>) -> Relation {
         #[cfg(debug_assertions)]
-        {
-            for t in &tuples {
-                debug_assert!(t.conforms_to(&schema).is_ok(), "nonconforming tuple {t}");
-                if schema.is_temporal() {
-                    let p = t.period(&schema).expect("temporal tuple has a period");
-                    debug_assert!(!p.is_empty(), "empty period {p} in {t}");
-                }
-            }
+        for t in &tuples {
+            debug_assert!(validate(&schema, t).is_ok(), "invalid tuple {t}");
         }
-        Relation {
-            schema,
-            tuples: Arc::new(tuples),
-        }
+        Relation::from_parts(schema, tuples)
     }
 
     /// The empty relation of a schema.
     pub fn empty(schema: Schema) -> Relation {
-        Relation {
-            schema,
-            tuples: Arc::new(Vec::new()),
-        }
+        Relation::from_parts(schema, Vec::new())
     }
 
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.body.schema
     }
 
     /// The tuple list, in relation order.
     pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+        &self.body.tuples
     }
 
     /// Consume into the tuple list (clones when storage is shared).
     pub fn into_tuples(self) -> Vec<Tuple> {
-        Arc::try_unwrap(self.tuples).unwrap_or_else(|shared| (*shared).clone())
+        match Arc::try_unwrap(self.body) {
+            Ok(body) => body.tuples,
+            Err(shared) => shared.tuples.clone(),
+        }
     }
 
     /// True when the two relations share the same tuple storage (the
-    /// zero-copy guarantee behind cheap `Scan` clones).
+    /// zero-copy guarantee behind cheap `Scan` clones) — and with it the
+    /// same transpose.
     pub fn shares_tuples(&self, other: &Relation) -> bool {
-        Arc::ptr_eq(&self.tuples, &other.tuples)
+        Arc::ptr_eq(&self.body, &other.body)
+    }
+
+    /// The columnar transpose of this relation, built on first use and
+    /// resident in the tuple storage from then on: every clone, in every
+    /// environment and on every thread, is served the same one.
+    pub fn columnar(&self) -> Result<Arc<ColumnarRelation>> {
+        self.body
+            .columnar
+            .get_or_init(|| {
+                counters::TRANSPOSES_BUILT.incr();
+                ColumnarRelation::from_relation(self).map(Arc::new)
+            })
+            .clone()
     }
 
     /// Cardinality `n(r)`.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples().len()
     }
 
     /// Approximate materialized footprint in bytes, for memory-budget
@@ -110,23 +160,23 @@ impl Relation {
     /// (string payloads counted), so call it once per materialization,
     /// not per row.
     pub fn approx_bytes(&self) -> usize {
-        self.tuples.iter().map(Tuple::approx_bytes).sum()
+        self.tuples().iter().map(Tuple::approx_bytes).sum()
     }
 
     /// True when the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tuples().is_empty()
     }
 
     /// True when the schema carries `T1`/`T2`.
     pub fn is_temporal(&self) -> bool {
-        self.schema.is_temporal()
+        self.schema().is_temporal()
     }
 
     /// Multiset view: tuple → occurrence count.
     pub fn counts(&self) -> HashMap<&Tuple, usize> {
-        let mut m: HashMap<&Tuple, usize> = HashMap::with_capacity(self.tuples.len());
-        for t in self.tuples.iter() {
+        let mut m: HashMap<&Tuple, usize> = HashMap::with_capacity(self.tuples().len());
+        for t in self.tuples().iter() {
             *m.entry(t).or_insert(0) += 1;
         }
         m
@@ -134,8 +184,8 @@ impl Relation {
 
     /// True when the relation contains no (regular) duplicate tuples.
     pub fn has_duplicates(&self) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(self.tuples.len());
-        self.tuples.iter().any(|t| !seen.insert(t))
+        let mut seen = std::collections::HashSet::with_capacity(self.tuples().len());
+        self.tuples().iter().any(|t| !seen.insert(t))
     }
 
     /// The snapshot `τ_t(r)` of a temporal relation at instant `t`: the
@@ -147,18 +197,15 @@ impl Relation {
                 context: "snapshot",
             });
         }
-        let snap_schema = self.schema.snapshot_schema();
-        let value_idx = self.schema.value_indices();
+        let snap_schema = self.schema().snapshot_schema();
+        let value_idx = self.schema().value_indices();
         let mut tuples = Vec::new();
-        for tup in self.tuples.iter() {
-            if tup.period(&self.schema)?.contains(t) {
+        for tup in self.tuples().iter() {
+            if tup.period(self.schema())?.contains(t) {
                 tuples.push(tup.project(&value_idx));
             }
         }
-        Ok(Relation {
-            schema: snap_schema,
-            tuples: Arc::new(tuples),
-        })
+        Ok(Relation::from_parts(snap_schema, tuples))
     }
 
     /// All period endpoints occurring in the relation, sorted and deduped.
@@ -171,9 +218,9 @@ impl Relation {
                 context: "endpoints",
             });
         }
-        let mut pts = Vec::with_capacity(self.tuples.len() * 2);
-        for t in self.tuples.iter() {
-            let p = t.period(&self.schema)?;
+        let mut pts = Vec::with_capacity(self.tuples().len() * 2);
+        for t in self.tuples().iter() {
+            let p = t.period(self.schema())?;
             pts.push(p.start);
             pts.push(p.end);
         }
@@ -210,11 +257,11 @@ impl Relation {
         // Group by explicit values, then sweep periods per group: a snapshot
         // duplicate exists iff two periods of the same class overlap.
         let mut classes: HashMap<Vec<Value>, Vec<Period>> = HashMap::new();
-        for t in self.tuples.iter() {
+        for t in self.tuples().iter() {
             classes
-                .entry(t.explicit_values(&self.schema))
+                .entry(t.explicit_values(self.schema()))
                 .or_default()
-                .push(t.period(&self.schema)?);
+                .push(t.period(self.schema())?);
         }
         for periods in classes.values_mut() {
             periods.sort();
@@ -239,11 +286,11 @@ impl Relation {
             });
         }
         let mut classes: HashMap<Vec<Value>, Vec<Period>> = HashMap::new();
-        for t in self.tuples.iter() {
+        for t in self.tuples().iter() {
             classes
-                .entry(t.explicit_values(&self.schema))
+                .entry(t.explicit_values(self.schema()))
                 .or_default()
-                .push(t.period(&self.schema)?);
+                .push(t.period(self.schema())?);
         }
         for periods in classes.values() {
             for (i, a) in periods.iter().enumerate() {
@@ -262,8 +309,8 @@ impl Relation {
     pub fn value_classes(&self) -> Result<Vec<(Vec<Value>, Vec<usize>)>> {
         let mut order: Vec<Vec<Value>> = Vec::new();
         let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (i, t) in self.tuples.iter().enumerate() {
-            let key = t.explicit_values(&self.schema);
+        for (i, t) in self.tuples().iter().enumerate() {
+            let key = t.explicit_values(self.schema());
             let entry = map.entry(key.clone()).or_insert_with(|| {
                 order.push(key);
                 Vec::new()
@@ -282,8 +329,8 @@ impl Relation {
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "[{}]", self.schema)?;
-        for t in self.tuples.iter() {
+        writeln!(f, "[{}]", self.schema())?;
+        for t in self.tuples().iter() {
             writeln!(f, "  {t}")?;
         }
         Ok(())

@@ -25,7 +25,7 @@
 //! [`BaseProps`]: crate::plan::BaseProps
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::error::Result;
@@ -104,6 +104,47 @@ impl Histogram {
         })
     }
 
+    /// The histogram [`Histogram::from_sorted`] builds, from a run-length
+    /// encoding of the sorted list: ascending `(value, occurrences)` pairs
+    /// totalling `n` values. For statistics maintained as sorted multisets;
+    /// written independently of `from_sorted`, which stays its oracle.
+    pub fn from_runs<'a>(
+        runs: impl IntoIterator<Item = (&'a Value, u64)>,
+        n: u64,
+        buckets: u64,
+    ) -> Option<Histogram> {
+        if buckets == 0 {
+            return None;
+        }
+        let mut runs = runs.into_iter();
+        let (mut value, mut seen) = runs.next()?;
+        let lo = value.clone();
+        let buckets = buckets.min(n);
+        let (mut bounds, mut counts) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        for b in 1..=buckets {
+            // Bucket `b` of `k` ends after rank `b · n / k`.
+            let end = b * n / buckets;
+            if end <= start {
+                continue;
+            }
+            while seen < end {
+                let (next, occurrences) = runs.next()?;
+                value = next;
+                seen += occurrences;
+            }
+            bounds.push(value.clone());
+            counts.push(end - start);
+            start = end;
+        }
+        Some(Histogram {
+            lo,
+            bounds,
+            counts,
+            total: n,
+        })
+    }
+
     /// Estimated fraction of rows with value strictly below `v`.
     pub fn fraction_below(&self, v: &Value) -> f64 {
         if self.total == 0 || v.cmp(&self.lo) != std::cmp::Ordering::Greater {
@@ -178,6 +219,113 @@ pub struct TableSummary {
     pub max_class_overlap: u64,
 }
 
+/// What one value class — the tuples agreeing on every explicit value —
+/// contributes to the relation-level facts, as a function of the class's
+/// periods alone. Table 2's three base properties are predicates over the
+/// sums and the maximum of these, which is why a modification that touches
+/// one class needs to re-examine only that class.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassFacts {
+    /// Distinct periods, i.e. distinct tuples of the class.
+    pub distinct: u64,
+    /// Most tuples of the class alive at one instant.
+    pub overlap: u64,
+    /// Some two periods of the class meet end to start.
+    pub adjacent: bool,
+}
+
+impl ClassFacts {
+    /// Examine one class's periods (reordered in place).
+    pub fn of(periods: &mut [Period]) -> ClassFacts {
+        periods.sort_unstable();
+        let distinct = periods.len() - periods.windows(2).filter(|w| w[0] == w[1]).count();
+        // Close events sort before open events at the same instant, so
+        // abutting periods never count as overlapping and the live counter
+        // cannot dip below zero.
+        let mut events: Vec<(Instant, i32)> = Vec::with_capacity(periods.len() * 2);
+        for p in periods.iter() {
+            events.push((p.start, 1));
+            events.push((p.end, -1));
+        }
+        events.sort_unstable();
+        let (mut live, mut overlap) = (0i32, 0i32);
+        for (_, d) in events {
+            live += d;
+            overlap = overlap.max(live);
+        }
+        // `periods` is sorted by start: search each end among the starts.
+        let adjacent = periods
+            .iter()
+            .any(|p| periods.binary_search_by(|q| q.start.cmp(&p.end)).is_ok());
+        ClassFacts {
+            distinct: distinct as u64,
+            overlap: overlap as u64,
+            adjacent,
+        }
+    }
+}
+
+/// The whole-relation facts that Table 2's base properties and the
+/// non-column half of a [`TableSummary`] are functions of. Measured in one
+/// pass over the value classes ([`RelationProfile::measure`]), or kept
+/// current across modifications by re-examining only the classes touched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelationProfile {
+    /// Total rows.
+    pub rows: u64,
+    /// Distinct tuples: Σ [`ClassFacts::distinct`].
+    pub distinct_rows: u64,
+    /// max [`ClassFacts::overlap`]; 0 for snapshot relations.
+    pub max_class_overlap: u64,
+    /// Classes with [`ClassFacts::adjacent`] set.
+    pub uncoalesced_classes: u64,
+    /// Covered time range of a non-empty temporal relation.
+    pub time_range: Option<Period>,
+    /// Σ period duration (wide: a table of maximal periods must not wrap).
+    pub total_duration: i128,
+}
+
+impl RelationProfile {
+    /// Profile a relation: one grouping pass, then each class examined once.
+    pub fn measure(relation: &Relation) -> Result<RelationProfile> {
+        let schema = relation.schema();
+        let mut profile = RelationProfile {
+            rows: relation.len() as u64,
+            distinct_rows: 0,
+            max_class_overlap: 0,
+            uncoalesced_classes: 0,
+            time_range: None,
+            total_duration: 0,
+        };
+        if !relation.is_temporal() {
+            let distinct: HashSet<&[Value]> =
+                relation.tuples().iter().map(|t| t.values()).collect();
+            profile.distinct_rows = distinct.len() as u64;
+            return Ok(profile);
+        }
+        let value_idx = schema.value_indices();
+        let mut classes: HashMap<Vec<&Value>, Vec<Period>> = HashMap::new();
+        for t in relation.tuples() {
+            let p = t.period(schema)?;
+            profile.total_duration += p.duration() as i128;
+            profile.time_range = Some(
+                profile
+                    .time_range
+                    .map_or(p, |r| Period::of(r.start.min(p.start), r.end.max(p.end))),
+            );
+            let key = value_idx.iter().map(|&i| t.value(i)).collect();
+            classes.entry(key).or_default().push(p);
+        }
+        for periods in classes.values_mut() {
+            let facts = ClassFacts::of(periods);
+            profile.distinct_rows += facts.distinct;
+            profile.max_class_overlap = profile.max_class_overlap.max(facts.overlap);
+            profile.uncoalesced_classes += u64::from(facts.adjacent);
+        }
+        Ok(profile)
+    }
+}
+
 impl TableSummary {
     /// The summary of a named column, if present.
     pub fn column(&self, name: &str) -> Option<&ColumnSummary> {
@@ -186,13 +334,21 @@ impl TableSummary {
 
     /// Measure the summary of any in-memory relation — no catalog needed.
     ///
-    /// This is the one statistics-computation routine in the system:
-    /// `tqo-storage` wraps it for cataloged tables, and the adaptive
-    /// re-optimizer calls it directly on materialized intermediates so a
-    /// checkpointed pipeline-breaker result re-enters the optimizer with
-    /// *measured* statistics. Handles empty, all-NULL, and single-row
-    /// inputs (no histogram / min / max where nothing was observed).
+    /// This is the one full statistics computation in the system:
+    /// `tqo-storage` runs it for a cataloged table's first statistics
+    /// request (and as the oracle its maintained statistics must equal),
+    /// and the adaptive re-optimizer calls it directly on materialized
+    /// intermediates so a checkpointed pipeline-breaker result re-enters
+    /// the optimizer with *measured* statistics. Handles empty, all-NULL,
+    /// and single-row inputs (no histogram / min / max where nothing was
+    /// observed).
     pub fn measure(relation: &Relation) -> Result<TableSummary> {
+        Ok(TableSummary::profiled(relation)?.0)
+    }
+
+    /// [`TableSummary::measure`], also returning the profile it measured
+    /// on the way — so the base properties come from the same pass.
+    pub fn profiled(relation: &Relation) -> Result<(TableSummary, RelationProfile)> {
         let schema = relation.schema();
         let mut columns = Vec::with_capacity(schema.arity());
         for (i, attr) in schema.attrs().iter().enumerate() {
@@ -220,68 +376,26 @@ impl TableSummary {
                 histogram: Histogram::from_sorted(&values, HISTOGRAM_BUCKETS),
             });
         }
+        let profile = RelationProfile::measure(relation)?;
+        Ok((TableSummary::assemble(&profile, columns), profile))
+    }
 
-        let distinct_rows = {
-            let mut seen: HashSet<&[Value]> = HashSet::with_capacity(relation.len());
-            for t in relation.tuples() {
-                seen.insert(t.values());
-            }
-            seen.len() as u64
-        };
-
-        let (time_range, avg_duration_milli, max_class_overlap) = if relation.is_temporal() {
-            let mut lo: Option<Instant> = None;
-            let mut hi: Option<Instant> = None;
-            let mut total: i64 = 0;
-            for t in relation.tuples() {
-                let p = t.period(schema)?;
-                lo = Some(lo.map_or(p.start, |v| v.min(p.start)));
-                hi = Some(hi.map_or(p.end, |v| v.max(p.end)));
-                // Saturate: a handful of maximal periods (`Period::always`)
-                // must not overflow the accumulator.
-                total = total.saturating_add(p.duration());
-            }
-            let range = match (lo, hi) {
-                (Some(a), Some(b)) => Some(Period::of(a, b)),
-                _ => None,
-            };
-            let avg = if relation.is_empty() {
-                None
-            } else {
-                Some((total as f64 / relation.len() as f64 * 1000.0) as i64)
-            };
-            // Max simultaneous value-equivalent tuples. Close events sort
-            // before open events at the same instant, so abutting (and any
-            // degenerate zero-duration) periods never count as overlapping
-            // and the live counter cannot dip below zero mid-class.
-            let mut max_overlap = 0u64;
-            for (_, indices) in relation.value_classes()? {
-                let mut events: Vec<(Instant, i32)> = Vec::with_capacity(indices.len() * 2);
-                for &i in &indices {
-                    let p = relation.tuples()[i].period(schema)?;
-                    events.push((p.start, 1));
-                    events.push((p.end, -1));
-                }
-                events.sort_unstable();
-                let mut live = 0i32;
-                for (_, d) in events {
-                    live += d;
-                    max_overlap = max_overlap.max(live.max(0) as u64);
-                }
-            }
-            (range, avg, max_overlap)
-        } else {
-            (None, None, 0)
-        };
-
-        Ok(TableSummary {
-            rows: relation.len() as u64,
-            distinct_rows,
+    /// Put a summary together from a relation's profile and its per-column
+    /// summaries.
+    pub fn assemble(profile: &RelationProfile, columns: Vec<ColumnSummary>) -> TableSummary {
+        // Saturate: a handful of maximal periods (`Period::always`) must
+        // not overflow the fixed-point average.
+        let total = profile.total_duration.min(i64::MAX as i128) as i64;
+        TableSummary {
+            rows: profile.rows,
+            distinct_rows: profile.distinct_rows,
             columns,
-            time_range,
-            avg_duration_milli,
-            max_class_overlap,
-        })
+            time_range: profile.time_range,
+            avg_duration_milli: profile
+                .time_range
+                .map(|_| (total as f64 / profile.rows as f64 * 1000.0) as i64),
+            max_class_overlap: profile.max_class_overlap,
+        }
     }
 }
 

@@ -94,20 +94,26 @@ counters! {
         "rules_fired",
         "transformation rule applications during plan search"
     );
-    /// Table-statistics requests answered from the cache.
+    /// Table-statistics requests answered by the table version itself
+    /// (measured earlier, or maintained by the mutation that made it).
     pub static STATS_CACHE_HITS = (
         "stats_cache_hits",
-        "table statistics served from the per-table cache"
+        "table statistics served from the table version"
     );
-    /// Table-statistics requests that recomputed from rows.
+    /// Table-statistics requests that ran a full measurement over the rows.
     pub static STATS_CACHE_MISSES = (
         "stats_cache_misses",
-        "table statistics recomputed from base rows"
+        "table statistics measured in full from base rows"
     );
-    /// Cached statistics discarded because the table mutated.
+    /// Statistics discarded through `StatisticsProvider::invalidate_stats`.
     pub static STATS_CACHE_INVALIDATIONS = (
         "stats_cache_invalidations",
-        "cached table statistics invalidated by mutation"
+        "table statistics discarded by an explicit invalidation"
+    );
+    /// Row-to-column transposes built (at most one per relation storage).
+    pub static TRANSPOSES_BUILT = (
+        "transposes_built",
+        "columnar transposes built from row storage"
     );
     /// Morsels handed to the parallel engine's worker pool.
     pub static MORSELS_DISPATCHED = (

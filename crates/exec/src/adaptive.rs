@@ -115,7 +115,7 @@ pub fn execute_adaptive(
     let mut logical = plan.clone();
     let mut physical = lower(plan, config)?;
     // A private clone: checkpoint bindings must not leak into the caller's
-    // environment (the columnar cache is shared and identity-checked).
+    // environment.
     let mut env = env.clone();
     let mut metrics = ExecMetrics::default();
     let mut replans = 0usize;

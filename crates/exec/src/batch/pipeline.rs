@@ -918,7 +918,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
 
     let op: BoxOp = match node {
         PhysicalNode::Scan { name } => Box::new(ScanOp {
-            table: env.columnar(name)?,
+            table: env.get(name)?.columnar()?,
             pos: 0,
         }),
         PhysicalNode::Select { predicate, .. } => {

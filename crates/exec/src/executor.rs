@@ -4,8 +4,8 @@
 //!
 //! * [`ExecMode::Batch`] (the default) — the vectorized pipeline of
 //!   [`crate::batch`]: columnar batches stream through the operator tree,
-//!   base tables are read through the environment's shared columnar cache,
-//!   and only pipeline breakers materialize.
+//!   base tables are read through the transpose resident in each
+//!   relation's storage, and only pipeline breakers materialize.
 //! * [`ExecMode::Parallel`] — the morsel-driven parallel engine of
 //!   [`crate::parallel`]: the batch engine's columnar operators split
 //!   across a small worker pool, merged back in deterministic order.

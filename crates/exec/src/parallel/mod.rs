@@ -150,7 +150,7 @@ fn apply(
 ) -> Result<(ColumnarRelation, usize)> {
     Ok(match node {
         PhysicalNode::Scan { name } => {
-            let table = env.columnar(name)?;
+            let table = env.get(name)?.columnar()?;
             let batches = morsels_of(table.rows()).len().max(1);
             ((*table).clone(), batches)
         }

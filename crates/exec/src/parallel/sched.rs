@@ -299,8 +299,11 @@ impl Scheduler {
     /// [`Error::AdmissionRejected`] when `max_queries` queries are
     /// already resident; the caller should retry later.
     ///
-    /// The environment is snapshotted (cheap: relations are shared) —
-    /// later mutations of the caller's `env` do not affect this query.
+    /// The environment is cloned — a few reference-count bumps, which is
+    /// all that happens to it under the scheduler's lock, here and per
+    /// task — so later insertions into the caller's `env` do not affect
+    /// this query, and every task reads the caller's relations, transposes
+    /// included, not copies.
     pub fn submit(
         &self,
         plan: &PhysicalPlan,
@@ -612,6 +615,29 @@ mod tests {
         // root breaker's stage is the final stage.
         assert_eq!(metrics.operators.len(), plan.root.size());
         sched.shutdown();
+    }
+
+    #[test]
+    fn a_task_reads_the_submitted_relations_not_copies() {
+        let e = env();
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 0,
+            max_queries: 4,
+        });
+        let h = sched
+            .submit(&sort_plan(), &e, SubmitOptions::default())
+            .unwrap();
+        let task = {
+            let mut state = sched.shared.state.lock().unwrap();
+            next_task(&mut state).expect("one ready stage")
+        };
+        let (scanned, submitted) = (task.env.get("R").unwrap(), e.get("R").unwrap());
+        assert!(scanned.shares_tuples(submitted));
+        // One transpose cell: built through the task, seen by the caller.
+        let transpose = scanned.columnar().unwrap();
+        assert!(Arc::ptr_eq(&transpose, &submitted.columnar().unwrap()));
+        run_task(&sched.shared, task);
+        h.wait().unwrap();
     }
 
     #[test]

@@ -95,8 +95,8 @@ struct Cursor<'a> {
 impl StageGraph {
     /// Decompose `plan` into breaker-bounded stages. `prefix` namespaces
     /// the inter-stage bindings (`{prefix}stage{id}`) so concurrent
-    /// queries sharing one scheduler never collide in the environment or
-    /// its columnar cache — the scheduler passes a per-query prefix.
+    /// queries sharing one scheduler never collide in the environment —
+    /// the scheduler passes a per-query prefix.
     pub fn lower(plan: &PhysicalPlan, prefix: &str) -> Result<StageGraph> {
         let mut graph = StageGraph {
             stages: Vec::new(),

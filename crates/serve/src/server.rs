@@ -252,7 +252,12 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             if cancel_polls > 0 {
                 ctx = ctx.with_cancel_after(cancel_polls);
             }
-            let logical = tqo_sql::compile(&sql, &inner.catalog)?;
+            // Pin every table's version at admission. Binding (whose base
+            // properties license the algorithms `lower` picks) and
+            // execution read this one snapshot, however mutations
+            // interleave.
+            let snapshot = inner.catalog.snapshot();
+            let logical = tqo_sql::compile(&sql, &snapshot)?;
             let physical = lower(
                 &logical,
                 PlannerConfig {
@@ -260,9 +265,7 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
                     ..PlannerConfig::default()
                 },
             )?;
-            // Snapshot the catalog at admission: the query sees a
-            // consistent environment however mutations interleave.
-            let env = inner.catalog.env();
+            let env = snapshot.env();
             let (rows, _metrics) = inner.scheduler.run(
                 &physical,
                 &env,
@@ -279,9 +282,7 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             values,
             period,
         } => {
-            inner
-                .catalog
-                .with_table_mut(&table, |t| t.insert_sequenced(values, period))?;
+            inner.catalog.insert_sequenced(&table, values, period)?;
             Ok(Response::Done)
         }
         Request::Delete {
@@ -291,9 +292,7 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             period,
         } => {
             let predicate = Expr::eq(Expr::col(column), Expr::lit(value));
-            inner
-                .catalog
-                .with_table_mut(&table, |t| t.delete_sequenced(&predicate, period))?;
+            inner.catalog.delete_sequenced(&table, &predicate, period)?;
             Ok(Response::Done)
         }
     }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use tqo_core::error::{Error, Result};
 use tqo_core::interp::Env;
@@ -12,12 +12,14 @@ use tqo_core::plan::BaseProps;
 use tqo_core::relation::Relation;
 use tqo_core::stats::TableSummary;
 
+use crate::ledger::Ledger;
 use crate::stats::TableStats;
 use crate::table::Table;
 
-/// The statistics interface planners consume: measured per-table
-/// statistics, computed lazily and cached per table, invalidated by every
-/// mutation path. [`Catalog`] is the storage-backed implementation;
+/// The statistics interface planners consume: per-table statistics that
+/// always describe the table's current version — measured on first use,
+/// maintained (not invalidated) by every modification.
+/// [`Catalog`] is the storage-backed implementation;
 /// alternative backends (remote catalogs, statistics snapshots) implement
 /// the same trait.
 ///
@@ -40,14 +42,34 @@ pub trait StatisticsProvider {
     /// [`table_stats`]: StatisticsProvider::table_stats
     fn table_summary(&self, name: &str) -> Option<Arc<TableSummary>>;
 
-    /// Drop any cached statistics for `name` (after an external mutation).
+    /// Discard what is known about `name`, so the next request measures
+    /// its rows in full (an escape hatch; no modification path needs it).
     fn invalidate_stats(&self, name: &str);
 }
 
-/// A shared, concurrently readable catalog.
+/// Where a table's modification ledger waits between modifications.
+/// Holding the lock is also what makes a writer of that table the only
+/// one.
+type WriterSlot = Arc<Mutex<Option<Box<Ledger>>>>;
+
+/// A shared, concurrently readable catalog: a map from names to the
+/// current [`Table`] version of each.
+///
+/// Readers take the map's lock only long enough to copy pointers and never
+/// wait for a modification to be computed; writers serialize per table and
+/// take the map's write lock only to swap the next version in.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: Arc<RwLock<HashMap<String, Arc<Table>>>>,
+    /// Per-name writer slots, created on first use and kept for the
+    /// catalog's lifetime.
+    writers: Arc<Mutex<HashMap<String, WriterSlot>>>,
+}
+
+fn unknown_table(name: &str) -> Error {
+    Error::Storage {
+        reason: format!("unknown table `{name}`"),
+    }
 }
 
 impl Catalog {
@@ -55,23 +77,46 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// Pin the current version of every table: a frozen catalog of its own
+    /// that later modifications of this one do not reach (and vice versa).
+    /// A query binds, lowers and runs against one snapshot, so the base
+    /// properties its plan was licensed by are those of the data it reads.
+    pub fn snapshot(&self) -> Catalog {
+        Catalog {
+            tables: Arc::new(RwLock::new(self.tables.read().clone())),
+            writers: Arc::default(),
+        }
+    }
+
+    /// The writer slot of a table that exists (or is being registered):
+    /// requests naming unknown tables must not grow the map.
+    fn writer(&self, name: &str) -> WriterSlot {
+        let mut writers = self.writers.lock();
+        writers.entry(name.to_owned()).or_default().clone()
+    }
+
     /// Register (or overwrite) a table built from a relation.
     pub fn register(&self, name: impl Into<String>, relation: Relation) -> Result<()> {
         let name = name.into();
-        let table = Table::new(name.clone(), relation)?;
-        self.tables.write().insert(name, Arc::new(table));
+        let table = Arc::new(Table::new(name.clone(), relation)?);
+        let writer = self.writer(&name);
+        let mut parked = writer.lock();
+        *parked = None;
+        self.tables.write().insert(name, table);
         Ok(())
     }
 
     /// Drop a table; errors when absent.
     pub fn drop_table(&self, name: &str) -> Result<()> {
+        self.get(name)?;
+        let writer = self.writer(name);
+        let mut parked = writer.lock();
+        *parked = None;
         self.tables
             .write()
             .remove(name)
             .map(|_| ())
-            .ok_or_else(|| Error::Storage {
-                reason: format!("unknown table `{name}`"),
-            })
+            .ok_or_else(|| unknown_table(name))
     }
 
     pub fn get(&self, name: &str) -> Result<Arc<Table>> {
@@ -79,40 +124,44 @@ impl Catalog {
             .read()
             .get(name)
             .cloned()
-            .ok_or_else(|| Error::Storage {
-                reason: format!("unknown table `{name}`"),
-            })
+            .ok_or_else(|| unknown_table(name))
     }
 
     pub fn contains(&self, name: &str) -> bool {
         self.tables.read().contains_key(name)
     }
 
-    /// Base properties for planning a scan of `name`, with the measured
+    /// Base properties for planning a scan of `name`, with the table's
     /// statistics attached — every catalog-compiled plan estimates from
     /// data.
     pub fn base_props(&self, name: &str) -> Result<BaseProps> {
         Ok(self.get(name)?.planning_props())
     }
 
-    /// Mutate a table in place: the closure receives a working copy, the
-    /// catalog swaps it in on success (statistics are invalidated by the
-    /// mutation itself). The write lock is held across the whole
-    /// read-mutate-swap, so concurrent mutations serialize instead of
-    /// losing updates; readers holding the old `Arc` keep a consistent
-    /// pre-mutation view.
+    /// Modify a table: the closure receives a working copy of the current
+    /// version and the catalog swaps the result in on success. Writers of
+    /// one table serialize, so concurrent modifications are never lost;
+    /// nobody else waits — readers of this table keep getting the current
+    /// version until the swap (and keep whatever version they already
+    /// hold), and other tables are not involved at all.
     pub fn with_table_mut(
         &self,
         name: &str,
         f: impl FnOnce(&mut Table) -> Result<()>,
     ) -> Result<()> {
-        let mut tables = self.tables.write();
-        let current = tables.get(name).ok_or_else(|| Error::Storage {
-            reason: format!("unknown table `{name}`"),
-        })?;
-        let mut working = (**current).clone();
+        self.get(name)?;
+        let writer = self.writer(name);
+        let mut parked = writer.lock();
+        // Re-read under the writer lock: this is the version to succeed.
+        let mut working = Table::clone(&*self.get(name)?);
+        // A failed modification drops the ledger with the working copy;
+        // the next one opens a fresh one.
+        working.ledger = parked.take();
         f(&mut working)?;
-        tables.insert(name.to_owned(), Arc::new(working));
+        *parked = working.ledger.take();
+        self.tables
+            .write()
+            .insert(name.to_owned(), Arc::new(working));
         Ok(())
     }
 
@@ -123,13 +172,13 @@ impl Catalog {
         names
     }
 
-    /// Materialize the catalog as an interpreter environment.
+    /// The catalog's current versions as an interpreter environment.
     pub fn env(&self) -> Env {
-        let mut env = Env::new();
-        for (name, table) in self.tables.read().iter() {
-            env.insert(name.clone(), table.relation().clone());
-        }
-        env
+        let tables = self.tables.read();
+        tables
+            .iter()
+            .map(|(name, table)| (name.clone(), table.relation().clone()))
+            .collect()
     }
 }
 
@@ -143,9 +192,11 @@ impl StatisticsProvider for Catalog {
     }
 
     fn invalidate_stats(&self, name: &str) {
-        if let Ok(t) = self.get(name) {
-            t.invalidate_stats();
-        }
+        // Unknown names have nothing to invalidate.
+        let _ = self.with_table_mut(name, |t| {
+            t.forget_measurements();
+            Ok(())
+        });
     }
 }
 
@@ -175,6 +226,17 @@ mod tests {
         assert!(!cat.contains("T"));
         assert!(cat.drop_table("T").is_err());
         assert!(cat.get("T").is_err());
+    }
+
+    /// Table names arrive over the wire: a request naming a table that
+    /// does not exist must fail without leaving anything behind.
+    #[test]
+    fn unknown_names_leave_no_writer_slot() {
+        let cat = Catalog::new();
+        assert!(cat.with_table_mut("NOPE", |_| Ok(())).is_err());
+        assert!(cat.drop_table("NOPE").is_err());
+        cat.invalidate_stats("NOPE");
+        assert!(cat.writers.lock().is_empty());
     }
 
     #[test]
@@ -239,5 +301,103 @@ mod tests {
             .with_table_mut("T", |t| t.insert(vec![tuple!["x", 9i64, 3i64]]))
             .is_err());
         assert!(Arc::ptr_eq(&before, &cat.get("T").unwrap()));
+    }
+
+    /// A query binds and runs against one snapshot: the base properties a
+    /// plan was licensed by and the tuples it reads are one version, even
+    /// when a modification lands in between.
+    #[test]
+    fn a_snapshot_pins_properties_and_data_of_one_version() {
+        let live = Catalog::new();
+        live.register("T", rel()).unwrap();
+        let pinned = live.snapshot();
+        // Overlaps `a`'s [1,5): the live table now has snapshot duplicates.
+        live.insert_sequenced("T", vec!["a".into()], tqo_core::time::Period::of(3, 8))
+            .unwrap();
+        for (catalog, rows, sdf) in [(&pinned, 1, true), (&live, 2, false)] {
+            let props = catalog.base_props("T").unwrap();
+            let env = catalog.env();
+            let data = env.get("T").unwrap();
+            assert_eq!(props.snapshot_dup_free, sdf);
+            assert_eq!(!data.has_snapshot_duplicates().unwrap(), sdf);
+            assert_eq!((props.card, data.len() as u64), (rows, rows));
+            assert_eq!(props.stats.unwrap().rows, rows);
+        }
+        // And the other way round: a snapshot is a catalog of its own.
+        pinned.drop_table("T").unwrap();
+        assert!(live.contains("T"));
+    }
+
+    /// A modification in progress on one table holds no lock a reader
+    /// needs — not of another table, not even of the same one.
+    #[test]
+    fn readers_do_not_wait_for_a_modification_in_progress() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let cat = Catalog::new();
+        cat.register("A", rel()).unwrap();
+        cat.register("B", rel()).unwrap();
+        let (entered_tx, entered) = channel();
+        let (release, parked) = channel::<()>();
+        let cat = &cat;
+        std::thread::scope(|s| {
+            let writer = s.spawn(move || {
+                cat.with_table_mut("A", |t| {
+                    entered_tx.send(()).unwrap();
+                    parked.recv().unwrap();
+                    t.insert(vec![tuple!["b", 2i64, 4i64]])
+                })
+            });
+            entered.recv().unwrap();
+            // The closure is parked mid-modification; read on another
+            // thread so a regression fails by timeout instead of hanging.
+            let (done_tx, done) = channel();
+            s.spawn(move || {
+                let b = cat.get("B").unwrap().len();
+                let a = cat.base_props("A").unwrap().card;
+                done_tx
+                    .send((b, a, cat.env().get("A").unwrap().len()))
+                    .unwrap();
+            });
+            let read = done.recv_timeout(Duration::from_secs(20));
+            release.send(()).unwrap();
+            writer.join().unwrap().unwrap();
+            assert_eq!(read, Ok((1, 1, 1)), "readers saw the current versions");
+        });
+        assert_eq!(cat.get("A").unwrap().len(), 2);
+    }
+
+    /// Writers of one table serialize: the second starts from the first's
+    /// result, so neither update is lost.
+    #[test]
+    fn concurrent_writers_of_one_table_lose_no_update() {
+        let cat = Catalog::new();
+        cat.register("T", rel()).unwrap();
+        std::thread::scope(|s| {
+            for w in 0..4i64 {
+                let cat = &cat;
+                s.spawn(move || {
+                    for i in 0..25i64 {
+                        let start = 100 * w + 2 * i;
+                        cat.insert_sequenced(
+                            "T",
+                            vec!["w".into()],
+                            tqo_core::time::Period::of(start, start + 1),
+                        )
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        let table = cat.get("T").unwrap();
+        assert_eq!(table.len(), 101);
+        assert_eq!(
+            *table.props(),
+            crate::table::derive_props(table.relation()).unwrap()
+        );
+        assert_eq!(
+            *table.summary(),
+            TableSummary::measure(table.relation()).unwrap()
+        );
     }
 }

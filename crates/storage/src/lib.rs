@@ -2,9 +2,15 @@
 //!
 //! The storage substrate under the optimizer and execution engine:
 //!
-//! * [`catalog`] — a thread-safe catalog of named tables carrying declared
-//!   invariants ([`tqo_core::plan::BaseProps`]) and measured statistics.
-//! * [`table`] — a stored relation plus maintenance operations.
+//! * [`catalog`] — a thread-safe catalog mapping names to the current
+//!   *version* of each table; `Catalog::snapshot` pins them for a query.
+//! * [`table`] — one immutable version of a stored relation: tuples,
+//!   transpose, Table 2's base properties
+//!   ([`tqo_core::plan::BaseProps`]) and statistics, all describing
+//!   exactly those tuples.
+//! * [`mutation`] — sequenced insert/delete/update, each deriving the next
+//!   version from the tuples that moved (the private `ledger` keeps the
+//!   aggregates properties and statistics are functions of).
 //! * [`stats`] — per-table and per-column statistics feeding cardinality
 //!   estimation.
 //! * [`generator`] — seeded synthetic data generators reproducing the shape
@@ -16,6 +22,7 @@
 
 pub mod catalog;
 pub mod generator;
+mod ledger;
 pub mod mutation;
 pub mod paper;
 pub mod stats;

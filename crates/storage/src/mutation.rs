@@ -7,37 +7,124 @@
 //! exactly the `Changeᵀ` arithmetic of `rdupᵀ`), and update rewrites only
 //! the covered fragments.
 //!
-//! All functions are pure (`Relation → Relation`); [`crate::table::Table`]
-//! wrappers re-derive the stored invariants afterwards.
+//! Each modification is computed once, as a [`Delta`]: the next tuple list
+//! plus the tuples that left and entered. The free functions are the pure
+//! `Relation → Relation` reading of it; the [`crate::table::Table`]
+//! methods hand the same delta to [`crate::table::Table::succeed`], which
+//! derives the next version's properties and statistics from the tuples
+//! that moved instead of from the whole list.
 
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::Expr;
 use tqo_core::relation::Relation;
 use tqo_core::time::Period;
 use tqo_core::tuple::Tuple;
+use tqo_core::value::Value;
 
-/// Sequenced INSERT: append a tuple valid over `period`.
-pub fn insert_sequenced(
-    relation: &Relation,
-    values: Vec<tqo_core::value::Value>,
-    period: Period,
-) -> Result<Relation> {
-    if !relation.is_temporal() {
-        return Err(Error::NotTemporal {
-            context: "sequenced insert",
-        });
+use crate::table::Delta;
+
+fn require_temporal(relation: &Relation, context: &'static str) -> Result<()> {
+    if relation.is_temporal() {
+        Ok(())
+    } else {
+        Err(Error::NotTemporal { context })
     }
+}
+
+/// The tuple a sequenced INSERT appends: `values` valid over `period`.
+fn sequenced_tuple(relation: &Relation, mut values: Vec<Value>, period: Period) -> Result<Tuple> {
+    require_temporal(relation, "sequenced insert")?;
     if period.is_empty() {
         return Err(Error::InvalidPeriod {
             start: period.start,
             end: period.end,
         });
     }
+    values.push(Value::Time(period.start));
+    values.push(Value::Time(period.end));
+    Ok(Tuple::new(values))
+}
+
+/// Rewrite every tuple that satisfies `predicate` and overlaps `period`:
+/// its fragments outside the period survive with the old values, and
+/// `inside` says what (if anything) replaces it over the covered part.
+fn rewrite(
+    relation: &Relation,
+    predicate: &Expr,
+    period: Period,
+    context: &'static str,
+    inside: impl Fn(&Tuple, Period) -> Result<Option<Tuple>>,
+) -> Result<Delta> {
+    require_temporal(relation, context)?;
+    let schema = relation.schema();
+    // The period test below spares most tuples the predicate, so name
+    // resolution must not depend on which tuples reach it.
+    for name in predicate.attrs() {
+        schema.resolve(&name)?;
+    }
+    let mut delta = Delta {
+        next: Vec::with_capacity(relation.len() + 4),
+        removed: Vec::new(),
+        added: Vec::new(),
+    };
+    for t in relation.tuples() {
+        let p = t.period(schema)?;
+        let covered = match p.intersect(&period) {
+            Some(covered) if predicate.eval_predicate(schema, t)? => covered,
+            _ => {
+                delta.next.push(t.clone());
+                continue;
+            }
+        };
+        delta.removed.push(t.clone());
+        let entering = delta.added.len();
+        for fragment in p.subtract(&period) {
+            delta.added.push(t.with_period(schema, fragment)?);
+        }
+        delta.added.extend(inside(t, covered)?);
+        delta.next.extend(delta.added[entering..].iter().cloned());
+    }
+    Ok(delta)
+}
+
+fn delete_delta(relation: &Relation, predicate: &Expr, period: Period) -> Result<Delta> {
+    rewrite(relation, predicate, period, "sequenced delete", |_, _| {
+        Ok(None)
+    })
+}
+
+fn update_delta(
+    relation: &Relation,
+    predicate: &Expr,
+    period: Period,
+    apply: impl Fn(&Tuple) -> Result<Tuple>,
+) -> Result<Delta> {
+    let schema = relation.schema();
+    rewrite(
+        relation,
+        predicate,
+        period,
+        "sequenced update",
+        |t, covered| {
+            let updated = apply(t)?;
+            if updated.arity() != t.arity() {
+                return Err(Error::MalformedTuple {
+                    reason: "sequenced update must preserve arity".into(),
+                });
+            }
+            updated.with_period(schema, covered).map(Some)
+        },
+    )
+}
+
+/// Sequenced INSERT: append a tuple valid over `period`.
+pub fn insert_sequenced(
+    relation: &Relation,
+    values: Vec<Value>,
+    period: Period,
+) -> Result<Relation> {
     let mut all = relation.tuples().to_vec();
-    let mut v = values;
-    v.push(tqo_core::value::Value::Time(period.start));
-    v.push(tqo_core::value::Value::Time(period.end));
-    all.push(Tuple::new(v));
+    all.push(sequenced_tuple(relation, values, period)?);
     Relation::new(relation.schema().clone(), all)
 }
 
@@ -45,23 +132,8 @@ pub fn insert_sequenced(
 /// `predicate` over `period`. Tuples whose periods straddle the deletion
 /// window are split; fully covered tuples disappear.
 pub fn delete_sequenced(relation: &Relation, predicate: &Expr, period: Period) -> Result<Relation> {
-    if !relation.is_temporal() {
-        return Err(Error::NotTemporal {
-            context: "sequenced delete",
-        });
-    }
-    let schema = relation.schema().clone();
-    let mut out = Vec::with_capacity(relation.len());
-    for t in relation.tuples() {
-        if !predicate.eval_predicate(&schema, t)? {
-            out.push(t.clone());
-            continue;
-        }
-        for fragment in t.period(&schema)?.subtract(&period) {
-            out.push(t.with_period(&schema, fragment)?);
-        }
-    }
-    Ok(Relation::new_unchecked(schema, out))
+    let delta = delete_delta(relation, predicate, period)?;
+    Relation::new(relation.schema().clone(), delta.next)
 }
 
 /// Sequenced UPDATE: for every tuple satisfying `predicate`, replace the
@@ -73,52 +145,20 @@ pub fn update_sequenced(
     period: Period,
     apply: impl Fn(&Tuple) -> Result<Tuple>,
 ) -> Result<Relation> {
-    if !relation.is_temporal() {
-        return Err(Error::NotTemporal {
-            context: "sequenced update",
-        });
-    }
-    let schema = relation.schema().clone();
-    let mut out = Vec::with_capacity(relation.len() + 4);
-    for t in relation.tuples() {
-        let p = t.period(&schema)?;
-        let covered = p.intersect(&period);
-        if !predicate.eval_predicate(&schema, t)? || covered.is_none() {
-            out.push(t.clone());
-            continue;
-        }
-        let covered = covered.expect("checked above");
-        // Old values outside the window…
-        for fragment in p.subtract(&period) {
-            out.push(t.with_period(&schema, fragment)?);
-        }
-        // …new values inside it.
-        let updated = apply(t)?;
-        if updated.arity() != t.arity() {
-            return Err(Error::MalformedTuple {
-                reason: "sequenced update must preserve arity".into(),
-            });
-        }
-        out.push(updated.with_period(&schema, covered)?);
-    }
-    Relation::new(schema, out)
+    let delta = update_delta(relation, predicate, period, apply)?;
+    Relation::new(relation.schema().clone(), delta.next)
 }
 
 impl crate::table::Table {
     /// Sequenced INSERT on a stored table.
-    pub fn insert_sequenced(
-        &mut self,
-        values: Vec<tqo_core::value::Value>,
-        period: Period,
-    ) -> Result<()> {
-        let next = insert_sequenced(self.relation(), values, period)?;
-        self.replace(next)
+    pub fn insert_sequenced(&mut self, values: Vec<Value>, period: Period) -> Result<()> {
+        let tuple = sequenced_tuple(self.relation(), values, period)?;
+        self.insert(vec![tuple])
     }
 
     /// Sequenced DELETE on a stored table.
     pub fn delete_sequenced(&mut self, predicate: &Expr, period: Period) -> Result<()> {
-        let next = delete_sequenced(self.relation(), predicate, period)?;
-        self.replace(next)
+        self.succeed(delete_delta(self.relation(), predicate, period)?)
     }
 
     /// Sequenced UPDATE on a stored table.
@@ -128,23 +168,15 @@ impl crate::table::Table {
         period: Period,
         apply: impl Fn(&Tuple) -> Result<Tuple>,
     ) -> Result<()> {
-        let next = update_sequenced(self.relation(), predicate, period, apply)?;
-        self.replace(next)
+        self.succeed(update_delta(self.relation(), predicate, period, apply)?)
     }
 }
 
-/// Catalog-level sequenced mutations. Every path routes through
-/// [`crate::table::Table::replace`], which re-derives the base properties
-/// and invalidates the cached statistics — the invalidation hook the
-/// optimizer's `StatisticsProvider` relies on.
+/// Catalog-level sequenced mutations: each swaps in the table's next
+/// version ([`crate::catalog::Catalog::with_table_mut`]).
 impl crate::catalog::Catalog {
     /// Sequenced INSERT into a cataloged table.
-    pub fn insert_sequenced(
-        &self,
-        table: &str,
-        values: Vec<tqo_core::value::Value>,
-        period: Period,
-    ) -> Result<()> {
+    pub fn insert_sequenced(&self, table: &str, values: Vec<Value>, period: Period) -> Result<()> {
         self.with_table_mut(table, |t| t.insert_sequenced(values, period))
     }
 
@@ -264,7 +296,7 @@ mod tests {
                 Period::of(6, 12),
             )
             .unwrap();
-        // John now has overlapping Sales periods → property re-derived.
+        // John now has overlapping Sales periods → property follows.
         assert!(!table.props().snapshot_dup_free);
         table
             .delete_sequenced(&is_john(), Period::of(0, 30))
@@ -274,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn catalog_mutations_invalidate_statistics() {
+    fn catalog_mutations_carry_statistics_forward() {
         use crate::catalog::{Catalog, StatisticsProvider};
         let cat = Catalog::new();
         cat.register("D", dept()).unwrap();
@@ -285,7 +317,7 @@ mod tests {
             Period::of(4, 9),
         )
         .unwrap();
-        // Statistics were recomputed, not served stale.
+        // The next version's statistics describe the next version.
         assert_eq!(cat.table_stats("D").unwrap().distinct("EmpName"), Some(3));
         cat.delete_sequenced("D", &is_john(), Period::of(0, 30))
             .unwrap();

@@ -51,13 +51,16 @@ pub struct TableStats {
 
 impl TableStats {
     /// Measure a stored relation's statistics by delegating to the shared
-    /// core routine ([`TableSummary::measure`]) and converting to the
-    /// catalog-side representation. The only representational difference
-    /// is `avg_duration`, which core keeps as a milli fixed point so the
-    /// summary stays `Eq + Hash`.
+    /// core routine ([`TableSummary::measure`]).
     pub fn compute(relation: &Relation) -> Result<TableStats> {
-        let s = TableSummary::measure(relation)?;
-        Ok(TableStats {
+        Ok(TableStats::from_summary(&TableSummary::measure(relation)?))
+    }
+
+    /// The catalog-side representation of a core summary. The only
+    /// representational difference is `avg_duration`, which core keeps as
+    /// a milli fixed point so the summary stays `Eq + Hash`.
+    pub fn from_summary(s: &TableSummary) -> TableStats {
+        TableStats {
             rows: s.rows as usize,
             distinct_rows: s.distinct_rows as usize,
             columns: s
@@ -75,7 +78,7 @@ impl TableStats {
             time_range: s.time_range,
             avg_duration: s.avg_duration_milli.map(|m| m as f64 / 1000.0),
             max_class_overlap: s.max_class_overlap as usize,
-        })
+        }
     }
 
     /// Distinct count for a named column, if known.

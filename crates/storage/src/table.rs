@@ -1,44 +1,41 @@
-//! Stored tables: a relation plus its declared invariants.
+//! Stored tables: one immutable version of a relation and everything the
+//! planner and the engines need to know about it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
-
-use tqo_core::error::{Error, Result};
+use tqo_core::error::Result;
 use tqo_core::plan::BaseProps;
-use tqo_core::relation::Relation;
-use tqo_core::stats::TableSummary;
+use tqo_core::relation::{self, Relation};
+use tqo_core::stats::{RelationProfile, TableSummary};
 use tqo_core::trace::counters;
 use tqo_core::tuple::Tuple;
 
+use crate::ledger::Ledger;
 use crate::stats::TableStats;
 
-/// A stored relation. The declared [`BaseProps`] are *verified* on
-/// construction and after every mutation, so `Scan` nodes embedding them
-/// can be trusted by the optimizer.
+/// One version of a stored relation: the tuples (with their columnar
+/// transpose, resident in the relation's storage once built), Table 2's
+/// base properties of exactly those tuples, and their statistics. The
+/// catalog publishes versions behind an `Arc` and never changes one; a
+/// query that pinned a version plans and runs against the same data.
 ///
-/// Statistics (histograms, distinct counts, time ranges) are computed
-/// lazily on first use and cached; every mutation path invalidates the
-/// cache, so readers never see statistics of a previous version.
-#[derive(Debug)]
+/// The `&mut self` modifiers turn a working copy into the *next* version.
+/// They validate only the tuples that enter, and bring properties and
+/// statistics up to date from a [`Ledger`] by re-examining only the value
+/// classes those tuples belong to — with results equal to deriving both
+/// from scratch ([`derive_props`], [`TableSummary::measure`]). Statistics
+/// of a version nobody modified yet are measured in full, lazily, on first
+/// use.
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     relation: Relation,
     props: BaseProps,
-    /// Lazily computed statistics cache. `None` = not yet measured (or
-    /// invalidated by a mutation).
-    stats: RwLock<Option<(Arc<TableStats>, Arc<TableSummary>)>>,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        Table {
-            name: self.name.clone(),
-            relation: self.relation.clone(),
-            props: self.props.clone(),
-            stats: RwLock::new(self.stats.read().clone()),
-        }
-    }
+    measured: OnceLock<(Arc<TableStats>, Arc<TableSummary>)>,
+    /// Opened by the first modification and carried from each working copy
+    /// to the next (the catalog parks it between modifications); never on
+    /// a published version.
+    pub(crate) ledger: Option<Box<Ledger>>,
 }
 
 impl Table {
@@ -46,13 +43,12 @@ impl Table {
     /// duplicate-freedom, snapshot-duplicate-freedom, and coalescedness are
     /// measured, not assumed.
     pub fn new(name: impl Into<String>, relation: Relation) -> Result<Table> {
-        let name = name.into();
-        let props = derive_props(&relation)?;
         Ok(Table {
-            name,
+            name: name.into(),
+            props: derive_props(&relation)?,
             relation,
-            props,
-            stats: RwLock::new(None),
+            measured: OnceLock::new(),
+            ledger: None,
         })
     }
 
@@ -70,53 +66,46 @@ impl Table {
         &self.props
     }
 
-    /// Base properties with the measured [`TableSummary`] attached — what
+    /// Base properties with the [`TableSummary`] attached — what
     /// catalog-backed scans embed so the optimizer estimates from data.
     pub fn planning_props(&self) -> BaseProps {
         self.props.clone().with_summary(self.summary())
     }
 
-    /// Measured statistics, computed on first call and cached until the
-    /// next mutation.
+    /// This version's statistics.
     pub fn stats(&self) -> Arc<TableStats> {
-        self.measured().0
+        self.measured().0.clone()
     }
 
-    /// The core-side summary of [`Table::stats`] (same cache).
+    /// The core-side summary of [`Table::stats`].
     pub fn summary(&self) -> Arc<TableSummary> {
-        self.measured().1
+        self.measured().1.clone()
     }
 
-    fn measured(&self) -> (Arc<TableStats>, Arc<TableSummary>) {
-        if let Some(cached) = self.stats.read().clone() {
+    fn measured(&self) -> &(Arc<TableStats>, Arc<TableSummary>) {
+        if let Some(known) = self.measured.get() {
             counters::STATS_CACHE_HITS.incr();
-            return cached;
+            return known;
         }
-        counters::STATS_CACHE_MISSES.incr();
-        let stats = Arc::new(
-            TableStats::compute(&self.relation)
-                .expect("statistics over a validated relation cannot fail"),
-        );
-        let summary = Arc::new(stats.summary());
-        let mut slot = self.stats.write();
-        // A racing writer may have filled the slot; either value is
-        // equivalent (the relation is immutable between mutations).
-        slot.get_or_insert((stats, summary)).clone()
+        self.measured.get_or_init(|| {
+            counters::STATS_CACHE_MISSES.incr();
+            let summary = TableSummary::measure(&self.relation)
+                .expect("statistics over a validated relation cannot fail");
+            (
+                Arc::new(TableStats::from_summary(&summary)),
+                Arc::new(summary),
+            )
+        })
     }
 
-    /// Invalidation hook: drop cached statistics. Called by every mutation
-    /// path; public so external bulk loaders can force re-measurement.
-    pub fn invalidate_stats(&self) {
-        let mut slot = self.stats.write();
-        if slot.is_some() {
+    /// Forget this version's statistics and modification ledger, so the
+    /// next request measures in full — the escape hatch behind
+    /// [`crate::StatisticsProvider::invalidate_stats`].
+    pub(crate) fn forget_measurements(&mut self) {
+        if self.measured.take().is_some() {
             counters::STATS_CACHE_INVALIDATIONS.incr();
         }
-        *slot = None;
-    }
-
-    /// True when statistics are currently cached (test/diagnostic hook).
-    pub fn stats_cached(&self) -> bool {
-        self.stats.read().is_some()
+        self.ledger = None;
     }
 
     pub fn len(&self) -> usize {
@@ -127,53 +116,61 @@ impl Table {
         self.relation.is_empty()
     }
 
-    /// Append tuples, revalidating and re-deriving properties.
+    /// Append tuples. A rejected tuple leaves the table untouched.
     pub fn insert(&mut self, tuples: Vec<Tuple>) -> Result<()> {
-        let mut all = self.relation.tuples().to_vec();
-        all.extend(tuples);
-        let relation = Relation::new(self.relation.schema().clone(), all)?;
-        self.props = derive_props(&relation)?;
-        self.relation = relation;
-        self.invalidate_stats();
-        Ok(())
+        let mut next = self.relation.tuples().to_vec();
+        next.extend(tuples.iter().cloned());
+        self.succeed(Delta {
+            next,
+            removed: Vec::new(),
+            added: tuples,
+        })
     }
 
-    /// Replace the contents wholesale.
-    pub fn replace(&mut self, relation: Relation) -> Result<()> {
-        if !relation.schema().union_compatible(self.relation.schema()) {
-            return Err(Error::SchemaMismatch {
-                left: self.relation.schema().to_string(),
-                right: relation.schema().to_string(),
-                context: "table replace",
-            });
+    /// Become the next version. Only `delta.added` is validated and only
+    /// the value classes of the tuples that moved are re-examined.
+    pub(crate) fn succeed(&mut self, delta: Delta) -> Result<()> {
+        if delta.removed.is_empty() && delta.added.is_empty() {
+            return Ok(());
         }
-        self.props = derive_props(&relation)?;
-        self.relation = relation;
-        self.invalidate_stats();
+        let schema = self.relation.schema();
+        for t in &delta.added {
+            relation::validate(schema, t)?;
+        }
+        let mut ledger = match self.ledger.take() {
+            Some(open) => open,
+            None => Box::new(Ledger::open(&self.relation)?),
+        };
+        ledger.apply(schema, &delta.removed, &delta.added)?;
+        let (props, summary) = ledger.describe(schema);
+        self.relation = Relation::new_unchecked(schema.clone(), delta.next);
+        self.props = props;
+        self.measured = OnceLock::from((
+            Arc::new(TableStats::from_summary(&summary)),
+            Arc::new(summary),
+        ));
+        self.ledger = Some(ledger);
         Ok(())
     }
 }
 
+/// What a modification does to a table's tuple list.
+pub(crate) struct Delta {
+    /// The list afterwards: untouched tuples keep their relative order and
+    /// the fragments of a rewritten tuple take its place.
+    pub(crate) next: Vec<Tuple>,
+    /// Tuples of the current list that are not in `next`.
+    pub(crate) removed: Vec<Tuple>,
+    /// Tuples of `next` that are not in the current list.
+    pub(crate) added: Vec<Tuple>,
+}
+
 /// Measure the honest base properties of a relation.
 pub fn derive_props(relation: &Relation) -> Result<BaseProps> {
-    let temporal = relation.is_temporal();
-    Ok(BaseProps {
-        schema: relation.schema().clone(),
-        order: tqo_core::sortspec::Order::unordered(),
-        dup_free: !relation.has_duplicates(),
-        snapshot_dup_free: if temporal {
-            !relation.has_snapshot_duplicates()?
-        } else {
-            !relation.has_duplicates()
-        },
-        coalesced: if temporal {
-            relation.is_coalesced()?
-        } else {
-            true
-        },
-        card: relation.len() as u64,
-        stats: None,
-    })
+    Ok(BaseProps::from_profile(
+        relation.schema().clone(),
+        &RelationProfile::measure(relation)?,
+    ))
 }
 
 #[cfg(test)]
@@ -215,32 +212,38 @@ mod tests {
     }
 
     #[test]
-    fn replace_checks_schema() {
-        let r = Relation::new(schema(), vec![tuple!["a", 1i64, 5i64]]).unwrap();
-        let mut t = Table::new("T", r).unwrap();
-        let other = Relation::new(Schema::of(&[("X", DataType::Int)]), vec![tuple![1i64]]).unwrap();
-        assert!(t.replace(other).is_err());
-        let ok = Relation::new(schema(), vec![tuple!["b", 2i64, 3i64]]).unwrap();
-        t.replace(ok).unwrap();
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn stats_are_lazy_cached_and_invalidated() {
+    fn statistics_are_lazy_until_a_modification_maintains_them() {
         let r = Relation::new(
             schema(),
             vec![tuple!["a", 1i64, 5i64], tuple!["b", 2i64, 4i64]],
         )
         .unwrap();
         let mut t = Table::new("T", r).unwrap();
-        assert!(!t.stats_cached(), "stats must not be computed eagerly");
+        assert!(
+            t.measured.get().is_none(),
+            "stats must not be computed eagerly"
+        );
         assert_eq!(t.stats().distinct("E"), Some(2));
-        assert!(t.stats_cached());
-        // Mutation invalidates; the next read re-measures.
+        // A modification carries the statistics forward: the next version
+        // has them before anyone asks.
         t.insert(vec![tuple!["c", 1i64, 2i64]]).unwrap();
-        assert!(!t.stats_cached(), "insert must invalidate the cache");
+        let (_, summary) = t.measured.get().expect("maintained by the insert");
+        assert_eq!(**summary, TableSummary::measure(t.relation()).unwrap());
         assert_eq!(t.stats().distinct("E"), Some(3));
         assert_eq!(t.summary().rows, 3);
+        assert_eq!(*t.props(), derive_props(t.relation()).unwrap());
+    }
+
+    #[test]
+    fn a_version_pinned_before_a_modification_is_unchanged_by_it() {
+        let r = Relation::new(schema(), vec![tuple!["a", 1i64, 5i64]]).unwrap();
+        let pinned = Table::new("T", r.clone()).unwrap();
+        let mut next = pinned.clone();
+        next.insert(vec![tuple!["a", 5i64, 9i64]]).unwrap();
+        assert!(!next.props().coalesced);
+        assert!(pinned.props().coalesced);
+        assert_eq!(pinned.relation(), &r);
+        assert_eq!(pinned.summary().rows, 1);
     }
 
     #[test]

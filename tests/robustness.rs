@@ -644,3 +644,133 @@ fn serving_governance_and_faults_stay_typed_under_load() {
         }
     }
 }
+
+/// Table versions through the catalog: after every step of an interleaved
+/// sequence of sequenced inserts, deletes and updates, the version the
+/// catalog publishes describes exactly its own tuples — base properties
+/// equal `derive_props`, statistics equal a full `measure`, the resident
+/// transpose equals a fresh one, list order is the pure modification's —
+/// and plans bound against it, whose algorithms those properties license,
+/// still agree with the interpreter on every engine.
+#[test]
+fn catalog_versions_stay_exact_and_plannable_under_interleaved_mutations() {
+    use tqo_core::columnar::ColumnarRelation;
+    use tqo_core::expr::Expr;
+    use tqo_core::stats::TableSummary;
+    use tqo_core::time::Period;
+    use tqo_core::value::Value;
+    use tqo_storage::table::derive_props;
+    use tqo_storage::{mutation, GenConfig, StatisticsProvider, WorkloadGenerator};
+
+    const READS: &[&str] = &[
+        "VALIDTIME SELECT EmpName FROM STAFF COALESCE",
+        "VALIDTIME SELECT DISTINCT EmpName FROM STAFF",
+        "VALIDTIME SELECT EmpName FROM STAFF EXCEPT VALIDTIME SELECT EmpName FROM PROJECT",
+        "SELECT Dept, COUNT(*) AS n FROM STAFF GROUP BY Dept",
+    ];
+    let catalog = paper::catalog();
+    let staff = WorkloadGenerator::new(23)
+        .employees(&GenConfig::clean(6, 3), 2)
+        .unwrap();
+    catalog.register("STAFF", staff.clone()).unwrap();
+    let initial_props = catalog.get("STAFF").unwrap().props().clone();
+    assert!(initial_props.snapshot_dup_free && initial_props.coalesced);
+
+    let is = |name: &str| Expr::eq(Expr::col("EmpName"), Expr::lit(name));
+    let row = |name: &str, dept: &str| vec![Value::from(name), Value::from(dept)];
+    let mut oracle = staff.clone();
+    let (mut lost_sdf, mut lost_coalesced) = (false, false);
+    for step in 0..40u32 {
+        let name = format!("emp{}", step % 7); // emp6 names no generated row
+        let window = Period::of(i64::from(step % 9) * 4, i64::from(step % 9) * 4 + 6);
+        oracle = match step % 5 {
+            // Next to an existing row of the same class: overlapping it
+            // (a snapshot duplicate) or abutting it (uncoalesced), so both
+            // licenses are revoked — and, by the deletes, re-granted.
+            0 | 3 => {
+                let (values, period) = match oracle.tuples().get(step as usize % 11) {
+                    Some(like) => {
+                        let p = like.period(oracle.schema()).unwrap();
+                        let shift = if step % 5 == 0 { -1 } else { 0 };
+                        let values = like.values()[..2].to_vec();
+                        (values, Period::of(p.end + shift, p.end + 3))
+                    }
+                    None => (row(&name, "d0"), window),
+                };
+                catalog
+                    .insert_sequenced("STAFF", values.clone(), period)
+                    .unwrap();
+                mutation::insert_sequenced(&oracle, values, period).unwrap()
+            }
+            1 => {
+                catalog
+                    .delete_sequenced("STAFF", &is(&name), window)
+                    .unwrap();
+                mutation::delete_sequenced(&oracle, &is(&name), window).unwrap()
+            }
+            2 => {
+                let schema = oracle.schema().clone();
+                let move_dept = move |t: &tqo_core::tuple::Tuple| {
+                    let mut t = t.clone();
+                    t.set_value(schema.resolve("Dept")?, Value::from("d9"));
+                    Ok(t)
+                };
+                catalog
+                    .update_sequenced("STAFF", &is(&name), window, &move_dept)
+                    .unwrap();
+                mutation::update_sequenced(&oracle, &is(&name), window, &move_dept).unwrap()
+            }
+            // Every so often, wipe a whole class — at step 39, the table.
+            _ => {
+                let all = Period::of(-1_000, 1_000);
+                let p = if step == 39 {
+                    Expr::lit(true)
+                } else {
+                    is(&name)
+                };
+                catalog.delete_sequenced("STAFF", &p, all).unwrap();
+                mutation::delete_sequenced(&oracle, &p, all).unwrap()
+            }
+        };
+
+        let snapshot = catalog.snapshot();
+        let version = snapshot.get("STAFF").unwrap();
+        assert_eq!(version.relation(), &oracle, "step {step}: list order");
+        assert_eq!(
+            *version.props(),
+            derive_props(&oracle).unwrap(),
+            "step {step}: base properties"
+        );
+        assert_eq!(
+            *snapshot.table_summary("STAFF").unwrap(),
+            TableSummary::measure(&oracle).unwrap(),
+            "step {step}: statistics"
+        );
+        lost_sdf |= !version.props().snapshot_dup_free;
+        lost_coalesced |= !version.props().coalesced;
+        let env = snapshot.env();
+        assert_eq!(
+            env.get("STAFF").unwrap().columnar().unwrap().to_relation(),
+            ColumnarRelation::from_relation(&oracle)
+                .unwrap()
+                .to_relation(),
+            "step {step}: transpose"
+        );
+        for sql in READS {
+            let plan = tqo_sql::compile(sql, &snapshot).unwrap();
+            let expected = tqo_core::interp::eval_plan(&plan, &env).unwrap();
+            for mode in MODES {
+                let (got, _) = execute_logical(&plan, &env, config(mode)).unwrap();
+                assert!(
+                    plan.result_type.admits(&expected, &got).unwrap(),
+                    "step {step}, {mode:?}: {sql}"
+                );
+            }
+        }
+    }
+    assert!(catalog.get("STAFF").unwrap().is_empty());
+    assert!(
+        lost_sdf && lost_coalesced,
+        "the script must take both licenses away at some step"
+    );
+}
