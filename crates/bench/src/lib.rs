@@ -79,7 +79,7 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
     use tqo_core::expr::{AggFunc, AggItem, BinOp, Expr};
     use tqo_core::interp::Env;
     use tqo_exec::physical::{
-        CoalesceAlgo, DifferenceTAlgo, PhysicalNode, ProductTAlgo, RdupTAlgo,
+        CoalesceAlgo, DifferenceTAlgo, EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo, RdupTAlgo,
     };
     use tqo_exec::PhysicalPlan;
 
@@ -201,6 +201,29 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
                 algo: RdupTAlgo::Sweep,
             }),
             rows: len("TOV"),
+        },
+        // Same input as `rdup_t_sweep`: the two algorithms' ns per input
+        // row side by side are the earn-or-delete numbers for the sweep.
+        ExecCase {
+            name: "rdup_t_faithful",
+            plan: PhysicalPlan::new(PhysicalNode::RdupT {
+                input: scan("TOV"),
+                algo: RdupTAlgo::Faithful,
+            }),
+            rows: len("TOV"),
+        },
+        // The hash product on its own: its output is the key-matching
+        // sub-list of `×` (about two pairs per input row here). No engine
+        // runs anything quadratic for it, so the case needs no smaller
+        // tables than its neighbours.
+        ExecCase {
+            name: "equi_join",
+            plan: PhysicalPlan::new(PhysicalNode::Product {
+                left: scan("TL"),
+                right: scan("TR"),
+                algo: ProductAlgo::HashEqui(EquiKeys(vec![("1.E".into(), "2.E".into())])),
+            }),
+            rows: len("TL") + len("TR"),
         },
         ExecCase {
             name: "coalesce_sort_merge",

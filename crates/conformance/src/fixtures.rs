@@ -1,10 +1,14 @@
 //! Deterministic fixture catalogs for the `.slt` corpus.
 //!
 //! Every fixture is a pure function of the directive text — the paper's
-//! running example or a seeded [`tqo_storage::WorkloadGenerator`]
-//! workload — so a corpus file pins exactly one reproducible database.
+//! running example (optionally with NULL-keyed copies of its tables) or a
+//! seeded [`tqo_storage::WorkloadGenerator`] workload — so a corpus file
+//! pins exactly one reproducible database.
 
 use tqo_core::error::Result;
+use tqo_core::relation::Relation;
+use tqo_core::tuple::Tuple;
+use tqo_core::value::Value;
 use tqo_storage::{paper, Catalog, WorkloadGenerator};
 
 /// Which database a corpus file runs against (its `fixtures` header).
@@ -12,6 +16,10 @@ use tqo_storage::{paper, Catalog, WorkloadGenerator};
 pub enum Fixture {
     /// The paper's EMPLOYEE/PROJECT running example (Figure 1).
     Paper,
+    /// [`Fixture::Paper`] plus `EMPLOYEE_N` / `PROJECT_N`: the same two
+    /// tables with two more tuples each whose `EmpName` is NULL, over
+    /// periods that overlap — rows a join on `EmpName` must not pair.
+    PaperNulls,
     /// `WorkloadGenerator::new(seed).figure1_workload(scale)` — the same
     /// schema at generated scale, deterministic in the seed.
     Generated { seed: u64, scale: usize },
@@ -22,6 +30,25 @@ impl Fixture {
     pub fn catalog(self) -> Result<Catalog> {
         match self {
             Fixture::Paper => Ok(paper::catalog()),
+            Fixture::PaperNulls => {
+                let catalog = paper::catalog();
+                for (name, base, other) in [
+                    ("EMPLOYEE_N", paper::employee(), "Sales"),
+                    ("PROJECT_N", paper::project(), "P1"),
+                ] {
+                    let mut tuples = base.tuples().to_vec();
+                    for (start, end) in [(1, 9), (4, 12)] {
+                        tuples.push(Tuple::new(vec![
+                            Value::Null,
+                            Value::from(other),
+                            Value::Time(start),
+                            Value::Time(end),
+                        ]));
+                    }
+                    catalog.register(name, Relation::new(base.schema().clone(), tuples)?)?;
+                }
+                Ok(catalog)
+            }
             Fixture::Generated { seed, scale } => {
                 WorkloadGenerator::new(seed).figure1_workload(scale)
             }
@@ -34,6 +61,7 @@ impl Fixture {
         let mut words = body.split_whitespace();
         match words.next() {
             Some("paper") => Ok(Fixture::Paper),
+            Some("paper+nulls") => Ok(Fixture::PaperNulls),
             Some("generated") => {
                 let (mut seed, mut scale) = (0u64, 1usize);
                 for w in words {
@@ -59,6 +87,7 @@ mod tests {
     #[test]
     fn parses_headers() {
         assert_eq!(Fixture::parse("paper"), Ok(Fixture::Paper));
+        assert_eq!(Fixture::parse("paper+nulls"), Ok(Fixture::PaperNulls));
         assert_eq!(
             Fixture::parse("generated seed=7 scale=2"),
             Ok(Fixture::Generated { seed: 7, scale: 2 })

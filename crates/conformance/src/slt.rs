@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! # comments start with `#`
-//! fixtures paper                      # or: generated seed=7 scale=2
+//! fixtures paper                      # or: paper+nulls, generated seed=7 scale=2
 //! modes all                           # or: engines (skip planner legs)
 //!
 //! statement ok

@@ -15,9 +15,9 @@
 //!
 //! Per-operator formulas price the algorithm the physical planner will
 //! actually pick: where the Table 2 operation properties license a fast
-//! algorithm (plane-sweep `×ᵀ`, sweep `rdupᵀ`, sort-merge `coalᵀ`) the
-//! node costs `n log n`-ish work, otherwise the faithful quadratic
-//! recursion is priced. The [`CostEstimator`] trait is the one interface
+//! algorithm (plane-sweep `×ᵀ`, sort-merge `coalᵀ`) the node costs
+//! `n log n`-ish work, otherwise the faithful quadratic algorithm is
+//! priced; `rdupᵀ` is `n log n` either way. The [`CostEstimator`] trait is the one interface
 //! both search strategies (exhaustive Figure 5 closure and memo
 //! extraction) consume, so they price plans identically by construction.
 //!
@@ -136,8 +136,8 @@ fn nlogn(n: f64) -> f64 {
     n * (n.max(2.0)).log2()
 }
 
-/// The faithful head/tail recursions (`rdupᵀ`, fixpoint `coalᵀ`) do
-/// pairwise work per value class; priced as a damped quadratic.
+/// The faithful fixpoint `coalᵀ` does pairwise work per value class;
+/// priced as a damped quadratic.
 fn quadratic(n: f64) -> f64 {
     n * (n / 8.0).max(1.0)
 }
@@ -159,7 +159,7 @@ fn quadratic(n: f64) -> f64 {
 /// let schema = Schema::temporal(&[("E", DataType::Str)]);
 /// let scan = || PlanBuilder::scan("R", BaseProps::unordered(schema.clone(), 1000));
 /// let cheap = scan().build_multiset();
-/// let pricey = scan().rdup_t().build_multiset(); // extra quadratic work
+/// let pricey = scan().rdup_t().build_multiset(); // extra n log n work
 /// let model = CostModel::default();
 /// assert!(model.estimate_plan(&cheap).unwrap() < model.estimate_plan(&pricey).unwrap());
 /// ```
@@ -249,15 +249,10 @@ impl CostModel {
             }
             PlanNode::DifferenceT { .. } => nlogn(c0 + c1),
             PlanNode::AggregateT { .. } => nlogn(c0) + out_card,
-            PlanNode::RdupT { .. } => {
-                if self.fast_algorithms && !flags.order_required && !flags.period_preserving {
-                    // Per-class period-union sweep (≡SM licensed).
-                    nlogn(c0) + out_card
-                } else {
-                    // Faithful head/tail recursion.
-                    quadratic(c0)
-                }
-            }
+            // Both `rdupᵀ` algorithms are per-class and `n log n`: the
+            // faithful one claims periods in list order, the licensed
+            // sweep unions them.
+            PlanNode::RdupT { .. } => nlogn(c0) + out_card,
             PlanNode::UnionT { .. } => nlogn(c0 + c1),
             PlanNode::Coalesce { .. } => {
                 let input_sdf = child.first().map(|c| c.snapshot_dup_free).unwrap_or(false);
@@ -375,16 +370,32 @@ mod tests {
 
     #[test]
     fn licensed_fast_algorithms_price_below_faithful() {
-        // rdupT at the root of a multiset query must preserve periods →
-        // faithful; the same rdupT under a coalesce is licensed → sweep.
+        // coalT over a base table that may hold snapshot duplicates must
+        // preserve periods → fixpoint; over rdupT's snapshot-dup-free
+        // output it is licensed → sort-merge.
         let model = CostModel::default();
-        let faithful = tscan("R", 10_000).rdup_t().build_multiset();
+        let faithful = tscan("R", 10_000).coalesce().build_multiset();
         let licensed = tscan("R", 10_000).rdup_t().coalesce().build_multiset();
         let cf = model.cost(&faithful).unwrap();
         let cl = model.cost(&licensed).unwrap();
-        // The licensed plan contains an extra coalesce yet prices lower,
-        // because the rdupT drops from quadratic to n log n.
+        // The licensed plan contains an extra rdupT yet prices lower,
+        // because the coalT drops from quadratic to n log n.
         assert!(cl < cf, "licensed {cl:?} should beat faithful {cf:?}");
+    }
+
+    #[test]
+    fn rdup_t_prices_the_same_with_and_without_a_license() {
+        // Faithful and sweep rdupT are both per-class n log n, so a plan
+        // whose only temporal operator is rdupT costs the same under
+        // either planner fidelity.
+        let plan = tscan("R", 10_000).rdup_t().build_multiset();
+        let fast = CostModel::default().cost(&plan).unwrap();
+        let faithful = CostModel::default()
+            .with_fast_algorithms(false)
+            .cost(&plan)
+            .unwrap();
+        assert_eq!(fast, faithful);
+        assert!(fast.0 < quadratic(10_000.0));
     }
 
     #[test]

@@ -42,4 +42,6 @@ pub use sort::sort;
 pub use union::union_max;
 pub use union_all::union_all;
 
-pub use temporal::{aggregate_t, coalesce, difference_t, product_t, rdup_t, union_t};
+pub use temporal::{
+    aggregate_t, coalesce, difference_t, product_t, rdup_t, rdup_t_literal, union_t,
+};

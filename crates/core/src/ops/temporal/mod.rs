@@ -16,5 +16,5 @@ pub use aggregate_t::aggregate_t;
 pub use coalesce::coalesce;
 pub use difference_t::difference_t;
 pub use product_t::product_t;
-pub use rdup_t::rdup_t;
+pub use rdup_t::{rdup_t, rdup_t_literal};
 pub use union_t::union_t;

@@ -1,12 +1,13 @@
 //! Temporal duplicate elimination `rdupᵀ(r)` (§2.5).
 //!
 //! Snapshot-reducible to `rdup`: no snapshot of the result contains
-//! duplicates. The implementation follows the paper's λ-calculus definition
-//! *literally*: scan from the head; while the head tuple has a later
-//! value-equivalent tuple whose period overlaps it (`Overᵀ`), replace that
-//! tuple in place with its period minus the head's period (`Changeᵀ`, zero,
-//! one, or two fragments); once the head has no overlapping successor, keep
-//! it and recurse on the tail.
+//! duplicates. The paper's λ-calculus definition is a head/tail recursion:
+//! scan from the head; while the head tuple has a later value-equivalent
+//! tuple whose period overlaps it (`Overᵀ`), replace that tuple in place
+//! with its period minus the head's period (`Changeᵀ`, zero, one, or two
+//! fragments); once the head has no overlapping successor, keep it and
+//! recurse on the tail. [`rdup_t_literal`] runs exactly that and is the
+//! definition; [`rdup_t`] computes the same *list* class by class.
 //!
 //! The consequence spelled out in Figure 3: `⟨John [1,8), John [6,11)⟩`
 //! becomes `⟨John [1,8), John [8,11)⟩` — trimmed, *not* merged; `rdupᵀ`
@@ -16,23 +17,62 @@
 //! eliminates duplicates (regular duplicates qualify as snapshot
 //! duplicates).
 
+use std::collections::HashMap;
+
 use crate::error::{Error, Result};
 use crate::relation::Relation;
+use crate::time::Coverage;
 use crate::tuple::Tuple;
+use crate::value::Value;
+
+fn require_temporal(r: &Relation) -> Result<()> {
+    if r.is_temporal() {
+        Ok(())
+    } else {
+        Err(Error::NotTemporal {
+            context: "temporal duplicate elimination",
+        })
+    }
+}
 
 /// Apply `rdupᵀ`.
+///
+/// When the recursion keeps a head, every later tuple of its class has
+/// already lost the head's period, and fragments replace their tuple in
+/// place, in chronological order. So the result is, for each tuple in list
+/// order, its period minus the union of the earlier periods of its class:
+/// one [`Coverage`] per class, one claim per tuple, `O(n log n)` overall,
+/// and the output is the recursion's list, not merely an equivalent one.
 pub fn rdup_t(r: &Relation) -> Result<Relation> {
-    if !r.is_temporal() {
-        return Err(Error::NotTemporal {
-            context: "temporal duplicate elimination",
+    require_temporal(r)?;
+    let schema = r.schema();
+    let mut claimed: HashMap<Vec<Value>, Coverage> = HashMap::new();
+    let mut out: Vec<Tuple> = Vec::with_capacity(r.len());
+    for t in r.tuples() {
+        let period = t.period(schema)?;
+        let class = claimed.entry(t.explicit_values(schema)).or_default();
+        class.claim(period, |p| {
+            out.push(if p == period {
+                t.clone()
+            } else {
+                t.with_period(schema, p)
+                    .expect("the schema is temporal: the tuple's period was just read")
+            })
         });
     }
+    Ok(Relation::new_unchecked(schema.clone(), out))
+}
+
+/// `rdupᵀ` by the paper's recursion, run literally: for every head, a scan
+/// of all later tuples and an in-place splice — `O(n²)`. The definition
+/// [`rdup_t`] is tested against.
+pub fn rdup_t_literal(r: &Relation) -> Result<Relation> {
+    require_temporal(r)?;
     let schema = r.schema().clone();
     let mut tuples: Vec<Tuple> = r.tuples().to_vec();
     // Pre-compute explicit values alongside; periods change, explicit values
     // never do.
-    let mut keys: Vec<Vec<crate::value::Value>> =
-        tuples.iter().map(|t| t.explicit_values(&schema)).collect();
+    let mut keys: Vec<Vec<Value>> = tuples.iter().map(|t| t.explicit_values(&schema)).collect();
 
     let mut i = 0;
     while i < tuples.len() {

@@ -305,7 +305,7 @@ fn compute_static(
 /// `rows · fraction`, truncating like the old integer halving did, floored
 /// at one row (an optimizer that believes in empty intermediates prunes
 /// too aggressively).
-fn scaled_rows(rows: u64, fraction: f64) -> u64 {
+pub fn scaled_rows(rows: u64, fraction: f64) -> u64 {
     ((rows as f64 * fraction) as u64).max(1)
 }
 

@@ -107,6 +107,18 @@ impl Relation {
         Relation::from_parts(schema, tuples)
     }
 
+    /// The row layout of a columnar relation, with that columnar relation
+    /// resident as its transpose: a consumer's [`Relation::columnar`] is
+    /// served what the producer already had instead of rebuilding it.
+    pub fn from_columnar(columnar: ColumnarRelation) -> Relation {
+        let r = columnar.to_relation();
+        r.body
+            .columnar
+            .set(Ok(Arc::new(columnar)))
+            .expect("a relation just built has no transpose yet");
+        r
+    }
+
     /// The empty relation of a schema.
     pub fn empty(schema: Schema) -> Relation {
         Relation::from_parts(schema, Vec::new())

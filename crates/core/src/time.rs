@@ -6,7 +6,9 @@
 //! example, but any discrete, totally ordered domain works).
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 use crate::error::{Error, Result};
 
@@ -164,6 +166,67 @@ pub fn normalize_periods(mut periods: Vec<Period>) -> Vec<Period> {
         }
     }
     out
+}
+
+/// The instants claimed so far by one value-equivalence class, as sorted,
+/// disjoint, non-touching intervals (`start → end`).
+///
+/// [`Coverage::claim`] is the whole of the class-wise `rdupᵀ`: the paper's
+/// head/tail recursion leaves, for each tuple in list order, its period
+/// minus the union of the *earlier* periods of its class, fragments in
+/// chronological order — so each tuple claims what is still free and the
+/// rest of its period is already someone else's. Every stored interval is
+/// removed at most once after it is inserted, so `n` claims cost
+/// `O(n log n)`.
+#[derive(Debug, Default, Clone)]
+pub struct Coverage {
+    claimed: BTreeMap<Instant, Instant>,
+}
+
+impl Coverage {
+    /// Nothing claimed yet.
+    pub fn new() -> Self {
+        Coverage::default()
+    }
+
+    /// Claim `period`: call `emit` on each maximal part of it that no
+    /// earlier claim covers, in chronological order, then mark the whole
+    /// period claimed.
+    pub fn claim(&mut self, period: Period, mut emit: impl FnMut(Period)) {
+        let Period { start, end } = period;
+        if start >= end {
+            return;
+        }
+        // `free` is where the unexamined remainder of the period begins;
+        // `merged` grows into the one interval that replaces every stored
+        // interval the period overlaps or touches.
+        let mut free = start;
+        let mut merged = period;
+        if let Some((&s, &e)) = self.claimed.range(..=start).next_back() {
+            if e >= start {
+                self.claimed.remove(&s);
+                free = e;
+                merged = Period::of(s, e.max(end));
+            }
+        }
+        let absorbed: Vec<(Instant, Instant)> = self
+            .claimed
+            .range((Bound::Excluded(start), Bound::Included(end)))
+            .map(|(&s, &e)| (s, e))
+            .collect();
+        for (s, e) in absorbed {
+            if free < s {
+                emit(Period::of(free, s));
+            }
+            free = e;
+            merged.end = merged.end.max(e);
+            self.claimed.remove(&s);
+        }
+        if free < end {
+            emit(Period::of(free, end));
+        }
+        self.claimed.insert(merged.start, merged.end);
+    }
 }
 
 /// A step function over time built from weighted period endpoints; used to

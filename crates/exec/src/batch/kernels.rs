@@ -12,12 +12,15 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use tqo_core::columnar::{Column, ColumnarRelation};
+use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggFunc, AggItem};
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortDir};
-use tqo_core::time::{normalize_periods, CountTimeline, Period};
+use tqo_core::time::{normalize_periods, CountTimeline, Coverage, Period};
 use tqo_core::value::DataType;
+
+use crate::physical::EquiKeys;
 
 use super::hash::{part_of, radix_scatter, KeyStore, RowTable};
 
@@ -309,11 +312,17 @@ impl ClassIndex {
 
     /// Class id of physical `row` of `cols` (same key layout), if present.
     pub fn find(&self, cols: &[Arc<Column>], row: usize) -> Option<u32> {
-        let h = KeyStore::hash_row(cols, &self.key_idx, row);
+        self.find_keyed(cols, &self.key_idx, row)
+    }
+
+    /// Class id of physical `row` of `cols`, whose key columns sit at
+    /// `key_idx` (parallel to the build keys, same domains), if present.
+    pub fn find_keyed(&self, cols: &[Arc<Column>], key_idx: &[usize], row: usize) -> Option<u32> {
+        let h = KeyStore::hash_row(cols, key_idx, row);
         let p = part_of(h, self.parts.len());
         let (table, store) = &self.parts[p];
         table
-            .find(h, |e| store.eq_row(e, cols, &self.key_idx, row))
+            .find(h, |e| store.eq_row(e, cols, key_idx, row))
             .map(|local| self.globals[p][local as usize])
     }
 
@@ -580,26 +589,140 @@ fn accumulate(
     Ok(out)
 }
 
+/// Approximate bytes of `×`'s output over inputs of the given footprints
+/// and row counts. Known before the operator runs, so every engine charges
+/// it to the query's budget before allocating anything of that size.
+pub(crate) fn product_bytes(
+    left_bytes: usize,
+    left_rows: usize,
+    right_bytes: usize,
+    right_rows: usize,
+) -> usize {
+    left_bytes
+        .saturating_mul(right_rows)
+        .saturating_add(right_bytes.saturating_mul(left_rows))
+}
+
 /// Left-major Cartesian product (`×`), list-exact against
-/// `tqo_core::ops::product`.
+/// `tqo_core::ops::product`. Built one left row at a time — that row
+/// repeated beside the whole right input — with a governance poll per
+/// left row, so an `O(n·m)` product stays cancellable and holds no index
+/// vectors of that size. The caller has charged [`product_bytes`].
 pub fn product(
     left: &ColumnarRelation,
     right: &ColumnarRelation,
     out_schema: Arc<Schema>,
-) -> ColumnarRelation {
+) -> Result<ColumnarRelation> {
     let (n, m) = (left.rows(), right.rows());
-    let mut lidx = Vec::with_capacity(n * m);
-    let mut ridx = Vec::with_capacity(n * m);
-    for i in 0..n as u32 {
-        for j in 0..m as u32 {
-            lidx.push(i);
-            ridx.push(j);
+    let mut columns: Vec<Column> = out_schema
+        .attrs()
+        .iter()
+        .map(|a| Column::with_capacity(a.dtype, n.saturating_mul(m)))
+        .collect();
+    let (left_out, right_out) = columns.split_at_mut(left.columns().len());
+    let mut this_row = vec![0u32; m];
+    for i in 0..n {
+        context::check_current()?;
+        this_row.fill(i as u32);
+        for (out, col) in left_out.iter_mut().zip(left.columns()) {
+            out.extend_idx(col, &this_row);
+        }
+        for (out, col) in right_out.iter_mut().zip(right.columns()) {
+            out.extend_range(col, 0, m);
         }
     }
-    let mut columns = Vec::with_capacity(out_schema.arity());
-    columns.extend(left.columns().iter().map(|c| Arc::new(c.gather(&lidx))));
-    columns.extend(right.columns().iter().map(|c| Arc::new(c.gather(&ridx))));
-    ColumnarRelation::new(out_schema, columns)
+    Ok(ColumnarRelation::new(
+        out_schema,
+        columns.into_iter().map(Arc::new).collect(),
+    ))
+}
+
+/// Call `emit` on every `(left row, right row)` whose key columns are
+/// equal and non-NULL, left-major, right rows ascending: the right input
+/// is indexed by key class once, each left row probes it. One governance
+/// poll per left row.
+fn for_each_key_match(
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    keys: &EquiKeys,
+    mut emit: impl FnMut(u32, u32),
+) -> Result<()> {
+    let (left_keys, right_keys) = keys.resolve(left.schema(), right.schema())?;
+    let index = ClassIndex::build(right, right_keys);
+    let cols = left.columns();
+    for i in 0..left.rows() {
+        context::check_current()?;
+        // `=` is never true of a NULL, whatever is on the other side.
+        if left_keys.iter().any(|&c| cols[c].is_null(i)) {
+            continue;
+        }
+        if let Some(class) = index.find_keyed(cols, &left_keys, i) {
+            for &j in &index.members[class as usize] {
+                emit(i as u32, j);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Hash equi-join `×`: the rows of [`product`] that satisfy the key
+/// equalities, in its order — list-exact against
+/// `crate::operators::product_hash_equi`.
+pub fn product_hash_equi(
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    keys: &EquiKeys,
+    out_schema: Arc<Schema>,
+) -> Result<ColumnarRelation> {
+    let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+    for_each_key_match(left, right, keys, |i, j| {
+        lidx.push(i);
+        ridx.push(j);
+    })?;
+    Ok(ColumnarRelation::new(
+        out_schema,
+        gather_pairs(left, right, &lidx, &ridx),
+    ))
+}
+
+/// Hash equi-join `×ᵀ`: the rows of [`product_t_nested`] that satisfy the
+/// key equalities, in its order — list-exact against
+/// `crate::operators::product_t_hash_equi`.
+pub fn product_t_hash_equi(
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    keys: &EquiKeys,
+    out_schema: Arc<Schema>,
+) -> Result<ColumnarRelation> {
+    let (ls, le) = left.period_columns()?;
+    let (rs, re) = right.period_columns()?;
+    let (mut lidx, mut ridx, mut t1, mut t2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for_each_key_match(left, right, keys, |i, j| {
+        let s = ls[i as usize].max(rs[j as usize]);
+        let e = le[i as usize].min(re[j as usize]);
+        if s < e {
+            lidx.push(i);
+            ridx.push(j);
+            t1.push(s);
+            t2.push(e);
+        }
+    })?;
+    Ok(product_t_output(
+        left, right, out_schema, lidx, ridx, t1, t2,
+    ))
+}
+
+/// The left and right columns of a product's output, gathered through
+/// parallel `(left row, right row)` index vectors.
+fn gather_pairs(
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    lidx: &[u32],
+    ridx: &[u32],
+) -> Vec<Arc<Column>> {
+    let left = left.columns().iter().map(|c| Arc::new(c.gather(lidx)));
+    let right = right.columns().iter().map(|c| Arc::new(c.gather(ridx)));
+    left.chain(right).collect()
 }
 
 fn product_t_output(
@@ -611,9 +734,7 @@ fn product_t_output(
     t1: Vec<i64>,
     t2: Vec<i64>,
 ) -> ColumnarRelation {
-    let mut columns = Vec::with_capacity(out_schema.arity());
-    columns.extend(left.columns().iter().map(|c| Arc::new(c.gather(&lidx))));
-    columns.extend(right.columns().iter().map(|c| Arc::new(c.gather(&ridx))));
+    let mut columns = gather_pairs(left, right, &lidx, &ridx);
     let mut c1 = Column::with_capacity(DataType::Time, t1.len());
     let mut c2 = Column::with_capacity(DataType::Time, t2.len());
     for v in t1 {
@@ -641,6 +762,7 @@ pub fn product_t_nested(
     let mut t1 = Vec::new();
     let mut t2 = Vec::new();
     for i in 0..left.rows() {
+        context::check_current()?;
         for j in 0..right.rows() {
             let s = ls[i].max(rs[j]);
             let e = le[i].min(re[j]);
@@ -805,6 +927,26 @@ pub fn difference_t(
         }
     }
     Ok(emit_fragments(left, out_schema, &protos, t1, t2))
+}
+
+/// Faithful `rdupᵀ`: each row claims, in list order, what earlier rows of
+/// its class left free of its period — list-exact against
+/// `tqo_core::ops::rdup_t` (and so against the paper's recursion).
+pub fn rdup_t_faithful(input: &ColumnarRelation) -> Result<ColumnarRelation> {
+    let (s, e) = input.period_columns()?;
+    let classes = ClassIndex::build(input, input.schema().value_indices());
+    let mut claimed = vec![Coverage::new(); classes.len()];
+    let mut rows = Vec::with_capacity(input.rows());
+    let mut t1 = Vec::with_capacity(input.rows());
+    let mut t2 = Vec::with_capacity(input.rows());
+    for (row, &class) in classes.class_of_row.iter().enumerate() {
+        claimed[class as usize].claim(Period::new(s[row], e[row])?, |p| {
+            rows.push(row as u32);
+            t1.push(p.start);
+            t2.push(p.end);
+        });
+    }
+    Ok(emit_fragments(input, input.schema().clone(), &rows, t1, t2))
 }
 
 /// Sweep `rdupᵀ`: per-class period union, list-exact against
@@ -1034,7 +1176,7 @@ mod tests {
         .unwrap();
         let out_schema =
             Arc::new(tqo_core::ops::product::product_schema(a.schema(), b.schema()).unwrap());
-        let got = product(&cr(&a), &cr(&b), out_schema).to_relation();
+        let got = product(&cr(&a), &cr(&b), out_schema).unwrap().to_relation();
         assert_eq!(got, ops::product(&a, &b).unwrap());
     }
 }

@@ -4,8 +4,8 @@
 //! [`BatchOperator`]s. Streaming operators (scan, select, project,
 //! union-all, hash `rdup`, hash `difference`, transfers) forward ~1024-row
 //! batches as they arrive; pipeline breakers materialize their inputs and
-//! call the columnar kernels. Operators whose faithful algorithms are
-//! inherently row-oriented (the paper's head/tail recursions, `ξᵀ`, `∪ᵀ`)
+//! call the columnar kernels. Operators without a columnar kernel (fixpoint
+//! `coalᵀ`, subtract-union `\ᵀ`, `ξᵀ`, `∪ᵀ`, `∪max`)
 //! fall back to the row implementations behind a materialize boundary, so
 //! every physical plan executes under either engine with identical
 //! results.
@@ -35,7 +35,8 @@ use tqo_core::tuple::Tuple;
 
 use crate::metrics::{ExecMetrics, OperatorMetrics};
 use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductTAlgo, RdupTAlgo,
+    CoalesceAlgo, DifferenceTAlgo, EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo,
+    RdupTAlgo,
 };
 
 use super::exprs::{self, Pred};
@@ -643,14 +644,16 @@ enum BlockKind {
         aggs: Vec<tqo_core::expr::AggItem>,
     },
     Product,
+    ProductHashEqui(EquiKeys),
     ProductTNested,
     ProductTSweep,
+    ProductTHashEqui(EquiKeys),
     DifferenceT,
+    RdupTFaithful,
     RdupTSweep,
     CoalesceSortMerge,
     /// Materialize to row layout and run the reference implementation —
-    /// the compatibility path for the inherently row-oriented faithful
-    /// algorithms.
+    /// the compatibility path for operators without a columnar kernel.
     RowOp(PhysicalNode),
 }
 
@@ -758,7 +761,35 @@ impl BlockingOp {
             BlockKind::Product => {
                 let right = inputs.pop().expect("binary");
                 let left = inputs.pop().expect("binary");
-                self.out = Some(kernels::product(&left, &right, self.out_schema.clone()));
+                // The one breaker whose output size is known before it
+                // runs: the budget gets its say before the allocation.
+                self.reserved = context::reserve_current(kernels::product_bytes(
+                    left.approx_bytes(),
+                    left.rows(),
+                    right.approx_bytes(),
+                    right.rows(),
+                ))?;
+                self.out = Some(kernels::product(&left, &right, self.out_schema.clone())?);
+            }
+            BlockKind::ProductHashEqui(keys) => {
+                let right = inputs.pop().expect("binary");
+                let left = inputs.pop().expect("binary");
+                self.out = Some(kernels::product_hash_equi(
+                    &left,
+                    &right,
+                    keys,
+                    self.out_schema.clone(),
+                )?);
+            }
+            BlockKind::ProductTHashEqui(keys) => {
+                let right = inputs.pop().expect("binary");
+                let left = inputs.pop().expect("binary");
+                self.out = Some(kernels::product_t_hash_equi(
+                    &left,
+                    &right,
+                    keys,
+                    self.out_schema.clone(),
+                )?);
             }
             BlockKind::ProductTNested => {
                 let right = inputs.pop().expect("binary");
@@ -787,6 +818,10 @@ impl BlockingOp {
                     self.out_schema.clone(),
                 )?);
             }
+            BlockKind::RdupTFaithful => {
+                let input = inputs.pop().expect("unary");
+                self.out = Some(kernels::rdup_t_faithful(&input)?);
+            }
             BlockKind::RdupTSweep => {
                 let input = inputs.pop().expect("unary");
                 self.out = Some(kernels::rdup_t_sweep(&input)?);
@@ -802,11 +837,10 @@ impl BlockingOp {
                 self.out = Some(ColumnarRelation::from_relation(&result)?);
             }
         }
-        // Charge the materialized output (plus the sort permutation)
-        // until close releases it.
-        let bytes = self.out.as_ref().map_or(0, ColumnarRelation::approx_bytes)
-            + self.perm.as_ref().map_or(0, |p| p.len() * 4);
-        self.reserved = context::reserve_current(bytes)?;
+        // Charge the materialized output until close releases it (`×`
+        // charged its own up front; this settles it to the actual size).
+        let bytes = self.out.as_ref().map_or(0, ColumnarRelation::approx_bytes);
+        self.reserved = crate::executor::settle(self.reserved.take(), bytes)?;
         Ok(())
     }
 }
@@ -970,14 +1004,18 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 on_right: false,
             })
         }
-        PhysicalNode::Product { .. } => {
+        PhysicalNode::Product { algo, .. } => {
             let left = next();
             let right = next();
             let out = Arc::new(ops::product::product_schema(
                 &left.out_schema(),
                 &right.out_schema(),
             )?);
-            blocking(vec![left, right], BlockKind::Product, out)
+            let kind = match algo {
+                ProductAlgo::NestedLoop => BlockKind::Product,
+                ProductAlgo::HashEqui(keys) => BlockKind::ProductHashEqui(keys.clone()),
+            };
+            blocking(vec![left, right], kind, out)
         }
         PhysicalNode::Difference { .. } => {
             let left = next();
@@ -1064,6 +1102,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             let kind = match algo {
                 ProductTAlgo::NestedLoop => BlockKind::ProductTNested,
                 ProductTAlgo::PlaneSweep => BlockKind::ProductTSweep,
+                ProductTAlgo::HashEqui(keys) => BlockKind::ProductTHashEqui(keys.clone()),
             };
             blocking(vec![left, right], kind, out)
         }
@@ -1093,7 +1132,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             let schema = child.out_schema();
             require_temporal(&schema, "temporal duplicate elimination")?;
             let kind = match algo {
-                RdupTAlgo::Faithful => BlockKind::RowOp(node.clone()),
+                RdupTAlgo::Faithful => BlockKind::RdupTFaithful,
                 RdupTAlgo::Sweep => BlockKind::RdupTSweep,
             };
             blocking(vec![child], kind, schema)
@@ -1144,22 +1183,23 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
     // shared columns through the selection — no compacted columnar copy
     // between the pipeline and the row layout. The budget is charged for
     // the allocation actually made (the selection vector; the row tuples
-    // are the caller's result either way).
+    // are the caller's result either way). Where the sink does hold the
+    // result in columns — a breaker's whole output, or the compaction of
+    // differing batches — they stay with the result as its transpose: a
+    // stage scanning this output reads them, not a rebuild.
     let result = match super::shared_selection(&batches) {
-        Some((columns, sel)) => {
-            let _sel_reserved = context::reserve_current(sel.as_ref().map_or(0, |s| s.len() * 4))?;
-            let rows = sel
-                .as_ref()
-                .map_or_else(|| columns.first().map_or(0, |c| c.len()), Vec::len);
-            let tuples = tqo_core::columnar::tuples_from_columns(&columns, sel.as_deref(), rows);
+        Some((columns, Some(sel))) => {
+            let _sel_reserved = context::reserve_current(sel.len() * 4)?;
+            let tuples = tqo_core::columnar::tuples_from_columns(&columns, Some(&sel), sel.len());
             Relation::new_unchecked((*schema).clone(), tuples)
         }
+        Some((columns, None)) => Relation::from_columnar(ColumnarRelation::new(schema, columns)),
         None => {
             let columnar = concat(schema, &batches);
             // Charge the final materialized result while converting to
             // row layout — the last allocation a budget can deny.
             let _result_reserved = context::reserve_current(columnar.approx_bytes())?;
-            columnar.to_relation()
+            Relation::from_columnar(columnar)
         }
     };
 

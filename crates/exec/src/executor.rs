@@ -27,7 +27,7 @@ use tqo_core::trace::{self, Category};
 use crate::metrics::{ExecMetrics, OperatorMetrics};
 use crate::operators;
 use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductTAlgo, RdupTAlgo,
+    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo, RdupTAlgo,
 };
 use crate::planner::{lower, PlannerConfig};
 
@@ -146,7 +146,12 @@ pub(crate) fn apply_row_op(node: &PhysicalNode, inputs: &[Relation]) -> Result<R
         PhysicalNode::Select { predicate, .. } => ops::select(&inputs[0], predicate)?,
         PhysicalNode::Project { items, .. } => ops::project(&inputs[0], items)?,
         PhysicalNode::UnionAll { .. } => ops::union_all(&inputs[0], &inputs[1])?,
-        PhysicalNode::Product { .. } => ops::product(&inputs[0], &inputs[1])?,
+        PhysicalNode::Product { algo, .. } => match algo {
+            ProductAlgo::NestedLoop => ops::product(&inputs[0], &inputs[1])?,
+            ProductAlgo::HashEqui(keys) => {
+                operators::product_hash_equi(&inputs[0], &inputs[1], keys)?
+            }
+        },
         PhysicalNode::Difference { .. } => ops::difference(&inputs[0], &inputs[1])?,
         PhysicalNode::Aggregate { group_by, aggs, .. } => {
             ops::aggregate(&inputs[0], group_by, aggs)?
@@ -158,6 +163,9 @@ pub(crate) fn apply_row_op(node: &PhysicalNode, inputs: &[Relation]) -> Result<R
         PhysicalNode::ProductT { algo, .. } => match algo {
             ProductTAlgo::NestedLoop => ops::product_t(&inputs[0], &inputs[1])?,
             ProductTAlgo::PlaneSweep => operators::product_t_plane_sweep(&inputs[0], &inputs[1])?,
+            ProductTAlgo::HashEqui(keys) => {
+                operators::product_t_hash_equi(&inputs[0], &inputs[1], keys)?
+            }
         },
         PhysicalNode::DifferenceT { algo, .. } => match algo {
             DifferenceTAlgo::TimelineSweep => ops::difference_t(&inputs[0], &inputs[1])?,
@@ -179,6 +187,46 @@ pub(crate) fn apply_row_op(node: &PhysicalNode, inputs: &[Relation]) -> Result<R
         },
         PhysicalNode::TransferS { .. } | PhysicalNode::TransferD { .. } => inputs[0].clone(),
     })
+}
+
+/// `×`'s output size is known before it runs: charge it to the query's
+/// budget before anything of that size is allocated. `footprint(i)` is
+/// input `i`'s `(bytes, rows)`. `None` for every other operator (and for
+/// an ungoverned query).
+pub(crate) fn precharge_product(
+    node: &PhysicalNode,
+    footprint: impl Fn(usize) -> (usize, usize),
+) -> Result<Option<context::Reservation>> {
+    match node {
+        PhysicalNode::Product {
+            algo: ProductAlgo::NestedLoop,
+            ..
+        } => {
+            let ((left_bytes, left_rows), (right_bytes, right_rows)) = (footprint(0), footprint(1));
+            context::reserve_current(crate::batch::kernels::product_bytes(
+                left_bytes,
+                left_rows,
+                right_bytes,
+                right_rows,
+            ))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// The reservation for an operator's materialized output of `bytes`: an
+/// up-front charge resized to what was actually built, or a fresh one.
+pub(crate) fn settle(
+    precharged: Option<context::Reservation>,
+    bytes: usize,
+) -> Result<Option<context::Reservation>> {
+    match precharged {
+        Some(mut reserved) => {
+            reserved.grow_to(bytes)?;
+            Ok(Some(reserved))
+        }
+        None => context::reserve_current(bytes),
+    }
 }
 
 /// One node of the row engine's tree walk. Returns the materialized
@@ -211,8 +259,10 @@ fn run(
         // copy — shared base storage is not charged to the query.
         PhysicalNode::Scan { name } => (env.get(name)?.clone(), None),
         other => {
+            let precharged =
+                precharge_product(other, |i| (inputs[i].approx_bytes(), inputs[i].len()))?;
             let out = apply_row_op(other, &inputs)?;
-            let reserved = context::reserve_current(out.approx_bytes())?;
+            let reserved = settle(precharged, out.approx_bytes())?;
             (out, reserved)
         }
     };

@@ -10,10 +10,15 @@
 //!
 //! | logical op | faithful | fast | fast output is |
 //! |------------|----------|------|----------------|
-//! | `rdupᵀ` | paper's head/tail recursion | per-class period-union sweep | `≡SM` to faithful |
+//! | `rdupᵀ` | per-class claims in list order (the recursion's list) | per-class period-union sweep | `≡SM` to faithful |
 //! | `coalᵀ` | first-partner fixpoint | sort-merge per class | `≡M` (sdf input) |
 //! | `×ᵀ` | left-major nested loop | plane sweep | `≡M` |
 //! | `\ᵀ` | count-timeline sweep | per-tuple subtract-union | `≡SM` |
+//!
+//! One fast algorithm needs no such license: below a `Select` with
+//! equality conjuncts across its inputs, `×` / `×ᵀ` run as a hash
+//! equi-join whose output is the key-matching sub-list of the nested
+//! loop's — the select above yields the identical list.
 //!
 //! The planner ([`planner::lower`]) consults the property annotations to
 //! pick the fastest admissible algorithm; [`executor::execute_mode`] runs

@@ -13,4 +13,4 @@ pub mod join;
 pub use coalesce::coalesce_sort_merge;
 pub use dedup::rdup_t_sweep;
 pub use difference::difference_t_subtract_union;
-pub use join::product_t_plane_sweep;
+pub use join::{product_hash_equi, product_t_hash_equi, product_t_plane_sweep};

@@ -20,11 +20,12 @@
 //! * the plane-sweep `×ᵀ` is partitioned along the sorted event sequence
 //!   ([`sweep`]), the per-class temporal kernels (`rdupᵀ`, `coalᵀ`,
 //!   timeline `\ᵀ`) over class chunks ([`kernels`]);
-//! * operators whose faithful algorithms are inherently sequential (the
-//!   paper's head/tail recursions, `ξᵀ`, `∪ᵀ`, `∪`) run the shared row
-//!   implementations behind the same materialize boundary the batch
-//!   engine uses, so every physical plan executes under all three
-//!   engines.
+//! * faithful `rdupᵀ` and the hash equi-join products are sequential in
+//!   list order and run the batch engine's kernels as they are;
+//! * operators without a columnar kernel (fixpoint `coalᵀ`, subtract-union
+//!   `\ᵀ`, `ξᵀ`, `∪ᵀ`, `∪`) run the shared row implementations behind the
+//!   same materialize boundary the batch engine uses, so every physical
+//!   plan executes under all three engines.
 //!
 //! **The engine-equality invariant:** for any one physical plan,
 //! row ≡ batch ≡ parallel — equal (`==`) relations — at *any* thread
@@ -63,7 +64,7 @@ use crate::batch::pipeline::{demoted, require_temporal};
 use crate::batch::{exprs, Batch};
 use crate::metrics::{ExecMetrics, OperatorMetrics};
 use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductTAlgo, RdupTAlgo,
+    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo, RdupTAlgo,
 };
 
 use morsel::{for_each_chunk_mut, morsels_of, try_map_morsels};
@@ -108,11 +109,13 @@ fn run_node(
     let mut span = trace::span_with(Category::Exec, || node.label());
     let started = Instant::now();
     pool.take_times(); // drop any residue, this operator starts clean
+    let precharged =
+        crate::executor::precharge_product(node, |i| (inputs[i].approx_bytes(), inputs[i].rows()))?;
     let (out, batches) = apply(node, env, &inputs, pool)?;
     // Charge the materialized output; scans share the cached transpose.
     let reserved = match node {
         PhysicalNode::Scan { .. } => None,
-        _ => context::reserve_current(out.approx_bytes())?,
+        _ => crate::executor::settle(precharged, out.approx_bytes())?,
     };
     let elapsed = started.elapsed();
     span.note_with(|| {
@@ -260,6 +263,17 @@ fn apply(
             });
             (ColumnarRelation::new(schema, columns), 1)
         }
+        PhysicalNode::Product {
+            algo: ProductAlgo::HashEqui(keys),
+            ..
+        } => {
+            let (left, right) = (&inputs[0], &inputs[1]);
+            let out_schema = Arc::new(ops::product::product_schema(left.schema(), right.schema())?);
+            (
+                crate::batch::kernels::product_hash_equi(left, right, keys, out_schema)?,
+                1,
+            )
+        }
         PhysicalNode::Product { .. } => {
             let (left, right) = (&inputs[0], &inputs[1]);
             let out_schema = Arc::new(ops::product::product_schema(left.schema(), right.schema())?);
@@ -357,6 +371,9 @@ fn apply(
                 ProductTAlgo::PlaneSweep => {
                     sweep::product_t_sweep_parallel(left, right, out_schema, pool)?
                 }
+                ProductTAlgo::HashEqui(keys) => {
+                    crate::batch::kernels::product_t_hash_equi(left, right, keys, out_schema)?
+                }
             };
             (out, 1)
         }
@@ -378,7 +395,7 @@ fn apply(
             require_temporal(input.schema(), "temporal duplicate elimination")?;
             match algo {
                 RdupTAlgo::Sweep => (kernels::rdup_t_sweep_parallel(input, pool)?, 1),
-                RdupTAlgo::Faithful => (row_op(node, inputs)?, 1),
+                RdupTAlgo::Faithful => (crate::batch::kernels::rdup_t_faithful(input)?, 1),
             }
         }
         PhysicalNode::UnionT { .. } => {

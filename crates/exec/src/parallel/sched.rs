@@ -567,6 +567,7 @@ mod tests {
     use super::*;
     use crate::physical::PhysicalNode;
     use std::sync::Arc;
+    use tqo_core::columnar::ColumnarRelation;
     use tqo_core::expr::Expr;
     use tqo_core::schema::Schema;
     use tqo_core::sortspec::Order;
@@ -638,6 +639,43 @@ mod tests {
         assert!(Arc::ptr_eq(&transpose, &submitted.columnar().unwrap()));
         run_task(&sched.shared, task);
         h.wait().unwrap();
+    }
+
+    #[test]
+    fn a_stage_output_carries_the_columns_it_was_built_from() {
+        use crate::physical::RdupTAlgo;
+        let e = env();
+        // Two stages: rdupᵀ is a breaker below the root sort.
+        let plan = PhysicalPlan::new(PhysicalNode::Sort {
+            input: Arc::new(PhysicalNode::RdupT {
+                input: Arc::new(PhysicalNode::Scan { name: "R".into() }),
+                algo: RdupTAlgo::Faithful,
+            }),
+            order: Order::asc(&["E"]),
+        });
+        let (serial, _) = execute_mode(&plan, &e, ExecMode::Batch).unwrap();
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 0,
+            max_queries: 4,
+        });
+        let h = sched.submit(&plan, &e, SubmitOptions::default()).unwrap();
+        assert_eq!(sched.step(), Some(h.id()));
+        let handed_off = {
+            let state = sched.shared.state.lock().unwrap();
+            let q = &state.queries[&h.id()];
+            q.env.get(&q.bindings[0]).unwrap().clone()
+        };
+        // The consumer's scan is served the producer's columns, and they
+        // are what a transpose of the handed-off tuples would have built.
+        let seeded = handed_off.columnar().unwrap();
+        let rebuilt = ColumnarRelation::from_relation(&handed_off).unwrap();
+        assert_eq!(seeded.schema(), rebuilt.schema());
+        for (a, b) in seeded.columns().iter().zip(rebuilt.columns()) {
+            assert_eq!(a.dtype(), b.dtype());
+        }
+        assert_eq!(seeded.to_relation(), handed_off);
+        while sched.step().is_some() {}
+        assert_eq!(h.wait().unwrap().0, serial);
     }
 
     #[test]

@@ -247,6 +247,7 @@ mod tests {
             input: select(Arc::new(PhysicalNode::Product {
                 left: scan("R"),
                 right: scan("S"),
+                algo: crate::physical::ProductAlgo::NestedLoop,
             })),
             order: Order::asc(&["E"]),
         });

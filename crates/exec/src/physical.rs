@@ -5,12 +5,15 @@ use std::sync::Arc;
 
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggItem, Expr, ProjItem};
+use tqo_core::schema::Schema;
 use tqo_core::sortspec::Order;
+use tqo_core::value::DataType;
 
 /// Algorithm choice for `rdupᵀ`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RdupTAlgo {
-    /// The paper's head/tail recursion — exact list output, `O(n²)`.
+    /// Per-class claims in list order — the list the paper's head/tail
+    /// recursion produces, `O(n log n)`.
     Faithful,
     /// Per-class period-union sweep — `≡SM` output, `O(n log n)`.
     Sweep,
@@ -25,13 +28,78 @@ pub enum CoalesceAlgo {
     SortMerge,
 }
 
+/// The equality conjuncts `left = right` a hash product matches on, by
+/// attribute name in the product's output schema (`1.`-prefixed left,
+/// `2.`-prefixed right). Chosen by `planner::lower` from the `Select`
+/// directly above the product; the engines only resolve the names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EquiKeys(pub Vec<(String, String)>);
+
+impl EquiKeys {
+    /// Key column positions in the left and right input, pairwise. Errors
+    /// when a name is not a column of its side or a pair's domains differ
+    /// (the kernels compare keys within one domain; floats are excluded
+    /// because `-0.0 = 0.0` while their bits differ).
+    pub fn resolve(&self, left: &Schema, right: &Schema) -> Result<(Vec<usize>, Vec<usize>)> {
+        let side = |schema: &Schema, prefix: &str, name: &str| {
+            schema.resolve(name.strip_prefix(prefix).unwrap_or(name))
+        };
+        let mut positions = (Vec::new(), Vec::new());
+        for (l, r) in &self.0 {
+            let (li, ri) = (side(left, "1.", l)?, side(right, "2.", r)?);
+            let (lt, rt) = (left.attr(li).dtype, right.attr(ri).dtype);
+            if lt != rt || lt == DataType::Float {
+                return Err(Error::Plan {
+                    reason: format!("hash equi-join key {l} = {r} compares {lt:?} with {rt:?}"),
+                });
+            }
+            positions.0.push(li);
+            positions.1.push(ri);
+        }
+        Ok(positions)
+    }
+
+    /// The conjunction of the key equalities, over the product's output
+    /// schema — what the statistics are asked how many pairs will match.
+    pub fn predicate(&self) -> Expr {
+        self.0
+            .iter()
+            .map(|(l, r)| Expr::eq(Expr::col(l), Expr::col(r)))
+            .reduce(Expr::and)
+            .unwrap_or_else(|| Expr::lit(true))
+    }
+}
+
+impl fmt::Display for EquiKeys {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (l, r)) in self.0.iter().enumerate() {
+            write!(f, "{}{l}={r}", if i > 0 { "," } else { "" })?;
+        }
+        Ok(())
+    }
+}
+
+/// Algorithm choice for `×`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProductAlgo {
+    /// Left-major nested loop — exact list output, `O(n·m)`.
+    NestedLoop,
+    /// Hash join on the keys: the sub-list of the nested loop's output
+    /// that satisfies the key equalities, `O(n + m + out)`. Only below the
+    /// `Select` the keys came from, which restores `σ(×)` exactly.
+    HashEqui(EquiKeys),
+}
+
 /// Algorithm choice for `×ᵀ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProductTAlgo {
     /// Left-major nested loop — exact list output, `O(n·m)`.
     NestedLoop,
     /// Endpoint plane sweep — `≡M` output, near `O(n log n + out)`.
     PlaneSweep,
+    /// Hash join on the keys, period-overlapping pairs only: the sub-list
+    /// of the nested loop's output that satisfies the key equalities.
+    HashEqui(EquiKeys),
 }
 
 /// Algorithm choice for `\ᵀ`.
@@ -67,10 +135,11 @@ pub enum PhysicalNode {
         left: Arc<PhysicalNode>,
         right: Arc<PhysicalNode>,
     },
-    /// Left-major Cartesian product (`×`).
+    /// Cartesian product (`×`) with its chosen algorithm.
     Product {
         left: Arc<PhysicalNode>,
         right: Arc<PhysicalNode>,
+        algo: ProductAlgo,
     },
     /// Multiset difference via a hash count table (`\`).
     Difference {
@@ -149,7 +218,10 @@ impl PhysicalNode {
             PhysicalNode::Select { .. } => "select".into(),
             PhysicalNode::Project { .. } => "project".into(),
             PhysicalNode::UnionAll { .. } => "union-all".into(),
-            PhysicalNode::Product { .. } => "product".into(),
+            PhysicalNode::Product { algo, .. } => match algo {
+                ProductAlgo::NestedLoop => "product".into(),
+                ProductAlgo::HashEqui(keys) => format!("product[HashEqui({keys})]"),
+            },
             PhysicalNode::Difference { .. } => "difference".into(),
             PhysicalNode::Aggregate { .. } => "aggregate".into(),
             PhysicalNode::Rdup { .. } => "rdup[hash]".into(),
@@ -159,7 +231,10 @@ impl PhysicalNode {
                 Some(n) => format!("limit[{n} offset {offset}]"),
                 None => format!("limit[all offset {offset}]"),
             },
-            PhysicalNode::ProductT { algo, .. } => format!("product-t[{algo:?}]"),
+            PhysicalNode::ProductT { algo, .. } => match algo {
+                ProductTAlgo::HashEqui(keys) => format!("product-t[HashEqui({keys})]"),
+                other => format!("product-t[{other:?}]"),
+            },
             PhysicalNode::DifferenceT { algo, .. } => format!("difference-t[{algo:?}]"),
             PhysicalNode::AggregateT { .. } => "aggregate-t[sweep]".into(),
             PhysicalNode::RdupT { algo, .. } => format!("rdup-t[{algo:?}]"),
@@ -186,7 +261,7 @@ impl PhysicalNode {
             | PhysicalNode::TransferS { input }
             | PhysicalNode::TransferD { input } => vec![input],
             PhysicalNode::UnionAll { left, right }
-            | PhysicalNode::Product { left, right }
+            | PhysicalNode::Product { left, right, .. }
             | PhysicalNode::Difference { left, right }
             | PhysicalNode::UnionMax { left, right }
             | PhysicalNode::ProductT { left, right, .. }
@@ -229,9 +304,10 @@ impl PhysicalNode {
                 left: next(),
                 right: next(),
             },
-            PhysicalNode::Product { .. } => PhysicalNode::Product {
+            PhysicalNode::Product { algo, .. } => PhysicalNode::Product {
                 left: next(),
                 right: next(),
+                algo: algo.clone(),
             },
             PhysicalNode::Difference { .. } => PhysicalNode::Difference {
                 left: next(),
@@ -259,7 +335,7 @@ impl PhysicalNode {
             PhysicalNode::ProductT { algo, .. } => PhysicalNode::ProductT {
                 left: next(),
                 right: next(),
-                algo: *algo,
+                algo: algo.clone(),
             },
             PhysicalNode::DifferenceT { algo, .. } => PhysicalNode::DifferenceT {
                 left: next(),

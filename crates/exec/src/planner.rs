@@ -9,13 +9,18 @@
 use std::sync::Arc;
 
 use tqo_core::error::Result;
+use tqo_core::expr::{BinOp, Expr};
 use tqo_core::optimizer::{optimize, Optimized, OptimizerConfig, SearchStrategy};
-use tqo_core::plan::props::{annotate, Annotations};
+use tqo_core::plan::props::{annotate, scaled_rows, Annotations};
 use tqo_core::plan::{LogicalPlan, Path, PlanNode};
 use tqo_core::rules::RuleSet;
+use tqo_core::schema::Schema;
+use tqo_core::stats::selectivity;
+use tqo_core::value::Value;
 
 use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductTAlgo, RdupTAlgo,
+    CoalesceAlgo, DifferenceTAlgo, EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo,
+    RdupTAlgo,
 };
 
 /// Planner knobs.
@@ -113,10 +118,47 @@ fn lower_node(
 
     Ok(match node {
         PlanNode::Scan { name, .. } => PhysicalNode::Scan { name: name.clone() },
-        PlanNode::Select { predicate, .. } => PhysicalNode::Select {
-            input: next(),
-            predicate: predicate.clone(),
-        },
+        PlanNode::Select {
+            input: below,
+            predicate,
+        } => {
+            // σ over × / ×ᵀ is the paper's join idiom: where the predicate
+            // has equality conjuncts across the two inputs, the product
+            // below matches on them instead of enumerating every pair.
+            // Its output is then the key-matching sub-list of the nested
+            // loop's, in the same order, and this select — unchanged,
+            // still evaluating the whole predicate — yields the identical
+            // list, so no Table 2 license is involved.
+            let mut input = next();
+            if config.allow_fast
+                && matches!(
+                    **below,
+                    PlanNode::Product { .. } | PlanNode::ProductT { .. }
+                )
+            {
+                let stat_at = |tail: &[usize]| {
+                    let mut p = path.clone();
+                    p.extend_from_slice(tail);
+                    &ann[&p].stat
+                };
+                let (product, left, right) = (stat_at(&[0]), stat_at(&[0, 0]), stat_at(&[0, 1]));
+                if let Some(keys) =
+                    equi_keys(predicate, &product.schema, &left.schema, &right.schema)
+                {
+                    // The product will emit the key-matching pairs only:
+                    // its estimate (the slot before this select's own) is
+                    // what the statistics say of the key equalities.
+                    let matching = selectivity(&keys.predicate(), &product.schema, &product.stats);
+                    let slot = estimates.len() - 2;
+                    estimates[slot] = Some(scaled_rows(product.card(), matching));
+                    input = Arc::new(matching_on(&input, keys));
+                }
+            }
+            PhysicalNode::Select {
+                input,
+                predicate: predicate.clone(),
+            }
+        }
         PlanNode::Project { items, .. } => PhysicalNode::Project {
             input: next(),
             items: items.clone(),
@@ -128,6 +170,7 @@ fn lower_node(
         PlanNode::Product { .. } => PhysicalNode::Product {
             left: next(),
             right: next(),
+            algo: ProductAlgo::NestedLoop,
         },
         PlanNode::Difference { .. } => PhysicalNode::Difference {
             left: next(),
@@ -234,6 +277,98 @@ fn lower_node(
     })
 }
 
+/// A lowered `×` or `×ᵀ` with the hash algorithm matching on `keys`.
+fn matching_on(product: &PhysicalNode, keys: EquiKeys) -> PhysicalNode {
+    match product {
+        PhysicalNode::Product { left, right, .. } => PhysicalNode::Product {
+            left: left.clone(),
+            right: right.clone(),
+            algo: ProductAlgo::HashEqui(keys),
+        },
+        PhysicalNode::ProductT { left, right, .. } => PhysicalNode::ProductT {
+            left: left.clone(),
+            right: right.clone(),
+            algo: ProductTAlgo::HashEqui(keys),
+        },
+        other => unreachable!("a product lowers to a product, not {}", other.label()),
+    }
+}
+
+/// The top-level conjuncts of a predicate, left to right.
+fn conjuncts<'a>(predicate: &'a Expr, out: &mut Vec<&'a Expr>) {
+    match predicate {
+        Expr::Bin {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            conjuncts(left, out);
+            conjuncts(right, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// True when evaluating `e` over `schema` cannot fail on any tuple;
+/// `as_bool` says the context reads the value as a Boolean.
+fn infallible(e: &Expr, schema: &Schema, as_bool: bool) -> bool {
+    match e {
+        Expr::Col(name) => !as_bool && schema.index_of(name).is_some(),
+        Expr::Lit(v) => !as_bool || matches!(v, Value::Bool(_) | Value::Null),
+        Expr::NullOf(_) => true,
+        Expr::IsNull(e) => infallible(e, schema, false),
+        Expr::Not(e) => infallible(e, schema, true),
+        Expr::Bin { op, left, right } if op.is_logical() => {
+            infallible(left, schema, true) && infallible(right, schema, true)
+        }
+        Expr::Bin { op, left, right } if op.is_comparison() => {
+            infallible(left, schema, false) && infallible(right, schema, false)
+        }
+        Expr::Bin { .. } => false,
+    }
+}
+
+/// The keys a hash product below `σ[predicate]` may match on: the
+/// top-level conjuncts `l.col = r.col` (either way round) whose two columns
+/// share one non-float domain ([`EquiKeys::resolve`]'s rule; NULL keys
+/// never satisfy `=`, so they match nothing). `None` when there is no such
+/// conjunct, or when the predicate could fail on some pair: the select
+/// will no longer see the pairs the keys reject, so it must not have been
+/// able to raise an error on them.
+fn equi_keys(
+    predicate: &Expr,
+    product: &Schema,
+    left: &Schema,
+    right: &Schema,
+) -> Option<EquiKeys> {
+    if !infallible(predicate, product, true) {
+        return None;
+    }
+    let mut parts = Vec::new();
+    conjuncts(predicate, &mut parts);
+    let mut keys = Vec::new();
+    for part in parts {
+        let Expr::Bin {
+            op: BinOp::Eq,
+            left: a,
+            right: b,
+        } = part
+        else {
+            continue;
+        };
+        let (Expr::Col(a), Expr::Col(b)) = (&**a, &**b) else {
+            continue;
+        };
+        for (l, r) in [(a, b), (b, a)] {
+            let pair = EquiKeys(vec![(l.clone(), r.clone())]);
+            if l.starts_with("1.") && r.starts_with("2.") && pair.resolve(left, right).is_ok() {
+                keys.extend(pair.0);
+            }
+        }
+    }
+    (!keys.is_empty()).then_some(EquiKeys(keys))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,5 +459,105 @@ mod tests {
         let plan2 = tscan("A").product_t(tscan("B")).build_multiset();
         let phys2 = lower(&plan2, PlannerConfig::default()).unwrap();
         assert!(phys2.explain().contains("product-t[PlaneSweep]"));
+    }
+
+    fn join_scan(name: &str) -> PlanBuilder {
+        let s = Schema::of(&[
+            ("K", DataType::Int),
+            ("S", DataType::Str),
+            ("F", DataType::Float),
+        ]);
+        PlanBuilder::scan(name, BaseProps::unordered(s, 100))
+    }
+
+    fn lowered(plan: &LogicalPlan) -> String {
+        lower(plan, PlannerConfig::default()).unwrap().explain()
+    }
+
+    #[test]
+    fn select_directly_above_a_product_picks_the_hash_join() {
+        let keys = Expr::and(
+            Expr::eq(Expr::col("1.K"), Expr::col("2.K")),
+            Expr::and(
+                Expr::lt(Expr::col("1.F"), Expr::col("2.F")),
+                // Right-to-left is the same equality.
+                Expr::eq(Expr::col("2.S"), Expr::col("1.S")),
+            ),
+        );
+        let plan = join_scan("A")
+            .product(join_scan("B"))
+            .select(keys)
+            .build_list(Order::asc(&["1.K"]));
+        assert!(
+            lowered(&plan).contains("product[HashEqui(1.K=2.K,1.S=2.S)]"),
+            "{}",
+            lowered(&plan)
+        );
+        // The faithful leg keeps the nested loop.
+        let faithful = lower(
+            &plan,
+            PlannerConfig {
+                allow_fast: false,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .explain();
+        assert!(faithful.contains("product\n"), "{faithful}");
+
+        // ×ᵀ: the hash join is the nested loop's sub-list, so it also
+        // serves where order is required and the plane sweep may not run.
+        let plan = tscan("A")
+            .product_t(tscan("B"))
+            .select(Expr::eq(Expr::col("1.E"), Expr::col("2.E")))
+            .build_list(Order::asc(&["1.E"]));
+        assert!(lowered(&plan).contains("product-t[HashEqui(1.E=2.E)]"));
+    }
+
+    #[test]
+    fn no_hash_join_without_a_usable_top_level_equality() {
+        let eq = |l: &str, r: &str| Expr::eq(Expr::col(l), Expr::col(r));
+        let product = || join_scan("A").product(join_scan("B"));
+        let plain = |plan: LogicalPlan| {
+            let text = lowered(&plan);
+            assert!(!text.contains("HashEqui"), "{text}");
+        };
+        // The select is not directly above the product.
+        plain(
+            product()
+                .project_cols(&["1.K", "2.K"])
+                .select(eq("1.K", "2.K"))
+                .build_multiset(),
+        );
+        // The equality sits under an OR.
+        plain(
+            product()
+                .select(Expr::or(
+                    eq("1.K", "2.K"),
+                    Expr::lt(Expr::col("1.F"), Expr::lit(0.5f64)),
+                ))
+                .build_multiset(),
+        );
+        // Different domains, floats, one side only, a literal.
+        for pred in [
+            eq("1.K", "2.S"),
+            eq("1.F", "2.F"),
+            eq("1.K", "1.K"),
+            Expr::eq(Expr::col("1.K"), Expr::lit(3i64)),
+        ] {
+            plain(product().select(pred).build_multiset());
+        }
+        // A conjunct that can fail: the select must keep seeing every pair.
+        plain(
+            product()
+                .select(Expr::and(
+                    eq("1.K", "2.K"),
+                    Expr::lt(
+                        Expr::bin(BinOp::Div, Expr::col("1.K"), Expr::col("2.K")),
+                        Expr::lit(2i64),
+                    ),
+                ))
+                .build_multiset(),
+        );
     }
 }

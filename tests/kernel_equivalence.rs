@@ -380,3 +380,243 @@ fn aggregate_functions_agree_over_radix_groups() {
     let out = assert_kernels_exact(&plan, &env, "grouped aggregates over radix build");
     assert_eq!(out.tuples().len(), 23);
 }
+
+// ---------------------------------------------------------------------
+// List-keeping value-class kernels: faithful rdupᵀ, hash equi-join × / ×ᵀ
+// ---------------------------------------------------------------------
+
+/// `(K: Int, S: Str, F: Float)` rows with NULLs where a key is `None`.
+fn kv_rel_nullable(rows: Vec<(Option<i64>, Option<&str>, f64)>) -> Relation {
+    let tuples = rows
+        .into_iter()
+        .map(|(k, s, f)| {
+            Tuple::new(vec![
+                k.map_or(Value::Null, Value::Int),
+                s.map_or(Value::Null, |s| Value::Str(s.into())),
+                Value::Float(f),
+            ])
+        })
+        .collect();
+    Relation::new(kv_schema(), tuples).unwrap()
+}
+
+fn col_eq(l: &str, r: &str) -> Expr {
+    Expr::eq(Expr::col(l), Expr::col(r))
+}
+
+/// The join oracle: engines agree per physical plan at both fidelities
+/// (`assert_kernels_exact`), the fast plan's product matches on keys
+/// exactly when `hash` says so, and — whatever the product emitted — the
+/// plan still computes the interpreter's `σ(×)` as a *list*.
+fn assert_join_exact(plan: &LogicalPlan, env: &Env, hash: bool, context: &str) -> Relation {
+    let fast = lower(plan, config(true)).unwrap().explain();
+    assert_eq!(fast.contains("HashEqui"), hash, "{context}:\n{fast}");
+    let faithful = lower(plan, config(false)).unwrap().explain();
+    assert!(!faithful.contains("HashEqui"), "{context}:\n{faithful}");
+    let out = assert_kernels_exact(plan, env, context);
+    let reference = tqo_core::interp::eval_plan(plan, env).unwrap();
+    assert_eq!(out, reference, "not the interpreter's list on {context}");
+    out
+}
+
+/// Every right row carries the one key there is — 70k rows, past the
+/// radix threshold, all in one bucket — so the match list of each probing
+/// left row *is* the right input, in order.
+#[test]
+fn hash_join_over_all_duplicate_keys_in_one_radix_bucket() {
+    let env = Env::new()
+        .with(
+            "L",
+            kv_rel(vec![(7, "a", 0.5), (8, "b", 1.5), (7, "c", 2.5)]),
+        )
+        .with(
+            "R",
+            kv_rel((0..70_000).map(|i| (7, "same", i as f64)).collect()),
+        );
+    let plan = scan("L", &env)
+        .product(scan("R", &env))
+        .select(col_eq("1.K", "2.K"))
+        .build_multiset();
+    let out = assert_join_exact(&plan, &env, true, "× on one giant key class");
+    assert_eq!(out.len(), 140_000);
+}
+
+#[test]
+fn hash_join_corner_cases_keep_the_list() {
+    let left = kv_rel_nullable(
+        (0..400)
+            .map(|i| {
+                let k = (i % 5 != 0).then_some((i % 13) as i64);
+                let s = (i % 7 != 0).then_some(["x", "y", "z"][i % 3]);
+                (k, s, (i % 11) as f64)
+            })
+            .collect(),
+    );
+    let right = kv_rel_nullable(
+        (0..300)
+            .map(|i| {
+                let k = (i % 4 != 0).then_some((i % 17) as i64);
+                let s = (i % 9 != 0).then_some(["y", "z", "w"][i % 3]);
+                (k, s, (i % 5) as f64)
+            })
+            .collect(),
+    );
+    let env = Env::new().with("L", left).with("R", right).with(
+        "FAR",
+        kv_rel((0..50).map(|i| (100 + i, "far", 0.0)).collect()),
+    );
+    let join = |pred: Expr| scan("L", &env).product(scan("R", &env)).select(pred);
+
+    // NULL keys on either side match nothing, not each other.
+    let out = assert_join_exact(
+        &join(col_eq("1.K", "2.K")).build_multiset(),
+        &env,
+        true,
+        "× with NULL keys on both sides",
+    );
+    assert!(out.tuples().iter().all(|t| !t.values()[0].is_null()));
+
+    // No key of one side occurs on the other.
+    let none = scan("L", &env)
+        .product(scan("FAR", &env))
+        .select(col_eq("1.K", "2.K"));
+    let out = assert_join_exact(&none.build_multiset(), &env, true, "× with no matches");
+    assert!(out.is_empty());
+
+    // Multi-column key, one equality written right-to-left.
+    assert_join_exact(
+        &join(Expr::and(col_eq("1.K", "2.K"), col_eq("2.S", "1.S"))).build_multiset(),
+        &env,
+        true,
+        "× on a two-column key",
+    );
+
+    // A residual conjunct over both sides stays with the select.
+    assert_join_exact(
+        &join(Expr::and(
+            Expr::lt(Expr::col("1.F"), Expr::col("2.F")),
+            col_eq("1.S", "2.S"),
+        ))
+        .build_multiset(),
+        &env,
+        true,
+        "× with a non-equi residual",
+    );
+
+    // Keys of different domains (and float keys) are not hashed: the
+    // plain product runs, and `Value::cmp` decides as it always did.
+    assert_join_exact(
+        &join(col_eq("1.K", "2.S")).build_multiset(),
+        &env,
+        false,
+        "× on an Int = Str key",
+    );
+    assert_join_exact(
+        &join(col_eq("1.F", "2.F")).build_multiset(),
+        &env,
+        false,
+        "× on a Float key",
+    );
+
+    // ORDER BY above the join: ties keep the join's left-major order.
+    let order = Order::asc(&["2.S"]);
+    assert_join_exact(
+        &join(col_eq("1.K", "2.K"))
+            .sort(order.clone())
+            .build_list(order),
+        &env,
+        true,
+        "sort over ×",
+    );
+}
+
+#[test]
+fn temporal_hash_join_keeps_the_list() {
+    let rows = |n: usize, shift: i64| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                let e = if i % 6 == 0 {
+                    Value::Null
+                } else {
+                    Value::Str(format!("e{}", i % 9).into())
+                };
+                let s = (i as i64 * 5 + shift) % 40;
+                Tuple::new(vec![e, Value::Time(s), Value::Time(s + 1 + (i % 7) as i64)])
+            })
+            .collect()
+    };
+    let schema = Schema::temporal(&[("E", DataType::Str)]);
+    let env = Env::new()
+        .with("L", Relation::new(schema.clone(), rows(350, 0)).unwrap())
+        .with("R", Relation::new(schema, rows(280, 3)).unwrap());
+    let join = |pred: Expr| scan("L", &env).product_t(scan("R", &env)).select(pred);
+
+    // A multiset query could have taken the plane sweep (≡M); the hash
+    // join keeps the nested loop's order and so serves lists as well.
+    assert_join_exact(
+        &join(col_eq("1.E", "2.E")).build_multiset(),
+        &env,
+        true,
+        "×ᵀ with NULL keys",
+    );
+    let order = Order::asc(&["2.T1"]);
+    assert_join_exact(
+        &join(Expr::and(
+            col_eq("1.E", "2.E"),
+            Expr::lt(Expr::col("1.T1"), Expr::col("2.T2")),
+        ))
+        .sort(order.clone())
+        .build_list(order),
+        &env,
+        true,
+        "sort over ×ᵀ with a residual",
+    );
+    // Periods as keys: Time on both sides is one domain.
+    assert_join_exact(
+        &join(col_eq("1.T1", "2.T1")).build_multiset(),
+        &env,
+        true,
+        "×ᵀ keyed on a period endpoint",
+    );
+}
+
+/// Faithful `rdupᵀ` where periods must be preserved (a multiset query's
+/// root), over duplicates, containment, chains of overlaps and NULL
+/// explicit values: all engines produce the recursion's own list.
+#[test]
+fn faithful_rdup_t_is_the_recursions_list_on_every_engine() {
+    let rows = |n: usize, classes: usize| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                let e = match i % (classes + 1) {
+                    0 => Value::Null,
+                    c => Value::Str(format!("e{c}").into()),
+                };
+                // Starts wander back and forth so later rows straddle,
+                // sit inside, repeat and chain onto earlier ones.
+                let s = ((i * 37) % 101) as i64 - ((i % 3) as i64) * 9;
+                Tuple::new(vec![
+                    e,
+                    Value::Time(s),
+                    Value::Time(s + 1 + (i % 13) as i64),
+                ])
+            })
+            .collect()
+    };
+    let schema = Schema::temporal(&[("E", DataType::Str)]);
+    let small = Relation::new(schema.clone(), rows(3000, 4)).unwrap();
+    let env = Env::new()
+        .with("T", small.clone())
+        // Past the radix threshold of the class build.
+        .with("BIG", Relation::new(schema, rows(70_000, 40)).unwrap());
+    for name in ["T", "BIG"] {
+        let plan = scan(name, &env).rdup_t().build_multiset();
+        let physical = lower(&plan, config(true)).unwrap().explain();
+        assert!(physical.contains("rdup-t[Faithful]"), "{physical}");
+        let out = assert_kernels_exact(&plan, &env, "faithful rdup_t");
+        assert_eq!(out, tqo_core::interp::eval_plan(&plan, &env).unwrap());
+        if name == "T" {
+            assert_eq!(out, tqo_core::ops::rdup_t_literal(&small).unwrap());
+        }
+    }
+}

@@ -20,13 +20,76 @@
 
 mod common;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Duration;
 
 use tqo_core::context::{self, QueryContext};
 use tqo_core::error::Error;
-use tqo_exec::{execute_adaptive, execute_logical, ExecMode, PlannerConfig};
+use tqo_core::interp::Env;
+use tqo_core::relation::Relation;
+use tqo_core::schema::Schema;
+use tqo_core::tuple::Tuple;
+use tqo_core::value::{DataType, Value};
+use tqo_exec::physical::{EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo};
+use tqo_exec::{
+    execute_adaptive, execute_logical, execute_mode, ExecMode, PhysicalPlan, PlannerConfig,
+};
 use tqo_storage::paper;
 use tqo_stratum::{FaultConfig, RetryPolicy, Stratum};
+
+/// The system allocator, noting per thread the largest single request —
+/// how the product legs below tell "denied before allocating" from
+/// "denied after".
+struct NotingLargest;
+
+thread_local! {
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(bytes: usize) {
+    // A thread being torn down has no cell left to note in.
+    let _ = LARGEST_REQUEST.try_with(|cell| cell.set(cell.get().max(bytes)));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; noting the size touches only a `Cell<usize>`
+// thread-local that has no destructor and allocates nothing.
+unsafe impl GlobalAlloc for NotingLargest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NotingLargest = NotingLargest;
+
+/// The largest single allocation this thread requests while `f` runs.
+fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_REQUEST.with(|cell| cell.set(0));
+    let out = f();
+    (out, LARGEST_REQUEST.with(Cell::get))
+}
 
 const MODES: [ExecMode; 4] = [
     ExecMode::Row,
@@ -260,6 +323,129 @@ fn memory_budget_denies_gracefully_and_leaves_no_partial_state() {
         &before_emp,
         "budget denial mutated the catalog"
     );
+}
+
+/// `rows` temporal rows `(K: Int, T1, T2)`, keys cycling through `keys`
+/// values, every period `[0, 10)` so that all pairs of a `×ᵀ` overlap.
+fn keyed_rows(rows: usize, keys: i64) -> Relation {
+    let tuples = (0..rows as i64)
+        .map(|i| Tuple::new(vec![Value::Int(i % keys), Value::Time(0), Value::Time(10)]))
+        .collect();
+    Relation::new(Schema::temporal(&[("K", DataType::Int)]), tuples).unwrap()
+}
+
+fn product_plan(algo: ProductAlgo) -> PhysicalPlan {
+    PhysicalPlan::new(PhysicalNode::Product {
+        left: Arc::new(PhysicalNode::Scan { name: "L".into() }),
+        right: Arc::new(PhysicalNode::Scan { name: "R".into() }),
+        algo,
+    })
+}
+
+fn product_t_plan(algo: ProductTAlgo) -> PhysicalPlan {
+    PhysicalPlan::new(PhysicalNode::ProductT {
+        left: Arc::new(PhysicalNode::Scan { name: "L".into() }),
+        right: Arc::new(PhysicalNode::Scan { name: "R".into() }),
+        algo,
+    })
+}
+
+/// `×` knows its output size before it runs, so a budget that cannot hold
+/// the output denies it *before* anything of that size exists: a typed
+/// `MemoryBudget` on every engine, and — on the engines that run on the
+/// calling thread — no single allocation anywhere near `n·m` bytes,
+/// whether the budget is a byte or just too small for the output.
+#[test]
+fn a_product_is_denied_before_it_allocates() {
+    let (n, m) = (2000usize, 2000usize);
+    let env = Env::new()
+        .with("L", keyed_rows(n, 7))
+        .with("R", keyed_rows(m, 7));
+    let plan = product_plan(ProductAlgo::NestedLoop);
+    // Build the resident transposes first: they are not the product's.
+    for name in ["L", "R"] {
+        env.get(name).unwrap().columnar().unwrap();
+    }
+    let inputs: usize = ["L", "R"]
+        .iter()
+        .map(|name| env.get(name).unwrap().approx_bytes())
+        .sum();
+    for limit in [1, 4 * inputs] {
+        for mode in MODES {
+            let ctx = QueryContext::new().with_memory_limit(limit);
+            let (result, largest) = largest_request_during(|| {
+                let _guard = context::install(&ctx);
+                execute_mode(&plan, &env, mode)
+            });
+            assert!(
+                matches!(result, Err(Error::MemoryBudget { .. })),
+                "expected MemoryBudget ({mode:?}, limit {limit}), got {:?}",
+                result.map(|(r, _)| r.len())
+            );
+            if !matches!(mode, ExecMode::Parallel { threads: 4 }) {
+                assert!(
+                    largest < n * m,
+                    "{largest} bytes requested at once under a denied {n}x{m} product \
+                     ({mode:?}, limit {limit})"
+                );
+            }
+        }
+    }
+    // The engines answer the same product afterwards.
+    let small = Env::new()
+        .with("L", keyed_rows(30, 7))
+        .with("R", keyed_rows(20, 7));
+    let (clean, _) = execute_mode(&plan, &small, ExecMode::Row).unwrap();
+    assert_eq!(clean.len(), 600);
+    for mode in MODES {
+        assert_eq!(execute_mode(&plan, &small, mode).unwrap().0, clean);
+    }
+}
+
+/// The batch product kernels poll governance once per left row: a token
+/// sees at least that many polls, and one that trips halfway through the
+/// left input cancels the product *mid-operator* — after which every
+/// engine still answers.
+#[test]
+fn batch_products_poll_per_left_row_and_cancel_mid_operator() {
+    let (n, m) = (400usize, 60usize);
+    let env = Env::new()
+        .with("L", keyed_rows(n, 7))
+        .with("R", keyed_rows(m, 7));
+    let keys = EquiKeys(vec![("1.K".into(), "2.K".into())]);
+    for plan in [
+        product_plan(ProductAlgo::NestedLoop),
+        product_plan(ProductAlgo::HashEqui(keys.clone())),
+        product_t_plan(ProductTAlgo::NestedLoop),
+        product_t_plan(ProductTAlgo::HashEqui(keys)),
+    ] {
+        let label = plan.root.label();
+        let (clean, _) = execute_mode(&plan, &env, ExecMode::Batch).unwrap();
+
+        let watched = QueryContext::new();
+        let (got, _) = {
+            let _guard = context::install(&watched);
+            execute_mode(&plan, &env, ExecMode::Batch).unwrap()
+        };
+        assert_eq!(got, clean, "governance perturbed {label}");
+        let polls = watched.token().polls();
+        assert!(
+            polls >= n as u64,
+            "{label}: {polls} polls over {n} left rows"
+        );
+
+        let tripping = QueryContext::new().with_cancel_after(polls - n as u64 / 2);
+        let err = {
+            let _guard = context::install(&tripping);
+            execute_mode(&plan, &env, ExecMode::Batch).unwrap_err()
+        };
+        assert_eq!(err, Error::Cancelled, "{label}");
+
+        for mode in MODES {
+            let (after, _) = execute_mode(&plan, &env, mode).unwrap();
+            assert_eq!(after, clean, "{label} not reusable after cancel ({mode:?})");
+        }
+    }
 }
 
 /// Memo search under a task or time budget stops gracefully: best-effort

@@ -1,7 +1,8 @@
 //! Versioned tables, guarded by counts that repeat exactly rather than by
 //! timings: reads of an unchanged catalog transpose each touched table
-//! once (not once per read), a modification measures nothing in full, and
-//! a read after it transposes only the table that changed.
+//! once (not once per read), a modification measures nothing in full, a
+//! read after it transposes only the table that changed, and a stage
+//! scanning another stage's output transposes nothing.
 //!
 //! One `#[test]` in a file of its own, so nothing else in the process
 //! moves the process-wide counters between two readings.
@@ -10,7 +11,9 @@ use tqo_core::expr::Expr;
 use tqo_core::time::Period;
 use tqo_core::trace::counters::{STATS_CACHE_MISSES, TRANSPOSES_BUILT};
 use tqo_core::value::Value;
-use tqo_exec::{execute_logical, ExecMode, PlannerConfig};
+use tqo_exec::{
+    execute_logical, lower, ExecMode, PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions,
+};
 use tqo_storage::{paper, StatisticsProvider};
 
 /// Single-stage statements (no breaker below the root), so the only
@@ -70,4 +73,36 @@ fn reads_transpose_once_per_version_and_mutations_measure_nothing() {
     // Two more transposes: the version read between the pair and the one
     // after it. PROJECT's single transpose is still the one in use.
     assert_eq!(TRANSPOSES_BUILT.get() - transposes, 4);
+
+    // A two-stage statement over one base table (the aggregate is a
+    // breaker below the sort), staged by the scheduler on a fresh catalog:
+    // the base table is transposed, the aggregate's output is handed to
+    // the sort's stage with the columns it was built from.
+    let fresh = paper::catalog().snapshot();
+    let staged = "SELECT Dept, COUNT(*) AS n FROM EMPLOYEE GROUP BY Dept ORDER BY Dept";
+    let plan = lower(
+        &tqo_sql::compile(staged, &fresh).unwrap(),
+        PlannerConfig::default(),
+    )
+    .unwrap();
+    let transposes = TRANSPOSES_BUILT.get();
+    let scheduler = Scheduler::new(SchedulerConfig {
+        workers: 1,
+        max_queries: 1,
+    });
+    let (rows, metrics) = scheduler
+        .run(&plan, &fresh.env(), SubmitOptions::default())
+        .unwrap();
+    scheduler.shutdown();
+    assert_eq!(rows.len(), 2);
+    assert_eq!(
+        metrics
+            .operators
+            .iter()
+            .filter(|o| o.label.starts_with("scan(__q"))
+            .count(),
+        1,
+        "one stage reads another's output"
+    );
+    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 1);
 }
