@@ -1,19 +1,13 @@
 //! Quick-mode exec throughput: runs the row-vs-batch cases a few times
 //! each and writes `BENCH_exec.json` (rows/sec per operator and engine,
-//! morsel-parallel scaling at 1/2/4 threads, per-operator
-//! cardinality-estimation q-errors, plus the adaptive re-optimization
-//! block: plans-switched counts and static-vs-adaptive operator times on
-//! seeded-misestimate workloads) to the current directory — the perf
+//! per-operator cardinality-estimation q-errors, plus the adaptive
+//! re-optimization block: plans-switched counts and static-vs-adaptive
+//! operator times on seeded-misestimate workloads) to the current
+//! directory — the perf
 //! *and* estimation trajectories CI tracks. The `adaptive`,
 //! `observability`, and `governance` blocks are also written standalone
 //! as `BENCH_adaptive.json`, `BENCH_obs.json`, and `BENCH_robust.json`
 //! for the CI artifacts.
-//!
-//! The `parallel_scaling` block records, per operator, the speedup of
-//! `ExecMode::Parallel {1, 2, 4}` over single-thread batch, alongside
-//! `host_parallelism` — on a single-core host the measured speedups
-//! necessarily hover around 1× however well the engine scales, so the
-//! committed numbers are only meaningful together with that field.
 //!
 //! Usage: `exec_quick [rows] [output-path]`; `EXEC_QUICK_ROWS` overrides
 //! the default of 100_000 rows.
@@ -120,8 +114,8 @@ fn main() {
     writeln!(json, "  ],").unwrap();
 
     // The two `rdupᵀ` algorithms over the same input, batch engine, in ns
-    // per input row: what `RdupTAlgo::Sweep` (three engines' worth of code,
-    // and a Table 2 license to run at all) buys over the faithful
+    // per input row: what `RdupTAlgo::Sweep` (its own kernels on both
+    // engines, and a Table 2 license to run at all) buys over the faithful
     // algorithm — the committed number for its earn-or-delete verdict.
     let ns_per_row = |name: &str| {
         let at = cases
@@ -168,66 +162,6 @@ fn main() {
             json,
             "      }}{}",
             if i + 1 < fusion_rows.len() { "," } else { "" }
-        )
-        .unwrap();
-    }
-    writeln!(json, "    ]").unwrap();
-    writeln!(json, "  }},").unwrap();
-
-    // Morsel-parallel scaling: per operator, best op-time at 1/2/4 worker
-    // threads against the single-thread batch baseline. The committed
-    // trajectory for "does parallelism pay, and from how many threads?".
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let thread_counts = [1usize, 2, 4];
-    writeln!(json, "  \"parallel_scaling\": {{").unwrap();
-    writeln!(json, "    \"host_parallelism\": {host},").unwrap();
-    writeln!(json, "    \"threads\": [1, 2, 4],").unwrap();
-    writeln!(json, "    \"operators\": [").unwrap();
-    eprintln!(
-        "\n{:<22} {:>12} {:>9} {:>9} {:>9}",
-        "parallel scaling", "batch ms", "x1", "x2", "x4"
-    );
-    for (i, case) in cases.iter().enumerate() {
-        let (_, batch_op, _) = best_of(&case.plan, &env, ExecMode::Batch);
-        let mut speedups = Vec::with_capacity(thread_counts.len());
-        let mut par_ms = Vec::with_capacity(thread_counts.len());
-        for &threads in &thread_counts {
-            let (_, op, _) = best_of(&case.plan, &env, ExecMode::Parallel { threads });
-            par_ms.push(op.as_secs_f64() * 1e3);
-            speedups.push(batch_op.as_secs_f64() / op.as_secs_f64().max(1e-9));
-        }
-        eprintln!(
-            "{:<22} {:>12.3} {:>8.2}x {:>8.2}x {:>8.2}x",
-            case.name,
-            batch_op.as_secs_f64() * 1e3,
-            speedups[0],
-            speedups[1],
-            speedups[2]
-        );
-        writeln!(json, "      {{").unwrap();
-        writeln!(json, "        \"name\": \"{}\",", case.name).unwrap();
-        writeln!(
-            json,
-            "        \"batch_op_ms\": {:.3},",
-            batch_op.as_secs_f64() * 1e3
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "        \"parallel_op_ms\": [{:.3}, {:.3}, {:.3}],",
-            par_ms[0], par_ms[1], par_ms[2]
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "        \"speedup_vs_batch\": [{:.3}, {:.3}, {:.3}]",
-            speedups[0], speedups[1], speedups[2]
-        )
-        .unwrap();
-        writeln!(
-            json,
-            "      }}{}",
-            if i + 1 < cases.len() { "," } else { "" }
         )
         .unwrap();
     }

@@ -9,12 +9,11 @@
 //! * **`.slt` corpus** ([`slt`] + [`runner`]): text files of
 //!   `statement ok` / `query <types> [rowsort]` / `query error`
 //!   directives over deterministic fixtures ([`fixtures`]). Each `query`
-//!   runs through the full mode matrix — reference interpreter, row,
-//!   batch, and morsel-parallel engines (1 and 4 threads) in both
-//!   faithful and fast planner modes, memo and exhaustive optimizer
-//!   strategies, the layered stratum engine, and adaptive
-//!   re-optimization at maximum re-planning pressure — and every leg
-//!   must render **byte-identical** canonical results.
+//!   runs through the full mode matrix — reference interpreter, row and
+//!   batch engines in both faithful and fast planner modes, memo and
+//!   exhaustive optimizer strategies, the layered stratum engine, and
+//!   adaptive re-optimization at maximum re-planning pressure — and every
+//!   leg must render **byte-identical** canonical results.
 //! * **planner snapshots** ([`snapshot`]): EXPLAIN-style renderings of
 //!   logical and physical plans (with estimated rows) pinned as committed
 //!   files, so a plan-shape change is a reviewable diff rather than a

@@ -7,12 +7,12 @@
 //! | leg | engines | comparison |
 //! |---|---|---|
 //! | reference | interpreter | pinned block in the file |
-//! | faithful | row, batch, parallel{1,4} | `==` reference relation |
-//! | fast | row, batch, parallel{1,4} | byte-identical rendering |
+//! | faithful | row, batch | `==` reference relation |
+//! | fast | row, batch | byte-identical rendering |
 //! | scheduler | stage graph via the shared multi-query pool | `==` reference relation |
 //! | optimizer | memo + exhaustive, via interpreter | byte-identical rendering |
 //! | stratum | layered + layered-optimized | byte-identical rendering |
-//! | adaptive | q_threshold = 1.0 (faithful row, fast parallel-4) | byte-identical rendering |
+//! | adaptive | q_threshold = 1.0 (faithful row, fast batch) | byte-identical rendering |
 //!
 //! `modes engines` keeps only the first four rows — used by generated
 //! fixtures where planner legs would dominate runtime. The scheduler
@@ -257,14 +257,7 @@ fn run_matrix(
     };
 
     let canonical = canon(&reference);
-    let modes_list = [
-        ExecMode::Row,
-        ExecMode::Batch,
-        ExecMode::Parallel { threads: 1 },
-        ExecMode::Parallel { threads: 4 },
-    ];
-
-    // Row/batch/parallel engines, faithful and fast plans.
+    // Row and batch engines, faithful and fast plans.
     for allow_fast in [false, true] {
         let physical = lower(
             &plan,
@@ -274,7 +267,7 @@ fn run_matrix(
             },
         )
         .map_err(|e| format!("lower(allow_fast={allow_fast}): {e}"))?;
-        for mode in modes_list {
+        for mode in [ExecMode::Row, ExecMode::Batch] {
             let (got, _) = execute_mode(&physical, env, mode)
                 .map_err(|e| format!("{mode:?}(allow_fast={allow_fast}): {e}"))?;
             if !allow_fast && got != reference {
@@ -364,10 +357,7 @@ fn run_matrix(
     }
 
     // Adaptive re-optimization at maximum re-planning pressure.
-    for (allow_fast, mode) in [
-        (false, ExecMode::Row),
-        (true, ExecMode::Parallel { threads: 4 }),
-    ] {
+    for (allow_fast, mode) in [(false, ExecMode::Row), (true, ExecMode::Batch)] {
         let config = PlannerConfig {
             allow_fast,
             mode,

@@ -43,9 +43,9 @@ pub enum ModeSet {
     /// Everything: engines, scheduler, optimizer strategies, stratum,
     /// adaptive.
     All,
-    /// Engine + scheduler legs only (row/batch/parallel ×
-    /// faithful/fast, shared-pool stage graphs) — for large generated
-    /// fixtures where the planner legs would dominate runtime.
+    /// Engine + scheduler legs only (row/batch × faithful/fast,
+    /// shared-pool stage graphs) — for large generated fixtures where the
+    /// planner legs would dominate runtime.
     Engines,
 }
 

@@ -11,7 +11,7 @@
 //! * [`install`] / [`check_current`] — the same thread-local
 //!   install-guard pattern as [`trace`](crate::trace): a context is
 //!   installed for the dynamic extent of a query; engines call the free
-//!   function [`check_current`] at their checkpoints (morsel dispatch,
+//!   function [`check_current`] at their checkpoints (scheduler tasks,
 //!   `next_batch`, row-loop strides, memo task pops, adaptive
 //!   checkpoints) without any signature changes. With no context
 //!   installed anywhere the check is one relaxed atomic load.
@@ -310,8 +310,8 @@ impl Drop for Reservation {
 /// Everything governing one query: cancellation, deadline, memory.
 ///
 /// Cheap to clone (all state behind `Arc`s); clones observe the same
-/// token, deadline, and budget — this is how the parallel engine shares
-/// one context across worker threads.
+/// token, deadline, and budget — this is how the scheduler shares one
+/// context across the worker threads running a query's stages.
 #[derive(Clone, Debug, Default)]
 pub struct QueryContext {
     inner: Arc<ContextInner>,
@@ -440,16 +440,6 @@ thread_local! {
 #[inline]
 pub fn governance_possible() -> bool {
     GOVERNED.load(Ordering::Relaxed) != 0
-}
-
-/// The context installed on this thread, if any — what the parallel
-/// engine clones into worker threads so morsel checkpoints observe the
-/// same token, deadline, and budget.
-pub fn current() -> Option<QueryContext> {
-    if !governance_possible() {
-        return None;
-    }
-    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// Install `ctx` on the current thread for the lifetime of the returned
@@ -638,7 +628,6 @@ mod tests {
             }
             assert_eq!(check_current(), Err(Error::Cancelled));
         }
-        assert!(current().is_none());
         assert_eq!(check_current(), Ok(()));
     }
 

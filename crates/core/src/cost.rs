@@ -66,20 +66,14 @@ impl Default for CostModel {
 ///
 /// The optimizer prices stratum-side work with a per-engine factor: the
 /// vectorized batch pipeline does the same logical work in less time than
-/// the row-at-a-time walk, and the morsel-parallel engine divides the
-/// batch time further across its workers. Mirrors `tqo-exec`'s `ExecMode`
-/// without depending on it (the executor crate sits above this one).
+/// the row-at-a-time walk. Mirrors `tqo-exec`'s `ExecMode` without
+/// depending on it (the executor crate sits above this one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Row-at-a-time materializing tree walk (the semantic baseline).
     Row,
     /// Vectorized columnar batch pipeline.
     Batch,
-    /// Morsel-driven parallel batch engine with a fixed worker count.
-    Parallel {
-        /// Worker threads executing morsels (values below 1 price as 1).
-        threads: usize,
-    },
 }
 
 impl CostModel {
@@ -90,18 +84,14 @@ impl CostModel {
     /// sweep emission): batch now runs ~3–5× faster than row across the
     /// whole fast set — the former laggards (sort, previously ~2×) pulled
     /// up to the pack — so one flat factor fits the operators much more
-    /// tightly than before. The morsel-parallel engine still scales the
-    /// partitioned operators by roughly `T^0.7` on top of that (the
-    /// `parallel_scaling` block tracks the measured curve). Both factors
-    /// are clamped above `dbms_factor` because the simulated DBMS stands
-    /// in for a mature engine whose own speed the bench does not measure,
-    /// and the paper's architectural premise (§2.1: the DBMS outruns the
-    /// thin stratum) must survive calibration.
+    /// tightly than before. The factor stays above `dbms_factor` because
+    /// the simulated DBMS stands in for a mature engine whose own speed
+    /// the bench does not measure, and the paper's architectural premise
+    /// (§2.1: the DBMS outruns the thin stratum) must survive calibration.
     pub fn calibrated(engine: Engine) -> CostModel {
         let stratum_factor = match engine {
             Engine::Row => 1.0,
             Engine::Batch => 0.32,
-            Engine::Parallel { threads } => (0.32 / (threads.max(1) as f64).powf(0.7)).max(0.26),
         };
         CostModel {
             stratum_factor,
@@ -404,19 +394,5 @@ mod tests {
         assert!(m.stratum_factor < 1.0);
         assert!(m.dbms_factor < m.stratum_factor);
         assert_eq!(CostModel::calibrated(Engine::Row).stratum_factor, 1.0);
-    }
-
-    #[test]
-    fn parallel_calibration_scales_with_threads_but_stays_above_dbms() {
-        let batch = CostModel::calibrated(Engine::Batch);
-        let p1 = CostModel::calibrated(Engine::Parallel { threads: 1 });
-        let p4 = CostModel::calibrated(Engine::Parallel { threads: 4 });
-        let p64 = CostModel::calibrated(Engine::Parallel { threads: 64 });
-        // One worker prices like the batch engine; more workers price
-        // cheaper, monotonically, but never cheaper than the DBMS.
-        assert_eq!(p1.stratum_factor, batch.stratum_factor);
-        assert!(p4.stratum_factor < p1.stratum_factor);
-        assert!(p64.stratum_factor <= p4.stratum_factor);
-        assert!(p64.stratum_factor > p64.dbms_factor);
     }
 }

@@ -68,6 +68,10 @@ pub enum Error {
     /// `limit`. Typed so serving front-ends can surface back-pressure
     /// distinctly from execution failures (clients should retry later).
     AdmissionRejected { active: usize, limit: usize },
+    /// A bug, not a query outcome: the scheduler caught a panic while
+    /// running one of the query's stages. Only that query fails; `reason`
+    /// is the panic message.
+    Internal { reason: String },
 }
 
 impl fmt::Display for Error {
@@ -144,6 +148,7 @@ impl fmt::Display for Error {
                      admitted; retry later"
                 )
             }
+            Error::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }
 }

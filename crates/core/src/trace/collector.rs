@@ -92,9 +92,9 @@ thread_local! {
 }
 
 /// A shareable per-query event sink. Cloning is cheap (an `Arc` bump);
-/// clones record into the same ring, so the parallel engine hands clones
-/// to its workers and their busy spans appear as extra lanes of the same
-/// query profile.
+/// clones record into the same ring, so the scheduler hands a clone to
+/// every stage task and spans on its workers appear as extra lanes of the
+/// same query profile.
 #[derive(Clone)]
 pub struct Collector {
     shared: Arc<Shared>,
@@ -237,7 +237,7 @@ impl QueryTrace {
     /// Complete spans become `"ph": "X"` events with microsecond `ts`/
     /// `dur`; instants become `"ph": "i"` with thread scope. `pid` is
     /// always 1 (one query = one logical process); `tid` distinguishes
-    /// the driving thread (0) from morsel workers (1..). Load the output
+    /// the driving thread (0) from scheduler workers (1..). Load the output
     /// directly in `chrome://tracing` or <https://ui.perfetto.dev>.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[\n");
@@ -329,7 +329,7 @@ mod tests {
         let c2 = c.clone();
         std::thread::scope(|s| {
             s.spawn(move || {
-                c2.record_instant("worker".into(), Category::Morsel, String::new());
+                c2.record_instant("worker".into(), Category::Exec, String::new());
             });
         });
         c.record_instant("driver".into(), Category::Exec, String::new());

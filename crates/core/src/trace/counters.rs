@@ -1,7 +1,7 @@
 //! Process-wide monotonic counters.
 //!
 //! A tiny static registry of named `AtomicU64`s incremented from hot
-//! paths across the workspace (memo search, statistics cache, morsel
+//! paths across the workspace (memo search, statistics cache, query
 //! scheduler, adaptive re-planner, stratum wire). Unlike the per-query
 //! [`Collector`](super::Collector), counters are always on — one relaxed
 //! `fetch_add` per increment, no allocation — and accumulate for the
@@ -115,11 +115,6 @@ counters! {
         "transposes_built",
         "columnar transposes built from row storage"
     );
-    /// Morsels handed to the parallel engine's worker pool.
-    pub static MORSELS_DISPATCHED = (
-        "morsels_dispatched",
-        "morsels dispatched to parallel workers"
-    );
     /// Adaptive checkpoints that triggered a mid-query re-plan.
     pub static REOPTS_TRIGGERED = (
         "reopts_triggered",
@@ -230,7 +225,7 @@ mod tests {
     fn registry_is_complete_and_monotonic() {
         let names: Vec<_> = all().iter().map(|c| c.name()).collect();
         assert!(names.contains(&"memo_exprs"));
-        assert!(names.contains(&"morsels_dispatched"));
+        assert!(names.contains(&"sched_tasks"));
         assert!(names.contains(&"stats_cache_invalidations"));
         // Unique names.
         let mut sorted = names.clone();

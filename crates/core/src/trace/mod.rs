@@ -10,14 +10,14 @@
 //!   decisions, placement choices).
 //! * **The per-query collector** ([`Collector`]) — a fixed-capacity ring
 //!   buffer of [`TraceEvent`]s. A collector is *installed* on a thread
-//!   with [`install`]; spans on that thread (and any worker threads the
-//!   engines propagate it to) record into it. [`Collector::finish`]
+//!   with [`install`]; spans on that thread (and on the scheduler workers
+//!   running that query's stages) record into it. [`Collector::finish`]
 //!   yields a [`QueryTrace`] exportable as Chrome trace-event JSON
 //!   ([`QueryTrace::to_chrome_json`]) that opens directly in
 //!   `chrome://tracing`, Perfetto, or any flamegraph viewer.
 //! * **The process-wide counter registry** ([`counters`]) — monotonic
 //!   counters (memo expressions, rules fired, statistics-cache traffic,
-//!   morsels dispatched, re-opts triggered) dumpable as JSON.
+//!   scheduler tasks, re-opts triggered) dumpable as JSON.
 //!
 //! ## Cost model
 //!
@@ -83,10 +83,8 @@ pub enum Category {
     Optimizer,
     /// Lowering and algorithm selection.
     Planner,
-    /// Operator execution (all three engines).
+    /// Operator execution (both engines) and scheduler stage tasks.
     Exec,
-    /// Morsel scheduling and per-worker busy intervals.
-    Morsel,
     /// Adaptive checkpoints and re-plan decisions.
     Adaptive,
     /// Stratum fragments, wire transfers, and placement.
@@ -104,7 +102,6 @@ impl Category {
             Category::Optimizer => "optimizer",
             Category::Planner => "planner",
             Category::Exec => "exec",
-            Category::Morsel => "morsel",
             Category::Adaptive => "adaptive",
             Category::Stratum => "stratum",
             Category::Governance => "governance",
@@ -127,8 +124,8 @@ pub fn enabled() -> bool {
     tracing_possible() && CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// The collector installed on this thread, if any — what the parallel
-/// engine clones into worker threads so their busy spans land in the same
+/// The collector installed on this thread, if any — what the scheduler
+/// clones into each stage task so spans on its workers land in the same
 /// query trace.
 pub fn current() -> Option<Collector> {
     if !tracing_possible() {

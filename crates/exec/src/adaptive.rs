@@ -10,7 +10,7 @@
 //! 1. **Stage execution.** The physical plan is cut at its pipeline
 //!    breakers by the one cutter the scheduler also uses
 //!    ([`StageGraph`]) and its stages run in order — deepest breaker
-//!    first — on whichever engine is active (row/batch/parallel).
+//!    first — on whichever engine is active (row or batch).
 //! 2. **Checkpoint.** A checkpoint *is* a finished non-final stage: its
 //!    materialized output is bound under the stage's binding
 //!    (`__adaptive{round}_stage{k}`), exactly as the scheduler binds it.
@@ -37,11 +37,11 @@
 //! **Result guarantees.** Every re-planning step preserves the query's
 //! declared result type (`≡SQL`), exactly like static optimization; and
 //! because every adaptive decision is a deterministic function of actual
-//! cardinalities — which all engines agree on — an adaptive run produces
-//! byte-identical results across the row, batch, and parallel engines at
-//! any thread count. With re-lowering only (no rule re-entry) in faithful
-//! mode, the adaptive result is byte-identical to the reference
-//! interpreter. See `docs/adaptive.md` for the full invariant table.
+//! cardinalities — which both engines agree on — an adaptive run produces
+//! byte-identical results on the row and batch engines. With re-lowering
+//! only (no rule re-entry) in faithful mode, the adaptive result is
+//! byte-identical to the reference interpreter. See `docs/adaptive.md`
+//! for the full invariant table.
 
 use tqo_core::context;
 use tqo_core::error::Result;
@@ -264,7 +264,7 @@ mod tests {
             .difference_t(scan("B", &b))
             .coalesce()
             .build_multiset();
-        for mode in [ExecMode::Row, ExecMode::Batch, ExecMode::parallel()] {
+        for mode in [ExecMode::Row, ExecMode::Batch] {
             let config = PlannerConfig {
                 mode,
                 ..PlannerConfig::default()

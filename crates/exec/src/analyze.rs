@@ -4,11 +4,10 @@
 //! The renderer joins the physical plan's tree shape with the engines'
 //! post-order [`OperatorMetrics`] and prints, per operator: estimated
 //! rows, actual rows, the q-error between them, **exclusive** wall time
-//! (children subtracted), cpu time with the worker count that produced
-//! it, and output throughput (`—` when the operator finished below the
-//! timer's resolution). The same columns render on all three engines —
-//! row, batch, and morsel-parallel — and through the stratum, so a plan
-//! can be compared across engines line by line.
+//! (children subtracted), and output throughput (`—` when the operator
+//! finished below the timer's resolution). The same columns render on
+//! both engines — row and batch — and through the stratum, so a plan can
+//! be compared across engines line by line.
 //!
 //! Adaptive runs have no single static plan (the remainder is re-lowered
 //! at checkpoints), so they render as a flat list in execution order with
@@ -69,8 +68,8 @@ pub fn explain_analyze(plan: &LogicalPlan, env: &Env, config: PlannerConfig) -> 
 pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics, engine: &str) -> String {
     let mut out = format!("EXPLAIN ANALYZE ({engine} engine)\n");
     out.push_str(&format!(
-        "{:<44} {:>9} {:>9} {:>7} {:>11} {:>11} {:>4} {:>12}\n",
-        "operator", "est rows", "act rows", "q-err", "time", "cpu", "thr", "rows/s"
+        "{:<44} {:>9} {:>9} {:>7} {:>11} {:>12}\n",
+        "operator", "est rows", "act rows", "q-err", "time", "rows/s"
     ));
     match plan {
         Some(p) if p.root.size() == metrics.operators.len() => {
@@ -97,9 +96,8 @@ pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics, engine: &str) 
         }
     }
     let wall = metrics.total_time();
-    let cpu = metrics.total_cpu_time();
     out.push_str(&format!(
-        "total: {wall:?} operator wall, {cpu:?} cpu across {} operator(s)",
+        "total: {wall:?} operator wall across {} operator(s)",
         metrics.operators.len()
     ));
     if let Some(q) = metrics.median_q_error() {
@@ -152,32 +150,19 @@ fn row(label: &str, depth: usize, op: &OperatorMetrics) -> String {
     let q = op
         .q_error()
         .map_or_else(|| "-".into(), |q| format!("{q:.2}"));
-    let cpu = format!("{:?}", op.cpu_time());
     let rate = op
         .throughput()
         .map_or_else(|| "—".into(), |r| format!("{r:.0}"));
     format!(
-        "{indented:<44} {est:>9} {:>9} {q:>7} {:>11} {cpu:>11} {:>4} {rate:>12}\n",
+        "{indented:<44} {est:>9} {:>9} {q:>7} {:>11} {rate:>12}\n",
         op.rows_out,
         format!("{:?}", op.elapsed),
-        op.threads(),
     )
 }
 
-/// Debug-assertion helper shared by tests: for serial engines every
-/// operator must report `cpu_time == elapsed` (no thread breakdown to
-/// diverge), and on every engine the sum of exclusive operator times can
-/// never exceed `wall` (the measured end-to-end query time).
-pub fn check_time_invariants(metrics: &ExecMetrics, wall: Duration, serial: bool) {
-    if serial {
-        for op in &metrics.operators {
-            assert!(
-                op.thread_times.is_empty() && op.cpu_time() == op.elapsed,
-                "serial operator `{}` must report cpu_time == elapsed",
-                op.label
-            );
-        }
-    }
+/// Debug-assertion helper shared by tests: the sum of exclusive operator
+/// times can never exceed `wall` (the measured end-to-end query time).
+pub fn check_time_invariants(metrics: &ExecMetrics, wall: Duration) {
     let sum = metrics.total_time();
     assert!(
         sum <= wall,
@@ -214,11 +199,7 @@ mod tests {
     #[test]
     fn analyze_renders_every_operator_with_columns() {
         let cat = paper::catalog();
-        for mode in [
-            ExecMode::Row,
-            ExecMode::Batch,
-            ExecMode::Parallel { threads: 2 },
-        ] {
+        for mode in [ExecMode::Row, ExecMode::Batch] {
             let a = explain_analyze(
                 &figure2a(),
                 &cat.env(),
@@ -230,7 +211,7 @@ mod tests {
             .unwrap();
             assert_eq!(a.result, paper::figure1_result());
             assert_eq!(a.plan.root.size(), a.metrics.operators.len());
-            for col in ["est rows", "act rows", "q-err", "cpu", "thr", "rows/s"] {
+            for col in ["est rows", "act rows", "q-err", "time", "rows/s"] {
                 assert!(
                     a.report.contains(col),
                     "missing column {col}:\n{}",
@@ -259,7 +240,6 @@ mod tests {
             est_rows: Some(50),
             batches: 1,
             elapsed: Duration::from_micros(3),
-            thread_times: Vec::new(),
         };
         let metrics = ExecMetrics {
             operators: vec![op("scan(R)"), op("rdupT[sweep]"), op("sort[stable]")],
@@ -294,7 +274,6 @@ mod tests {
                 est_rows: None,
                 batches: 1,
                 elapsed: Duration::ZERO,
-                thread_times: Vec::new(),
             }],
             reopts: Vec::new(),
         };

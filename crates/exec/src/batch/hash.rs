@@ -243,11 +243,9 @@ impl KeyStore {
 
 /// Key-space partition of a row hash. The high half of the hash drives
 /// partition choice while probe tables index slots with the low bits, so
-/// partition and slot choice stay decorrelated. Shared by the serial
-/// radix-partitioned builds and the parallel
-/// [`ParClassIndex`](crate::parallel) so both sides agree on routing.
+/// partition and slot choice stay decorrelated.
 #[inline]
-pub fn part_of(hash: u64, nparts: usize) -> usize {
+pub(super) fn part_of(hash: u64, nparts: usize) -> usize {
     ((hash >> 32) % nparts as u64) as usize
 }
 
@@ -257,7 +255,7 @@ pub fn part_of(hash: u64, nparts: usize) -> usize {
 /// stable, so each partition's ids stay ascending — the property that
 /// makes a per-partition build equivalent to a serial first-occurrence
 /// scan restricted to that partition.
-pub fn radix_scatter(hashes: &[u64], nparts: usize) -> (Vec<u32>, Vec<u32>) {
+pub(super) fn radix_scatter(hashes: &[u64], nparts: usize) -> (Vec<u32>, Vec<u32>) {
     let mut counts = vec![0u32; nparts + 1];
     for &h in hashes {
         counts[part_of(h, nparts) + 1] += 1;

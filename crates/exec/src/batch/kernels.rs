@@ -51,12 +51,12 @@ pub fn sort_indices(input: &ColumnarRelation, order: &Order) -> Result<Vec<u32>>
     Ok(idx)
 }
 
-/// Precomputed sort state shared by the serial sort and the parallel
-/// partition-then-merge sort: per-row normalized `u64` prefixes of the
-/// primary key (unsigned ascending order never contradicting the full
-/// comparator — see [`Column::sort_prefixes`]) plus the resolved key
-/// list for refinement.
-pub(crate) struct SortKeys<'a> {
+/// Precomputed sort state shared by [`sort_indices`] and the pipeline's
+/// fused selection sort: per-row normalized `u64` prefixes of the primary
+/// key (unsigned ascending order never contradicting the full comparator
+/// — see [`Column::sort_prefixes`]) plus the resolved key list for
+/// refinement.
+pub(super) struct SortKeys<'a> {
     input: &'a ColumnarRelation,
     keys: Vec<(usize, SortDir)>,
     prefixes: Vec<u64>,
@@ -94,18 +94,6 @@ impl<'a> SortKeys<'a> {
         })
     }
 
-    /// The full sort comparator (prefix first, then the remaining keys) —
-    /// equivalent to comparing every key with `cmp_at`.
-    #[inline]
-    pub fn cmp(&self, a: u32, b: u32) -> Ordering {
-        let pa = self.prefixes[a as usize];
-        let pb = self.prefixes[b as usize];
-        if pa != pb {
-            return pa.cmp(&pb);
-        }
-        cmp_rows(self.input, self.refine_keys(), a, b)
-    }
-
     /// The keys refinement still has to compare once prefixes tie.
     #[inline]
     fn refine_keys(&self) -> &[(usize, SortDir)] {
@@ -116,13 +104,12 @@ impl<'a> SortKeys<'a> {
         }
     }
 
-    /// Stable-sort one run of row ids (the run must be ascending, as the
-    /// serial `0..n` and the parallel contiguous runs are): radix-scatter
-    /// `(prefix, id)` pairs by the top prefix byte, sort each bucket
-    /// unstably on the pair — the id component *is* the stability
-    /// tie-break — then refine equal-prefix runs with the remaining
-    /// comparator. Equal-prefix runs never span a radix bucket, so the
-    /// refinement scan walks the buckets' concatenation directly.
+    /// Stable-sort ascending row ids (`0..n`, or a fused selection
+    /// vector): radix-scatter `(prefix, id)` pairs by the top prefix byte,
+    /// sort each bucket unstably on the pair — the id component *is* the
+    /// stability tie-break — then refine equal-prefix runs with the
+    /// remaining comparator. Equal-prefix runs never span a radix bucket,
+    /// so the refinement scan walks the buckets' concatenation directly.
     pub fn sort(&self, idx: &mut [u32]) {
         if idx.len() < 2 || self.keys.is_empty() {
             return;
@@ -788,7 +775,7 @@ pub fn product_t_nested(
 /// period's index lands on.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn emit_overlaps(
+fn emit_overlaps(
     active: &[(i64, i64, u32)],
     s: i64,
     e: i64,
@@ -978,10 +965,8 @@ pub fn rdup_t_sweep(input: &ColumnarRelation) -> Result<ColumnarRelation> {
 }
 
 /// One class of `coalᵀ`: sort the class's periods, then merge meeting
-/// neighbors. The single definition both the serial kernel and the
-/// parallel engine call, so per-class coalescing cannot drift between
-/// engines.
-pub(crate) fn coalesce_class(mut periods: Vec<Period>) -> Vec<Period> {
+/// neighbors.
+fn coalesce_class(mut periods: Vec<Period>) -> Vec<Period> {
     periods.sort();
     let mut out = Vec::new();
     let mut current: Option<Period> = None;

@@ -889,7 +889,7 @@ impl BatchOperator for BlockingOp {
 // Plan translation
 // ---------------------------------------------------------------------------
 
-pub(crate) fn demoted(schema: &Schema) -> Arc<Schema> {
+fn demoted(schema: &Schema) -> Arc<Schema> {
     if schema.is_temporal() {
         Arc::new(schema.demote_time_attrs())
     } else {
@@ -897,7 +897,7 @@ pub(crate) fn demoted(schema: &Schema) -> Arc<Schema> {
     }
 }
 
-pub(crate) fn require_temporal(schema: &Schema, context: &'static str) -> Result<()> {
+fn require_temporal(schema: &Schema, context: &'static str) -> Result<()> {
     if schema.is_temporal() {
         Ok(())
     } else {
@@ -1215,7 +1215,6 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
             est_rows: None,
             batches: node.batches,
             elapsed: node.inclusive.saturating_sub(child_time),
-            thread_times: Vec::new(),
         });
     }
     Ok((

@@ -1,18 +1,18 @@
 //! Physical plan execution with per-operator metrics.
 //!
-//! Three engines execute the same physical plans:
+//! Two engines execute the same physical plans:
 //!
 //! * [`ExecMode::Batch`] (the default) — the vectorized pipeline of
 //!   [`crate::batch`]: columnar batches stream through the operator tree,
 //!   base tables are read through the transpose resident in each
 //!   relation's storage, and only pipeline breakers materialize.
-//! * [`ExecMode::Parallel`] — the morsel-driven parallel engine of
-//!   [`crate::parallel`]: the batch engine's columnar operators split
-//!   across a small worker pool, merged back in deterministic order.
 //! * [`ExecMode::Row`] — the original materialize-everything tree walk,
-//!   retained as the semantic baseline; `tests/engines_agree.rs` and
-//!   `tests/parallel_agrees.rs` hold all engines (and the interpreter) to
-//!   identical results.
+//!   retained as the semantic baseline; `tests/engines_agree.rs` holds
+//!   both engines (and the interpreter) to identical results.
+//!
+//! Parallelism is across queries, not inside one: the
+//! [`Scheduler`](crate::parallel::Scheduler) runs the stages of many
+//! queries on one worker pool, each stage on one of these engines.
 
 use std::time::Instant;
 
@@ -33,19 +33,18 @@ use crate::planner::{lower, PlannerConfig};
 
 /// Which engine executes a physical plan.
 ///
-/// All engines produce equal (`==`) relations for the same physical plan;
-/// they differ only in data layout and parallelism.
+/// Both engines produce equal (`==`) relations for the same physical plan;
+/// they differ only in data layout.
 ///
 /// ```
 /// use tqo_exec::ExecMode;
 ///
 /// // The default engine is the vectorized batch pipeline…
 /// assert_eq!(ExecMode::default(), ExecMode::Batch);
-/// // …and the parallel engine is the batch engine spread over a worker
-/// // pool. `parallel()` sizes the pool to the host.
+/// // …and `Parallel` is an alias for it: the thread count is accepted
+/// // and ignored, and the plan is priced and run as a batch plan.
 /// let mode = ExecMode::Parallel { threads: 4 };
-/// assert_eq!(mode.threads(), 4);
-/// assert!(matches!(ExecMode::parallel(), ExecMode::Parallel { .. }));
+/// assert_eq!(mode.engine(), ExecMode::Batch.engine());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
@@ -54,40 +53,23 @@ pub enum ExecMode {
     /// Vectorized columnar pipeline (~1024-row batches).
     #[default]
     Batch,
-    /// Morsel-driven parallel batch execution on a fixed worker pool
-    /// (see [`crate::parallel`]). `threads` below 1 clamps to 1.
+    /// An alias that runs [`ExecMode::Batch`]. It remains only because
+    /// wire tag 2 decodes to it and the benchmark's `exec.parallel` probe
+    /// constructs it.
     Parallel {
-        /// Worker threads executing morsels.
+        /// Ignored.
         threads: usize,
     },
 }
 
 impl ExecMode {
-    /// The parallel engine sized to the host's available parallelism.
-    pub fn parallel() -> ExecMode {
-        ExecMode::Parallel {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-
-    /// Worker threads this mode executes with (1 for the serial engines).
-    pub fn threads(&self) -> usize {
-        match self {
-            ExecMode::Parallel { threads } => (*threads).max(1),
-            _ => 1,
-        }
-    }
-
     /// The cost-model calibration target for this engine, consumed by
     /// [`tqo_core::cost::CostModel::calibrated`] so the optimizer prices
     /// plans for the engine that will actually run them.
     pub fn engine(&self) -> tqo_core::cost::Engine {
         match self {
             ExecMode::Row => tqo_core::cost::Engine::Row,
-            ExecMode::Batch => tqo_core::cost::Engine::Batch,
-            ExecMode::Parallel { threads } => tqo_core::cost::Engine::Parallel {
-                threads: (*threads).max(1),
-            },
+            ExecMode::Batch | ExecMode::Parallel { .. } => tqo_core::cost::Engine::Batch,
         }
     }
 }
@@ -107,8 +89,9 @@ pub fn execute_mode(
     });
     let (result, mut metrics) = match mode {
         ExecMode::Row => execute_row(plan, env),
-        ExecMode::Batch => crate::batch::pipeline::execute_batch(plan, env),
-        ExecMode::Parallel { threads } => crate::parallel::execute_parallel(plan, env, threads),
+        ExecMode::Batch | ExecMode::Parallel { .. } => {
+            crate::batch::pipeline::execute_batch(plan, env)
+        }
     }?;
     span.note_with(|| format!("\"rows\": {}", result.len()));
     drop(span);
@@ -190,26 +173,22 @@ pub(crate) fn apply_row_op(node: &PhysicalNode, inputs: &[Relation]) -> Result<R
 }
 
 /// `×`'s output size is known before it runs: charge it to the query's
-/// budget before anything of that size is allocated. `footprint(i)` is
-/// input `i`'s `(bytes, rows)`. `None` for every other operator (and for
-/// an ungoverned query).
-pub(crate) fn precharge_product(
+/// budget before anything of that size is allocated. `None` for every
+/// other operator (and for an ungoverned query).
+fn precharge_product(
     node: &PhysicalNode,
-    footprint: impl Fn(usize) -> (usize, usize),
+    inputs: &[Relation],
 ) -> Result<Option<context::Reservation>> {
     match node {
         PhysicalNode::Product {
             algo: ProductAlgo::NestedLoop,
             ..
-        } => {
-            let ((left_bytes, left_rows), (right_bytes, right_rows)) = (footprint(0), footprint(1));
-            context::reserve_current(crate::batch::kernels::product_bytes(
-                left_bytes,
-                left_rows,
-                right_bytes,
-                right_rows,
-            ))
-        }
+        } => context::reserve_current(crate::batch::kernels::product_bytes(
+            inputs[0].approx_bytes(),
+            inputs[0].len(),
+            inputs[1].approx_bytes(),
+            inputs[1].len(),
+        )),
         _ => Ok(None),
     }
 }
@@ -259,8 +238,7 @@ fn run(
         // copy — shared base storage is not charged to the query.
         PhysicalNode::Scan { name } => (env.get(name)?.clone(), None),
         other => {
-            let precharged =
-                precharge_product(other, |i| (inputs[i].approx_bytes(), inputs[i].len()))?;
+            let precharged = precharge_product(other, &inputs)?;
             let out = apply_row_op(other, &inputs)?;
             let reserved = settle(precharged, out.approx_bytes())?;
             (out, reserved)
@@ -276,7 +254,6 @@ fn run(
         est_rows: None,
         batches: 1,
         elapsed,
-        thread_times: Vec::new(),
     });
     Ok((out, reserved))
 }

@@ -24,13 +24,14 @@
 //! pick the fastest admissible algorithm; [`executor::execute_mode`] runs
 //! the physical plan collecting per-operator metrics.
 //!
-//! Three engines execute physical plans ([`executor::ExecMode`]): the
+//! Two engines execute physical plans ([`executor::ExecMode`]): the
 //! vectorized batch pipeline in [`batch`] (default — columnar ~1024-row
 //! batches, selection vectors, column-wise hashing, period-column
-//! sweeps), the morsel-parallel engine in [`parallel`], and the
-//! row-at-a-time materializing walk ([`executor::ExecMode::Row`], the
-//! semantic baseline). For any one physical plan they produce identical
-//! relations.
+//! sweeps) and the row-at-a-time materializing walk
+//! ([`executor::ExecMode::Row`], the semantic baseline). For any one
+//! physical plan they produce identical relations. [`parallel`] holds the
+//! stage graph and the one worker pool that runs many queries' stages at
+//! once.
 
 #![warn(missing_docs)]
 

@@ -20,27 +20,16 @@ pub struct OperatorMetrics {
     /// The planner's estimated output cardinality, when the plan carried
     /// one — the basis of the q-error feedback loop.
     pub est_rows: Option<u64>,
-    /// Batches produced (1 for the row engine's materialized output; the
-    /// morsel count under the parallel engine).
+    /// Batches produced (1 for the row engine's materialized output).
     pub batches: usize,
     /// **Exclusive wall-clock** time spent in this operator (children
-    /// excluded). For multi-threaded operators this is the elapsed time of
-    /// the operator's parallel region, *not* the sum of its workers' busy
-    /// times — summed thread time lives in [`OperatorMetrics::cpu_time`],
-    /// so wall-clock is never double-counted across workers (or into the
-    /// parent, whose children finish before its own timer starts).
+    /// excluded), so time is never double-counted into the parent.
     pub elapsed: Duration,
-    /// Per-worker busy times of a morsel-parallel operator, one entry per
-    /// worker that did any work. Empty for the serial engines.
-    pub thread_times: Vec<Duration>,
 }
 
 impl OperatorMetrics {
     /// Output throughput in rows per second (0 when the timer saw nothing,
     /// which happens for sub-resolution operators on empty inputs).
-    /// Always computed from aggregate rows over **wall-clock** time —
-    /// dividing by summed thread time would overstate a parallel
-    /// operator's cost by its worker count.
     pub fn rows_per_sec(&self) -> f64 {
         self.throughput().unwrap_or(0.0)
     }
@@ -55,22 +44,6 @@ impl OperatorMetrics {
             return None;
         }
         Some(self.rows_out as f64 / secs)
-    }
-
-    /// Total busy time across this operator's workers (equals `elapsed`
-    /// for serial operators). The parallel engine's speedup on an operator
-    /// is roughly `cpu_time / elapsed` when its workers stay saturated.
-    pub fn cpu_time(&self) -> Duration {
-        if self.thread_times.is_empty() {
-            self.elapsed
-        } else {
-            self.thread_times.iter().sum()
-        }
-    }
-
-    /// Workers that contributed to this operator (1 for serial engines).
-    pub fn threads(&self) -> usize {
-        self.thread_times.len().max(1)
     }
 
     /// The q-error of the cardinality estimate:
@@ -144,14 +117,6 @@ impl ExecMetrics {
         self.operators.iter().map(|o| o.elapsed).sum()
     }
 
-    /// Total busy time across all operators and workers — the work the
-    /// plan did, as opposed to how long it took ([`total_time`]).
-    ///
-    /// [`total_time`]: ExecMetrics::total_time
-    pub fn total_cpu_time(&self) -> Duration {
-        self.operators.iter().map(OperatorMetrics::cpu_time).sum()
-    }
-
     /// Total rows produced across all operators (a rough work measure).
     pub fn total_rows(&self) -> usize {
         self.operators.iter().map(|o| o.rows_out).sum()
@@ -215,11 +180,6 @@ impl ExecMetrics {
                 Some(q) => format!("{q:.2}"),
                 None => "-".into(),
             };
-            let thr = if op.thread_times.is_empty() {
-                String::new()
-            } else {
-                format!(" thr={} cpu={:?}", op.threads(), op.cpu_time())
-            };
             // Sub-resolution operators have no meaningful rate: render a
             // dash, not `0 rows/s`.
             let rate = match op.throughput() {
@@ -227,8 +187,8 @@ impl ExecMetrics {
                 None => format!("{:>12} rows/s", "—"),
             };
             out.push_str(&format!(
-                "{:<30} rows_in={:<8} rows_out={:<8} est={:<8} q={:<6} batches={:<5} time={:<12?} {rate}{}\n",
-                op.label, op.rows_in, op.rows_out, est, q, op.batches, op.elapsed, thr,
+                "{:<30} rows_in={:<8} rows_out={:<8} est={:<8} q={:<6} batches={:<5} time={:<12?} {rate}\n",
+                op.label, op.rows_in, op.rows_out, est, q, op.batches, op.elapsed,
             ));
         }
         for e in &self.reopts {
@@ -251,7 +211,6 @@ mod tests {
             est_rows: None,
             batches: 1,
             elapsed,
-            thread_times: Vec::new(),
         }
     }
 
@@ -301,33 +260,6 @@ mod tests {
         };
         assert!(m.report().contains("— rows/s"));
         assert!(!m.report().contains("0 rows/s"));
-    }
-
-    #[test]
-    fn parallel_operators_separate_wall_from_thread_time() {
-        // A 4-worker operator: 100ms wall, 4 × ~90ms busy. Exclusive time
-        // stays wall-clock (no double-counting the overlapped workers),
-        // cpu_time sums the per-thread breakdown, and throughput divides
-        // by wall time — not by the ~360ms of summed thread time.
-        let mut o = op("rdup[hash]", 1_000_000, Duration::from_millis(100));
-        o.thread_times = vec![Duration::from_millis(90); 4];
-        assert_eq!(o.threads(), 4);
-        assert_eq!(o.cpu_time(), Duration::from_millis(360));
-        assert_eq!(o.elapsed, Duration::from_millis(100));
-        assert!((o.rows_per_sec() - 10_000_000.0).abs() < 1.0);
-
-        // Serial operators report cpu == wall and one thread.
-        let serial = op("select", 10, Duration::from_millis(5));
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(serial.cpu_time(), serial.elapsed);
-
-        let m = ExecMetrics {
-            operators: vec![o.clone(), serial],
-            reopts: Vec::new(),
-        };
-        assert_eq!(m.total_time(), Duration::from_millis(105));
-        assert_eq!(m.total_cpu_time(), Duration::from_millis(365));
-        assert!(m.report().contains("thr=4"));
     }
 
     #[test]

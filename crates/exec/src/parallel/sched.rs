@@ -1,15 +1,13 @@
 //! The multi-query partition-pipeline scheduler.
 //!
-//! Where the morsel pool ([`super::morsel`]) parallelizes *inside* one
-//! operator, this module multiplexes *many queries* over one shared,
-//! process-wide worker pool, push-style: each submitted plan is lowered
-//! into a breaker-bounded stage graph ([`super::stage`]), completed
-//! stages push their dependents onto the shared run queue, and workers
-//! pick the next stage task under a weighted-fair policy. Nothing here
-//! changes what a query computes — stages execute with the ordinary
-//! deterministic engines — so a result produced through the scheduler is
-//! byte-identical to the same plan's serial run (ARCHITECTURE
-//! invariant 16).
+//! This module multiplexes *many queries* over one shared, process-wide
+//! worker pool, push-style: each submitted plan is lowered into a
+//! breaker-bounded stage graph ([`super::stage`]), completed stages push
+//! their dependents onto the shared run queue, and workers pick the next
+//! stage task under a weighted-fair policy. Nothing here changes what a
+//! query computes — stages execute with the ordinary deterministic
+//! engines — so a result produced through the scheduler is byte-identical
+//! to the same plan's serial run (ARCHITECTURE invariant 16).
 //!
 //! Governance hooks:
 //!
@@ -30,8 +28,14 @@
 //!   the worker for the duration of its tasks only; deadlines, budgets,
 //!   and cancellation are re-checked at every task boundary and fail
 //!   just that query, leaving the pool serving everyone else.
+//! * **Panic containment** — a panic inside a stage task is caught at
+//!   the task boundary and becomes the typed [`Error::Internal`] for that
+//!   query alone: the worker survives, the query's admission slot is
+//!   released when it is waited on, and every other query keeps running.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
@@ -469,7 +473,9 @@ fn next_task(state: &mut State) -> Option<Task> {
     })
 }
 
-/// Execute one stage task (no locks held) and retire it.
+/// Execute one stage task (no locks held) and retire it. A panic in the
+/// stage is caught here and retired as [`Error::Internal`], so it fails
+/// only its own query and never unwinds through the worker.
 fn run_task(shared: &Arc<Shared>, task: Task) {
     counters::SCHED_TASKS.incr();
     let result = {
@@ -478,20 +484,45 @@ fn run_task(shared: &Arc<Shared>, task: Task) {
         let _span = trace::span_with(Category::Exec, || {
             format!("sched q{} stage {}", task.query, task.stage)
         });
-        // Task-boundary governance checkpoint: a tripped token, expired
-        // deadline, or exhausted budget fails the query before any more
-        // of its work is scheduled.
-        task.ctx
-            .check()
-            .and_then(|()| execute_mode(&task.plan, &task.env, task.mode))
-            .and_then(|(rel, m)| {
-                // Stage outputs stay resident until the query finishes;
-                // charge them against the query's budget at the boundary.
-                task.ctx.budget().try_charge(rel.approx_bytes())?;
-                Ok((rel, m))
+        // No scheduler lock is held here, so unwinding cannot poison it;
+        // shared state the stage reaches (the query's budget, resident
+        // transposes) is updated atomically, never left half-written.
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::panic_if_marked(&task.plan);
+            // Task-boundary governance checkpoint: a tripped token,
+            // expired deadline, or exhausted budget fails the query before
+            // any more of its work is scheduled.
+            task.ctx
+                .check()
+                .and_then(|()| execute_mode(&task.plan, &task.env, task.mode))
+                .and_then(|(rel, m)| {
+                    // Stage outputs stay resident until the query
+                    // finishes; charge them against the query's budget at
+                    // the boundary.
+                    task.ctx.budget().try_charge(rel.approx_bytes())?;
+                    Ok((rel, m))
+                })
+        }))
+        .unwrap_or_else(|payload| {
+            Err(Error::Internal {
+                reason: panic_message(payload.as_ref()),
             })
+        })
     };
     retire(shared, task.query, task.stage, result);
+}
+
+/// The message a panic was raised with (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "stage task panicked".to_owned()
+    }
 }
 
 /// Retire a finished stage task: book service, publish the output (or
@@ -589,6 +620,49 @@ mod tests {
         )
         .unwrap();
         Env::new().with("R", r)
+    }
+
+    /// Stages that scan this table panic before they run: the test-only
+    /// stand-in for a kernel bug.
+    const PANIC_TABLE: &str = "__panic";
+
+    pub(super) fn panic_if_marked(plan: &PhysicalPlan) {
+        fn scans_panic_table(node: &PhysicalNode) -> bool {
+            matches!(node, PhysicalNode::Scan { name } if name == PANIC_TABLE)
+                || node.children().into_iter().any(|c| scans_panic_table(c))
+        }
+        if scans_panic_table(&plan.root) {
+            panic!("injected stage panic");
+        }
+    }
+
+    fn panicking_plan() -> PhysicalPlan {
+        PhysicalPlan::new(PhysicalNode::Sort {
+            input: Arc::new(PhysicalNode::Scan {
+                name: PANIC_TABLE.into(),
+            }),
+            order: Order::asc(&["E"]),
+        })
+    }
+
+    /// Wait on a helper thread, so a query that never finishes fails the
+    /// test instead of hanging it.
+    fn wait_bounded(h: QueryHandle) -> Result<Relation> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(h.wait().map(|(rel, _)| rel));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("query reached an outcome within 10 s")
+    }
+
+    fn assert_internal(outcome: Result<Relation>) {
+        match outcome {
+            Err(Error::Internal { reason }) => {
+                assert!(reason.contains("injected stage panic"), "{reason}")
+            }
+            other => panic!("expected Error::Internal, got {:?}", other.map(|r| r.len())),
+        }
     }
 
     fn sort_plan() -> PhysicalPlan {
@@ -803,5 +877,68 @@ mod tests {
         let (out, _) = survivor.wait().unwrap();
         let (serial, _) = execute_mode(&plan, &e, ExecMode::Batch).unwrap();
         assert_eq!(out, serial);
+    }
+
+    #[test]
+    fn a_panicking_stage_fails_only_its_query_and_the_worker_survives() {
+        let e = env();
+        let (serial, _) = execute_mode(&sort_plan(), &e, ExecMode::Batch).unwrap();
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            max_queries: 2,
+        });
+        let h = sched
+            .submit(&panicking_plan(), &e, SubmitOptions::default())
+            .unwrap();
+        assert_internal(wait_bounded(h));
+        // The pool's only worker is still alive and serves the next query.
+        let h = sched
+            .submit(&sort_plan(), &e, SubmitOptions::default())
+            .unwrap();
+        assert_eq!(wait_bounded(h).unwrap(), serial);
+        // No admission slot leaked: every slot admits at once.
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                sched
+                    .submit(&sort_plan(), &e, SubmitOptions::default())
+                    .unwrap()
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(wait_bounded(h).unwrap(), serial);
+        }
+        assert_eq!(sched.resident(), 0);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn step_mode_contains_a_panicking_stage() {
+        let e = env();
+        let (serial, _) = execute_mode(&sort_plan(), &e, ExecMode::Batch).unwrap();
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 0,
+            max_queries: 2,
+        });
+        let victim = sched
+            .submit(&panicking_plan(), &e, SubmitOptions::default())
+            .unwrap();
+        let survivor = sched
+            .submit(&sort_plan(), &e, SubmitOptions::default())
+            .unwrap();
+        while sched.step().is_some() {}
+        assert_internal(wait_bounded(victim));
+        assert_eq!(wait_bounded(survivor).unwrap(), serial);
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                sched
+                    .submit(&sort_plan(), &e, SubmitOptions::default())
+                    .unwrap()
+            })
+            .collect();
+        while sched.step().is_some() {}
+        for h in handles {
+            assert_eq!(wait_bounded(h).unwrap(), serial);
+        }
+        assert_eq!(sched.resident(), 0);
     }
 }

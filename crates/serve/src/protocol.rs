@@ -13,8 +13,8 @@
 //! Concurrency comes from many connections, not pipelining — which keeps
 //! per-query attribution (errors, budgets, cancellation) trivial.
 //!
-//! Errors cross the wire **typed**: the governance and admission
-//! variants the serving tests assert on are encoded structurally
+//! Errors cross the wire **typed**: the governance, admission and
+//! internal (caught-panic) variants are encoded structurally
 //! (variant tag plus fields) and decode back to the exact
 //! [`Error`](tqo_core::error::Error) value; the long tail of planning
 //! errors degrades to [`Error::Plan`] with the rendered message.
@@ -263,6 +263,10 @@ fn put_error(buf: &mut BytesMut, e: &Error) {
             buf.put_u8(7);
             put_str(buf, reason);
         }
+        Error::Internal { reason } => {
+            buf.put_u8(8);
+            put_str(buf, reason);
+        }
         other => {
             buf.put_u8(0);
             put_str(buf, &other.to_string());
@@ -292,6 +296,9 @@ fn get_error(buf: &mut Bytes) -> Result<Error> {
             construct: get_str(buf)?,
         },
         7 => Error::Storage {
+            reason: get_str(buf)?,
+        },
+        8 => Error::Internal {
             reason: get_str(buf)?,
         },
         0 => Error::Plan {
@@ -543,6 +550,9 @@ mod tests {
             }),
             Response::Fail(Error::Storage {
                 reason: "injected".into(),
+            }),
+            Response::Fail(Error::Internal {
+                reason: "stage panicked: index out of bounds".into(),
             }),
         ];
         for resp in resps {

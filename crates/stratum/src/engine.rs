@@ -41,9 +41,8 @@ pub struct StratumMetrics {
     /// Number of DBMS fragments executed.
     pub fragments: usize,
     /// Per-operator metrics of the stratum-local plan (empty for
-    /// fully-pushed plans, which have none). Parallel-mode operators
-    /// carry their per-thread breakdown — `\timing` in the shell prints
-    /// this report.
+    /// fully-pushed plans, which have none). `\timing` in the shell
+    /// prints this report.
     pub operators: Vec<tqo_exec::OperatorMetrics>,
     /// Adaptive checkpoint decisions of the stratum-local plan (adaptive
     /// mode only; see [`Stratum::with_adaptive`]). `\timing` prints these.
@@ -145,8 +144,7 @@ impl Stratum {
     }
 
     /// Select the engine executing the stratum's local operator tree: the
-    /// vectorized batch pipeline (default), the morsel-parallel engine
-    /// ([`ExecMode::Parallel`]), or the row-at-a-time engine.
+    /// vectorized batch pipeline (default) or the row-at-a-time engine.
     /// Recalibrates the optimizer's cost model to the chosen engine
     /// (apply [`Stratum::with_cost_model`] afterwards to override).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Stratum {
@@ -492,7 +490,7 @@ impl Stratum {
     /// layered report — a header with the fragment/wire volume and the
     /// DBMS/stratum time split, followed by the stratum-local plan's
     /// per-operator analyze table (est vs actual rows, q-error, exclusive
-    /// wall time, cpu/threads, throughput; re-opt events inlined under
+    /// wall time, throughput; re-opt events inlined under
     /// adaptive mode). The result is byte-identical to a plain run.
     pub fn run_sql_analyzed(&self, sql: &str) -> Result<(Relation, StratumMetrics, String)> {
         let (result, metrics, _plan) = self.run_sql_optimized(sql)?;
@@ -581,12 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_row_and_parallel_stratum_modes_agree_exactly() {
+    fn batch_and_row_stratum_modes_agree_exactly() {
         let batch = Stratum::new(paper::catalog());
         let row = Stratum::new(paper::catalog()).with_exec_mode(tqo_exec::ExecMode::Row);
-        let par = Stratum::new(paper::catalog())
-            .with_exec_mode(tqo_exec::ExecMode::Parallel { threads: 4 });
-        assert_eq!(par.exec_mode().threads(), 4);
         for sql in [
             "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE \
              EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
@@ -598,15 +593,12 @@ mod tests {
         ] {
             let (b, bm) = batch.run_sql(sql).unwrap();
             let (r, rm) = row.run_sql(sql).unwrap();
-            let (p, pm) = par.run_sql(sql).unwrap();
             assert_eq!(b, r, "stratum engines diverge on {sql}");
-            assert_eq!(b, p, "parallel stratum mode diverges on {sql}");
             assert_eq!(bm.fragments, rm.fragments);
             assert_eq!(bm.transferred_rows, rm.transferred_rows);
             assert_eq!(bm.transfer_bytes, rm.transfer_bytes);
-            assert_eq!(pm.fragments, bm.fragments);
-            // Pipelined modes surface the local plan's operator report.
-            assert!(!pm.operators.is_empty());
+            // Both modes surface the local plan's operator report.
+            assert!(!rm.operators.is_empty());
             assert!(!bm.operators.is_empty());
         }
     }

@@ -3,10 +3,10 @@
 //! The optimizer picks plans from *estimated* cardinalities and costs
 //! (the `\costs` view); `EXPLAIN ANALYZE` executes the chosen plan and
 //! annotates every operator with what actually happened — actual rows,
-//! the q-error against the estimate, exclusive wall time, cpu time and
-//! worker count, and throughput. This example walks the paper's temporal
-//! join ("which employees worked while a project ran, and when?") through
-//! both views, then shows the same analyze columns on all three engines.
+//! the q-error against the estimate, exclusive wall time, and throughput.
+//! This example walks the paper's temporal join ("which employees worked
+//! while a project ran, and when?") through both views, then shows the
+//! same analyze columns on the row engine.
 //!
 //! ```sh
 //! cargo run --example explain_analyze
@@ -66,22 +66,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analyzed.result
     );
 
-    // ── The same columns render uniformly on every engine, so one plan
-    // can be compared across engines line by line. The `thr` column shows
-    // where the morsel-parallel engine actually fanned out.
-    for mode in [ExecMode::Row, ExecMode::Parallel { threads: 4 }] {
-        println!("=== EXPLAIN ANALYZE ({mode:?} engine) ===\n");
-        let a = explain_analyze(
-            &plan,
-            &env,
-            PlannerConfig {
-                mode,
-                ..Default::default()
-            },
-        )?;
-        print!("{}", a.report);
-        assert_eq!(a.result, analyzed.result, "engines agree byte-for-byte");
-        println!();
-    }
+    // ── The same columns render uniformly on both engines, so one plan
+    // can be compared across engines line by line.
+    println!("=== EXPLAIN ANALYZE (Row engine) ===\n");
+    let a = explain_analyze(
+        &plan,
+        &env,
+        PlannerConfig {
+            mode: ExecMode::Row,
+            ..Default::default()
+        },
+    )?;
+    print!("{}", a.report);
+    assert_eq!(a.result, analyzed.result, "engines agree byte-for-byte");
+    println!();
     Ok(())
 }

@@ -14,26 +14,22 @@
 //!   estimated rows, and estimated cost (the statistics-driven view);
 //! * `\analyze <sql>` — EXPLAIN ANALYZE: execute the optimized plan and
 //!   render it annotated per operator with estimated vs actual rows,
-//!   q-error, exclusive wall time, cpu time/threads, and throughput
+//!   q-error, exclusive wall time, and throughput
 //!   (re-opt events inlined under `\adaptive`);
 //! * `\profile <sql> [file]` — execute the query with tracing enabled and
 //!   write the profile as Chrome trace-event JSON (default `trace.json`;
 //!   open in `chrome://tracing` or Perfetto);
 //! * `\counters` — dump the process-wide observability counters (memo
-//!   exprs, rules fired, stats-cache traffic, morsels, re-opts, wire
-//!   volume);
+//!   exprs, rules fired, stats-cache traffic, scheduler tasks, re-opts,
+//!   wire volume);
 //! * `\fragments <sql>` — the SQL shipped to the DBMS per `Tˢ` fragment;
 //! * `\plans <sql>` — size of the Figure 5 plan space for the query;
-//! * `\threads N` — execute stratum operators on the morsel-parallel
-//!   engine with `N` workers (`\threads 0` returns to the serial batch
-//!   pipeline);
 //! * `\adaptive on|off` — adaptive mid-query re-optimization: DBMS
 //!   fragments are bound with measured wire statistics and the stratum
 //!   remainder re-plans at pipeline breakers on large q-errors
 //!   (`docs/adaptive.md`);
 //! * `\timing` — toggle the per-operator report after each query,
-//!   including the per-thread breakdown under `\threads` and re-opt
-//!   events under `\adaptive`;
+//!   including re-opt events under `\adaptive`;
 //! * `\timeout <ms>` — per-query deadline: queries exceeding it fail with
 //!   a typed `deadline exceeded` error at the next governance checkpoint
 //!   (`\timeout off` clears; `docs/robustness.md`);
@@ -55,7 +51,6 @@ use std::time::Duration;
 use tqo_core::context::{self, QueryContext};
 use tqo_core::enumerate::{enumerate, EnumerationConfig};
 use tqo_core::rules::RuleSet;
-use tqo_exec::ExecMode;
 use tqo_storage::paper;
 use tqo_stratum::{fragments, make_layered, FaultConfig, Stratum};
 
@@ -72,7 +67,6 @@ struct Shell {
     catalog: tqo_storage::Catalog,
     stratum: Stratum,
     timing: bool,
-    mode: ExecMode,
     adaptive: bool,
     timeout_ms: Option<u64>,
     memlimit: Option<usize>,
@@ -80,9 +74,9 @@ struct Shell {
 }
 
 impl Shell {
-    /// Rebuild the stratum from the current mode/adaptive/faults toggles.
+    /// Rebuild the stratum from the current adaptive/faults toggles.
     fn rebuild(&mut self) {
-        let mut stratum = Stratum::new(self.catalog.clone()).with_exec_mode(self.mode);
+        let mut stratum = Stratum::new(self.catalog.clone());
         if self.adaptive {
             stratum = stratum.with_adaptive(tqo_exec::AdaptiveConfig::default());
         }
@@ -133,7 +127,6 @@ fn main() -> io::Result<()> {
         stratum: Stratum::new(catalog.clone()),
         catalog,
         timing: false,
-        mode: ExecMode::Batch,
         adaptive: false,
         timeout_ms: None,
         memlimit: None,
@@ -194,22 +187,6 @@ fn dispatch(input: &str, shell: &mut Shell) -> Result<String, Box<dyn std::error
             ));
         }
         return Ok(text);
-    }
-    if let Some(arg) = input.strip_prefix("\\threads") {
-        let arg = arg.trim();
-        let threads: usize = if arg.is_empty() { 0 } else { arg.parse()? };
-        shell.mode = if threads == 0 {
-            ExecMode::Batch
-        } else {
-            ExecMode::Parallel { threads }
-        };
-        shell.rebuild();
-        return Ok(match shell.mode {
-            ExecMode::Parallel { threads } => {
-                format!("stratum operators now run morsel-parallel on {threads} worker(s)")
-            }
-            _ => "stratum operators back on the serial batch pipeline".into(),
-        });
     }
     if let Some(arg) = input.strip_prefix("\\adaptive") {
         shell.adaptive = match arg.trim() {

@@ -13,8 +13,7 @@
 //!    remainder, and **switches the `\ᵀ` algorithm mid-query** to
 //!    per-tuple subtract-union;
 //! 3. the switched run produces **byte-identical** results to the
-//!    non-adaptive run on the row, batch, and parallel engines at
-//!    threads ∈ {1, 4} — the plan tail (coalᵀ of a snapshot-dup-free
+//!    non-adaptive run on the row and batch engines — the plan tail (coalᵀ of a snapshot-dup-free
 //!    input, then a full-column sort) canonicalizes the `≡SM`-licensed
 //!    algorithm difference away.
 
@@ -127,12 +126,7 @@ fn seeded_misestimate_switches_the_difference_algorithm_mid_query() {
 #[test]
 fn switched_plans_are_byte_identical_to_the_static_run_on_every_engine() {
     let (env, plan) = flip_scenario();
-    for mode in [
-        ExecMode::Row,
-        ExecMode::Batch,
-        ExecMode::Parallel { threads: 1 },
-        ExecMode::Parallel { threads: 4 },
-    ] {
+    for mode in [ExecMode::Row, ExecMode::Batch] {
         let static_config = PlannerConfig {
             mode,
             ..PlannerConfig::default()

@@ -129,6 +129,55 @@ fn engines_agree_on_generated_workloads() {
     }
 }
 
+/// Ordered outputs (sorted lists, coalesced periods) on a relation large
+/// enough for the radix sort and many value classes: a faithful plan is
+/// the interpreter's exact list on both engines, and a fast plan's row
+/// and batch tuples are byte-identical.
+#[test]
+fn ordered_outputs_are_identical_at_scale() {
+    use tqo_core::schema::Schema;
+    use tqo_core::tuple::Tuple;
+    use tqo_core::value::{DataType, Value};
+    let rows: Vec<Tuple> = (0..40_000i64)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::from(format!("v{}", i % 211)),
+                Value::Time(i % 89),
+                Value::Time(i % 89 + 1 + (i % 7)),
+            ])
+        })
+        .collect();
+    let r = Relation::new(Schema::temporal(&[("E", DataType::Str)]), rows).unwrap();
+    let catalog = Catalog::new();
+    catalog.register("R", r).unwrap();
+    let env = catalog.env();
+    for sql in [
+        "VALIDTIME SELECT E FROM R COALESCE ORDER BY E",
+        "VALIDTIME SELECT DISTINCT E FROM R ORDER BY E DESC",
+        "SELECT E, COUNT(*) AS n FROM R GROUP BY E ORDER BY E",
+    ] {
+        let plan = tqo_sql::compile(sql, &catalog).unwrap();
+        let reference = eval_plan(&plan, &env).unwrap();
+        for allow_fast in [false, true] {
+            let physical = lower(&plan, row_config(allow_fast)).unwrap();
+            let (row, _) = execute_mode(&physical, &env, ExecMode::Row).unwrap();
+            let (batch, _) = execute_mode(&physical, &env, ExecMode::Batch).unwrap();
+            assert_eq!(
+                row.tuples(),
+                batch.tuples(),
+                "ordered output differs between engines (allow_fast={allow_fast}) on {sql}"
+            );
+            if !allow_fast {
+                assert_eq!(
+                    batch.tuples(),
+                    reference.tuples(),
+                    "faithful ordered output is not the interpreter's list on {sql}"
+                );
+            }
+        }
+    }
+}
+
 /// The optimizer fixture pool (every plan shape in the rule space) over
 /// generator-driven workloads: interp, row exec, and batch exec must
 /// produce identical relations in faithful mode, the row and batch
@@ -182,7 +231,7 @@ fn engines_agree_on_fixture_plans_over_generated_relations() {
             );
             // Every pooled fixture also runs with AdaptiveConfig enabled
             // at q_threshold = 1.0 — maximum re-planning pressure — and
-            // must still satisfy interp ≡ row ≡ batch ≡ parallel.
+            // must still satisfy interp ≡ row ≡ batch.
             assert_adaptive_agrees(&plan, &env, &reference, &context);
         }
     }

@@ -2,13 +2,12 @@
 //!
 //! * **Tracing never changes results** — running any query with a
 //!   [`Collector`] installed produces a relation *byte-identical* to the
-//!   untraced run, on the row, batch, and morsel-parallel engines (1 and
-//!   4 threads) and under adaptive re-optimization, across the paper
+//!   untraced run, on the row and batch engines and under adaptive
+//!   re-optimization, across the paper
 //!   catalog SQL pool and the optimizer fixture-plan pool (the CI matrix
 //!   leg `TRACE=1` widens both pools to their full size).
 //! * Per-operator **exclusive times sum to at most the measured wall
-//!   time** on every engine, and serial engines report
-//!   `cpu_time == elapsed` per operator.
+//!   time** on every engine.
 //! * `EXPLAIN ANALYZE` renders the same column set on every engine and
 //!   through the stratum.
 //! * The Chrome trace export is well-formed JSON even when labels carry
@@ -25,12 +24,7 @@ use tqo_exec::{execute_adaptive, execute_logical, explain_analyze, ExecMode, Pla
 use tqo_storage::{paper, GenConfig, WorkloadGenerator};
 use tqo_stratum::Stratum;
 
-const MODES: [ExecMode; 4] = [
-    ExecMode::Row,
-    ExecMode::Batch,
-    ExecMode::Parallel { threads: 1 },
-    ExecMode::Parallel { threads: 4 },
-];
+const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Batch];
 
 const QUERIES: &[&str] = &[
     "SELECT EmpName FROM EMPLOYEE",
@@ -157,8 +151,7 @@ fn tracing_never_changes_results_on_fixture_plans() {
 }
 
 /// Exclusive operator times can never sum past the measured end-to-end
-/// wall time, and serial engines report `cpu_time == elapsed` (the
-/// `check_time_invariants` contract) — on every engine.
+/// wall time (the `check_time_invariants` contract) — on every engine.
 #[test]
 fn operator_times_are_exclusive_and_bounded_by_wall() {
     let catalog = paper::catalog();
@@ -170,9 +163,7 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
     for mode in MODES {
         let started = Instant::now();
         let (_, metrics) = execute_logical(&plan, &env, config(mode)).unwrap();
-        let wall = started.elapsed();
-        let serial = matches!(mode, ExecMode::Row | ExecMode::Batch);
-        tqo_exec::analyze::check_time_invariants(&metrics, wall, serial);
+        tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
     }
     // Adaptive staged execution keeps the same accounting.
     let started = Instant::now();
@@ -184,7 +175,7 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
         common::adaptive_pressure_config(),
     )
     .unwrap();
-    tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed(), true);
+    tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
 }
 
 /// The analyze report shows one annotated line per operator with the full
@@ -195,9 +186,7 @@ fn explain_analyze_is_uniform_across_engines_and_stratum() {
     let env = catalog.env();
     let sql = "VALIDTIME SELECT EmpName FROM EMPLOYEE COALESCE ORDER BY EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
-    let columns = [
-        "est rows", "act rows", "q-err", "time", "cpu", "thr", "rows/s",
-    ];
+    let columns = ["est rows", "act rows", "q-err", "time", "rows/s"];
 
     for mode in MODES {
         let a = explain_analyze(&plan, &env, config(mode)).unwrap();

@@ -7,8 +7,8 @@
 //!   (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`), never a panic and
 //!   never a third outcome.
 //! * Cancellation at **every checkpoint class** (row-loop strides, batch
-//!   `next_batch`, morsel dispatch, adaptive checkpoints, memo task pops,
-//!   stratum fragment dispatch) leaves the engine, catalog, and worker
+//!   `next_batch`, adaptive checkpoints, memo task pops, stratum fragment
+//!   dispatch) leaves the engine, catalog, and worker
 //!   pool reusable: the next query on the same objects succeeds
 //!   byte-identically to a fresh run.
 //! * **Fault-injected wire runs are byte-identical to clean runs** once
@@ -91,12 +91,7 @@ fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST_REQUEST.with(Cell::get))
 }
 
-const MODES: [ExecMode; 4] = [
-    ExecMode::Row,
-    ExecMode::Batch,
-    ExecMode::Parallel { threads: 1 },
-    ExecMode::Parallel { threads: 4 },
-];
+const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Batch];
 
 /// Queries covering every checkpoint class: scans, quadratic row loops
 /// (the join), blocking operators (sort/distinct/aggregate), temporal
@@ -193,8 +188,7 @@ fn cancellation_sweep_is_binary_and_leaves_engines_reusable() {
     }
 }
 
-/// An already-expired deadline fails every engine (threads 1 and 4
-/// included) with `DeadlineExceeded` carrying the configured limit — and
+/// An already-expired deadline fails every engine with `DeadlineExceeded` carrying the configured limit — and
 /// the engines answer the next query untouched.
 #[test]
 fn expired_deadline_fires_on_every_engine() {
@@ -352,9 +346,9 @@ fn product_t_plan(algo: ProductTAlgo) -> PhysicalPlan {
 
 /// `×` knows its output size before it runs, so a budget that cannot hold
 /// the output denies it *before* anything of that size exists: a typed
-/// `MemoryBudget` on every engine, and — on the engines that run on the
-/// calling thread — no single allocation anywhere near `n·m` bytes,
-/// whether the budget is a byte or just too small for the output.
+/// `MemoryBudget` on every engine, and no single allocation anywhere near
+/// `n·m` bytes, whether the budget is a byte or just too small for the
+/// output.
 #[test]
 fn a_product_is_denied_before_it_allocates() {
     let (n, m) = (2000usize, 2000usize);
@@ -382,13 +376,11 @@ fn a_product_is_denied_before_it_allocates() {
                 "expected MemoryBudget ({mode:?}, limit {limit}), got {:?}",
                 result.map(|(r, _)| r.len())
             );
-            if !matches!(mode, ExecMode::Parallel { threads: 4 }) {
-                assert!(
-                    largest < n * m,
-                    "{largest} bytes requested at once under a denied {n}x{m} product \
-                     ({mode:?}, limit {limit})"
-                );
-            }
+            assert!(
+                largest < n * m,
+                "{largest} bytes requested at once under a denied {n}x{m} product \
+                 ({mode:?}, limit {limit})"
+            );
         }
     }
     // The engines answer the same product afterwards.

@@ -33,11 +33,7 @@ const CLIENTS: usize = 8;
 
 /// Engines the client threads cycle through; each response is compared
 /// against the serial oracle computed with the *same* engine.
-const MODES: &[ExecMode] = &[
-    ExecMode::Batch,
-    ExecMode::Row,
-    ExecMode::Parallel { threads: 2 },
-];
+const MODES: &[ExecMode] = &[ExecMode::Batch, ExecMode::Row];
 
 /// The read query the mutation leg replays against the churning scratch
 /// table. Its predicate excludes every scratch row (those use
@@ -94,8 +90,8 @@ fn start(config: ServerConfig) -> Server {
     serve(serving_catalog(), config).expect("start serving front-end")
 }
 
-/// Tentpole oracle: 8 clients replay the whole SQL pool across all
-/// three engines, with sequenced mutations churning `AUDIT` in the
+/// Tentpole oracle: 8 clients replay the whole SQL pool across both
+/// engines, with sequenced mutations churning `AUDIT` in the
 /// background, and **every** response must be byte-identical to its
 /// serial single-query run. After the load drains, the scratch table
 /// must be byte-identically back to its initial state (every insert was
