@@ -26,8 +26,9 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Scaling in fragments per group (few groups): the per-group sweep is
-    // quadratic in the group's live set in the worst case.
+    // Scaling in fragments per group (few groups): the endpoint sweep is
+    // `n log n` in a group's size, the literal definition it replaced
+    // rescans the group per interval — quadratic.
     for fragments in [10usize, 40, 160] {
         let r = temporal_relation(4, fragments, 0.1, 0.8, 22);
         group.bench_with_input(BenchmarkId::new("deep_groups", r.len()), &r, |b, r| {
@@ -37,6 +38,17 @@ fn bench(c: &mut Criterion) {
                     .len()
             })
         });
+        group.bench_with_input(
+            BenchmarkId::new("deep_groups_literal", r.len()),
+            &r,
+            |b, r| {
+                b.iter(|| {
+                    ops::aggregate_t_literal(r, &["E".into()], &[AggItem::count_star("n")])
+                        .expect("ok")
+                        .len()
+                })
+            },
+        );
     }
 
     // Aggregate-function mix on a fixed input.

@@ -233,6 +233,21 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             }),
             rows: len("TFRAG"),
         },
+        // `ξᵀ`'s endpoint sweep with an incremental count, integer sum
+        // and extreme at once (`E` is TOV's only explicit attribute).
+        ExecCase {
+            name: "aggregate_t",
+            plan: PhysicalPlan::new(PhysicalNode::AggregateT {
+                input: scan("TOV"),
+                group_by: vec!["E".into()],
+                aggs: vec![
+                    AggItem::count_star("n"),
+                    AggItem::new(AggFunc::Sum, Some("T1"), "s"),
+                    AggItem::new(AggFunc::Min, Some("T2"), "lo"),
+                ],
+            }),
+            rows: len("TOV"),
+        },
     ];
     (env, cases)
 }

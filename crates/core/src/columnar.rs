@@ -92,6 +92,11 @@ impl Column {
         Column { data, nulls: None }
     }
 
+    /// A column without nulls over an already built payload.
+    pub fn from_data(data: ColumnData) -> Column {
+        Column { data, nulls: None }
+    }
+
     /// Approximate footprint in bytes (payload vectors, string bytes,
     /// null mask), for memory-budget accounting.
     pub fn approx_bytes(&self) -> usize {

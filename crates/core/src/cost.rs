@@ -238,6 +238,7 @@ impl CostModel {
                 }
             }
             PlanNode::DifferenceT { .. } => nlogn(c0 + c1),
+            // One endpoint sweep per group, on every engine.
             PlanNode::AggregateT { .. } => nlogn(c0) + out_card,
             // Both `rdupᵀ` algorithms are per-class and `n log n`: the
             // faithful one claims periods in list order, the licensed

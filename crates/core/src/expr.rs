@@ -7,6 +7,7 @@
 //! — which is [`Expr::attrs`] here (e.g. C3's `T1 ∉ attr(P) ∧ T2 ∉ attr(P)`).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -458,57 +459,64 @@ impl AggItem {
         }
     }
 
+    /// The argument's attribute index in `schema`; `None` for `COUNT(*)`.
+    pub fn arg_index(&self, schema: &Schema) -> Result<Option<usize>> {
+        match &self.arg {
+            Some(a) => schema.resolve(a).map(Some),
+            None if self.func == AggFunc::Count => Ok(None),
+            None => Err(Error::Plan {
+                reason: format!("{} requires an argument", self.func),
+            }),
+        }
+    }
+
     /// Fold a group of values into the aggregate result.
     pub fn compute(&self, schema: &Schema, group: &[&Tuple]) -> Result<Value> {
-        let idx = match &self.arg {
-            Some(a) => Some(schema.resolve(a)?),
-            None => None,
-        };
+        match self.arg_index(schema)? {
+            Some(i) => self.fold(group.iter().map(|t| t.value(i))),
+            None => Ok(Value::Int(group.len() as i64)),
+        }
+    }
+
+    /// Fold the argument's values, in list order, into the aggregate
+    /// result — [`AggItem::compute`] once the argument is read. Integer
+    /// sums wrap on overflow, as integer arithmetic does in [`Expr::eval`].
+    pub fn fold<V: Borrow<Value>>(&self, values: impl IntoIterator<Item = V>) -> Result<Value> {
+        let values = values.into_iter();
         match self.func {
             AggFunc::Count => {
-                let n = match idx {
-                    None => group.len(),
-                    Some(i) => group.iter().filter(|t| !t.value(i).is_null()).count(),
-                };
+                let n = values.filter(|v| !v.borrow().is_null()).count();
                 Ok(Value::Int(n as i64))
             }
             AggFunc::Min | AggFunc::Max => {
-                let i = idx.expect("validated by output_type");
-                let mut best: Option<&Value> = None;
-                for t in group {
-                    let v = t.value(i);
-                    if v.is_null() {
+                let mut best: Option<V> = None;
+                for v in values {
+                    if v.borrow().is_null() {
                         continue;
                     }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = if self.func == AggFunc::Min {
-                                v < b
-                            } else {
-                                v > b
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
+                    let keep_new = best.as_ref().is_none_or(|b| {
+                        if self.func == AggFunc::Min {
+                            v.borrow() < b.borrow()
+                        } else {
+                            v.borrow() > b.borrow()
                         }
                     });
+                    if keep_new {
+                        best = Some(v);
+                    }
                 }
-                Ok(best.cloned().unwrap_or(Value::Null))
+                Ok(best.map_or(Value::Null, |b| b.borrow().clone()))
             }
             AggFunc::Sum => {
-                let i = idx.expect("validated by output_type");
                 let mut acc_i: i64 = 0;
                 let mut acc_f: f64 = 0.0;
                 let mut any = false;
                 let mut float = false;
-                for t in group {
-                    match t.value(i) {
+                for v in values {
+                    match v.borrow() {
                         Value::Null => {}
                         Value::Int(v) | Value::Time(v) => {
-                            acc_i += v;
+                            acc_i = acc_i.wrapping_add(*v);
                             acc_f += *v as f64;
                             any = true;
                         }
@@ -535,11 +543,10 @@ impl AggItem {
                 }
             }
             AggFunc::Avg => {
-                let i = idx.expect("validated by output_type");
                 let mut sum = 0.0;
                 let mut n = 0usize;
-                for t in group {
-                    let v = t.value(i);
+                for v in values {
+                    let v = v.borrow();
                     if v.is_null() {
                         continue;
                     }
@@ -691,6 +698,19 @@ mod tests {
                 .compute(&s, &group)
                 .unwrap(),
             Value::Null
+        );
+    }
+
+    #[test]
+    fn integer_sum_wraps_on_overflow() {
+        let s = Schema::of(&[("V", DataType::Int)]);
+        let (big, one) = (tuple![i64::MAX], tuple![1i64]);
+        let group: Vec<&Tuple> = vec![&big, &one];
+        assert_eq!(
+            AggItem::new(AggFunc::Sum, Some("V"), "s")
+                .compute(&s, &group)
+                .unwrap(),
+            Value::Int(i64::MIN)
         );
     }
 

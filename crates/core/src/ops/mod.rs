@@ -5,6 +5,12 @@
 //! exactly the list (order and duplicates included) that the paper's
 //! λ-calculus definitions prescribe. Faster physical algorithms live in
 //! `tqo-exec`; they are validated against these reference implementations.
+//! Where an operation's definition is quadratic, the function here computes
+//! the same list faster and the definition stays beside it as `*_literal`,
+//! the oracle its tests compare against: `rdupᵀ` claims periods per class
+//! in list order, `O(n log n)`; `ξᵀ` sweeps each group's endpoints once,
+//! `O(n log n)` plus the output (float `SUM`/`AVG` re-add the live values,
+//! `O(live)` per interval).
 //!
 //! | Operation | Function | Temporal counterpart |
 //! |-----------|----------|----------------------|
@@ -43,5 +49,6 @@ pub use union::union_max;
 pub use union_all::union_all;
 
 pub use temporal::{
-    aggregate_t, coalesce, difference_t, product_t, rdup_t, rdup_t_literal, union_t,
+    aggregate_t, aggregate_t_literal, coalesce, difference_t, product_t, rdup_t, rdup_t_literal,
+    union_t,
 };

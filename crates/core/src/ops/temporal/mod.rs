@@ -12,7 +12,7 @@ pub mod product_t;
 pub mod rdup_t;
 pub mod union_t;
 
-pub use aggregate_t::aggregate_t;
+pub use aggregate_t::{aggregate_t, aggregate_t_literal};
 pub use coalesce::coalesce;
 pub use difference_t::difference_t;
 pub use product_t::product_t;

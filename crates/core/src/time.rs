@@ -296,6 +296,139 @@ impl CountTimeline {
     }
 }
 
+/// The members alive during an [`EndpointSweep`], told as they come and go.
+pub trait LiveSet {
+    /// Member `id`'s period begins.
+    fn enter(&mut self, id: u32);
+    /// Member `id`'s period ends.
+    fn leave(&mut self, id: u32);
+}
+
+/// The constant-interval sweep under `ξᵀ`: one group's periods split at
+/// every distinct endpoint — an empty period's too, whatever the live set
+/// does there — with one interval reported per split on which some member
+/// is live, in chronological order. Gaps report nothing. Sorting the
+/// endpoints once makes a sweep `O(n log n)` plus the [`LiveSet`]'s work;
+/// the buffers are kept for the next group.
+#[derive(Debug, Default)]
+pub struct EndpointSweep {
+    members: Vec<(u32, Period)>,
+    /// Events packed as `(instant − first) << 32 | tag`, when the group's
+    /// endpoints span less than 2³² — one `u64` compare per sort step.
+    packed: Vec<u64>,
+    /// `(instant, tag)` events of a group spanning more.
+    wide: Vec<(Instant, u32)>,
+}
+
+/// An event's tag: `index << 2 | what`, the member's index in the sweep's
+/// input and what happens at the instant. A group has fewer than 2³⁰
+/// members (its rows are `u32` ids, and memory ends far sooner).
+const LEAVE: u32 = 0;
+const ENTER: u32 = 1;
+const SPLIT: u32 = 2;
+
+impl EndpointSweep {
+    /// Sweep `members` — `(id, period)` pairs, read in full (the first
+    /// error reading one ends the sweep before it starts) — through
+    /// `live`, calling `emit` with the live set and each interval on which
+    /// it is not empty.
+    pub fn run<S: LiveSet>(
+        &mut self,
+        members: impl IntoIterator<Item = Result<(u32, Period)>>,
+        live: &mut S,
+        emit: impl FnMut(&S, Period) -> Result<()>,
+    ) -> Result<()> {
+        self.members.clear();
+        for member in members {
+            self.members.push(member?);
+        }
+        let Some(first) = self.members.iter().map(|(_, p)| p.start).min() else {
+            return Ok(());
+        };
+        let last = self
+            .members
+            .iter()
+            .map(|(_, p)| p.end)
+            .max()
+            .unwrap_or(first);
+        if (last as u64).wrapping_sub(first as u64) < 1 << 32 {
+            let packed = &mut self.packed;
+            packed.clear();
+            push_events(&self.members, |at, tag| {
+                packed.push((at as u64).wrapping_sub(first as u64) << 32 | tag as u64)
+            });
+            packed.sort_unstable();
+            let event = |k: usize| {
+                let key = packed[k];
+                (first.wrapping_add((key >> 32) as i64), key as u32)
+            };
+            walk(packed.len(), event, &self.members, live, emit)
+        } else {
+            let wide = &mut self.wide;
+            wide.clear();
+            push_events(&self.members, |at, tag| wide.push((at, tag)));
+            wide.sort_unstable_by_key(|&(at, _)| at);
+            walk(wide.len(), |k| wide[k], &self.members, live, emit)
+        }
+    }
+}
+
+/// Every member's events: its start and end, or a split for an empty period.
+fn push_events(members: &[(u32, Period)], mut push: impl FnMut(Instant, u32)) {
+    for (i, (_, p)) in members.iter().enumerate() {
+        let i = (i as u32) << 2;
+        if p.is_empty() {
+            push(p.start, i | SPLIT);
+        } else {
+            push(p.start, i | ENTER);
+            push(p.end, i | LEAVE);
+        }
+    }
+}
+
+/// Apply the `n` sorted `(instant, tag)` events to `live`, emitting each
+/// interval between consecutive distinct instants on which a member is
+/// live.
+fn walk<S: LiveSet>(
+    n: usize,
+    event: impl Fn(usize) -> (Instant, u32),
+    members: &[(u32, Period)],
+    live: &mut S,
+    mut emit: impl FnMut(&S, Period) -> Result<()>,
+) -> Result<()> {
+    let mut alive = 0usize;
+    let mut k = 0;
+    while k < n {
+        let (at, _) = event(k);
+        let mut next = at;
+        while k < n {
+            let (t, tag) = event(k);
+            if t != at {
+                next = t;
+                break;
+            }
+            let id = members[(tag >> 2) as usize].0;
+            match tag & 3 {
+                ENTER => {
+                    live.enter(id);
+                    alive += 1;
+                }
+                LEAVE => {
+                    live.leave(id);
+                    alive -= 1;
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+        // A live member ends at a later endpoint, so `next` is one.
+        if alive > 0 {
+            emit(live, Period::of(at, next))?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,5 +542,61 @@ mod tests {
                 (Period::of(6, 9), 2),
             ]
         );
+    }
+
+    /// The live ids, in the order they entered.
+    #[derive(Default)]
+    struct Ids(Vec<u32>);
+
+    impl LiveSet for Ids {
+        fn enter(&mut self, id: u32) {
+            self.0.push(id);
+        }
+        fn leave(&mut self, id: u32) {
+            self.0.retain(|&i| i != id);
+        }
+    }
+
+    #[test]
+    fn endpoint_sweep_splits_at_every_endpoint_and_skips_gaps() {
+        // `far` pushes the group's span past 2³², off the packed path.
+        for far in [0, 1 << 40] {
+            let members = [
+                (10, Period::of(0, 4)),
+                (11, Period::of(2, 2)), // empty: only splits
+                (12, Period::of(6, 8 + far)),
+                (13, Period::of(0, 2)),
+            ];
+            let mut got = Vec::new();
+            EndpointSweep::default()
+                .run(members.map(Ok), &mut Ids::default(), |live, p| {
+                    let mut ids = live.0.clone();
+                    ids.sort_unstable();
+                    got.push((p, ids));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(
+                got,
+                vec![
+                    (Period::of(0, 2), vec![10, 13]),
+                    (Period::of(2, 4), vec![10]),
+                    (Period::of(6, 8 + far), vec![12]),
+                ],
+                "span {far}"
+            );
+        }
+    }
+
+    #[test]
+    fn endpoint_sweep_stops_at_the_first_unreadable_member() {
+        let members = [
+            Ok((1, Period::of(0, 4))),
+            Err(Error::InvalidPeriod { start: 5, end: 3 }),
+        ];
+        let result = EndpointSweep::default().run(members, &mut Ids::default(), |_, _| {
+            panic!("nothing is swept before every member is read")
+        });
+        assert_eq!(result, Err(Error::InvalidPeriod { start: 5, end: 3 }));
     }
 }

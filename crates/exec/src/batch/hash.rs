@@ -243,10 +243,12 @@ impl KeyStore {
 
 /// Key-space partition of a row hash. The high half of the hash drives
 /// partition choice while probe tables index slots with the low bits, so
-/// partition and slot choice stay decorrelated.
+/// partition and slot choice stay decorrelated. `nparts` is a power of
+/// two, so the modulus is a mask, not a division per row.
 #[inline]
 pub(super) fn part_of(hash: u64, nparts: usize) -> usize {
-    ((hash >> 32) % nparts as u64) as usize
+    debug_assert!(nparts.is_power_of_two());
+    ((hash >> 32) & (nparts as u64 - 1)) as usize
 }
 
 /// Two-pass (histogram, scatter) radix partitioning of row ids by hash

@@ -11,14 +11,14 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use tqo_core::columnar::{Column, ColumnarRelation};
+use tqo_core::columnar::{Column, ColumnData, ColumnarRelation};
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggFunc, AggItem};
+use tqo_core::ops::temporal::aggregate_t::IntervalAggregates;
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortDir};
-use tqo_core::time::{normalize_periods, CountTimeline, Coverage, Period};
-use tqo_core::value::DataType;
+use tqo_core::time::{normalize_periods, CountTimeline, Coverage, EndpointSweep, Period};
 
 use crate::physical::EquiKeys;
 
@@ -324,6 +324,11 @@ impl ClassIndex {
     }
 }
 
+/// A `Time` column over computed instants.
+fn time_column(instants: Vec<i64>) -> Arc<Column> {
+    Arc::new(Column::from_data(ColumnData::Time(instants)))
+}
+
 /// Assemble an output relation for per-class temporal kernels: for each
 /// emitted fragment, the explicit attributes come from a prototype row of
 /// `input` and the period from parallel `t1`/`t2` vectors.
@@ -331,8 +336,8 @@ fn emit_fragments(
     input: &ColumnarRelation,
     out_schema: Arc<Schema>,
     proto_rows: &[u32],
-    t1: Vec<i64>,
-    t2: Vec<i64>,
+    mut t1: Vec<i64>,
+    mut t2: Vec<i64>,
 ) -> ColumnarRelation {
     let (i1, i2) = (
         out_schema.t1_index().expect("temporal output"),
@@ -341,17 +346,9 @@ fn emit_fragments(
     let mut columns = Vec::with_capacity(out_schema.arity());
     for (c, col) in input.columns().iter().enumerate() {
         if c == i1 {
-            let mut t = Column::with_capacity(DataType::Time, t1.len());
-            for v in &t1 {
-                t.push_time(*v);
-            }
-            columns.push(Arc::new(t));
+            columns.push(time_column(std::mem::take(&mut t1)));
         } else if c == i2 {
-            let mut t = Column::with_capacity(DataType::Time, t2.len());
-            for v in &t2 {
-                t.push_time(*v);
-            }
-            columns.push(Arc::new(t));
+            columns.push(time_column(std::mem::take(&mut t2)));
         } else {
             columns.push(Arc::new(col.gather(proto_rows)));
         }
@@ -486,7 +483,8 @@ fn accumulate(
                 // at least one member.
                 let mut acc = vec![0i64; groups];
                 for (row, &g) in gid.iter().enumerate() {
-                    acc[g as usize] += data[row];
+                    let a = &mut acc[g as usize];
+                    *a = a.wrapping_add(data[row]);
                 }
                 for v in acc {
                     out.push(&tqo_core::Value::Int(v))?;
@@ -509,7 +507,7 @@ fn accumulate(
                     match col.value(row) {
                         tqo_core::Value::Null => {}
                         tqo_core::Value::Int(v) | tqo_core::Value::Time(v) => {
-                            acc_i[g] += v;
+                            acc_i[g] = acc_i[g].wrapping_add(v);
                             acc_f[g] += v as f64;
                             any[g] = true;
                         }
@@ -574,6 +572,57 @@ fn accumulate(
         }
     }
     Ok(out)
+}
+
+/// `ξᵀ`: per group — a [`ClassIndex`] class over the grouping columns, in
+/// first-occurrence order — one [`EndpointSweep`] over the raw period
+/// columns through the interpreter's own [`IntervalAggregates`], so the
+/// output is `tqo_core::ops::aggregate_t`'s list (and its literal
+/// definition's). Key columns are gathered from each class's first row;
+/// aggregate and period columns are built as the intervals are emitted.
+/// One governance poll per group.
+pub fn aggregate_t(
+    input: &ColumnarRelation,
+    group_by: &[String],
+    aggs: &[AggItem],
+    out_schema: Arc<Schema>,
+) -> Result<ColumnarRelation> {
+    let key_idx: Vec<usize> = group_by
+        .iter()
+        .map(|g| input.schema().resolve(g))
+        .collect::<Result<_>>()?;
+    let (s, e) = input.period_columns()?;
+    let classes = ClassIndex::build(input, key_idx.clone());
+    let mut live = IntervalAggregates::new(input, input.schema(), aggs);
+    let mut sweep = EndpointSweep::default();
+    let mut results: Vec<Column> = (0..aggs.len())
+        .map(|k| Column::with_capacity(out_schema.attr(key_idx.len() + k).dtype, 0))
+        .collect();
+    let (mut protos, mut t1, mut t2) = (Vec::new(), Vec::new(), Vec::new());
+    for (members, &proto) in classes.members.iter().zip(&classes.protos) {
+        context::check_current()?;
+        let periods = members
+            .iter()
+            .map(|&r| Ok((r, Period::new(s[r as usize], e[r as usize])?)));
+        live.reset(members);
+        sweep.run(periods, &mut live, |live, p| {
+            for (k, col) in results.iter_mut().enumerate() {
+                col.push(&live.value(k)?)?;
+            }
+            protos.push(proto);
+            t1.push(p.start);
+            t2.push(p.end);
+            Ok(())
+        })?;
+    }
+    let mut columns: Vec<Arc<Column>> = key_idx
+        .iter()
+        .map(|&k| Arc::new(input.column(k).gather(&protos)))
+        .collect();
+    columns.extend(results.into_iter().map(Arc::new));
+    columns.push(time_column(t1));
+    columns.push(time_column(t2));
+    Ok(ColumnarRelation::new(out_schema, columns))
 }
 
 /// Approximate bytes of `×`'s output over inputs of the given footprints
@@ -722,16 +771,8 @@ fn product_t_output(
     t2: Vec<i64>,
 ) -> ColumnarRelation {
     let mut columns = gather_pairs(left, right, &lidx, &ridx);
-    let mut c1 = Column::with_capacity(DataType::Time, t1.len());
-    let mut c2 = Column::with_capacity(DataType::Time, t2.len());
-    for v in t1 {
-        c1.push_time(v);
-    }
-    for v in t2 {
-        c2.push_time(v);
-    }
-    columns.push(Arc::new(c1));
-    columns.push(Arc::new(c2));
+    columns.push(time_column(t1));
+    columns.push(time_column(t2));
     ColumnarRelation::new(out_schema, columns)
 }
 
@@ -1022,6 +1063,8 @@ mod tests {
     use tqo_core::ops;
     use tqo_core::relation::Relation;
     use tqo_core::tuple;
+    use tqo_core::tuple::Tuple;
+    use tqo_core::value::DataType;
 
     fn cr(r: &Relation) -> ColumnarRelation {
         ColumnarRelation::from_relation(r).unwrap()
@@ -1087,6 +1130,27 @@ mod tests {
             .unwrap()
             .to_relation();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn integer_sums_wrap_on_both_accumulation_paths() {
+        let schema = Schema::of(&[("V", DataType::Int)]);
+        let sum = [AggItem::new(AggFunc::Sum, Some("V"), "s")];
+        let out_schema =
+            Arc::new(tqo_core::ops::aggregate::aggregate_schema(&schema, &[], &sum).unwrap());
+        // Null-free: the native `i64` path; a NULL: the per-value path.
+        for (extra, want) in [
+            (tuple![1i64], i64::MIN + 1),
+            (Tuple::new(vec![tqo_core::Value::Null]), i64::MIN),
+        ] {
+            let r =
+                Relation::new(schema.clone(), vec![tuple![i64::MAX], tuple![1i64], extra]).unwrap();
+            let got = aggregate(&cr(&r), &[], &sum, out_schema.clone())
+                .unwrap()
+                .to_relation();
+            assert_eq!(got, ops::aggregate(&r, &[], &sum).unwrap());
+            assert_eq!(got.tuples()[0].values()[0], tqo_core::Value::Int(want));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! union-all, hash `rdup`, hash `difference`, transfers) forward ~1024-row
 //! batches as they arrive; pipeline breakers materialize their inputs and
 //! call the columnar kernels. Operators without a columnar kernel (fixpoint
-//! `coalᵀ`, subtract-union `\ᵀ`, `ξᵀ`, `∪ᵀ`, `∪max`)
+//! `coalᵀ`, subtract-union `\ᵀ`, `∪ᵀ`, `∪max`)
 //! fall back to the row implementations behind a materialize boundary, so
 //! every physical plan executes under either engine with identical
 //! results.
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use tqo_core::columnar::ColumnarRelation;
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
-use tqo_core::expr::{Expr, ProjItem};
+use tqo_core::expr::{AggItem, Expr, ProjItem};
 use tqo_core::interp::Env;
 use tqo_core::ops;
 use tqo_core::relation::Relation;
@@ -641,7 +641,11 @@ enum BlockKind {
     Sort(Order),
     Aggregate {
         group_by: Vec<String>,
-        aggs: Vec<tqo_core::expr::AggItem>,
+        aggs: Vec<AggItem>,
+    },
+    AggregateT {
+        group_by: Vec<String>,
+        aggs: Vec<AggItem>,
     },
     Product,
     ProductHashEqui(EquiKeys),
@@ -752,6 +756,15 @@ impl BlockingOp {
             BlockKind::Aggregate { group_by, aggs } => {
                 let input = inputs.pop().expect("aggregate has one child");
                 self.out = Some(kernels::aggregate(
+                    &input,
+                    group_by,
+                    aggs,
+                    self.out_schema.clone(),
+                )?);
+            }
+            BlockKind::AggregateT { group_by, aggs } => {
+                let input = inputs.pop().expect("unary");
+                self.out = Some(kernels::aggregate_t(
                     &input,
                     group_by,
                     aggs,
@@ -1125,7 +1138,14 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 group_by,
                 aggs,
             )?);
-            blocking(vec![child], BlockKind::RowOp(node.clone()), out)
+            blocking(
+                vec![child],
+                BlockKind::AggregateT {
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                },
+                out,
+            )
         }
         PhysicalNode::RdupT { algo, .. } => {
             let child = next();

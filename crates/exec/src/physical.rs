@@ -182,7 +182,10 @@ pub enum PhysicalNode {
         right: Arc<PhysicalNode>,
         algo: DifferenceTAlgo,
     },
-    /// Temporal aggregation over constant intervals (`ξᵀ`).
+    /// Temporal aggregation over constant intervals (`ξᵀ`): one endpoint
+    /// sweep per group on every engine, `O(n log n)` plus the output, and
+    /// `O(live)` more per interval for float `SUM` and `AVG`. Its output
+    /// is the definition's own list, so it needs no Table 2 license.
     AggregateT {
         input: Arc<PhysicalNode>,
         group_by: Vec<String>,

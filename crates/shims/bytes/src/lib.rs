@@ -97,8 +97,13 @@ impl Buf for Bytes {
         f64::from_be_bytes(self.take(8).try_into().unwrap())
     }
 
+    /// The next `len` bytes as a view sharing this buffer's allocation
+    /// (as the real crate does for `Bytes`); the cursor moves past them.
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        Bytes::from(self.take(len).to_vec())
+        assert!(self.len() >= len, "bytes: buffer underflow");
+        let out = self.slice(0..len);
+        self.start += len;
+        out
     }
 }
 
@@ -187,5 +192,21 @@ mod tests {
         let tail = b.copy_to_bytes(3);
         assert_eq!(&*tail, b"xyz");
         assert_eq!(b.remaining(), 0);
+    }
+
+    #[test]
+    fn copy_to_bytes_shares_the_buffer_and_advances() {
+        let mut b = Bytes::from(b"headbody".to_vec());
+        let head = b.copy_to_bytes(4);
+        assert_eq!(&*head, b"head");
+        assert!(Arc::ptr_eq(&head.data, &b.data));
+        assert_eq!(&*b, b"body");
+        assert_eq!(b.remaining(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn copy_to_bytes_past_the_end_panics() {
+        Bytes::from(vec![1, 2]).copy_to_bytes(3);
     }
 }

@@ -572,6 +572,104 @@ fn temporal_hash_join_keeps_the_list() {
     );
 }
 
+/// `ξᵀ` as one endpoint sweep per group on every engine: the batch
+/// kernel ≡ the row engine at both fidelities, both ≡ the interpreter as
+/// lists — over 70k rows (past the radix threshold of the class build),
+/// NULL group keys, and one deep group of 2k overlapping periods.
+#[test]
+fn temporal_aggregation_is_one_list_on_every_engine() {
+    let schema = Schema::temporal(&[("E", DataType::Str), ("F", DataType::Float)]);
+    let row = |e: Value, f: f64, s: i64, len: i64| {
+        Tuple::new(vec![
+            e,
+            Value::Float(f),
+            Value::Time(s),
+            Value::Time(s + len),
+        ])
+    };
+    let wide: Vec<Tuple> = (0..70_000i64)
+        .map(|i| {
+            let e = match i % 53 {
+                0 => Value::Null,
+                c => Value::Str(format!("e{c}").into()),
+            };
+            let f = if i % 5 == 0 {
+                1e16
+            } else {
+                0.1 * (i % 9) as f64
+            };
+            row(e, f, (i * 37) % 20_011, 1 + i % 23)
+        })
+        .collect();
+    let deep: Vec<Tuple> = (0..2_000i64)
+        .map(|i| {
+            let e = Value::Str(if i % 400 == 0 { "odd" } else { "deep" }.into());
+            row(e, (i % 7) as f64 - 3.0, (i * 13) % 997, 100 + (i * 7) % 900)
+        })
+        .collect();
+    let env = Env::new()
+        .with("WIDE", Relation::new(schema.clone(), wide).unwrap())
+        .with("DEEP", Relation::new(schema, deep).unwrap());
+    let aggs = vec![
+        AggItem::count_star("n"),
+        AggItem::new(AggFunc::Count, Some("E"), "ne"),
+        AggItem::new(AggFunc::Sum, Some("T1"), "s1"),
+        AggItem::new(AggFunc::Sum, Some("F"), "sf"),
+        AggItem::new(AggFunc::Min, Some("T2"), "lo"),
+        AggItem::new(AggFunc::Max, Some("F"), "hi"),
+        AggItem::new(AggFunc::Avg, Some("F"), "m"),
+    ];
+    for name in ["WIDE", "DEEP"] {
+        for group_by in [vec!["E".to_owned()], vec![]] {
+            let plan = scan(name, &env)
+                .aggregate_t(group_by.clone(), aggs.clone())
+                .build_multiset();
+            for allow_fast in [false, true] {
+                let physical = lower(&plan, config(allow_fast)).unwrap().explain();
+                assert!(physical.contains("aggregate-t[sweep]"), "{physical}");
+            }
+            let context = format!("ξᵀ over {name} grouped by {group_by:?}");
+            let out = assert_kernels_exact(&plan, &env, &context);
+            let reference = tqo_core::interp::eval_plan(&plan, &env).unwrap();
+            assert_eq!(out, reference, "not the interpreter's list on {context}");
+        }
+    }
+}
+
+/// `SUM` over `[i64::MAX, 1]` wraps to `i64::MIN` on every engine, for
+/// `ξ` and where the periods overlap for `ξᵀ` — in debug builds too.
+#[test]
+fn integer_sums_wrap_identically_on_every_engine() {
+    let schema = Schema::temporal(&[("E", DataType::Str), ("V", DataType::Int)]);
+    let rows = vec![
+        Tuple::new(vec![
+            Value::from("a"),
+            Value::Int(i64::MAX),
+            Value::Time(1),
+            Value::Time(5),
+        ]),
+        Tuple::new(vec![
+            Value::from("a"),
+            Value::Int(1),
+            Value::Time(3),
+            Value::Time(8),
+        ]),
+    ];
+    let env = Env::new().with("W", Relation::new(schema, rows).unwrap());
+    let sum = vec![AggItem::new(AggFunc::Sum, Some("V"), "s")];
+    let plain = scan("W", &env)
+        .aggregate(vec!["E".into()], sum.clone())
+        .build_multiset();
+    let temporal = scan("W", &env)
+        .aggregate_t(vec!["E".into()], sum)
+        .build_multiset();
+    for (plan, wrapped_at) in [(plain, 0), (temporal, 1)] {
+        let out = assert_kernels_exact(&plan, &env, "SUM over [i64::MAX, 1]");
+        assert_eq!(out, tqo_core::interp::eval_plan(&plan, &env).unwrap());
+        assert_eq!(out.tuples()[wrapped_at].values()[1], Value::Int(i64::MIN));
+    }
+}
+
 /// Faithful `rdupᵀ` where periods must be preserved (a multiset query's
 /// root), over duplicates, containment, chains of overlaps and NULL
 /// explicit values: all engines produce the recursion's own list.
