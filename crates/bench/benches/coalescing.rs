@@ -1,7 +1,8 @@
 //! Perf-3: coalescing.
 //!
-//! (a) Algorithm ablation: the faithful first-partner fixpoint (`O(n²)`)
-//!     vs the sort-merge (`O(n log n)`) across fragmentation ratios.
+//! (a) The definition's first-partner fixpoint run literally (`O(n²)`) vs
+//!     the chained walk that computes the same list (`O(n)` after
+//!     hashing), across fragmentation ratios.
 //! (b) Rule C10's placement question: coalesce *before* the temporal
 //!     difference (shrinking its inputs) vs *after* — the paper's §2.1
 //!     remark that "coalescing is performed before difference because the
@@ -12,7 +13,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tqo_bench::temporal_relation;
 use tqo_core::ops;
-use tqo_exec::operators::coalesce_sort_merge;
 
 fn bench_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("coalescing_algorithms");
@@ -25,14 +25,14 @@ fn bench_algorithms(c: &mut Criterion) {
             let r = temporal_relation(classes, 8, adjacency, 0.0, 13);
             let rows = r.len();
             group.bench_with_input(
-                BenchmarkId::new(format!("fixpoint/{label}"), rows),
+                BenchmarkId::new(format!("literal/{label}"), rows),
                 &r,
-                |b, r| b.iter(|| ops::coalesce(r).expect("ok").len()),
+                |b, r| b.iter(|| ops::coalesce_literal(r).expect("ok").len()),
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("sort_merge/{label}"), rows),
+                BenchmarkId::new(format!("chained/{label}"), rows),
                 &r,
-                |b, r| b.iter(|| coalesce_sort_merge(r).expect("ok").len()),
+                |b, r| b.iter(|| ops::coalesce(r).expect("ok").len()),
             );
         }
     }

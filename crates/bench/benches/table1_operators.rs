@@ -108,8 +108,8 @@ fn bench(c: &mut Criterion) {
             let batch = Batch::slice(&cr, 0, cr.rows());
             b.iter(|| exprs::filter(&compiled, &batch).len())
         });
-        group.bench_function("rdup_t_sweep_batch", |b| {
-            b.iter(|| kernels::rdup_t_sweep(&cr).expect("ok").rows())
+        group.bench_function("rdup_t_batch", |b| {
+            b.iter(|| kernels::rdup_t(&cr).expect("ok").rows())
         });
         group.bench_function("aggregate_batch", |b| {
             let group_by = ["B".to_owned()];
@@ -131,8 +131,8 @@ fn bench(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function("coalesce_sort_merge_batch", |b| {
-            b.iter(|| kernels::coalesce_sort_merge(&cr).expect("ok").rows())
+        group.bench_function("coalesce_batch", |b| {
+            b.iter(|| kernels::coalesce(&cr).expect("ok").rows())
         });
     }
 

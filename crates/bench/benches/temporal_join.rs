@@ -1,12 +1,12 @@
-//! Perf-5 ablation: temporal Cartesian product algorithms — the faithful
-//! left-major nested loop vs the endpoint plane sweep, across input sizes
-//! and temporal densities (how many periods overlap a given instant).
+//! Perf-5 ablation: temporal Cartesian product — the definition's
+//! left-major nested loop run literally vs the endpoint plane sweep that
+//! sorts its pairs into the same list, across input sizes and temporal
+//! densities (how many periods overlap a given instant).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tqo_bench::temporal_relation;
 use tqo_core::ops;
-use tqo_exec::operators::product_t_plane_sweep;
 use tqo_storage::{GenConfig, WorkloadGenerator};
 
 fn sparse(classes: usize, seed: u64) -> tqo_core::Relation {
@@ -36,12 +36,12 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("nested_loop/dense", rows),
             &(&dense_l, &dense_r),
-            |b, (l, r)| b.iter(|| ops::product_t(l, r).expect("ok").len()),
+            |b, (l, r)| b.iter(|| ops::product_t_literal(l, r).expect("ok").len()),
         );
         group.bench_with_input(
             BenchmarkId::new("plane_sweep/dense", rows),
             &(&dense_l, &dense_r),
-            |b, (l, r)| b.iter(|| product_t_plane_sweep(l, r).expect("ok").len()),
+            |b, (l, r)| b.iter(|| ops::product_t(l, r).expect("ok").len()),
         );
 
         // Sparse: the sweep's active sets stay small.
@@ -50,12 +50,12 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("nested_loop/sparse", sparse_l.len()),
             &(&sparse_l, &sparse_r),
-            |b, (l, r)| b.iter(|| ops::product_t(l, r).expect("ok").len()),
+            |b, (l, r)| b.iter(|| ops::product_t_literal(l, r).expect("ok").len()),
         );
         group.bench_with_input(
             BenchmarkId::new("plane_sweep/sparse", sparse_l.len()),
             &(&sparse_l, &sparse_r),
-            |b, (l, r)| b.iter(|| product_t_plane_sweep(l, r).expect("ok").len()),
+            |b, (l, r)| b.iter(|| ops::product_t(l, r).expect("ok").len()),
         );
 
         // The same plane sweep as a columnar kernel over period columns.

@@ -113,32 +113,6 @@ fn main() {
     }
     writeln!(json, "  ],").unwrap();
 
-    // The two `rdupᵀ` algorithms over the same input, batch engine, in ns
-    // per input row: what `RdupTAlgo::Sweep` (its own kernels on both
-    // engines, and a Table 2 license to run at all) buys over the faithful
-    // algorithm — the committed number for its earn-or-delete verdict.
-    let ns_per_row = |name: &str| {
-        let at = cases
-            .iter()
-            .position(|c| c.name == name)
-            .expect("rdupᵀ cases are in the workload");
-        fusion_rows[at].1 * 1e6 / cases[at].rows as f64
-    };
-    let (faithful_ns, sweep_ns) = (ns_per_row("rdup_t_faithful"), ns_per_row("rdup_t_sweep"));
-    let faithful_over_sweep = faithful_ns / sweep_ns.max(1e-9);
-    eprintln!(
-        "\nrdup-t batch ns/row in: faithful {faithful_ns:.1}, sweep {sweep_ns:.1} ({faithful_over_sweep:.2}x)"
-    );
-    writeln!(json, "  \"rdup_t_batch_ns_per_row_in\": {{").unwrap();
-    writeln!(json, "    \"faithful\": {faithful_ns:.1},").unwrap();
-    writeln!(json, "    \"sweep\": {sweep_ns:.1},").unwrap();
-    writeln!(
-        json,
-        "    \"faithful_over_sweep\": {faithful_over_sweep:.3}"
-    )
-    .unwrap();
-    writeln!(json, "  }},").unwrap();
-
     // Fusion: per case, how much of batch wall time the root operator
     // itself accounts for. The residue (1 - ratio) is the unfused
     // scan + sink overhead; the fused selection/sort/sink paths exist to

@@ -78,9 +78,7 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
     use std::sync::Arc;
     use tqo_core::expr::{AggFunc, AggItem, BinOp, Expr};
     use tqo_core::interp::Env;
-    use tqo_exec::physical::{
-        CoalesceAlgo, DifferenceTAlgo, EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo, RdupTAlgo,
-    };
+    use tqo_exec::physical::{EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo};
     use tqo_exec::PhysicalPlan;
 
     let rows = rows.max(64);
@@ -181,7 +179,7 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             plan: PhysicalPlan::new(PhysicalNode::ProductT {
                 left: scan("TL"),
                 right: scan("TR"),
-                algo: ProductTAlgo::PlaneSweep,
+                algo: ProductTAlgo::Sweep,
             }),
             rows: len("TL") + len("TR"),
         },
@@ -190,26 +188,12 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             plan: PhysicalPlan::new(PhysicalNode::DifferenceT {
                 left: scan("TL"),
                 right: scan("TR"),
-                algo: DifferenceTAlgo::TimelineSweep,
             }),
             rows: len("TL") + len("TR"),
         },
         ExecCase {
-            name: "rdup_t_sweep",
-            plan: PhysicalPlan::new(PhysicalNode::RdupT {
-                input: scan("TOV"),
-                algo: RdupTAlgo::Sweep,
-            }),
-            rows: len("TOV"),
-        },
-        // Same input as `rdup_t_sweep`: the two algorithms' ns per input
-        // row side by side are the earn-or-delete numbers for the sweep.
-        ExecCase {
             name: "rdup_t_faithful",
-            plan: PhysicalPlan::new(PhysicalNode::RdupT {
-                input: scan("TOV"),
-                algo: RdupTAlgo::Faithful,
-            }),
+            plan: PhysicalPlan::new(PhysicalNode::RdupT { input: scan("TOV") }),
             rows: len("TOV"),
         },
         // The hash product on its own: its output is the key-matching
@@ -226,10 +210,9 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             rows: len("TL") + len("TR"),
         },
         ExecCase {
-            name: "coalesce_sort_merge",
+            name: "coalesce",
             plan: PhysicalPlan::new(PhysicalNode::Coalesce {
                 input: scan("TFRAG"),
-                algo: CoalesceAlgo::SortMerge,
             }),
             rows: len("TFRAG"),
         },
@@ -417,10 +400,10 @@ pub struct AdaptiveCase {
 /// `scale × 200` rows in the big table). Statistics are measured from the
 /// first 2% of each "stale" table — the classic stale-catalog situation.
 ///
-/// * `stale_difference_algo` — the stale left side makes `\ᵀ` pick the
-///   timeline sweep; the checkpointed rdupᵀ reveals a ~50× misestimate
-///   and the re-plan switches to per-tuple subtract-union. The
-///   full-column sort tail keeps results byte-identical either way.
+/// * `stale_difference_algo` — the stale left side misprices everything
+///   above `rdupᵀ`; the checkpointed rdupᵀ reveals a ~50× misestimate and
+///   the re-plan snaps the estimates to truth. Every operator has one
+///   algorithm, so without rules the re-plan switches nothing.
 /// * `stale_selection` — a stale histogram misprices a selection feeding
 ///   a temporal join; re-planning corrects every downstream estimate
 ///   (the plan shape survives, the estimates snap to truth).

@@ -10,10 +10,12 @@
 //!   `statement ok` / `query <types> [rowsort]` / `query error`
 //!   directives over deterministic fixtures ([`fixtures`]). Each `query`
 //!   runs through the full mode matrix — reference interpreter, row and
-//!   batch engines in both faithful and fast planner modes, memo and
-//!   exhaustive optimizer strategies, the layered stratum engine, and
-//!   adaptive re-optimization at maximum re-planning pressure — and every
-//!   leg must render **byte-identical** canonical results.
+//!   batch engines, the multi-query scheduler, memo and exhaustive
+//!   optimizer strategies, the layered stratum engine, and adaptive
+//!   re-optimization at maximum re-planning pressure. Every leg running
+//!   the query's own plan must return the interpreter's exact relation;
+//!   the legs running a rewritten plan must render **byte-identical**
+//!   canonical results.
 //! * **planner snapshots** ([`snapshot`]): EXPLAIN-style renderings of
 //!   logical and physical plans (with estimated rows) pinned as committed
 //!   files, so a plan-shape change is a reviewable diff rather than a

@@ -7,15 +7,18 @@
 //! | leg | engines | comparison |
 //! |---|---|---|
 //! | reference | interpreter | pinned block in the file |
-//! | faithful | row, batch | `==` reference relation |
-//! | fast | row, batch | byte-identical rendering |
+//! | engines | row, batch | `==` reference relation |
 //! | scheduler | stage graph via the shared multi-query pool | `==` reference relation |
 //! | optimizer | memo + exhaustive, via interpreter | byte-identical rendering |
-//! | stratum | layered + layered-optimized | byte-identical rendering |
-//! | adaptive | q_threshold = 1.0 (faithful row, fast batch) | byte-identical rendering |
+//! | stratum | layered | `==` reference relation |
+//! | stratum optimized | layered, then rewritten | byte-identical rendering |
+//! | adaptive | q_threshold = 1.0, row and batch | `==` reference relation |
 //!
-//! `modes engines` keeps only the first four rows — used by generated
-//! fixtures where planner legs would dominate runtime. The scheduler
+//! Every physical plan computes the interpreter's exact list, so every leg
+//! that runs the query's own plan is held to `==`; only the legs that run
+//! a Figure 5 rewrite of it are held to the rendering under the result
+//! type. `modes engines` keeps only the first three rows — used by
+//! generated fixtures where planner legs would dominate runtime. The scheduler
 //! leg runs for every record, so the corpus floor doubles as the
 //! concurrency oracle (ARCHITECTURE invariant 16).
 //!
@@ -257,47 +260,19 @@ fn run_matrix(
     };
 
     let canonical = canon(&reference);
-    // Row and batch engines, faithful and fast plans.
-    for allow_fast in [false, true] {
-        let physical = lower(
-            &plan,
-            PlannerConfig {
-                allow_fast,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| format!("lower(allow_fast={allow_fast}): {e}"))?;
-        for mode in [ExecMode::Row, ExecMode::Batch] {
-            let (got, _) = execute_mode(&physical, env, mode)
-                .map_err(|e| format!("{mode:?}(allow_fast={allow_fast}): {e}"))?;
-            if !allow_fast && got != reference {
-                return Err(format!(
-                    "faithful {mode:?} relation differs from the interpreter"
-                ));
-            }
-            let rendered = canon(&got);
-            if rendered != canonical {
-                return Err(format!(
-                    "{mode:?}(allow_fast={allow_fast}) rendering diverges from reference"
-                ));
-            }
+    // Row and batch engines, then the multi-query scheduler: the plan cut
+    // into a stage graph and executed through the shared process-wide
+    // pool. Every corpus query runs the scheduler leg, so the ≥150-query
+    // floor doubles as the concurrency oracle.
+    let physical = lower(&plan, PlannerConfig::default()).map_err(|e| format!("lower: {e}"))?;
+    for mode in [ExecMode::Row, ExecMode::Batch] {
+        let (got, _) = execute_mode(&physical, env, mode).map_err(|e| format!("{mode:?}: {e}"))?;
+        if got != reference {
+            return Err(format!("{mode:?} relation differs from the interpreter"));
         }
     }
-
-    // Multi-query scheduler: the faithful plan, cut into a stage graph
-    // and executed through the shared process-wide pool, must reproduce
-    // the interpreter byte-for-byte. Every corpus query runs this leg,
-    // so the ≥150-query floor doubles as the concurrency oracle.
-    let faithful = lower(
-        &plan,
-        PlannerConfig {
-            allow_fast: false,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("lower(scheduler): {e}"))?;
     let (got, _) = Scheduler::global()
-        .run(&faithful, env, SubmitOptions::default())
+        .run(&physical, env, SubmitOptions::default())
         .map_err(|e| format!("scheduler: {e}"))?;
     if got != reference {
         return Err("scheduler run differs from the interpreter".into());
@@ -336,12 +311,11 @@ fn run_matrix(
                 return Err("stratum relation differs from the interpreter".into());
             }
             // `run_sql_optimized` with the closure budgeted: the same
-            // search (exhaustive, priced by the stratum's faithful cost
-            // model) over the same layered plan, then `run`.
+            // search (exhaustive, priced by the stratum's cost model) over
+            // the same layered plan, then `run`.
             let config = OptimizerConfig {
                 enumeration: EXHAUSTIVE_BUDGET,
-                cost_model: CostModel::calibrated(stratum.exec_mode().engine())
-                    .with_fast_algorithms(false),
+                cost_model: CostModel::calibrated(stratum.exec_mode().engine()),
                 ..OptimizerConfig::default()
             };
             let best = optimize(&layered, &rules, &config)
@@ -356,19 +330,17 @@ fn run_matrix(
         }
     }
 
-    // Adaptive re-optimization at maximum re-planning pressure.
-    for (allow_fast, mode) in [(false, ExecMode::Row), (true, ExecMode::Batch)] {
+    // Adaptive re-optimization at maximum re-planning pressure. Without
+    // rules it only re-lowers, so it too computes the interpreter's list.
+    for mode in [ExecMode::Row, ExecMode::Batch] {
         let config = PlannerConfig {
-            allow_fast,
             mode,
             strategy: SearchStrategy::Memo,
         };
         let (got, _) = execute_adaptive(&plan, env, None, config, adaptive_pressure())
-            .map_err(|e| format!("adaptive(allow_fast={allow_fast}): {e}"))?;
-        if canon(&got) != canonical {
-            return Err(format!(
-                "adaptive(allow_fast={allow_fast}, {mode:?}) diverges from reference"
-            ));
+            .map_err(|e| format!("adaptive({mode:?}): {e}"))?;
+        if got != reference {
+            return Err(format!("adaptive({mode:?}) differs from the interpreter"));
         }
     }
 

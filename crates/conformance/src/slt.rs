@@ -43,8 +43,8 @@ pub enum ModeSet {
     /// Everything: engines, scheduler, optimizer strategies, stratum,
     /// adaptive.
     All,
-    /// Engine + scheduler legs only (row/batch × faithful/fast,
-    /// shared-pool stage graphs) — for large generated fixtures where the
+    /// Engine + scheduler legs only (row, batch, shared-pool stage
+    /// graphs) — for large generated fixtures where the
     /// planner legs would dominate runtime.
     Engines,
 }

@@ -4,8 +4,7 @@
 //!
 //! The snapshot directory holds a `MANIFEST` of `name: sql` lines plus
 //! one `<name>.snap` per entry containing the query, the cost-annotated
-//! logical plan, and the faithful and fast physical plans with estimated
-//! rows. `UPDATE_SNAPSHOTS=1` (re)writes every snapshot; a `.snap` with
+//! logical plan, and the physical plan with estimated rows. `UPDATE_SNAPSHOTS=1` (re)writes every snapshot; a `.snap` with
 //! no manifest entry is stale and fails the check.
 
 use std::collections::BTreeMap;
@@ -53,18 +52,9 @@ pub fn render_snapshot(sql: &str, catalog: &Catalog) -> Result<String, String> {
     let _ = writeln!(out, "query: {sql}");
     let _ = writeln!(out, "\n-- logical plan (site, est rows, est cost) --");
     out.push_str(&logical);
-    for (label, allow_fast) in [("faithful", false), ("fast", true)] {
-        let physical = lower(
-            &plan,
-            PlannerConfig {
-                allow_fast,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| format!("lower({label}): {e}"))?;
-        let _ = writeln!(out, "\n-- physical plan ({label}) --");
-        out.push_str(&render_physical(&physical));
-    }
+    let physical = lower(&plan, PlannerConfig::default()).map_err(|e| format!("lower: {e}"))?;
+    let _ = writeln!(out, "\n-- physical plan --");
+    out.push_str(&render_physical(&physical));
     Ok(out)
 }
 

@@ -391,7 +391,7 @@ impl Column {
     }
 
     /// Finalized hash of the value at `i`, consistent with row equality:
-    /// equal rows (under [`rows_eq`]) hash equal.
+    /// equal rows hash equal.
     #[inline]
     pub fn hash_at(&self, i: usize) -> u64 {
         if self.is_null(i) {

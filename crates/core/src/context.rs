@@ -9,7 +9,7 @@
 //! * [`QueryContext`] — one per query: a [`CancellationToken`], an
 //!   optional deadline, and a byte-accounted [`MemoryBudget`].
 //! * [`install`] / [`check_current`] — the same thread-local
-//!   install-guard pattern as [`trace`](crate::trace): a context is
+//!   install-guard pattern as [`crate::trace`]: a context is
 //!   installed for the dynamic extent of a query; engines call the free
 //!   function [`check_current`] at their checkpoints (scheduler tasks,
 //!   `next_batch`, row-loop strides, memo task pops, adaptive

@@ -13,11 +13,11 @@
 //!   because the DBMS sorts faster than the stratum"), and
 //! * transfers between the sites cost per row moved.
 //!
-//! Per-operator formulas price the algorithm the physical planner will
-//! actually pick: where the Table 2 operation properties license a fast
-//! algorithm (plane-sweep `×ᵀ`, sort-merge `coalᵀ`) the node costs
-//! `n log n`-ish work, otherwise the faithful quadratic algorithm is
-//! priced; `rdupᵀ` is `n log n` either way. The [`CostEstimator`] trait is the one interface
+//! Per-operator formulas price the one algorithm each operator runs on
+//! every engine — none depends on a Table 2 license, so neither does its
+//! price: the sweeps (`×ᵀ`, `\ᵀ`, `ξᵀ`, `rdupᵀ`, `∪ᵀ`) cost `n log n`-ish
+//! work, the chained `coalᵀ` and the hash operators are linear, and only
+//! `×`'s nested loop is quadratic. The [`CostEstimator`] trait is the one interface
 //! both search strategies (exhaustive Figure 5 closure and memo
 //! extraction) consume, so they price plans identically by construction.
 //!
@@ -27,7 +27,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::Result;
-use crate::plan::props::{annotate, PropsFlags, StaticProps};
+use crate::plan::props::{annotate, StaticProps};
 use crate::plan::{LogicalPlan, PlanNode, Site};
 
 /// Tunable parameters of the cost model.
@@ -42,12 +42,6 @@ pub struct CostModel {
     pub transfer_per_row: f64,
     /// Fixed cost per transfer (connection/batch overhead).
     pub transfer_setup: f64,
-    /// Price the fast (weaker-equivalence) algorithms where the Table 2
-    /// flags license them. Must mirror the physical planner's
-    /// `allow_fast`: an executor lowering everything to the faithful
-    /// algorithms must be priced on the faithful formulas, or the
-    /// optimizer chooses plans for work that will never run.
-    pub fast_algorithms: bool,
 }
 
 impl Default for CostModel {
@@ -57,7 +51,6 @@ impl Default for CostModel {
             stratum_factor: 1.0,
             transfer_per_row: 2.0,
             transfer_setup: 10.0,
-            fast_algorithms: true,
         }
     }
 }
@@ -98,13 +91,6 @@ impl CostModel {
             ..CostModel::default()
         }
     }
-
-    /// Toggle pricing of the licensed fast algorithms (see
-    /// [`CostModel::fast_algorithms`]).
-    pub fn with_fast_algorithms(mut self, fast: bool) -> CostModel {
-        self.fast_algorithms = fast;
-        self
-    }
 }
 
 /// A plan cost in abstract work units.
@@ -124,12 +110,6 @@ impl Cost {
 
 fn nlogn(n: f64) -> f64 {
     n * (n.max(2.0)).log2()
-}
-
-/// The faithful fixpoint `coalᵀ` does pairwise work per value class;
-/// priced as a damped quadratic.
-fn quadratic(n: f64) -> f64 {
-    n * (n / 8.0).max(1.0)
 }
 
 /// The single costing interface both plan-search engines consume: the
@@ -154,16 +134,14 @@ fn quadratic(n: f64) -> f64 {
 /// assert!(model.estimate_plan(&cheap).unwrap() < model.estimate_plan(&pricey).unwrap());
 /// ```
 pub trait CostEstimator {
-    /// Cost contribution of a single node at `site` whose location demands
-    /// operation properties `flags`. `None` marks an invalid placement (a
-    /// stratum-only operation inside the DBMS).
+    /// Cost contribution of a single node at `site`. `None` marks an
+    /// invalid placement (a stratum-only operation inside the DBMS).
     fn estimate_node(
         &self,
         node: &PlanNode,
         out: &StaticProps,
         children: &[&StaticProps],
         site: Site,
-        flags: PropsFlags,
     ) -> Option<f64>;
 
     /// Estimate the cost of a whole plan by summing [`estimate_node`] over
@@ -184,7 +162,7 @@ pub trait CostEstimator {
                     &ann[&p].stat
                 })
                 .collect();
-            match self.estimate_node(node, &props.stat, &child_stats, props.site, props.flags) {
+            match self.estimate_node(node, &props.stat, &child_stats, props.site) {
                 Some(work) => total += work,
                 None => return Ok(Cost::INVALID),
             }
@@ -201,14 +179,8 @@ impl CostModel {
     }
 
     /// Per-operation work in abstract units, pricing the algorithm the
-    /// physical planner will choose under `flags` (Table 2 licensing).
-    fn op_work(
-        &self,
-        node: &PlanNode,
-        out: &StaticProps,
-        child: &[&StaticProps],
-        flags: PropsFlags,
-    ) -> f64 {
+    /// physical planner lowers the operation to.
+    fn op_work(&self, node: &PlanNode, out: &StaticProps, child: &[&StaticProps]) -> f64 {
         let out_card = out.card() as f64;
         let c0 = child.first().map(|c| c.card() as f64).unwrap_or(0.0);
         let c1 = child.get(1).map(|c| c.card() as f64).unwrap_or(0.0);
@@ -226,38 +198,17 @@ impl CostModel {
             PlanNode::Sort { .. } => nlogn(c0),
             // Prefix truncation: one pass over the kept prefix.
             PlanNode::Limit { .. } => out_card,
-            // Temporal operations: priced by the algorithm the Table 2
-            // flags license (the same gates the physical planner applies).
-            PlanNode::ProductT { .. } => {
-                if self.fast_algorithms && !flags.order_required {
-                    // Endpoint plane sweep.
-                    nlogn(c0 + c1) + out_card
-                } else {
-                    // Order demanded: left-major nested loop.
-                    c0 * c1
-                }
-            }
+            // Endpoint plane sweep; sorting its pairs (packed `u64`s) back
+            // into the nested loop's order is cheap beside emitting them.
+            PlanNode::ProductT { .. } => nlogn(c0 + c1) + out_card,
             PlanNode::DifferenceT { .. } => nlogn(c0 + c1),
-            // One endpoint sweep per group, on every engine.
+            // One endpoint sweep per group.
             PlanNode::AggregateT { .. } => nlogn(c0) + out_card,
-            // Both `rdupᵀ` algorithms are per-class and `n log n`: the
-            // faithful one claims periods in list order, the licensed
-            // sweep unions them.
+            // Per-class claims in list order.
             PlanNode::RdupT { .. } => nlogn(c0) + out_card,
             PlanNode::UnionT { .. } => nlogn(c0 + c1),
-            PlanNode::Coalesce { .. } => {
-                let input_sdf = child.first().map(|c| c.snapshot_dup_free).unwrap_or(false);
-                if self.fast_algorithms
-                    && !flags.order_required
-                    && (input_sdf || !flags.period_preserving)
-                {
-                    // Per-class sort-merge.
-                    nlogn(c0)
-                } else {
-                    // First-partner fixpoint.
-                    quadratic(c0)
-                }
-            }
+            // Hashing into per-(class, instant) chains, one walk over them.
+            PlanNode::Coalesce { .. } => c0,
             PlanNode::TransferS { .. } | PlanNode::TransferD { .. } => {
                 self.transfer_setup + self.transfer_per_row * c0
             }
@@ -272,12 +223,11 @@ impl CostEstimator for CostModel {
         out: &StaticProps,
         children: &[&StaticProps],
         site: Site,
-        flags: PropsFlags,
     ) -> Option<f64> {
         if site == Site::Dbms && !node.is_dbms_supported() {
             return None;
         }
-        let work = self.op_work(node, out, children, flags);
+        let work = self.op_work(node, out, children);
         let factor = match node {
             PlanNode::TransferS { .. } | PlanNode::TransferD { .. } => 1.0,
             _ => match site {
@@ -360,33 +310,20 @@ mod tests {
     }
 
     #[test]
-    fn licensed_fast_algorithms_price_below_faithful() {
-        // coalT over a base table that may hold snapshot duplicates must
-        // preserve periods → fixpoint; over rdupT's snapshot-dup-free
-        // output it is licensed → sort-merge.
+    fn temporal_operators_price_the_same_under_any_result_type() {
+        // The Table 2 flags differ between a list and a multiset query (a
+        // list requires order below it); the algorithms, and so the
+        // prices, do not.
         let model = CostModel::default();
-        let faithful = tscan("R", 10_000).coalesce().build_multiset();
-        let licensed = tscan("R", 10_000).rdup_t().coalesce().build_multiset();
-        let cf = model.cost(&faithful).unwrap();
-        let cl = model.cost(&licensed).unwrap();
-        // The licensed plan contains an extra rdupT yet prices lower,
-        // because the coalT drops from quadratic to n log n.
-        assert!(cl < cf, "licensed {cl:?} should beat faithful {cf:?}");
-    }
-
-    #[test]
-    fn rdup_t_prices_the_same_with_and_without_a_license() {
-        // Faithful and sweep rdupT are both per-class n log n, so a plan
-        // whose only temporal operator is rdupT costs the same under
-        // either planner fidelity.
-        let plan = tscan("R", 10_000).rdup_t().build_multiset();
-        let fast = CostModel::default().cost(&plan).unwrap();
-        let faithful = CostModel::default()
-            .with_fast_algorithms(false)
-            .cost(&plan)
-            .unwrap();
-        assert_eq!(fast, faithful);
-        assert!(fast.0 < quadratic(10_000.0));
+        let shapes: [fn(PlanBuilder) -> PlanBuilder; 2] = [
+            |b| b.product_t(tscan("S", 3_000)),
+            |b| b.rdup_t().coalesce(),
+        ];
+        for shape in shapes {
+            let list = shape(tscan("R", 10_000)).build_list(Order::asc(&["T1"]));
+            let multiset = shape(tscan("R", 10_000)).build_multiset();
+            assert_eq!(model.cost(&list).unwrap(), model.cost(&multiset).unwrap());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! The crate provides, bottom-up:
 //!
-//! * [`value`], [`time`], [`schema`], [`tuple`], [`relation`] — the database
+//! * [`value`], [`time`], [`schema`], [`mod@tuple`], [`relation`] — the database
 //!   structures of §2.3: relations are **lists** of fixed-width tuples;
 //!   temporal relations carry closed-open periods in the reserved attributes
 //!   `T1`/`T2`.

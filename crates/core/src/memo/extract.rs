@@ -234,10 +234,7 @@ impl<'a> Extractor<'a> {
 
         if child_groups.is_empty() {
             let stat = self.memo.witness_stat(member, ctx.site)?;
-            let Some(work) = self
-                .cost_model
-                .estimate_node(&op, &stat, &[], ctx.site, ctx.flags)
-            else {
+            let Some(work) = self.cost_model.estimate_node(&op, &stat, &[], ctx.site) else {
                 return Ok(());
             };
             if work <= upper {
@@ -319,9 +316,9 @@ impl<'a> Extractor<'a> {
                     stat.order = Order::unordered();
                 }
                 let child_refs: Vec<&StaticProps> = stats.iter().collect();
-                let Some(work) =
-                    self.cost_model
-                        .estimate_node(&node, &stat, &child_refs, ctx.site, ctx.flags)
+                let Some(work) = self
+                    .cost_model
+                    .estimate_node(&node, &stat, &child_refs, ctx.site)
                 else {
                     continue;
                 };

@@ -4,7 +4,7 @@
 //! step of the Figure 5 closure but scoped to a single memo location:
 //!
 //! 1. **Propagate contexts down**: compute the Table 2 flag vectors the
-//!    expression induces on its children (via [`props::child_flags`] — the
+//!    expression induces on its children (via [`crate::plan::props::child_flags`] — the
 //!    same relaxation `annotate` uses) and schedule every child-group
 //!    member under them. Members differing in snapshot-duplicate-freedom
 //!    induce different vectors (the coalescing license, the `\ᵀ` right
@@ -16,7 +16,7 @@
 //!    is exactly the reachability invariant the exhaustive enumerator
 //!    maintains by construction.
 //! 3. **Apply rules at the root** of every binding, gated by the
-//!    enumerator's own admissibility test ([`enumerate::applicable`]) and
+//!    enumerator's own admissibility test ([`crate::enumerate::applicable`]) and
 //!    its snapshot-duplicate-freedom guard, and merge results back into
 //!    the group. New members re-dirty dependent expressions, driving the
 //!    closure to a fixpoint.

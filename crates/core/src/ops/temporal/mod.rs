@@ -13,8 +13,8 @@ pub mod rdup_t;
 pub mod union_t;
 
 pub use aggregate_t::{aggregate_t, aggregate_t_literal};
-pub use coalesce::coalesce;
+pub use coalesce::{coalesce, coalesce_literal};
 pub use difference_t::difference_t;
-pub use product_t::product_t;
+pub use product_t::{product_t, product_t_literal};
 pub use rdup_t::{rdup_t, rdup_t_literal};
 pub use union_t::union_t;

@@ -10,11 +10,17 @@
 //!
 //! Table 1: order `= Order(r1)`, cardinality `≤ n(r1) · n(r2)`, retains
 //! duplicates, destroys coalescing.
+//!
+//! The definition is a left-major nested loop; [`product_t_literal`] runs
+//! it. [`product_t`] finds the same pairs with [`overlapping_pairs`], an
+//! endpoint sweep the batch engine's kernel shares, and sorts them back
+//! into the nested loop's order.
 
-use crate::context::StridePoll;
+use crate::context::{self, StridePoll};
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::{Attribute, Schema};
+use crate::time::Instant;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 
@@ -32,12 +38,103 @@ pub fn product_t_schema(left: &Schema, right: &Schema) -> Result<Schema> {
     Schema::new(attrs)
 }
 
-/// Apply `×ᵀ`: left-major nested loop over period-overlapping pairs.
+/// Every `(left, right)` pair of rows whose periods overlap, packed as
+/// `left << 32 | right` and ascending — the nested loop's order: left-major,
+/// right rows ascending. Each side is given as its start and end columns.
+///
+/// Both sides' rows are sorted by `(start, end)` and merged; a row meets
+/// the other side's rows that started no later and are still live, so
+/// every overlapping pair is found once, by whichever row comes second.
+/// One governance poll per left row. `O((n + m) log(n + m))` for the
+/// sweep, plus sorting the pairs it finds.
+pub fn overlapping_pairs(
+    (ls, le): (&[Instant], &[Instant]),
+    (rs, re): (&[Instant], &[Instant]),
+) -> Result<Vec<u64>> {
+    let by_period = |s: &[Instant], e: &[Instant]| {
+        let mut rows: Vec<u32> = (0..s.len() as u32).collect();
+        rows.sort_unstable_by_key(|&i| (s[i as usize], e[i as usize]));
+        rows
+    };
+    let (left, right) = (by_period(ls, le), by_period(rs, re));
+    let mut pairs = Vec::new();
+    let (mut live_left, mut live_right): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() || j < right.len() {
+        let take_left = match (left.get(i), right.get(j)) {
+            (Some(&l), Some(&r)) => {
+                let (l, r) = (l as usize, r as usize);
+                (ls[l], le[l]) <= (rs[r], re[r])
+            }
+            (Some(_), None) => true,
+            _ => false,
+        };
+        if take_left {
+            context::check_current()?;
+            let l = left[i];
+            i += 1;
+            let (s, e) = (ls[l as usize], le[l as usize]);
+            live_right.retain(|&r| re[r as usize] > s);
+            for &r in &live_right {
+                // An empty period is live nowhere.
+                if rs[r as usize].max(s) < re[r as usize].min(e) {
+                    pairs.push(u64::from(l) << 32 | u64::from(r));
+                }
+            }
+            live_left.push(l);
+        } else {
+            let r = right[j];
+            j += 1;
+            let (s, e) = (rs[r as usize], re[r as usize]);
+            live_left.retain(|&l| le[l as usize] > s);
+            for &l in &live_left {
+                if ls[l as usize].max(s) < le[l as usize].min(e) {
+                    pairs.push(u64::from(l) << 32 | u64::from(r));
+                }
+            }
+            live_right.push(r);
+        }
+    }
+    pairs.sort_unstable();
+    Ok(pairs)
+}
+
+/// Apply `×ᵀ`: the period-overlapping pairs of [`overlapping_pairs`], each
+/// valid over its intersection — the nested loop's list.
 pub fn product_t(r1: &Relation, r2: &Relation) -> Result<Relation> {
+    let schema = product_t_schema(r1.schema(), r2.schema())?;
+    let ends = |r: &Relation| -> Result<(Vec<Instant>, Vec<Instant>)> {
+        let mut ends = (Vec::with_capacity(r.len()), Vec::with_capacity(r.len()));
+        for t in r.tuples() {
+            let p = t.period(r.schema())?;
+            ends.0.push(p.start);
+            ends.1.push(p.end);
+        }
+        Ok(ends)
+    };
+    let (ls, le) = ends(r1)?;
+    let (rs, re) = ends(r2)?;
+    let pairs = overlapping_pairs((&ls, &le), (&rs, &re))?;
+    let mut out = Vec::with_capacity(pairs.len());
+    for pair in pairs {
+        let (l, r) = ((pair >> 32) as usize, pair as u32 as usize);
+        let mut values = r1.tuples()[l].values().to_vec();
+        values.extend(r2.tuples()[r].values().iter().cloned());
+        values.push(Value::Time(ls[l].max(rs[r])));
+        values.push(Value::Time(le[l].min(re[r])));
+        out.push(Tuple::new(values));
+    }
+    Ok(Relation::new_unchecked(schema, out))
+}
+
+/// `×ᵀ` by its definition: a left-major nested loop over all `n·m` pairs,
+/// keeping the overlapping ones. The definition [`product_t`] is tested
+/// against.
+pub fn product_t_literal(r1: &Relation, r2: &Relation) -> Result<Relation> {
     let schema = product_t_schema(r1.schema(), r2.schema())?;
     let mut out = Vec::new();
     // Poll the governance context every stride of the quadratic loop so
-    // the faithful nested-loop algorithm stays cancellable mid-operator.
+    // the literal nested loop stays cancellable mid-operator.
     let mut poll = StridePoll::new();
     for t1 in r1.tuples() {
         let p1 = t1.period(r1.schema())?;

@@ -114,7 +114,7 @@ pub fn explain_with_cost(plan: &LogicalPlan, model: &CostModel) -> Result<String
                 &ann[&p].stat
             })
             .collect();
-        let cost = model.estimate_node(node, &props.stat, &child_stats, props.site, props.flags);
+        let cost = model.estimate_node(node, &props.stat, &child_stats, props.site);
         let site = match props.site {
             Site::Stratum => "stratum",
             Site::Dbms => "dbms",

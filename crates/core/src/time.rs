@@ -150,24 +150,6 @@ impl fmt::Display for Period {
     }
 }
 
-/// Normalize a set of periods into a minimal, sorted list of disjoint,
-/// non-adjacent periods covering the same instants (the "union of periods"
-/// used when treating a value-equivalence class as a point set).
-pub fn normalize_periods(mut periods: Vec<Period>) -> Vec<Period> {
-    periods.retain(|p| !p.is_empty());
-    periods.sort();
-    let mut out: Vec<Period> = Vec::with_capacity(periods.len());
-    for p in periods {
-        match out.last_mut() {
-            Some(last) if p.start <= last.end => {
-                last.end = last.end.max(p.end);
-            }
-            _ => out.push(p),
-        }
-    }
-    out
-}
-
 /// The instants claimed so far by one value-equivalence class, as sorted,
 /// disjoint, non-touching intervals (`start → end`).
 ///
@@ -490,18 +472,6 @@ mod tests {
             Period::of(6, 11).subtract(&Period::of(1, 8)),
             vec![Period::of(8, 11)]
         );
-    }
-
-    #[test]
-    fn normalize_merges_overlap_and_adjacency() {
-        let out = normalize_periods(vec![
-            Period::of(5, 7),
-            Period::of(1, 3),
-            Period::of(3, 5),
-            Period::of(6, 9),
-            Period::of(12, 12),
-        ]);
-        assert_eq!(out, vec![Period::of(1, 9)]);
     }
 
     #[test]

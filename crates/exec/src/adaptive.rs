@@ -24,10 +24,9 @@
 //!    the logical plan as a scan with *measured* statistics
 //!    ([`tqo_core::plan::BaseProps::measured`]: row and distinct counts,
 //!    histograms, time range, snapshot-overlap degree) and the unexecuted
-//!    remainder re-enters the planner: lowering re-picks algorithms
-//!    within their equivalence licenses, and when a rule set is supplied
-//!    the memo (or exhaustive) optimizer re-searches the remainder's plan
-//!    space. The new plan is cut again and the loop continues. The
+//!    remainder re-enters the planner: lowering re-derives its estimates
+//!    from the measurements, and when a rule set is supplied the memo (or
+//!    exhaustive) optimizer re-searches the remainder's plan space. The new plan is cut again and the loop continues. The
 //!    executed prefix is pinned by construction — it is now a scan leaf,
 //!    which no rule can rewrite away.
 //!
@@ -39,8 +38,8 @@
 //! because every adaptive decision is a deterministic function of actual
 //! cardinalities — which both engines agree on — an adaptive run produces
 //! byte-identical results on the row and batch engines. With re-lowering
-//! only (no rule re-entry) in faithful mode, the adaptive result is
-//! byte-identical to the reference interpreter. See `docs/adaptive.md`
+//! only (no rule re-entry), the adaptive result is byte-identical to the
+//! reference interpreter. See `docs/adaptive.md`
 //! for the full invariant table.
 
 use tqo_core::context;
@@ -98,9 +97,9 @@ impl Default for AdaptiveConfig {
 /// statistics whenever a checkpoint's q-error reaches `adaptive`'s
 /// threshold. The one door into the adaptive loop.
 ///
-/// With `rules: None` re-planning is *re-lowering only* — algorithm
-/// selection re-runs against measured statistics within the equivalence
-/// licenses, but the plan shape is fixed. With `rules: Some(_)` the
+/// With `rules: None` re-planning is *re-lowering only*: the remainder's
+/// estimates come from measured statistics, and since every operator has
+/// one algorithm, the plan itself stays as it was. With `rules: Some(_)` the
 /// remainder also re-enters the configured search strategy (memo by
 /// default in callers that care about latency), which can restructure it —
 /// move work across the stratum split, reorder joins — exactly as the

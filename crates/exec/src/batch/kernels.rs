@@ -11,14 +11,16 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use tqo_core::columnar::{Column, ColumnData, ColumnarRelation};
+use tqo_core::columnar::{hash_combine, mix64, Column, ColumnData, ColumnarRelation};
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggFunc, AggItem};
 use tqo_core::ops::temporal::aggregate_t::IntervalAggregates;
+use tqo_core::ops::temporal::coalesce::coalesce_walk;
+use tqo_core::ops::temporal::product_t::overlapping_pairs;
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortDir};
-use tqo_core::time::{normalize_periods, CountTimeline, Coverage, EndpointSweep, Period};
+use tqo_core::time::{CountTimeline, Coverage, EndpointSweep, Period};
 
 use crate::physical::EquiKeys;
 
@@ -195,7 +197,7 @@ fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>) {
 /// Value-equivalence classes (or grouping classes) of a relation over a
 /// set of key columns, in first-occurrence order.
 ///
-/// The build is radix-partitioned past [`CLASS_RADIX_MIN_ROWS`]: a two-pass
+/// The build is radix-partitioned past `CLASS_RADIX_MIN_ROWS`: a two-pass
 /// (histogram, scatter) pass splits rows by the high half of their key
 /// hash, each partition builds a private cache-sized probe table over its
 /// stable (ascending) row slice, and a cheap `O(classes · parts)` merge
@@ -643,7 +645,7 @@ pub(crate) fn product_bytes(
 /// `tqo_core::ops::product`. Built one left row at a time — that row
 /// repeated beside the whole right input — with a governance poll per
 /// left row, so an `O(n·m)` product stays cancellable and holds no index
-/// vectors of that size. The caller has charged [`product_bytes`].
+/// vectors of that size. The caller has charged `product_bytes`.
 pub fn product(
     left: &ColumnarRelation,
     right: &ColumnarRelation,
@@ -721,7 +723,7 @@ pub fn product_hash_equi(
     ))
 }
 
-/// Hash equi-join `×ᵀ`: the rows of [`product_t_nested`] that satisfy the
+/// Hash equi-join `×ᵀ`: the rows of [`product_t_sweep`] that satisfy the
 /// key equalities, in its order — list-exact against
 /// `crate::operators::product_t_hash_equi`.
 pub fn product_t_hash_equi(
@@ -776,94 +778,9 @@ fn product_t_output(
     ColumnarRelation::new(out_schema, columns)
 }
 
-/// Faithful `×ᵀ`: left-major nested loop over period-overlapping pairs,
-/// list-exact against `tqo_core::ops::product_t`.
-pub fn product_t_nested(
-    left: &ColumnarRelation,
-    right: &ColumnarRelation,
-    out_schema: Arc<Schema>,
-) -> Result<ColumnarRelation> {
-    let (ls, le) = left.period_columns()?;
-    let (rs, re) = right.period_columns()?;
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    let mut t1 = Vec::new();
-    let mut t2 = Vec::new();
-    for i in 0..left.rows() {
-        context::check_current()?;
-        for j in 0..right.rows() {
-            let s = ls[i].max(rs[j]);
-            let e = le[i].min(re[j]);
-            if s < e {
-                lidx.push(i as u32);
-                ridx.push(j as u32);
-                t1.push(s);
-                t2.push(e);
-            }
-        }
-    }
-    Ok(product_t_output(
-        left, right, out_schema, lidx, ridx, t1, t2,
-    ))
-}
-
-/// Branch-free intersection emission for the plane sweeps: intersect one
-/// new period against the opposite side's whole active list, writing
-/// every candidate pair at a cursor and advancing it by the overlap
-/// predicate — no per-pair branch, so the `max`/`min`/compare chain
-/// vectorizes. Emission order is the active-list order, identical to the
-/// branchy loop it replaces. `new_is_left` says which output side the new
-/// period's index lands on.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn emit_overlaps(
-    active: &[(i64, i64, u32)],
-    s: i64,
-    e: i64,
-    new_idx: u32,
-    new_is_left: bool,
-    lidx: &mut Vec<u32>,
-    ridx: &mut Vec<u32>,
-    t1: &mut Vec<i64>,
-    t2: &mut Vec<i64>,
-) {
-    let base = lidx.len();
-    let need = base + active.len();
-    lidx.resize(need, 0);
-    ridx.resize(need, 0);
-    t1.resize(need, 0);
-    t2.resize(need, 0);
-    let mut m = base;
-    if new_is_left {
-        for &(os, oe, oi) in active {
-            let ps = s.max(os);
-            let pe = e.min(oe);
-            lidx[m] = new_idx;
-            ridx[m] = oi;
-            t1[m] = ps;
-            t2[m] = pe;
-            m += (ps < pe) as usize;
-        }
-    } else {
-        for &(os, oe, oi) in active {
-            let ps = s.max(os);
-            let pe = e.min(oe);
-            lidx[m] = oi;
-            ridx[m] = new_idx;
-            t1[m] = ps;
-            t2[m] = pe;
-            m += (ps < pe) as usize;
-        }
-    }
-    lidx.truncate(m);
-    ridx.truncate(m);
-    t1.truncate(m);
-    t2.truncate(m);
-}
-
-/// Fast `×ᵀ`: endpoint plane sweep over the period columns, list-exact
-/// against `crate::operators::product_t_plane_sweep` (same stable sort,
-/// same tie-breaking, same active-list order).
+/// `×ᵀ`: the endpoint sweep of [`overlapping_pairs`] over the raw period
+/// columns, its pairs in the nested loop's order — list-exact against
+/// `tqo_core::ops::product_t`. One governance poll per left row.
 pub fn product_t_sweep(
     left: &ColumnarRelation,
     right: &ColumnarRelation,
@@ -871,44 +788,16 @@ pub fn product_t_sweep(
 ) -> Result<ColumnarRelation> {
     let (ls, le) = left.period_columns()?;
     let (rs, re) = right.period_columns()?;
-    let mut lev: Vec<(i64, i64, u32)> =
-        (0..left.rows()).map(|i| (ls[i], le[i], i as u32)).collect();
-    let mut rev: Vec<(i64, i64, u32)> = (0..right.rows())
-        .map(|j| (rs[j], re[j], j as u32))
-        .collect();
-    lev.sort_by_key(|&(s, e, _)| (s, e));
-    rev.sort_by_key(|&(s, e, _)| (s, e));
-
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    let mut t1 = Vec::new();
-    let mut t2 = Vec::new();
-    let mut active_l: Vec<(i64, i64, u32)> = Vec::new();
-    let mut active_r: Vec<(i64, i64, u32)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lev.len() || j < rev.len() {
-        let take_left = match (lev.get(i), rev.get(j)) {
-            (Some(l), Some(r)) => (l.0, l.1) <= (r.0, r.1),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_left {
-            let (s, e, li) = lev[i];
-            i += 1;
-            active_r.retain(|&(_, rend, _)| rend > s);
-            emit_overlaps(
-                &active_r, s, e, li, true, &mut lidx, &mut ridx, &mut t1, &mut t2,
-            );
-            active_l.push((s, e, li));
-        } else {
-            let (s, e, ri) = rev[j];
-            j += 1;
-            active_l.retain(|&(_, lend, _)| lend > s);
-            emit_overlaps(
-                &active_l, s, e, ri, false, &mut lidx, &mut ridx, &mut t1, &mut t2,
-            );
-            active_r.push((s, e, ri));
-        }
+    let pairs = overlapping_pairs((ls, le), (rs, re))?;
+    let n = pairs.len();
+    let (mut lidx, mut ridx) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let (mut t1, mut t2) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for pair in pairs {
+        let (l, r) = ((pair >> 32) as usize, pair as u32 as usize);
+        lidx.push(l as u32);
+        ridx.push(r as u32);
+        t1.push(ls[l].max(rs[r]));
+        t2.push(le[l].min(re[r]));
     }
     Ok(product_t_output(
         left, right, out_schema, lidx, ridx, t1, t2,
@@ -957,10 +846,10 @@ pub fn difference_t(
     Ok(emit_fragments(left, out_schema, &protos, t1, t2))
 }
 
-/// Faithful `rdupᵀ`: each row claims, in list order, what earlier rows of
-/// its class left free of its period — list-exact against
+/// `rdupᵀ`: each row claims, in list order, what earlier rows of its
+/// class left free of its period — list-exact against
 /// `tqo_core::ops::rdup_t` (and so against the paper's recursion).
-pub fn rdup_t_faithful(input: &ColumnarRelation) -> Result<ColumnarRelation> {
+pub fn rdup_t(input: &ColumnarRelation) -> Result<ColumnarRelation> {
     let (s, e) = input.period_columns()?;
     let classes = ClassIndex::build(input, input.schema().value_indices());
     let mut claimed = vec![Coverage::new(); classes.len()];
@@ -977,80 +866,39 @@ pub fn rdup_t_faithful(input: &ColumnarRelation) -> Result<ColumnarRelation> {
     Ok(emit_fragments(input, input.schema().clone(), &rows, t1, t2))
 }
 
-/// Sweep `rdupᵀ`: per-class period union, list-exact against
-/// `crate::operators::rdup_t_sweep`.
-pub fn rdup_t_sweep(input: &ColumnarRelation) -> Result<ColumnarRelation> {
+/// `coalᵀ`: [`coalesce_walk`] over [`ClassIndex`] classes and the raw
+/// period columns — list-exact against `tqo_core::ops::coalesce`. The
+/// `(class, instant)` pairs are numbered through a [`RowTable`] on a mix of
+/// the two, each pair stored once for the collision check.
+pub fn coalesce(input: &ColumnarRelation) -> Result<ColumnarRelation> {
     let (s, e) = input.period_columns()?;
     let classes = ClassIndex::build(input, input.schema().value_indices());
-    let mut protos = Vec::new();
-    let mut t1 = Vec::new();
-    let mut t2 = Vec::new();
-    for (class, members) in classes.members.iter().enumerate() {
-        let periods: Vec<Period> = members
-            .iter()
-            .map(|&i| Period::of(s[i as usize], e[i as usize]))
-            .collect();
-        for p in normalize_periods(periods) {
-            protos.push(classes.protos[class]);
-            t1.push(p.start);
-            t2.push(p.end);
+    let rows = input.rows();
+    let mut table = RowTable::with_capacity(2 * rows);
+    let mut pairs: Vec<(u32, i64)> = Vec::with_capacity(2 * rows);
+    let mut number = |class: u32, at: i64| {
+        let hash = hash_combine(mix64(u64::from(class)), mix64(at as u64));
+        let (id, inserted) = table.find_or_insert(hash, |id| pairs[id as usize] == (class, at), 0);
+        if inserted {
+            pairs.push((class, at));
         }
+        id
+    };
+    let (mut starts_at, mut ends_at) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    for (row, &class) in classes.class_of_row.iter().enumerate() {
+        starts_at.push(number(class, s[row]));
+        ends_at.push(number(class, e[row]));
     }
+    let (mut heads, mut t1, mut t2) = (Vec::new(), Vec::new(), Vec::new());
+    coalesce_walk(&starts_at, &ends_at, pairs.len(), |head, first, last| {
+        heads.push(head as u32);
+        t1.push(s[first]);
+        t2.push(e[last]);
+    });
     Ok(emit_fragments(
         input,
         input.schema().clone(),
-        &protos,
-        t1,
-        t2,
-    ))
-}
-
-/// One class of `coalᵀ`: sort the class's periods, then merge meeting
-/// neighbors.
-fn coalesce_class(mut periods: Vec<Period>) -> Vec<Period> {
-    periods.sort();
-    let mut out = Vec::new();
-    let mut current: Option<Period> = None;
-    for p in periods {
-        match current {
-            None => current = Some(p),
-            Some(c) if c.end == p.start => current = Some(Period::of(c.start, p.end)),
-            Some(c) => {
-                out.push(c);
-                current = Some(p);
-            }
-        }
-    }
-    if let Some(c) = current {
-        out.push(c);
-    }
-    out
-}
-
-/// Sort-merge `coalᵀ`: per-class sorted adjacency merge, list-exact
-/// against `crate::operators::coalesce_sort_merge`.
-pub fn coalesce_sort_merge(input: &ColumnarRelation) -> Result<ColumnarRelation> {
-    let (s, e) = input.period_columns()?;
-    let classes = ClassIndex::build(input, input.schema().value_indices());
-    let mut protos = Vec::new();
-    let mut t1 = Vec::new();
-    let mut t2 = Vec::new();
-    for (class, members) in classes.members.iter().enumerate() {
-        let periods: Vec<Period> = members
-            .iter()
-            .map(|&i| Period::of(s[i as usize], e[i as usize]))
-            .collect();
-        let proto = classes.protos[class];
-        for c in coalesce_class(periods) {
-            protos.push(proto);
-            t1.push(c.start);
-            t2.push(c.end);
-        }
-    }
-    Ok(emit_fragments(
-        input,
-        input.schema().clone(),
-        &protos,
+        &heads,
         t1,
         t2,
     ))
@@ -1167,23 +1015,17 @@ mod tests {
     }
 
     #[test]
-    fn product_t_kernels_match_row_algorithms_exactly() {
+    fn product_t_sweep_is_the_nested_loops_list() {
         let l = temporal(&[("a", 1, 5), ("b", 4, 9), ("c", 10, 12), ("a", 2, 7)]);
         let r = temporal(&[("x", 3, 6), ("y", 8, 12), ("z", 1, 2)]);
         let out_schema = Arc::new(
             tqo_core::ops::temporal::product_t::product_t_schema(l.schema(), r.schema()).unwrap(),
         );
-        let nested = product_t_nested(&cr(&l), &cr(&r), out_schema.clone())
-            .unwrap()
-            .to_relation();
-        assert_eq!(nested, ops::product_t(&l, &r).unwrap());
         let sweep = product_t_sweep(&cr(&l), &cr(&r), out_schema)
             .unwrap()
             .to_relation();
-        assert_eq!(
-            sweep,
-            crate::operators::product_t_plane_sweep(&l, &r).unwrap()
-        );
+        assert_eq!(sweep, ops::product_t(&l, &r).unwrap());
+        assert_eq!(sweep, ops::product_t_literal(&l, &r).unwrap());
     }
 
     #[test]
@@ -1201,14 +1043,16 @@ mod tests {
         let r = temporal(&[
             ("a", 4, 6),
             ("a", 1, 10),
-            ("b", 2, 5),
             ("b", 5, 9),
+            ("b", 2, 5),
             ("a", 12, 14),
+            ("b", 9, 11),
         ]);
-        let got = rdup_t_sweep(&cr(&r)).unwrap().to_relation();
-        assert_eq!(got, crate::operators::rdup_t_sweep(&r).unwrap());
-        let got = coalesce_sort_merge(&cr(&r)).unwrap().to_relation();
-        assert_eq!(got, crate::operators::coalesce_sort_merge(&r).unwrap());
+        let got = rdup_t(&cr(&r)).unwrap().to_relation();
+        assert_eq!(got, ops::rdup_t(&r).unwrap());
+        let got = coalesce(&cr(&r)).unwrap().to_relation();
+        assert_eq!(got, ops::coalesce(&r).unwrap());
+        assert_eq!(got, ops::coalesce_literal(&r).unwrap());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The streaming operator pipeline: `open` / `next_batch` / `close`.
 //!
-//! [`build`] translates a [`PhysicalNode`] tree into a tree of
-//! [`BatchOperator`]s. Streaming operators (scan, select, project,
+//! `build` translates a [`PhysicalNode`] tree into a tree of
+//! `BatchOperator`s. Streaming operators (scan, select, project,
 //! union-all, hash `rdup`, hash `difference`, transfers) forward ~1024-row
 //! batches as they arrive; pipeline breakers materialize their inputs and
-//! call the columnar kernels. Operators without a columnar kernel (fixpoint
-//! `coalᵀ`, subtract-union `\ᵀ`, `∪ᵀ`, `∪max`)
-//! fall back to the row implementations behind a materialize boundary, so
-//! every physical plan executes under either engine with identical
-//! results.
+//! call the columnar kernels. The two operators without a columnar kernel
+//! (`∪ᵀ`, `∪max`) fall back to the row implementations behind a
+//! materialize boundary, so every physical plan executes under either
+//! engine with identical results.
 //!
-//! Every operator is wrapped in a [`Metered`] shell that accumulates
+//! Every operator is wrapped in a `Metered` shell that accumulates
 //! inclusive wall-clock time, output rows, and batch counts into a shared
 //! sink; the driver converts inclusive to exclusive times using the tree
 //! shape and reports the same post-order [`OperatorMetrics`] sequence the
@@ -34,10 +33,7 @@ use tqo_core::trace::{self, Category};
 use tqo_core::tuple::Tuple;
 
 use crate::metrics::{ExecMetrics, OperatorMetrics};
-use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo,
-    RdupTAlgo,
-};
+use crate::physical::{EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo};
 
 use super::exprs::{self, Pred};
 use super::hash::{KeyStore, RowTable};
@@ -649,13 +645,11 @@ enum BlockKind {
     },
     Product,
     ProductHashEqui(EquiKeys),
-    ProductTNested,
-    ProductTSweep,
+    ProductT,
     ProductTHashEqui(EquiKeys),
     DifferenceT,
-    RdupTFaithful,
-    RdupTSweep,
-    CoalesceSortMerge,
+    RdupT,
+    Coalesce,
     /// Materialize to row layout and run the reference implementation —
     /// the compatibility path for operators without a columnar kernel.
     RowOp(PhysicalNode),
@@ -804,16 +798,7 @@ impl BlockingOp {
                     self.out_schema.clone(),
                 )?);
             }
-            BlockKind::ProductTNested => {
-                let right = inputs.pop().expect("binary");
-                let left = inputs.pop().expect("binary");
-                self.out = Some(kernels::product_t_nested(
-                    &left,
-                    &right,
-                    self.out_schema.clone(),
-                )?);
-            }
-            BlockKind::ProductTSweep => {
+            BlockKind::ProductT => {
                 let right = inputs.pop().expect("binary");
                 let left = inputs.pop().expect("binary");
                 self.out = Some(kernels::product_t_sweep(
@@ -831,17 +816,13 @@ impl BlockingOp {
                     self.out_schema.clone(),
                 )?);
             }
-            BlockKind::RdupTFaithful => {
+            BlockKind::RdupT => {
                 let input = inputs.pop().expect("unary");
-                self.out = Some(kernels::rdup_t_faithful(&input)?);
+                self.out = Some(kernels::rdup_t(&input)?);
             }
-            BlockKind::RdupTSweep => {
+            BlockKind::Coalesce => {
                 let input = inputs.pop().expect("unary");
-                self.out = Some(kernels::rdup_t_sweep(&input)?);
-            }
-            BlockKind::CoalesceSortMerge => {
-                let input = inputs.pop().expect("unary");
-                self.out = Some(kernels::coalesce_sort_merge(&input)?);
+                self.out = Some(kernels::coalesce(&input)?);
             }
             BlockKind::RowOp(node) => {
                 let rels: Vec<Relation> =
@@ -1113,23 +1094,18 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 &right.out_schema(),
             )?);
             let kind = match algo {
-                ProductTAlgo::NestedLoop => BlockKind::ProductTNested,
-                ProductTAlgo::PlaneSweep => BlockKind::ProductTSweep,
+                ProductTAlgo::Sweep => BlockKind::ProductT,
                 ProductTAlgo::HashEqui(keys) => BlockKind::ProductTHashEqui(keys.clone()),
             };
             blocking(vec![left, right], kind, out)
         }
-        PhysicalNode::DifferenceT { algo, .. } => {
+        PhysicalNode::DifferenceT { .. } => {
             let left = next();
             let right = next();
             let ls = left.out_schema();
             require_temporal(&ls, "temporal difference")?;
             require_temporal(&right.out_schema(), "temporal difference")?;
-            let kind = match algo {
-                DifferenceTAlgo::TimelineSweep => BlockKind::DifferenceT,
-                DifferenceTAlgo::SubtractUnion => BlockKind::RowOp(node.clone()),
-            };
-            blocking(vec![left, right], kind, ls)
+            blocking(vec![left, right], BlockKind::DifferenceT, ls)
         }
         PhysicalNode::AggregateT { group_by, aggs, .. } => {
             let child = next();
@@ -1147,15 +1123,11 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 out,
             )
         }
-        PhysicalNode::RdupT { algo, .. } => {
+        PhysicalNode::RdupT { .. } => {
             let child = next();
             let schema = child.out_schema();
             require_temporal(&schema, "temporal duplicate elimination")?;
-            let kind = match algo {
-                RdupTAlgo::Faithful => BlockKind::RdupTFaithful,
-                RdupTAlgo::Sweep => BlockKind::RdupTSweep,
-            };
-            blocking(vec![child], kind, schema)
+            blocking(vec![child], BlockKind::RdupT, schema)
         }
         PhysicalNode::UnionT { .. } => {
             let left = next();
@@ -1166,15 +1138,11 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             ls.check_union_compatible(&right.out_schema(), "temporal union")?;
             blocking(vec![left, right], BlockKind::RowOp(node.clone()), ls)
         }
-        PhysicalNode::Coalesce { algo, .. } => {
+        PhysicalNode::Coalesce { .. } => {
             let child = next();
             let schema = child.out_schema();
             require_temporal(&schema, "coalescing")?;
-            let kind = match algo {
-                CoalesceAlgo::Fixpoint => BlockKind::RowOp(node.clone()),
-                CoalesceAlgo::SortMerge => BlockKind::CoalesceSortMerge,
-            };
-            blocking(vec![child], kind, schema)
+            blocking(vec![child], BlockKind::Coalesce, schema)
         }
         PhysicalNode::TransferS { .. } | PhysicalNode::TransferD { .. } => {
             Box::new(TransferOp { child: next() })
@@ -1312,7 +1280,6 @@ mod tests {
                 input: scan("R"),
                 predicate: Expr::eq(Expr::col("E"), Expr::lit("v7")),
             }),
-            algo: RdupTAlgo::Sweep,
         };
         let p = plan(root);
         let (batch_result, bm) = execute_batch(&p, &e).unwrap();

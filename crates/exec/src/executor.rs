@@ -26,9 +26,7 @@ use tqo_core::trace::{self, Category};
 
 use crate::metrics::{ExecMetrics, OperatorMetrics};
 use crate::operators;
-use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo, RdupTAlgo,
-};
+use crate::physical::{PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo};
 use crate::planner::{lower, PlannerConfig};
 
 /// Which engine executes a physical plan.
@@ -144,30 +142,18 @@ pub(crate) fn apply_row_op(node: &PhysicalNode, inputs: &[Relation]) -> Result<R
         PhysicalNode::Sort { order, .. } => ops::sort(&inputs[0], order)?,
         PhysicalNode::Limit { limit, offset, .. } => ops::limit(&inputs[0], *limit, *offset)?,
         PhysicalNode::ProductT { algo, .. } => match algo {
-            ProductTAlgo::NestedLoop => ops::product_t(&inputs[0], &inputs[1])?,
-            ProductTAlgo::PlaneSweep => operators::product_t_plane_sweep(&inputs[0], &inputs[1])?,
+            ProductTAlgo::Sweep => ops::product_t(&inputs[0], &inputs[1])?,
             ProductTAlgo::HashEqui(keys) => {
                 operators::product_t_hash_equi(&inputs[0], &inputs[1], keys)?
             }
         },
-        PhysicalNode::DifferenceT { algo, .. } => match algo {
-            DifferenceTAlgo::TimelineSweep => ops::difference_t(&inputs[0], &inputs[1])?,
-            DifferenceTAlgo::SubtractUnion => {
-                operators::difference_t_subtract_union(&inputs[0], &inputs[1])?
-            }
-        },
+        PhysicalNode::DifferenceT { .. } => ops::difference_t(&inputs[0], &inputs[1])?,
         PhysicalNode::AggregateT { group_by, aggs, .. } => {
             ops::aggregate_t(&inputs[0], group_by, aggs)?
         }
-        PhysicalNode::RdupT { algo, .. } => match algo {
-            RdupTAlgo::Faithful => ops::rdup_t(&inputs[0])?,
-            RdupTAlgo::Sweep => operators::rdup_t_sweep(&inputs[0])?,
-        },
+        PhysicalNode::RdupT { .. } => ops::rdup_t(&inputs[0])?,
         PhysicalNode::UnionT { .. } => ops::union_t(&inputs[0], &inputs[1])?,
-        PhysicalNode::Coalesce { algo, .. } => match algo {
-            CoalesceAlgo::Fixpoint => ops::coalesce(&inputs[0])?,
-            CoalesceAlgo::SortMerge => operators::coalesce_sort_merge(&inputs[0])?,
-        },
+        PhysicalNode::Coalesce { .. } => ops::coalesce(&inputs[0])?,
         PhysicalNode::TransferS { .. } | PhysicalNode::TransferD { .. } => inputs[0].clone(),
     })
 }
@@ -294,24 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_faithful_agree_on_the_running_example() {
-        let cat = paper::catalog();
-        let env = cat.env();
-        let plan = figure2a_plan(ResultType::List(Order::asc(&["EmpName"])));
-        let (fast, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
-        let (faithful, _) = execute_logical(
-            &plan,
-            &env,
-            PlannerConfig {
-                allow_fast: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fast, faithful);
-    }
-
-    #[test]
     fn metrics_capture_operator_rows() {
         let cat = paper::catalog();
         let plan = PlanBuilder::scan("EMPLOYEE", cat.base_props("EMPLOYEE").unwrap())
@@ -323,40 +291,20 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_interpreter() {
+    fn both_engines_match_the_reference_interpreter() {
         let cat = paper::catalog();
         let env = cat.env();
-        let plan = figure2a_plan(ResultType::List(Order::asc(&["EmpName"])));
-        let via_interp = tqo_core::interp::eval_plan(&plan, &env).unwrap();
-        let (via_exec, _) = execute_logical(
-            &plan,
-            &env,
-            PlannerConfig {
-                allow_fast: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(via_interp, via_exec);
-    }
-
-    #[test]
-    fn both_engines_agree_on_both_planner_modes() {
-        let cat = paper::catalog();
-        let env = cat.env();
-        let plan = figure2a_plan(ResultType::Multiset);
-        for allow_fast in [true, false] {
-            let physical = lower(
-                &plan,
-                PlannerConfig {
-                    allow_fast,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        for result_type in [
+            ResultType::List(Order::asc(&["EmpName"])),
+            ResultType::Multiset,
+        ] {
+            let plan = figure2a_plan(result_type);
+            let via_interp = tqo_core::interp::eval_plan(&plan, &env).unwrap();
+            let physical = lower(&plan, PlannerConfig::default()).unwrap();
             let (row, _) = execute_row(&physical, &env).unwrap();
             let (batch, _) = execute_mode(&physical, &env, ExecMode::Batch).unwrap();
-            assert_eq!(row, batch, "engines diverge (allow_fast={allow_fast})");
+            assert_eq!(row, via_interp);
+            assert_eq!(batch, via_interp);
         }
     }
 

@@ -1,28 +1,29 @@
 //! # tqo-exec — physical execution engine
 //!
 //! Lowers logical plans ([`tqo_core::plan::LogicalPlan`]) to physical plans
-//! and executes them. The point of the physical layer is *algorithm
-//! choice*: several operations have both a specification-faithful
-//! implementation (producing exactly the list the paper's definitions
-//! prescribe) and a faster algorithm whose output is only equivalent at a
-//! weaker level — usable precisely where the plan's operation properties
-//! (Table 2) say order or exact periods do not matter:
+//! and executes them. Every operator has one algorithm, shared by the
+//! interpreter (`tqo_core::ops`) and both engines, and its output is the
+//! exact list the paper's definition prescribes — so no algorithm needs a
+//! Table 2 license, and every physical plan computes the interpreter's
+//! list. The temporal operators:
 //!
-//! | logical op | faithful | fast | fast output is |
-//! |------------|----------|------|----------------|
-//! | `rdupᵀ` | per-class claims in list order (the recursion's list) | per-class period-union sweep | `≡SM` to faithful |
-//! | `coalᵀ` | first-partner fixpoint | sort-merge per class | `≡M` (sdf input) |
-//! | `×ᵀ` | left-major nested loop | plane sweep | `≡M` |
-//! | `\ᵀ` | count-timeline sweep | per-tuple subtract-union | `≡SM` |
+//! | logical op | algorithm | cost |
+//! |------------|-----------|------|
+//! | `rdupᵀ` | per-class claims in list order (the recursion's list) | `O(n log n)` |
+//! | `coalᵀ` | per-(class, instant) chains walked in list order (the fixpoint's list) | `O(n)` after hashing |
+//! | `×ᵀ` | endpoint plane sweep, pairs sorted into the nested loop's order | `O((n + m) log(n + m))` + sorted output |
+//! | `\ᵀ` | per-class count timelines | `O(n log n)` |
+//! | `ξᵀ` | one endpoint sweep per group | `O(n log n)` + output |
 //!
-//! One fast algorithm needs no such license: below a `Select` with
-//! equality conjuncts across its inputs, `×` / `×ᵀ` run as a hash
-//! equi-join whose output is the key-matching sub-list of the nested
-//! loop's — the select above yields the identical list.
+//! The one physical choice is [`physical::ProductAlgo::HashEqui`] /
+//! [`physical::ProductTAlgo::HashEqui`]: below a `Select` with equality
+//! conjuncts across its inputs, `×` / `×ᵀ` run as a hash equi-join whose
+//! output is the key-matching sub-list of the product's — the select above
+//! yields the identical list.
 //!
-//! The planner ([`planner::lower`]) consults the property annotations to
-//! pick the fastest admissible algorithm; [`executor::execute_mode`] runs
-//! the physical plan collecting per-operator metrics.
+//! The planner ([`planner::lower`]) makes that choice node for node;
+//! [`executor::execute_mode`] runs the physical plan collecting
+//! per-operator metrics.
 //!
 //! Two engines execute physical plans ([`executor::ExecMode`]): the
 //! vectorized batch pipeline in [`batch`] (default — columnar ~1024-row

@@ -1,16 +1,10 @@
-//! Physical operator algorithms.
+//! Row-engine algorithms that have no counterpart in `tqo_core::ops`.
 //!
-//! Algorithms that are *specification-faithful* simply delegate to
-//! `tqo_core::ops`; the alternatives here trade exact list output for
-//! asymptotic speed and are selected by the planner only where the plan's
-//! operation properties license the weaker equivalence.
+//! Every other operator runs the `tqo_core::ops` function itself. The hash
+//! equi-joins here are the one physical choice the planner makes: below a
+//! selection with cross-input key equalities, a product emits only the
+//! key-matching sub-list of its own list.
 
-pub mod coalesce;
-pub mod dedup;
-pub mod difference;
 pub mod join;
 
-pub use coalesce::coalesce_sort_merge;
-pub use dedup::rdup_t_sweep;
-pub use difference::difference_t_subtract_union;
-pub use join::{product_hash_equi, product_t_hash_equi, product_t_plane_sweep};
+pub use join::{product_hash_equi, product_t_hash_equi};

@@ -24,7 +24,7 @@
 //!   Newly admitted queries start at the pool's current service floor,
 //!   not at zero, so they cannot monopolize a long-running pool either.
 //! * **Per-query context** — each query's
-//!   [`QueryContext`](tqo_core::context::QueryContext) is installed on
+//!   [`tqo_core::context::QueryContext`] is installed on
 //!   the worker for the duration of its tasks only; deadlines, budgets,
 //!   and cancellation are re-checked at every task boundary and fail
 //!   just that query, leaving the pool serving everyone else.
@@ -717,13 +717,11 @@ mod tests {
 
     #[test]
     fn a_stage_output_carries_the_columns_it_was_built_from() {
-        use crate::physical::RdupTAlgo;
         let e = env();
         // Two stages: rdupᵀ is a breaker below the root sort.
         let plan = PhysicalPlan::new(PhysicalNode::Sort {
             input: Arc::new(PhysicalNode::RdupT {
                 input: Arc::new(PhysicalNode::Scan { name: "R".into() }),
-                algo: RdupTAlgo::Faithful,
             }),
             order: Order::asc(&["E"]),
         });

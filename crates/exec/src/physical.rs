@@ -9,25 +9,6 @@ use tqo_core::schema::Schema;
 use tqo_core::sortspec::Order;
 use tqo_core::value::DataType;
 
-/// Algorithm choice for `rdupᵀ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RdupTAlgo {
-    /// Per-class claims in list order — the list the paper's head/tail
-    /// recursion produces, `O(n log n)`.
-    Faithful,
-    /// Per-class period-union sweep — `≡SM` output, `O(n log n)`.
-    Sweep,
-}
-
-/// Algorithm choice for `coalᵀ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoalesceAlgo {
-    /// First-partner fixpoint — exact list output, `O(n²)`.
-    Fixpoint,
-    /// Per-class sort-merge — `≡M` output (sdf input), `O(n log n)`.
-    SortMerge,
-}
-
 /// The equality conjuncts `left = right` a hash product matches on, by
 /// attribute name in the product's output schema (`1.`-prefixed left,
 /// `2.`-prefixed right). Chosen by `planner::lower` from the `Select`
@@ -93,28 +74,19 @@ pub enum ProductAlgo {
 /// Algorithm choice for `×ᵀ`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProductTAlgo {
-    /// Left-major nested loop — exact list output, `O(n·m)`.
-    NestedLoop,
-    /// Endpoint plane sweep — `≡M` output, near `O(n log n + out)`.
-    PlaneSweep,
+    /// Endpoint plane sweep, pairs sorted back into the nested loop's
+    /// order — exact list output, `O((n + m) log(n + m))` plus sorting the
+    /// output.
+    Sweep,
     /// Hash join on the keys, period-overlapping pairs only: the sub-list
-    /// of the nested loop's output that satisfies the key equalities.
+    /// of the sweep's output that satisfies the key equalities.
     HashEqui(EquiKeys),
 }
 
-/// Algorithm choice for `\ᵀ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DifferenceTAlgo {
-    /// Count-timeline sweep — the reference semantics.
-    TimelineSweep,
-    /// Per-tuple subtract-union — `≡SM` output, requires an sdf left
-    /// argument (ablation algorithm).
-    SubtractUnion,
-}
-
 /// A physical operator tree. Parameters mirror
-/// [`tqo_core::plan::PlanNode`]; the temporal operators carry their chosen
-/// algorithm.
+/// [`tqo_core::plan::PlanNode`]; the two products carry their algorithm.
+/// Every other operator has exactly one, and every algorithm's output is
+/// the operator's own list.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // field names mirror `PlanNode`; the variants are documented
 pub enum PhysicalNode {
@@ -176,11 +148,10 @@ pub enum PhysicalNode {
         right: Arc<PhysicalNode>,
         algo: ProductTAlgo,
     },
-    /// Temporal difference (`\ᵀ`) with its chosen algorithm.
+    /// Temporal difference (`\ᵀ`): per-class count timelines, `O(n log n)`.
     DifferenceT {
         left: Arc<PhysicalNode>,
         right: Arc<PhysicalNode>,
-        algo: DifferenceTAlgo,
     },
     /// Temporal aggregation over constant intervals (`ξᵀ`): one endpoint
     /// sweep per group on every engine, `O(n log n)` plus the output, and
@@ -191,21 +162,18 @@ pub enum PhysicalNode {
         group_by: Vec<String>,
         aggs: Vec<AggItem>,
     },
-    /// Temporal duplicate elimination (`rdupᵀ`) with its chosen algorithm.
-    RdupT {
-        input: Arc<PhysicalNode>,
-        algo: RdupTAlgo,
-    },
+    /// Temporal duplicate elimination (`rdupᵀ`): per-class claims in list
+    /// order — the list the paper's head/tail recursion produces,
+    /// `O(n log n)`.
+    RdupT { input: Arc<PhysicalNode> },
     /// Temporal union (`∪ᵀ`).
     UnionT {
         left: Arc<PhysicalNode>,
         right: Arc<PhysicalNode>,
     },
-    /// Period coalescing (`coalᵀ`) with its chosen algorithm.
-    Coalesce {
-        input: Arc<PhysicalNode>,
-        algo: CoalesceAlgo,
-    },
+    /// Period coalescing (`coalᵀ`): per-(class, instant) chains walked in
+    /// list order — the fixpoint's list, `O(n)` after hashing.
+    Coalesce { input: Arc<PhysicalNode> },
     /// DBMS→stratum transfer: executes as identity but is metered (rows
     /// moved).
     TransferS { input: Arc<PhysicalNode> },
@@ -235,14 +203,14 @@ impl PhysicalNode {
                 None => format!("limit[all offset {offset}]"),
             },
             PhysicalNode::ProductT { algo, .. } => match algo {
+                ProductTAlgo::Sweep => "product-t".into(),
                 ProductTAlgo::HashEqui(keys) => format!("product-t[HashEqui({keys})]"),
-                other => format!("product-t[{other:?}]"),
             },
-            PhysicalNode::DifferenceT { algo, .. } => format!("difference-t[{algo:?}]"),
+            PhysicalNode::DifferenceT { .. } => "difference-t".into(),
             PhysicalNode::AggregateT { .. } => "aggregate-t[sweep]".into(),
-            PhysicalNode::RdupT { algo, .. } => format!("rdup-t[{algo:?}]"),
+            PhysicalNode::RdupT { .. } => "rdup-t".into(),
             PhysicalNode::UnionT { .. } => "union-t".into(),
-            PhysicalNode::Coalesce { algo, .. } => format!("coalesce[{algo:?}]"),
+            PhysicalNode::Coalesce { .. } => "coalesce".into(),
             PhysicalNode::TransferS { .. } => "transfer-s".into(),
             PhysicalNode::TransferD { .. } => "transfer-d".into(),
         }
@@ -259,8 +227,8 @@ impl PhysicalNode {
             | PhysicalNode::Sort { input, .. }
             | PhysicalNode::Limit { input, .. }
             | PhysicalNode::AggregateT { input, .. }
-            | PhysicalNode::RdupT { input, .. }
-            | PhysicalNode::Coalesce { input, .. }
+            | PhysicalNode::RdupT { input }
+            | PhysicalNode::Coalesce { input }
             | PhysicalNode::TransferS { input }
             | PhysicalNode::TransferD { input } => vec![input],
             PhysicalNode::UnionAll { left, right }
@@ -268,7 +236,7 @@ impl PhysicalNode {
             | PhysicalNode::Difference { left, right }
             | PhysicalNode::UnionMax { left, right }
             | PhysicalNode::ProductT { left, right, .. }
-            | PhysicalNode::DifferenceT { left, right, .. }
+            | PhysicalNode::DifferenceT { left, right }
             | PhysicalNode::UnionT { left, right } => vec![left, right],
         }
     }
@@ -340,28 +308,21 @@ impl PhysicalNode {
                 right: next(),
                 algo: algo.clone(),
             },
-            PhysicalNode::DifferenceT { algo, .. } => PhysicalNode::DifferenceT {
+            PhysicalNode::DifferenceT { .. } => PhysicalNode::DifferenceT {
                 left: next(),
                 right: next(),
-                algo: *algo,
             },
             PhysicalNode::AggregateT { group_by, aggs, .. } => PhysicalNode::AggregateT {
                 input: next(),
                 group_by: group_by.clone(),
                 aggs: aggs.clone(),
             },
-            PhysicalNode::RdupT { algo, .. } => PhysicalNode::RdupT {
-                input: next(),
-                algo: *algo,
-            },
+            PhysicalNode::RdupT { .. } => PhysicalNode::RdupT { input: next() },
             PhysicalNode::UnionT { .. } => PhysicalNode::UnionT {
                 left: next(),
                 right: next(),
             },
-            PhysicalNode::Coalesce { algo, .. } => PhysicalNode::Coalesce {
-                input: next(),
-                algo: *algo,
-            },
+            PhysicalNode::Coalesce { .. } => PhysicalNode::Coalesce { input: next() },
             PhysicalNode::TransferS { .. } => PhysicalNode::TransferS { input: next() },
             PhysicalNode::TransferD { .. } => PhysicalNode::TransferD { input: next() },
         })
@@ -468,27 +429,24 @@ mod tests {
     #[test]
     fn labels_include_algorithms() {
         let scan = Arc::new(PhysicalNode::Scan { name: "R".into() });
-        let n = PhysicalNode::RdupT {
-            input: scan,
-            algo: RdupTAlgo::Sweep,
+        let n = PhysicalNode::ProductT {
+            left: scan.clone(),
+            right: scan,
+            algo: ProductTAlgo::HashEqui(EquiKeys(vec![("1.E".into(), "2.E".into())])),
         };
-        assert_eq!(n.label(), "rdup-t[Sweep]");
-        assert_eq!(n.size(), 2);
+        assert_eq!(n.label(), "product-t[HashEqui(1.E=2.E)]");
+        assert_eq!(n.size(), 3);
     }
 
     #[test]
     fn explain_renders_tree() {
         let scan = Arc::new(PhysicalNode::Scan { name: "R".into() });
         let plan = PhysicalPlan::new(PhysicalNode::Coalesce {
-            input: Arc::new(PhysicalNode::RdupT {
-                input: scan,
-                algo: RdupTAlgo::Faithful,
-            }),
-            algo: CoalesceAlgo::SortMerge,
+            input: Arc::new(PhysicalNode::RdupT { input: scan }),
         });
         let text = plan.explain();
-        assert!(text.contains("coalesce[SortMerge]"));
-        assert!(text.contains("  rdup-t[Faithful]"));
+        assert!(text.contains("coalesce\n"));
+        assert!(text.contains("  rdup-t\n"));
         assert!(text.contains("    scan(R)"));
     }
 }

@@ -1,10 +1,12 @@
 //! Lowering: logical plans → physical plans.
 //!
-//! Algorithm selection is driven by the plan's operation properties
-//! (Table 2): the fast algorithms produce output equivalent only at `≡M` or
-//! `≡SM`, so they are admissible exactly where the properties say order
-//! (and, for `≡SM`, periods) do not matter — the same machinery that gates
-//! transformation rules in Figure 5 gates physical algorithms here.
+//! Lowering is node-for-node and reads no Table 2 property: every operator
+//! has one algorithm whose output is the operator's own list, so no
+//! physical choice needs a license. Table 2 gates the *rewrites* of
+//! Figure 5, in the optimizer. The one choice left is the hash equi-join:
+//! a `σ` directly above `×` / `×ᵀ` whose predicate carries cross-input key
+//! equalities lets the product match on them ([`EquiKeys`]), which yields
+//! the sub-list of the product the select keeps anyway.
 
 use std::sync::Arc;
 
@@ -18,34 +20,17 @@ use tqo_core::schema::Schema;
 use tqo_core::stats::selectivity;
 use tqo_core::value::Value;
 
-use crate::physical::{
-    CoalesceAlgo, DifferenceTAlgo, EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo,
-    RdupTAlgo,
-};
+use crate::physical::{EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo};
 
 /// Planner knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PlannerConfig {
-    /// Allow the fast (weaker-equivalence) algorithms where the properties
-    /// license them. With `false`, every operator is lowered to its
-    /// specification-faithful algorithm — the A/B baseline.
-    pub allow_fast: bool,
     /// Plan-search engine used by [`optimize_and_lower`]: the exhaustive
     /// Figure 5 closure or the memo optimizer.
     pub strategy: SearchStrategy,
     /// Execution engine [`crate::executor::execute_logical`] dispatches to
     /// (vectorized batch pipeline by default).
     pub mode: crate::executor::ExecMode,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            allow_fast: true,
-            strategy: SearchStrategy::default(),
-            mode: crate::executor::ExecMode::default(),
-        }
-    }
 }
 
 /// Lower a logical plan to a physical plan. Per-node row estimates from
@@ -55,13 +40,12 @@ pub fn lower(plan: &LogicalPlan, config: PlannerConfig) -> Result<PhysicalPlan> 
     let mut span = tqo_core::trace::span(tqo_core::trace::Category::Planner, "lower");
     let ann = annotate(plan)?;
     let mut estimates = Vec::new();
-    let root = lower_node(&plan.root, &mut Vec::new(), &ann, config, &mut estimates)?;
+    let root = lower_node(&plan.root, &mut Vec::new(), &ann, &mut estimates)?;
     span.note_with(|| {
         format!(
-            "\"operators\": {}, \"engine\": \"{:?}\", \"fast\": {}",
+            "\"operators\": {}, \"engine\": \"{:?}\"",
             estimates.len(),
-            config.mode,
-            config.allow_fast
+            config.mode
         )
     });
     Ok(PhysicalPlan::new(root).with_estimates(estimates))
@@ -73,8 +57,7 @@ pub fn lower(plan: &LogicalPlan, config: PlannerConfig) -> Result<PhysicalPlan> 
 pub(crate) fn optimizer_config(config: PlannerConfig) -> OptimizerConfig {
     OptimizerConfig {
         strategy: config.strategy,
-        cost_model: tqo_core::cost::CostModel::calibrated(config.mode.engine())
-            .with_fast_algorithms(config.allow_fast),
+        cost_model: tqo_core::cost::CostModel::calibrated(config.mode.engine()),
         ..OptimizerConfig::default()
     }
 }
@@ -95,26 +78,18 @@ fn lower_node(
     node: &PlanNode,
     path: &mut Path,
     ann: &Annotations,
-    config: PlannerConfig,
     estimates: &mut Vec<Option<u64>>,
 ) -> Result<PhysicalNode> {
     let mut lowered_children = Vec::with_capacity(node.children().len());
     for (i, c) in node.children().iter().enumerate() {
         path.push(i);
-        lowered_children.push(Arc::new(lower_node(c, path, ann, config, estimates)?));
+        lowered_children.push(Arc::new(lower_node(c, path, ann, estimates)?));
         path.pop();
     }
     // Post-order, after the children: matches both engines' metric order.
     estimates.push(Some(ann[path.as_slice()].stat.card()));
     let mut kids = lowered_children.into_iter();
     let mut next = || kids.next().expect("child lowered");
-
-    let flags = ann[path.as_slice()].flags;
-    let child_stat = |ann: &Annotations, path: &Path, i: usize| {
-        let mut p = path.clone();
-        p.push(i);
-        ann[&p].stat.clone()
-    };
 
     Ok(match node {
         PlanNode::Scan { name, .. } => PhysicalNode::Scan { name: name.clone() },
@@ -125,17 +100,15 @@ fn lower_node(
             // σ over × / ×ᵀ is the paper's join idiom: where the predicate
             // has equality conjuncts across the two inputs, the product
             // below matches on them instead of enumerating every pair.
-            // Its output is then the key-matching sub-list of the nested
-            // loop's, in the same order, and this select — unchanged,
+            // Its output is then the key-matching sub-list of the product's
+            // list, in the same order, and this select — unchanged,
             // still evaluating the whole predicate — yields the identical
             // list, so no Table 2 license is involved.
             let mut input = next();
-            if config.allow_fast
-                && matches!(
-                    **below,
-                    PlanNode::Product { .. } | PlanNode::ProductT { .. }
-                )
-            {
+            if matches!(
+                **below,
+                PlanNode::Product { .. } | PlanNode::ProductT { .. }
+            ) {
                 let stat_at = |tail: &[usize]| {
                     let mut p = path.clone();
                     p.extend_from_slice(tail);
@@ -195,83 +168,26 @@ fn lower_node(
             limit: *limit,
             offset: *offset,
         },
-        PlanNode::ProductT { .. } => {
-            // Plane sweep reorders the output pairs: needs ¬OrderRequired.
-            let algo = if config.allow_fast && !flags.order_required {
-                ProductTAlgo::PlaneSweep
-            } else {
-                ProductTAlgo::NestedLoop
-            };
-            PhysicalNode::ProductT {
-                left: next(),
-                right: next(),
-                algo,
-            }
-        }
-        PlanNode::DifferenceT { .. } => {
-            // Subtract-union is `≡SM` (needs the reordering and snapshot
-            // licenses) and requires an sdf left argument. Within that
-            // license the choice is statistics-driven: per-left-tuple
-            // subtraction beats the timeline sweep only when the right
-            // side is estimated much smaller than the left.
-            let left = child_stat(ann, path, 0);
-            let right = child_stat(ann, path, 1);
-            let algo = if config.allow_fast
-                && !flags.order_required
-                && !flags.period_preserving
-                && left.snapshot_dup_free
-                && right.card().saturating_mul(16) <= left.card()
-            {
-                DifferenceTAlgo::SubtractUnion
-            } else {
-                DifferenceTAlgo::TimelineSweep
-            };
-            PhysicalNode::DifferenceT {
-                left: next(),
-                right: next(),
-                algo,
-            }
-        }
+        PlanNode::ProductT { .. } => PhysicalNode::ProductT {
+            left: next(),
+            right: next(),
+            algo: ProductTAlgo::Sweep,
+        },
+        PlanNode::DifferenceT { .. } => PhysicalNode::DifferenceT {
+            left: next(),
+            right: next(),
+        },
         PlanNode::AggregateT { group_by, aggs, .. } => PhysicalNode::AggregateT {
             input: next(),
             group_by: group_by.clone(),
             aggs: aggs.clone(),
         },
-        PlanNode::RdupT { .. } => {
-            // The sweep canonicalizes periods (≡SM): needs ¬OrderRequired
-            // and ¬PeriodPreserving.
-            let algo = if config.allow_fast && !flags.order_required && !flags.period_preserving {
-                RdupTAlgo::Sweep
-            } else {
-                RdupTAlgo::Faithful
-            };
-            PhysicalNode::RdupT {
-                input: next(),
-                algo,
-            }
-        }
+        PlanNode::RdupT { .. } => PhysicalNode::RdupT { input: next() },
         PlanNode::UnionT { .. } => PhysicalNode::UnionT {
             left: next(),
             right: next(),
         },
-        PlanNode::Coalesce { .. } => {
-            // Sort-merge reorders (≡M) and is multiset-exact only for
-            // snapshot-dup-free inputs; otherwise it needs the snapshot
-            // license too.
-            let input_sdf = child_stat(ann, path, 0).snapshot_dup_free;
-            let algo = if config.allow_fast
-                && !flags.order_required
-                && (input_sdf || !flags.period_preserving)
-            {
-                CoalesceAlgo::SortMerge
-            } else {
-                CoalesceAlgo::Fixpoint
-            };
-            PhysicalNode::Coalesce {
-                input: next(),
-                algo,
-            }
-        }
+        PlanNode::Coalesce { .. } => PhysicalNode::Coalesce { input: next() },
         PlanNode::TransferS { .. } => PhysicalNode::TransferS { input: next() },
         PlanNode::TransferD { .. } => PhysicalNode::TransferD { input: next() },
     })
@@ -383,40 +299,18 @@ mod tests {
     }
 
     #[test]
-    fn fast_rdup_t_under_coalesce_in_multiset_query() {
-        // coalT(rdupT(R)) as a multiset query: below coalᵀ periods need
-        // not be preserved, order is not required → sweep.
-        let plan = tscan("R").rdup_t().coalesce().build_multiset();
-        let phys = lower(&plan, PlannerConfig::default()).unwrap();
-        assert!(
-            phys.explain().contains("rdup-t[Sweep]"),
-            "{}",
-            phys.explain()
-        );
-        assert!(phys.explain().contains("coalesce[SortMerge]"));
-    }
-
-    #[test]
-    fn faithful_rdup_t_when_periods_matter() {
-        // A bare rdupT feeding the result: periods must be preserved.
-        let plan = tscan("R").rdup_t().build_multiset();
-        let phys = lower(&plan, PlannerConfig::default()).unwrap();
-        assert!(phys.explain().contains("rdup-t[Faithful]"));
-    }
-
-    #[test]
-    fn faithful_everything_when_fast_disabled() {
-        let plan = tscan("R").rdup_t().coalesce().build_multiset();
-        let phys = lower(
-            &plan,
-            PlannerConfig {
-                allow_fast: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(phys.explain().contains("rdup-t[Faithful]"));
-        assert!(phys.explain().contains("coalesce[Fixpoint]"));
+    fn lowering_reads_no_table2_flag() {
+        // coalT(rdupT(R)) as a multiset query: below coalᵀ, Table 2 frees
+        // rdupᵀ from preserving order and periods; a bare rdupᵀ feeding a
+        // multiset result must preserve its periods. Lowering reads neither
+        // flag: both plans get the one rdupᵀ algorithm.
+        let licensed = tscan("R").rdup_t().coalesce().build_multiset();
+        let flags = annotate(&licensed).unwrap()[&[0usize][..]].flags;
+        assert!(!flags.order_required && !flags.period_preserving);
+        let bare = tscan("R").rdup_t().build_multiset();
+        assert!(annotate(&bare).unwrap()[&[][..]].flags.period_preserving);
+        assert_eq!(lowered(&licensed), "coalesce\n  rdup-t\n    scan(R)\n");
+        assert_eq!(lowered(&bare), "rdup-t\n  scan(R)\n");
     }
 
     #[test]
@@ -449,16 +343,17 @@ mod tests {
     }
 
     #[test]
-    fn ordered_query_blocks_reordering_algorithms() {
-        let plan = tscan("A")
+    fn one_temporal_product_for_lists_and_multisets() {
+        let list = tscan("A")
             .product_t(tscan("B"))
             .build_list(Order::asc(&["1.E"]));
-        let phys = lower(&plan, PlannerConfig::default()).unwrap();
-        assert!(phys.explain().contains("product-t[NestedLoop]"));
-        // Under a multiset query the sweep is allowed.
-        let plan2 = tscan("A").product_t(tscan("B")).build_multiset();
-        let phys2 = lower(&plan2, PlannerConfig::default()).unwrap();
-        assert!(phys2.explain().contains("product-t[PlaneSweep]"));
+        let multiset = tscan("A").product_t(tscan("B")).build_multiset();
+        assert!(
+            lowered(&list).starts_with("product-t\n"),
+            "{}",
+            lowered(&list)
+        );
+        assert_eq!(lowered(&list), lowered(&multiset));
     }
 
     fn join_scan(name: &str) -> PlanBuilder {
@@ -493,20 +388,8 @@ mod tests {
             "{}",
             lowered(&plan)
         );
-        // The faithful leg keeps the nested loop.
-        let faithful = lower(
-            &plan,
-            PlannerConfig {
-                allow_fast: false,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .explain();
-        assert!(faithful.contains("product\n"), "{faithful}");
 
-        // ×ᵀ: the hash join is the nested loop's sub-list, so it also
-        // serves where order is required and the plane sweep may not run.
+        // ×ᵀ: the hash join is the sweep's sub-list, so it serves lists too.
         let plan = tscan("A")
             .product_t(tscan("B"))
             .select(Expr::eq(Expr::col("1.E"), Expr::col("2.E")))

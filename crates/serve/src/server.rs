@@ -26,6 +26,11 @@ use crate::protocol::{
 /// flag. Purely a drain-latency knob; correctness never depends on it.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
+/// Largest request frame a session accepts. A request is one SQL string
+/// or one row, far below this; the cap keeps a client's length header from
+/// sizing the server's allocation.
+const MAX_REQUEST_FRAME: usize = 1 << 20;
+
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -180,7 +185,16 @@ fn session(stream: TcpStream, inner: &Inner) {
         let payload = match read_frame(&mut stream, &inner.shutdown) {
             Ok(Some(p)) => p,
             Ok(None) => return, // EOF or shutdown drain.
-            Err(_) => return,   // Transport failure; session over.
+            // An oversized frame is answered, typed; its payload stays
+            // unread, so the stream cannot resynchronize and closes.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                let fail = Response::Fail(Error::Storage {
+                    reason: format!("serve wire: {e}"),
+                });
+                let _ = write_frame(&mut stream, &encode_response(&fail));
+                return;
+            }
+            Err(_) => return, // Transport failure; session over.
         };
         counters::SERVE_REQUESTS.incr();
         let (resp, shutdown_after) = match decode_request(payload) {
@@ -252,8 +266,7 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             if cancel_polls > 0 {
                 ctx = ctx.with_cancel_after(cancel_polls);
             }
-            // Pin every table's version at admission. Binding (whose base
-            // properties license the algorithms `lower` picks) and
+            // Pin every table's version at admission. Binding and
             // execution read this one snapshot, however mutations
             // interleave.
             let snapshot = inner.catalog.snapshot();
@@ -300,13 +313,21 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
 
 /// Read one length-prefixed frame. `Ok(None)` on clean EOF before a
 /// frame starts or on shutdown drain; short reads inside a frame keep
-/// accumulating across timeout polls.
+/// accumulating across timeout polls. A header announcing more than
+/// [`MAX_REQUEST_FRAME`] bytes is an `InvalidData` error, raised before
+/// anything of that size is allocated.
 fn read_frame(stream: &mut TcpStream, shutdown: &AtomicBool) -> std::io::Result<Option<Bytes>> {
     let mut header = [0u8; 4];
     if !read_exact_polling(stream, &mut header, shutdown, true)? {
         return Ok(None);
     }
     let len = u32::from_be_bytes(header) as usize;
+    if len > MAX_REQUEST_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request frame of {len} bytes exceeds the {MAX_REQUEST_FRAME}-byte cap"),
+        ));
+    }
     let mut payload = vec![0u8; len];
     if !read_exact_polling(stream, &mut payload, shutdown, false)? {
         return Ok(None);

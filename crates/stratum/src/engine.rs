@@ -4,8 +4,8 @@
 //! The stratum owns no operator implementations of its own: its local
 //! operator tree — everything above the transfers — is handed in one
 //! piece to whichever `tqo-exec` engine [`Stratum::with_exec_mode`]
-//! selects (batch by default), lowered to the faithful algorithms only, so
-//! results are bit-identical to the reference interpreter on every
+//! selects (batch by default), whose every operator computes the
+//! reference operator's list, so results are bit-identical to the reference interpreter on every
 //! engine. The paper's premise that "the DBMS sorts faster than the
 //! stratum" (§2.1) lives in the cost model's site factors, not in a
 //! deliberately slow sort.
@@ -90,11 +90,8 @@ impl Stratum {
                 // summaries (row counts, distinct counts, histograms), so
                 // the transfer-cost decision prices estimated rows from
                 // data; the work factors are calibrated to the engine that
-                // will execute the stratum's operators. The stratum runs
-                // faithful algorithms only (results stay bit-identical to
-                // the reference), so the fast-algorithm formulas are off.
-                cost_model: tqo_core::cost::CostModel::calibrated(exec_mode.engine())
-                    .with_fast_algorithms(false),
+                // will execute the stratum's operators.
+                cost_model: tqo_core::cost::CostModel::calibrated(exec_mode.engine()),
                 ..Default::default()
             },
             exec_mode,
@@ -149,8 +146,7 @@ impl Stratum {
     /// (apply [`Stratum::with_cost_model`] afterwards to override).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Stratum {
         self.exec_mode = mode;
-        self.optimizer.cost_model =
-            tqo_core::cost::CostModel::calibrated(mode.engine()).with_fast_algorithms(false);
+        self.optimizer.cost_model = tqo_core::cost::CostModel::calibrated(mode.engine());
         self
     }
 
@@ -193,9 +189,9 @@ impl Stratum {
     /// Execute a layered plan (validated first): execute every DBMS
     /// fragment (bottom of the layered plan), bind the wired results as
     /// synthetic base relations, and run the entire stratum-local operator
-    /// tree through the selected engine in one piece. Faithful algorithms
-    /// only — the stratum's semantics stay those of the reference
-    /// operators.
+    /// tree through the selected engine in one piece. Every physical
+    /// operator computes its reference operator's list, so the stratum's
+    /// semantics are those of the reference operators.
     pub fn run(&self, plan: &LogicalPlan) -> Result<(Relation, StratumMetrics)> {
         validate_layered(plan)?;
         counters::QUERIES_EXECUTED.incr();
@@ -223,7 +219,6 @@ impl Stratum {
         let local_root = self.bind_fragments(&plan.root, &mut env, &mut counter, metrics)?;
         let local_plan = LogicalPlan::new(local_root, plan.result_type.clone());
         let config = tqo_exec::PlannerConfig {
-            allow_fast: false,
             mode: self.exec_mode,
             strategy: self.optimizer.strategy,
         };

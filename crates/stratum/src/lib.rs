@@ -11,7 +11,7 @@
 //! — a conventional executor using the mature, optimized operator
 //! implementations (std's hybrid stable sort, hash-based set operations),
 //! while the stratum ([`engine`]) hands its local operator tree to a
-//! `tqo-exec` engine lowered to the specification-faithful algorithms.
+//! `tqo-exec` engine, whose operators compute the reference lists.
 //! Together with real per-tuple serialization at the transfers
 //! ([`wire`]) and the cost model's site factors, this preserves the
 //! behaviour the paper's optimization exploits: the DBMS evaluates

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // entirely on estimated rows and costs.
     let plan = tqo_sql::compile(sql, &catalog)?;
     let layered = make_layered(&plan)?;
-    let model = CostModel::calibrated(tqo_core::cost::Engine::Batch).with_fast_algorithms(false);
+    let model = CostModel::calibrated(tqo_core::cost::Engine::Batch);
     let optimized = optimize(
         &layered,
         &RuleSet::standard(),

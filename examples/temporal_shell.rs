@@ -270,10 +270,8 @@ fn dispatch(input: &str, shell: &mut Shell) -> Result<String, Box<dyn std::error
         let plan = tqo_sql::compile(sql, catalog)?;
         let layered = make_layered(&plan)?;
         // Match the stratum's own optimizer: calibrated to the engine the
-        // stratum executes with, faithful algorithms (the stratum never
-        // runs the fast variants).
-        let model = tqo_core::cost::CostModel::calibrated(shell.stratum.exec_mode().engine())
-            .with_fast_algorithms(false);
+        // stratum executes with.
+        let model = tqo_core::cost::CostModel::calibrated(shell.stratum.exec_mode().engine());
         let optimized = tqo_core::optimizer::optimize(
             &layered,
             &RuleSet::standard(),

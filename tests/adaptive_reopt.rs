@@ -1,21 +1,13 @@
 //! Adaptive mid-query re-optimization: the seeded-misestimate scenarios.
 //!
-//! The acceptance scenario seeds a deliberately wrong cardinality
-//! estimate (statistics measured from a stale sample of the table — the
-//! same constant-vs-unique device as `cardinality_accuracy.rs`'s flip
-//! test), then asserts that:
-//!
-//! 1. the static plan, believing the stale statistics, picks the timeline
-//!    sweep for `\ᵀ`;
-//! 2. the adaptive run observes the true cardinality at the first
-//!    completed pipeline breaker (q-error ≫ threshold), checkpoints the
-//!    materialized intermediate with *measured* statistics, re-plans the
-//!    remainder, and **switches the `\ᵀ` algorithm mid-query** to
-//!    per-tuple subtract-union;
-//! 3. the switched run produces **byte-identical** results to the
-//!    non-adaptive run on the row and batch engines — the plan tail (coalᵀ of a snapshot-dup-free
-//!    input, then a full-column sort) canonicalizes the `≡SM`-licensed
-//!    algorithm difference away.
+//! The scenario seeds a deliberately wrong cardinality estimate
+//! (statistics measured from a stale sample of the table), then asserts
+//! that the adaptive run observes the true cardinality at the first
+//! completed pipeline breaker (q-error ≫ threshold), checkpoints the
+//! materialized intermediate with *measured* statistics, and re-plans the
+//! remainder on them. Every operator has one algorithm, so re-lowering
+//! changes the estimates, not the plan; with rules it may also change the
+//! plan, within the query's result type.
 
 mod common;
 
@@ -26,7 +18,7 @@ use tqo_core::schema::Schema;
 use tqo_core::sortspec::Order;
 use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
-use tqo_exec::{execute_adaptive, execute_logical, lower, AdaptiveConfig, ExecMode, PlannerConfig};
+use tqo_exec::{execute_adaptive, execute_logical, AdaptiveConfig, PlannerConfig};
 use tqo_stratum::Stratum;
 
 /// A clean temporal relation: `classes` values × `fragments` disjoint,
@@ -53,12 +45,10 @@ fn true_scan(name: &str, actual: &Relation) -> PlanBuilder {
     PlanBuilder::scan(name, BaseProps::measured(actual).unwrap())
 }
 
-/// The flip scenario: `sort(coalᵀ(rdupᵀ(A) \ᵀ B))` where A's statistics
-/// claim ~40 rows but A actually holds 2000, and B (60 rows, accurate)
-/// looks 16× too large relative to the stale left side. The full-column
-/// sort makes the result canonical, so algorithm switches below cannot
-/// change the output bytes.
-fn flip_scenario() -> (Env, LogicalPlan) {
+/// The misestimate scenario: `sort(coalᵀ(rdupᵀ(A) \ᵀ B))` where A's
+/// statistics claim ~40 rows but A actually holds 2000, and B (60 rows)
+/// is estimated accurately.
+fn misestimate_scenario() -> (Env, LogicalPlan) {
     let a = clean_temporal(100, 20); // 2000 rows, sdf
     let b = clean_temporal(30, 2); // 60 rows
     let env = Env::new().with("A", a.clone()).with("B", b.clone());
@@ -73,82 +63,8 @@ fn flip_scenario() -> (Env, LogicalPlan) {
 }
 
 #[test]
-fn seeded_misestimate_switches_the_difference_algorithm_mid_query() {
-    let (env, plan) = flip_scenario();
-
-    // Static plan, believing the stale statistics: B (60) × 16 > A-est
-    // (~40), so the timeline sweep is chosen.
-    let static_phys = lower(&plan, PlannerConfig::default()).unwrap();
-    assert!(
-        static_phys
-            .explain()
-            .contains("difference-t[TimelineSweep]"),
-        "stale stats should pick the sweep:\n{}",
-        static_phys.explain()
-    );
-
-    // Adaptive run: the rdupᵀ breaker completes with actual 2000 rows
-    // (q ≈ 50), the checkpoint re-enters the planner with measured
-    // statistics, and B × 16 ≤ 2000 now licenses subtract-union.
-    let (_, metrics) = execute_adaptive(
-        &plan,
-        &env,
-        None,
-        PlannerConfig::default(),
-        AdaptiveConfig::default(),
-    )
-    .unwrap();
-    assert!(
-        metrics.replanned_count() >= 1,
-        "re-opt event count must be ≥ 1:\n{}",
-        metrics.report()
-    );
-    assert!(
-        metrics.plans_switched() >= 1,
-        "the chosen plan must differ from the static plan:\n{}",
-        metrics.report()
-    );
-    assert!(
-        metrics
-            .operators
-            .iter()
-            .any(|o| o.label == "difference-t[SubtractUnion]"),
-        "the \\ᵀ algorithm must switch mid-query:\n{}",
-        metrics.report()
-    );
-    // The event records the misestimate that triggered the switch.
-    let trigger = metrics.reopts.iter().find(|e| e.replanned).unwrap();
-    assert!(trigger.q_error.unwrap() > 10.0);
-    assert_eq!(trigger.actual_rows, 2000);
-    assert!(trigger.describe().contains("plan CHANGED"));
-}
-
-#[test]
-fn switched_plans_are_byte_identical_to_the_static_run_on_every_engine() {
-    let (env, plan) = flip_scenario();
-    for mode in [ExecMode::Row, ExecMode::Batch] {
-        let static_config = PlannerConfig {
-            mode,
-            ..PlannerConfig::default()
-        };
-        let (expected, static_metrics) = execute_logical(&plan, &env, static_config).unwrap();
-        assert!(
-            static_metrics.reopts.is_empty(),
-            "non-adaptive runs record no re-opt events"
-        );
-        let (got, metrics) =
-            execute_adaptive(&plan, &env, None, static_config, AdaptiveConfig::default()).unwrap();
-        assert!(metrics.plans_switched() >= 1, "scenario must switch");
-        assert_eq!(
-            got, expected,
-            "adaptive result must be byte-identical to the static run ({mode:?})"
-        );
-    }
-}
-
-#[test]
 fn adaptive_estimates_snap_to_truth_after_the_checkpoint() {
-    let (env, plan) = flip_scenario();
+    let (env, plan) = misestimate_scenario();
     let (_, metrics) = execute_adaptive(
         &plan,
         &env,

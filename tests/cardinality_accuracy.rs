@@ -11,8 +11,8 @@
 //!    and prices as valid (the checks of `tests/memo_optimizer.rs`).
 //! 3. **Plan sensitivity** — swapping a table's statistics (same
 //!    cardinality, different value distribution) demonstrably flips the
-//!    chosen plan — site placement of a join, and the `\ᵀ` algorithm at
-//!    lowering — while both plans produce equivalent relations.
+//!    chosen plan — the site placement of a join — while both plans
+//!    produce equivalent relations.
 
 mod common;
 
@@ -26,8 +26,8 @@ use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
 use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
-use tqo_exec::{execute_logical, lower, PlannerConfig};
-use tqo_storage::{Catalog, GenConfig, WorkloadGenerator};
+use tqo_exec::{execute_logical, PlannerConfig};
+use tqo_storage::{Catalog, WorkloadGenerator};
 
 /// Scan a cataloged table with its measured statistics attached.
 fn cscan(cat: &Catalog, name: &str) -> PlanBuilder {
@@ -288,71 +288,6 @@ fn join_site_placement_flips_with_table_statistics() {
     let (r1, _) = execute_logical(&chosen_selective.best, &env, PlannerConfig::default()).unwrap();
     let (r2, _) = execute_logical(&chosen_constant.best, &env, PlannerConfig::default()).unwrap();
     assert!(tqo_core::equivalence::equiv_multiset(&r1, &r2).unwrap());
-}
-
-/// Temporal table generator: `rows` fragments over `classes` values.
-fn temporal_table(gen: &mut WorkloadGenerator, classes: usize, fragments: usize) -> Relation {
-    gen.temporal(&GenConfig::clean(classes, fragments)).unwrap()
-}
-
-/// Lowering-level flip: within the `≡SM` license, the `\ᵀ` algorithm is
-/// chosen from the estimated input sizes — per-tuple subtract-union for a
-/// tiny right side, the timeline sweep otherwise — and both physical
-/// plans produce snapshot-equivalent results.
-#[test]
-fn difference_algorithm_flips_with_right_side_statistics() {
-    let mut gen = WorkloadGenerator::new(9);
-    let big = temporal_table(&mut gen, 100, 10); // 1000 rows
-    let tiny = temporal_table(&mut gen, 10, 2); // 20 rows
-
-    let make = |right: &Relation| {
-        let cat = Catalog::new();
-        cat.register("A", big.clone()).unwrap();
-        cat.register("B", right.clone()).unwrap();
-        let plan = cscan(&cat, "A")
-            .rdup_t()
-            .difference_t(cscan(&cat, "B"))
-            .coalesce()
-            .build_multiset();
-        (cat, plan)
-    };
-
-    let (cat_tiny, plan_tiny) = make(&tiny);
-    let (cat_big, plan_big) = make(&big);
-
-    let phys_tiny = lower(&plan_tiny, PlannerConfig::default()).unwrap();
-    let phys_big = lower(&plan_big, PlannerConfig::default()).unwrap();
-    assert!(
-        phys_tiny.explain().contains("difference-t[SubtractUnion]"),
-        "tiny right side should pick subtract-union:\n{}",
-        phys_tiny.explain()
-    );
-    assert!(
-        phys_big.explain().contains("difference-t[TimelineSweep]"),
-        "large right side should pick the timeline sweep:\n{}",
-        phys_big.explain()
-    );
-
-    // Each stats-chosen physical plan agrees with the faithful lowering
-    // of the same logical plan (snapshot-equivalent results; these plans
-    // sit under a coalesce, so the faithful comparison is ≡SM).
-    for (cat, plan) in [(cat_tiny, plan_tiny), (cat_big, plan_big)] {
-        let env = cat.env();
-        let (fast, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
-        let (faithful, _) = execute_logical(
-            &plan,
-            &env,
-            PlannerConfig {
-                allow_fast: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            tqo_core::equivalence::equiv_snapshot_multiset(&fast, &faithful).unwrap(),
-            "stats-driven lowering diverged from the faithful baseline"
-        );
-    }
 }
 
 /// Blind plans (no statistics) keep the paper-era constant estimates, so

@@ -1,9 +1,8 @@
 //! Cross-engine agreement: the reference interpreter, the row execution
-//! engine, the vectorized batch execution engine (fast and faithful
-//! planner modes), and the layered stratum engine must agree on every
-//! query — exactly for faithful modes, and up to the query's result type
-//! for modes using fast algorithms. For any one physical plan, the row
-//! and batch engines must agree *exactly*, fast algorithms included.
+//! engine, the vectorized batch execution engine, and the layered stratum
+//! engine must agree on every query. Every physical plan computes the
+//! interpreter's exact list on both engines; only plans the optimizer
+//! rewrote are held to the query's result type instead.
 
 mod common;
 
@@ -12,47 +11,26 @@ use proptest::prelude::*;
 
 use tqo_core::interp::eval_plan;
 use tqo_core::relation::Relation;
-use tqo_exec::{execute_logical, execute_mode, lower, ExecMode, PlannerConfig};
+use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig};
 use tqo_storage::{paper, Catalog};
 use tqo_stratum::{make_layered, Stratum};
 
-fn row_config(allow_fast: bool) -> PlannerConfig {
-    PlannerConfig {
-        allow_fast,
-        mode: ExecMode::Row,
-        ..Default::default()
-    }
-}
-
-fn batch_config(allow_fast: bool) -> PlannerConfig {
-    PlannerConfig {
-        allow_fast,
-        mode: ExecMode::Batch,
-        ..Default::default()
-    }
-}
-
-/// Row and batch engines must produce identical relations for the same
-/// physical plan, in both planner modes; returns the fast-mode result.
+/// The row and batch engines must each return the interpreter's exact
+/// relation for the plan's one physical lowering.
 fn assert_engines_exact(
     plan: &tqo_core::plan::LogicalPlan,
     env: &tqo_core::interp::Env,
+    reference: &Relation,
     context: &str,
-) -> Relation {
-    let mut fast = None;
-    for allow_fast in [false, true] {
-        let physical = lower(plan, row_config(allow_fast)).unwrap();
-        let (row, _) = execute_mode(&physical, env, ExecMode::Row).unwrap();
-        let (batch, _) = execute_mode(&physical, env, ExecMode::Batch).unwrap();
+) {
+    let physical = lower(plan, PlannerConfig::default()).unwrap();
+    for mode in [ExecMode::Row, ExecMode::Batch] {
+        let (got, _) = execute_mode(&physical, env, mode).unwrap();
         assert_eq!(
-            row, batch,
-            "row and batch engines diverge (allow_fast={allow_fast}) on {context}"
+            &got, reference,
+            "{mode:?} engine diverges from the interpreter on {context}"
         );
-        if allow_fast {
-            fast = Some(batch);
-        }
     }
-    fast.expect("fast mode executed")
 }
 
 /// The cross-engine SQL pool lives in `common::SQL_POOL` so the
@@ -67,24 +45,7 @@ fn agree_on_catalog(catalog: &Catalog) {
         let plan = tqo_sql::compile(sql, catalog).unwrap();
         let reference = eval_plan(&plan, &env).unwrap();
 
-        // Faithful physical engines: exact agreement with the interpreter.
-        for config in [row_config(false), batch_config(false)] {
-            let (faithful, _) = execute_logical(&plan, &env, config).unwrap();
-            assert_eq!(
-                faithful, reference,
-                "faithful {:?} engine diverges on {sql}",
-                config.mode
-            );
-        }
-
-        // Row and batch engines: exact agreement with each other on the
-        // same physical plan, fast algorithms included; fast results agree
-        // with the reference at the query's result type.
-        let fast = assert_engines_exact(&plan, &env, sql);
-        assert!(
-            plan.result_type.admits(&reference, &fast).unwrap(),
-            "fast engine violates ≡SQL on {sql}"
-        );
+        assert_engines_exact(&plan, &env, &reference, sql);
 
         // Layered stratum engine.
         let layered = make_layered(&plan).unwrap();
@@ -130,9 +91,8 @@ fn engines_agree_on_generated_workloads() {
 }
 
 /// Ordered outputs (sorted lists, coalesced periods) on a relation large
-/// enough for the radix sort and many value classes: a faithful plan is
-/// the interpreter's exact list on both engines, and a fast plan's row
-/// and batch tuples are byte-identical.
+/// enough for the radix sort and many value classes: the plan is the
+/// interpreter's exact list on both engines.
 #[test]
 fn ordered_outputs_are_identical_at_scale() {
     use tqo_core::schema::Schema;
@@ -158,31 +118,13 @@ fn ordered_outputs_are_identical_at_scale() {
     ] {
         let plan = tqo_sql::compile(sql, &catalog).unwrap();
         let reference = eval_plan(&plan, &env).unwrap();
-        for allow_fast in [false, true] {
-            let physical = lower(&plan, row_config(allow_fast)).unwrap();
-            let (row, _) = execute_mode(&physical, &env, ExecMode::Row).unwrap();
-            let (batch, _) = execute_mode(&physical, &env, ExecMode::Batch).unwrap();
-            assert_eq!(
-                row.tuples(),
-                batch.tuples(),
-                "ordered output differs between engines (allow_fast={allow_fast}) on {sql}"
-            );
-            if !allow_fast {
-                assert_eq!(
-                    batch.tuples(),
-                    reference.tuples(),
-                    "faithful ordered output is not the interpreter's list on {sql}"
-                );
-            }
-        }
+        assert_engines_exact(&plan, &env, &reference, sql);
     }
 }
 
 /// The optimizer fixture pool (every plan shape in the rule space) over
 /// generator-driven workloads: interp, row exec, and batch exec must
-/// produce identical relations in faithful mode, the row and batch
-/// engines identical relations in fast mode, and fast results must be
-/// admissible at each plan's result type.
+/// produce identical relations.
 #[test]
 fn engines_agree_on_fixture_plans_over_generated_relations() {
     use tqo_storage::{GenConfig, WorkloadGenerator};
@@ -216,19 +158,7 @@ fn engines_agree_on_fixture_plans_over_generated_relations() {
         for (i, plan) in common::optimizer_fixtures(30).into_iter().enumerate() {
             let context = format!("fixture #{i} (seed {seed})");
             let reference = eval_plan(&plan, &env).unwrap();
-            for config in [row_config(false), batch_config(false)] {
-                let (faithful, _) = execute_logical(&plan, &env, config).unwrap();
-                assert_eq!(
-                    faithful, reference,
-                    "faithful {:?} engine diverges on {context}",
-                    config.mode
-                );
-            }
-            let fast = assert_engines_exact(&plan, &env, &context);
-            assert!(
-                plan.result_type.admits(&reference, &fast).unwrap(),
-                "fast engines violate ≡SQL on {context}"
-            );
+            assert_engines_exact(&plan, &env, &reference, &context);
             // Every pooled fixture also runs with AdaptiveConfig enabled
             // at q_threshold = 1.0 — maximum re-planning pressure — and
             // must still satisfy interp ≡ row ≡ batch.
@@ -304,12 +234,7 @@ proptest! {
         let env = catalog.env();
         let plan = tqo_sql::compile(sql, &catalog).unwrap();
         let reference = eval_plan(&plan, &env).unwrap();
-        for config in [row_config(false), batch_config(false)] {
-            let (faithful, _) = execute_logical(&plan, &env, config).unwrap();
-            prop_assert_eq!(&faithful, &reference);
-        }
-        let fast = assert_engines_exact(&plan, &env, sql);
-        prop_assert!(plan.result_type.admits(&reference, &fast).unwrap());
+        assert_engines_exact(&plan, &env, &reference, sql);
         // The proptest pool runs adaptively at q_threshold = 1.0 too.
         assert_adaptive_agrees(&plan, &env, &reference, sql);
         let stratum = Stratum::new(catalog.clone());

@@ -10,8 +10,7 @@
 //! breakers and sinks, sort inputs past the radix threshold with heavy
 //! ties, strings sharing long prefixes (inexact sort prefixes forcing
 //! refinement), floats including NaN and -0.0, and nulls under DESC —
-//! asserting `row ≡ batch` **exactly**, and `≡ interpreter` wherever the
-//! plan's list is the definition's own.
+//! asserting `interpreter ≡ row ≡ batch` **exactly**, as lists.
 
 mod common;
 
@@ -27,30 +26,23 @@ use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
 use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig};
 
-fn config(allow_fast: bool) -> PlannerConfig {
-    PlannerConfig {
-        allow_fast,
-        ..Default::default()
-    }
+fn explain(plan: &LogicalPlan) -> String {
+    lower(plan, PlannerConfig::default()).unwrap().explain()
 }
 
-/// The acceptance oracle: one physical plan, both engines, exact `==` in
-/// both planner modes.
+/// The acceptance oracle: the plan's physical lowering on both engines,
+/// each exactly the interpreter's list.
 fn assert_kernels_exact(plan: &LogicalPlan, env: &Env, context: &str) -> Relation {
-    let mut fast = None;
-    for allow_fast in [false, true] {
-        let physical = lower(plan, config(allow_fast)).unwrap();
-        let (row, _) = execute_mode(&physical, env, ExecMode::Row).unwrap();
-        let (batch, _) = execute_mode(&physical, env, ExecMode::Batch).unwrap();
+    let reference = tqo_core::interp::eval_plan(plan, env).unwrap();
+    let physical = lower(plan, PlannerConfig::default()).unwrap();
+    for mode in [ExecMode::Row, ExecMode::Batch] {
+        let (got, _) = execute_mode(&physical, env, mode).unwrap();
         assert_eq!(
-            row, batch,
-            "row and batch diverge (allow_fast={allow_fast}) on {context}"
+            got, reference,
+            "{mode:?} is not the interpreter's list on {context}"
         );
-        if allow_fast {
-            fast = Some(batch);
-        }
     }
-    fast.expect("fast mode executed")
+    reference
 }
 
 fn scan(name: &str, env: &Env) -> PlanBuilder {
@@ -316,12 +308,12 @@ fn nulls_sort_identically_under_desc() {
 }
 
 // ---------------------------------------------------------------------
-// Branch-free sweep kernels: temporal product / rdup / coalesce
+// Sweep and chain kernels: temporal product / rdup / coalesce
 // ---------------------------------------------------------------------
 
 /// Many identical periods (every event ties) plus containment chains:
-/// the sweep's emission order under ties is the adversarial case for
-/// the branch-free `emit_overlaps` rewrite.
+/// ties are the adversarial case for the sweeps' orders and the chains'
+/// partner choice.
 #[test]
 fn sweep_kernels_agree_on_degenerate_periods() {
     let mut rows: Vec<(&str, i64, i64)> = Vec::new();
@@ -396,19 +388,17 @@ fn col_eq(l: &str, r: &str) -> Expr {
     Expr::eq(Expr::col(l), Expr::col(r))
 }
 
-/// The join oracle: engines agree per physical plan at both fidelities
-/// (`assert_kernels_exact`), the fast plan's product matches on keys
-/// exactly when `hash` says so, and — whatever the product emitted — the
-/// plan still computes the interpreter's `σ(×)` as a *list*.
+/// The join oracle: the product matches on keys exactly when `hash` says
+/// so, and — whatever the product emitted — the plan still computes the
+/// interpreter's `σ(×)` as a *list* on both engines.
 fn assert_join_exact(plan: &LogicalPlan, env: &Env, hash: bool, context: &str) -> Relation {
-    let fast = lower(plan, config(true)).unwrap().explain();
-    assert_eq!(fast.contains("HashEqui"), hash, "{context}:\n{fast}");
-    let faithful = lower(plan, config(false)).unwrap().explain();
-    assert!(!faithful.contains("HashEqui"), "{context}:\n{faithful}");
-    let out = assert_kernels_exact(plan, env, context);
-    let reference = tqo_core::interp::eval_plan(plan, env).unwrap();
-    assert_eq!(out, reference, "not the interpreter's list on {context}");
-    out
+    let physical = explain(plan);
+    assert_eq!(
+        physical.contains("HashEqui"),
+        hash,
+        "{context}:\n{physical}"
+    );
+    assert_kernels_exact(plan, env, context)
 }
 
 /// Every right row carries the one key there is — 70k rows, past the
@@ -543,8 +533,8 @@ fn temporal_hash_join_keeps_the_list() {
         .with("R", Relation::new(schema, rows(280, 3)).unwrap());
     let join = |pred: Expr| scan("L", &env).product_t(scan("R", &env)).select(pred);
 
-    // A multiset query could have taken the plane sweep (≡M); the hash
-    // join keeps the nested loop's order and so serves lists as well.
+    // The hash join keeps the product's left-major order, so it serves
+    // multisets and lists alike.
     assert_join_exact(
         &join(col_eq("1.E", "2.E")).build_multiset(),
         &env,
@@ -573,8 +563,7 @@ fn temporal_hash_join_keeps_the_list() {
 }
 
 /// `ξᵀ` as one endpoint sweep per group on every engine: the batch
-/// kernel ≡ the row engine at both fidelities, both ≡ the interpreter as
-/// lists — over 70k rows (past the radix threshold of the class build),
+/// kernel ≡ the row engine ≡ the interpreter as lists — over 70k rows (past the radix threshold of the class build),
 /// NULL group keys, and one deep group of 2k overlapping periods.
 #[test]
 fn temporal_aggregation_is_one_list_on_every_engine() {
@@ -624,14 +613,10 @@ fn temporal_aggregation_is_one_list_on_every_engine() {
             let plan = scan(name, &env)
                 .aggregate_t(group_by.clone(), aggs.clone())
                 .build_multiset();
-            for allow_fast in [false, true] {
-                let physical = lower(&plan, config(allow_fast)).unwrap().explain();
-                assert!(physical.contains("aggregate-t[sweep]"), "{physical}");
-            }
+            let physical = explain(&plan);
+            assert!(physical.contains("aggregate-t[sweep]"), "{physical}");
             let context = format!("ξᵀ over {name} grouped by {group_by:?}");
-            let out = assert_kernels_exact(&plan, &env, &context);
-            let reference = tqo_core::interp::eval_plan(&plan, &env).unwrap();
-            assert_eq!(out, reference, "not the interpreter's list on {context}");
+            assert_kernels_exact(&plan, &env, &context);
         }
     }
 }
@@ -665,7 +650,6 @@ fn integer_sums_wrap_identically_on_every_engine() {
         .build_multiset();
     for (plan, wrapped_at) in [(plain, 0), (temporal, 1)] {
         let out = assert_kernels_exact(&plan, &env, "SUM over [i64::MAX, 1]");
-        assert_eq!(out, tqo_core::interp::eval_plan(&plan, &env).unwrap());
         assert_eq!(out.tuples()[wrapped_at].values()[1], Value::Int(i64::MIN));
     }
 }
@@ -701,12 +685,69 @@ fn faithful_rdup_t_is_the_recursions_list_on_every_engine() {
         .with("BIG", Relation::new(schema, rows(70_000, 40)).unwrap());
     for name in ["T", "BIG"] {
         let plan = scan(name, &env).rdup_t().build_multiset();
-        let physical = lower(&plan, config(true)).unwrap().explain();
-        assert!(physical.contains("rdup-t[Faithful]"), "{physical}");
         let out = assert_kernels_exact(&plan, &env, "faithful rdup_t");
-        assert_eq!(out, tqo_core::interp::eval_plan(&plan, &env).unwrap());
         if name == "T" {
             assert_eq!(out, tqo_core::ops::rdup_t_literal(&small).unwrap());
         }
     }
+}
+
+/// `coalᵀ` and `×ᵀ` over 70k rows — past the radix threshold of the class
+/// build — with shuffled adjacency chains running both ways, exact
+/// duplicates, overlaps and NULL explicit values: all engines produce the
+/// definitions' own lists. The small relation is also checked against the
+/// literal definitions.
+#[test]
+fn coalesce_and_product_t_are_the_definitions_lists_at_scale() {
+    let rows = |n: usize, classes: usize| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                // A row's class and period are a scrambled function of its
+                // position, so one class's pieces arrive out of order.
+                let j = (i * 7919) % n;
+                let e = match j % (classes + 1) {
+                    0 => Value::Null,
+                    c => Value::Str(format!("e{c}").into()),
+                };
+                let piece = (j / (classes + 1)) as i64;
+                let (s, len) = match j % 11 {
+                    0 => (piece * 4 + 1, 5), // overlaps its neighbours
+                    1 => (piece * 4 - 4, 4), // repeats the previous piece
+                    _ => (piece * 4, 4),     // meets its neighbours
+                };
+                Tuple::new(vec![e, Value::Time(s), Value::Time(s + len)])
+            })
+            .collect()
+    };
+    let schema = Schema::temporal(&[("E", DataType::Str)]);
+    let small = Relation::new(schema.clone(), rows(2000, 6)).unwrap();
+    let env = Env::new()
+        .with("T", small.clone())
+        .with("BIG", Relation::new(schema, rows(70_000, 300)).unwrap());
+    for name in ["T", "BIG"] {
+        let plan = scan(name, &env).coalesce().build_multiset();
+        assert!(explain(&plan).starts_with("coalesce\n"));
+        let out = assert_kernels_exact(&plan, &env, &format!("coalesce over {name}"));
+        if name == "T" {
+            assert_eq!(out, tqo_core::ops::coalesce_literal(&small).unwrap());
+        }
+    }
+
+    // ×ᵀ of the big relation with one class's early pieces: a left row
+    // meets at most a few right rows.
+    let slice = Expr::and(
+        Expr::eq(Expr::col("E"), Expr::lit("e1")),
+        Expr::lt(Expr::col("T1"), Expr::lit(200i64)),
+    );
+    let plan = scan("BIG", &env)
+        .product_t(scan("BIG", &env).select(slice))
+        .build_multiset();
+    assert!(explain(&plan).starts_with("product-t\n"));
+    assert_kernels_exact(&plan, &env, "product_t over BIG");
+    let plan = scan("T", &env).product_t(scan("T", &env)).build_multiset();
+    let out = assert_kernels_exact(&plan, &env, "product_t over T");
+    assert_eq!(
+        out,
+        tqo_core::ops::product_t_literal(&small, &small).unwrap()
+    );
 }

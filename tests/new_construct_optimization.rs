@@ -1,13 +1,14 @@
 //! Optimizer/planner interaction tests for the constructs opened by the
 //! conformance PR: HAVING, [NOT] IN / [NOT] EXISTS subqueries, outer
 //! temporal joins, and LIMIT/OFFSET. Each test pins how the construct's
-//! lowering interacts with the rule system or the statistics-driven
-//! physical algorithm choice — not just that it runs.
+//! lowering interacts with the rule system or the Table 2 properties —
+//! not just that it runs.
 
 use tqo_core::interp::eval_plan;
 use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
 use tqo_core::plan::display::plan_to_string;
-use tqo_core::plan::PlanNode;
+use tqo_core::plan::props::{annotate, PropsFlags};
+use tqo_core::plan::{LogicalPlan, PlanNode};
 use tqo_core::relation::Relation;
 use tqo_core::rules::RuleSet;
 use tqo_core::schema::Schema;
@@ -15,13 +16,6 @@ use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
 use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig};
 use tqo_storage::{paper, Catalog};
-
-fn config(allow_fast: bool) -> PlannerConfig {
-    PlannerConfig {
-        allow_fast,
-        ..Default::default()
-    }
-}
 
 fn memo() -> OptimizerConfig {
     OptimizerConfig {
@@ -31,8 +25,7 @@ fn memo() -> OptimizerConfig {
 }
 
 /// A temporal relation `(EmpName: Str, T1, T2)` of `n` distinct names —
-/// snapshot-duplicate-free by construction, so the sdf-gated fast
-/// algorithms are licensed on it.
+/// snapshot-duplicate-free by construction.
 fn names(n: usize) -> Relation {
     let schema = Schema::temporal(&[("EmpName", DataType::Str)]);
     let rows = (0..n)
@@ -60,44 +53,32 @@ fn sorted_rows(rel: &Relation) -> Vec<Tuple> {
     rows
 }
 
-/// Sequenced NOT IN lowers to `\T`, and the physical algorithm for `\T`
-/// is statistics-driven: a small right side licenses per-tuple
-/// subtract-union, a large right side forces the timeline sweep — and
-/// both produce the same relation.
+/// The Table 2 flags Figure 5 gates its rewrites on, at the plan's one
+/// temporal difference.
+fn difference_t_flags(plan: &LogicalPlan) -> PropsFlags {
+    let ann = annotate(plan).unwrap();
+    let path = plan
+        .root
+        .paths()
+        .into_iter()
+        .find(|p| matches!(plan.root.get(p), Ok(PlanNode::DifferenceT { .. })))
+        .expect("the plan has a temporal difference");
+    ann[&path].flags
+}
+
+/// Sequenced NOT IN lowers to `\T`. As a multiset result it must keep
+/// its periods; a trailing COALESCE frees it to change them (snapshot
+/// equivalence suffices below a coalescing).
 #[test]
-fn not_in_difference_algo_flips_on_stats() {
-    // The trailing COALESCE matters: without it the multiset result is
-    // period-preserving and the ≡SM-licensed algorithm is off the table.
+fn not_in_difference_is_period_preserving_only_without_coalesce() {
+    let catalog = catalog_with(200, 3);
     let sql = "VALIDTIME SELECT EmpName FROM EMPLOYEE \
-               WHERE EmpName NOT IN (VALIDTIME SELECT EmpName FROM PROJECT) COALESCE";
-
-    // Right side much smaller than the left: subtract-union wins.
-    let small_right = catalog_with(200, 3);
-    let plan = tqo_sql::compile(sql, &small_right).unwrap();
-    let fast = lower(&plan, config(true)).unwrap();
-    assert!(
-        fast.explain().contains("SubtractUnion"),
-        "expected SubtractUnion with a tiny right side:\n{fast}"
-    );
-    // Faithful mode never takes the ≡SM-licensed algorithm.
-    let faithful = lower(&plan, config(false)).unwrap();
-    assert!(
-        faithful.explain().contains("TimelineSweep"),
-        "faithful lowering must sweep:\n{faithful}"
-    );
-    let env = small_right.env();
-    let (a, _) = execute_mode(&fast, &env, ExecMode::Batch).unwrap();
-    let (b, _) = execute_mode(&faithful, &env, ExecMode::Batch).unwrap();
-    assert_eq!(sorted_rows(&a), sorted_rows(&b));
-
-    // Right side larger than the left: the estimate revokes the license.
-    let large_right = catalog_with(5, 200);
-    let plan = tqo_sql::compile(sql, &large_right).unwrap();
-    let fast = lower(&plan, config(true)).unwrap();
-    assert!(
-        fast.explain().contains("TimelineSweep"),
-        "expected TimelineSweep with a large right side:\n{fast}"
-    );
+               WHERE EmpName NOT IN (VALIDTIME SELECT EmpName FROM PROJECT)";
+    let bare = tqo_sql::compile(sql, &catalog).unwrap();
+    assert!(difference_t_flags(&bare).period_preserving);
+    let coalesced = tqo_sql::compile(&format!("{sql} COALESCE"), &catalog).unwrap();
+    let flags = difference_t_flags(&coalesced);
+    assert!(!flags.period_preserving && !flags.order_required);
 }
 
 /// HAVING binds as a selection *above* the aggregate; the rule system
@@ -154,32 +135,26 @@ fn not_exists_and_not_in_converge_on_figure1() {
 
 /// The sequenced outer join's anti part is a `\T` too — but its padded
 /// fragments' periods ARE the output, so the binder marks it
-/// period-preserving and the ≡SM-licensed subtract-union stays off the
-/// table even under a top-level COALESCE and favorable statistics. The
-/// property system, not the cost model, pins the algorithm here.
+/// period-preserving even under a top-level COALESCE, where NOT IN's
+/// difference is not (above). The property system pins this, not the
+/// statistics.
 #[test]
 fn outer_join_anti_part_is_period_preserving() {
     let sql = "VALIDTIME SELECT e.EmpName AS en, p.EmpName AS pn FROM EMPLOYEE e \
                LEFT JOIN PROJECT p ON e.EmpName = p.EmpName COALESCE";
 
-    // Same statistics that flip NOT IN to SubtractUnion above.
-    let small_right = catalog_with(200, 3);
-    let plan = tqo_sql::compile(sql, &small_right).unwrap();
-    let fast = lower(&plan, config(true)).unwrap();
-    let explain = fast.explain();
+    let catalog = catalog_with(200, 3);
+    let plan = tqo_sql::compile(sql, &catalog).unwrap();
+    assert!(difference_t_flags(&plan).period_preserving);
+    let physical = lower(&plan, PlannerConfig::default()).unwrap();
     // Padding shape: matched ⊔ NULL-padded anti difference.
-    assert!(explain.contains("union-all"), "{explain}");
-    assert!(
-        explain.contains("difference-t[TimelineSweep]") && !explain.contains("SubtractUnion"),
-        "outer-join padding must keep exact periods:\n{explain}"
-    );
-    let faithful = lower(&plan, config(false)).unwrap();
-    let env = small_right.env();
-    let (a, _) = execute_mode(&fast, &env, ExecMode::Batch).unwrap();
-    let (b, _) = execute_mode(&faithful, &env, ExecMode::Batch).unwrap();
-    assert_eq!(sorted_rows(&a), sorted_rows(&b));
+    assert!(physical.explain().contains("union-all"), "{physical}");
+    let env = catalog.env();
+    let reference = eval_plan(&plan, &env).unwrap();
+    let (got, _) = execute_mode(&physical, &env, ExecMode::Batch).unwrap();
+    assert_eq!(got, reference);
     // 197 of 200 left names have no partner: their full periods are padded.
-    let padded = a
+    let padded = got
         .tuples()
         .iter()
         .filter(|t| t.values().iter().any(|v| matches!(v, Value::Null)))
@@ -215,14 +190,12 @@ fn limit_stays_above_the_sort_through_memo() {
     let got = eval_plan(&optimized.best, &env).unwrap();
     assert_eq!(got, reference);
 
-    // The physical plan keeps the same shape in both planner modes.
-    for allow_fast in [false, true] {
-        let physical = lower(&plan, config(allow_fast)).unwrap();
-        let explain = physical.explain();
-        let limit_at = explain.find("limit").expect("physical limit");
-        let sort_at = explain.find("sort").expect("physical sort");
-        assert!(limit_at < sort_at, "{explain}");
-        let (got, _) = execute_mode(&physical, &env, ExecMode::Row).unwrap();
-        assert_eq!(got, reference);
-    }
+    // The physical plan keeps the same shape.
+    let physical = lower(&plan, PlannerConfig::default()).unwrap();
+    let explain = physical.explain();
+    let limit_at = explain.find("limit").expect("physical limit");
+    let sort_at = explain.find("sort").expect("physical sort");
+    assert!(limit_at < sort_at, "{explain}");
+    let (got, _) = execute_mode(&physical, &env, ExecMode::Row).unwrap();
+    assert_eq!(got, reference);
 }

@@ -57,7 +57,6 @@ fn query_pool() -> &'static [&'static str] {
 
 fn config(mode: ExecMode) -> PlannerConfig {
     PlannerConfig {
-        allow_fast: true,
         mode,
         ..Default::default()
     }

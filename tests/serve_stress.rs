@@ -351,3 +351,38 @@ fn pool_survives_faults_and_cancellations_mid_load() {
         assert_eq!(rel, oracle[i], "{sql}: pool not reusable after chaos");
     }
 }
+
+/// A 4-byte header announcing a 4 GiB request is refused with a typed
+/// failure before the server reads or allocates the payload, the session
+/// closes, and the next connection is served as usual.
+#[test]
+fn an_oversized_request_frame_is_refused_and_the_server_keeps_serving() {
+    use std::io::{Read, Write};
+    use std::time::Duration;
+    use tqo_serve::{protocol, Response};
+
+    let server = start(ServerConfig::default());
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    raw.write_all(&u32::MAX.to_be_bytes()).expect("send header");
+    let mut header = [0u8; 4];
+    raw.read_exact(&mut header)
+        .expect("the server answers an oversized frame instead of waiting for it");
+    let mut payload = vec![0u8; u32::from_be_bytes(header) as usize];
+    raw.read_exact(&mut payload).expect("response payload");
+    match protocol::decode_response(payload.into()).expect("a well-formed response") {
+        Response::Fail(Error::Storage { reason }) => {
+            assert!(reason.contains("exceeds"), "{reason}")
+        }
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    // The session is over: the server closed its end.
+    assert_eq!(raw.read(&mut header).expect("clean close"), 0);
+
+    let mut client = Client::connect(server.addr()).expect("next connection");
+    client.ping().expect("ping after the refused frame");
+    let catalog = serving_catalog();
+    let oracle = serial_oracle(&catalog, &[AUDIT_ALL], ExecMode::Batch);
+    assert_eq!(client.query(AUDIT_ALL).expect("query"), oracle[0]);
+}

@@ -126,33 +126,4 @@ proptest! {
         let result = ops::coalesce(&r).unwrap();
         prop_assert!(result.is_coalesced().unwrap());
     }
-
-    #[test]
-    fn fast_operators_agree_with_faithful_up_to_snapshots(
-        r in arb_temporal(4, 14),
-        r2 in arb_temporal(4, 10),
-    ) {
-        use tqo_core::equivalence::{equiv_multiset, equiv_snapshot_multiset};
-        // Fast rdupᵀ ≡SM faithful rdupᵀ.
-        let fast = tqo_exec::operators::rdup_t_sweep(&r).unwrap();
-        let faithful = ops::rdup_t(&r).unwrap();
-        prop_assert!(equiv_snapshot_multiset(&fast, &faithful).unwrap());
-        // Fast coalᵀ ≡M faithful coalᵀ on sdf inputs.
-        let clean = ops::rdup_t(&r).unwrap();
-        let fast_c = tqo_exec::operators::coalesce_sort_merge(&clean).unwrap();
-        let faithful_c = ops::coalesce(&clean).unwrap();
-        prop_assert!(equiv_multiset(&fast_c, &faithful_c).unwrap());
-        // Plane-sweep ×ᵀ ≡M nested loop.
-        let fast_j = tqo_exec::operators::product_t_plane_sweep(&r, &r2).unwrap();
-        let faithful_j = ops::product_t(&r, &r2).unwrap();
-        prop_assert!(equiv_multiset(&fast_j, &faithful_j).unwrap());
-        // Subtract-union \ᵀ ≡SM timeline sweep (sdf left).
-        let fast_d = tqo_exec::operators::difference_t_subtract_union(&clean, &r2).unwrap();
-        let faithful_d = ops::difference_t(&clean, &r2).unwrap();
-        if faithful_d.is_empty() && fast_d.is_empty() {
-            // both empty — fine (≡SM on empty temporal relations holds)
-        } else {
-            prop_assert!(equiv_snapshot_multiset(&fast_d, &faithful_d).unwrap());
-        }
-    }
 }
