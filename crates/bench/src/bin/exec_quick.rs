@@ -1,13 +1,10 @@
 //! Quick-mode exec throughput: runs the row-vs-batch cases a few times
 //! each and writes `BENCH_exec.json` (rows/sec per operator and engine,
-//! per-operator cardinality-estimation q-errors, plus the adaptive
-//! re-optimization block: plans-switched counts and static-vs-adaptive
-//! operator times on seeded-misestimate workloads) to the current
-//! directory — the perf
-//! *and* estimation trajectories CI tracks. The `adaptive`,
-//! `observability`, and `governance` blocks are also written standalone
-//! as `BENCH_adaptive.json`, `BENCH_obs.json`, and `BENCH_robust.json`
-//! for the CI artifacts.
+//! per-operator cardinality-estimation q-errors, and what tracing and
+//! governance cost when off) to the current directory — the perf *and*
+//! estimation trajectories CI tracks. The `observability` and
+//! `governance` blocks are also written standalone as `BENCH_obs.json`
+//! and `BENCH_robust.json` for the CI artifacts.
 //!
 //! Usage: `exec_quick [rows] [output-path]`; `EXEC_QUICK_ROWS` overrides
 //! the default of 100_000 rows.
@@ -204,76 +201,6 @@ fn main() {
     writeln!(json, "    ]").unwrap();
     writeln!(json, "  }},").unwrap();
 
-    // Adaptive re-optimization: seeded-misestimate workloads executed
-    // static vs adaptive (batch engine). Tracks re-opt event counts,
-    // plans-switched counts, and before/after operator times — the cost
-    // and the payoff of mid-query feedback.
-    let adaptive_scale = (rows / 10_000).clamp(1, 10);
-    let acases = tqo_bench::adaptive_workload(adaptive_scale, 31);
-    let mut ablock = String::new();
-    writeln!(ablock, "  \"adaptive\": {{").unwrap();
-    writeln!(ablock, "    \"workload_scale\": {adaptive_scale},").unwrap();
-    writeln!(
-        ablock,
-        "    \"q_threshold\": {},",
-        tqo_exec::AdaptiveConfig::default().q_threshold
-    )
-    .unwrap();
-    writeln!(ablock, "    \"cases\": [").unwrap();
-    eprintln!(
-        "\n{:<24} {:>8} {:>8} {:>12} {:>14} {:>10}",
-        "adaptive", "reopts", "switched", "static ms", "adaptive ms", "q before"
-    );
-    for (i, case) in acases.iter().enumerate() {
-        let static_config = PlannerConfig::default();
-        let mut static_ms = f64::MAX;
-        let mut adaptive_ms = f64::MAX;
-        let mut static_q = 1.0f64;
-        let mut events = 0usize;
-        let mut switched = 0usize;
-        for _ in 0..ITERS {
-            let (s, sm) = execute_logical(&case.plan, &case.env, static_config)
-                .expect("static adaptive-workload run");
-            let (a, am) = tqo_exec::execute_adaptive(
-                &case.plan,
-                &case.env,
-                None,
-                static_config,
-                tqo_exec::AdaptiveConfig::default(),
-            )
-            .expect("adaptive run");
-            assert!(
-                tqo_core::equivalence::equiv_multiset(&s, &a).expect("comparable results"),
-                "adaptive diverged from static on {}",
-                case.name
-            );
-            static_ms = static_ms.min(sm.total_time().as_secs_f64() * 1e3);
-            adaptive_ms = adaptive_ms.min(am.total_time().as_secs_f64() * 1e3);
-            static_q = sm.q_errors().into_iter().fold(static_q, f64::max);
-            events = am.replanned_count();
-            switched = am.plans_switched();
-        }
-        eprintln!(
-            "{:<24} {events:>8} {switched:>8} {static_ms:>12.3} {adaptive_ms:>14.3} {static_q:>10.1}",
-            case.name
-        );
-        writeln!(ablock, "      {{").unwrap();
-        writeln!(ablock, "        \"name\": \"{}\",", case.name).unwrap();
-        writeln!(ablock, "        \"reopt_events\": {events},").unwrap();
-        writeln!(ablock, "        \"plans_switched\": {switched},").unwrap();
-        writeln!(ablock, "        \"static_worst_q\": {static_q:.3},").unwrap();
-        writeln!(ablock, "        \"static_op_ms\": {static_ms:.3},").unwrap();
-        writeln!(ablock, "        \"adaptive_op_ms\": {adaptive_ms:.3}").unwrap();
-        writeln!(
-            ablock,
-            "      }}{}",
-            if i + 1 < acases.len() { "," } else { "" }
-        )
-        .unwrap();
-    }
-    writeln!(ablock, "    ]").unwrap();
-    write!(ablock, "  }}").unwrap();
-
     // Observability: what the tracing instrumentation costs.
     //
     // (a) `disabled_span_ns` — the disabled fast path measured directly:
@@ -462,20 +389,16 @@ fn main() {
     writeln!(gblock, "    ]").unwrap();
     write!(gblock, "  }}").unwrap();
 
-    json.push_str(&ablock);
-    writeln!(json, ",").unwrap();
     json.push_str(&oblock);
     writeln!(json, ",").unwrap();
     json.push_str(&gblock);
     writeln!(json).unwrap();
     writeln!(json, "}}").unwrap();
     std::fs::write(&out_path, json).expect("write BENCH_exec.json");
-    // The adaptive, observability, and governance blocks also ship
-    // standalone, for the CI artifacts.
-    std::fs::write("BENCH_adaptive.json", format!("{{\n{ablock}\n}}\n"))
-        .expect("write BENCH_adaptive.json");
+    // The observability and governance blocks also ship standalone, for
+    // the CI artifacts.
     std::fs::write("BENCH_obs.json", format!("{{\n{oblock}\n}}\n")).expect("write BENCH_obs.json");
     std::fs::write("BENCH_robust.json", format!("{{\n{gblock}\n}}\n"))
         .expect("write BENCH_robust.json");
-    eprintln!("wrote {out_path}, BENCH_adaptive.json, BENCH_obs.json, and BENCH_robust.json");
+    eprintln!("wrote {out_path}, BENCH_obs.json, and BENCH_robust.json");
 }

@@ -370,93 +370,6 @@ pub fn temporal_relation(
         .expect("generation succeeds")
 }
 
-/// Scan whose statistics were measured from a *stale prefix sample* (the
-/// first `sample_rows` tuples) of the actual table — the one
-/// seeded-misestimate device shared by [`adaptive_workload`] and
-/// `tests/adaptive_reopt.rs`: the classic stale-catalog situation, with
-/// invariants that stay sound (a prefix of a clean relation is clean)
-/// while cardinalities are wildly off.
-pub fn stale_scan(name: &str, actual: &tqo_core::Relation, sample_rows: usize) -> PlanBuilder {
-    use tqo_core::plan::BaseProps;
-    let sample = tqo_core::Relation::new(
-        actual.schema().clone(),
-        actual.tuples()[..sample_rows.clamp(1, actual.len().max(1))].to_vec(),
-    )
-    .expect("sample of a valid relation");
-    PlanBuilder::scan(name, BaseProps::measured(&sample).expect("measurable"))
-}
-
-/// One adaptive-vs-static comparison: a logical plan whose scan
-/// statistics were deliberately seeded from a *stale sample* of the data,
-/// so the static optimizer misestimates and the adaptive executor gets to
-/// correct course mid-query. Tracked by `exec_quick`'s `adaptive` block.
-pub struct AdaptiveCase {
-    pub name: &'static str,
-    pub plan: LogicalPlan,
-    pub env: tqo_core::interp::Env,
-}
-
-/// The adaptive workload: seeded-misestimate scenarios at `scale` (≈
-/// `scale × 200` rows in the big table). Statistics are measured from the
-/// first 2% of each "stale" table — the classic stale-catalog situation.
-///
-/// * `stale_difference_algo` — the stale left side misprices everything
-///   above `rdupᵀ`; the checkpointed rdupᵀ reveals a ~50× misestimate and
-///   the re-plan snaps the estimates to truth. Every operator has one
-///   algorithm, so without rules the re-plan switches nothing.
-/// * `stale_selection` — a stale histogram misprices a selection feeding
-///   a temporal join; re-planning corrects every downstream estimate
-///   (the plan shape survives, the estimates snap to truth).
-pub fn adaptive_workload(scale: usize, seed: u64) -> Vec<AdaptiveCase> {
-    use tqo_core::interp::Env;
-    use tqo_core::plan::BaseProps;
-
-    let scale = scale.max(1);
-    let mut generator = WorkloadGenerator::new(seed);
-    let stale = |name: &str, actual: &tqo_core::Relation| {
-        stale_scan(name, actual, (actual.len() / 50).max(1))
-    };
-    let true_scan = |name: &str, actual: &tqo_core::Relation| {
-        PlanBuilder::scan(name, BaseProps::measured(actual).expect("measurable"))
-    };
-    let by_all = || Order::asc(&["E", "T1", "T2"]);
-
-    let big = generator
-        .temporal(&GenConfig::clean(scale * 20, 10))
-        .expect("generation");
-    let small = generator
-        .temporal(&GenConfig::clean(scale * 2, 2))
-        .expect("generation");
-    let difference = AdaptiveCase {
-        name: "stale_difference_algo",
-        plan: stale("A", &big)
-            .rdup_t()
-            .difference_t(true_scan("B", &small))
-            .coalesce()
-            .sort(by_all())
-            .build_list(by_all()),
-        env: Env::new().with("A", big.clone()).with("B", small.clone()),
-    };
-
-    let skewed = generator
-        .temporal(&GenConfig::clean(scale * 20, 10))
-        .expect("generation");
-    let selection = AdaptiveCase {
-        name: "stale_selection",
-        plan: stale("S", &skewed)
-            .select(tqo_core::expr::Expr::lt(
-                tqo_core::expr::Expr::col("T1"),
-                tqo_core::expr::Expr::lit(9i64),
-            ))
-            .product_t(true_scan("B", &small))
-            .rdup_t()
-            .build_multiset(),
-        env: Env::new().with("S", skewed).with("B", small),
-    };
-
-    vec![difference, selection]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

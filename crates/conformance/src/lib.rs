@@ -11,8 +11,7 @@
 //!   directives over deterministic fixtures ([`fixtures`]). Each `query`
 //!   runs through the full mode matrix — reference interpreter, row and
 //!   batch engines, the multi-query scheduler, memo and exhaustive
-//!   optimizer strategies, the layered stratum engine, and adaptive
-//!   re-optimization at maximum re-planning pressure. Every leg running
+//!   optimizer strategies, and the layered stratum engine. Every leg running
 //!   the query's own plan must return the interpreter's exact relation;
 //!   the legs running a rewritten plan must render **byte-identical**
 //!   canonical results.

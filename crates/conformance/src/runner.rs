@@ -12,7 +12,6 @@
 //! | optimizer | memo + exhaustive, via interpreter | byte-identical rendering |
 //! | stratum | layered | `==` reference relation |
 //! | stratum optimized | layered, then rewritten | byte-identical rendering |
-//! | adaptive | q_threshold = 1.0, row and batch | `==` reference relation |
 //!
 //! Every physical plan computes the interpreter's exact list, so every leg
 //! that runs the query's own plan is held to `==`; only the legs that run
@@ -36,10 +35,7 @@ use tqo_core::equivalence::ResultType;
 use tqo_core::interp::{eval_plan, Env};
 use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
 use tqo_core::rules::RuleSet;
-use tqo_exec::{
-    execute_adaptive, execute_mode, lower, AdaptiveConfig, ExecMode, PlannerConfig, Scheduler,
-    SubmitOptions,
-};
+use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOptions};
 use tqo_storage::Catalog;
 use tqo_stratum::{make_layered, Stratum};
 
@@ -65,15 +61,6 @@ pub struct FileOutcome {
 
 /// Row count above which blessed blocks are pinned as digests.
 const HASH_THRESHOLD: usize = 24;
-
-/// Maximum re-planning pressure: q-errors are ≥ 1 by definition, so every
-/// in-budget checkpoint re-plans.
-fn adaptive_pressure() -> AdaptiveConfig {
-    AdaptiveConfig {
-        q_threshold: 1.0,
-        max_reopt: 8,
-    }
-}
 
 /// Plan budget of the exhaustive-closure legs. They check that *a chosen
 /// plan* evaluates to the reference, which a truncated closure still
@@ -327,20 +314,6 @@ fn run_matrix(
             if canon(&got) != canonical {
                 return Err("optimized stratum diverges from reference".into());
             }
-        }
-    }
-
-    // Adaptive re-optimization at maximum re-planning pressure. Without
-    // rules it only re-lowers, so it too computes the interpreter's list.
-    for mode in [ExecMode::Row, ExecMode::Batch] {
-        let config = PlannerConfig {
-            mode,
-            strategy: SearchStrategy::Memo,
-        };
-        let (got, _) = execute_adaptive(&plan, env, None, config, adaptive_pressure())
-            .map_err(|e| format!("adaptive({mode:?}): {e}"))?;
-        if got != reference {
-            return Err(format!("adaptive({mode:?}) differs from the interpreter"));
         }
     }
 

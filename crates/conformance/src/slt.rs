@@ -40,8 +40,7 @@ use crate::render::SortMode;
 /// corpus doubles as the shared-pool concurrency oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModeSet {
-    /// Everything: engines, scheduler, optimizer strategies, stratum,
-    /// adaptive.
+    /// Everything: engines, scheduler, optimizer strategies, stratum.
     All,
     /// Engine + scheduler legs only (row, batch, shared-pool stage
     /// graphs) — for large generated fixtures where the

@@ -12,8 +12,8 @@
 //!   install-guard pattern as [`crate::trace`]: a context is
 //!   installed for the dynamic extent of a query; engines call the free
 //!   function [`check_current`] at their checkpoints (scheduler tasks,
-//!   `next_batch`, row-loop strides, memo task pops, adaptive
-//!   checkpoints) without any signature changes. With no context
+//!   `next_batch`, row-loop strides, memo task pops, stratum fragment
+//!   dispatch) without any signature changes. With no context
 //!   installed anywhere the check is one relaxed atomic load.
 //! * [`Reservation`] — RAII memory accounting: allocating operators
 //!   reserve bytes before materializing and the reservation releases on

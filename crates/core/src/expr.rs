@@ -254,6 +254,8 @@ impl Expr {
                     return Ok(Value::Bool(b));
                 }
                 // Arithmetic: integer when both integral, else float.
+                // Integer `+ − × /` wrap on overflow (`i64::MIN / -1` is
+                // `i64::MIN`); only division by zero is an error.
                 match (&l, &r) {
                     (Value::Int(_) | Value::Time(_), Value::Int(_) | Value::Time(_)) => {
                         let (a, b) = (l.as_int()?, r.as_int()?);
@@ -267,7 +269,7 @@ impl Expr {
                                         reason: "division by zero",
                                     });
                                 }
-                                a / b
+                                a.wrapping_div(b)
                             }
                             _ => unreachable!(),
                         };
@@ -640,6 +642,14 @@ mod tests {
         let t = tuple![4i64, "x", 2.5];
         let e = Expr::bin(BinOp::Div, Expr::col("A"), Expr::lit(0i64));
         assert!(e.eval(&s, &t).is_err());
+    }
+
+    #[test]
+    fn integer_division_overflow_wraps() {
+        let s = schema();
+        let t = tuple![-1i64, "x", 2.5];
+        let e = Expr::bin(BinOp::Div, Expr::lit(i64::MIN), Expr::col("A"));
+        assert_eq!(e.eval(&s, &t).unwrap(), Value::Int(i64::MIN));
     }
 
     #[test]

@@ -90,9 +90,9 @@ impl BaseProps {
         self
     }
 
-    /// Properties *measured* from an in-memory relation — what the
-    /// adaptive re-optimizer attaches to a checkpointed intermediate and
-    /// the stratum attaches to wired DBMS fragments. Invariants are facts
+    /// Properties *measured* from an in-memory relation, with no catalog
+    /// involved (tests and benches scan hand-built relations through
+    /// it). Invariants are facts
     /// about this concrete relation (duplicate-freedom, snapshot
     /// duplicate-freedom, coalescedness), the statistics are the full
     /// measured [`TableSummary`], and the delivery order is conservatively

@@ -337,9 +337,8 @@ impl TableSummary {
     /// This is the one full statistics computation in the system:
     /// `tqo-storage` runs it for a cataloged table's first statistics
     /// request (and as the oracle its maintained statistics must equal),
-    /// and the adaptive re-optimizer calls it directly on materialized
-    /// intermediates so a checkpointed pipeline-breaker result re-enters
-    /// the optimizer with *measured* statistics. Handles empty, all-NULL,
+    /// and [`crate::plan::BaseProps::measured`] runs it on any in-memory
+    /// relation a plan scans. Handles empty, all-NULL,
     /// and single-row inputs (no histogram / min / max where nothing was
     /// observed).
     pub fn measure(relation: &Relation) -> Result<TableSummary> {
@@ -474,15 +473,6 @@ impl DerivedStats {
             avg_duration_milli: None,
             overlap: None,
         }
-    }
-
-    /// Statistics *measured* from an in-memory relation — what the
-    /// adaptive re-optimizer feeds back into the plan for a checkpointed
-    /// intermediate, with no catalog involved.
-    pub fn measured(relation: &Relation) -> Result<DerivedStats> {
-        Ok(DerivedStats::from_summary(&TableSummary::measure(
-            relation,
-        )?))
     }
 
     /// Leaf statistics from a measured table summary.
@@ -796,7 +786,7 @@ mod tests {
         assert_eq!(c.distinct, 0);
         assert!(c.min.is_none() && c.max.is_none() && c.histogram.is_none());
         // DerivedStats from the same relation degrade without panicking.
-        let d = DerivedStats::measured(&r).unwrap();
+        let d = DerivedStats::from_summary(&s);
         assert_eq!(d.rows, 0);
         assert_eq!(d.overlap, Some(1)); // floored: no class exceeds one
     }

@@ -2,7 +2,7 @@
 //!
 //! A tiny static registry of named `AtomicU64`s incremented from hot
 //! paths across the workspace (memo search, statistics cache, query
-//! scheduler, adaptive re-planner, stratum wire). Unlike the per-query
+//! scheduler, stratum wire). Unlike the per-query
 //! [`Collector`](super::Collector), counters are always on — one relaxed
 //! `fetch_add` per increment, no allocation — and accumulate for the
 //! whole process. Dump them with [`snapshot`] / [`to_json`], or from the
@@ -114,11 +114,6 @@ counters! {
     pub static TRANSPOSES_BUILT = (
         "transposes_built",
         "columnar transposes built from row storage"
-    );
-    /// Adaptive checkpoints that triggered a mid-query re-plan.
-    pub static REOPTS_TRIGGERED = (
-        "reopts_triggered",
-        "adaptive checkpoints that re-invoked the optimizer"
     );
     /// DBMS fragments executed and shipped over the wire.
     pub static FRAGMENTS_EXECUTED = (

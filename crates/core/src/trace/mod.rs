@@ -6,8 +6,8 @@
 //! * **Spans and instants** ([`span`], [`span_owned`], [`instant`]) — a
 //!   lightweight guard API. A span records its category, name, wall-clock
 //!   interval, optional arguments, and the recording thread; dropping the
-//!   guard closes it. Instants are zero-duration markers (re-opt
-//!   decisions, placement choices).
+//!   guard closes it. Instants are zero-duration markers (wire retries,
+//!   injected faults, local fallbacks).
 //! * **The per-query collector** ([`Collector`]) — a fixed-capacity ring
 //!   buffer of [`TraceEvent`]s. A collector is *installed* on a thread
 //!   with [`install`]; spans on that thread (and on the scheduler workers
@@ -17,7 +17,7 @@
 //!   `chrome://tracing`, Perfetto, or any flamegraph viewer.
 //! * **The process-wide counter registry** ([`counters`]) — monotonic
 //!   counters (memo expressions, rules fired, statistics-cache traffic,
-//!   scheduler tasks, re-opts triggered) dumpable as JSON.
+//!   scheduler tasks, wire volume) dumpable as JSON.
 //!
 //! ## Cost model
 //!
@@ -85,8 +85,6 @@ pub enum Category {
     Planner,
     /// Operator execution (both engines) and scheduler stage tasks.
     Exec,
-    /// Adaptive checkpoints and re-plan decisions.
-    Adaptive,
     /// Stratum fragments, wire transfers, and placement.
     Stratum,
     /// Resource governance: cancellations, deadlines, budget denials,
@@ -102,7 +100,6 @@ impl Category {
             Category::Optimizer => "optimizer",
             Category::Planner => "planner",
             Category::Exec => "exec",
-            Category::Adaptive => "adaptive",
             Category::Stratum => "stratum",
             Category::Governance => "governance",
         }
@@ -316,9 +313,9 @@ mod tests {
             s.note_with(|| "\"groups\": 9".into());
             drop(s);
             instant_with(
-                Category::Adaptive,
-                || "reopt".into(),
-                || "\"q\": 50.0".into(),
+                Category::Governance,
+                || "retry 1".into(),
+                || "\"attempt\": 1".into(),
             );
         }
         let t = c.finish();

@@ -9,9 +9,9 @@
 //! both engines — row and batch — and through the stratum, so a plan can
 //! be compared across engines line by line.
 //!
-//! Adaptive runs have no single static plan (the remainder is re-lowered
-//! at checkpoints), so they render as a flat list in execution order with
-//! each re-opt decision inlined directly after its checkpoint operator.
+//! A staged run (the scheduler) reports its stages' operators
+//! concatenated, which no single tree shape indexes, so it renders as a
+//! flat list in execution order.
 //!
 //! Analysis never perturbs the query: the result relation returned by
 //! [`explain_analyze`] is byte-identical to a plain
@@ -44,7 +44,7 @@ pub struct Analyzed {
 }
 
 /// Lower and execute `plan` on the engine selected by `config.mode`,
-/// then render the analyze report. (An adaptive run's metrics render
+/// then render the analyze report. (A staged run's metrics render
 /// through [`render`] with no plan.)
 pub fn explain_analyze(plan: &LogicalPlan, env: &Env, config: PlannerConfig) -> Result<Analyzed> {
     let physical = lower(plan, config)?;
@@ -62,9 +62,8 @@ pub fn explain_analyze(plan: &LogicalPlan, env: &Env, config: PlannerConfig) -> 
 ///
 /// With `plan` given (and its post-order matching `metrics.operators`),
 /// operators render as an indented tree in plan order. Without it —
-/// adaptive runs, or metrics from a staged execution — operators render
-/// as a flat list in execution order. Re-opt events are inlined after
-/// the checkpoint operator they fired at in both shapes.
+/// metrics from a staged execution — operators render as a flat list in
+/// execution order.
 pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics, engine: &str) -> String {
     let mut out = format!("EXPLAIN ANALYZE ({engine} engine)\n");
     out.push_str(&format!(
@@ -76,22 +75,8 @@ pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics, engine: &str) 
             render_tree(&p.root, 0, &mut PostOrder { offset: 0 }, metrics, &mut out);
         }
         _ => {
-            let mut reopt_cursor = 0usize;
             for op in &metrics.operators {
                 out.push_str(&row(&op.label, 0, op));
-                // A stage always ends at its checkpoint breaker: inline
-                // the decision right where it happened.
-                if metrics
-                    .reopts
-                    .get(reopt_cursor)
-                    .is_some_and(|e| e.checkpoint == op.label)
-                {
-                    out.push_str(&format!(
-                        "  ↳ {}\n",
-                        metrics.reopts[reopt_cursor].describe()
-                    ));
-                    reopt_cursor += 1;
-                }
             }
         }
     }
@@ -102,13 +87,6 @@ pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics, engine: &str) 
     ));
     if let Some(q) = metrics.median_q_error() {
         out.push_str(&format!(", median q-error {q:.2}"));
-    }
-    if !metrics.reopts.is_empty() {
-        out.push_str(&format!(
-            ", {} checkpoint(s) / {} re-plan(s)",
-            metrics.reopts.len(),
-            metrics.replanned_count()
-        ));
     }
     out.push('\n');
     out
@@ -174,7 +152,6 @@ pub fn check_time_invariants(metrics: &ExecMetrics, wall: Duration) {
 mod tests {
     use super::*;
     use crate::executor::ExecMode;
-    use crate::metrics::ReoptEvent;
     use tqo_core::equivalence::ResultType;
     use tqo_core::plan::PlanBuilder;
     use tqo_core::sortspec::Order;
@@ -232,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_view_inlines_reopts_after_their_checkpoint() {
+    fn flat_view_keeps_execution_order() {
         let op = |label: &str| OperatorMetrics {
             label: label.into(),
             rows_in: 0,
@@ -242,26 +219,18 @@ mod tests {
             elapsed: Duration::from_micros(3),
         };
         let metrics = ExecMetrics {
-            operators: vec![op("scan(R)"), op("rdupT[sweep]"), op("sort[stable]")],
-            reopts: vec![ReoptEvent {
-                checkpoint: "rdupT[sweep]".into(),
-                est_rows: Some(50),
-                actual_rows: 5,
-                q_error: Some(10.0),
-                replanned: true,
-                plan_changed: true,
-            }],
+            operators: vec![
+                op("scan(R)"),
+                op("rdupT"),
+                op("scan(__s0)"),
+                op("sort[stable]"),
+            ],
         };
-        let report = render(None, &metrics, "Batch, adaptive");
-        let reopt_at = report
-            .find("↳ reopt @ rdupT[sweep]")
-            .expect("inlined event");
-        let sort_at = report.find("sort[stable]").unwrap();
-        assert!(
-            reopt_at < sort_at,
-            "re-opt must appear before the next stage:\n{report}"
-        );
-        assert!(report.contains("plan CHANGED"), "{report}");
+        let report = render(None, &metrics, "Batch");
+        let at = |label: &str| report.find(label).expect(label);
+        assert!(at("scan(R)") < at("rdupT") && at("rdupT") < at("scan(__s0)"));
+        assert!(at("scan(__s0)") < at("sort[stable]"), "{report}");
+        assert!(report.contains("across 4 operator(s)"), "{report}");
     }
 
     #[test]
@@ -275,7 +244,6 @@ mod tests {
                 batches: 1,
                 elapsed: Duration::ZERO,
             }],
-            reopts: Vec::new(),
         };
         let report = render(None, &metrics, "Row");
         let line = report.lines().find(|l| l.contains("select")).unwrap();

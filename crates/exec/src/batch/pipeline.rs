@@ -1205,13 +1205,7 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
             elapsed: node.inclusive.saturating_sub(child_time),
         });
     }
-    Ok((
-        result,
-        ExecMetrics {
-            operators,
-            reopts: Vec::new(),
-        },
-    ))
+    Ok((result, ExecMetrics { operators }))
 }
 
 #[cfg(test)]

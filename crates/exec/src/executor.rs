@@ -107,8 +107,8 @@ pub(crate) fn execute_row(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, E
 }
 
 /// Lower a logical plan and execute it in one step (engine chosen by
-/// `config.mode`). The plan runs as lowered; staged execution with
-/// mid-query re-planning is [`crate::adaptive::execute_adaptive`].
+/// `config.mode`). The plan runs as lowered, in one piece; staged
+/// execution is [`crate::Scheduler`]'s.
 pub fn execute_logical(
     plan: &LogicalPlan,
     env: &Env,

@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod analyze;
 pub mod batch;
 pub mod executor;
@@ -46,11 +45,10 @@ pub mod parallel;
 pub mod physical;
 pub mod planner;
 
-pub use adaptive::{execute_adaptive, AdaptiveConfig};
 pub use analyze::{explain_analyze, Analyzed};
 pub use batch::Batch;
 pub use executor::{execute_logical, execute_mode, ExecMode};
-pub use metrics::{ExecMetrics, OperatorMetrics, ReoptEvent};
+pub use metrics::{ExecMetrics, OperatorMetrics};
 pub use parallel::{QueryHandle, Scheduler, SchedulerConfig, StageGraph, SubmitOptions};
 pub use physical::{PhysicalNode, PhysicalPlan};
 pub use planner::{lower, PlannerConfig};

@@ -58,57 +58,12 @@ impl OperatorMetrics {
     }
 }
 
-/// One adaptive checkpoint decision: a pipeline breaker completed, its
-/// estimated-vs-actual cardinality was compared, and the unexecuted plan
-/// remainder was (or was not) re-planned (see [`crate::adaptive`]).
-#[derive(Debug, Clone)]
-pub struct ReoptEvent {
-    /// Label of the completed breaker operator (the checkpoint site).
-    pub checkpoint: String,
-    /// The planner's estimate for the breaker's output.
-    pub est_rows: Option<u64>,
-    /// The breaker's actual output cardinality.
-    pub actual_rows: usize,
-    /// `max(est/actual, actual/est)` with both sides floored at one row.
-    pub q_error: Option<f64>,
-    /// True when the q-error reached the threshold within the re-plan
-    /// budget and the remainder was re-planned with measured statistics.
-    pub replanned: bool,
-    /// True when re-planning actually produced a different physical
-    /// remainder than the static plan would have executed.
-    pub plan_changed: bool,
-}
-
-impl ReoptEvent {
-    /// One human-readable line for reports and the shell's `\timing`.
-    pub fn describe(&self) -> String {
-        let est = self.est_rows.map_or_else(|| "-".into(), |e| e.to_string());
-        let q = self
-            .q_error
-            .map_or_else(|| "-".into(), |q| format!("{q:.2}"));
-        let outcome = if !self.replanned {
-            "kept static plan"
-        } else if self.plan_changed {
-            "re-planned: plan CHANGED"
-        } else {
-            "re-planned: same plan"
-        };
-        format!(
-            "reopt @ {:<24} est={est:<8} act={:<8} q={q:<8} {outcome}",
-            self.checkpoint, self.actual_rows,
-        )
-    }
-}
-
 /// Metrics for a whole plan execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecMetrics {
-    /// Post-order per-operator metrics. Under adaptive execution the
-    /// sequence concatenates the executed stages in execution order.
+    /// Post-order per-operator metrics. A staged run (the scheduler)
+    /// concatenates its stages in execution order.
     pub operators: Vec<OperatorMetrics>,
-    /// Adaptive checkpoint decisions, in execution order (empty for
-    /// non-adaptive runs).
-    pub reopts: Vec<ReoptEvent>,
 }
 
 impl ExecMetrics {
@@ -154,18 +109,6 @@ impl ExecMetrics {
         median(&mut self.q_errors())
     }
 
-    /// Checkpoints whose q-error tripped the adaptive threshold and whose
-    /// remainder was re-planned.
-    pub fn replanned_count(&self) -> usize {
-        self.reopts.iter().filter(|e| e.replanned).count()
-    }
-
-    /// Re-plans that produced a physically different remainder than the
-    /// static plan — the "plans switched" count the bench tracks.
-    pub fn plans_switched(&self) -> usize {
-        self.reopts.iter().filter(|e| e.plan_changed).count()
-    }
-
     /// A compact per-operator report with throughput and estimation
     /// feedback, so benches and the stratum engine can see where time —
     /// and estimation error — actually goes.
@@ -191,10 +134,6 @@ impl ExecMetrics {
                 op.label, op.rows_in, op.rows_out, est, q, op.batches, op.elapsed,
             ));
         }
-        for e in &self.reopts {
-            out.push_str(&e.describe());
-            out.push('\n');
-        }
         out
     }
 }
@@ -217,7 +156,6 @@ mod tests {
     #[test]
     fn aggregates() {
         let m = ExecMetrics {
-            reopts: Vec::new(),
             operators: vec![
                 OperatorMetrics {
                     rows_out: 100,
@@ -256,7 +194,6 @@ mod tests {
         assert_eq!(idle.throughput(), None);
         let m = ExecMetrics {
             operators: vec![idle],
-            reopts: Vec::new(),
         };
         assert!(m.report().contains("— rows/s"));
         assert!(!m.report().contains("0 rows/s"));
@@ -279,7 +216,6 @@ mod tests {
     #[test]
     fn estimates_attach_and_summarize() {
         let mut m = ExecMetrics {
-            reopts: Vec::new(),
             operators: vec![
                 op("scan(R)", 100, Duration::ZERO),
                 op("select", 10, Duration::ZERO),

@@ -1,7 +1,8 @@
 //! The multi-query partition-pipeline scheduler.
 //!
-//! This module multiplexes *many queries* over one shared, process-wide
-//! worker pool, push-style: each submitted plan is lowered into a
+//! This module is the only code that runs a plan in stages. It
+//! multiplexes *many queries* over one shared, process-wide worker pool,
+//! push-style: each submitted plan is lowered into a
 //! breaker-bounded stage graph ([`super::stage`]), completed stages push
 //! their dependents onto the shared run queue, and workers pick the next
 //! stage task under a weighted-fair policy. Nothing here changes what a

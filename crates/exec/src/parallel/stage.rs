@@ -1,26 +1,23 @@
 //! Lowering physical plans into partition-pipeline task graphs.
 //!
-//! Nothing executes whole plans in stages except through this module: a
-//! **stage** is a maximal breaker-bounded fragment of a physical plan,
+//! A **stage** is a maximal breaker-bounded fragment of a physical plan,
 //! and the stage graph is the plan rewritten so each breaker subtree
 //! becomes its own runnable unit whose output downstream stages consume
 //! through a synthetic scan binding. The multi-query scheduler
-//! ([`super::sched`]) runs the stages of many queries on one pool; the
-//! adaptive executor ([`crate::adaptive`]) runs the stages of one query
-//! in order and may re-plan between them — a checkpoint *is* a finished
-//! stage.
+//! ([`super::sched`]) is the only code that runs a plan in stages: it
+//! runs the stages of many queries on one pool.
 //!
 //! The cut is byte-preserving by construction: a breaker fully
 //! materializes its output anyway, so executing the subtree separately
 //! and re-reading the materialized relation through `scan(__qN_stageK)`
 //! feeds every downstream operator exactly the input it would have seen
-//! inline. `tests/serve_stress.rs` holds the scheduler to it under
-//! concurrency, `tests/adaptive_reopt.rs` the adaptive loop.
+//! inline. `tests/engines_agree.rs` holds the scheduler to the
+//! interpreter's list on every pool, `tests/serve_stress.rs` under
+//! concurrency.
 
 use std::sync::Arc;
 
 use tqo_core::error::Result;
-use tqo_core::plan::Path;
 
 use crate::physical::{PhysicalNode, PhysicalPlan};
 
@@ -38,12 +35,6 @@ pub struct Stage {
     pub plan: PhysicalPlan,
     /// Stage ids whose outputs this fragment scans.
     pub deps: Vec<usize>,
-    /// Where this stage's root sits in the plan that was cut. Lowering
-    /// ([`crate::planner::lower`]) is node-for-node, so the same path
-    /// addresses the operator in the logical plan the physical plan came
-    /// from — how the adaptive loop pins finished stages before it
-    /// re-plans.
-    pub path: Path,
 }
 
 /// A physical plan decomposed into pipeline stages at its breakers.
@@ -62,7 +53,7 @@ pub struct StageGraph {
 
 /// Pipeline breakers: operators that fully materialize their output
 /// before anything downstream can consume a row — the only places a
-/// plan can be cut (and a mid-query checkpoint taken) for free.
+/// plan can be cut for free.
 fn is_breaker(node: &PhysicalNode) -> bool {
     matches!(
         node,
@@ -83,14 +74,10 @@ fn is_breaker(node: &PhysicalNode) -> bool {
 /// scans, and its post-order estimates (empty when the plan has none).
 type Fragment = (Arc<PhysicalNode>, Vec<usize>, Vec<Option<u64>>);
 
-/// The walk's position in the plan being cut.
-struct Cursor<'a> {
-    path: Path,
-    /// The plan's post-order estimates not yet consumed; empty from the
-    /// start for plans that carry none (hand-built) — fragments then
-    /// carry none either.
-    estimates: std::slice::Iter<'a, Option<u64>>,
-}
+/// The plan's post-order estimates not yet consumed by the walk; empty
+/// from the start for plans that carry none (hand-built) — fragments then
+/// carry none either.
+type Estimates<'a> = std::slice::Iter<'a, Option<u64>>;
 
 impl StageGraph {
     /// Decompose `plan` into breaker-bounded stages. `prefix` namespaces
@@ -107,15 +94,11 @@ impl StageGraph {
         } else {
             &[]
         };
-        let mut cursor = Cursor {
-            path: Path::new(),
-            estimates: estimates.iter(),
-        };
         // The root's fragment is the final stage whether or not the root
         // is a breaker: nothing re-reads a root breaker's output, so it
         // gets no trailing `scan` stage.
-        let root = graph.fragment(&plan.root, &mut cursor)?;
-        graph.push(root, cursor.path);
+        let root = graph.fragment(&plan.root, &mut estimates.iter())?;
+        graph.push(root);
         Ok(graph)
     }
 
@@ -124,35 +107,32 @@ impl StageGraph {
         format!("{}stage{id}", self.prefix)
     }
 
-    fn push(&mut self, (root, deps, estimates): Fragment, path: Path) -> usize {
+    fn push(&mut self, (root, deps, estimates): Fragment) -> usize {
         let id = self.stages.len();
         self.stages.push(Stage {
             id,
             plan: PhysicalPlan { root, estimates },
             deps,
-            path,
         });
         id
     }
 
     /// Rebuild `node` with the breaker subtrees below it cut into stages.
-    fn fragment(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Cursor) -> Result<Fragment> {
+    fn fragment(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Estimates) -> Result<Fragment> {
         let children = node.children();
         let mut deps = Vec::new();
         let mut estimates = Vec::new();
         let mut new_children = Vec::with_capacity(children.len());
         let mut changed = false;
-        for (i, c) in children.iter().enumerate() {
-            cursor.path.push(i);
+        for c in &children {
             let (nc, d, e) = self.cut(c, cursor)?;
-            cursor.path.pop();
             changed |= !Arc::ptr_eq(&nc, c);
             new_children.push(nc);
             deps.extend(d);
             estimates.extend(e);
         }
         // Post-order: the node's own estimate follows its children's.
-        estimates.extend(cursor.estimates.next());
+        estimates.extend(cursor.next());
         let rebuilt = if changed {
             Arc::new(node.with_children(new_children)?)
         } else {
@@ -163,7 +143,7 @@ impl StageGraph {
 
     /// [`StageGraph::fragment`] for a non-root node: a breaker becomes a
     /// stage of its own and is replaced by a scan of its binding.
-    fn cut(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Cursor) -> Result<Fragment> {
+    fn cut(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Estimates) -> Result<Fragment> {
         let fragment = self.fragment(node, cursor)?;
         if !is_breaker(node) {
             return Ok(fragment);
@@ -171,7 +151,7 @@ impl StageGraph {
         // The synthetic scan takes a slot in its parent's post-order
         // estimates (when the plan has any) but estimates nothing.
         let estimates = vec![None; usize::from(!fragment.2.is_empty())];
-        let id = self.push(fragment, cursor.path.clone());
+        let id = self.push(fragment);
         let scan = PhysicalNode::Scan {
             name: self.binding(id),
         };
@@ -184,7 +164,7 @@ mod tests {
     use super::*;
     use crate::planner::{lower, PlannerConfig};
     use tqo_core::expr::Expr;
-    use tqo_core::plan::{BaseProps, PlanBuilder, PlanNode};
+    use tqo_core::plan::{BaseProps, PlanBuilder};
     use tqo_core::schema::Schema;
     use tqo_core::sortspec::Order;
     use tqo_core::value::DataType;
@@ -224,7 +204,6 @@ mod tests {
         assert_eq!(g.stages.len(), 1);
         assert!(g.stages[0].deps.is_empty());
         assert_eq!(g.stages[0].plan.root, plan.root);
-        assert!(g.stages[0].path.is_empty());
     }
 
     #[test]
@@ -256,11 +235,9 @@ mod tests {
         // Stage 0: the product subtree, no deps.
         assert_eq!(g.stages[0].plan.root.label(), "product");
         assert!(g.stages[0].deps.is_empty());
-        assert_eq!(g.stages[0].path, vec![0, 0]);
         // Final stage: sort(select(scan(__q7_stage0))), the root breaker.
         assert_eq!(g.stages[1].deps, vec![0]);
         assert_eq!(g.stages[1].plan.root.label(), "sort[stable]");
-        assert!(g.stages[1].path.is_empty());
         let inner = &g.stages[1].plan.root.children()[0];
         assert_eq!(inner.children()[0].label(), "scan(__q7_stage0)");
         assert_no_bare_scan_stage(&g);
@@ -287,14 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn stages_run_deepest_breaker_first_and_the_root_is_never_a_checkpoint() {
-        // The order the adaptive loop checkpoints in: every stage but the
-        // last, i.e. the non-root breakers in post-order.
-        let checkpoints = |plan: &tqo_core::plan::LogicalPlan| -> Vec<Path> {
+    fn stages_run_deepest_breaker_first_and_the_root_stage_last() {
+        // The root labels of the stages, in the order they run.
+        let stage_roots = |plan: &tqo_core::plan::LogicalPlan| -> Vec<String> {
             let physical = lower(plan, PlannerConfig::default()).unwrap();
             let g = StageGraph::lower(&physical, "__a_").unwrap();
-            let (_final, rest) = g.stages.split_last().unwrap();
-            rest.iter().map(|s| s.path.clone()).collect()
+            g.stages.iter().map(|s| s.plan.root.label()).collect()
         };
         let by_e = Order::asc(&["E"]);
         let plan = tscan("A")
@@ -303,17 +278,17 @@ mod tests {
             .sort(by_e.clone())
             .build_multiset();
         // rdupT is the deepest breaker, then the coalesce above it.
-        assert_eq!(checkpoints(&plan), vec![vec![0, 0], vec![0]]);
-        // A plan whose only breaker is the root has no checkpoint.
+        assert_eq!(stage_roots(&plan), ["rdup-t", "coalesce", "sort[stable]"]);
+        // A plan whose only breaker is the root is one stage.
         let sort_only = tscan("A").sort(by_e).build_multiset();
-        assert_eq!(checkpoints(&sort_only), Vec::<Path>::new());
-        // A streaming-only plan has none either.
+        assert_eq!(stage_roots(&sort_only), ["sort[stable]"]);
+        // So is a streaming-only plan.
         let streaming = tscan("A").rdup().build_multiset();
-        assert_eq!(checkpoints(&streaming), Vec::<Path>::new());
+        assert_eq!(stage_roots(&streaming), ["rdup[hash]"]);
     }
 
     #[test]
-    fn stage_paths_and_estimates_index_the_plan_that_was_lowered() {
+    fn stage_estimates_follow_the_plan_that_was_lowered() {
         let logical = tscan("A")
             .rdup_t()
             .difference_t(tscan("B").select(Expr::eq(Expr::col("E"), Expr::lit("a"))))
@@ -321,28 +296,10 @@ mod tests {
             .build_multiset();
         let physical = lower(&logical, PlannerConfig::default()).unwrap();
         let g = StageGraph::lower(&physical, "__q2_").unwrap();
-        assert_eq!(g.stages.len(), 3);
+        let roots: Vec<_> = g.stages.iter().map(|s| s.plan.root.label()).collect();
+        assert_eq!(roots, ["rdup-t", "difference-t", "coalesce"]);
         let mut post_order = physical.estimates.iter();
         for s in &g.stages {
-            // Same path, same operator, in the physical and the logical plan.
-            let at = physical.root.get(&s.path).unwrap();
-            assert_eq!(at.label(), s.plan.root.label());
-            let op = logical.root.get(&s.path).unwrap();
-            assert!(
-                matches!(
-                    (op, at),
-                    (PlanNode::RdupT { .. }, PhysicalNode::RdupT { .. })
-                        | (
-                            PlanNode::DifferenceT { .. },
-                            PhysicalNode::DifferenceT { .. }
-                        )
-                        | (PlanNode::Coalesce { .. }, PhysicalNode::Coalesce { .. })
-                ),
-                "stage {} is {} but the logical plan has {} there",
-                s.id,
-                at.label(),
-                op.op_name()
-            );
             // One estimate per operator of the fragment; the real
             // operators carry the plan's, in the plan's post-order (the
             // stages are themselves in post-order), synthetic scans none.

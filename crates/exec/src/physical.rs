@@ -327,50 +327,6 @@ impl PhysicalNode {
             PhysicalNode::TransferD { .. } => PhysicalNode::TransferD { input: next() },
         })
     }
-
-    /// The node at `path`, or an error for a dangling path.
-    pub fn get(&self, path: &[usize]) -> Result<&PhysicalNode> {
-        let mut node = self;
-        for &i in path {
-            node = node
-                .children()
-                .get(i)
-                .copied()
-                .map(|c| c.as_ref())
-                .ok_or_else(|| Error::Plan {
-                    reason: format!("dangling physical path index {i}"),
-                })?;
-        }
-        Ok(node)
-    }
-
-    /// A new tree with the subtree at `path` replaced by `subtree`;
-    /// untouched siblings are shared, not cloned. The adaptive executor
-    /// uses this to splice a checkpoint scan over an executed stage
-    /// without disturbing the remainder's algorithm choices.
-    pub fn replace(&self, path: &[usize], subtree: PhysicalNode) -> Result<PhysicalNode> {
-        if path.is_empty() {
-            return Ok(subtree);
-        }
-        let (head, rest) = (path[0], &path[1..]);
-        let children = self.children();
-        let target = children.get(head).ok_or_else(|| Error::Plan {
-            reason: format!("dangling physical path index {head}"),
-        })?;
-        let replaced = target.replace(rest, subtree)?;
-        let new_children: Vec<Arc<PhysicalNode>> = children
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if i == head {
-                    Arc::new(replaced.clone())
-                } else {
-                    Arc::clone(c)
-                }
-            })
-            .collect();
-        self.with_children(new_children)
-    }
 }
 
 /// A rooted physical plan.

@@ -6,8 +6,9 @@
 //! range, the mean period duration, and the snapshot duplicate degree.
 //! The measurement itself lives in core as
 //! [`tqo_core::stats::TableSummary::measure`] — one routine shared by the
-//! catalog and by the adaptive re-optimizer, which summarizes in-memory
-//! intermediates with no catalog in sight. [`TableStats::summary`]
+//! catalog and by [`tqo_core::plan::BaseProps::measured`], which
+//! summarizes in-memory relations with no catalog in sight.
+//! [`TableStats::summary`]
 //! converts back to that core-side [`tqo_core::stats::TableSummary`] that
 //! rides on `Scan` nodes.
 

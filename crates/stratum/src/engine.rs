@@ -44,13 +44,8 @@ pub struct StratumMetrics {
     /// fully-pushed plans, which have none). `\timing` in the shell
     /// prints this report.
     pub operators: Vec<tqo_exec::OperatorMetrics>,
-    /// Adaptive checkpoint decisions of the stratum-local plan (adaptive
-    /// mode only; see [`Stratum::with_adaptive`]). `\timing` prints these.
-    pub reopts: Vec<tqo_exec::ReoptEvent>,
     /// The lowered stratum-local physical plan (`None` for fully-pushed
-    /// plans and for adaptive runs, whose executed plan is staged rather
-    /// than fixed).
-    /// `operators` is this plan's post-order — what EXPLAIN ANALYZE joins
+    /// plans). `operators` is this plan's post-order — what EXPLAIN ANALYZE joins
     /// against to render the annotated tree.
     pub local_plan: Option<tqo_exec::PhysicalPlan>,
     /// Fragment attempts repeated after a transient link failure.
@@ -74,7 +69,6 @@ pub struct Stratum {
     dbms: SimulatedDbms,
     optimizer: tqo_core::optimizer::OptimizerConfig,
     exec_mode: ExecMode,
-    adaptive: Option<tqo_exec::AdaptiveConfig>,
     faults: Option<FaultInjector>,
     retry: RetryPolicy,
 }
@@ -95,7 +89,6 @@ impl Stratum {
                 ..Default::default()
             },
             exec_mode,
-            adaptive: None,
             faults: None,
             retry: RetryPolicy::default(),
         }
@@ -155,26 +148,6 @@ impl Stratum {
         self.exec_mode
     }
 
-    /// Enable adaptive mid-query re-optimization for the stratum-local
-    /// plan.
-    ///
-    /// The wire transfer is the first checkpoint: every DBMS fragment's
-    /// wired result is bound with *measured* statistics, so the stratum
-    /// remainder re-enters the optimizer with actual — not estimated —
-    /// cardinalities from the far side of the split; further checkpoints
-    /// fire at the stratum's own pipeline breakers
-    /// (see [`tqo_exec::adaptive`]). Results remain `≡SQL`-equivalent to
-    /// the static run at the query's declared result type.
-    pub fn with_adaptive(mut self, config: tqo_exec::AdaptiveConfig) -> Stratum {
-        self.adaptive = Some(config);
-        self
-    }
-
-    /// The adaptive configuration, if adaptivity is enabled.
-    pub fn adaptive(&self) -> Option<tqo_exec::AdaptiveConfig> {
-        self.adaptive
-    }
-
     /// Override the optimizer's cost model (e.g. measured transfer costs
     /// for a real DBMS connection).
     pub fn with_cost_model(mut self, model: tqo_core::cost::CostModel) -> Stratum {
@@ -224,28 +197,12 @@ impl Stratum {
         };
         let span = trace::span(Category::Stratum, "stratum.local");
         let started = Instant::now();
-        let (result, exec_metrics) = match self.adaptive {
-            // Adaptive: the fragment scans already carry measured wire
-            // statistics; the local remainder re-enters the rule-based
-            // optimizer at its own pipeline breakers.
-            Some(adaptive) => tqo_exec::execute_adaptive(
-                &local_plan,
-                &env,
-                Some(&tqo_core::rules::RuleSet::standard()),
-                config,
-                adaptive,
-            )?,
-            None => {
-                let physical = tqo_exec::lower(&local_plan, config)?;
-                let out = tqo_exec::execute_mode(&physical, &env, self.exec_mode)?;
-                metrics.local_plan = Some(physical);
-                out
-            }
-        };
+        let physical = tqo_exec::lower(&local_plan, config)?;
+        let (result, exec_metrics) = tqo_exec::execute_mode(&physical, &env, self.exec_mode)?;
+        metrics.local_plan = Some(physical);
         metrics.stratum_time += started.elapsed();
         drop(span);
         metrics.operators = exec_metrics.operators;
-        metrics.reopts = exec_metrics.reopts;
         Ok(result)
     }
 
@@ -426,14 +383,7 @@ impl Stratum {
                 let relation = self.run_fragment(input, metrics)?;
                 let name = format!("__frag{}", *counter);
                 *counter += 1;
-                // Adaptive mode measures the wired rows: the fragment scan
-                // carries actual statistics from the far side of the
-                // split, so the stratum remainder re-plans against truth.
-                let base = if self.adaptive.is_some() {
-                    BaseProps::measured(&relation)?
-                } else {
-                    BaseProps::unordered(relation.schema().clone(), relation.len() as u64)
-                };
+                let base = BaseProps::unordered(relation.schema().clone(), relation.len() as u64);
                 env.insert(name.clone(), relation);
                 Ok(PlanNode::Scan { name, base })
             }
@@ -485,8 +435,8 @@ impl Stratum {
     /// layered report — a header with the fragment/wire volume and the
     /// DBMS/stratum time split, followed by the stratum-local plan's
     /// per-operator analyze table (est vs actual rows, q-error, exclusive
-    /// wall time, throughput; re-opt events inlined under
-    /// adaptive mode). The result is byte-identical to a plain run.
+    /// wall time, throughput). The result is byte-identical to a plain
+    /// run.
     pub fn run_sql_analyzed(&self, sql: &str) -> Result<(Relation, StratumMetrics, String)> {
         let (result, metrics, _plan) = self.run_sql_optimized(sql)?;
         let mut report = format!(
@@ -499,17 +449,11 @@ impl Stratum {
         );
         let exec_metrics = tqo_exec::ExecMetrics {
             operators: metrics.operators.clone(),
-            reopts: metrics.reopts.clone(),
-        };
-        let engine = if self.adaptive.is_some() {
-            format!("{:?}, adaptive", self.exec_mode)
-        } else {
-            format!("{:?}", self.exec_mode)
         };
         report.push_str(&tqo_exec::analyze::render(
             metrics.local_plan.as_ref(),
             &exec_metrics,
-            &engine,
+            &format!("{:?}", self.exec_mode),
         ));
         Ok((result, metrics, report))
     }
@@ -595,38 +539,6 @@ mod tests {
             // Both modes surface the local plan's operator report.
             assert!(!rm.operators.is_empty());
             assert!(!bm.operators.is_empty());
-        }
-    }
-
-    #[test]
-    fn adaptive_stratum_admits_the_static_result() {
-        // Adaptive mode re-plans the stratum-local tree against measured
-        // wire statistics; results stay ≡SQL at the query's result type
-        // and the deterministic decisions repeat run over run.
-        let stat = Stratum::new(paper::catalog());
-        let adapt = Stratum::new(paper::catalog()).with_adaptive(tqo_exec::AdaptiveConfig {
-            q_threshold: 1.0,
-            max_reopt: 8,
-        });
-        assert!(adapt.adaptive().is_some());
-        for sql in [
-            "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE \
-             EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
-             COALESCE ORDER BY EmpName",
-            "SELECT Dept, COUNT(*) AS n FROM EMPLOYEE GROUP BY Dept",
-            "VALIDTIME SELECT e.EmpName FROM EMPLOYEE e, PROJECT p \
-             WHERE e.EmpName = p.EmpName",
-        ] {
-            let plan = tqo_sql::compile(sql, stat.dbms().catalog()).unwrap();
-            let (s, _) = stat.run_sql(sql).unwrap();
-            let (a1, m1) = adapt.run_sql(sql).unwrap();
-            let (a2, _) = adapt.run_sql(sql).unwrap();
-            assert!(
-                plan.result_type.admits(&s, &a1).unwrap(),
-                "adaptive stratum violates ≡SQL on {sql}"
-            );
-            assert_eq!(a1, a2, "adaptive decisions must be deterministic");
-            assert!(m1.fragments >= 1);
         }
     }
 

@@ -14,22 +14,17 @@
 //!   estimated rows, and estimated cost (the statistics-driven view);
 //! * `\analyze <sql>` — EXPLAIN ANALYZE: execute the optimized plan and
 //!   render it annotated per operator with estimated vs actual rows,
-//!   q-error, exclusive wall time, and throughput
-//!   (re-opt events inlined under `\adaptive`);
+//!   q-error, exclusive wall time, and throughput;
 //! * `\profile <sql> [file]` — execute the query with tracing enabled and
 //!   write the profile as Chrome trace-event JSON (default `trace.json`;
 //!   open in `chrome://tracing` or Perfetto);
 //! * `\counters` — dump the process-wide observability counters (memo
-//!   exprs, rules fired, stats-cache traffic, scheduler tasks, re-opts,
-//!   wire volume);
+//!   exprs, rules fired, stats-cache traffic, scheduler tasks, wire
+//!   volume);
 //! * `\fragments <sql>` — the SQL shipped to the DBMS per `Tˢ` fragment;
 //! * `\plans <sql>` — size of the Figure 5 plan space for the query;
-//! * `\adaptive on|off` — adaptive mid-query re-optimization: DBMS
-//!   fragments are bound with measured wire statistics and the stratum
-//!   remainder re-plans at pipeline breakers on large q-errors
-//!   (`docs/adaptive.md`);
-//! * `\timing` — toggle the per-operator report after each query,
-//!   including re-opt events under `\adaptive`;
+//! * `\timing` — toggle the per-operator report of the stratum-local
+//!   plan after each query;
 //! * `\timeout <ms>` — per-query deadline: queries exceeding it fail with
 //!   a typed `deadline exceeded` error at the next governance checkpoint
 //!   (`\timeout off` clears; `docs/robustness.md`);
@@ -67,25 +62,20 @@ struct Shell {
     catalog: tqo_storage::Catalog,
     stratum: Stratum,
     timing: bool,
-    adaptive: bool,
     timeout_ms: Option<u64>,
     memlimit: Option<usize>,
     faults: Faults,
 }
 
 impl Shell {
-    /// Rebuild the stratum from the current adaptive/faults toggles.
+    /// Rebuild the stratum from the current `\faults` toggle.
     fn rebuild(&mut self) {
-        let mut stratum = Stratum::new(self.catalog.clone());
-        if self.adaptive {
-            stratum = stratum.with_adaptive(tqo_exec::AdaptiveConfig::default());
-        }
-        match self.faults {
-            Faults::Off => {}
-            Faults::Seeded(seed) => stratum = stratum.with_faults(FaultConfig::with_seed(seed)),
-            Faults::Down => stratum = stratum.with_faults(FaultConfig::down()),
-        }
-        self.stratum = stratum;
+        let stratum = Stratum::new(self.catalog.clone());
+        self.stratum = match self.faults {
+            Faults::Off => stratum,
+            Faults::Seeded(seed) => stratum.with_faults(FaultConfig::with_seed(seed)),
+            Faults::Down => stratum.with_faults(FaultConfig::down()),
+        };
     }
 
     /// The governance context of the next query, if `\timeout` or
@@ -127,7 +117,6 @@ fn main() -> io::Result<()> {
         stratum: Stratum::new(catalog.clone()),
         catalog,
         timing: false,
-        adaptive: false,
         timeout_ms: None,
         memlimit: None,
         faults: Faults::Off,
@@ -187,25 +176,6 @@ fn dispatch(input: &str, shell: &mut Shell) -> Result<String, Box<dyn std::error
             ));
         }
         return Ok(text);
-    }
-    if let Some(arg) = input.strip_prefix("\\adaptive") {
-        shell.adaptive = match arg.trim() {
-            "on" => true,
-            "off" => false,
-            "" => !shell.adaptive,
-            other => return Err(format!("\\adaptive on|off (got `{other}`)").into()),
-        };
-        shell.rebuild();
-        return Ok(if shell.adaptive {
-            let cfg = tqo_exec::AdaptiveConfig::default();
-            format!(
-                "adaptive re-optimization on (q-threshold {}, max {} re-plans; \
-                 \\timing shows re-opt events)",
-                cfg.q_threshold, cfg.max_reopt
-            )
-        } else {
-            "adaptive re-optimization off — static plans only".into()
-        });
     }
     if input == "\\timing" {
         shell.timing = !shell.timing;
@@ -374,18 +344,9 @@ fn dispatch(input: &str, shell: &mut Shell) -> Result<String, Box<dyn std::error
         metrics.dbms_time,
         metrics.stratum_time
     );
-    if !metrics.reopts.is_empty() {
-        let switched = metrics.reopts.iter().filter(|e| e.plan_changed).count();
-        let replanned = metrics.reopts.iter().filter(|e| e.replanned).count();
-        text.push_str(&format!(
-            "\n({} checkpoint(s): {replanned} re-planned, {switched} plan(s) switched)",
-            metrics.reopts.len()
-        ));
-    }
     if shell.timing && !metrics.operators.is_empty() {
         let report = tqo_exec::ExecMetrics {
             operators: metrics.operators.clone(),
-            reopts: metrics.reopts.clone(),
         }
         .report();
         text.push_str("\nstratum operators:\n");

@@ -148,23 +148,6 @@ pub fn optimizer_fixtures(scale: u64) -> Vec<LogicalPlan> {
     ]
 }
 
-/// Adaptive re-optimization at maximum re-planning pressure: q-errors are
-/// ≥ 1 by definition, so a threshold of 1.0 re-plans at every completed
-/// pipeline breaker (within the budget).
-pub fn adaptive_pressure_config() -> tqo_exec::AdaptiveConfig {
-    tqo_exec::AdaptiveConfig {
-        q_threshold: 1.0,
-        max_reopt: 8,
-    }
-}
-
-/// True when the suite runs under the CI matrix leg `ADAPTIVE=1`, which
-/// widens the adaptive legs to the full SQL query pool and the layered
-/// stratum engine.
-pub fn adaptive_pressure() -> bool {
-    std::env::var("ADAPTIVE").is_ok_and(|v| v == "1")
-}
-
 /// True when the suite runs under the CI matrix leg `TRACE=1`, which
 /// widens the traced-vs-untraced byte-identity suite from a sampled
 /// query pool to the full SQL pool and every optimizer fixture plan.
@@ -178,59 +161,6 @@ pub fn trace_widened() -> bool {
 /// sweeps.
 pub fn faults_widened() -> bool {
     std::env::var("FAULTS").is_ok_and(|v| v == "1")
-}
-
-/// The adaptive legs of the engine-equality suites, run at maximum
-/// re-planning pressure (`q_threshold = 1.0`):
-///
-/// * **Re-lowering leg** (no rule re-entry): every physical plan computes
-///   the interpreter's list, so the row and batch engines must each return
-///   the reference interpreter's relation exactly.
-/// * **Rule re-entry leg** (memo search on every remainder): the chosen
-///   remainder depends on the engine-calibrated cost model, so engines
-///   are held to the result-type contract, exactly as statically
-///   optimized plans are in the rest of the suite.
-pub fn assert_adaptive_agrees(
-    plan: &LogicalPlan,
-    env: &tqo_core::interp::Env,
-    reference: &Relation,
-    context: &str,
-) {
-    use tqo_core::optimizer::SearchStrategy;
-    use tqo_exec::{execute_adaptive, ExecMode, PlannerConfig};
-
-    let rules = tqo_core::rules::RuleSet::standard();
-    let acfg = adaptive_pressure_config();
-    for mode in [ExecMode::Row, ExecMode::Batch] {
-        let config = PlannerConfig {
-            mode,
-            strategy: SearchStrategy::Memo,
-        };
-        let (got, metrics) = execute_adaptive(plan, env, None, config, acfg)
-            .unwrap_or_else(|e| panic!("adaptive run failed on {context}: {e:?}"));
-        // Under maximum pressure every in-budget checkpoint re-plans.
-        assert!(
-            metrics
-                .reopts
-                .iter()
-                .take(acfg.max_reopt)
-                .all(|e| e.replanned),
-            "q_threshold=1.0 checkpoint did not re-plan on {context}"
-        );
-        assert_eq!(
-            &got, reference,
-            "adaptive run ({mode:?}) diverges from the interpreter on {context}"
-        );
-
-        // Rule re-entry: the memo optimizer re-searches every remainder
-        // with measured statistics.
-        let (got, _) = execute_adaptive(plan, env, Some(&rules), config, acfg)
-            .unwrap_or_else(|e| panic!("rule re-entry failed on {context}: {e:?}"));
-        assert!(
-            plan.result_type.admits(reference, &got).unwrap(),
-            "rule re-entry violates ≡SQL ({mode:?}) on {context}"
-        );
-    }
 }
 
 /// All instants worth probing for a set of relations (shared endpoints ± 1).

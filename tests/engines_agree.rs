@@ -1,22 +1,24 @@
 //! Cross-engine agreement: the reference interpreter, the row execution
-//! engine, the vectorized batch execution engine, and the layered stratum
-//! engine must agree on every query. Every physical plan computes the
-//! interpreter's exact list on both engines; only plans the optimizer
+//! engine, the vectorized batch execution engine, the scheduler's staged
+//! runs of both, and the layered stratum engine must agree on every
+//! query. Every physical plan computes the interpreter's exact list on
+//! both engines, whole or cut into stages; only plans the optimizer
 //! rewrote are held to the query's result type instead.
 
 mod common;
 
-use common::{arb_snapshot, arb_temporal, assert_adaptive_agrees};
+use common::{arb_snapshot, arb_temporal};
 use proptest::prelude::*;
 
 use tqo_core::interp::eval_plan;
 use tqo_core::relation::Relation;
-use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig};
+use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOptions};
 use tqo_storage::{paper, Catalog};
 use tqo_stratum::{make_layered, Stratum};
 
 /// The row and batch engines must each return the interpreter's exact
-/// relation for the plan's one physical lowering.
+/// relation for the plan's one physical lowering — run whole, and cut into
+/// stages by the scheduler (the only code that runs a plan in stages).
 fn assert_engines_exact(
     plan: &tqo_core::plan::LogicalPlan,
     env: &tqo_core::interp::Env,
@@ -29,6 +31,15 @@ fn assert_engines_exact(
         assert_eq!(
             &got, reference,
             "{mode:?} engine diverges from the interpreter on {context}"
+        );
+        let opts = SubmitOptions {
+            mode,
+            ..SubmitOptions::default()
+        };
+        let (staged, _) = Scheduler::global().run(&physical, env, opts).unwrap();
+        assert_eq!(
+            &staged, reference,
+            "scheduler ({mode:?}) diverges from the interpreter on {context}"
         );
     }
 }
@@ -59,19 +70,6 @@ fn agree_on_catalog(catalog: &Catalog) {
             plan.result_type.admits(&reference, &optimized).unwrap(),
             "optimized stratum violates ≡SQL on {sql}"
         );
-
-        // Adaptive legs over the full SQL pool plus the adaptive layered
-        // engine — the CI matrix leg `ADAPTIVE=1` turns these on.
-        if common::adaptive_pressure() {
-            assert_adaptive_agrees(&plan, &env, &reference, sql);
-            let adaptive_stratum =
-                Stratum::new(catalog.clone()).with_adaptive(common::adaptive_pressure_config());
-            let (via_adaptive, _) = adaptive_stratum.run(&layered).unwrap();
-            assert!(
-                plan.result_type.admits(&reference, &via_adaptive).unwrap(),
-                "adaptive stratum violates ≡SQL on {sql}"
-            );
-        }
     }
 }
 
@@ -123,8 +121,8 @@ fn ordered_outputs_are_identical_at_scale() {
 }
 
 /// The optimizer fixture pool (every plan shape in the rule space) over
-/// generator-driven workloads: interp, row exec, and batch exec must
-/// produce identical relations.
+/// generator-driven workloads: interp, row exec, and batch exec, whole and
+/// staged, must produce identical relations.
 #[test]
 fn engines_agree_on_fixture_plans_over_generated_relations() {
     use tqo_storage::{GenConfig, WorkloadGenerator};
@@ -159,10 +157,6 @@ fn engines_agree_on_fixture_plans_over_generated_relations() {
             let context = format!("fixture #{i} (seed {seed})");
             let reference = eval_plan(&plan, &env).unwrap();
             assert_engines_exact(&plan, &env, &reference, &context);
-            // Every pooled fixture also runs with AdaptiveConfig enabled
-            // at q_threshold = 1.0 — maximum re-planning pressure — and
-            // must still satisfy interp ≡ row ≡ batch.
-            assert_adaptive_agrees(&plan, &env, &reference, &context);
         }
     }
 }
@@ -235,8 +229,6 @@ proptest! {
         let plan = tqo_sql::compile(sql, &catalog).unwrap();
         let reference = eval_plan(&plan, &env).unwrap();
         assert_engines_exact(&plan, &env, &reference, sql);
-        // The proptest pool runs adaptively at q_threshold = 1.0 too.
-        assert_adaptive_agrees(&plan, &env, &reference, sql);
         let stratum = Stratum::new(catalog.clone());
         let (via_stratum, _) = stratum.run(&make_layered(&plan).unwrap()).unwrap();
         prop_assert_eq!(via_stratum, reference);

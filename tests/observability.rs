@@ -2,14 +2,14 @@
 //!
 //! * **Tracing never changes results** — running any query with a
 //!   [`Collector`] installed produces a relation *byte-identical* to the
-//!   untraced run, on the row and batch engines and under adaptive
-//!   re-optimization, across the paper
+//!   untraced run, on the row and batch engines, whole and staged by the
+//!   scheduler, across the paper
 //!   catalog SQL pool and the optimizer fixture-plan pool (the CI matrix
 //!   leg `TRACE=1` widens both pools to their full size).
 //! * Per-operator **exclusive times sum to at most the measured wall
-//!   time** on every engine.
-//! * `EXPLAIN ANALYZE` renders the same column set on every engine and
-//!   through the stratum.
+//!   time** on every engine and through a one-worker scheduler.
+//! * `EXPLAIN ANALYZE` renders the same column set on every engine, for
+//!   a scheduler run's flat view, and through the stratum.
 //! * The Chrome trace export is well-formed JSON even when labels carry
 //!   quotes, and a saturated ring degrades by dropping oldest events —
 //!   never by failing the query.
@@ -20,7 +20,10 @@ mod common;
 use std::time::Instant;
 
 use tqo_core::trace::{self, counters, Collector};
-use tqo_exec::{execute_adaptive, execute_logical, explain_analyze, ExecMode, PlannerConfig};
+use tqo_exec::{
+    execute_logical, explain_analyze, lower, ExecMode, PlannerConfig, Scheduler, SchedulerConfig,
+    SubmitOptions,
+};
 use tqo_storage::{paper, GenConfig, WorkloadGenerator};
 use tqo_stratum::Stratum;
 
@@ -63,8 +66,8 @@ fn config(mode: ExecMode) -> PlannerConfig {
 }
 
 /// Traced and untraced executions of the same plan must return
-/// byte-identical relations on every engine and under adaptive
-/// re-planning; the trace must actually record events.
+/// byte-identical relations on every engine, whole and through the
+/// scheduler's stages; the trace must actually record events.
 fn assert_traced_identical(
     plan: &tqo_core::plan::LogicalPlan,
     env: &tqo_core::interp::Env,
@@ -88,21 +91,27 @@ fn assert_traced_identical(
         );
     }
 
-    // Adaptive leg at maximum re-planning pressure: every checkpoint
-    // decision replays identically under tracing.
-    let adaptive = || {
-        let acfg = common::adaptive_pressure_config();
-        execute_adaptive(plan, env, None, config(ExecMode::Batch), acfg).unwrap()
+    // Staged leg: the scheduler carries the submitter's collector onto
+    // its workers, and the stages replay identically under tracing.
+    let physical = lower(plan, config(ExecMode::Batch)).unwrap();
+    let staged = || {
+        Scheduler::global()
+            .run(&physical, env, SubmitOptions::default())
+            .unwrap()
     };
-    let (untraced, _) = adaptive();
+    let (untraced, _) = staged();
     let collector = Collector::new();
     let (traced, _) = {
         let _guard = trace::install(&collector);
-        adaptive()
+        staged()
     };
     assert_eq!(
         traced, untraced,
-        "tracing perturbed the adaptive result on {context}"
+        "tracing perturbed the scheduler's result on {context}"
+    );
+    assert!(
+        !collector.finish().events.is_empty(),
+        "no scheduler events recorded on {context}"
     );
 }
 
@@ -150,7 +159,8 @@ fn tracing_never_changes_results_on_fixture_plans() {
 }
 
 /// Exclusive operator times can never sum past the measured end-to-end
-/// wall time (the `check_time_invariants` contract) — on every engine.
+/// wall time (the `check_time_invariants` contract) — on every engine,
+/// and across the stages of a scheduler run.
 #[test]
 fn operator_times_are_exclusive_and_bounded_by_wall() {
     let catalog = paper::catalog();
@@ -164,21 +174,26 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
         let (_, metrics) = execute_logical(&plan, &env, config(mode)).unwrap();
         tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
     }
-    // Adaptive staged execution keeps the same accounting.
+    // Staged execution keeps the same accounting. One worker runs the
+    // stages one after another, so their exclusive times cannot overlap.
+    let scheduler = Scheduler::new(SchedulerConfig {
+        workers: 1,
+        ..SchedulerConfig::default()
+    });
+    let physical = lower(&plan, config(ExecMode::Batch)).unwrap();
     let started = Instant::now();
-    let (_, metrics) = execute_adaptive(
-        &plan,
-        &env,
-        None,
-        config(ExecMode::Batch),
-        common::adaptive_pressure_config(),
-    )
-    .unwrap();
+    let (_, metrics) = scheduler
+        .run(&physical, &env, SubmitOptions::default())
+        .unwrap();
     tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
+    assert!(
+        metrics.operators.len() > physical.root.size(),
+        "the plan ran in more than one stage"
+    );
 }
 
 /// The analyze report shows one annotated line per operator with the full
-/// column set, uniformly across engines, adaptive runs, and the stratum.
+/// column set, uniformly across engines, scheduler runs, and the stratum.
 #[test]
 fn explain_analyze_is_uniform_across_engines_and_stratum() {
     let catalog = paper::catalog();
@@ -205,20 +220,21 @@ fn explain_analyze_is_uniform_across_engines_and_stratum() {
         );
     }
 
-    // Adaptive: flat execution-order view (no single static plan), same
-    // columns.
-    let (_, metrics) = execute_adaptive(
-        &plan,
-        &env,
-        None,
-        config(ExecMode::Batch),
-        common::adaptive_pressure_config(),
-    )
-    .unwrap();
-    let report = tqo_exec::analyze::render(None, &metrics, "Batch, adaptive");
+    // Scheduler: its stages' operators concatenated render as the flat
+    // execution-order view, same columns.
+    let physical = lower(&plan, config(ExecMode::Batch)).unwrap();
+    let (_, metrics) = Scheduler::global()
+        .run(&physical, &env, SubmitOptions::default())
+        .unwrap();
+    let report = tqo_exec::analyze::render(None, &metrics, "Batch");
     for col in columns {
-        assert!(report.contains(col), "adaptive missing {col}:\n{report}");
+        assert!(report.contains(col), "scheduler missing {col}:\n{report}");
     }
+    assert_eq!(
+        report.lines().count(),
+        metrics.operators.len() + 3,
+        "one line per operator (scheduler):\n{report}"
+    );
 
     // Stratum: wire header plus the same analyze table.
     let stratum = Stratum::new(paper::catalog());

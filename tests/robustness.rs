@@ -7,8 +7,8 @@
 //!   (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`), never a panic and
 //!   never a third outcome.
 //! * Cancellation at **every checkpoint class** (row-loop strides, batch
-//!   `next_batch`, adaptive checkpoints, memo task pops, stratum fragment
-//!   dispatch) leaves the engine, catalog, and worker
+//!   `next_batch`, scheduler task boundaries, memo task pops, stratum
+//!   fragment dispatch) leaves the engine, catalog, and worker
 //!   pool reusable: the next query on the same objects succeeds
 //!   byte-identically to a fresh run.
 //! * **Fault-injected wire runs are byte-identical to clean runs** once
@@ -34,7 +34,8 @@ use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
 use tqo_exec::physical::{EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo};
 use tqo_exec::{
-    execute_adaptive, execute_logical, execute_mode, ExecMode, PhysicalPlan, PlannerConfig,
+    execute_logical, execute_mode, lower, ExecMode, PhysicalPlan, PlannerConfig, Scheduler,
+    SchedulerConfig, SubmitOptions,
 };
 use tqo_storage::paper;
 use tqo_stratum::{FaultConfig, RetryPolicy, Stratum};
@@ -216,51 +217,47 @@ fn expired_deadline_fires_on_every_engine() {
     }
 }
 
-/// Adaptive staged execution is governed at its checkpoints too: an
-/// expired deadline fails it typed, cancellation sweeps stay binary, and
-/// the loop stays reusable.
+/// Staged execution is governed at the scheduler's task boundaries and
+/// inside each stage: with the context in `SubmitOptions.ctx`, an expired
+/// deadline fails the query typed, cancellation sweeps stay binary, and
+/// the scheduler stays reusable.
 #[test]
-fn adaptive_checkpoints_are_governed() {
+fn scheduler_stages_are_governed() {
     let catalog = paper::catalog();
     let env = catalog.env();
     let sql = "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE \
                EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
                COALESCE ORDER BY EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
-    let run = || {
-        execute_adaptive(
-            &plan,
-            &env,
-            None,
-            config(ExecMode::Batch),
-            common::adaptive_pressure_config(),
-        )
+    let physical = lower(&plan, config(ExecMode::Batch)).unwrap();
+    let scheduler = Scheduler::new(SchedulerConfig {
+        workers: 2,
+        ..SchedulerConfig::default()
+    });
+    let run = |ctx: QueryContext| {
+        let opts = SubmitOptions {
+            ctx,
+            ..SubmitOptions::default()
+        };
+        scheduler.run(&physical, &env, opts)
     };
-    let (clean, _) = run().unwrap();
+    let (clean, _) = run(QueryContext::new()).unwrap();
 
-    let ctx = QueryContext::new().with_timeout(Duration::ZERO);
-    let err = {
-        let _guard = context::install(&ctx);
-        run().unwrap_err()
-    };
+    let err = run(QueryContext::new().with_timeout(Duration::ZERO)).unwrap_err();
     assert_eq!(err, Error::DeadlineExceeded { limit_ms: 0 });
 
     let mut cancelled = false;
     for polls in [1u64, 4, 16, 64, 512] {
-        let ctx = QueryContext::new().with_cancel_after(polls);
-        let result = {
-            let _guard = context::install(&ctx);
-            run()
-        };
-        match result {
-            Ok((got, _)) => assert_eq!(got, clean, "cancel perturbed adaptive (polls={polls})"),
+        match run(QueryContext::new().with_cancel_after(polls)) {
+            Ok((got, _)) => assert_eq!(got, clean, "cancel perturbed the stages (polls={polls})"),
             Err(Error::Cancelled) => cancelled = true,
-            Err(other) => panic!("non-typed adaptive failure (polls={polls}): {other:?}"),
+            Err(other) => panic!("non-typed scheduler failure (polls={polls}): {other:?}"),
         }
     }
-    assert!(cancelled, "adaptive loop never observed the token");
-    let (after, _) = run().unwrap();
-    assert_eq!(after, clean, "adaptive loop not reusable");
+    assert!(cancelled, "the scheduler never observed the token");
+    let (after, _) = run(QueryContext::new()).unwrap();
+    assert_eq!(after, clean, "scheduler not reusable");
+    assert_eq!(scheduler.resident(), 0, "an admission slot leaked");
 }
 
 /// A starved memory budget denies with the typed `MemoryBudget` error —
