@@ -97,6 +97,40 @@ impl Column {
         Column { data, nulls: None }
     }
 
+    /// A column over an already built payload and its null mask (one flag
+    /// per value, `true` = NULL). An all-false mask is dropped, so the
+    /// column keeps the no-null fast paths.
+    pub fn with_nulls(data: ColumnData, nulls: Vec<bool>) -> Column {
+        let mut col = Column::from_data(data);
+        debug_assert_eq!(nulls.len(), col.len());
+        if nulls.contains(&true) {
+            col.nulls = Some(nulls);
+        }
+        col
+    }
+
+    /// The null mask (`None` = no nulls; `Some` may still be all false).
+    pub fn nulls(&self) -> Option<&[bool]> {
+        self.nulls.as_deref()
+    }
+
+    /// Total bytes of the column's non-null strings (`0` for other dtypes):
+    /// the string share of the row layout's footprint.
+    pub fn str_bytes(&self) -> usize {
+        let ColumnData::Str(v) = &self.data else {
+            return 0;
+        };
+        match &self.nulls {
+            None => v.iter().map(|s| s.len()).sum(),
+            Some(n) => v
+                .iter()
+                .zip(n)
+                .filter(|(_, &null)| !null)
+                .map(|(s, _)| s.len())
+                .sum(),
+        }
+    }
+
     /// Approximate footprint in bytes (payload vectors, string bytes,
     /// null mask), for memory-budget accounting.
     pub fn approx_bytes(&self) -> usize {
@@ -629,54 +663,30 @@ impl Column {
     }
 }
 
-/// Transpose columns into row-layout tuples. `sel` picks physical rows
-/// (`None` = all `rows` in physical order). One dtype dispatch per
-/// column — not per value — so the row layer's tagged enums are built in
-/// tight per-column loops.
-pub fn tuples_from_columns(
-    columns: &[Arc<Column>],
-    sel: Option<&[u32]>,
-    rows: usize,
-) -> Vec<Tuple> {
+/// Transpose columns of `rows` values each into row-layout tuples, in
+/// physical order. One dtype dispatch per column — not per value — so
+/// the row layer's tagged enums are built in tight per-column loops.
+pub(crate) fn tuples_from_columns(columns: &[Arc<Column>], rows: usize) -> Vec<Tuple> {
     let arity = columns.len();
     let mut bufs: Vec<Vec<Value>> = (0..rows).map(|_| Vec::with_capacity(arity)).collect();
     for col in columns {
-        fill_rows(col, sel, &mut bufs);
+        fill_rows(col, &mut bufs);
     }
     bufs.into_iter().map(Tuple::new).collect()
 }
 
-/// Append one value per row buffer from `col` (`out[k]` receives row
-/// `sel[k]`, or physical row `k` when dense).
-fn fill_rows(col: &Column, sel: Option<&[u32]>, out: &mut [Vec<Value>]) {
+/// Append one value per row buffer from `col` (`out[k]` receives row `k`).
+fn fill_rows(col: &Column, out: &mut [Vec<Value>]) {
     if col.has_nulls() {
-        match sel {
-            None => {
-                for (k, row) in out.iter_mut().enumerate() {
-                    row.push(col.value(k));
-                }
-            }
-            Some(idx) => {
-                for (row, &i) in out.iter_mut().zip(idx) {
-                    row.push(col.value(i as usize));
-                }
-            }
+        for (k, row) in out.iter_mut().enumerate() {
+            row.push(col.value(k));
         }
         return;
     }
     macro_rules! fill {
         ($v:expr, $wrap:expr) => {
-            match sel {
-                None => {
-                    for (row, x) in out.iter_mut().zip($v.iter()) {
-                        row.push($wrap(x));
-                    }
-                }
-                Some(idx) => {
-                    for (row, &i) in out.iter_mut().zip(idx) {
-                        row.push($wrap(&$v[i as usize]));
-                    }
-                }
+            for (row, x) in out.iter_mut().zip($v.iter()) {
+                row.push($wrap(x));
             }
         };
     }
@@ -742,11 +752,11 @@ impl ColumnarRelation {
         })
     }
 
-    /// Transpose back to the row layout. The result compares equal (`==`)
-    /// to the relation this was built from.
+    /// The row-layout relation over these columns (shared, not copied; its
+    /// tuples are built on first use). The result compares equal (`==`) to
+    /// the relation this was built from.
     pub fn to_relation(&self) -> Relation {
-        let tuples = tuples_from_columns(&self.columns, None, self.rows);
-        Relation::new_unchecked((*self.schema).clone(), tuples)
+        Relation::from_columnar(self.clone())
     }
 
     /// The relation's schema.

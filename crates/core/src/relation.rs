@@ -5,12 +5,11 @@
 //! departure from multiset algebras (Garcia-Molina et al.) that enables the
 //! paper's integrated treatment of sorting.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::columnar::ColumnarRelation;
+use crate::columnar::{tuples_from_columns, ColumnarRelation};
 use crate::error::Result;
 use crate::schema::Schema;
 use crate::time::{Instant, Period};
@@ -26,25 +25,34 @@ use crate::value::Value;
 /// bump. Relations are immutable after construction, so the sharing is
 /// never observable, and a transpose built through any clone is the
 /// transpose of every clone.
-#[derive(Clone, Serialize, Deserialize)]
+///
+/// Either layout may be the one a relation is born with: a relation built
+/// from tuples transposes on its first [`Relation::columnar`] call, and one
+/// built from columns ([`Relation::from_columnar`]) builds its tuple list on
+/// its first [`Relation::tuples`] call. Engine results and wire-decoded
+/// relations are column-born, so a result that is only scanned, counted or
+/// re-encoded never has its tuples built.
+#[derive(Clone)]
 pub struct Relation {
     body: Arc<Body>,
 }
 
-#[derive(Serialize, Deserialize)]
+/// At least one of `tuples` and `columnar` is always set; a column-born
+/// body's `columnar` is `Ok`.
 struct Body {
     schema: Schema,
-    tuples: Vec<Tuple>,
+    /// Built at most once, by the first [`Relation::tuples`] call on any
+    /// clone, unless the relation was born with it.
+    tuples: OnceLock<Vec<Tuple>>,
     /// Built at most once, by the first [`Relation::columnar`] call on any
-    /// clone.
-    #[serde(skip)]
+    /// clone, unless the relation was born with it.
     columnar: OnceLock<Result<Arc<ColumnarRelation>>>,
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
         Arc::ptr_eq(&self.body, &other.body)
-            || (self.body.schema == other.body.schema && self.body.tuples == other.body.tuples)
+            || (self.body.schema == other.body.schema && self.tuples() == other.tuples())
     }
 }
 
@@ -54,7 +62,7 @@ impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Relation")
             .field("schema", &self.body.schema)
-            .field("tuples", &self.body.tuples)
+            .field("tuples", &self.tuples())
             .finish()
     }
 }
@@ -76,12 +84,28 @@ pub fn validate(schema: &Schema, t: &Tuple) -> Result<()> {
     Ok(())
 }
 
+impl Body {
+    /// The columns of a body born without tuples.
+    fn resident(&self) -> &ColumnarRelation {
+        match self.columnar.get() {
+            Some(Ok(c)) => c,
+            _ => unreachable!("a body without tuples is born with its columns"),
+        }
+    }
+}
+
+/// Build a column-born relation's tuple list (once per relation).
+fn build_tuples(c: &ColumnarRelation) -> Vec<Tuple> {
+    counters::TUPLES_BUILT.incr();
+    tuples_from_columns(c.columns(), c.rows())
+}
+
 impl Relation {
     fn from_parts(schema: Schema, tuples: Vec<Tuple>) -> Relation {
         Relation {
             body: Arc::new(Body {
                 schema,
-                tuples,
+                tuples: OnceLock::from(tuples),
                 columnar: OnceLock::new(),
             }),
         }
@@ -107,16 +131,17 @@ impl Relation {
         Relation::from_parts(schema, tuples)
     }
 
-    /// The row layout of a columnar relation, with that columnar relation
-    /// resident as its transpose: a consumer's [`Relation::columnar`] is
-    /// served what the producer already had instead of rebuilding it.
+    /// A relation born in columns: the columnar relation is resident as
+    /// its transpose, and the tuple list is built from it only if someone
+    /// asks for it ([`Relation::tuples`]).
     pub fn from_columnar(columnar: ColumnarRelation) -> Relation {
-        let r = columnar.to_relation();
-        r.body
-            .columnar
-            .set(Ok(Arc::new(columnar)))
-            .expect("a relation just built has no transpose yet");
-        r
+        Relation {
+            body: Arc::new(Body {
+                schema: (**columnar.schema()).clone(),
+                tuples: OnceLock::new(),
+                columnar: OnceLock::from(Ok(Arc::new(columnar))),
+            }),
+        }
     }
 
     /// The empty relation of a schema.
@@ -129,16 +154,22 @@ impl Relation {
         &self.body.schema
     }
 
-    /// The tuple list, in relation order.
+    /// The tuple list, in relation order. A column-born relation builds it
+    /// on the first call (on any clone) and keeps it from then on.
     pub fn tuples(&self) -> &[Tuple] {
-        &self.body.tuples
+        self.body
+            .tuples
+            .get_or_init(|| build_tuples(self.body.resident()))
     }
 
     /// Consume into the tuple list (clones when storage is shared).
     pub fn into_tuples(self) -> Vec<Tuple> {
         match Arc::try_unwrap(self.body) {
-            Ok(body) => body.tuples,
-            Err(shared) => shared.tuples.clone(),
+            Ok(mut body) => match body.tuples.take() {
+                Some(tuples) => tuples,
+                None => build_tuples(body.resident()),
+            },
+            Err(shared) => Relation { body: shared }.tuples().to_vec(),
         }
     }
 
@@ -164,20 +195,39 @@ impl Relation {
 
     /// Cardinality `n(r)`.
     pub fn len(&self) -> usize {
-        self.tuples().len()
+        match self.body.tuples.get() {
+            Some(tuples) => tuples.len(),
+            None => self.body.resident().rows(),
+        }
     }
 
-    /// Approximate materialized footprint in bytes, for memory-budget
-    /// accounting at operator materialization points. Walks every tuple
-    /// (string payloads counted), so call it once per materialization,
-    /// not per row.
+    /// Approximate materialized footprint of the tuple list in bytes, for
+    /// memory-budget accounting at operator materialization points: per
+    /// tuple its header and one [`Value`] per attribute, plus the bytes of
+    /// every non-null string. Read off the columns when they are resident
+    /// (the same number, without building or walking tuples); walks every
+    /// tuple otherwise, so call it once per materialization, not per row.
     pub fn approx_bytes(&self) -> usize {
-        self.tuples().iter().map(Tuple::approx_bytes).sum()
+        match self.body.columnar.get() {
+            Some(Ok(c)) => {
+                Relation::row_layout_bytes(c.rows(), c.columns().len())
+                    + c.columns().iter().map(|col| col.str_bytes()).sum::<usize>()
+            }
+            _ => self.tuples().iter().map(Tuple::approx_bytes).sum(),
+        }
+    }
+
+    /// The share of [`Relation::approx_bytes`] that does not depend on the
+    /// values: `rows` tuple headers of `arity` values each (string bytes
+    /// are the rest). Saturates rather than overflowing on absurd claims.
+    pub fn row_layout_bytes(rows: usize, arity: usize) -> usize {
+        let per_row = std::mem::size_of::<Tuple>() + arity * std::mem::size_of::<Value>();
+        rows.saturating_mul(per_row)
     }
 
     /// True when the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples().is_empty()
+        self.len() == 0
     }
 
     /// True when the schema carries `T1`/`T2`.

@@ -115,6 +115,12 @@ counters! {
         "transposes_built",
         "columnar transposes built from row storage"
     );
+    /// Tuple lists built from a column-born relation's columns (at most
+    /// one per relation storage).
+    pub static TUPLES_BUILT = (
+        "tuples_built",
+        "tuple lists built from columns"
+    );
     /// DBMS fragments executed and shipped over the wire.
     pub static FRAGMENTS_EXECUTED = (
         "fragments_executed",

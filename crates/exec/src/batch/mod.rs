@@ -237,7 +237,7 @@ impl Batch {
 /// set of columns, jointly covering it completely — the shape a scan (or
 /// any pass-through above it) produces. Reassembling such a stream is
 /// free: the shared columns *are* the result.
-fn tiles_shared_columns(batches: &[Batch]) -> bool {
+pub(crate) fn tiles_shared_columns(batches: &[Batch]) -> bool {
     let Some(first) = batches.first() else {
         return false;
     };
@@ -271,7 +271,7 @@ pub(crate) type SharedSelection = (Vec<Arc<Column>>, Option<Vec<u32>>);
 /// identity), return those columns plus the concatenated selection — the
 /// fusion handle that lets a selection-producing pipeline push its
 /// selection vector straight into a breaker's build phase (or the
-/// driver's row conversion) instead of materializing a compacted
+/// driver's sink) instead of materializing a compacted
 /// intermediate relation. A `None` selection means the stream is exactly
 /// the full shared columns in physical order. Returns `None` overall
 /// when there are no batches or they view differing columns (computed

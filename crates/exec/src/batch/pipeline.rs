@@ -1166,30 +1166,18 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
         }
     }
     root.close();
-    // Fused sink: when the root's batches all view one shared set of
-    // columns (sort/filter/scan pipelines), transpose straight from the
-    // shared columns through the selection — no compacted columnar copy
-    // between the pipeline and the row layout. The budget is charged for
-    // the allocation actually made (the selection vector; the row tuples
-    // are the caller's result either way). Where the sink does hold the
-    // result in columns — a breaker's whole output, or the compaction of
-    // differing batches — they stay with the result as its transpose: a
-    // stage scanning this output reads them, not a rebuild.
-    let result = match super::shared_selection(&batches) {
-        Some((columns, Some(sel))) => {
-            let _sel_reserved = context::reserve_current(sel.len() * 4)?;
-            let tuples = tqo_core::columnar::tuples_from_columns(&columns, Some(&sel), sel.len());
-            Relation::new_unchecked((*schema).clone(), tuples)
-        }
-        Some((columns, None)) => Relation::from_columnar(ColumnarRelation::new(schema, columns)),
-        None => {
-            let columnar = concat(schema, &batches);
-            // Charge the final materialized result while converting to
-            // row layout — the last allocation a budget can deny.
-            let _result_reserved = context::reserve_current(columnar.approx_bytes())?;
-            Relation::from_columnar(columnar)
-        }
-    };
+    // Every result is born in columns and its tuples are built only if a
+    // caller asks for them: the sink compacts the root's batches (a stream
+    // that tiles one shared set of columns — a scan, a breaker's whole
+    // output — is those columns, with nothing copied). A stage scanning
+    // this output reads these columns, not a rebuild. The budget is
+    // charged for a compaction the sink allocates, the last allocation it
+    // can deny.
+    let columnar = concat(schema, &batches);
+    if !super::tiles_shared_columns(&batches) {
+        context::reserve_current(columnar.approx_bytes())?;
+    }
+    let result = Relation::from_columnar(columnar);
 
     let sink = sink.borrow();
     let mut operators = Vec::with_capacity(sink.nodes.len());

@@ -4,9 +4,13 @@
 //! prefix followed by that many payload bytes — the same length-prefixed
 //! discipline the stratum transfer wire uses, so a reader can never
 //! desynchronize on a malformed payload (it skips exactly one frame and
-//! surfaces a typed error). Values reuse
-//! [`tqo_stratum::wire`]'s tagged binary encoding verbatim; relations
-//! ride as an inline schema plus a [`wire::encode`] row payload.
+//! surfaces a typed error). Request values reuse
+//! [`tqo_stratum::wire`]'s tagged binary encoding verbatim; a result
+//! relation rides as an inline schema plus a [`wire::encode`] column
+//! frame — per column a null flag (and mask), then fixed-width values, one
+//! byte per `Bool`, or runs of equal strings — which the client decodes
+//! into typed columns without building a tuple (see [`wire::encode`] for
+//! the layout).
 //!
 //! Sessions are sequential per connection: a client writes one request
 //! frame and reads exactly one response frame before the next request.
@@ -429,16 +433,20 @@ fn encode_response_inner(
     let mut buf = BytesMut::with_capacity(64);
     match resp {
         Response::Pong => buf.put_u8(0),
-        Response::Rows(rel) => {
-            buf.put_u8(1);
-            put_schema(&mut buf, rel.schema());
-            let mut payload = wire::encode(rel);
-            if let Some(f) = mutilate {
-                payload = f(payload);
+        Response::Rows(rel) => match wire::encode(rel) {
+            Ok(mut payload) => {
+                buf.put_u8(1);
+                put_schema(&mut buf, rel.schema());
+                if let Some(f) = mutilate {
+                    payload = f(payload);
+                }
+                buf.put_u32(payload.len() as u32);
+                buf.put_slice(&payload);
             }
-            buf.put_u32(payload.len() as u32);
-            buf.put_slice(&payload);
-        }
+            // A relation that cannot be laid out in columns fails its
+            // own query, typed, rather than the connection.
+            Err(e) => return encode_response_inner(&Response::Fail(e), None),
+        },
         Response::Done => buf.put_u8(2),
         Response::Fail(e) => {
             buf.put_u8(3);

@@ -5,7 +5,7 @@
 //! order, panics on buffer underflow (callers guard with `remaining()`),
 //! cheap clones and slices via a shared backing allocation.
 
-use std::ops::{Deref, Range};
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 /// Immutable shared byte view with a read cursor.
@@ -133,6 +133,21 @@ impl BytesMut {
     }
 }
 
+/// The written bytes, mutable in place (as in the real crate), so a
+/// writer can patch a count it only knows after writing what it counts.
+impl Deref for BytesMut {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+}
+
 /// Big-endian writes onto the end of a buffer.
 pub trait BufMut {
     fn put_u8(&mut self, v: u8);
@@ -144,26 +159,32 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.data.push(v);
     }
 
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_i64(&mut self, v: i64) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
 
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }

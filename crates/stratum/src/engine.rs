@@ -323,7 +323,7 @@ impl Stratum {
         }
         let (result, stats) = self.dbms.execute(input)?;
         metrics.dbms_time += stats.elapsed;
-        let encoded = wire::encode(&result);
+        let encoded = wire::encode(&result)?;
         let size = encoded.len();
         let encoded = if inj.should_truncate() {
             metrics.faults_injected += 1;

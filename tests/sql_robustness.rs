@@ -200,7 +200,10 @@ fn mutated_sql_corpus_never_panics() {
 /// Seeded mutation fuzz over wire bytes: encode real relations, then
 /// truncate, corrupt, extend, and re-decode. Decode must return a clean
 /// `Err` (or a valid relation, for semantically neutral mutations) —
-/// never panic, and never trust the claimed row count.
+/// never panic, and never trust the claimed row count. The relations
+/// cover every dtype, with and without NULLs, string runs, a temporal
+/// schema and an empty relation, so every section of the column frame is
+/// mutated.
 #[test]
 fn mutated_wire_bytes_never_panic() {
     use tqo_core::relation::Relation;
@@ -214,21 +217,57 @@ fn mutated_wire_bytes_never_panic() {
             ("S", DataType::Str),
             ("F", DataType::Float),
             ("B", DataType::Bool),
+            ("I", DataType::Int),
+            ("T", DataType::Time),
         ]),
         vec![
             Tuple::new(vec![
                 Value::Str("αβγ".into()),
                 Value::Float(2.5),
                 Value::Bool(true),
+                Value::Int(-3),
+                Value::Time(9),
             ]),
-            Tuple::new(vec![Value::Null, Value::Null, Value::Bool(false)]),
+            Tuple::new(vec![
+                Value::Null,
+                Value::Null,
+                Value::Bool(false),
+                Value::Null,
+                Value::Null,
+            ]),
+            Tuple::new(vec![
+                Value::Str("αβγ".into()),
+                Value::Float(f64::NAN),
+                Value::Null,
+                Value::Int(i64::MAX),
+                Value::Time(-1),
+            ]),
         ],
     )
     .unwrap();
+    let runs = Relation::new(
+        Schema::temporal(&[("D", DataType::Str), ("N", DataType::Int)]),
+        (0..40i64)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::from(["Sales", "Sales", "Ads", ""][(i / 10) as usize]),
+                    Value::Int(i % 7),
+                    Value::Time(i),
+                    Value::Time(i + 1 + i % 3),
+                ])
+            })
+            .collect(),
+    )
+    .unwrap();
+    let empty = Relation::empty(Schema::temporal(&[("E", DataType::Str)]));
 
     let mut rng = StdRng::seed_from_u64(0xFAB);
-    for rel in [&employee, &mixed] {
-        let clean = tqo_stratum::wire::encode(rel);
+    for rel in [&employee, &mixed, &runs, &empty] {
+        let clean = tqo_stratum::wire::encode(rel).unwrap();
+        assert_eq!(
+            tqo_stratum::wire::decode(rel.schema(), clean.clone()).unwrap(),
+            *rel
+        );
         for _ in 0..1500 {
             let mut bytes = clean.to_vec();
             for _ in 0..rng.gen_range(1usize..=3) {
@@ -259,28 +298,70 @@ fn mutated_wire_bytes_never_panic() {
     }
 }
 
-/// A hostile header claiming four billion rows over a tiny payload must be
-/// rejected quickly without attempting the four-billion-row allocation.
+/// Hostile headers over tiny payloads — a row count of four billion, a
+/// run count, a run length and a string length past anything the payload
+/// holds, and a row count for a schema without columns (whose rows take no
+/// wire bytes at all) — must each be rejected quickly, typed, without
+/// attempting the allocation they claim.
 #[test]
 fn hostile_row_count_header_is_clamped() {
+    use tqo_core::error::Error;
     use tqo_core::schema::Schema;
     use tqo_core::value::DataType;
 
-    let schema = Schema::of(&[("A", DataType::Int)]);
-    // arity = 1, rows = u32::MAX, then a single encoded Int value.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&1u32.to_be_bytes());
-    bytes.extend_from_slice(&u32::MAX.to_be_bytes());
-    bytes.push(2); // tag: Int
-    bytes.extend_from_slice(&7i64.to_be_bytes());
-    let started = std::time::Instant::now();
-    let result = tqo_stratum::wire::decode(&schema, bytes::Bytes::from(bytes));
-    assert!(result.is_err(), "lying header must not decode");
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(5),
-        "hostile header took {:?} — allocation not clamped",
-        started.elapsed()
-    );
+    fn frame(arity: u32, rows: u32, words: &[u32], tail: &[u8]) -> bytes::Bytes {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&arity.to_be_bytes());
+        bytes.extend_from_slice(&rows.to_be_bytes());
+        bytes.push(0); // null flag: no mask
+        for w in words {
+            bytes.extend_from_slice(&w.to_be_bytes());
+        }
+        bytes.extend_from_slice(tail);
+        bytes::Bytes::from(bytes)
+    }
+
+    let ints = Schema::of(&[("A", DataType::Int)]);
+    let strs = Schema::of(&[("S", DataType::Str)]);
+    let cases = [
+        // rows = u32::MAX, then a single Int value.
+        (
+            "row count",
+            &ints,
+            frame(1, u32::MAX, &[], &7i64.to_be_bytes()),
+        ),
+        // rows = u32::MAX, one honest one-row run.
+        (
+            "row count over runs",
+            &strs,
+            frame(1, u32::MAX, &[1, 1, 1], b"x"),
+        ),
+        // A run count no payload of this size could hold.
+        ("run count", &strs, frame(1, 3, &[u32::MAX, 3, 1], b"x")),
+        // One run longer than the rows.
+        ("run length", &strs, frame(1, 3, &[1, u32::MAX, 1], b"x")),
+        // A string longer than the payload.
+        ("string length", &strs, frame(1, 3, &[1, 3, u32::MAX], b"x")),
+        // Zero-column rows: eight bytes claiming four billion rows.
+        ("zero-column rows", &Schema::of(&[]), {
+            let mut b = 0u32.to_be_bytes().to_vec();
+            b.extend_from_slice(&u32::MAX.to_be_bytes());
+            bytes::Bytes::from(b)
+        }),
+    ];
+    for (what, schema, bytes) in cases {
+        let started = std::time::Instant::now();
+        let result = tqo_stratum::wire::decode(schema, bytes);
+        assert!(
+            matches!(result, Err(Error::Storage { .. })),
+            "lying {what} must not decode: {result:?}"
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "hostile {what} took {:?} — allocation not clamped",
+            started.elapsed()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
