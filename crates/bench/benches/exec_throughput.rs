@@ -1,11 +1,12 @@
-//! Row vs batch execution engine throughput on the hot operators.
+//! Batch engine throughput on the hot operators, next to the reference
+//! interpreter's operator.
 //!
 //! Each case executes a single-operator physical plan end-to-end (scan →
-//! operator → result relation) under both engines against the same
-//! environment. The acceptance bar for the vectorized engine: ≥5× the row
-//! engine on hash `rdup`, grouped aggregation, and plane-sweep `×ᵀ` at
-//! 100k input rows. `exec_quick` (the bench binary) emits the same cases
-//! as machine-readable BENCH_exec.json.
+//! operator → result relation) on the batch engine, and applies the same
+//! operator's `tqo_core::ops` function to the case's base relations (the
+//! hash equi-join has no interpreter leg: its interpreter form is
+//! `σ₌(×)`). `exec_quick` (the bench binary) emits the same cases as
+//! machine-readable BENCH_exec.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -26,18 +27,15 @@ fn bench(c: &mut Criterion) {
             execute_mode(&case.plan, &env, ExecMode::Batch).expect("warms");
         }
         for case in &cases {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}/row", case.name), rows),
-                &case.plan,
-                |b, plan| {
-                    b.iter(|| {
-                        execute_mode(plan, &env, ExecMode::Row)
-                            .expect("runs")
-                            .0
-                            .len()
-                    })
-                },
-            );
+            if case.interpret(&env).is_some() {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{}/interp", case.name), rows),
+                    case,
+                    |b, case| {
+                        b.iter(|| case.interpret(&env).expect("has an interpreter leg").len())
+                    },
+                );
+            }
             group.bench_with_input(
                 BenchmarkId::new(format!("{}/batch", case.name), rows),
                 &case.plan,

@@ -1,6 +1,6 @@
 //! Figure 3's operations at scale: regular `rdup`, `rdupᵀ` by the paper's
 //! head/tail recursion run literally (`O(n²)`), and `rdupᵀ` as per-class
-//! claims in list order (`O(n log n)`, the same list) on both engines.
+//! claims in list order (`O(n log n)`, the same list).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

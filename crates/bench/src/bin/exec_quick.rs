@@ -1,10 +1,11 @@
-//! Quick-mode exec throughput: runs the row-vs-batch cases a few times
-//! each and writes `BENCH_exec.json` (rows/sec per operator and engine,
-//! per-operator cardinality-estimation q-errors, and what tracing and
-//! governance cost when off) to the current directory — the perf *and*
-//! estimation trajectories CI tracks. The `observability` and
-//! `governance` blocks are also written standalone as `BENCH_obs.json`
-//! and `BENCH_robust.json` for the CI artifacts.
+//! Quick-mode exec throughput: runs each case's operator a few times on
+//! the batch engine and through the reference interpreter's operator, and
+//! writes `BENCH_exec.json` (rows/sec per operator, the interpreter's time
+//! over the engine's, per-operator cardinality-estimation q-errors, and
+//! what tracing and governance cost when off) to the current directory —
+//! the perf *and* estimation trajectories CI tracks. The `observability`
+//! and `governance` blocks are also written standalone as
+//! `BENCH_obs.json` and `BENCH_robust.json` for the CI artifacts.
 //!
 //! Usage: `exec_quick [rows] [output-path]`; `EXEC_QUICK_ROWS` overrides
 //! the default of 100_000 rows.
@@ -13,34 +14,57 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use tqo_bench::{estimation_workload, exec_throughput_workload};
+use tqo_bench::{estimation_workload, exec_throughput_workload, ExecCase};
 use tqo_core::interp::Env;
-use tqo_exec::{execute_logical, execute_mode, ExecMode, PhysicalPlan, PlannerConfig};
+use tqo_core::Relation;
+use tqo_exec::{execute_logical, execute_mode, ExecMode, PlannerConfig};
 
-const ITERS: usize = 5;
+const ITERS: usize = 11;
 
-/// Best wall-clock and best root-operator-exclusive time over `ITERS`
-/// runs. The operator time (scan and result-sink excluded on both
-/// engines) is the apples-to-apples measure of the operator itself; wall
-/// time additionally pays each engine's materialization overheads.
-fn best_of(plan: &PhysicalPlan, env: &Env, mode: ExecMode) -> (Duration, Duration, usize) {
-    let mut best_wall = Duration::MAX;
-    let mut best_op = Duration::MAX;
-    let mut out_rows = 0;
+/// One case timed `ITERS` times, the batch engine and the interpreter's
+/// operator interleaved so that both see the same cache and clock state.
+struct Timed {
+    /// Best batch wall-clock time.
+    batch_wall: Duration,
+    /// Best batch root-operator-exclusive time: the operator itself, the
+    /// pipeline's scan and result sink excluded.
+    batch_op: Duration,
+    /// Best time of the interpreter's operator; `None` for a case with no
+    /// interpreter timing.
+    interp_op: Option<Duration>,
+    /// The engine's result, checked against the interpreter's.
+    result: Relation,
+}
+
+fn time_case(case: &ExecCase, env: &Env) -> Timed {
+    let (mut batch_wall, mut batch_op) = (Duration::MAX, Duration::MAX);
+    let mut interp_op: Option<Duration> = None;
+    let mut result = None;
     for _ in 0..ITERS {
         let started = Instant::now();
-        let (result, metrics) = execute_mode(plan, env, mode).expect("benchmark plan executes");
-        let wall = started.elapsed();
-        let op = metrics
-            .operators
-            .last()
-            .map(|o| o.elapsed)
-            .unwrap_or_default();
-        out_rows = result.len();
-        best_wall = best_wall.min(wall);
-        best_op = best_op.min(op);
+        let (out, metrics) =
+            execute_mode(&case.plan, env, ExecMode::Batch).expect("benchmark plan executes");
+        batch_wall = batch_wall.min(started.elapsed());
+        let op = metrics.operators.last().map(|o| o.elapsed);
+        batch_op = batch_op.min(op.unwrap_or_default());
+        let started = Instant::now();
+        if let Some(reference) = case.interpret(env) {
+            let elapsed = started.elapsed();
+            interp_op = Some(interp_op.map_or(elapsed, |best| best.min(elapsed)));
+            assert_eq!(
+                out, reference,
+                "the engine must compute the interpreter's list on {}",
+                case.name
+            );
+        }
+        result = Some(out);
     }
-    (best_wall, best_op, out_rows)
+    Timed {
+        batch_wall,
+        batch_op,
+        interp_op,
+        result: result.expect("ITERS > 0"),
+    }
 }
 
 fn main() {
@@ -68,43 +92,52 @@ fn main() {
     writeln!(json, "  \"iters\": {ITERS},").unwrap();
     writeln!(json, "  \"cases\": [").unwrap();
     eprintln!(
-        "{:<22} {:>10} {:>14} {:>14} {:>9} {:>9}",
-        "case", "out_rows", "row rows/s", "batch rows/s", "op x", "wall x"
+        "{:<22} {:>10} {:>14} {:>14} {:>9}",
+        "case", "out_rows", "interp rows/s", "batch rows/s", "interp x"
     );
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     for (i, case) in cases.iter().enumerate() {
-        let (row_wall, row_op, out_rows) = best_of(&case.plan, &env, ExecMode::Row);
-        let (batch_wall, batch_op, batch_rows) = best_of(&case.plan, &env, ExecMode::Batch);
-        assert_eq!(out_rows, batch_rows, "engines must agree on {}", case.name);
+        let Timed {
+            batch_wall,
+            batch_op,
+            interp_op,
+            result,
+        } = time_case(case, &env);
         let per_sec = |d: Duration| case.rows as f64 / d.as_secs_f64().max(1e-9);
-        let op_speedup = row_op.as_secs_f64() / batch_op.as_secs_f64().max(1e-9);
-        let wall_speedup = row_wall.as_secs_f64() / batch_wall.as_secs_f64().max(1e-9);
+        let interp_speedup = interp_op.map(|d| d.as_secs_f64() / batch_op.as_secs_f64().max(1e-9));
+        let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".into());
         eprintln!(
-            "{:<22} {:>10} {:>14.0} {:>14.0} {:>8.2}x {:>8.2}x",
+            "{:<22} {:>10} {:>14} {:>14.0} {:>9}",
             case.name,
-            out_rows,
-            per_sec(row_op),
+            result.len(),
+            or_null(interp_op.map(|d| format!("{:.0}", per_sec(d)))),
             per_sec(batch_op),
-            op_speedup,
-            wall_speedup
+            or_null(interp_speedup.map(|x| format!("{x:.2}x"))),
         );
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
         writeln!(json, "    {{").unwrap();
         writeln!(json, "      \"name\": \"{}\",", case.name).unwrap();
         writeln!(json, "      \"rows_in\": {},", case.rows).unwrap();
-        writeln!(json, "      \"rows_out\": {out_rows},").unwrap();
-        writeln!(json, "      \"row_op_ms\": {:.3},", ms(row_op)).unwrap();
+        writeln!(json, "      \"rows_out\": {},", result.len()).unwrap();
+        writeln!(
+            json,
+            "      \"interp_op_ms\": {},",
+            or_null(interp_op.map(|d| format!("{:.3}", ms(d))))
+        )
+        .unwrap();
         writeln!(json, "      \"batch_op_ms\": {:.3},", ms(batch_op)).unwrap();
-        writeln!(json, "      \"row_wall_ms\": {:.3},", ms(row_wall)).unwrap();
         writeln!(json, "      \"batch_wall_ms\": {:.3},", ms(batch_wall)).unwrap();
-        writeln!(json, "      \"row_rows_per_sec\": {:.0},", per_sec(row_op)).unwrap();
         writeln!(
             json,
             "      \"batch_rows_per_sec\": {:.0},",
             per_sec(batch_op)
         )
         .unwrap();
-        writeln!(json, "      \"op_speedup\": {op_speedup:.3},").unwrap();
-        writeln!(json, "      \"wall_speedup\": {wall_speedup:.3}").unwrap();
+        writeln!(
+            json,
+            "      \"interp_speedup\": {}",
+            or_null(interp_speedup.map(|x| format!("{x:.3}")))
+        )
+        .unwrap();
         writeln!(json, "    }}{}", if i + 1 < cases.len() { "," } else { "" }).unwrap();
         fusion_rows.push((case.name.to_string(), ms(batch_op), ms(batch_wall)));
     }

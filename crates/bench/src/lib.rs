@@ -60,9 +60,10 @@ pub fn union_chain_plan(width: usize, card: u64) -> LogicalPlan {
         .build_list(Order::asc(&["E"]))
 }
 
-/// One row-vs-batch execution comparison: a single-operator physical plan
-/// over named base relations. Shared by `benches/exec_throughput.rs` and
-/// the quick-mode `exec_quick` binary (BENCH_exec.json).
+/// One interpreter-vs-batch execution comparison: a single-operator
+/// physical plan over named base relations. Shared by
+/// `benches/exec_throughput.rs` and the quick-mode `exec_quick` binary
+/// (BENCH_exec.json).
 pub struct ExecCase {
     pub name: &'static str,
     pub plan: tqo_exec::PhysicalPlan,
@@ -70,10 +71,48 @@ pub struct ExecCase {
     pub rows: usize,
 }
 
+impl ExecCase {
+    /// The case's operator as the reference interpreter computes it: the
+    /// `tqo_core::ops` function applied to the case's base relations.
+    /// `None` for the hash equi-join, whose interpreter form is `σ₌(×)`,
+    /// a product over every pair of its inputs.
+    pub fn interpret(&self, env: &tqo_core::interp::Env) -> Option<tqo_core::Relation> {
+        use tqo_core::ops;
+        use tqo_exec::physical::{PhysicalNode, ProductTAlgo};
+
+        let root = self.plan.root.as_ref();
+        let input = |i: usize| match root.children()[i].as_ref() {
+            PhysicalNode::Scan { name } => env.get(name).expect("registered"),
+            other => panic!("{}: input {} is not a scan", self.name, other.label()),
+        };
+        let out = match root {
+            PhysicalNode::Select { predicate, .. } => ops::select(input(0), predicate),
+            PhysicalNode::Rdup { .. } => ops::rdup(input(0)),
+            PhysicalNode::Aggregate { group_by, aggs, .. } => {
+                ops::aggregate(input(0), group_by, aggs)
+            }
+            PhysicalNode::Sort { order, .. } => ops::sort(input(0), order),
+            PhysicalNode::ProductT {
+                algo: ProductTAlgo::Sweep,
+                ..
+            } => ops::product_t(input(0), input(1)),
+            PhysicalNode::DifferenceT { .. } => ops::difference_t(input(0), input(1)),
+            PhysicalNode::RdupT { .. } => ops::rdup_t(input(0)),
+            PhysicalNode::Coalesce { .. } => ops::coalesce(input(0)),
+            PhysicalNode::AggregateT { group_by, aggs, .. } => {
+                ops::aggregate_t(input(0), group_by, aggs)
+            }
+            _ => return None,
+        };
+        Some(out.expect("interpreter operator runs"))
+    }
+}
+
 /// The exec-throughput workload: `rows`-scaled base tables plus one case
-/// per hot operator. All cases run under both engines against the same
+/// per hot operator. Every case runs on the batch engine and, except the
+/// hash equi-join, through the interpreter's operator, against the same
 /// environment; a relation's transpose stays resident in its storage, so
-/// batch-mode iterations measure the pipeline, not the one-time transpose.
+/// batch iterations measure the pipeline, not the one-time transpose.
 pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::Env, Vec<ExecCase>) {
     use std::sync::Arc;
     use tqo_core::expr::{AggFunc, AggItem, BinOp, Expr};
@@ -85,9 +124,9 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
     let mut generator = WorkloadGenerator::new(seed);
     let mut env = Env::new();
     // A six-attribute, duplicate-heavy fact table: `rows` samples drawn
-    // from a pool of `rows/8` distinct rows. Wide rows are where
-    // row-at-a-time hashing/cloning costs scale with arity while the
-    // columnar engine's per-column work stays flat.
+    // from a pool of `rows/8` distinct rows. Wide rows are where the
+    // interpreter's row-at-a-time hashing/cloning costs scale with arity
+    // while the columnar engine's per-column work stays flat.
     env.insert("S", wide_dup_table(rows, (rows / 8).max(4), seed));
     // Sparse temporal tables: short periods, gaps scaled to the table
     // size so temporal density (tuples alive per instant) stays constant

@@ -9,8 +9,8 @@
 //! * **`.slt` corpus** ([`slt`] + [`runner`]): text files of
 //!   `statement ok` / `query <types> [rowsort]` / `query error`
 //!   directives over deterministic fixtures ([`fixtures`]). Each `query`
-//!   runs through the full mode matrix — reference interpreter, row and
-//!   batch engines, the multi-query scheduler, memo and exhaustive
+//!   runs through the full mode matrix — reference interpreter, the
+//!   batch engine, the multi-query scheduler, memo and exhaustive
 //!   optimizer strategies, and the layered stratum engine. Every leg running
 //!   the query's own plan must return the interpreter's exact relation;
 //!   the legs running a rewritten plan must render **byte-identical**

@@ -7,7 +7,7 @@
 //! | leg | engines | comparison |
 //! |---|---|---|
 //! | reference | interpreter | pinned block in the file |
-//! | engines | row, batch | `==` reference relation |
+//! | engine | batch | `==` reference relation |
 //! | scheduler | stage graph via the shared multi-query pool | `==` reference relation |
 //! | optimizer | memo + exhaustive, via interpreter | byte-identical rendering |
 //! | stratum | layered | `==` reference relation |
@@ -247,16 +247,15 @@ fn run_matrix(
     };
 
     let canonical = canon(&reference);
-    // Row and batch engines, then the multi-query scheduler: the plan cut
+    // The batch engine, then the multi-query scheduler: the plan cut
     // into a stage graph and executed through the shared process-wide
     // pool. Every corpus query runs the scheduler leg, so the ≥150-query
     // floor doubles as the concurrency oracle.
     let physical = lower(&plan, PlannerConfig::default()).map_err(|e| format!("lower: {e}"))?;
-    for mode in [ExecMode::Row, ExecMode::Batch] {
-        let (got, _) = execute_mode(&physical, env, mode).map_err(|e| format!("{mode:?}: {e}"))?;
-        if got != reference {
-            return Err(format!("{mode:?} relation differs from the interpreter"));
-        }
+    let (got, _) =
+        execute_mode(&physical, env, ExecMode::Batch).map_err(|e| format!("batch: {e}"))?;
+    if got != reference {
+        return Err("batch relation differs from the interpreter".into());
     }
     let (got, _) = Scheduler::global()
         .run(&physical, env, SubmitOptions::default())
@@ -302,7 +301,7 @@ fn run_matrix(
             // the same layered plan, then `run`.
             let config = OptimizerConfig {
                 enumeration: EXHAUSTIVE_BUDGET,
-                cost_model: CostModel::calibrated(stratum.exec_mode().engine()),
+                cost_model: CostModel::calibrated(),
                 ..OptimizerConfig::default()
             };
             let best = optimize(&layered, &rules, &config)

@@ -42,8 +42,8 @@ use crate::render::SortMode;
 pub enum ModeSet {
     /// Everything: engines, scheduler, optimizer strategies, stratum.
     All,
-    /// Engine + scheduler legs only (row, batch, shared-pool stage
-    /// graphs) — for large generated fixtures where the
+    /// Engine + scheduler legs only (batch, shared-pool stage graphs)
+    /// — for large generated fixtures where the
     /// planner legs would dominate runtime.
     Engines,
 }

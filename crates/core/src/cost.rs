@@ -13,9 +13,9 @@
 //!   because the DBMS sorts faster than the stratum"), and
 //! * transfers between the sites cost per row moved.
 //!
-//! Per-operator formulas price the one algorithm each operator runs on
-//! every engine — none depends on a Table 2 license, so neither does its
-//! price: the sweeps (`×ᵀ`, `\ᵀ`, `ξᵀ`, `rdupᵀ`, `∪ᵀ`) cost `n log n`-ish
+//! Per-operator formulas price the one algorithm each operator runs in
+//! the interpreter and the engine — none depends on a Table 2 license, so
+//! neither does its price: the sweeps (`×ᵀ`, `\ᵀ`, `ξᵀ`, `rdupᵀ`, `∪ᵀ`) cost `n log n`-ish
 //! work, the chained `coalᵀ` and the hash operators are linear, and only
 //! `×`'s nested loop is quadratic. The [`CostEstimator`] trait is the one interface
 //! both search strategies (exhaustive Figure 5 closure and memo
@@ -55,39 +55,19 @@ impl Default for CostModel {
     }
 }
 
-/// The execution engine a [`CostModel`] is calibrated to.
-///
-/// The optimizer prices stratum-side work with a per-engine factor: the
-/// vectorized batch pipeline does the same logical work in less time than
-/// the row-at-a-time walk. Mirrors `tqo-exec`'s `ExecMode` without
-/// depending on it (the executor crate sits above this one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Engine {
-    /// Row-at-a-time materializing tree walk (the semantic baseline).
-    Row,
-    /// Vectorized columnar batch pipeline.
-    Batch,
-}
-
 impl CostModel {
-    /// A model calibrated to the stratum's execution engine, from the
-    /// measured operator times in `BENCH_exec.json` after the kernel
-    /// rewrites (radix-partitioned hash builds, prefix-assisted sort,
-    /// fused selection-into-breaker pipelines, branch-free predicate and
-    /// sweep emission): batch now runs ~3–5× faster than row across the
-    /// whole fast set — the former laggards (sort, previously ~2×) pulled
-    /// up to the pack — so one flat factor fits the operators much more
-    /// tightly than before. The factor stays above `dbms_factor` because
-    /// the simulated DBMS stands in for a mature engine whose own speed
-    /// the bench does not measure, and the paper's architectural premise
-    /// (§2.1: the DBMS outruns the thin stratum) must survive calibration.
-    pub fn calibrated(engine: Engine) -> CostModel {
-        let stratum_factor = match engine {
-            Engine::Row => 1.0,
-            Engine::Batch => 0.32,
-        };
+    /// The model the optimizer prices stratum-side work with: the batch
+    /// pipeline, the one engine that runs a physical plan. Its
+    /// `stratum_factor` of 0.32 was fitted from the measured operator
+    /// times in `BENCH_exec.json`, where batch ran ~3–5× faster than a
+    /// row-at-a-time walk priced at the default 1.0. The factor stays
+    /// above `dbms_factor` because the simulated DBMS stands in for a
+    /// mature engine whose own speed the bench does not measure, and the
+    /// paper's architectural premise (§2.1: the DBMS outruns the thin
+    /// stratum) must survive calibration.
+    pub fn calibrated() -> CostModel {
         CostModel {
-            stratum_factor,
+            stratum_factor: 0.32,
             ..CostModel::default()
         }
     }
@@ -328,9 +308,8 @@ mod tests {
 
     #[test]
     fn calibrated_batch_model_keeps_dbms_ahead() {
-        let m = CostModel::calibrated(Engine::Batch);
+        let m = CostModel::calibrated();
         assert!(m.stratum_factor < 1.0);
         assert!(m.dbms_factor < m.stratum_factor);
-        assert_eq!(CostModel::calibrated(Engine::Row).stratum_factor, 1.0);
     }
 }

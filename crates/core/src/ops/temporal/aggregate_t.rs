@@ -269,7 +269,8 @@ enum Acc<'a, I: ?Sized> {
 }
 
 /// The aggregates of one group's live set, kept current as an
-/// [`EndpointSweep`] passes each endpoint — `ξᵀ`'s state on every engine.
+/// [`EndpointSweep`] passes each endpoint — `ξᵀ`'s state in the interpreter
+/// and the engine.
 /// `COUNT`, integer `SUM`, `MIN` and `MAX` update in `O(log n)` per event;
 /// float `SUM` and `AVG` fold the live set in list order per interval,
 /// which is what makes them bit-identical to [`aggregate_t_literal`].

@@ -32,8 +32,8 @@
 //!
 //! Instrumentation only *observes*: span guards read clocks and copy
 //! labels, never touching relation data or plan choices, so a traced run
-//! is byte-identical to an untraced one on every engine
-//! (`tests/observability.rs` holds all engines to this).
+//! is byte-identical to an untraced one, whole or staged
+//! (`tests/observability.rs` holds the engine and the scheduler to this).
 //!
 //! ```
 //! use tqo_core::trace::{self, Category, Collector};
@@ -83,7 +83,7 @@ pub enum Category {
     Optimizer,
     /// Lowering and algorithm selection.
     Planner,
-    /// Operator execution (both engines) and scheduler stage tasks.
+    /// Operator execution and scheduler stage tasks.
     Exec,
     /// Stratum fragments, wire transfers, and placement.
     Stratum,

@@ -5,9 +5,9 @@
 //! post-order [`OperatorMetrics`] and prints, per operator: estimated
 //! rows, actual rows, the q-error between them, **exclusive** wall time
 //! (children subtracted), and output throughput (`—` when the operator
-//! finished below the timer's resolution). The same columns render on
-//! both engines — row and batch — and through the stratum, so a plan can
-//! be compared across engines line by line.
+//! finished below the timer's resolution). The same columns render for a
+//! direct run, a scheduler run and a run through the stratum, so a plan
+//! can be compared across the three line by line.
 //!
 //! A staged run (the scheduler) reports its stages' operators
 //! concatenated, which no single tree shape indexes, so it renders as a
@@ -43,13 +43,13 @@ pub struct Analyzed {
     pub report: String,
 }
 
-/// Lower and execute `plan` on the engine selected by `config.mode`,
-/// then render the analyze report. (A staged run's metrics render
-/// through [`render`] with no plan.)
+/// Lower and execute `plan` on the batch engine, then render the analyze
+/// report. (A staged run's metrics render through [`render`] with no
+/// plan.)
 pub fn explain_analyze(plan: &LogicalPlan, env: &Env, config: PlannerConfig) -> Result<Analyzed> {
     let physical = lower(plan, config)?;
     let (result, metrics) = execute_mode(&physical, env, config.mode)?;
-    let report = render(Some(&physical), &metrics, &format!("{:?}", config.mode));
+    let report = render(Some(&physical), &metrics);
     Ok(Analyzed {
         result,
         metrics,
@@ -64,8 +64,8 @@ pub fn explain_analyze(plan: &LogicalPlan, env: &Env, config: PlannerConfig) -> 
 /// operators render as an indented tree in plan order. Without it —
 /// metrics from a staged execution — operators render as a flat list in
 /// execution order.
-pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics, engine: &str) -> String {
-    let mut out = format!("EXPLAIN ANALYZE ({engine} engine)\n");
+pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics) -> String {
+    let mut out = String::from("EXPLAIN ANALYZE\n");
     out.push_str(&format!(
         "{:<44} {:>9} {:>9} {:>7} {:>11} {:>12}\n",
         "operator", "est rows", "act rows", "q-err", "time", "rows/s"
@@ -151,7 +151,6 @@ pub fn check_time_invariants(metrics: &ExecMetrics, wall: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::ExecMode;
     use tqo_core::equivalence::ResultType;
     use tqo_core::plan::PlanBuilder;
     use tqo_core::sortspec::Order;
@@ -176,36 +175,26 @@ mod tests {
     #[test]
     fn analyze_renders_every_operator_with_columns() {
         let cat = paper::catalog();
-        for mode in [ExecMode::Row, ExecMode::Batch] {
-            let a = explain_analyze(
-                &figure2a(),
-                &cat.env(),
-                PlannerConfig {
-                    mode,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(a.result, paper::figure1_result());
-            assert_eq!(a.plan.root.size(), a.metrics.operators.len());
-            for col in ["est rows", "act rows", "q-err", "time", "rows/s"] {
-                assert!(
-                    a.report.contains(col),
-                    "missing column {col}:\n{}",
-                    a.report
-                );
-            }
-            for op in &a.metrics.operators {
-                assert!(
-                    a.report.contains(&op.label),
-                    "missing {}:\n{}",
-                    op.label,
-                    a.report
-                );
-            }
-            // The tree view indents children under the root operator.
-            assert!(a.report.contains("\n  "), "no indentation:\n{}", a.report);
+        let a = explain_analyze(&figure2a(), &cat.env(), PlannerConfig::default()).unwrap();
+        assert_eq!(a.result, paper::figure1_result());
+        assert_eq!(a.plan.root.size(), a.metrics.operators.len());
+        for col in ["est rows", "act rows", "q-err", "time", "rows/s"] {
+            assert!(
+                a.report.contains(col),
+                "missing column {col}:\n{}",
+                a.report
+            );
         }
+        for op in &a.metrics.operators {
+            assert!(
+                a.report.contains(&op.label),
+                "missing {}:\n{}",
+                op.label,
+                a.report
+            );
+        }
+        // The tree view indents children under the root operator.
+        assert!(a.report.contains("\n  "), "no indentation:\n{}", a.report);
     }
 
     #[test]
@@ -226,7 +215,7 @@ mod tests {
                 op("sort[stable]"),
             ],
         };
-        let report = render(None, &metrics, "Batch");
+        let report = render(None, &metrics);
         let at = |label: &str| report.find(label).expect(label);
         assert!(at("scan(R)") < at("rdupT") && at("rdupT") < at("scan(__s0)"));
         assert!(at("scan(__s0)") < at("sort[stable]"), "{report}");
@@ -245,7 +234,7 @@ mod tests {
                 elapsed: Duration::ZERO,
             }],
         };
-        let report = render(None, &metrics, "Row");
+        let report = render(None, &metrics);
         let line = report.lines().find(|l| l.contains("select")).unwrap();
         assert!(line.trim_end().ends_with('—'), "{report}");
     }

@@ -7,7 +7,7 @@
 //! expressions whose evaluation can never raise (no arithmetic, no
 //! `as_bool` coercions, all attributes resolved). Everything else returns
 //! `None` and the select operator falls back to row-at-a-time
-//! `Expr::eval_predicate`, preserving the row engine's error behaviour
+//! `Expr::eval_predicate`, preserving the interpreter's error behaviour
 //! (including its short-circuit evaluation order) exactly.
 //!
 //! Null semantics replicate `Expr::eval` *literally* — including its
@@ -42,7 +42,7 @@ pub enum Pred {
     IsNullCol(usize),
     /// `<literal> IS NULL`.
     IsNullLit(bool),
-    /// Conjunction (left short-circuits, as in the row engine).
+    /// Conjunction (left short-circuits, as in `Expr::eval`).
     And(Box<Pred>, Box<Pred>),
     /// Disjunction (left short-circuits).
     Or(Box<Pred>, Box<Pred>),

@@ -45,7 +45,7 @@ const RADIX_PARTS: usize = 16;
 const CLASS_RADIX_MIN_ROWS: usize = 1 << 16;
 
 /// Stable sort permutation of `input` under `order` (ties keep input
-/// order, matching the row engine's stable `sort_by`).
+/// order, matching the interpreter's stable `sort_by`).
 pub fn sort_indices(input: &ColumnarRelation, order: &Order) -> Result<Vec<u32>> {
     let keys = SortKeys::new(input, order)?;
     let mut idx: Vec<u32> = (0..input.rows() as u32).collect();
@@ -143,7 +143,7 @@ impl<'a> SortKeys<'a> {
     }
 }
 
-/// Compare two rows under a resolved key list, matching the row engine's
+/// Compare two rows under a resolved key list, matching the interpreter's
 /// comparator exactly (`cmp_at` per key, `reverse` on descending).
 #[inline]
 fn cmp_rows(input: &ColumnarRelation, keys: &[(usize, SortDir)], a: u32, b: u32) -> Ordering {
@@ -439,7 +439,7 @@ fn accumulate(
             let col = input.column(arg.expect("validated by output_type"));
             let min = agg.func == AggFunc::Min;
             // Best row per group; i64::MAX = none seen. Strict comparisons
-            // keep the earliest row on ties, as the row engine does.
+            // keep the earliest row on ties, as the interpreter does.
             let mut best = vec![u32::MAX; groups];
             if let Some(data) = col.as_i64() {
                 for (row, &g) in gid.iter().enumerate() {
@@ -628,7 +628,7 @@ pub fn aggregate_t(
 }
 
 /// Approximate bytes of `×`'s output over inputs of the given footprints
-/// and row counts. Known before the operator runs, so every engine charges
+/// and row counts. Known before the operator runs, so the engine charges
 /// it to the query's budget before allocating anything of that size.
 pub(crate) fn product_bytes(
     left_bytes: usize,
@@ -704,8 +704,8 @@ fn for_each_key_match(
 }
 
 /// Hash equi-join `×`: the rows of [`product`] that satisfy the key
-/// equalities, in its order — list-exact against
-/// `crate::operators::product_hash_equi`.
+/// equalities, in its order — list-exact against `σ₌(×)` in the
+/// interpreter.
 pub fn product_hash_equi(
     left: &ColumnarRelation,
     right: &ColumnarRelation,
@@ -724,8 +724,8 @@ pub fn product_hash_equi(
 }
 
 /// Hash equi-join `×ᵀ`: the rows of [`product_t_sweep`] that satisfy the
-/// key equalities, in its order — list-exact against
-/// `crate::operators::product_t_hash_equi`.
+/// key equalities, in its order — list-exact against `σ₌(×ᵀ)` in the
+/// interpreter.
 pub fn product_t_hash_equi(
     left: &ColumnarRelation,
     right: &ColumnarRelation,

@@ -1,8 +1,8 @@
 //! The vectorized batch execution engine.
 //!
-//! Where the row engine ([`crate::executor::ExecMode::Row`]) walks the
-//! physical tree materializing a full `Relation` per operator, this engine
-//! streams **batches** — column-major windows of ~[`BATCH_SIZE`] rows over
+//! Where the reference interpreter (`tqo_core::interp`) evaluates the plan
+//! materializing a full `Relation` per operator, this engine streams
+//! **batches** — column-major windows of ~[`BATCH_SIZE`] rows over
 //! shared [`Column`] vectors — through a pipeline of
 //! `pipeline::BatchOperator`s:
 //!
@@ -17,10 +17,10 @@
 //!   columnar kernel from [`kernels`], and stream the result back out in
 //!   batches.
 //!
-//! Every batch operator is list-exact against its row counterpart: for the
-//! same physical plan, the batch engine produces a `Relation` equal (`==`)
-//! to the row engine's, so the planner's Table 2 property gating applies
-//! unchanged to both engines.
+//! Every batch operator is list-exact against the interpreter's operator
+//! (`tqo_core::ops`): for every physical plan, the batch engine produces a
+//! `Relation` equal (`==`) to the interpreter's for the logical plan it was
+//! lowered from.
 
 pub mod exprs;
 pub mod hash;

@@ -5,15 +5,13 @@
 //! union-all, hash `rdup`, hash `difference`, transfers) forward ~1024-row
 //! batches as they arrive; pipeline breakers materialize their inputs and
 //! call the columnar kernels. The two operators without a columnar kernel
-//! (`∪ᵀ`, `∪max`) fall back to the row implementations behind a
-//! materialize boundary, so every physical plan executes under either
-//! engine with identical results.
+//! (`∪`, `∪ᵀ`) run the interpreter's own functions
+//! (`ops::{union_max, union_t}`) behind a materialize boundary.
 //!
 //! Every operator is wrapped in a `Metered` shell that accumulates
 //! inclusive wall-clock time, output rows, and batch counts into a shared
 //! sink; the driver converts inclusive to exclusive times using the tree
-//! shape and reports the same post-order [`OperatorMetrics`] sequence the
-//! row engine produces.
+//! shape and reports one [`OperatorMetrics`] per plan node, in post-order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -324,9 +322,9 @@ impl BatchOperator for ProjectOp {
             Some(indices) => batch.project_columns(self.out_schema.clone(), indices),
             None => {
                 // Computed items: densify, evaluating tuple-major (per row,
-                // items in order) exactly as the row engine does, so a plan
-                // with several fallible items surfaces the same first error
-                // under either engine.
+                // items in order) exactly as `ops::project` does, so a plan
+                // with several fallible items surfaces the interpreter's
+                // first error.
                 let child_schema = self.child.out_schema();
                 let mut columns: Vec<tqo_core::columnar::Column> = self
                     .items
@@ -520,7 +518,7 @@ impl BatchOperator for RdupOp {
 /// Hash multiset difference: the right side is built into a count table at
 /// `open`; left batches stream through, consuming counts, and survivors
 /// are emitted as selection views (earliest occurrences are the ones
-/// removed, as in the row engine).
+/// removed, as in `ops::difference`).
 struct DifferenceOp {
     left: BoxOp,
     right: BoxOp,
@@ -650,9 +648,10 @@ enum BlockKind {
     DifferenceT,
     RdupT,
     Coalesce,
-    /// Materialize to row layout and run the reference implementation —
-    /// the compatibility path for operators without a columnar kernel.
-    RowOp(PhysicalNode),
+    /// `∪` and `∪ᵀ` have no columnar kernel: they materialize to row
+    /// layout and run the interpreter's function.
+    UnionMax,
+    UnionT,
 }
 
 struct BlockingOp {
@@ -824,17 +823,27 @@ impl BlockingOp {
                 let input = inputs.pop().expect("unary");
                 self.out = Some(kernels::coalesce(&input)?);
             }
-            BlockKind::RowOp(node) => {
-                let rels: Vec<Relation> =
-                    inputs.iter().map(ColumnarRelation::to_relation).collect();
-                let result = crate::executor::apply_row_op(node, &rels)?;
+            BlockKind::UnionMax | BlockKind::UnionT => {
+                let right = inputs.pop().expect("binary").to_relation();
+                let left = inputs.pop().expect("binary").to_relation();
+                let result = match self.kind {
+                    BlockKind::UnionMax => ops::union_max(&left, &right)?,
+                    _ => ops::union_t(&left, &right)?,
+                };
                 self.out = Some(ColumnarRelation::from_relation(&result)?);
             }
         }
-        // Charge the materialized output until close releases it (`×`
-        // charged its own up front; this settles it to the actual size).
+        // Charge the materialized output until close releases it: `×`
+        // charged its own up front and is resized to what it built, every
+        // other breaker is charged now.
         let bytes = self.out.as_ref().map_or(0, ColumnarRelation::approx_bytes);
-        self.reserved = crate::executor::settle(self.reserved.take(), bytes)?;
+        self.reserved = match self.reserved.take() {
+            Some(mut reserved) => {
+                reserved.grow_to(bytes)?;
+                Some(reserved)
+            }
+            None => context::reserve_current(bytes)?,
+        };
         Ok(())
     }
 }
@@ -931,8 +940,8 @@ fn blocking(children: Vec<BoxOp>, kind: BlockKind, out_schema: Arc<Schema>) -> B
 }
 
 /// Build the operator tree for a physical node. Returns the (metered)
-/// operator and its node id; ids are assigned post-order so the driver's
-/// metrics sequence matches the row engine's.
+/// operator and its node id; ids are assigned post-order, so the driver's
+/// metrics sequence is the plan's post-order.
 fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, usize)> {
     let mut child_ops = Vec::new();
     let mut child_ids = Vec::new();
@@ -1069,7 +1078,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             let ls = left.out_schema();
             ls.check_union_compatible(&right.out_schema(), "union")?;
             let out = demoted(&ls);
-            blocking(vec![left, right], BlockKind::RowOp(node.clone()), out)
+            blocking(vec![left, right], BlockKind::UnionMax, out)
         }
         PhysicalNode::Sort { order, .. } => {
             let child = next();
@@ -1136,7 +1145,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             require_temporal(&ls, "temporal union")?;
             require_temporal(&right.out_schema(), "temporal union")?;
             ls.check_union_compatible(&right.out_schema(), "temporal union")?;
-            blocking(vec![left, right], BlockKind::RowOp(node.clone()), ls)
+            blocking(vec![left, right], BlockKind::UnionT, ls)
         }
         PhysicalNode::Coalesce { .. } => {
             let child = next();
@@ -1240,39 +1249,41 @@ mod tests {
     }
 
     #[test]
-    fn mixed_dtype_predicate_agrees_with_row_engine() {
+    fn mixed_dtype_predicate_agrees_with_the_interpreter() {
         // `T1 < E` compares Time against Str — total under Value::cmp, so
-        // the row engine evaluates it; the batch engine must fall back to
+        // `ops::select` evaluates it; the batch engine must fall back to
         // row evaluation rather than hitting the native comparator.
         let e = env();
+        let predicate = Expr::lt(Expr::col("T1"), Expr::col("E"));
         let p = plan(PhysicalNode::Select {
             input: scan("R"),
-            predicate: Expr::lt(Expr::col("T1"), Expr::col("E")),
+            predicate: predicate.clone(),
         });
         let (batch_result, _) = execute_batch(&p, &e).unwrap();
-        let (row_result, _) = crate::executor::execute_row(&p, &e).unwrap();
-        assert_eq!(batch_result, row_result);
+        let expected = ops::select(e.get("R").unwrap(), &predicate).unwrap();
+        assert_eq!(batch_result, expected);
     }
 
     #[test]
-    fn metrics_mirror_row_engine_ordering() {
+    fn metrics_follow_the_plan_in_post_order() {
         let e = env();
+        let predicate = Expr::eq(Expr::col("E"), Expr::lit("v7"));
         let root = PhysicalNode::RdupT {
             input: Arc::new(PhysicalNode::Select {
                 input: scan("R"),
-                predicate: Expr::eq(Expr::col("E"), Expr::lit("v7")),
+                predicate: predicate.clone(),
             }),
         };
         let p = plan(root);
         let (batch_result, bm) = execute_batch(&p, &e).unwrap();
-        let (row_result, rm) = crate::executor::execute_row(&p, &e).unwrap();
-        assert_eq!(batch_result, row_result);
-        let blabels: Vec<_> = bm.operators.iter().map(|o| o.label.clone()).collect();
-        let rlabels: Vec<_> = rm.operators.iter().map(|o| o.label.clone()).collect();
-        assert_eq!(blabels, rlabels);
+        let selected = ops::select(e.get("R").unwrap(), &predicate).unwrap();
+        let expected = ops::rdup_t(&selected).unwrap();
+        assert_eq!(batch_result, expected);
+        let labels: Vec<_> = bm.operators.iter().map(|o| o.label.as_str()).collect();
+        assert_eq!(labels, ["scan(R)", "select", "rdup-t"]);
         assert_eq!(
             bm.operators.iter().map(|o| o.rows_out).collect::<Vec<_>>(),
-            rm.operators.iter().map(|o| o.rows_out).collect::<Vec<_>>(),
+            [e.get("R").unwrap().len(), selected.len(), expected.len()],
         );
     }
 }

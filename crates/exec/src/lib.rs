@@ -2,7 +2,7 @@
 //!
 //! Lowers logical plans ([`tqo_core::plan::LogicalPlan`]) to physical plans
 //! and executes them. Every operator has one algorithm, shared by the
-//! interpreter (`tqo_core::ops`) and both engines, and its output is the
+//! interpreter (`tqo_core::ops`) and the batch engine, and its output is the
 //! exact list the paper's definition prescribes — so no algorithm needs a
 //! Table 2 license, and every physical plan computes the interpreter's
 //! list. The temporal operators:
@@ -25,14 +25,14 @@
 //! [`executor::execute_mode`] runs the physical plan collecting
 //! per-operator metrics.
 //!
-//! Two engines execute physical plans ([`executor::ExecMode`]): the
-//! vectorized batch pipeline in [`batch`] (default — columnar ~1024-row
-//! batches, selection vectors, column-wise hashing, period-column
-//! sweeps) and the row-at-a-time materializing walk
-//! ([`executor::ExecMode::Row`], the semantic baseline). For any one
-//! physical plan they produce identical relations. [`parallel`] holds the
-//! stage graph and the one worker pool that runs many queries' stages at
-//! once.
+//! One engine executes physical plans: the vectorized batch pipeline in
+//! [`batch`] (columnar ~1024-row batches, selection vectors, column-wise
+//! hashing, period-column sweeps). The reference interpreter
+//! (`tqo_core::interp`) is its oracle: for every physical plan the engine
+//! produces the interpreter's exact relation. [`executor::ExecMode`]
+//! survives only as a type no code branches on — every value runs batch.
+//! [`parallel`] holds the stage graph and the one worker pool that runs
+//! many queries' stages at once.
 
 #![warn(missing_docs)]
 
@@ -40,7 +40,6 @@ pub mod analyze;
 pub mod batch;
 pub mod executor;
 pub mod metrics;
-pub mod operators;
 pub mod parallel;
 pub mod physical;
 pub mod planner;

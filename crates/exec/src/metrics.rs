@@ -20,7 +20,7 @@ pub struct OperatorMetrics {
     /// The planner's estimated output cardinality, when the plan carried
     /// one — the basis of the q-error feedback loop.
     pub est_rows: Option<u64>,
-    /// Batches produced (1 for the row engine's materialized output).
+    /// Batches produced.
     pub batches: usize,
     /// **Exclusive wall-clock** time spent in this operator (children
     /// excluded), so time is never double-counted into the parent.

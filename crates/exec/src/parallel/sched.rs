@@ -6,8 +6,8 @@
 //! breaker-bounded stage graph ([`super::stage`]), completed stages push
 //! their dependents onto the shared run queue, and workers pick the next
 //! stage task under a weighted-fair policy. Nothing here changes what a
-//! query computes — stages execute with the ordinary deterministic
-//! engines — so a result produced through the scheduler is byte-identical
+//! query computes — stages execute on the ordinary deterministic batch
+//! engine — so a result produced through the scheduler is byte-identical
 //! to the same plan's serial run (ARCHITECTURE invariant 16).
 //!
 //! Governance hooks:
@@ -78,7 +78,8 @@ pub struct SubmitOptions {
     /// Governance context: deadline, budget, cancellation token. The
     /// scheduler installs it around every task of this query.
     pub ctx: QueryContext,
-    /// Engine executing each stage (default: batch).
+    /// Ignored: every stage runs on the batch pipeline (see
+    /// [`ExecMode`]).
     pub mode: ExecMode,
     /// Fair-share weight (clamped to ≥ 0.001). A query with weight 2
     /// absorbs twice the service of a weight-1 query before yielding.
@@ -197,7 +198,6 @@ struct QueryState {
     /// `__q{id}_stage{k}` names (private clone; the caller's `Env` is
     /// never mutated).
     env: Env,
-    mode: ExecMode,
     weight: f64,
     /// Accrued service / weight — the fair-share virtual time.
     vtime: f64,
@@ -265,7 +265,6 @@ struct Task {
     env: Env,
     ctx: QueryContext,
     collector: Option<trace::Collector>,
-    mode: ExecMode,
 }
 
 impl Scheduler {
@@ -363,7 +362,6 @@ impl Scheduler {
                 ctx: opts.ctx.clone(),
                 collector: trace::current(),
                 env: env.clone(),
-                mode: opts.mode,
                 weight: opts.weight(),
                 vtime: floor,
                 stages: graph.stages,
@@ -470,7 +468,6 @@ fn next_task(state: &mut State) -> Option<Task> {
         env: q.env.clone(),
         ctx: q.ctx.clone(),
         collector: q.collector.clone(),
-        mode: q.mode,
     })
 }
 
@@ -496,7 +493,7 @@ fn run_task(shared: &Arc<Shared>, task: Task) {
             // any more of its work is scheduled.
             task.ctx
                 .check()
-                .and_then(|()| execute_mode(&task.plan, &task.env, task.mode))
+                .and_then(|()| execute_mode(&task.plan, &task.env, ExecMode::Batch))
                 .and_then(|(rel, m)| {
                     // Stage outputs stay resident until the query
                     // finishes; charge them against the query's budget at

@@ -154,7 +154,7 @@ pub enum PhysicalNode {
         right: Arc<PhysicalNode>,
     },
     /// Temporal aggregation over constant intervals (`ξᵀ`): one endpoint
-    /// sweep per group on every engine, `O(n log n)` plus the output, and
+    /// sweep per group, `O(n log n)` plus the output, and
     /// `O(live)` more per interval for float `SUM` and `AVG`. Its output
     /// is the definition's own list, so it needs no Table 2 license.
     AggregateT {

@@ -28,36 +28,31 @@ pub struct PlannerConfig {
     /// Plan-search engine used by [`optimize_and_lower`]: the exhaustive
     /// Figure 5 closure or the memo optimizer.
     pub strategy: SearchStrategy,
-    /// Execution engine [`crate::executor::execute_logical`] dispatches to
-    /// (vectorized batch pipeline by default).
+    /// Ignored: every plan is priced for and runs on the batch pipeline
+    /// (see [`crate::executor::ExecMode`]).
     pub mode: crate::executor::ExecMode,
 }
 
 /// Lower a logical plan to a physical plan. Per-node row estimates from
 /// the annotation ride along in post-order, so executed operators can
-/// report estimated-vs-actual q-errors.
-pub fn lower(plan: &LogicalPlan, config: PlannerConfig) -> Result<PhysicalPlan> {
+/// report estimated-vs-actual q-errors. Lowering reads nothing from
+/// `_config`; the argument keeps the planner's entry points uniform.
+pub fn lower(plan: &LogicalPlan, _config: PlannerConfig) -> Result<PhysicalPlan> {
     let mut span = tqo_core::trace::span(tqo_core::trace::Category::Planner, "lower");
     let ann = annotate(plan)?;
     let mut estimates = Vec::new();
     let root = lower_node(&plan.root, &mut Vec::new(), &ann, &mut estimates)?;
-    span.note_with(|| {
-        format!(
-            "\"operators\": {}, \"engine\": \"{:?}\"",
-            estimates.len(),
-            config.mode
-        )
-    });
+    span.note_with(|| format!("\"operators\": {}", estimates.len()));
     Ok(PhysicalPlan::new(root).with_estimates(estimates))
 }
 
 /// The optimizer configuration a planner configuration implies: the
-/// caller's search strategy, the cost model calibrated to the engine that
-/// will execute the plan (`config.mode`).
+/// caller's search strategy, the cost model calibrated to the batch engine
+/// that will execute the plan.
 pub(crate) fn optimizer_config(config: PlannerConfig) -> OptimizerConfig {
     OptimizerConfig {
         strategy: config.strategy,
-        cost_model: tqo_core::cost::CostModel::calibrated(config.mode.engine()),
+        cost_model: tqo_core::cost::CostModel::calibrated(),
         ..OptimizerConfig::default()
     }
 }
@@ -86,7 +81,7 @@ fn lower_node(
         lowered_children.push(Arc::new(lower_node(c, path, ann, estimates)?));
         path.pop();
     }
-    // Post-order, after the children: matches both engines' metric order.
+    // Post-order, after the children: matches the engine's metric order.
     estimates.push(Some(ann[path.as_slice()].stat.card()));
     let mut kids = lowered_children.into_iter();
     let mut next = || kids.next().expect("child lowered");

@@ -14,27 +14,14 @@ use tqo_exec::ExecMode;
 use crate::protocol::{decode_response, encode_request, write_frame, Request, Response};
 
 /// Per-query options for [`Client::query_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryOpts {
-    /// Engine executing the query's stages.
-    pub mode: ExecMode,
     /// Deadline in milliseconds (`0` = none).
     pub timeout_ms: u64,
     /// Memory budget in bytes (`0` = unlimited).
     pub memory_limit: u64,
     /// Deterministically cancel on the n-th checkpoint (`0` = never).
     pub cancel_polls: u64,
-}
-
-impl Default for QueryOpts {
-    fn default() -> Self {
-        QueryOpts {
-            mode: ExecMode::Batch,
-            timeout_ms: 0,
-            memory_limit: 0,
-            cancel_polls: 0,
-        }
-    }
 }
 
 /// One connection to a serving front-end. Requests are sequential: each
@@ -65,11 +52,11 @@ impl Client {
         self.query_with(sql, QueryOpts::default())
     }
 
-    /// Run `sql` with explicit engine/deadline/budget options.
+    /// Run `sql` with explicit deadline/budget options.
     pub fn query_with(&mut self, sql: &str, opts: QueryOpts) -> Result<Relation> {
         let req = Request::Query {
             sql: sql.to_owned(),
-            mode: opts.mode,
+            mode: ExecMode::Batch,
             timeout_ms: opts.timeout_ms,
             memory_limit: opts.memory_limit,
             cancel_polls: opts.cancel_polls,

@@ -20,7 +20,7 @@
 //! Errors cross the wire **typed**: the governance, admission and
 //! internal (caught-panic) variants are encoded structurally
 //! (variant tag plus fields) and decode back to the exact
-//! [`Error`](tqo_core::error::Error) value; the long tail of planning
+//! [`Error`] value; the long tail of planning
 //! errors degrades to [`Error::Plan`] with the rendered message.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -43,7 +43,9 @@ pub enum Request {
         /// The SQL text (same dialect as the shell and conformance
         /// corpus).
         sql: String,
-        /// Engine executing the query's stages.
+        /// The engine the client asked for. Every tag decodes to an alias
+        /// of the batch engine, which runs every query; the field stays so
+        /// that tags 1 (`Row`) and 2 (`Parallel`) keep decoding.
         mode: ExecMode,
         /// Deadline in milliseconds (`0` = none).
         timeout_ms: u64,

@@ -241,7 +241,7 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
         Request::Shutdown => Ok(Response::Done), // Handled in `session`.
         Request::Query {
             sql,
-            mode,
+            mode: _,
             timeout_ms,
             memory_limit,
             cancel_polls,
@@ -271,20 +271,13 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             // interleave.
             let snapshot = inner.catalog.snapshot();
             let logical = tqo_sql::compile(&sql, &snapshot)?;
-            let physical = lower(
-                &logical,
-                PlannerConfig {
-                    mode,
-                    ..PlannerConfig::default()
-                },
-            )?;
+            let physical = lower(&logical, PlannerConfig::default())?;
             let env = snapshot.env();
             let (rows, _metrics) = inner.scheduler.run(
                 &physical,
                 &env,
                 SubmitOptions {
                     ctx,
-                    mode,
                     ..SubmitOptions::default()
                 },
             )?;

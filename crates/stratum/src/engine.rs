@@ -3,10 +3,9 @@
 //!
 //! The stratum owns no operator implementations of its own: its local
 //! operator tree — everything above the transfers — is handed in one
-//! piece to whichever `tqo-exec` engine [`Stratum::with_exec_mode`]
-//! selects (batch by default), whose every operator computes the
-//! reference operator's list, so results are bit-identical to the reference interpreter on every
-//! engine. The paper's premise that "the DBMS sorts faster than the
+//! piece to `tqo-exec`'s batch engine, whose every operator computes the
+//! reference operator's list, so results are bit-identical to the
+//! reference interpreter. The paper's premise that "the DBMS sorts faster than the
 //! stratum" (§2.1) lives in the cost model's site factors, not in a
 //! deliberately slow sort.
 
@@ -19,7 +18,6 @@ use tqo_core::interp::Env;
 use tqo_core::plan::{BaseProps, LogicalPlan, PlanNode};
 use tqo_core::relation::Relation;
 use tqo_core::trace::{self, counters, Category};
-use tqo_exec::ExecMode;
 use tqo_storage::Catalog;
 
 use crate::dbms::SimulatedDbms;
@@ -68,14 +66,12 @@ impl StratumMetrics {
 pub struct Stratum {
     dbms: SimulatedDbms,
     optimizer: tqo_core::optimizer::OptimizerConfig,
-    exec_mode: ExecMode,
     faults: Option<FaultInjector>,
     retry: RetryPolicy,
 }
 
 impl Stratum {
     pub fn new(catalog: Catalog) -> Stratum {
-        let exec_mode = ExecMode::default();
         Stratum {
             dbms: SimulatedDbms::new(catalog),
             optimizer: tqo_core::optimizer::OptimizerConfig {
@@ -83,12 +79,11 @@ impl Stratum {
                 // compiled against the catalog embed measured table
                 // summaries (row counts, distinct counts, histograms), so
                 // the transfer-cost decision prices estimated rows from
-                // data; the work factors are calibrated to the engine that
-                // will execute the stratum's operators.
-                cost_model: tqo_core::cost::CostModel::calibrated(exec_mode.engine()),
+                // data; the work factors are calibrated to the batch
+                // engine that executes the stratum's operators.
+                cost_model: tqo_core::cost::CostModel::calibrated(),
                 ..Default::default()
             },
-            exec_mode,
             faults: None,
             retry: RetryPolicy::default(),
         }
@@ -133,21 +128,6 @@ impl Stratum {
         self
     }
 
-    /// Select the engine executing the stratum's local operator tree: the
-    /// vectorized batch pipeline (default) or the row-at-a-time engine.
-    /// Recalibrates the optimizer's cost model to the chosen engine
-    /// (apply [`Stratum::with_cost_model`] afterwards to override).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Stratum {
-        self.exec_mode = mode;
-        self.optimizer.cost_model = tqo_core::cost::CostModel::calibrated(mode.engine());
-        self
-    }
-
-    /// The engine currently executing the stratum's local operators.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
     /// Override the optimizer's cost model (e.g. measured transfer costs
     /// for a real DBMS connection).
     pub fn with_cost_model(mut self, model: tqo_core::cost::CostModel) -> Stratum {
@@ -162,7 +142,7 @@ impl Stratum {
     /// Execute a layered plan (validated first): execute every DBMS
     /// fragment (bottom of the layered plan), bind the wired results as
     /// synthetic base relations, and run the entire stratum-local operator
-    /// tree through the selected engine in one piece. Every physical
+    /// tree through the batch engine in one piece. Every physical
     /// operator computes its reference operator's list, so the stratum's
     /// semantics are those of the reference operators.
     pub fn run(&self, plan: &LogicalPlan) -> Result<(Relation, StratumMetrics)> {
@@ -192,13 +172,13 @@ impl Stratum {
         let local_root = self.bind_fragments(&plan.root, &mut env, &mut counter, metrics)?;
         let local_plan = LogicalPlan::new(local_root, plan.result_type.clone());
         let config = tqo_exec::PlannerConfig {
-            mode: self.exec_mode,
             strategy: self.optimizer.strategy,
+            ..tqo_exec::PlannerConfig::default()
         };
         let span = trace::span(Category::Stratum, "stratum.local");
         let started = Instant::now();
         let physical = tqo_exec::lower(&local_plan, config)?;
-        let (result, exec_metrics) = tqo_exec::execute_mode(&physical, &env, self.exec_mode)?;
+        let (result, exec_metrics) = tqo_exec::execute_mode(&physical, &env, config.mode)?;
         metrics.local_plan = Some(physical);
         metrics.stratum_time += started.elapsed();
         drop(span);
@@ -453,7 +433,6 @@ impl Stratum {
         report.push_str(&tqo_exec::analyze::render(
             metrics.local_plan.as_ref(),
             &exec_metrics,
-            &format!("{:?}", self.exec_mode),
         ));
         Ok((result, metrics, report))
     }
@@ -518,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_row_stratum_modes_agree_exactly() {
-        let batch = Stratum::new(paper::catalog());
-        let row = Stratum::new(paper::catalog()).with_exec_mode(tqo_exec::ExecMode::Row);
+    fn the_stratum_agrees_with_the_interpreter_exactly() {
+        let catalog = paper::catalog();
+        let stratum = Stratum::new(catalog.clone());
         for sql in [
             "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE \
              EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
@@ -530,15 +509,15 @@ mod tests {
             "VALIDTIME SELECT e.EmpName FROM EMPLOYEE e, PROJECT p \
              WHERE e.EmpName = p.EmpName",
         ] {
-            let (b, bm) = batch.run_sql(sql).unwrap();
-            let (r, rm) = row.run_sql(sql).unwrap();
-            assert_eq!(b, r, "stratum engines diverge on {sql}");
-            assert_eq!(bm.fragments, rm.fragments);
-            assert_eq!(bm.transferred_rows, rm.transferred_rows);
-            assert_eq!(bm.transfer_bytes, rm.transfer_bytes);
-            // Both modes surface the local plan's operator report.
-            assert!(!rm.operators.is_empty());
-            assert!(!bm.operators.is_empty());
+            let plan = tqo_sql::compile(sql, &catalog).unwrap();
+            let expected = tqo_core::interp::eval_plan(&plan, &catalog.env()).unwrap();
+            let (got, metrics) = stratum.run_sql(sql).unwrap();
+            assert_eq!(
+                got, expected,
+                "stratum diverges from the interpreter on {sql}"
+            );
+            // The local plan's operator report is surfaced.
+            assert!(!metrics.operators.is_empty());
         }
     }
 

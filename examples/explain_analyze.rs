@@ -5,8 +5,8 @@
 //! annotates every operator with what actually happened — actual rows,
 //! the q-error against the estimate, exclusive wall time, and throughput.
 //! This example walks the paper's temporal join ("which employees worked
-//! while a project ran, and when?") through both views, then shows the
-//! same analyze columns on the row engine.
+//! while a project ran, and when?") through both views, then checks the
+//! analyzed result against the reference interpreter.
 //!
 //! ```sh
 //! cargo run --example explain_analyze
@@ -16,7 +16,7 @@ use tqo_core::cost::CostModel;
 use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::plan::display::explain_with_cost;
 use tqo_core::rules::RuleSet;
-use tqo_exec::{explain_analyze, ExecMode, PlannerConfig};
+use tqo_exec::{explain_analyze, PlannerConfig};
 use tqo_storage::paper;
 use tqo_stratum::make_layered;
 
@@ -28,11 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("query: {sql}\n");
 
     // ── Before execution: the `\costs` view. The cost model is calibrated
-    // to the engine that will run the plan; the optimizer's choice rests
-    // entirely on estimated rows and costs.
+    // to the batch engine that will run the plan; the optimizer's choice
+    // rests entirely on estimated rows and costs.
     let plan = tqo_sql::compile(sql, &catalog)?;
     let layered = make_layered(&plan)?;
-    let model = CostModel::calibrated(tqo_core::cost::Engine::Batch);
+    let model = CostModel::calibrated();
     let optimized = optimize(
         &layered,
         &RuleSet::standard(),
@@ -50,15 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exactly right, larger values show where it drifted. The result is
     // byte-identical to an unanalyzed run — analysis never perturbs the
     // query.
-    println!("=== Actual (EXPLAIN ANALYZE, batch engine) ===\n");
-    let analyzed = explain_analyze(
-        &plan,
-        &env,
-        PlannerConfig {
-            mode: ExecMode::Batch,
-            ..Default::default()
-        },
-    )?;
+    println!("=== Actual (EXPLAIN ANALYZE) ===\n");
+    let analyzed = explain_analyze(&plan, &env, PlannerConfig::default())?;
     print!("{}", analyzed.report);
     println!(
         "\nresult ({} rows):\n{}",
@@ -66,19 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analyzed.result
     );
 
-    // ── The same columns render uniformly on both engines, so one plan
-    // can be compared across engines line by line.
-    println!("=== EXPLAIN ANALYZE (Row engine) ===\n");
-    let a = explain_analyze(
-        &plan,
-        &env,
-        PlannerConfig {
-            mode: ExecMode::Row,
-            ..Default::default()
-        },
-    )?;
-    print!("{}", a.report);
-    assert_eq!(a.result, analyzed.result, "engines agree byte-for-byte");
-    println!();
+    // ── The engine answers to the reference interpreter: the analyzed
+    // result is the interpreter's exact relation.
+    let reference = tqo_core::interp::eval_plan(&plan, &env)?;
+    assert_eq!(analyzed.result, reference, "engine and interpreter agree");
+    println!(
+        "\nthe interpreter computes the same {} rows",
+        reference.len()
+    );
     Ok(())
 }

@@ -239,9 +239,9 @@ fn dispatch(input: &str, shell: &mut Shell) -> Result<String, Box<dyn std::error
         // estimated output rows, and the estimated cost contribution.
         let plan = tqo_sql::compile(sql, catalog)?;
         let layered = make_layered(&plan)?;
-        // Match the stratum's own optimizer: calibrated to the engine the
-        // stratum executes with.
-        let model = tqo_core::cost::CostModel::calibrated(shell.stratum.exec_mode().engine());
+        // Match the stratum's own optimizer: calibrated to the batch
+        // engine the stratum executes with.
+        let model = tqo_core::cost::CostModel::calibrated();
         let optimized = tqo_core::optimizer::optimize(
             &layered,
             &RuleSet::standard(),

@@ -1,9 +1,9 @@
-//! Cross-engine agreement: the reference interpreter, the row execution
-//! engine, the vectorized batch execution engine, the scheduler's staged
-//! runs of both, and the layered stratum engine must agree on every
-//! query. Every physical plan computes the interpreter's exact list on
-//! both engines, whole or cut into stages; only plans the optimizer
-//! rewrote are held to the query's result type instead.
+//! Agreement with the oracle: the vectorized batch engine, the
+//! scheduler's staged runs of it, and the layered stratum engine must
+//! each return the reference interpreter's answer on every query. Every
+//! physical plan computes the interpreter's exact list, whole or cut into
+//! stages; only plans the optimizer rewrote are held to the query's result
+//! type instead.
 
 mod common;
 
@@ -16,9 +16,9 @@ use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOp
 use tqo_storage::{paper, Catalog};
 use tqo_stratum::{make_layered, Stratum};
 
-/// The row and batch engines must each return the interpreter's exact
-/// relation for the plan's one physical lowering — run whole, and cut into
-/// stages by the scheduler (the only code that runs a plan in stages).
+/// The batch engine must return the interpreter's exact relation for the
+/// plan's one physical lowering — run whole, and cut into stages by the
+/// scheduler (the only code that runs a plan in stages).
 fn assert_engines_exact(
     plan: &tqo_core::plan::LogicalPlan,
     env: &tqo_core::interp::Env,
@@ -26,22 +26,18 @@ fn assert_engines_exact(
     context: &str,
 ) {
     let physical = lower(plan, PlannerConfig::default()).unwrap();
-    for mode in [ExecMode::Row, ExecMode::Batch] {
-        let (got, _) = execute_mode(&physical, env, mode).unwrap();
-        assert_eq!(
-            &got, reference,
-            "{mode:?} engine diverges from the interpreter on {context}"
-        );
-        let opts = SubmitOptions {
-            mode,
-            ..SubmitOptions::default()
-        };
-        let (staged, _) = Scheduler::global().run(&physical, env, opts).unwrap();
-        assert_eq!(
-            &staged, reference,
-            "scheduler ({mode:?}) diverges from the interpreter on {context}"
-        );
-    }
+    let (got, _) = execute_mode(&physical, env, ExecMode::Batch).unwrap();
+    assert_eq!(
+        &got, reference,
+        "batch engine diverges from the interpreter on {context}"
+    );
+    let (staged, _) = Scheduler::global()
+        .run(&physical, env, SubmitOptions::default())
+        .unwrap();
+    assert_eq!(
+        &staged, reference,
+        "scheduler diverges from the interpreter on {context}"
+    );
 }
 
 /// The cross-engine SQL pool lives in `common::SQL_POOL` so the
@@ -90,7 +86,7 @@ fn engines_agree_on_generated_workloads() {
 
 /// Ordered outputs (sorted lists, coalesced periods) on a relation large
 /// enough for the radix sort and many value classes: the plan is the
-/// interpreter's exact list on both engines.
+/// interpreter's exact list, whole and staged.
 #[test]
 fn ordered_outputs_are_identical_at_scale() {
     use tqo_core::schema::Schema;
@@ -121,8 +117,8 @@ fn ordered_outputs_are_identical_at_scale() {
 }
 
 /// The optimizer fixture pool (every plan shape in the rule space) over
-/// generator-driven workloads: interp, row exec, and batch exec, whole and
-/// staged, must produce identical relations.
+/// generator-driven workloads: the interpreter and the batch engine, whole
+/// and staged, must produce identical relations.
 #[test]
 fn engines_agree_on_fixture_plans_over_generated_relations() {
     use tqo_storage::{GenConfig, WorkloadGenerator};

@@ -10,7 +10,7 @@
 //! breakers and sinks, sort inputs past the radix threshold with heavy
 //! ties, strings sharing long prefixes (inexact sort prefixes forcing
 //! refinement), floats including NaN and -0.0, and nulls under DESC —
-//! asserting `interpreter ≡ row ≡ batch` **exactly**, as lists.
+//! asserting `interpreter ≡ batch ≡ scheduler` **exactly**, as lists.
 
 mod common;
 
@@ -24,24 +24,30 @@ use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortKey};
 use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
-use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig};
+use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOptions};
 
 fn explain(plan: &LogicalPlan) -> String {
     lower(plan, PlannerConfig::default()).unwrap().explain()
 }
 
-/// The acceptance oracle: the plan's physical lowering on both engines,
-/// each exactly the interpreter's list.
+/// The acceptance oracle: the plan's physical lowering on the batch
+/// engine, whole and cut into stages by the scheduler, each exactly the
+/// interpreter's list.
 fn assert_kernels_exact(plan: &LogicalPlan, env: &Env, context: &str) -> Relation {
     let reference = tqo_core::interp::eval_plan(plan, env).unwrap();
     let physical = lower(plan, PlannerConfig::default()).unwrap();
-    for mode in [ExecMode::Row, ExecMode::Batch] {
-        let (got, _) = execute_mode(&physical, env, mode).unwrap();
-        assert_eq!(
-            got, reference,
-            "{mode:?} is not the interpreter's list on {context}"
-        );
-    }
+    let (got, _) = execute_mode(&physical, env, ExecMode::Batch).unwrap();
+    assert_eq!(
+        got, reference,
+        "batch is not the interpreter's list on {context}"
+    );
+    let (staged, _) = Scheduler::global()
+        .run(&physical, env, SubmitOptions::default())
+        .unwrap();
+    assert_eq!(
+        staged, reference,
+        "the scheduler is not the interpreter's list on {context}"
+    );
     reference
 }
 
@@ -194,7 +200,7 @@ fn selection_density_extremes_feed_breakers_exactly() {
 
 /// Branch-free comparison kernels across dtypes, including the float
 /// fast path with NaN and -0.0 (total-order semantics must match the
-/// row engine's `Value::cmp` exactly).
+/// interpreter's `Value::cmp` exactly).
 #[test]
 fn branch_free_predicates_match_on_float_edge_cases() {
     let mut rows: Vec<(i64, &str, f64)> = vec![
@@ -390,7 +396,7 @@ fn col_eq(l: &str, r: &str) -> Expr {
 
 /// The join oracle: the product matches on keys exactly when `hash` says
 /// so, and — whatever the product emitted — the plan still computes the
-/// interpreter's `σ(×)` as a *list* on both engines.
+/// interpreter's `σ(×)` as a *list*, whole and staged.
 fn assert_join_exact(plan: &LogicalPlan, env: &Env, hash: bool, context: &str) -> Relation {
     let physical = explain(plan);
     assert_eq!(
@@ -562,8 +568,9 @@ fn temporal_hash_join_keeps_the_list() {
     );
 }
 
-/// `ξᵀ` as one endpoint sweep per group on every engine: the batch
-/// kernel ≡ the row engine ≡ the interpreter as lists — over 70k rows (past the radix threshold of the class build),
+/// `ξᵀ` as one endpoint sweep per group: the batch kernel ≡ the scheduler
+/// ≡ the interpreter as lists — over 70k rows (past the radix threshold of
+/// the class build),
 /// NULL group keys, and one deep group of 2k overlapping periods.
 #[test]
 fn temporal_aggregation_is_one_list_on_every_engine() {
@@ -621,7 +628,8 @@ fn temporal_aggregation_is_one_list_on_every_engine() {
     }
 }
 
-/// `SUM` over `[i64::MAX, 1]` wraps to `i64::MIN` on every engine, for
+/// `SUM` over `[i64::MAX, 1]` wraps to `i64::MIN` in the interpreter and
+/// the engine, whole and staged, for
 /// `ξ` and where the periods overlap for `ξᵀ` — in debug builds too.
 #[test]
 fn integer_sums_wrap_identically_on_every_engine() {

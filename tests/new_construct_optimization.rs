@@ -14,7 +14,7 @@ use tqo_core::rules::RuleSet;
 use tqo_core::schema::Schema;
 use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
-use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig};
+use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOptions};
 use tqo_storage::{paper, Catalog};
 
 fn memo() -> OptimizerConfig {
@@ -196,6 +196,10 @@ fn limit_stays_above_the_sort_through_memo() {
     let limit_at = explain.find("limit").expect("physical limit");
     let sort_at = explain.find("sort").expect("physical sort");
     assert!(limit_at < sort_at, "{explain}");
-    let (got, _) = execute_mode(&physical, &env, ExecMode::Row).unwrap();
+    let (got, _) = execute_mode(&physical, &env, ExecMode::Batch).unwrap();
     assert_eq!(got, reference);
+    let (staged, _) = Scheduler::global()
+        .run(&physical, &env, SubmitOptions::default())
+        .unwrap();
+    assert_eq!(staged, reference);
 }

@@ -2,13 +2,13 @@
 //!
 //! * **Tracing never changes results** — running any query with a
 //!   [`Collector`] installed produces a relation *byte-identical* to the
-//!   untraced run, on the row and batch engines, whole and staged by the
-//!   scheduler, across the paper
-//!   catalog SQL pool and the optimizer fixture-plan pool (the CI matrix
-//!   leg `TRACE=1` widens both pools to their full size).
+//!   untraced run — which is the interpreter's — on the batch engine,
+//!   whole and staged by the scheduler, across the paper catalog SQL pool
+//!   and the optimizer fixture-plan pool (the CI matrix leg `TRACE=1`
+//!   widens both pools to their full size).
 //! * Per-operator **exclusive times sum to at most the measured wall
-//!   time** on every engine and through a one-worker scheduler.
-//! * `EXPLAIN ANALYZE` renders the same column set on every engine, for
+//!   time** on a direct run and through a one-worker scheduler.
+//! * `EXPLAIN ANALYZE` renders the same column set on a direct run, for
 //!   a scheduler run's flat view, and through the stratum.
 //! * The Chrome trace export is well-formed JSON even when labels carry
 //!   quotes, and a saturated ring degrades by dropping oldest events —
@@ -21,13 +21,11 @@ use std::time::Instant;
 
 use tqo_core::trace::{self, counters, Collector};
 use tqo_exec::{
-    execute_logical, explain_analyze, lower, ExecMode, PlannerConfig, Scheduler, SchedulerConfig,
+    execute_logical, explain_analyze, lower, PlannerConfig, Scheduler, SchedulerConfig,
     SubmitOptions,
 };
 use tqo_storage::{paper, GenConfig, WorkloadGenerator};
 use tqo_stratum::Stratum;
-
-const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Batch];
 
 const QUERIES: &[&str] = &[
     "SELECT EmpName FROM EMPLOYEE",
@@ -58,48 +56,48 @@ fn query_pool() -> &'static [&'static str] {
     }
 }
 
-fn config(mode: ExecMode) -> PlannerConfig {
-    PlannerConfig {
-        mode,
-        ..Default::default()
-    }
-}
-
 /// Traced and untraced executions of the same plan must return
-/// byte-identical relations on every engine, whole and through the
-/// scheduler's stages; the trace must actually record events.
+/// byte-identical relations, whole and through the scheduler's stages,
+/// and both must be the interpreter's; the trace must actually record
+/// events.
 fn assert_traced_identical(
     plan: &tqo_core::plan::LogicalPlan,
     env: &tqo_core::interp::Env,
     context: &str,
 ) {
-    for mode in MODES {
-        let (untraced, _) = execute_logical(plan, env, config(mode)).unwrap();
-        let collector = Collector::new();
-        let (traced, _) = {
-            let _guard = trace::install(&collector);
-            execute_logical(plan, env, config(mode)).unwrap()
-        };
-        assert_eq!(
-            traced, untraced,
-            "tracing perturbed the result ({mode:?}) on {context}"
-        );
-        let profile = collector.finish();
-        assert!(
-            !profile.events.is_empty(),
-            "no events recorded ({mode:?}) on {context}"
-        );
-    }
+    let reference = tqo_core::interp::eval_plan(plan, env).unwrap();
+    let (untraced, _) = execute_logical(plan, env, PlannerConfig::default()).unwrap();
+    assert_eq!(
+        untraced, reference,
+        "the engine diverges from the interpreter on {context}"
+    );
+    let collector = Collector::new();
+    let (traced, _) = {
+        let _guard = trace::install(&collector);
+        execute_logical(plan, env, PlannerConfig::default()).unwrap()
+    };
+    assert_eq!(
+        traced, untraced,
+        "tracing perturbed the result on {context}"
+    );
+    assert!(
+        !collector.finish().events.is_empty(),
+        "no events recorded on {context}"
+    );
 
     // Staged leg: the scheduler carries the submitter's collector onto
     // its workers, and the stages replay identically under tracing.
-    let physical = lower(plan, config(ExecMode::Batch)).unwrap();
+    let physical = lower(plan, PlannerConfig::default()).unwrap();
     let staged = || {
         Scheduler::global()
             .run(&physical, env, SubmitOptions::default())
             .unwrap()
     };
     let (untraced, _) = staged();
+    assert_eq!(
+        untraced, reference,
+        "the scheduler diverges from the interpreter on {context}"
+    );
     let collector = Collector::new();
     let (traced, _) = {
         let _guard = trace::install(&collector);
@@ -159,7 +157,7 @@ fn tracing_never_changes_results_on_fixture_plans() {
 }
 
 /// Exclusive operator times can never sum past the measured end-to-end
-/// wall time (the `check_time_invariants` contract) — on every engine,
+/// wall time (the `check_time_invariants` contract) — on a direct run,
 /// and across the stages of a scheduler run.
 #[test]
 fn operator_times_are_exclusive_and_bounded_by_wall() {
@@ -169,18 +167,16 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
                EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
                COALESCE ORDER BY EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
-    for mode in MODES {
-        let started = Instant::now();
-        let (_, metrics) = execute_logical(&plan, &env, config(mode)).unwrap();
-        tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
-    }
+    let started = Instant::now();
+    let (_, metrics) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
+    tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
     // Staged execution keeps the same accounting. One worker runs the
     // stages one after another, so their exclusive times cannot overlap.
     let scheduler = Scheduler::new(SchedulerConfig {
         workers: 1,
         ..SchedulerConfig::default()
     });
-    let physical = lower(&plan, config(ExecMode::Batch)).unwrap();
+    let physical = lower(&plan, PlannerConfig::default()).unwrap();
     let started = Instant::now();
     let (_, metrics) = scheduler
         .run(&physical, &env, SubmitOptions::default())
@@ -193,7 +189,8 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
 }
 
 /// The analyze report shows one annotated line per operator with the full
-/// column set, uniformly across engines, scheduler runs, and the stratum.
+/// column set, uniformly across direct runs, scheduler runs, and the
+/// stratum.
 #[test]
 fn explain_analyze_is_uniform_across_engines_and_stratum() {
     let catalog = paper::catalog();
@@ -202,31 +199,25 @@ fn explain_analyze_is_uniform_across_engines_and_stratum() {
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
     let columns = ["est rows", "act rows", "q-err", "time", "rows/s"];
 
-    for mode in MODES {
-        let a = explain_analyze(&plan, &env, config(mode)).unwrap();
-        for col in columns {
-            assert!(
-                a.report.contains(col),
-                "{mode:?} missing {col}:\n{}",
-                a.report
-            );
-        }
-        assert_eq!(
-            a.report.lines().count(),
-            // Header (2 lines) + one line per operator + totals.
-            a.metrics.operators.len() + 3,
-            "one line per operator ({mode:?}):\n{}",
-            a.report
-        );
+    let a = explain_analyze(&plan, &env, PlannerConfig::default()).unwrap();
+    for col in columns {
+        assert!(a.report.contains(col), "missing {col}:\n{}", a.report);
     }
+    assert_eq!(
+        a.report.lines().count(),
+        // Header (2 lines) + one line per operator + totals.
+        a.metrics.operators.len() + 3,
+        "one line per operator:\n{}",
+        a.report
+    );
 
     // Scheduler: its stages' operators concatenated render as the flat
     // execution-order view, same columns.
-    let physical = lower(&plan, config(ExecMode::Batch)).unwrap();
+    let physical = lower(&plan, PlannerConfig::default()).unwrap();
     let (_, metrics) = Scheduler::global()
         .run(&physical, &env, SubmitOptions::default())
         .unwrap();
-    let report = tqo_exec::analyze::render(None, &metrics, "Batch");
+    let report = tqo_exec::analyze::render(None, &metrics);
     for col in columns {
         assert!(report.contains(col), "scheduler missing {col}:\n{report}");
     }
@@ -310,12 +301,12 @@ fn ring_overflow_drops_oldest_and_keeps_the_query_alive() {
         &catalog,
     )
     .unwrap();
-    let (untraced, _) = execute_logical(&plan, &env, config(ExecMode::Batch)).unwrap();
+    let (untraced, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
 
     let collector = Collector::with_capacity(4);
     let (traced, _) = {
         let _guard = trace::install(&collector);
-        execute_logical(&plan, &env, config(ExecMode::Batch)).unwrap()
+        execute_logical(&plan, &env, PlannerConfig::default()).unwrap()
     };
     assert_eq!(
         traced, untraced,

@@ -6,9 +6,9 @@
 //!   returns the byte-identical clean result or a typed error
 //!   (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`), never a panic and
 //!   never a third outcome.
-//! * Cancellation at **every checkpoint class** (row-loop strides, batch
-//!   `next_batch`, scheduler task boundaries, memo task pops, stratum
-//!   fragment dispatch) leaves the engine, catalog, and worker
+//! * Cancellation at **every checkpoint class** (batch `next_batch`, the
+//!   product kernels' per-left-row polls, scheduler task boundaries, memo
+//!   task pops, stratum fragment dispatch) leaves the engine, catalog, and worker
 //!   pool reusable: the next query on the same objects succeeds
 //!   byte-identically to a fresh run.
 //! * **Fault-injected wire runs are byte-identical to clean runs** once
@@ -92,10 +92,8 @@ fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST_REQUEST.with(Cell::get))
 }
 
-const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Batch];
-
-/// Queries covering every checkpoint class: scans, quadratic row loops
-/// (the join), blocking operators (sort/distinct/aggregate), temporal
+/// Queries covering every checkpoint class: scans, the join's product
+/// kernel, blocking operators (sort/distinct/aggregate), temporal
 /// set operations, and multi-fragment stratum plans.
 const QUERIES: &[&str] = &[
     "SELECT EmpName FROM EMPLOYEE",
@@ -106,13 +104,6 @@ const QUERIES: &[&str] = &[
      EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
      COALESCE ORDER BY EmpName",
 ];
-
-fn config(mode: ExecMode) -> PlannerConfig {
-    PlannerConfig {
-        mode,
-        ..Default::default()
-    }
-}
 
 /// Is this error one of the typed governance outcomes?
 fn is_governance_error(e: &Error) -> bool {
@@ -142,54 +133,49 @@ fn fault_seeds() -> Vec<u64> {
     }
 }
 
-/// Cancellation swept across poll counts on every engine: each run either
-/// completes byte-identically to the clean run or fails with
-/// `Error::Cancelled`; small poll budgets must actually cancel, and the
-/// environment stays reusable afterwards (same env, clean re-run, same
-/// bytes).
+/// Cancellation swept across poll counts: each run either completes
+/// byte-identically to the clean run — the interpreter's relation — or
+/// fails with `Error::Cancelled`; small poll budgets must actually cancel,
+/// and the environment stays reusable afterwards (same env, clean re-run,
+/// same bytes).
 #[test]
 fn cancellation_sweep_is_binary_and_leaves_engines_reusable() {
     let catalog = paper::catalog();
     let env = catalog.env();
     for sql in QUERIES {
         let plan = tqo_sql::compile(sql, &catalog).unwrap();
-        for mode in MODES {
-            let (clean, _) = execute_logical(&plan, &env, config(mode)).unwrap();
-            let mut cancelled_at_least_once = false;
-            for polls in poll_sweep() {
-                let ctx = QueryContext::new().with_cancel_after(polls);
-                let result = {
-                    let _guard = context::install(&ctx);
-                    execute_logical(&plan, &env, config(mode))
-                };
-                match result {
-                    Ok((got, _)) => assert_eq!(
-                        got, clean,
-                        "cancellation perturbed a completed run ({mode:?}, polls={polls}) on {sql}"
-                    ),
-                    Err(Error::Cancelled) => cancelled_at_least_once = true,
-                    Err(other) => {
-                        panic!("non-typed failure ({mode:?}, polls={polls}) on {sql}: {other:?}")
-                    }
-                }
+        let (clean, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
+        assert_eq!(clean, tqo_core::interp::eval_plan(&plan, &env).unwrap());
+        let mut cancelled_at_least_once = false;
+        for polls in poll_sweep() {
+            let ctx = QueryContext::new().with_cancel_after(polls);
+            let result = {
+                let _guard = context::install(&ctx);
+                execute_logical(&plan, &env, PlannerConfig::default())
+            };
+            match result {
+                Ok((got, _)) => assert_eq!(
+                    got, clean,
+                    "cancellation perturbed a completed run (polls={polls}) on {sql}"
+                ),
+                Err(Error::Cancelled) => cancelled_at_least_once = true,
+                Err(other) => panic!("non-typed failure (polls={polls}) on {sql}: {other:?}"),
             }
-            assert!(
-                cancelled_at_least_once,
-                "no poll budget cancelled ({mode:?}) on {sql} — checkpoints missing"
-            );
-            // Reusability: the same env answers the same query again,
-            // byte-identically, with no context installed.
-            let (after, _) = execute_logical(&plan, &env, config(mode)).unwrap();
-            assert_eq!(
-                after, clean,
-                "engine not reusable after cancel ({mode:?}) on {sql}"
-            );
         }
+        assert!(
+            cancelled_at_least_once,
+            "no poll budget cancelled on {sql} — checkpoints missing"
+        );
+        // Reusability: the same env answers the same query again,
+        // byte-identically, with no context installed.
+        let (after, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
+        assert_eq!(after, clean, "engine not reusable after cancel on {sql}");
     }
 }
 
-/// An already-expired deadline fails every engine with `DeadlineExceeded` carrying the configured limit — and
-/// the engines answer the next query untouched.
+/// An already-expired deadline fails the engine with `DeadlineExceeded`
+/// carrying the configured limit — and the engine answers the next query
+/// untouched. (The scheduler's leg is `scheduler_stages_are_governed`.)
 #[test]
 fn expired_deadline_fires_on_every_engine() {
     let catalog = paper::catalog();
@@ -197,24 +183,15 @@ fn expired_deadline_fires_on_every_engine() {
     let sql = "VALIDTIME SELECT e.EmpName FROM EMPLOYEE e, PROJECT p \
                WHERE e.EmpName = p.EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
-    for mode in MODES {
-        let (clean, _) = execute_logical(&plan, &env, config(mode)).unwrap();
-        let ctx = QueryContext::new().with_timeout(Duration::ZERO);
-        let err = {
-            let _guard = context::install(&ctx);
-            execute_logical(&plan, &env, config(mode)).unwrap_err()
-        };
-        assert_eq!(
-            err,
-            Error::DeadlineExceeded { limit_ms: 0 },
-            "wrong deadline error ({mode:?})"
-        );
-        let (after, _) = execute_logical(&plan, &env, config(mode)).unwrap();
-        assert_eq!(
-            after, clean,
-            "engine not reusable after deadline ({mode:?})"
-        );
-    }
+    let (clean, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
+    let ctx = QueryContext::new().with_timeout(Duration::ZERO);
+    let err = {
+        let _guard = context::install(&ctx);
+        execute_logical(&plan, &env, PlannerConfig::default()).unwrap_err()
+    };
+    assert_eq!(err, Error::DeadlineExceeded { limit_ms: 0 });
+    let (after, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
+    assert_eq!(after, clean, "engine not reusable after deadline");
 }
 
 /// Staged execution is governed at the scheduler's task boundaries and
@@ -229,7 +206,7 @@ fn scheduler_stages_are_governed() {
                EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
                COALESCE ORDER BY EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
-    let physical = lower(&plan, config(ExecMode::Batch)).unwrap();
+    let physical = lower(&plan, PlannerConfig::default()).unwrap();
     let scheduler = Scheduler::new(SchedulerConfig {
         workers: 2,
         ..SchedulerConfig::default()
@@ -242,6 +219,7 @@ fn scheduler_stages_are_governed() {
         scheduler.run(&physical, &env, opts)
     };
     let (clean, _) = run(QueryContext::new()).unwrap();
+    assert_eq!(clean, tqo_core::interp::eval_plan(&plan, &env).unwrap());
 
     let err = run(QueryContext::new().with_timeout(Duration::ZERO)).unwrap_err();
     assert_eq!(err, Error::DeadlineExceeded { limit_ms: 0 });
@@ -273,41 +251,39 @@ fn memory_budget_denies_gracefully_and_leaves_no_partial_state() {
                COALESCE ORDER BY EmpName";
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
     let before_emp = catalog.get("EMPLOYEE").unwrap().relation().clone();
-    for mode in MODES {
-        let (clean, _) = execute_logical(&plan, &env, config(mode)).unwrap();
+    let (clean, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
 
-        let starved = QueryContext::new().with_memory_limit(1);
-        let err = {
-            let _guard = context::install(&starved);
-            execute_logical(&plan, &env, config(mode)).unwrap_err()
-        };
-        match err {
-            Error::MemoryBudget {
-                requested,
-                used,
-                limit,
-            } => {
-                assert_eq!(limit, 1);
-                assert!(requested > 0);
-                assert!(used <= limit);
-            }
-            other => panic!("expected MemoryBudget ({mode:?}), got {other:?}"),
+    let starved = QueryContext::new().with_memory_limit(1);
+    let err = {
+        let _guard = context::install(&starved);
+        execute_logical(&plan, &env, PlannerConfig::default()).unwrap_err()
+    };
+    match err {
+        Error::MemoryBudget {
+            requested,
+            used,
+            limit,
+        } => {
+            assert_eq!(limit, 1);
+            assert!(requested > 0);
+            assert!(used <= limit);
         }
-        assert!(starved.budget().denials() >= 1);
-
-        // A budget that fits the query must not perturb it.
-        let roomy = QueryContext::new().with_memory_limit(64 << 20);
-        let (got, _) = {
-            let _guard = context::install(&roomy);
-            execute_logical(&plan, &env, config(mode)).unwrap()
-        };
-        assert_eq!(got, clean, "budget accounting perturbed results ({mode:?})");
-        assert!(roomy.budget().peak() > 0, "nothing was charged ({mode:?})");
-
-        // No partial mutations anywhere the next query can observe.
-        let (after, _) = execute_logical(&plan, &env, config(mode)).unwrap();
-        assert_eq!(after, clean);
+        other => panic!("expected MemoryBudget, got {other:?}"),
     }
+    assert!(starved.budget().denials() >= 1);
+
+    // A budget that fits the query must not perturb it.
+    let roomy = QueryContext::new().with_memory_limit(64 << 20);
+    let (got, _) = {
+        let _guard = context::install(&roomy);
+        execute_logical(&plan, &env, PlannerConfig::default()).unwrap()
+    };
+    assert_eq!(got, clean, "budget accounting perturbed results");
+    assert!(roomy.budget().peak() > 0, "nothing was charged");
+
+    // No partial mutations anywhere the next query can observe.
+    let (after, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
+    assert_eq!(after, clean);
     assert_eq!(
         catalog.get("EMPLOYEE").unwrap().relation(),
         &before_emp,
@@ -342,7 +318,7 @@ fn product_t_plan(algo: ProductTAlgo) -> PhysicalPlan {
 
 /// `×` knows its output size before it runs, so a budget that cannot hold
 /// the output denies it *before* anything of that size exists: a typed
-/// `MemoryBudget` on every engine, and no single allocation anywhere near
+/// `MemoryBudget`, and no single allocation anywhere near
 /// `n·m` bytes, whether the budget is a byte or just too small for the
 /// output.
 #[test]
@@ -361,39 +337,37 @@ fn a_product_is_denied_before_it_allocates() {
         .map(|name| env.get(name).unwrap().approx_bytes())
         .sum();
     for limit in [1, 4 * inputs] {
-        for mode in MODES {
-            let ctx = QueryContext::new().with_memory_limit(limit);
-            let (result, largest) = largest_request_during(|| {
-                let _guard = context::install(&ctx);
-                execute_mode(&plan, &env, mode)
-            });
-            assert!(
-                matches!(result, Err(Error::MemoryBudget { .. })),
-                "expected MemoryBudget ({mode:?}, limit {limit}), got {:?}",
-                result.map(|(r, _)| r.len())
-            );
-            assert!(
-                largest < n * m,
-                "{largest} bytes requested at once under a denied {n}x{m} product \
-                 ({mode:?}, limit {limit})"
-            );
-        }
+        let ctx = QueryContext::new().with_memory_limit(limit);
+        let (result, largest) = largest_request_during(|| {
+            let _guard = context::install(&ctx);
+            execute_mode(&plan, &env, ExecMode::Batch)
+        });
+        assert!(
+            matches!(result, Err(Error::MemoryBudget { .. })),
+            "expected MemoryBudget (limit {limit}), got {:?}",
+            result.map(|(r, _)| r.len())
+        );
+        assert!(
+            largest < n * m,
+            "{largest} bytes requested at once under a denied {n}x{m} product (limit {limit})"
+        );
     }
-    // The engines answer the same product afterwards.
+    // The engine answers the same product afterwards: the interpreter's.
     let small = Env::new()
         .with("L", keyed_rows(30, 7))
         .with("R", keyed_rows(20, 7));
-    let (clean, _) = execute_mode(&plan, &small, ExecMode::Row).unwrap();
+    let clean = tqo_core::ops::product(small.get("L").unwrap(), small.get("R").unwrap()).unwrap();
     assert_eq!(clean.len(), 600);
-    for mode in MODES {
-        assert_eq!(execute_mode(&plan, &small, mode).unwrap().0, clean);
-    }
+    assert_eq!(
+        execute_mode(&plan, &small, ExecMode::Batch).unwrap().0,
+        clean
+    );
 }
 
 /// The batch product kernels poll governance once per left row: a token
 /// sees at least that many polls, and one that trips halfway through the
-/// left input cancels the product *mid-operator* — after which every
-/// engine still answers.
+/// left input cancels the product *mid-operator* — after which the engine
+/// still answers.
 #[test]
 fn batch_products_poll_per_left_row_and_cancel_mid_operator() {
     let (n, m) = (400usize, 60usize);
@@ -429,10 +403,8 @@ fn batch_products_poll_per_left_row_and_cancel_mid_operator() {
         };
         assert_eq!(err, Error::Cancelled, "{label}");
 
-        for mode in MODES {
-            let (after, _) = execute_mode(&plan, &env, mode).unwrap();
-            assert_eq!(after, clean, "{label} not reusable after cancel ({mode:?})");
-        }
+        let (after, _) = execute_mode(&plan, &env, ExecMode::Batch).unwrap();
+        assert_eq!(after, clean, "{label} not reusable after cancel");
     }
 }
 
@@ -610,36 +582,28 @@ fn stratum_cancellation_leaves_catalog_and_engine_reusable() {
     let sql = "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE \
                EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
                COALESCE ORDER BY EmpName";
-    for mode in MODES {
-        let stratum = Stratum::new(paper::catalog()).with_exec_mode(mode);
-        let (clean, _) = stratum.run_sql(sql).unwrap();
+    let stratum = Stratum::new(paper::catalog());
+    let (clean, _) = stratum.run_sql(sql).unwrap();
 
-        let ctx = QueryContext::new().with_cancel_after(1);
-        let err = {
-            let _guard = context::install(&ctx);
-            stratum.run_sql(sql).unwrap_err()
-        };
-        assert_eq!(err, Error::Cancelled, "({mode:?})");
+    let ctx = QueryContext::new().with_cancel_after(1);
+    let err = {
+        let _guard = context::install(&ctx);
+        stratum.run_sql(sql).unwrap_err()
+    };
+    assert_eq!(err, Error::Cancelled);
 
-        let ctx = QueryContext::new().with_timeout(Duration::ZERO);
-        let err = {
-            let _guard = context::install(&ctx);
-            stratum.run_sql(sql).unwrap_err()
-        };
-        assert_eq!(err, Error::DeadlineExceeded { limit_ms: 0 }, "({mode:?})");
+    let ctx = QueryContext::new().with_timeout(Duration::ZERO);
+    let err = {
+        let _guard = context::install(&ctx);
+        stratum.run_sql(sql).unwrap_err()
+    };
+    assert_eq!(err, Error::DeadlineExceeded { limit_ms: 0 });
 
-        let fresh = Stratum::new(paper::catalog()).with_exec_mode(mode);
-        let (again, _) = stratum.run_sql(sql).unwrap();
-        let (fresh_result, _) = fresh.run_sql(sql).unwrap();
-        assert_eq!(
-            again, clean,
-            "stratum not reusable after governance ({mode:?})"
-        );
-        assert_eq!(
-            again, fresh_result,
-            "reused stratum diverges from fresh ({mode:?})"
-        );
-    }
+    let fresh = Stratum::new(paper::catalog());
+    let (again, _) = stratum.run_sql(sql).unwrap();
+    let (fresh_result, _) = fresh.run_sql(sql).unwrap();
+    assert_eq!(again, clean, "stratum not reusable after governance");
+    assert_eq!(again, fresh_result, "reused stratum diverges from fresh");
 }
 
 /// Wire decode is budget-accounted: a stratum query under a starved
@@ -665,8 +629,8 @@ fn stratum_wire_decode_respects_memory_budget() {
     );
 }
 
-/// Every governance outcome is typed — sweep all three governors across
-/// all engines on one query and assert no other error shape ever
+/// Every governance outcome is typed — sweep all three governors on one
+/// query, run whole and staged, and assert no other error shape ever
 /// surfaces.
 #[test]
 fn governance_outcomes_are_always_typed() {
@@ -682,16 +646,25 @@ fn governance_outcomes_are_always_typed() {
             .with_timeout(Duration::from_secs(3600))
             .with_memory_limit(1 << 30),
     ];
-    for mode in MODES {
-        for ctx in &contexts {
-            let result = {
-                let _guard = context::install(ctx);
-                execute_logical(&plan, &env, config(mode))
-            };
+    let physical = lower(&plan, PlannerConfig::default()).unwrap();
+    for ctx in &contexts {
+        let whole = {
+            let _guard = context::install(ctx);
+            execute_mode(&physical, &env, ExecMode::Batch)
+        };
+        let staged = Scheduler::global().run(
+            &physical,
+            &env,
+            SubmitOptions {
+                ctx: ctx.clone(),
+                ..SubmitOptions::default()
+            },
+        );
+        for (leg, result) in [("whole", whole), ("staged", staged)] {
             if let Err(e) = result {
                 assert!(
                     is_governance_error(&e),
-                    "untyped governance failure ({mode:?}): {e:?}"
+                    "untyped governance failure ({leg}): {e:?}"
                 );
             }
         }
@@ -824,8 +797,8 @@ fn serving_governance_and_faults_stay_typed_under_load() {
 /// catalog publishes describes exactly its own tuples — base properties
 /// equal `derive_props`, statistics equal a full `measure`, the resident
 /// transpose equals a fresh one, list order is the pure modification's —
-/// and plans bound against it still compute the interpreter's relation on
-/// every engine.
+/// and plans bound against it still compute the interpreter's relation,
+/// whole and staged.
 #[test]
 fn catalog_versions_stay_exact_and_plannable_under_interleaved_mutations() {
     use tqo_core::columnar::ColumnarRelation;
@@ -933,10 +906,13 @@ fn catalog_versions_stay_exact_and_plannable_under_interleaved_mutations() {
         for sql in READS {
             let plan = tqo_sql::compile(sql, &snapshot).unwrap();
             let expected = tqo_core::interp::eval_plan(&plan, &env).unwrap();
-            for mode in MODES {
-                let (got, _) = execute_logical(&plan, &env, config(mode)).unwrap();
-                assert_eq!(got, expected, "step {step}, {mode:?}: {sql}");
-            }
+            let physical = lower(&plan, PlannerConfig::default()).unwrap();
+            let (got, _) = execute_mode(&physical, &env, ExecMode::Batch).unwrap();
+            assert_eq!(got, expected, "step {step}, batch: {sql}");
+            let (staged, _) = Scheduler::global()
+                .run(&physical, &env, SubmitOptions::default())
+                .unwrap();
+            assert_eq!(staged, expected, "step {step}, scheduler: {sql}");
         }
     }
     assert!(catalog.get("STAFF").unwrap().is_empty());

@@ -31,10 +31,6 @@ use tqo_stratum::FaultConfig;
 /// width).
 const CLIENTS: usize = 8;
 
-/// Engines the client threads cycle through; each response is compared
-/// against the serial oracle computed with the *same* engine.
-const MODES: &[ExecMode] = &[ExecMode::Batch, ExecMode::Row];
-
 /// The read query the mutation leg replays against the churning scratch
 /// table. Its predicate excludes every scratch row (those use
 /// department `Stress`), so the answer must stay byte-identical to the
@@ -54,21 +50,17 @@ fn serving_catalog() -> Catalog {
     catalog
 }
 
-/// Serial single-query runs of `queries` on `catalog` under `mode` —
-/// the oracle every concurrent response is compared against, computed
-/// through the exact pipeline the server uses (compile, lower with the
-/// same `PlannerConfig`, execute).
-fn serial_oracle(catalog: &Catalog, queries: &[&str], mode: ExecMode) -> Vec<Relation> {
+/// Serial single-query runs of `queries` on `catalog` — the oracle every
+/// concurrent response is compared against, computed through the exact
+/// pipeline the server uses (compile, lower with the same
+/// `PlannerConfig`, execute).
+fn serial_oracle(catalog: &Catalog, queries: &[&str]) -> Vec<Relation> {
     let env = catalog.env();
     queries
         .iter()
         .map(|sql| {
             let plan = tqo_sql::compile(sql, catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
-            let config = PlannerConfig {
-                mode,
-                ..PlannerConfig::default()
-            };
-            execute_logical(&plan, &env, config)
+            execute_logical(&plan, &env, PlannerConfig::default())
                 .unwrap_or_else(|e| panic!("{sql}: {e}"))
                 .0
         })
@@ -90,8 +82,8 @@ fn start(config: ServerConfig) -> Server {
     serve(serving_catalog(), config).expect("start serving front-end")
 }
 
-/// Tentpole oracle: 8 clients replay the whole SQL pool across both
-/// engines, with sequenced mutations churning `AUDIT` in the
+/// Tentpole oracle: 8 clients replay the whole SQL pool twice, with
+/// sequenced mutations churning `AUDIT` in the
 /// background, and **every** response must be byte-identical to its
 /// serial single-query run. After the load drains, the scratch table
 /// must be byte-identically back to its initial state (every insert was
@@ -99,11 +91,8 @@ fn start(config: ServerConfig) -> Server {
 #[test]
 fn concurrent_pool_is_byte_identical_to_serial() {
     let pristine = serving_catalog();
-    let oracles: Vec<Vec<Relation>> = MODES
-        .iter()
-        .map(|&mode| serial_oracle(&pristine, common::SQL_POOL, mode))
-        .collect();
-    let audit_oracle = serial_oracle(&pristine, &[AUDIT_READ, AUDIT_ALL], ExecMode::Batch);
+    let oracle = serial_oracle(&pristine, common::SQL_POOL);
+    let audit_oracle = serial_oracle(&pristine, &[AUDIT_READ, AUDIT_ALL]);
 
     let server = start(ServerConfig {
         scheduler: SchedulerConfig {
@@ -113,23 +102,18 @@ fn concurrent_pool_is_byte_identical_to_serial() {
         ..ServerConfig::default()
     });
     let addr = server.addr();
-    let oracles = Arc::new(oracles);
+    let oracle = Arc::new(oracle);
     let audit_reads = Arc::new(AtomicU64::new(0));
 
     let threads: Vec<_> = (0..CLIENTS)
         .map(|t| {
-            let oracles = Arc::clone(&oracles);
+            let oracle = Arc::clone(&oracle);
             let audit_oracle = audit_oracle[0].clone();
             let audit_reads = Arc::clone(&audit_reads);
             thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 let who = format!("stress{t}");
-                for round in 0..2 {
-                    let mode_idx = (t + round) % MODES.len();
-                    let opts = QueryOpts {
-                        mode: MODES[mode_idx],
-                        ..QueryOpts::default()
-                    };
+                for _round in 0..2 {
                     for (i, sql) in common::SQL_POOL.iter().enumerate() {
                         // Sprinkle sequenced mutation pairs between the
                         // reads: thread-unique rows, inserted and then
@@ -143,7 +127,7 @@ fn concurrent_pool_is_byte_identical_to_serial() {
                                     Period::of(1, 9),
                                 )
                                 .expect("insert scratch row");
-                            let rel = query_admitted(&mut client, AUDIT_READ, opts.clone())
+                            let rel = query_admitted(&mut client, AUDIT_READ, QueryOpts::default())
                                 .expect("audit read under churn");
                             assert_eq!(
                                 rel, audit_oracle,
@@ -159,13 +143,9 @@ fn concurrent_pool_is_byte_identical_to_serial() {
                                 )
                                 .expect("delete scratch row");
                         }
-                        let rel = query_admitted(&mut client, sql, opts.clone())
+                        let rel = query_admitted(&mut client, sql, QueryOpts::default())
                             .unwrap_or_else(|e| panic!("thread {t}: {sql}: {e}"));
-                        assert_eq!(
-                            rel, oracles[mode_idx][i],
-                            "thread {t} mode {:?}: {sql} diverged from serial run",
-                            MODES[mode_idx]
-                        );
+                        assert_eq!(rel, oracle[i], "thread {t}: {sql} diverged from serial run");
                     }
                 }
             })
@@ -206,7 +186,7 @@ fn concurrent_distinct_queries_do_not_bleed() {
         .collect();
     let pristine = serving_catalog();
     let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-    let oracle = serial_oracle(&pristine, &refs, ExecMode::Batch);
+    let oracle = serial_oracle(&pristine, &refs);
 
     let server = start(ServerConfig {
         scheduler: SchedulerConfig {
@@ -249,7 +229,7 @@ fn concurrent_distinct_queries_do_not_bleed() {
 #[test]
 fn pool_survives_faults_and_cancellations_mid_load() {
     let pristine = serving_catalog();
-    let oracle = Arc::new(serial_oracle(&pristine, common::SQL_POOL, ExecMode::Batch));
+    let oracle = Arc::new(serial_oracle(&pristine, common::SQL_POOL));
 
     let server = start(ServerConfig {
         scheduler: SchedulerConfig {
@@ -383,6 +363,57 @@ fn an_oversized_request_frame_is_refused_and_the_server_keeps_serving() {
     let mut client = Client::connect(server.addr()).expect("next connection");
     client.ping().expect("ping after the refused frame");
     let catalog = serving_catalog();
-    let oracle = serial_oracle(&catalog, &[AUDIT_ALL], ExecMode::Batch);
+    let oracle = serial_oracle(&catalog, &[AUDIT_ALL]);
     assert_eq!(client.query(AUDIT_ALL).expect("query"), oracle[0]);
+}
+
+/// The wire's engine tags 1 (`Row`) and 2 (`Parallel`) are aliases of the
+/// batch engine: a `Query` frame carrying either is answered with a
+/// response frame byte-identical to tag 0's, for every query of the pool.
+#[test]
+fn row_and_parallel_wire_tags_answer_byte_identically_to_batch() {
+    use std::io::Read;
+    use std::net::TcpStream;
+    use tqo_serve::protocol::{encode_request, write_frame, Request};
+
+    let server = start(ServerConfig::default());
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    // As `Client::connect` does: a frame is two writes, so without this
+    // every request waits out a delayed ACK.
+    raw.set_nodelay(true).expect("nodelay");
+    let mut answer = |sql: &str, mode: ExecMode| {
+        let request = Request::Query {
+            sql: sql.to_owned(),
+            mode,
+            timeout_ms: 0,
+            memory_limit: 0,
+            cancel_polls: 0,
+        };
+        let frame = encode_request(&request);
+        // Request tag, then the SQL as a length-prefixed string, then the
+        // engine tag.
+        let engine_tag = frame[1 + 4 + sql.len()];
+        write_frame(&mut raw, &frame).expect("send request");
+        let mut header = [0u8; 4];
+        raw.read_exact(&mut header).expect("response header");
+        let mut payload = vec![0u8; u32::from_be_bytes(header) as usize];
+        raw.read_exact(&mut payload).expect("response payload");
+        (engine_tag, payload)
+    };
+    for sql in common::SQL_POOL {
+        let (tag, batch) = answer(sql, ExecMode::Batch);
+        assert_eq!(tag, 0);
+        assert_eq!(batch.first(), Some(&1), "{sql}: expected a rows response");
+        for (mode, expected_tag) in [(ExecMode::Row, 1), (ExecMode::Parallel { threads: 4 }, 2)] {
+            let (tag, payload) = answer(sql, mode);
+            assert_eq!(
+                tag, expected_tag,
+                "{mode:?} travels as wire tag {expected_tag}"
+            );
+            assert_eq!(
+                payload, batch,
+                "{sql}: {mode:?} answered differently from batch"
+            );
+        }
+    }
 }
