@@ -1,11 +1,10 @@
 //! Batch engine throughput on the hot operators, next to the reference
 //! interpreter's operator.
 //!
-//! Each case executes a single-operator physical plan end-to-end (scan →
-//! operator → result relation) on the batch engine, and applies the same
-//! operator's `tqo_core::ops` function to the case's base relations (the
-//! hash equi-join has no interpreter leg: its interpreter form is
-//! `σ₌(×)`). `exec_quick` (the bench binary) emits the same cases as
+//! Each case executes a single-operator plan end-to-end (scan → operator
+//! → result relation) on the batch engine, and evaluates the same plan in
+//! the reference interpreter (the hash equi-join, `σ₌(×)`, has no
+//! interpreter leg: the interpreter forms every pair of the product). `exec_quick` (the bench binary) emits the same cases as
 //! machine-readable BENCH_exec.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

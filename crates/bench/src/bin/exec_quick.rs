@@ -26,8 +26,9 @@ const ITERS: usize = 11;
 struct Timed {
     /// Best batch wall-clock time.
     batch_wall: Duration,
-    /// Best batch root-operator-exclusive time: the operator itself, the
-    /// pipeline's scan and result sink excluded.
+    /// Best batch operator-exclusive time of the case's operator (the
+    /// root, or the hash product under `equi_join`'s `σ₌`): the operator
+    /// itself, the pipeline's scans, select and result sink excluded.
     batch_op: Duration,
     /// Best time of the interpreter's operator; `None` for a case with no
     /// interpreter timing.
@@ -45,8 +46,7 @@ fn time_case(case: &ExecCase, env: &Env) -> Timed {
         let (out, metrics) =
             execute_mode(&case.plan, env, ExecMode::Batch).expect("benchmark plan executes");
         batch_wall = batch_wall.min(started.elapsed());
-        let op = metrics.operators.last().map(|o| o.elapsed);
-        batch_op = batch_op.min(op.unwrap_or_default());
+        batch_op = batch_op.min(metrics.operators[case.timed_operator()].elapsed);
         let started = Instant::now();
         if let Some(reference) = case.interpret(env) {
             let elapsed = started.elapsed();

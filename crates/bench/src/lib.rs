@@ -60,51 +60,37 @@ pub fn union_chain_plan(width: usize, card: u64) -> LogicalPlan {
         .build_list(Order::asc(&["E"]))
 }
 
-/// One interpreter-vs-batch execution comparison: a single-operator
-/// physical plan over named base relations. Shared by
-/// `benches/exec_throughput.rs` and the quick-mode `exec_quick` binary
-/// (BENCH_exec.json).
+/// One interpreter-vs-batch execution comparison: a single-operator plan
+/// over named base relations (`σ₌(×)` for the hash equi-join), lowered.
+/// Shared by `benches/exec_throughput.rs` and the quick-mode `exec_quick`
+/// binary (BENCH_exec.json).
 pub struct ExecCase {
     pub name: &'static str,
+    pub logical: LogicalPlan,
     pub plan: tqo_exec::PhysicalPlan,
     /// Input rows the operator consumes (for rows/sec reporting).
     pub rows: usize,
 }
 
 impl ExecCase {
-    /// The case's operator as the reference interpreter computes it: the
-    /// `tqo_core::ops` function applied to the case's base relations.
-    /// `None` for the hash equi-join, whose interpreter form is `σ₌(×)`,
-    /// a product over every pair of its inputs.
+    /// The case's plan as the reference interpreter computes it. `None`
+    /// for a plan that lowering gave a hash join: the interpreter runs
+    /// `σ₌(×)` over every pair of the product's inputs.
     pub fn interpret(&self, env: &tqo_core::interp::Env) -> Option<tqo_core::Relation> {
-        use tqo_core::ops;
-        use tqo_exec::physical::{PhysicalNode, ProductTAlgo};
+        if self.plan.facts().iter().any(|f| f.keys.is_some()) {
+            return None;
+        }
+        Some(tqo_core::interp::eval_plan(&self.logical, env).expect("interpreter runs"))
+    }
 
-        let root = self.plan.root.as_ref();
-        let input = |i: usize| match root.children()[i].as_ref() {
-            PhysicalNode::Scan { name } => env.get(name).expect("registered"),
-            other => panic!("{}: input {} is not a scan", self.name, other.label()),
-        };
-        let out = match root {
-            PhysicalNode::Select { predicate, .. } => ops::select(input(0), predicate),
-            PhysicalNode::Rdup { .. } => ops::rdup(input(0)),
-            PhysicalNode::Aggregate { group_by, aggs, .. } => {
-                ops::aggregate(input(0), group_by, aggs)
-            }
-            PhysicalNode::Sort { order, .. } => ops::sort(input(0), order),
-            PhysicalNode::ProductT {
-                algo: ProductTAlgo::Sweep,
-                ..
-            } => ops::product_t(input(0), input(1)),
-            PhysicalNode::DifferenceT { .. } => ops::difference_t(input(0), input(1)),
-            PhysicalNode::RdupT { .. } => ops::rdup_t(input(0)),
-            PhysicalNode::Coalesce { .. } => ops::coalesce(input(0)),
-            PhysicalNode::AggregateT { group_by, aggs, .. } => {
-                ops::aggregate_t(input(0), group_by, aggs)
-            }
-            _ => return None,
-        };
-        Some(out.expect("interpreter operator runs"))
+    /// Post-order index of the operator the case times: the root, or the
+    /// product under a `σ₌` root.
+    pub fn timed_operator(&self) -> usize {
+        let root = self.plan.facts().len() - 1;
+        match root.checked_sub(1).map(|below| &self.plan.facts()[below]) {
+            Some(product) if product.keys.is_some() => root - 1,
+            _ => root,
+        }
     }
 }
 
@@ -114,11 +100,10 @@ impl ExecCase {
 /// environment; a relation's transpose stays resident in its storage, so
 /// batch iterations measure the pipeline, not the one-time transpose.
 pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::Env, Vec<ExecCase>) {
-    use std::sync::Arc;
     use tqo_core::expr::{AggFunc, AggItem, BinOp, Expr};
     use tqo_core::interp::Env;
-    use tqo_exec::physical::{EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo};
-    use tqo_exec::PhysicalPlan;
+    use tqo_core::plan::BaseProps;
+    use tqo_exec::{lower, PlannerConfig};
 
     let rows = rows.max(64);
     let mut generator = WorkloadGenerator::new(seed);
@@ -173,103 +158,85 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             .expect("generation"),
     );
 
-    let scan = |name: &str| Arc::new(PhysicalNode::Scan { name: name.into() });
+    let scan = |name: &str| {
+        let rel = env.get(name).expect("registered");
+        PlanBuilder::scan(
+            name,
+            BaseProps::unordered(rel.schema().clone(), rel.len() as u64),
+        )
+    };
     let len = |name: &str| env.get(name).expect("registered").len();
+    let case = |name, plan: PlanBuilder, rows| {
+        let logical = plan.build_multiset();
+        let plan = lower(&logical, PlannerConfig::default()).expect("case lowers");
+        ExecCase {
+            name,
+            logical,
+            plan,
+            rows,
+        }
+    };
     let cases = vec![
-        ExecCase {
-            name: "select",
-            plan: PhysicalPlan::new(PhysicalNode::Select {
-                input: scan("TOV"),
-                predicate: Expr::and(
-                    Expr::eq(Expr::col("E"), Expr::lit("e7")),
-                    Expr::bin(BinOp::Ge, Expr::col("T1"), Expr::lit(0i64)),
-                ),
-            }),
-            rows: len("TOV"),
-        },
-        ExecCase {
-            name: "rdup_hash",
-            plan: PhysicalPlan::new(PhysicalNode::Rdup { input: scan("S") }),
-            rows: len("S"),
-        },
-        ExecCase {
-            name: "aggregate_group",
-            plan: PhysicalPlan::new(PhysicalNode::Aggregate {
-                input: scan("S"),
-                group_by: vec!["A".into(), "B".into()],
-                aggs: vec![
+        case(
+            "select",
+            scan("TOV").select(Expr::and(
+                Expr::eq(Expr::col("E"), Expr::lit("e7")),
+                Expr::bin(BinOp::Ge, Expr::col("T1"), Expr::lit(0i64)),
+            )),
+            len("TOV"),
+        ),
+        case("rdup_hash", scan("S").rdup(), len("S")),
+        case(
+            "aggregate_group",
+            scan("S").aggregate(
+                vec!["A".into(), "B".into()],
+                vec![
                     AggItem::count_star("n"),
                     AggItem::new(AggFunc::Sum, Some("C"), "sum"),
                     AggItem::new(AggFunc::Min, Some("D"), "lo"),
                 ],
-            }),
-            rows: len("S"),
-        },
-        ExecCase {
-            name: "sort",
-            plan: PhysicalPlan::new(PhysicalNode::Sort {
-                input: scan("S"),
-                order: Order::asc(&["A", "B"]),
-            }),
-            rows: len("S"),
-        },
-        ExecCase {
-            name: "product_t_sweep",
-            plan: PhysicalPlan::new(PhysicalNode::ProductT {
-                left: scan("TL"),
-                right: scan("TR"),
-                algo: ProductTAlgo::Sweep,
-            }),
-            rows: len("TL") + len("TR"),
-        },
-        ExecCase {
-            name: "difference_t",
-            plan: PhysicalPlan::new(PhysicalNode::DifferenceT {
-                left: scan("TL"),
-                right: scan("TR"),
-            }),
-            rows: len("TL") + len("TR"),
-        },
-        ExecCase {
-            name: "rdup_t_faithful",
-            plan: PhysicalPlan::new(PhysicalNode::RdupT { input: scan("TOV") }),
-            rows: len("TOV"),
-        },
-        // The hash product on its own: its output is the key-matching
-        // sub-list of `×` (about two pairs per input row here). No engine
-        // runs anything quadratic for it, so the case needs no smaller
-        // tables than its neighbours.
-        ExecCase {
-            name: "equi_join",
-            plan: PhysicalPlan::new(PhysicalNode::Product {
-                left: scan("TL"),
-                right: scan("TR"),
-                algo: ProductAlgo::HashEqui(EquiKeys(vec![("1.E".into(), "2.E".into())])),
-            }),
-            rows: len("TL") + len("TR"),
-        },
-        ExecCase {
-            name: "coalesce",
-            plan: PhysicalPlan::new(PhysicalNode::Coalesce {
-                input: scan("TFRAG"),
-            }),
-            rows: len("TFRAG"),
-        },
+            ),
+            len("S"),
+        ),
+        case("sort", scan("S").sort(Order::asc(&["A", "B"])), len("S")),
+        case(
+            "product_t_sweep",
+            scan("TL").product_t(scan("TR")),
+            len("TL") + len("TR"),
+        ),
+        case(
+            "difference_t",
+            scan("TL").difference_t(scan("TR")),
+            len("TL") + len("TR"),
+        ),
+        case("rdup_t_faithful", scan("TOV").rdup_t(), len("TOV")),
+        // The hash product under the select it serves: its output is the
+        // key-matching sub-list of `×` (about two pairs per input row
+        // here), and the select keeps all of it. No engine runs anything
+        // quadratic for it, so the case needs no smaller tables than its
+        // neighbours.
+        case(
+            "equi_join",
+            scan("TL")
+                .product(scan("TR"))
+                .select(Expr::eq(Expr::col("1.E"), Expr::col("2.E"))),
+            len("TL") + len("TR"),
+        ),
+        case("coalesce", scan("TFRAG").coalesce(), len("TFRAG")),
         // `ξᵀ`'s endpoint sweep with an incremental count, integer sum
         // and extreme at once (`E` is TOV's only explicit attribute).
-        ExecCase {
-            name: "aggregate_t",
-            plan: PhysicalPlan::new(PhysicalNode::AggregateT {
-                input: scan("TOV"),
-                group_by: vec!["E".into()],
-                aggs: vec![
+        case(
+            "aggregate_t",
+            scan("TOV").aggregate_t(
+                vec!["E".into()],
+                vec![
                     AggItem::count_star("n"),
                     AggItem::new(AggFunc::Sum, Some("T1"), "s"),
                     AggItem::new(AggFunc::Min, Some("T2"), "lo"),
                 ],
-            }),
-            rows: len("TOV"),
-        },
+            ),
+            len("TOV"),
+        ),
     ];
     (env, cases)
 }

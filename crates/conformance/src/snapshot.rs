@@ -13,33 +13,21 @@ use std::path::Path;
 
 use tqo_core::cost::CostModel;
 use tqo_core::plan::display::explain_with_cost;
-use tqo_exec::{lower, PhysicalNode, PhysicalPlan, PlannerConfig};
+use tqo_exec::physical::label;
+use tqo_exec::{lower, PhysicalPlan, PlannerConfig};
 use tqo_storage::Catalog;
 
-/// Render a physical tree with per-node estimated rows (estimates are
-/// recorded in post-order; the tree prints in pre-order).
+/// Render a lowered tree with per-node estimated rows.
 pub fn render_physical(plan: &PhysicalPlan) -> String {
-    fn walk(
-        node: &PhysicalNode,
-        estimates: &[Option<u64>],
-        start: usize,
-        indent: usize,
-        out: &mut String,
-    ) {
-        let own = start + node.size() - 1;
-        let rows = match estimates.get(own).copied().flatten() {
+    let mut out = String::new();
+    for (depth, i, node) in plan.pre_order() {
+        let facts = &plan.facts()[i];
+        let rows = match facts.rows {
             Some(n) => format!("  rows≈{n}"),
             None => String::new(),
         };
-        let _ = writeln!(out, "{}{}{rows}", "  ".repeat(indent), node.label());
-        let mut child_start = start;
-        for c in node.children() {
-            walk(c, estimates, child_start, indent + 1, out);
-            child_start += c.size();
-        }
+        let _ = writeln!(out, "{}{}{rows}", "  ".repeat(depth), label(node, facts));
     }
-    let mut out = String::new();
-    walk(&plan.root, &plan.estimates, 0, 0, &mut out);
     out
 }
 
@@ -141,12 +129,10 @@ mod tests {
         let physical = lower(&plan, PlannerConfig::default()).unwrap();
         let text = render_physical(&physical);
         assert!(text.contains("scan"), "{text}");
-        // Every line carries an estimate when the planner attached them.
-        if !physical.estimates.is_empty() {
-            assert_eq!(physical.estimates.len(), physical.root.size());
-            for line in text.lines() {
-                assert!(line.contains("rows≈"), "missing estimate on `{line}`");
-            }
+        // Every line carries the planner's estimate.
+        assert_eq!(text.lines().count(), physical.root().size());
+        for line in text.lines() {
+            assert!(line.contains("rows≈"), "missing estimate on `{line}`");
         }
     }
 

@@ -8,6 +8,7 @@
 
 pub mod builder;
 pub mod display;
+pub mod equi;
 pub mod props;
 
 use serde::{Deserialize, Serialize};
@@ -18,6 +19,7 @@ use crate::expr::{AggItem, Expr, ProjItem};
 use crate::sortspec::Order;
 
 pub use builder::PlanBuilder;
+pub use equi::{equi_keys, EquiKeys};
 pub use props::{BaseProps, NodeProps, PropsFlags, StaticProps};
 
 /// Where an operation executes in the layered architecture (§2.1): in the

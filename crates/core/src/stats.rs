@@ -873,4 +873,75 @@ mod tests {
         assert_eq!(median(&mut [1.0, 2.0]), Some(2.0));
         assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), Some(3.0));
     }
+
+    #[test]
+    fn measure_counts_columns_periods_and_class_overlap() {
+        use crate::tuple;
+        let r = Relation::new(
+            Schema::temporal(&[("E", DataType::Str)]),
+            vec![
+                tuple!["a", 1i64, 5i64],
+                tuple!["a", 3i64, 9i64],
+                tuple!["b", 2i64, 4i64],
+            ],
+        )
+        .unwrap();
+        let s = TableSummary::measure(&r).unwrap();
+        assert_eq!((s.rows, s.distinct_rows), (3, 3));
+        assert_eq!(s.column("E").unwrap().distinct, 2);
+        assert_eq!(s.time_range, Some(Period::of(1, 9)));
+        assert_eq!(s.avg_duration_milli, Some(4000));
+        assert_eq!(s.max_class_overlap, 2); // a's periods overlap on [3,5)
+
+        // Duplicates count once among the distinct rows, twice in overlap.
+        let dup = Relation::new(
+            Schema::temporal(&[("E", DataType::Str)]),
+            vec![tuple!["a", 1i64, 5i64], tuple!["a", 1i64, 5i64]],
+        )
+        .unwrap();
+        let s = TableSummary::measure(&dup).unwrap();
+        assert_eq!((s.rows, s.distinct_rows, s.max_class_overlap), (2, 1, 2));
+    }
+
+    #[test]
+    fn measure_on_snapshot_relation_has_no_time_stats() {
+        use crate::tuple;
+        let r = Relation::new(
+            Schema::of(&[("A", DataType::Int)]),
+            vec![tuple![1i64], tuple![1i64], tuple![2i64]],
+        )
+        .unwrap();
+        let s = TableSummary::measure(&r).unwrap();
+        assert_eq!((s.rows, s.distinct_rows), (3, 2));
+        assert_eq!(s.column("A").unwrap().distinct, 2);
+        assert!(s.time_range.is_none());
+        assert_eq!(s.max_class_overlap, 0);
+    }
+
+    #[test]
+    fn abutting_periods_do_not_count_as_overlap() {
+        use crate::tuple;
+        // a: [1,3) then [3,5) — adjacent, never simultaneous. The close
+        // event at 3 sorts before the open event at 3.
+        let r = Relation::new(
+            Schema::temporal(&[("E", DataType::Str)]),
+            vec![tuple!["a", 1i64, 3i64], tuple!["a", 3i64, 5i64]],
+        )
+        .unwrap();
+        assert_eq!(TableSummary::measure(&r).unwrap().max_class_overlap, 1);
+    }
+
+    #[test]
+    fn min_max_and_histogram_reflect_data() {
+        use crate::tuple;
+        let tuples: Vec<_> = (0..64i64).map(|i| tuple![i % 16, 0i64, 1i64]).collect();
+        let r = Relation::new(Schema::temporal(&[("A", DataType::Int)]), tuples).unwrap();
+        let s = TableSummary::measure(&r).unwrap();
+        let a = s.column("A").unwrap();
+        assert_eq!(a.min, Some(Value::Int(0)));
+        assert_eq!(a.max, Some(Value::Int(15)));
+        let h = a.histogram.as_ref().unwrap();
+        assert_eq!(h.total, 64);
+        assert!((h.fraction_le(&Value::Int(7)) - 0.5).abs() < 0.2);
+    }
 }

@@ -1,7 +1,7 @@
 //! `EXPLAIN ANALYZE`: execute a plan, then render it annotated with what
 //! actually happened.
 //!
-//! The renderer joins the physical plan's tree shape with the engines'
+//! The renderer joins the lowered plan's tree shape with the engine's
 //! post-order [`OperatorMetrics`] and prints, per operator: estimated
 //! rows, actual rows, the q-error between them, **exclusive** wall time
 //! (children subtracted), and output throughput (`—` when the operator
@@ -26,7 +26,7 @@ use tqo_core::relation::Relation;
 
 use crate::executor::execute_mode;
 use crate::metrics::{ExecMetrics, OperatorMetrics};
-use crate::physical::{PhysicalNode, PhysicalPlan};
+use crate::physical::PhysicalPlan;
 use crate::planner::{lower, PlannerConfig};
 
 /// The output of [`explain_analyze`]: the (unperturbed) query result, the
@@ -71,8 +71,11 @@ pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics) -> String {
         "operator", "est rows", "act rows", "q-err", "time", "rows/s"
     ));
     match plan {
-        Some(p) if p.root.size() == metrics.operators.len() => {
-            render_tree(&p.root, 0, &mut PostOrder { offset: 0 }, metrics, &mut out);
+        Some(p) if p.facts().len() == metrics.operators.len() => {
+            for (depth, i, _) in p.pre_order() {
+                let op = &metrics.operators[i];
+                out.push_str(&row(&op.label, depth, op));
+            }
         }
         _ => {
             for op in &metrics.operators {
@@ -90,36 +93,6 @@ pub fn render(plan: Option<&PhysicalPlan>, metrics: &ExecMetrics) -> String {
     }
     out.push('\n');
     out
-}
-
-/// Post-order index bookkeeping for the tree renderer: each subtree of
-/// size `n` occupies `n` consecutive post-order slots, the root taking
-/// the last one.
-struct PostOrder {
-    offset: usize,
-}
-
-fn render_tree(
-    node: &PhysicalNode,
-    depth: usize,
-    po: &mut PostOrder,
-    metrics: &ExecMetrics,
-    out: &mut String,
-) {
-    // The node's post-order index is offset + size - 1; children occupy
-    // the slots before it in declaration order.
-    let index = po.offset + node.size() - 1;
-    let op = &metrics.operators[index];
-    out.push_str(&row(&op.label, depth, op));
-    let mut child_offset = po.offset;
-    for c in node.children() {
-        let mut child_po = PostOrder {
-            offset: child_offset,
-        };
-        render_tree(c, depth + 1, &mut child_po, metrics, out);
-        child_offset += c.size();
-    }
-    po.offset = index + 1;
 }
 
 fn row(label: &str, depth: usize, op: &OperatorMetrics) -> String {
@@ -177,7 +150,7 @@ mod tests {
         let cat = paper::catalog();
         let a = explain_analyze(&figure2a(), &cat.env(), PlannerConfig::default()).unwrap();
         assert_eq!(a.result, paper::figure1_result());
-        assert_eq!(a.plan.root.size(), a.metrics.operators.len());
+        assert_eq!(a.plan.root().size(), a.metrics.operators.len());
         for col in ["est rows", "act rows", "q-err", "time", "rows/s"] {
             assert!(
                 a.report.contains(col),

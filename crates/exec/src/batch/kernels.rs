@@ -18,11 +18,10 @@ use tqo_core::expr::{AggFunc, AggItem};
 use tqo_core::ops::temporal::aggregate_t::IntervalAggregates;
 use tqo_core::ops::temporal::coalesce::coalesce_walk;
 use tqo_core::ops::temporal::product_t::overlapping_pairs;
+use tqo_core::plan::EquiKeys;
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortDir};
 use tqo_core::time::{CountTimeline, Coverage, EndpointSweep, Period};
-
-use crate::physical::EquiKeys;
 
 use super::hash::{part_of, radix_scatter, KeyStore, RowTable};
 

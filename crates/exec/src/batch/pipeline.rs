@@ -1,7 +1,7 @@
 //! The streaming operator pipeline: `open` / `next_batch` / `close`.
 //!
-//! `build` translates a [`PhysicalNode`] tree into a tree of
-//! `BatchOperator`s. Streaming operators (scan, select, project,
+//! `build` translates a lowered plan tree ([`PhysicalPlan`]) into a tree
+//! of `BatchOperator`s. Streaming operators (scan, select, project,
 //! union-all, hash `rdup`, hash `difference`, transfers) forward ~1024-row
 //! batches as they arrive; pipeline breakers materialize their inputs and
 //! call the columnar kernels. The two operators without a columnar kernel
@@ -24,6 +24,7 @@ use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggItem, Expr, ProjItem};
 use tqo_core::interp::Env;
 use tqo_core::ops;
+use tqo_core::plan::{EquiKeys, PlanNode};
 use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::Order;
@@ -31,7 +32,7 @@ use tqo_core::trace::{self, Category};
 use tqo_core::tuple::Tuple;
 
 use crate::metrics::{ExecMetrics, OperatorMetrics};
-use crate::physical::{EquiKeys, PhysicalNode, PhysicalPlan, ProductAlgo, ProductTAlgo};
+use crate::physical::{label, NodeFacts, PhysicalPlan};
 
 use super::exprs::{self, Pred};
 use super::hash::{KeyStore, RowTable};
@@ -59,6 +60,7 @@ type BoxOp = Box<dyn BatchOperator>;
 #[derive(Debug, Default)]
 struct NodeStats {
     label: String,
+    est_rows: Option<u64>,
     children: Vec<usize>,
     rows_out: usize,
     batches: usize,
@@ -908,17 +910,6 @@ fn require_temporal(schema: &Schema, context: &'static str) -> Result<()> {
     }
 }
 
-fn register(sink: &SharedSink, label: String, children: Vec<usize>) -> usize {
-    let mut s = sink.borrow_mut();
-    let id = s.nodes.len();
-    s.nodes.push(NodeStats {
-        label,
-        children,
-        ..NodeStats::default()
-    });
-    id
-}
-
 fn metered(op: BoxOp, id: usize, sink: &SharedSink) -> BoxOp {
     Box::new(Metered {
         inner: op,
@@ -939,26 +930,34 @@ fn blocking(children: Vec<BoxOp>, kind: BlockKind, out_schema: Arc<Schema>) -> B
     })
 }
 
-/// Build the operator tree for a physical node. Returns the (metered)
-/// operator and its node id; ids are assigned post-order, so the driver's
-/// metrics sequence is the plan's post-order.
-fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, usize)> {
+/// Build the operator tree for a plan node. Returns the (metered)
+/// operator and its node id; ids are assigned post-order, so a node's id
+/// indexes the plan's post-order `facts` and the metrics
+/// sequence is the plan's post-order.
+fn build(
+    node: &PlanNode,
+    facts: &[NodeFacts],
+    env: &Env,
+    sink: &SharedSink,
+) -> Result<(BoxOp, usize)> {
     let mut child_ops = Vec::new();
     let mut child_ids = Vec::new();
     for c in node.children() {
-        let (op, id) = build(c, env, sink)?;
+        let (op, id) = build(c, facts, env, sink)?;
         child_ops.push(op);
         child_ids.push(id);
     }
+    let id = sink.borrow().nodes.len();
+    let own = &facts[id];
     let mut kids = child_ops.into_iter();
     let mut next = || kids.next().expect("child built");
 
     let op: BoxOp = match node {
-        PhysicalNode::Scan { name } => Box::new(ScanOp {
+        PlanNode::Scan { name, .. } => Box::new(ScanOp {
             table: env.get(name)?.columnar()?,
             pos: 0,
         }),
-        PhysicalNode::Select { predicate, .. } => {
+        PlanNode::Select { predicate, .. } => {
             let child = next();
             let schema = child.out_schema();
             let compiled = exprs::compile(predicate, &schema);
@@ -969,7 +968,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 schema,
             })
         }
-        PhysicalNode::Project { items, .. } => {
+        PlanNode::Project { items, .. } => {
             let child = next();
             if items.is_empty() {
                 return Err(Error::Plan {
@@ -994,7 +993,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 validate,
             })
         }
-        PhysicalNode::UnionAll { .. } => {
+        PlanNode::UnionAll { .. } => {
             let left = next();
             let right = next();
             left.out_schema()
@@ -1007,20 +1006,20 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 on_right: false,
             })
         }
-        PhysicalNode::Product { algo, .. } => {
+        PlanNode::Product { .. } => {
             let left = next();
             let right = next();
             let out = Arc::new(ops::product::product_schema(
                 &left.out_schema(),
                 &right.out_schema(),
             )?);
-            let kind = match algo {
-                ProductAlgo::NestedLoop => BlockKind::Product,
-                ProductAlgo::HashEqui(keys) => BlockKind::ProductHashEqui(keys.clone()),
+            let kind = match &own.keys {
+                None => BlockKind::Product,
+                Some(keys) => BlockKind::ProductHashEqui(keys.clone()),
             };
             blocking(vec![left, right], kind, out)
         }
-        PhysicalNode::Difference { .. } => {
+        PlanNode::Difference { .. } => {
             let left = next();
             let right = next();
             let ls = left.out_schema();
@@ -1037,7 +1036,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 reserved: None,
             })
         }
-        PhysicalNode::Aggregate { group_by, aggs, .. } => {
+        PlanNode::Aggregate { group_by, aggs, .. } => {
             let child = next();
             let out = Arc::new(ops::aggregate::aggregate_schema(
                 &child.out_schema(),
@@ -1058,7 +1057,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 out,
             )
         }
-        PhysicalNode::Rdup { .. } => {
+        PlanNode::Rdup { .. } => {
             let child = next();
             let schema = child.out_schema();
             let key_idx = (0..schema.arity()).collect();
@@ -1072,7 +1071,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 reserved: None,
             })
         }
-        PhysicalNode::UnionMax { .. } => {
+        PlanNode::UnionMax { .. } => {
             let left = next();
             let right = next();
             let ls = left.out_schema();
@@ -1080,7 +1079,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             let out = demoted(&ls);
             blocking(vec![left, right], BlockKind::UnionMax, out)
         }
-        PhysicalNode::Sort { order, .. } => {
+        PlanNode::Sort { order, .. } => {
             let child = next();
             let schema = child.out_schema();
             for key in order.keys() {
@@ -1088,27 +1087,27 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             }
             blocking(vec![child], BlockKind::Sort(order.clone()), schema)
         }
-        PhysicalNode::Limit { limit, offset, .. } => Box::new(LimitOp {
+        PlanNode::Limit { limit, offset, .. } => Box::new(LimitOp {
             child: next(),
             limit: *limit,
             offset: *offset,
             skipped: 0,
             emitted: 0,
         }),
-        PhysicalNode::ProductT { algo, .. } => {
+        PlanNode::ProductT { .. } => {
             let left = next();
             let right = next();
             let out = Arc::new(ops::temporal::product_t::product_t_schema(
                 &left.out_schema(),
                 &right.out_schema(),
             )?);
-            let kind = match algo {
-                ProductTAlgo::Sweep => BlockKind::ProductT,
-                ProductTAlgo::HashEqui(keys) => BlockKind::ProductTHashEqui(keys.clone()),
+            let kind = match &own.keys {
+                None => BlockKind::ProductT,
+                Some(keys) => BlockKind::ProductTHashEqui(keys.clone()),
             };
             blocking(vec![left, right], kind, out)
         }
-        PhysicalNode::DifferenceT { .. } => {
+        PlanNode::DifferenceT { .. } => {
             let left = next();
             let right = next();
             let ls = left.out_schema();
@@ -1116,7 +1115,7 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             require_temporal(&right.out_schema(), "temporal difference")?;
             blocking(vec![left, right], BlockKind::DifferenceT, ls)
         }
-        PhysicalNode::AggregateT { group_by, aggs, .. } => {
+        PlanNode::AggregateT { group_by, aggs, .. } => {
             let child = next();
             let out = Arc::new(ops::temporal::aggregate_t::aggregate_t_schema(
                 &child.out_schema(),
@@ -1132,13 +1131,13 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
                 out,
             )
         }
-        PhysicalNode::RdupT { .. } => {
+        PlanNode::RdupT { .. } => {
             let child = next();
             let schema = child.out_schema();
             require_temporal(&schema, "temporal duplicate elimination")?;
             blocking(vec![child], BlockKind::RdupT, schema)
         }
-        PhysicalNode::UnionT { .. } => {
+        PlanNode::UnionT { .. } => {
             let left = next();
             let right = next();
             let ls = left.out_schema();
@@ -1147,25 +1146,31 @@ fn build(node: &PhysicalNode, env: &Env, sink: &SharedSink) -> Result<(BoxOp, us
             ls.check_union_compatible(&right.out_schema(), "temporal union")?;
             blocking(vec![left, right], BlockKind::UnionT, ls)
         }
-        PhysicalNode::Coalesce { .. } => {
+        PlanNode::Coalesce { .. } => {
             let child = next();
             let schema = child.out_schema();
             require_temporal(&schema, "coalescing")?;
             blocking(vec![child], BlockKind::Coalesce, schema)
         }
-        PhysicalNode::TransferS { .. } | PhysicalNode::TransferD { .. } => {
+        PlanNode::TransferS { .. } | PlanNode::TransferD { .. } => {
             Box::new(TransferOp { child: next() })
         }
     };
-    let id = register(sink, node.label(), child_ids);
+    sink.borrow_mut().nodes.push(NodeStats {
+        label: label(node, own),
+        est_rows: own.rows,
+        children: child_ids,
+        ..NodeStats::default()
+    });
     Ok((metered(op, id, sink), id))
 }
 
-/// Execute a physical plan through the batch pipeline.
+/// Execute a lowered plan through the batch pipeline. Every operator
+/// reports the row estimate lowering gave its node.
 pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMetrics)> {
     let _span = trace::span(Category::Exec, "batch.pipeline");
     let sink: SharedSink = Rc::new(RefCell::new(Sink::default()));
-    let (mut root, _) = build(&plan.root, env, &sink)?;
+    let (mut root, _) = build(plan.root(), plan.facts(), env, &sink)?;
     root.open()?;
     let schema = root.out_schema();
     let mut batches = Vec::new();
@@ -1197,7 +1202,7 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
             label: node.label.clone(),
             rows_in,
             rows_out: node.rows_out,
-            est_rows: None,
+            est_rows: node.est_rows,
             batches: node.batches,
             elapsed: node.inclusive.saturating_sub(child_time),
         });
@@ -1208,6 +1213,8 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{lower, PlannerConfig};
+    use tqo_core::plan::{BaseProps, PlanBuilder};
     use tqo_core::value::DataType;
     use tqo_core::Value;
 
@@ -1228,19 +1235,17 @@ mod tests {
         Env::new().with("R", r)
     }
 
-    fn plan(root: PhysicalNode) -> PhysicalPlan {
-        PhysicalPlan::new(root)
-    }
-
-    fn scan(name: &str) -> Arc<PhysicalNode> {
-        Arc::new(PhysicalNode::Scan { name: name.into() })
+    /// A plan over `R`, lowered.
+    fn plan(build: impl FnOnce(PlanBuilder) -> PlanBuilder, e: &Env) -> PhysicalPlan {
+        let base = BaseProps::measured(e.get("R").unwrap()).unwrap();
+        let logical = build(PlanBuilder::scan("R", base)).build_multiset();
+        lower(&logical, PlannerConfig::default()).unwrap()
     }
 
     #[test]
     fn scan_streams_in_batch_size_chunks() {
         let e = env();
-        let (result, metrics) =
-            execute_batch(&plan(PhysicalNode::Scan { name: "R".into() }), &e).unwrap();
+        let (result, metrics) = execute_batch(&plan(|r| r, &e), &e).unwrap();
         assert_eq!(result.len(), 2500);
         assert_eq!(result, *e.get("R").unwrap());
         assert_eq!(metrics.operators.len(), 1);
@@ -1255,10 +1260,7 @@ mod tests {
         // row evaluation rather than hitting the native comparator.
         let e = env();
         let predicate = Expr::lt(Expr::col("T1"), Expr::col("E"));
-        let p = plan(PhysicalNode::Select {
-            input: scan("R"),
-            predicate: predicate.clone(),
-        });
+        let p = plan(|r| r.select(predicate.clone()), &e);
         let (batch_result, _) = execute_batch(&p, &e).unwrap();
         let expected = ops::select(e.get("R").unwrap(), &predicate).unwrap();
         assert_eq!(batch_result, expected);
@@ -1268,13 +1270,7 @@ mod tests {
     fn metrics_follow_the_plan_in_post_order() {
         let e = env();
         let predicate = Expr::eq(Expr::col("E"), Expr::lit("v7"));
-        let root = PhysicalNode::RdupT {
-            input: Arc::new(PhysicalNode::Select {
-                input: scan("R"),
-                predicate: predicate.clone(),
-            }),
-        };
-        let p = plan(root);
+        let p = plan(|r| r.select(predicate.clone()).rdup_t(), &e);
         let (batch_result, bm) = execute_batch(&p, &e).unwrap();
         let selected = ops::select(e.get("R").unwrap(), &predicate).unwrap();
         let expected = ops::rdup_t(&selected).unwrap();

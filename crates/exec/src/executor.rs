@@ -1,6 +1,6 @@
 //! Physical plan execution with per-operator metrics.
 //!
-//! One engine executes physical plans: the vectorized pipeline of
+//! One engine executes lowered plans: the vectorized pipeline of
 //! [`crate::batch`]. Columnar batches stream through the operator tree,
 //! base tables are read through the transpose resident in each relation's
 //! storage, and only pipeline breakers materialize. The reference
@@ -56,13 +56,9 @@ pub fn execute_mode(
     _mode: ExecMode,
 ) -> Result<(Relation, ExecMetrics)> {
     let mut span = trace::span(Category::Exec, "execute");
-    span.note_with(|| format!("\"operators\": {}", plan.root.size()));
-    let (result, mut metrics) = crate::batch::pipeline::execute_batch(plan, env)?;
+    span.note_with(|| format!("\"operators\": {}", plan.facts().len()));
+    let (result, metrics) = crate::batch::pipeline::execute_batch(plan, env)?;
     span.note_with(|| format!("\"rows\": {}", result.len()));
-    drop(span);
-    // Join the planner's post-order estimates onto the post-order metrics,
-    // so every execution reports estimated-vs-actual q-errors.
-    metrics.attach_estimates(&plan.estimates);
     Ok((result, metrics))
 }
 
@@ -150,10 +146,9 @@ mod tests {
         let cat = paper::catalog();
         let env = cat.env();
         let resident = env.get("EMPLOYEE").unwrap().columnar().unwrap();
-        let plan = PhysicalPlan::new(crate::physical::PhysicalNode::Scan {
-            name: "EMPLOYEE".into(),
-        });
-        let (result, _) = execute_mode(&plan, &env, ExecMode::Batch).unwrap();
+        let plan =
+            PlanBuilder::scan("EMPLOYEE", cat.base_props("EMPLOYEE").unwrap()).build_multiset();
+        let (result, _) = execute_logical(&plan, &env, PlannerConfig::default()).unwrap();
         // The result is born in the base table's own columns: nothing is
         // copied, and no transpose is built for it.
         let columns = result.columnar().unwrap();

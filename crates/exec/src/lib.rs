@@ -1,11 +1,12 @@
 //! # tqo-exec — physical execution engine
 //!
-//! Lowers logical plans ([`tqo_core::plan::LogicalPlan`]) to physical plans
-//! and executes them. Every operator has one algorithm, shared by the
-//! interpreter (`tqo_core::ops`) and the batch engine, and its output is the
-//! exact list the paper's definition prescribes — so no algorithm needs a
-//! Table 2 license, and every physical plan computes the interpreter's
-//! list. The temporal operators:
+//! Lowers logical plans ([`tqo_core::plan::LogicalPlan`]) and executes
+//! them. Every operator has one algorithm, shared by the interpreter
+//! (`tqo_core::ops`) and the batch engine, and its output is the exact
+//! list the paper's definition prescribes — so no algorithm needs a
+//! Table 2 license, every lowered plan computes the interpreter's list,
+//! and the logical tree itself is what the engine runs. The temporal
+//! operators:
 //!
 //! | logical op | algorithm | cost |
 //! |------------|-----------|------|
@@ -15,20 +16,20 @@
 //! | `\ᵀ` | per-class count timelines | `O(n log n)` |
 //! | `ξᵀ` | one endpoint sweep per group | `O(n log n)` + output |
 //!
-//! The one physical choice is [`physical::ProductAlgo::HashEqui`] /
-//! [`physical::ProductTAlgo::HashEqui`]: below a `Select` with equality
-//! conjuncts across its inputs, `×` / `×ᵀ` run as a hash equi-join whose
-//! output is the key-matching sub-list of the product's — the select above
-//! yields the identical list.
+//! The one physical choice is the hash equi-join: below a `Select` with
+//! equality conjuncts across its inputs ([`tqo_core::plan::equi_keys`]),
+//! `×` / `×ᵀ` match on them, and their output is the key-matching
+//! sub-list of the product's — the select above yields the identical list.
 //!
-//! The planner ([`planner::lower`]) makes that choice node for node;
-//! [`executor::execute_mode`] runs the physical plan collecting
+//! The planner ([`planner::lower`]) records that choice, with each node's
+//! row estimate and output schema, in the [`physical::NodeFacts`] of a
+//! [`PhysicalPlan`]; [`executor::execute_mode`] runs it collecting
 //! per-operator metrics.
 //!
-//! One engine executes physical plans: the vectorized batch pipeline in
+//! One engine executes lowered plans: the vectorized batch pipeline in
 //! [`batch`] (columnar ~1024-row batches, selection vectors, column-wise
 //! hashing, period-column sweeps). The reference interpreter
-//! (`tqo_core::interp`) is its oracle: for every physical plan the engine
+//! (`tqo_core::interp`) is its oracle: for every lowered plan the engine
 //! produces the interpreter's exact relation. [`executor::ExecMode`]
 //! survives only as a type no code branches on — every value runs batch.
 //! [`parallel`] holds the stage graph and the one worker pool that runs
@@ -49,5 +50,5 @@ pub use batch::Batch;
 pub use executor::{execute_logical, execute_mode, ExecMode};
 pub use metrics::{ExecMetrics, OperatorMetrics};
 pub use parallel::{QueryHandle, Scheduler, SchedulerConfig, StageGraph, SubmitOptions};
-pub use physical::{PhysicalNode, PhysicalPlan};
+pub use physical::{NodeFacts, PhysicalPlan};
 pub use planner::{lower, PlannerConfig};

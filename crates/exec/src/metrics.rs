@@ -87,17 +87,6 @@ impl ExecMetrics {
             .sum()
     }
 
-    /// Attach per-operator row estimates (post-order, parallel to
-    /// `operators`). Ignored when the lengths disagree — e.g. plans built
-    /// without annotations.
-    pub fn attach_estimates(&mut self, estimates: &[Option<u64>]) {
-        if estimates.len() == self.operators.len() {
-            for (op, est) in self.operators.iter_mut().zip(estimates) {
-                op.est_rows = *est;
-            }
-        }
-    }
-
     /// All per-operator q-errors (operators with estimates only).
     pub fn q_errors(&self) -> Vec<f64> {
         self.operators.iter().filter_map(|o| o.q_error()).collect()
@@ -214,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn estimates_attach_and_summarize() {
+    fn estimates_summarize() {
         let mut m = ExecMetrics {
             operators: vec![
                 op("scan(R)", 100, Duration::ZERO),
@@ -222,10 +211,9 @@ mod tests {
                 op("rdup[hash]", 10, Duration::ZERO),
             ],
         };
-        // Length mismatch: ignored.
-        m.attach_estimates(&[Some(1)]);
         assert!(m.q_errors().is_empty());
-        m.attach_estimates(&[Some(100), Some(20), None]);
+        m.operators[0].est_rows = Some(100);
+        m.operators[1].est_rows = Some(20);
         assert_eq!(m.q_errors(), vec![1.0, 2.0]);
         assert_eq!(m.median_q_error(), Some(2.0));
         assert!(m.report().contains("q=2.00"));

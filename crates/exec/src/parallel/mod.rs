@@ -1,10 +1,10 @@
 //! Scheduler + stage graph: inter-query parallelism on one worker pool.
 //!
-//! [`StageGraph::lower`] cuts a physical plan at its pipeline breakers into
-//! a DAG of stages; the [`Scheduler`] multiplexes the stages of many
-//! queries over one shared, persistent pool of workers under weighted-fair
-//! picking and admission control. Each stage runs on the serial batch (or
-//! row) engine, so a scheduled result is byte-identical to the same plan's
+//! [`StageGraph::lower`] cuts a lowered plan's tree at its pipeline
+//! breakers into a DAG of stages; the [`Scheduler`] multiplexes the stages
+//! of many queries over one shared, persistent pool of workers under
+//! weighted-fair picking and admission control. Each stage runs on the serial batch
+//! engine, so a scheduled result is byte-identical to the same plan's
 //! serial run (ARCHITECTURE invariant 16).
 //!
 //! There is no intra-query parallelism; `docs/execution.md` records why,

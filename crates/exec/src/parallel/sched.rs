@@ -594,10 +594,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::PhysicalNode;
+    use crate::planner::{lower, PlannerConfig};
     use std::sync::Arc;
     use tqo_core::columnar::ColumnarRelation;
     use tqo_core::expr::Expr;
+    use tqo_core::plan::{BaseProps, PlanBuilder, PlanNode};
     use tqo_core::schema::Schema;
     use tqo_core::sortspec::Order;
     use tqo_core::tuple::Tuple;
@@ -625,22 +626,25 @@ mod tests {
     const PANIC_TABLE: &str = "__panic";
 
     pub(super) fn panic_if_marked(plan: &PhysicalPlan) {
-        fn scans_panic_table(node: &PhysicalNode) -> bool {
-            matches!(node, PhysicalNode::Scan { name } if name == PANIC_TABLE)
+        fn scans_panic_table(node: &PlanNode) -> bool {
+            matches!(node, PlanNode::Scan { name, .. } if name == PANIC_TABLE)
                 || node.children().into_iter().any(|c| scans_panic_table(c))
         }
-        if scans_panic_table(&plan.root) {
+        if scans_panic_table(plan.root()) {
             panic!("injected stage panic");
         }
     }
 
+    /// `build` applied to a scan of `table` (the schema of [`env`]'s `R`),
+    /// lowered.
+    fn lowered(table: &str, build: impl FnOnce(PlanBuilder) -> PlanBuilder) -> PhysicalPlan {
+        let schema = Schema::temporal(&[("E", DataType::Str)]);
+        let scan = PlanBuilder::scan(table, BaseProps::unordered(schema, 4000));
+        lower(&build(scan).build_multiset(), PlannerConfig::default()).unwrap()
+    }
+
     fn panicking_plan() -> PhysicalPlan {
-        PhysicalPlan::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::Scan {
-                name: PANIC_TABLE.into(),
-            }),
-            order: Order::asc(&["E"]),
-        })
+        lowered(PANIC_TABLE, |r| r.sort(Order::asc(&["E"])))
     }
 
     /// Wait on a helper thread, so a query that never finishes fails the
@@ -664,12 +668,9 @@ mod tests {
     }
 
     fn sort_plan() -> PhysicalPlan {
-        PhysicalPlan::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::Select {
-                input: Arc::new(PhysicalNode::Scan { name: "R".into() }),
-                predicate: Expr::eq(Expr::col("E"), Expr::lit("v7")),
-            }),
-            order: Order::asc(&["E"]),
+        lowered("R", |r| {
+            r.select(Expr::eq(Expr::col("E"), Expr::lit("v7")))
+                .sort(Order::asc(&["E"]))
         })
     }
 
@@ -686,7 +687,7 @@ mod tests {
         assert_eq!(out, serial);
         // Stage metrics cover exactly the operators of the plan: the
         // root breaker's stage is the final stage.
-        assert_eq!(metrics.operators.len(), plan.root.size());
+        assert_eq!(metrics.operators.len(), plan.root().size());
         sched.shutdown();
     }
 
@@ -717,12 +718,7 @@ mod tests {
     fn a_stage_output_carries_the_columns_it_was_built_from() {
         let e = env();
         // Two stages: rdupᵀ is a breaker below the root sort.
-        let plan = PhysicalPlan::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::RdupT {
-                input: Arc::new(PhysicalNode::Scan { name: "R".into() }),
-            }),
-            order: Order::asc(&["E"]),
-        });
+        let plan = lowered("R", |r| r.rdup_t().sort(Order::asc(&["E"])));
         let (serial, _) = execute_mode(&plan, &e, ExecMode::Batch).unwrap();
         let sched = Scheduler::new(SchedulerConfig {
             workers: 0,
@@ -750,7 +746,6 @@ mod tests {
 
     #[test]
     fn staged_operators_report_the_plans_estimates() {
-        use tqo_core::plan::{BaseProps, PlanBuilder};
         let e = env();
         let base = BaseProps::measured(e.get("R").unwrap()).unwrap();
         let logical = PlanBuilder::scan("R", base)
@@ -758,8 +753,7 @@ mod tests {
             .coalesce()
             .sort(Order::asc(&["E"]))
             .build_multiset();
-        let plan =
-            crate::planner::lower(&logical, crate::planner::PlannerConfig::default()).unwrap();
+        let plan = lower(&logical, PlannerConfig::default()).unwrap();
         let sched = Scheduler::new(SchedulerConfig {
             workers: 0,
             max_queries: 4,
@@ -769,7 +763,7 @@ mod tests {
         let (_, metrics) = h.wait().unwrap();
         // Three stages; the two inter-stage scans are the only operators
         // without an estimate.
-        assert_eq!(metrics.operators.len(), plan.root.size() + 2);
+        assert_eq!(metrics.operators.len(), plan.root().size() + 2);
         for op in &metrics.operators {
             assert_eq!(
                 op.est_rows.is_none(),
@@ -783,10 +777,7 @@ mod tests {
     #[test]
     fn a_result_is_charged_to_the_budget_once() {
         let e = env();
-        let plan = PhysicalPlan::new(PhysicalNode::Sort {
-            input: Arc::new(PhysicalNode::Scan { name: "R".into() }),
-            order: Order::asc(&["E"]),
-        });
+        let plan = lowered("R", |r| r.sort(Order::asc(&["E"])));
         let sched = Scheduler::new(SchedulerConfig {
             workers: 0,
             max_queries: 4,

@@ -1,11 +1,13 @@
-//! Lowering physical plans into partition-pipeline task graphs.
+//! Cutting lowered plans into partition-pipeline task graphs.
 //!
-//! A **stage** is a maximal breaker-bounded fragment of a physical plan,
-//! and the stage graph is the plan rewritten so each breaker subtree
-//! becomes its own runnable unit whose output downstream stages consume
-//! through a synthetic scan binding. The multi-query scheduler
-//! ([`super::sched`]) is the only code that runs a plan in stages: it
-//! runs the stages of many queries on one pool.
+//! A **stage** is a maximal breaker-bounded fragment of a lowered plan's
+//! tree, and the stage graph is the tree rewritten so each breaker
+//! subtree becomes its own runnable unit whose output downstream stages
+//! consume through a synthetic scan binding. Each stage carries its slice
+//! of the plan's post-order node facts, so a product cut into a stage of
+//! its own keeps the hash join lowering chose for it. The multi-query
+//! scheduler ([`super::sched`]) is the only code that runs a plan in
+//! stages: it runs the stages of many queries on one pool.
 //!
 //! The cut is byte-preserving by construction: a breaker fully
 //! materializes its output anyway, so executing the subtree separately
@@ -18,10 +20,11 @@
 use std::sync::Arc;
 
 use tqo_core::error::Result;
+use tqo_core::plan::{BaseProps, PlanNode};
 
-use crate::physical::{PhysicalNode, PhysicalPlan};
+use crate::physical::{NodeFacts, PhysicalPlan};
 
-/// One breaker-bounded fragment of a physical plan, executable as soon
+/// One breaker-bounded fragment of a lowered plan, executable as soon
 /// as every stage in `deps` has completed and bound its output.
 #[derive(Debug, Clone)]
 pub struct Stage {
@@ -29,15 +32,15 @@ pub struct Stage {
     /// dependencies always have smaller ids).
     pub id: usize,
     /// The fragment to execute, with its slice of the cut plan's
-    /// post-order estimates (a synthetic scan carries none). Dependency
-    /// outputs appear as `scan(<binding>)` leaves (see
-    /// [`StageGraph::binding`]).
+    /// post-order node facts. Dependency outputs appear as
+    /// `scan(<binding>)` leaves (see [`StageGraph::binding`]) whose facts
+    /// estimate nothing.
     pub plan: PhysicalPlan,
     /// Stage ids whose outputs this fragment scans.
     pub deps: Vec<usize>,
 }
 
-/// A physical plan decomposed into pipeline stages at its breakers.
+/// A lowered plan decomposed into pipeline stages at its breakers.
 ///
 /// `stages` is in topological order — the post-order of the plan's
 /// breakers, so the deepest-leftmost breaker runs first — and the
@@ -54,30 +57,28 @@ pub struct StageGraph {
 /// Pipeline breakers: operators that fully materialize their output
 /// before anything downstream can consume a row — the only places a
 /// plan can be cut for free.
-fn is_breaker(node: &PhysicalNode) -> bool {
+fn is_breaker(node: &PlanNode) -> bool {
     matches!(
         node,
-        PhysicalNode::Sort { .. }
-            | PhysicalNode::Aggregate { .. }
-            | PhysicalNode::AggregateT { .. }
-            | PhysicalNode::Product { .. }
-            | PhysicalNode::ProductT { .. }
-            | PhysicalNode::DifferenceT { .. }
-            | PhysicalNode::RdupT { .. }
-            | PhysicalNode::UnionMax { .. }
-            | PhysicalNode::UnionT { .. }
-            | PhysicalNode::Coalesce { .. }
+        PlanNode::Sort { .. }
+            | PlanNode::Aggregate { .. }
+            | PlanNode::AggregateT { .. }
+            | PlanNode::Product { .. }
+            | PlanNode::ProductT { .. }
+            | PlanNode::DifferenceT { .. }
+            | PlanNode::RdupT { .. }
+            | PlanNode::UnionMax { .. }
+            | PlanNode::UnionT { .. }
+            | PlanNode::Coalesce { .. }
     )
 }
 
 /// A fragment under construction: the rewritten node, the stages it
-/// scans, and its post-order estimates (empty when the plan has none).
-type Fragment = (Arc<PhysicalNode>, Vec<usize>, Vec<Option<u64>>);
+/// scans, and its post-order facts.
+type Fragment = (Arc<PlanNode>, Vec<usize>, Vec<NodeFacts>);
 
-/// The plan's post-order estimates not yet consumed by the walk; empty
-/// from the start for plans that carry none (hand-built) — fragments then
-/// carry none either.
-type Estimates<'a> = std::slice::Iter<'a, Option<u64>>;
+/// The plan's post-order facts not yet consumed by the walk.
+type Facts<'a> = std::slice::Iter<'a, NodeFacts>;
 
 impl StageGraph {
     /// Decompose `plan` into breaker-bounded stages. `prefix` namespaces
@@ -89,15 +90,10 @@ impl StageGraph {
             stages: Vec::new(),
             prefix: prefix.to_owned(),
         };
-        let estimates: &[Option<u64>] = if plan.estimates.len() == plan.root.size() {
-            &plan.estimates
-        } else {
-            &[]
-        };
         // The root's fragment is the final stage whether or not the root
         // is a breaker: nothing re-reads a root breaker's output, so it
         // gets no trailing `scan` stage.
-        let root = graph.fragment(&plan.root, &mut estimates.iter())?;
+        let root = graph.fragment(plan.root(), &mut plan.facts().iter())?;
         graph.push(root);
         Ok(graph)
     }
@@ -107,207 +103,212 @@ impl StageGraph {
         format!("{}stage{id}", self.prefix)
     }
 
-    fn push(&mut self, (root, deps, estimates): Fragment) -> usize {
+    fn push(&mut self, (root, deps, facts): Fragment) -> usize {
         let id = self.stages.len();
         self.stages.push(Stage {
             id,
-            plan: PhysicalPlan { root, estimates },
+            plan: PhysicalPlan::from_parts(root, facts),
             deps,
         });
         id
     }
 
     /// Rebuild `node` with the breaker subtrees below it cut into stages.
-    fn fragment(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Estimates) -> Result<Fragment> {
+    fn fragment(&mut self, node: &Arc<PlanNode>, cursor: &mut Facts) -> Result<Fragment> {
         let children = node.children();
         let mut deps = Vec::new();
-        let mut estimates = Vec::new();
+        let mut facts = Vec::new();
         let mut new_children = Vec::with_capacity(children.len());
         let mut changed = false;
         for c in &children {
-            let (nc, d, e) = self.cut(c, cursor)?;
+            let (nc, d, f) = self.cut(c, cursor)?;
             changed |= !Arc::ptr_eq(&nc, c);
             new_children.push(nc);
             deps.extend(d);
-            estimates.extend(e);
+            facts.extend(f);
         }
-        // Post-order: the node's own estimate follows its children's.
-        estimates.extend(cursor.next());
+        // Post-order: the node's own facts follow its children's.
+        facts.extend(cursor.next().cloned());
         let rebuilt = if changed {
             Arc::new(node.with_children(new_children)?)
         } else {
             Arc::clone(node)
         };
-        Ok((rebuilt, deps, estimates))
+        Ok((rebuilt, deps, facts))
     }
 
     /// [`StageGraph::fragment`] for a non-root node: a breaker becomes a
     /// stage of its own and is replaced by a scan of its binding.
-    fn cut(&mut self, node: &Arc<PhysicalNode>, cursor: &mut Estimates) -> Result<Fragment> {
+    fn cut(&mut self, node: &Arc<PlanNode>, cursor: &mut Facts) -> Result<Fragment> {
         let fragment = self.fragment(node, cursor)?;
         if !is_breaker(node) {
             return Ok(fragment);
         }
-        // The synthetic scan takes a slot in its parent's post-order
-        // estimates (when the plan has any) but estimates nothing.
-        let estimates = vec![None; usize::from(!fragment.2.is_empty())];
-        let id = self.push(fragment);
-        let scan = PhysicalNode::Scan {
-            name: self.binding(id),
+        // The synthetic scan reads the breaker's output: its schema, its
+        // estimated size, and no order or duplicate guarantee. It
+        // estimates nothing itself.
+        let own = fragment
+            .2
+            .last()
+            .expect("a fragment holds its root's facts");
+        let base = BaseProps::unordered((*own.schema).clone(), own.rows.unwrap_or(0));
+        let facts = NodeFacts {
+            rows: None,
+            schema: Arc::clone(&own.schema),
+            keys: None,
         };
-        Ok((Arc::new(scan), vec![id], estimates))
+        let id = self.push(fragment);
+        let scan = PlanNode::Scan {
+            name: self.binding(id),
+            base,
+        };
+        Ok((Arc::new(scan), vec![id], vec![facts]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::label;
     use crate::planner::{lower, PlannerConfig};
     use tqo_core::expr::Expr;
-    use tqo_core::plan::{BaseProps, PlanBuilder};
+    use tqo_core::plan::PlanBuilder;
     use tqo_core::schema::Schema;
     use tqo_core::sortspec::Order;
     use tqo_core::value::DataType;
-
-    fn scan(name: &str) -> Arc<PhysicalNode> {
-        Arc::new(PhysicalNode::Scan { name: name.into() })
-    }
-
-    fn select(input: Arc<PhysicalNode>) -> Arc<PhysicalNode> {
-        Arc::new(PhysicalNode::Select {
-            input,
-            predicate: Expr::eq(Expr::col("E"), Expr::lit("a")),
-        })
-    }
 
     fn tscan(name: &str) -> PlanBuilder {
         let s = Schema::temporal(&[("E", DataType::Str)]);
         PlanBuilder::scan(name, BaseProps::unordered(s, 100))
     }
 
+    fn stages(plan: PlanBuilder, prefix: &str) -> (PhysicalPlan, StageGraph) {
+        let physical = lower(&plan.build_multiset(), PlannerConfig::default()).unwrap();
+        let graph = StageGraph::lower(&physical, prefix).unwrap();
+        (physical, graph)
+    }
+
+    /// The engine label of a plan's root.
+    fn root_label(plan: &PhysicalPlan) -> String {
+        label(plan.root(), plan.facts().last().unwrap())
+    }
+
+    fn e_is_a() -> Expr {
+        Expr::eq(Expr::col("E"), Expr::lit("a"))
+    }
+
     /// No stage merely re-reads another stage's binding.
     fn assert_no_bare_scan_stage(g: &StageGraph) {
         for s in &g.stages {
-            let bare =
-                matches!(&*s.plan.root, PhysicalNode::Scan { name } if name.starts_with(&g.prefix));
+            let bare = matches!(&**s.plan.root(), PlanNode::Scan { name, .. } if name.starts_with(&g.prefix));
             assert!(!bare, "stage {} is a bare scan: {}", s.id, s.plan);
         }
     }
 
     #[test]
     fn pipeline_without_breakers_is_one_stage() {
-        let plan = PhysicalPlan {
-            root: select(scan("R")),
-            estimates: Vec::new(),
-        };
-        let g = StageGraph::lower(&plan, "__q0_").unwrap();
+        let (plan, g) = stages(tscan("R").select(e_is_a()), "__q0_");
         assert_eq!(g.stages.len(), 1);
         assert!(g.stages[0].deps.is_empty());
-        assert_eq!(g.stages[0].plan.root, plan.root);
+        assert_eq!(g.stages[0].plan, plan);
     }
 
     #[test]
     fn root_breaker_is_the_final_stage_not_followed_by_a_scan() {
         // sort(select(scan R)): the only breaker is the root.
-        let plan = PhysicalPlan::new(PhysicalNode::Sort {
-            input: select(scan("R")),
-            order: Order::asc(&["E"]),
-        });
-        let g = StageGraph::lower(&plan, "__q3_").unwrap();
+        let (plan, g) = stages(
+            tscan("R").select(e_is_a()).sort(Order::asc(&["E"])),
+            "__q3_",
+        );
         assert_eq!(g.stages.len(), 1);
-        assert_eq!(g.stages[0].plan.root, plan.root);
+        assert_eq!(g.stages[0].plan, plan);
         assert_no_bare_scan_stage(&g);
     }
 
     #[test]
     fn breakers_cut_into_dependent_stages() {
         // sort(select(product(R, S))): product and sort are breakers.
-        let plan = PhysicalPlan::new(PhysicalNode::Sort {
-            input: select(Arc::new(PhysicalNode::Product {
-                left: scan("R"),
-                right: scan("S"),
-                algo: crate::physical::ProductAlgo::NestedLoop,
-            })),
-            order: Order::asc(&["E"]),
-        });
-        let g = StageGraph::lower(&plan, "__q7_").unwrap();
+        let (_, g) = stages(
+            tscan("R")
+                .product(tscan("S"))
+                .select(Expr::eq(Expr::col("1.E"), Expr::lit("a")))
+                .sort(Order::asc(&["1.E"])),
+            "__q7_",
+        );
         assert_eq!(g.stages.len(), 2);
         // Stage 0: the product subtree, no deps.
-        assert_eq!(g.stages[0].plan.root.label(), "product");
+        assert_eq!(root_label(&g.stages[0].plan), "product");
         assert!(g.stages[0].deps.is_empty());
         // Final stage: sort(select(scan(__q7_stage0))), the root breaker.
         assert_eq!(g.stages[1].deps, vec![0]);
-        assert_eq!(g.stages[1].plan.root.label(), "sort[stable]");
-        let inner = &g.stages[1].plan.root.children()[0];
-        assert_eq!(inner.children()[0].label(), "scan(__q7_stage0)");
+        assert_eq!(
+            g.stages[1].plan.explain(),
+            "sort[stable]\n  select\n    scan(__q7_stage0)\n"
+        );
+        // The synthetic scan declares the product's output schema.
+        let PlanNode::Scan { base, .. } = g.stages[1].plan.root().get(&[0, 0]).unwrap() else {
+            panic!("a scan of the product's stage");
+        };
+        assert_eq!(&base.schema, &*g.stages[0].plan.facts()[2].schema);
         assert_no_bare_scan_stage(&g);
     }
 
     #[test]
     fn binary_breakers_collect_deps_from_both_sides() {
         // union-max over two sorted inputs: two breakers below the root.
-        let plan = PhysicalPlan::new(PhysicalNode::UnionMax {
-            left: Arc::new(PhysicalNode::Sort {
-                input: scan("R"),
-                order: Order::asc(&["E"]),
-            }),
-            right: Arc::new(PhysicalNode::Sort {
-                input: scan("S"),
-                order: Order::asc(&["E"]),
-            }),
-        });
-        let g = StageGraph::lower(&plan, "__q1_").unwrap();
+        let by_e = Order::asc(&["E"]);
+        let (_, g) = stages(
+            tscan("R")
+                .sort(by_e.clone())
+                .union_max(tscan("S").sort(by_e)),
+            "__q1_",
+        );
         assert_eq!(g.stages.len(), 3);
         assert_eq!(g.stages[2].deps, vec![0, 1]);
-        assert_eq!(g.stages[2].plan.root.label(), "union-max");
+        assert_eq!(root_label(&g.stages[2].plan), "union-max");
         assert_no_bare_scan_stage(&g);
     }
 
     #[test]
     fn stages_run_deepest_breaker_first_and_the_root_stage_last() {
         // The root labels of the stages, in the order they run.
-        let stage_roots = |plan: &tqo_core::plan::LogicalPlan| -> Vec<String> {
-            let physical = lower(plan, PlannerConfig::default()).unwrap();
-            let g = StageGraph::lower(&physical, "__a_").unwrap();
-            g.stages.iter().map(|s| s.plan.root.label()).collect()
+        let stage_roots = |plan: PlanBuilder| -> Vec<String> {
+            let (_, g) = stages(plan, "__a_");
+            g.stages.iter().map(|s| root_label(&s.plan)).collect()
         };
         let by_e = Order::asc(&["E"]);
-        let plan = tscan("A")
-            .rdup_t()
-            .coalesce()
-            .sort(by_e.clone())
-            .build_multiset();
         // rdupT is the deepest breaker, then the coalesce above it.
-        assert_eq!(stage_roots(&plan), ["rdup-t", "coalesce", "sort[stable]"]);
+        assert_eq!(
+            stage_roots(tscan("A").rdup_t().coalesce().sort(by_e.clone())),
+            ["rdup-t", "coalesce", "sort[stable]"]
+        );
         // A plan whose only breaker is the root is one stage.
-        let sort_only = tscan("A").sort(by_e).build_multiset();
-        assert_eq!(stage_roots(&sort_only), ["sort[stable]"]);
+        assert_eq!(stage_roots(tscan("A").sort(by_e)), ["sort[stable]"]);
         // So is a streaming-only plan.
-        let streaming = tscan("A").rdup().build_multiset();
-        assert_eq!(stage_roots(&streaming), ["rdup[hash]"]);
+        assert_eq!(stage_roots(tscan("A").rdup()), ["rdup[hash]"]);
     }
 
     #[test]
-    fn stage_estimates_follow_the_plan_that_was_lowered() {
-        let logical = tscan("A")
-            .rdup_t()
-            .difference_t(tscan("B").select(Expr::eq(Expr::col("E"), Expr::lit("a"))))
-            .coalesce()
-            .build_multiset();
-        let physical = lower(&logical, PlannerConfig::default()).unwrap();
-        let g = StageGraph::lower(&physical, "__q2_").unwrap();
-        let roots: Vec<_> = g.stages.iter().map(|s| s.plan.root.label()).collect();
+    fn stage_facts_follow_the_plan_that_was_lowered() {
+        let (physical, g) = stages(
+            tscan("A")
+                .rdup_t()
+                .difference_t(tscan("B").select(e_is_a()))
+                .coalesce(),
+            "__q2_",
+        );
+        let roots: Vec<_> = g.stages.iter().map(|s| root_label(&s.plan)).collect();
         assert_eq!(roots, ["rdup-t", "difference-t", "coalesce"]);
-        let mut post_order = physical.estimates.iter();
+        let mut post_order = physical.facts().iter();
         for s in &g.stages {
-            // One estimate per operator of the fragment; the real
-            // operators carry the plan's, in the plan's post-order (the
-            // stages are themselves in post-order), synthetic scans none.
-            assert_eq!(s.plan.estimates.len(), s.plan.root.size());
-            for est in s.plan.estimates.iter().filter(|e| e.is_some()) {
-                assert_eq!(est, post_order.next().unwrap());
+            // One fact per operator of the fragment; the real operators
+            // carry the plan's, in the plan's post-order (the stages are
+            // themselves in post-order), synthetic scans no estimate.
+            assert_eq!(s.plan.facts().len(), s.plan.root().size());
+            for facts in s.plan.facts().iter().filter(|f| f.rows.is_some()) {
+                assert_eq!(facts, post_order.next().unwrap());
             }
-            let synthetic = s.plan.estimates.iter().filter(|e| e.is_none()).count();
+            let synthetic = s.plan.facts().iter().filter(|f| f.rows.is_none()).count();
             assert_eq!(synthetic, s.deps.len());
         }
         assert!(post_order.next().is_none());

@@ -3,7 +3,7 @@
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -138,9 +138,10 @@ fn io_err(e: std::io::Error) -> Error {
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    let sessions: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::default();
+    let mut sessions: Vec<thread::JoinHandle<()>> = Vec::new();
     let mut next_session = 0u64;
     loop {
+        reap_ended(&mut sessions);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 counters::SERVE_CONNECTIONS.incr();
@@ -151,14 +152,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                     .name(format!("tqo-serve-session-{id}"))
                     .spawn(move || session(stream, &inner))
                     .expect("spawn session thread");
-                sessions.lock().expect("session registry").push(handle);
+                sessions.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                thread::sleep(POLL_INTERVAL);
-            }
+            // Nothing to accept (or a failed accept): re-check the flag.
             Err(_) => {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     break;
@@ -169,10 +165,24 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
     // Drain: sessions observe the flag at their next read poll and
     // return; then the shared scheduler finishes resident queries.
-    for h in sessions.lock().expect("session registry").drain(..) {
+    for h in sessions {
         let _ = h.join();
     }
     inner.scheduler.shutdown();
+}
+
+/// Join the sessions whose threads have returned: an exited thread's
+/// stack stays mapped until it is joined, so a long-lived server would
+/// otherwise keep one per connection it ever served.
+fn reap_ended(sessions: &mut Vec<thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < sessions.len() {
+        if sessions[i].is_finished() {
+            let _ = sessions.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// One connection: sequential request/response frames until EOF, a fatal

@@ -13,7 +13,6 @@ use tqo_core::relation::Relation;
 use tqo_core::stats::TableSummary;
 
 use crate::ledger::Ledger;
-use crate::stats::TableStats;
 use crate::table::Table;
 
 /// The statistics interface planners consume: per-table statistics that
@@ -27,20 +26,13 @@ use crate::table::Table;
 /// use tqo_storage::{paper, StatisticsProvider};
 ///
 /// let catalog = paper::catalog();
+/// // The summary `Scan` nodes embed for the optimizer.
 /// let stats = catalog.table_stats("EMPLOYEE").expect("cataloged");
 /// assert_eq!(stats.rows, 5);
-/// // The core-side summary is what `Scan` nodes embed for the optimizer.
-/// let summary = catalog.table_summary("EMPLOYEE").expect("cataloged");
-/// assert_eq!(summary.rows, 5);
 /// ```
 pub trait StatisticsProvider {
     /// Measured statistics for `name`, if the table exists.
-    fn table_stats(&self, name: &str) -> Option<Arc<TableStats>>;
-
-    /// The core-side summary of [`table_stats`] — what `Scan` nodes embed.
-    ///
-    /// [`table_stats`]: StatisticsProvider::table_stats
-    fn table_summary(&self, name: &str) -> Option<Arc<TableSummary>>;
+    fn table_stats(&self, name: &str) -> Option<Arc<TableSummary>>;
 
     /// Discard what is known about `name`, so the next request measures
     /// its rows in full (an escape hatch; no modification path needs it).
@@ -183,12 +175,8 @@ impl Catalog {
 }
 
 impl StatisticsProvider for Catalog {
-    fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
+    fn table_stats(&self, name: &str) -> Option<Arc<TableSummary>> {
         self.get(name).ok().map(|t| t.stats())
-    }
-
-    fn table_summary(&self, name: &str) -> Option<Arc<TableSummary>> {
-        self.get(name).ok().map(|t| t.summary())
     }
 
     fn invalidate_stats(&self, name: &str) {
@@ -284,7 +272,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&stats, &fresh));
         assert_eq!(fresh.rows, 1);
         assert!(cat.table_stats("MISSING").is_none());
-        assert!(cat.table_summary("T").is_some());
     }
 
     #[test]
@@ -294,7 +281,10 @@ mod tests {
         cat.with_table_mut("T", |t| t.insert(vec![tuple!["b", 2i64, 4i64]]))
             .unwrap();
         assert_eq!(cat.get("T").unwrap().len(), 2);
-        assert_eq!(cat.table_stats("T").unwrap().distinct("E"), Some(2));
+        assert_eq!(
+            cat.table_stats("T").unwrap().column("E").unwrap().distinct,
+            2
+        );
         // Failed mutations leave the stored table untouched.
         let before = cat.get("T").unwrap();
         assert!(cat
@@ -396,7 +386,7 @@ mod tests {
             crate::table::derive_props(table.relation()).unwrap()
         );
         assert_eq!(
-            *table.summary(),
+            *table.stats(),
             TableSummary::measure(table.relation()).unwrap()
         );
     }

@@ -6,13 +6,12 @@
 //!   *version* of each table; `Catalog::snapshot` pins them for a query.
 //! * [`table`] — one immutable version of a stored relation: tuples,
 //!   transpose, Table 2's base properties
-//!   ([`tqo_core::plan::BaseProps`]) and statistics, all describing
-//!   exactly those tuples.
+//!   ([`tqo_core::plan::BaseProps`]) and statistics
+//!   ([`tqo_core::stats::TableSummary`]), all describing exactly those
+//!   tuples.
 //! * [`mutation`] — sequenced insert/delete/update, each deriving the next
 //!   version from the tuples that moved (the private `ledger` keeps the
 //!   aggregates properties and statistics are functions of).
-//! * [`stats`] — per-table and per-column statistics feeding cardinality
-//!   estimation.
 //! * [`generator`] — seeded synthetic data generators reproducing the shape
 //!   of the paper's EMPLOYEE/PROJECT workload at any scale, with tunable
 //!   fragmentation (coalescing potential), overlap (snapshot duplicates),
@@ -25,10 +24,8 @@ pub mod generator;
 mod ledger;
 pub mod mutation;
 pub mod paper;
-pub mod stats;
 pub mod table;
 
 pub use catalog::{Catalog, StatisticsProvider};
 pub use generator::{GenConfig, WorkloadGenerator};
-pub use stats::TableStats;
 pub use table::Table;

@@ -7,12 +7,12 @@
 //! exactly the `Changeᵀ` arithmetic of `rdupᵀ`), and update rewrites only
 //! the covered fragments.
 //!
-//! Each modification is computed once, as a [`Delta`]: the next tuple list
+//! Each modification is computed once, as a delta: the next tuple list
 //! plus the tuples that left and entered. The free functions are the pure
 //! `Relation → Relation` reading of it; the [`crate::table::Table`]
-//! methods hand the same delta to [`crate::table::Table::succeed`], which
-//! derives the next version's properties and statistics from the tuples
-//! that moved instead of from the whole list.
+//! methods hand the same delta to the table, which derives the next
+//! version's properties and statistics from the tuples that moved instead
+//! of from the whole list.
 
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::Expr;
@@ -310,7 +310,14 @@ mod tests {
         use crate::catalog::{Catalog, StatisticsProvider};
         let cat = Catalog::new();
         cat.register("D", dept()).unwrap();
-        assert_eq!(cat.table_stats("D").unwrap().distinct("EmpName"), Some(2));
+        assert_eq!(
+            cat.table_stats("D")
+                .unwrap()
+                .column("EmpName")
+                .unwrap()
+                .distinct,
+            2
+        );
         cat.insert_sequenced(
             "D",
             vec![Value::Str("Mia".into()), Value::Str("Sales".into())],
@@ -318,10 +325,24 @@ mod tests {
         )
         .unwrap();
         // The next version's statistics describe the next version.
-        assert_eq!(cat.table_stats("D").unwrap().distinct("EmpName"), Some(3));
+        assert_eq!(
+            cat.table_stats("D")
+                .unwrap()
+                .column("EmpName")
+                .unwrap()
+                .distinct,
+            3
+        );
         cat.delete_sequenced("D", &is_john(), Period::of(0, 30))
             .unwrap();
-        assert_eq!(cat.table_stats("D").unwrap().distinct("EmpName"), Some(2));
+        assert_eq!(
+            cat.table_stats("D")
+                .unwrap()
+                .column("EmpName")
+                .unwrap()
+                .distinct,
+            2
+        );
         cat.update_sequenced("D", &is_john(), Period::of(2, 4), |t| Ok(t.clone()))
             .unwrap();
         assert!(cat.table_stats("D").is_some());

@@ -11,7 +11,6 @@ use tqo_core::trace::counters;
 use tqo_core::tuple::Tuple;
 
 use crate::ledger::Ledger;
-use crate::stats::TableStats;
 
 /// One version of a stored relation: the tuples (with their columnar
 /// transpose, resident in the relation's storage once built), Table 2's
@@ -21,17 +20,17 @@ use crate::stats::TableStats;
 ///
 /// The `&mut self` modifiers turn a working copy into the *next* version.
 /// They validate only the tuples that enter, and bring properties and
-/// statistics up to date from a [`Ledger`] by re-examining only the value
-/// classes those tuples belong to — with results equal to deriving both
-/// from scratch ([`derive_props`], [`TableSummary::measure`]). Statistics
-/// of a version nobody modified yet are measured in full, lazily, on first
-/// use.
+/// statistics up to date from a modification ledger by re-examining only
+/// the value classes those tuples belong to — with results equal to
+/// deriving both from scratch ([`derive_props`],
+/// [`TableSummary::measure`]). Statistics of a version nobody modified yet
+/// are measured in full, lazily, on first use.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     relation: Relation,
     props: BaseProps,
-    measured: OnceLock<(Arc<TableStats>, Arc<TableSummary>)>,
+    stats: OnceLock<Arc<TableSummary>>,
     /// Opened by the first modification and carried from each working copy
     /// to the next (the catalog parks it between modifications); never on
     /// a published version.
@@ -47,7 +46,7 @@ impl Table {
             name: name.into(),
             props: derive_props(&relation)?,
             relation,
-            measured: OnceLock::new(),
+            stats: OnceLock::new(),
             ledger: None,
         })
     }
@@ -69,40 +68,30 @@ impl Table {
     /// Base properties with the [`TableSummary`] attached — what
     /// catalog-backed scans embed so the optimizer estimates from data.
     pub fn planning_props(&self) -> BaseProps {
-        self.props.clone().with_summary(self.summary())
+        self.props.clone().with_summary(self.stats())
     }
 
-    /// This version's statistics.
-    pub fn stats(&self) -> Arc<TableStats> {
-        self.measured().0.clone()
-    }
-
-    /// The core-side summary of [`Table::stats`].
-    pub fn summary(&self) -> Arc<TableSummary> {
-        self.measured().1.clone()
-    }
-
-    fn measured(&self) -> &(Arc<TableStats>, Arc<TableSummary>) {
-        if let Some(known) = self.measured.get() {
+    /// This version's statistics, measured in full on first use unless a
+    /// modification already brought them up to date.
+    pub fn stats(&self) -> Arc<TableSummary> {
+        if let Some(known) = self.stats.get() {
             counters::STATS_CACHE_HITS.incr();
-            return known;
+            return Arc::clone(known);
         }
-        self.measured.get_or_init(|| {
+        Arc::clone(self.stats.get_or_init(|| {
             counters::STATS_CACHE_MISSES.incr();
-            let summary = TableSummary::measure(&self.relation)
-                .expect("statistics over a validated relation cannot fail");
-            (
-                Arc::new(TableStats::from_summary(&summary)),
-                Arc::new(summary),
+            Arc::new(
+                TableSummary::measure(&self.relation)
+                    .expect("statistics over a validated relation cannot fail"),
             )
-        })
+        }))
     }
 
     /// Forget this version's statistics and modification ledger, so the
     /// next request measures in full — the escape hatch behind
     /// [`crate::StatisticsProvider::invalidate_stats`].
     pub(crate) fn forget_measurements(&mut self) {
-        if self.measured.take().is_some() {
+        if self.stats.take().is_some() {
             counters::STATS_CACHE_INVALIDATIONS.incr();
         }
         self.ledger = None;
@@ -145,10 +134,7 @@ impl Table {
         let (props, summary) = ledger.describe(schema);
         self.relation = Relation::new_unchecked(schema.clone(), delta.next);
         self.props = props;
-        self.measured = OnceLock::from((
-            Arc::new(TableStats::from_summary(&summary)),
-            Arc::new(summary),
-        ));
+        self.stats = OnceLock::from(Arc::new(summary));
         self.ledger = Some(ledger);
         Ok(())
     }
@@ -220,17 +206,17 @@ mod tests {
         .unwrap();
         let mut t = Table::new("T", r).unwrap();
         assert!(
-            t.measured.get().is_none(),
+            t.stats.get().is_none(),
             "stats must not be computed eagerly"
         );
-        assert_eq!(t.stats().distinct("E"), Some(2));
+        assert_eq!(t.stats().column("E").unwrap().distinct, 2);
         // A modification carries the statistics forward: the next version
         // has them before anyone asks.
         t.insert(vec![tuple!["c", 1i64, 2i64]]).unwrap();
-        let (_, summary) = t.measured.get().expect("maintained by the insert");
+        let summary = t.stats.get().expect("maintained by the insert");
         assert_eq!(**summary, TableSummary::measure(t.relation()).unwrap());
-        assert_eq!(t.stats().distinct("E"), Some(3));
-        assert_eq!(t.summary().rows, 3);
+        assert_eq!(t.stats().column("E").unwrap().distinct, 3);
+        assert_eq!(t.stats().rows, 3);
         assert_eq!(*t.props(), derive_props(t.relation()).unwrap());
     }
 
@@ -243,7 +229,7 @@ mod tests {
         assert!(!next.props().coalesced);
         assert!(pinned.props().coalesced);
         assert_eq!(pinned.relation(), &r);
-        assert_eq!(pinned.summary().rows, 1);
+        assert_eq!(pinned.stats().rows, 1);
     }
 
     #[test]

@@ -158,13 +158,13 @@ fn assert_exact(table: &Table, oracle: &Relation, context: &str) {
         "base properties — {context}"
     );
     assert_eq!(
-        *table.summary(),
+        *table.stats(),
         TableSummary::measure(oracle).unwrap(),
         "statistics — {context}"
     );
     assert_eq!(
         table.planning_props().stats.as_deref(),
-        Some(&*table.summary()),
+        Some(&*table.stats()),
         "planning properties carry the version's summary — {context}"
     );
     let resident = table.relation().columnar().unwrap();

@@ -157,6 +157,65 @@ fn engines_agree_on_fixture_plans_over_generated_relations() {
     }
 }
 
+/// A hash join under the select it serves, on `×` and on `×ᵀ`: the
+/// product is a breaker below the root, so the scheduler runs it as a
+/// stage of its own, and that stage must still be the hash join lowering
+/// chose — with the interpreter's list as the answer and the stages the
+/// cutter made as the stages run.
+#[test]
+fn a_hash_join_cut_into_its_own_stage_stays_a_hash_join() {
+    use tqo_core::expr::Expr;
+    use tqo_core::plan::{BaseProps, PlanBuilder};
+    use tqo_exec::StageGraph;
+    use tqo_storage::{GenConfig, WorkloadGenerator};
+    let mut generator = WorkloadGenerator::new(5);
+    let mut env = tqo_core::interp::Env::new();
+    for name in ["A", "B"] {
+        let config = GenConfig {
+            classes: 12,
+            fragments_per_class: 4,
+            overlap_prob: 0.3,
+            ..GenConfig::default()
+        };
+        env.insert(name, generator.temporal(&config).unwrap());
+    }
+    let scan =
+        |name: &str| PlanBuilder::scan(name, BaseProps::measured(env.get(name).unwrap()).unwrap());
+    let by_key = Expr::eq(Expr::col("1.E"), Expr::col("2.E"));
+    for (product, label) in [
+        (scan("A").product(scan("B")), "product[HashEqui(1.E=2.E)]"),
+        (
+            scan("A").product_t(scan("B")),
+            "product-t[HashEqui(1.E=2.E)]",
+        ),
+    ] {
+        let plan = product.select(by_key.clone()).build_multiset();
+        let reference = eval_plan(&plan, &env).unwrap();
+        assert!(
+            !reference.is_empty(),
+            "{label}: the keys must match something"
+        );
+        let physical = lower(&plan, PlannerConfig::default()).unwrap();
+        let stages = StageGraph::lower(&physical, "__probe_")
+            .unwrap()
+            .stages
+            .len();
+        assert_eq!(stages, 2, "{label}: the product is a stage of its own");
+
+        let (staged, metrics) = Scheduler::global()
+            .run(&physical, &env, SubmitOptions::default())
+            .unwrap();
+        assert_eq!(staged, reference, "{label}: staged run diverges");
+        let labels: Vec<&str> = metrics.operators.iter().map(|o| o.label.as_str()).collect();
+        assert!(labels.contains(&label), "{label} missing from {labels:?}");
+        // Each stage after the first reads its input through one synthetic
+        // scan: the scheduler ran exactly the cutter's stages.
+        let synthetic = labels.iter().filter(|l| l.starts_with("scan(__q")).count();
+        assert_eq!(synthetic + 1, stages, "{labels:?}");
+        assert_eq!(labels.len(), physical.root().size() + synthetic);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

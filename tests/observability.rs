@@ -183,7 +183,7 @@ fn operator_times_are_exclusive_and_bounded_by_wall() {
         .unwrap();
     tqo_exec::analyze::check_time_invariants(&metrics, started.elapsed());
     assert!(
-        metrics.operators.len() > physical.root.size(),
+        metrics.operators.len() > physical.root().size(),
         "the plan ran in more than one stage"
     );
 }

@@ -22,17 +22,17 @@ mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::Duration;
 
 use tqo_core::context::{self, QueryContext};
 use tqo_core::error::Error;
+use tqo_core::expr::Expr;
 use tqo_core::interp::Env;
+use tqo_core::plan::{BaseProps, PlanBuilder};
 use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
 use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
-use tqo_exec::physical::{EquiKeys, PhysicalNode, ProductAlgo, ProductTAlgo};
 use tqo_exec::{
     execute_logical, execute_mode, lower, ExecMode, PhysicalPlan, PlannerConfig, Scheduler,
     SchedulerConfig, SubmitOptions,
@@ -300,20 +300,23 @@ fn keyed_rows(rows: usize, keys: i64) -> Relation {
     Relation::new(Schema::temporal(&[("K", DataType::Int)]), tuples).unwrap()
 }
 
-fn product_plan(algo: ProductAlgo) -> PhysicalPlan {
-    PhysicalPlan::new(PhysicalNode::Product {
-        left: Arc::new(PhysicalNode::Scan { name: "L".into() }),
-        right: Arc::new(PhysicalNode::Scan { name: "R".into() }),
-        algo,
-    })
-}
-
-fn product_t_plan(algo: ProductTAlgo) -> PhysicalPlan {
-    PhysicalPlan::new(PhysicalNode::ProductT {
-        left: Arc::new(PhysicalNode::Scan { name: "L".into() }),
-        right: Arc::new(PhysicalNode::Scan { name: "R".into() }),
-        algo,
-    })
+/// `L × R`, or `L ×ᵀ R` when `temporal`, over [`keyed_rows`] tables,
+/// lowered; with `by_key`, under the `σ` on `1.K = 2.K` that lowering
+/// runs the product below as a hash join for.
+fn product_plan(temporal: bool, by_key: bool) -> PhysicalPlan {
+    let scan = |name: &str| {
+        let schema = Schema::temporal(&[("K", DataType::Int)]);
+        PlanBuilder::scan(name, BaseProps::unordered(schema, 1000))
+    };
+    let mut plan = if temporal {
+        scan("L").product_t(scan("R"))
+    } else {
+        scan("L").product(scan("R"))
+    };
+    if by_key {
+        plan = plan.select(Expr::eq(Expr::col("1.K"), Expr::col("2.K")));
+    }
+    lower(&plan.build_multiset(), PlannerConfig::default()).unwrap()
 }
 
 /// `×` knows its output size before it runs, so a budget that cannot hold
@@ -327,7 +330,7 @@ fn a_product_is_denied_before_it_allocates() {
     let env = Env::new()
         .with("L", keyed_rows(n, 7))
         .with("R", keyed_rows(m, 7));
-    let plan = product_plan(ProductAlgo::NestedLoop);
+    let plan = product_plan(false, false);
     // Build the resident transposes first: they are not the product's.
     for name in ["L", "R"] {
         env.get(name).unwrap().columnar().unwrap();
@@ -374,14 +377,13 @@ fn batch_products_poll_per_left_row_and_cancel_mid_operator() {
     let env = Env::new()
         .with("L", keyed_rows(n, 7))
         .with("R", keyed_rows(m, 7));
-    let keys = EquiKeys(vec![("1.K".into(), "2.K".into())]);
     for plan in [
-        product_plan(ProductAlgo::NestedLoop),
-        product_plan(ProductAlgo::HashEqui(keys.clone())),
-        product_t_plan(ProductTAlgo::Sweep),
-        product_t_plan(ProductTAlgo::HashEqui(keys)),
+        product_plan(false, false),
+        product_plan(false, true),
+        product_plan(true, false),
+        product_plan(true, true),
     ] {
-        let label = plan.root.label();
+        let label = plan.explain();
         let (clean, _) = execute_mode(&plan, &env, ExecMode::Batch).unwrap();
 
         let watched = QueryContext::new();
@@ -889,7 +891,7 @@ fn catalog_versions_stay_exact_and_plannable_under_interleaved_mutations() {
             "step {step}: base properties"
         );
         assert_eq!(
-            *snapshot.table_summary("STAFF").unwrap(),
+            *snapshot.table_stats("STAFF").unwrap(),
             TableSummary::measure(&oracle).unwrap(),
             "step {step}: statistics"
         );
