@@ -12,7 +12,7 @@
 //! always stand in for one of a weaker type.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::error::Result;
@@ -290,12 +290,6 @@ pub fn strongest_equivalence(r1: &Relation, r2: &Relation) -> Result<Option<Equi
         }
     }
     Ok(None)
-}
-
-/// Occurrence counts per tuple — exported for tests that want to assert
-/// multiset equality with detailed diagnostics.
-pub fn multiset_view(r: &Relation) -> HashMap<&Tuple, usize> {
-    r.counts()
 }
 
 #[cfg(test)]

@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod allen;
 pub mod columnar;
 pub mod context;
 pub mod cost;

@@ -18,6 +18,11 @@ use crate::value::Value;
 
 /// Compute the output schema of an aggregation.
 pub fn aggregate_schema(input: &Schema, group_by: &[String], aggs: &[AggItem]) -> Result<Schema> {
+    if group_by.is_empty() && aggs.is_empty() {
+        return Err(Error::Plan {
+            reason: "aggregation needs groups or aggregates".into(),
+        });
+    }
     let mut attrs = Vec::with_capacity(group_by.len() + aggs.len());
     for g in group_by {
         let i = input.resolve(g)?;
@@ -40,11 +45,6 @@ pub fn aggregate_schema(input: &Schema, group_by: &[String], aggs: &[AggItem]) -
 
 /// Apply `ξ`: group by the named attributes and fold the aggregates.
 pub fn aggregate(r: &Relation, group_by: &[String], aggs: &[AggItem]) -> Result<Relation> {
-    if group_by.is_empty() && aggs.is_empty() {
-        return Err(Error::Plan {
-            reason: "aggregation needs groups or aggregates".into(),
-        });
-    }
     let out_schema = aggregate_schema(r.schema(), group_by, aggs)?;
     let key_idx: Vec<usize> = group_by
         .iter()

@@ -14,6 +14,11 @@ use crate::tuple::Tuple;
 
 /// Compute the output schema of a projection without materializing it.
 pub fn project_schema(input: &Schema, items: &[ProjItem]) -> Result<Schema> {
+    if items.is_empty() {
+        return Err(Error::Plan {
+            reason: "projection needs at least one item".into(),
+        });
+    }
     let mut attrs = Vec::with_capacity(items.len());
     for item in items {
         attrs.push(Attribute::new(
@@ -40,11 +45,6 @@ pub fn periods_passthrough(items: &[ProjItem]) -> bool {
 
 /// Apply `π`: evaluate every item against every tuple, in order.
 pub fn project(r: &Relation, items: &[ProjItem]) -> Result<Relation> {
-    if items.is_empty() {
-        return Err(Error::Plan {
-            reason: "projection needs at least one item".into(),
-        });
-    }
     let out_schema = project_schema(r.schema(), items)?;
     let mut out = Vec::with_capacity(r.len());
     for t in r.tuples() {

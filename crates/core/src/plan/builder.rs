@@ -41,11 +41,6 @@ impl PlanBuilder {
         }
     }
 
-    /// Start from an arbitrary subtree.
-    pub fn from_node(node: PlanNode) -> PlanBuilder {
-        PlanBuilder { node }
-    }
-
     /// Apply a selection (`σ`).
     pub fn select(self, predicate: Expr) -> PlanBuilder {
         PlanBuilder {

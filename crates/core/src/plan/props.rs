@@ -598,6 +598,9 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
 
         PlanNode::Sort { order, .. } => {
             let c = &child[0];
+            for key in order.keys() {
+                c.schema.resolve(&key.attr)?;
+            }
             // Special case of Table 1: when A is a prefix of Order(r), the
             // stable sort is the identity and Order(r) survives.
             let out_order = if order.is_prefix_of(&c.order) {

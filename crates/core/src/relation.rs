@@ -162,17 +162,6 @@ impl Relation {
             .get_or_init(|| build_tuples(self.body.resident()))
     }
 
-    /// Consume into the tuple list (clones when storage is shared).
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        match Arc::try_unwrap(self.body) {
-            Ok(mut body) => match body.tuples.take() {
-                Some(tuples) => tuples,
-                None => build_tuples(body.resident()),
-            },
-            Err(shared) => Relation { body: shared }.tuples().to_vec(),
-        }
-    }
-
     /// True when the two relations share the same tuple storage (the
     /// zero-copy guarantee behind cheap `Scan` clones) — and with it the
     /// same transpose.

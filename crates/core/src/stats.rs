@@ -487,14 +487,6 @@ impl DerivedStats {
         }
     }
 
-    /// True when no per-column information is available (estimates then
-    /// fall back to the paper-era constant factors).
-    pub fn is_blind(&self) -> bool {
-        self.columns
-            .iter()
-            .all(|c| c.distinct.is_none() && c.histogram.is_none())
-    }
-
     /// The column estimate for `name` under `schema`, if any.
     pub fn column<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a ColumnEstimate> {
         let i = schema.index_of(name)?;

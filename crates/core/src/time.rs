@@ -73,11 +73,6 @@ impl Period {
         self.start <= t && t < self.end
     }
 
-    /// True when `other` is fully contained in `self`.
-    pub fn contains_period(&self, other: &Period) -> bool {
-        self.start <= other.start && other.end <= self.end
-    }
-
     /// True when the two periods share at least one instant.
     pub fn overlaps(&self, other: &Period) -> bool {
         self.start < other.end && other.start < self.end

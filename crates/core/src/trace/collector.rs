@@ -218,20 +218,6 @@ pub fn json_escape(s: &str) -> String {
 }
 
 impl QueryTrace {
-    /// Total wall time covered by complete events in the root lane
-    /// (tid 0) — a cheap "how long did the traced region take" summary.
-    pub fn root_span_time(&self) -> Duration {
-        self.events
-            .iter()
-            .filter(|e| e.tid == 0)
-            .filter_map(|e| match e.ph {
-                Phase::Complete { dur } => Some(e.ts + dur),
-                Phase::Instant => None,
-            })
-            .max()
-            .unwrap_or_default()
-    }
-
     /// Render as Chrome trace-event JSON (the `traceEvents` array form).
     ///
     /// Complete spans become `"ph": "X"` events with microsecond `ts`/

@@ -32,11 +32,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Consume the tuple into its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Number of values.
     pub fn arity(&self) -> usize {
         self.values.len()

@@ -1,12 +1,17 @@
 //! The streaming operator pipeline: `open` / `next_batch` / `close`.
 //!
-//! `build` translates a lowered plan tree ([`PhysicalPlan`]) into a tree
-//! of `BatchOperator`s. Streaming operators (scan, select, project,
-//! union-all, hash `rdup`, hash `difference`, transfers) forward ~1024-row
-//! batches as they arrive; pipeline breakers materialize their inputs and
-//! call the columnar kernels. The two operators without a columnar kernel
-//! (`∪`, `∪ᵀ`) run the interpreter's own functions
-//! (`ops::{union_max, union_t}`) behind a materialize boundary.
+//! `build` translates a lowered plan ([`PhysicalPlan`]) into a tree of
+//! `BatchOperator`s. It types nothing: lowering is the only place a plan
+//! is typed and checked, and every output and input schema the engine
+//! uses is the node's [`NodeFacts`] schema. The one thing lowering cannot
+//! know — what a scanned name is bound to at run time — is checked at the
+//! scan. Streaming operators (scan, select, project, union-all, hash
+//! `rdup`, hash `difference`, transfers) forward ~1024-row batches as they
+//! arrive; a pipeline breaker (`is_breaker`, the same set the stage
+//! cutter cuts at) materializes its inputs and runs its own plan node's
+//! columnar kernel. The two breakers without a columnar kernel (`∪`,
+//! `∪ᵀ`) run the interpreter's own functions (`ops::{union_max,
+//! union_t}`).
 //!
 //! Every operator is wrapped in a `Metered` shell that accumulates
 //! inclusive wall-clock time, output rows, and batch counts into a shared
@@ -21,7 +26,7 @@ use std::time::{Duration, Instant};
 use tqo_core::columnar::ColumnarRelation;
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
-use tqo_core::expr::{AggItem, Expr, ProjItem};
+use tqo_core::expr::{Expr, ProjItem};
 use tqo_core::interp::Env;
 use tqo_core::ops;
 use tqo_core::plan::{EquiKeys, PlanNode};
@@ -41,8 +46,6 @@ use super::{concat, Batch, BATCH_SIZE};
 
 /// A pull-based operator producing column-major batches.
 pub(crate) trait BatchOperator {
-    /// Output schema, known before any batch is produced.
-    fn out_schema(&self) -> Arc<Schema>;
     /// Prepare: open children, build blocking state.
     fn open(&mut self) -> Result<()>;
     /// The next non-empty batch, or `None` when exhausted.
@@ -52,6 +55,26 @@ pub(crate) trait BatchOperator {
 }
 
 type BoxOp = Box<dyn BatchOperator>;
+
+/// Pipeline breakers: operators that fully materialize their output
+/// before anything downstream can consume a row. The pipeline runs them
+/// as [`BlockingOp`]s, and [`crate::parallel::StageGraph`] cuts plans at
+/// them — the only places a plan can be cut for free.
+pub(crate) fn is_breaker(node: &PlanNode) -> bool {
+    matches!(
+        node,
+        PlanNode::Sort { .. }
+            | PlanNode::Aggregate { .. }
+            | PlanNode::AggregateT { .. }
+            | PlanNode::Product { .. }
+            | PlanNode::ProductT { .. }
+            | PlanNode::DifferenceT { .. }
+            | PlanNode::RdupT { .. }
+            | PlanNode::UnionMax { .. }
+            | PlanNode::UnionT { .. }
+            | PlanNode::Coalesce { .. }
+    )
+}
 
 // ---------------------------------------------------------------------------
 // Metrics plumbing
@@ -84,10 +107,6 @@ struct Metered {
 }
 
 impl BatchOperator for Metered {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.inner.out_schema()
-    }
-
     fn open(&mut self) -> Result<()> {
         // Governance checkpoint: blocking operators do real work in open.
         context::check_current()?;
@@ -140,10 +159,6 @@ struct ScanOp {
 }
 
 impl BatchOperator for ScanOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.table.schema().clone()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
         Ok(())
@@ -179,10 +194,6 @@ fn row_tuple(batch: &Batch, phys: usize) -> Tuple {
 }
 
 impl BatchOperator for FilterOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.schema.clone()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.child.open()
     }
@@ -228,10 +239,6 @@ struct LimitOp {
 }
 
 impl BatchOperator for LimitOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.child.out_schema()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.skipped = 0;
         self.emitted = 0;
@@ -283,6 +290,7 @@ impl BatchOperator for LimitOp {
 struct ProjectOp {
     child: BoxOp,
     items: Vec<ProjItem>,
+    child_schema: Arc<Schema>,
     out_schema: Arc<Schema>,
     /// Column index per item when every item is a plain reference.
     col_refs: Option<Vec<usize>>,
@@ -308,10 +316,6 @@ impl ProjectOp {
 }
 
 impl BatchOperator for ProjectOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.out_schema.clone()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.child.open()
     }
@@ -327,22 +331,16 @@ impl BatchOperator for ProjectOp {
                 // items in order) exactly as `ops::project` does, so a plan
                 // with several fallible items surfaces the interpreter's
                 // first error.
-                let child_schema = self.child.out_schema();
                 let mut columns: Vec<tqo_core::columnar::Column> = self
-                    .items
+                    .out_schema
+                    .attrs()
                     .iter()
-                    .enumerate()
-                    .map(|(k, _)| {
-                        tqo_core::columnar::Column::with_capacity(
-                            self.out_schema.attr(k).dtype,
-                            batch.num_rows(),
-                        )
-                    })
+                    .map(|a| tqo_core::columnar::Column::with_capacity(a.dtype, batch.num_rows()))
                     .collect();
                 for i in batch.rows() {
                     let t = row_tuple(&batch, i);
                     for (k, item) in self.items.iter().enumerate() {
-                        columns[k].push(&item.expr.eval(&child_schema, &t)?)?;
+                        columns[k].push(&item.expr.eval(&self.child_schema, &t)?)?;
                     }
                 }
                 Batch::from_columns(
@@ -371,10 +369,6 @@ struct UnionAllOp {
 }
 
 impl BatchOperator for UnionAllOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.schema.clone()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.on_right = false;
         self.left.open()?;
@@ -429,14 +423,7 @@ impl RdupOp {
 }
 
 impl BatchOperator for RdupOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.out_schema.clone()
-    }
-
     fn open(&mut self) -> Result<()> {
-        self.table = RowTable::default();
-        self.store = KeyStore::for_keys(&self.child.out_schema(), &self.key_idx);
-        self.reserved = None;
         self.child.open()
     }
 
@@ -533,16 +520,9 @@ struct DifferenceOp {
 }
 
 impl BatchOperator for DifferenceOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.out_schema.clone()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        self.table = RowTable::default();
-        self.store = KeyStore::for_keys(&self.right.out_schema(), &self.key_idx);
-        self.reserved = None;
         while let Some(batch) = self.right.next_batch()? {
             let cols = batch.columns();
             let hashes = super::hash::hash_batch(&batch, &self.key_idx);
@@ -610,10 +590,6 @@ struct TransferOp {
 }
 
 impl BatchOperator for TransferOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.child.out_schema()
-    }
-
     fn open(&mut self) -> Result<()> {
         self.child.open()
     }
@@ -631,34 +607,14 @@ impl BatchOperator for TransferOp {
 // Pipeline breakers
 // ---------------------------------------------------------------------------
 
-/// What a blocking operator computes once its inputs are materialized.
-enum BlockKind {
-    /// Stable sort; emits selection views over the materialized input.
-    Sort(Order),
-    Aggregate {
-        group_by: Vec<String>,
-        aggs: Vec<AggItem>,
-    },
-    AggregateT {
-        group_by: Vec<String>,
-        aggs: Vec<AggItem>,
-    },
-    Product,
-    ProductHashEqui(EquiKeys),
-    ProductT,
-    ProductTHashEqui(EquiKeys),
-    DifferenceT,
-    RdupT,
-    Coalesce,
-    /// `∪` and `∪ᵀ` have no columnar kernel: they materialize to row
-    /// layout and run the interpreter's function.
-    UnionMax,
-    UnionT,
-}
-
+/// A pipeline breaker: drains its children, then runs its plan node's
+/// kernel once over the materialized inputs.
 struct BlockingOp {
+    node: Arc<PlanNode>,
+    /// The hash-join keys lowering chose for a `×` / `×ᵀ`.
+    keys: Option<EquiKeys>,
     children: Vec<BoxOp>,
-    kind: BlockKind,
+    in_schemas: Vec<Arc<Schema>>,
     out_schema: Arc<Schema>,
     out: Option<ColumnarRelation>,
     /// For `Sort`: the permutation, emitted chunk-wise as selections.
@@ -678,12 +634,6 @@ fn drain_batches(child: &mut BoxOp) -> Result<Vec<Batch>> {
     Ok(batches)
 }
 
-fn drain(child: &mut BoxOp) -> Result<ColumnarRelation> {
-    let schema = child.out_schema();
-    let batches = drain_batches(child)?;
-    Ok(concat(schema, &batches))
-}
-
 /// Strictly ascending physical ids — the stream order of every selection
 /// a scan/filter pipeline produces, and the order the fused sort relies
 /// on for stability (id tie-break == stream order).
@@ -701,9 +651,8 @@ impl BlockingOp {
     /// is ever built, so the budget is charged for what is actually
     /// allocated: the prefix buffer and the permutation.
     fn compute_sort(&mut self, order: &Order) -> Result<()> {
-        let child = &mut self.children[0];
-        let schema = child.out_schema();
-        let batches = drain_batches(child)?;
+        let schema = self.in_schemas[0].clone();
+        let batches = drain_batches(&mut self.children[0])?;
         if let Some((columns, sel)) = super::shared_selection(&batches) {
             if sel.as_deref().is_none_or(is_ascending) {
                 let input = ColumnarRelation::new(schema, columns);
@@ -734,41 +683,27 @@ impl BlockingOp {
     }
 
     fn compute(&mut self) -> Result<()> {
-        if let BlockKind::Sort(order) = &self.kind {
-            let order = order.clone();
-            return self.compute_sort(&order);
+        let node = Arc::clone(&self.node);
+        if let PlanNode::Sort { order, .. } = &*node {
+            return self.compute_sort(order);
         }
         let mut inputs = Vec::with_capacity(self.children.len());
-        for c in &mut self.children {
-            inputs.push(drain(c)?);
+        for (c, schema) in self.children.iter_mut().zip(&self.in_schemas) {
+            inputs.push(concat(schema.clone(), &drain_batches(c)?));
         }
         // Charge the materialized inputs for the duration of the kernel;
         // released when `inputs` goes out of scope.
         let _inputs_reserved =
             context::reserve_current(inputs.iter().map(ColumnarRelation::approx_bytes).sum())?;
-        match &self.kind {
-            BlockKind::Sort(_) => unreachable!("handled by compute_sort"),
-            BlockKind::Aggregate { group_by, aggs } => {
-                let input = inputs.pop().expect("aggregate has one child");
-                self.out = Some(kernels::aggregate(
-                    &input,
-                    group_by,
-                    aggs,
-                    self.out_schema.clone(),
-                )?);
+        let schema = self.out_schema.clone();
+        let out = match (&*node, &self.keys, inputs.as_slice()) {
+            (PlanNode::Aggregate { group_by, aggs, .. }, _, [input]) => {
+                kernels::aggregate(input, group_by, aggs, schema)?
             }
-            BlockKind::AggregateT { group_by, aggs } => {
-                let input = inputs.pop().expect("unary");
-                self.out = Some(kernels::aggregate_t(
-                    &input,
-                    group_by,
-                    aggs,
-                    self.out_schema.clone(),
-                )?);
+            (PlanNode::AggregateT { group_by, aggs, .. }, _, [input]) => {
+                kernels::aggregate_t(input, group_by, aggs, schema)?
             }
-            BlockKind::Product => {
-                let right = inputs.pop().expect("binary");
-                let left = inputs.pop().expect("binary");
+            (PlanNode::Product { .. }, None, [left, right]) => {
                 // The one breaker whose output size is known before it
                 // runs: the budget gets its say before the allocation.
                 self.reserved = context::reserve_current(kernels::product_bytes(
@@ -777,68 +712,35 @@ impl BlockingOp {
                     right.approx_bytes(),
                     right.rows(),
                 ))?;
-                self.out = Some(kernels::product(&left, &right, self.out_schema.clone())?);
+                kernels::product(left, right, schema)?
             }
-            BlockKind::ProductHashEqui(keys) => {
-                let right = inputs.pop().expect("binary");
-                let left = inputs.pop().expect("binary");
-                self.out = Some(kernels::product_hash_equi(
-                    &left,
-                    &right,
-                    keys,
-                    self.out_schema.clone(),
-                )?);
+            (PlanNode::Product { .. }, Some(keys), [left, right]) => {
+                kernels::product_hash_equi(left, right, keys, schema)?
             }
-            BlockKind::ProductTHashEqui(keys) => {
-                let right = inputs.pop().expect("binary");
-                let left = inputs.pop().expect("binary");
-                self.out = Some(kernels::product_t_hash_equi(
-                    &left,
-                    &right,
-                    keys,
-                    self.out_schema.clone(),
-                )?);
+            (PlanNode::ProductT { .. }, None, [left, right]) => {
+                kernels::product_t_sweep(left, right, schema)?
             }
-            BlockKind::ProductT => {
-                let right = inputs.pop().expect("binary");
-                let left = inputs.pop().expect("binary");
-                self.out = Some(kernels::product_t_sweep(
-                    &left,
-                    &right,
-                    self.out_schema.clone(),
-                )?);
+            (PlanNode::ProductT { .. }, Some(keys), [left, right]) => {
+                kernels::product_t_hash_equi(left, right, keys, schema)?
             }
-            BlockKind::DifferenceT => {
-                let right = inputs.pop().expect("binary");
-                let left = inputs.pop().expect("binary");
-                self.out = Some(kernels::difference_t(
-                    &left,
-                    &right,
-                    self.out_schema.clone(),
-                )?);
+            (PlanNode::DifferenceT { .. }, _, [left, right]) => {
+                kernels::difference_t(left, right, schema)?
             }
-            BlockKind::RdupT => {
-                let input = inputs.pop().expect("unary");
-                self.out = Some(kernels::rdup_t(&input)?);
-            }
-            BlockKind::Coalesce => {
-                let input = inputs.pop().expect("unary");
-                self.out = Some(kernels::coalesce(&input)?);
-            }
-            BlockKind::UnionMax | BlockKind::UnionT => {
-                let right = inputs.pop().expect("binary").to_relation();
-                let left = inputs.pop().expect("binary").to_relation();
-                let result = match self.kind {
-                    BlockKind::UnionMax => ops::union_max(&left, &right)?,
-                    _ => ops::union_t(&left, &right)?,
-                };
-                self.out = Some(ColumnarRelation::from_relation(&result)?);
-            }
-        }
+            (PlanNode::RdupT { .. }, _, [input]) => kernels::rdup_t(input)?,
+            (PlanNode::Coalesce { .. }, _, [input]) => kernels::coalesce(input)?,
+            (PlanNode::UnionMax { .. }, _, [left, right]) => ColumnarRelation::from_relation(
+                &ops::union_max(&left.to_relation(), &right.to_relation())?,
+            )?,
+            (PlanNode::UnionT { .. }, _, [left, right]) => ColumnarRelation::from_relation(
+                &ops::union_t(&left.to_relation(), &right.to_relation())?,
+            )?,
+            (node, ..) => unreachable!("`{}` is not a breaker", node.op_name()),
+        };
         // Charge the materialized output until close releases it: `×`
         // charged its own up front and is resized to what it built, every
         // other breaker is charged now.
-        let bytes = self.out.as_ref().map_or(0, ColumnarRelation::approx_bytes);
+        let bytes = out.approx_bytes();
+        self.out = Some(out);
         self.reserved = match self.reserved.take() {
             Some(mut reserved) => {
                 reserved.grow_to(bytes)?;
@@ -851,10 +753,6 @@ impl BlockingOp {
 }
 
 impl BatchOperator for BlockingOp {
-    fn out_schema(&self) -> Arc<Schema> {
-        self.out_schema.clone()
-    }
-
     fn open(&mut self) -> Result<()> {
         for c in &mut self.children {
             c.open()?;
@@ -894,199 +792,104 @@ impl BatchOperator for BlockingOp {
 // Plan translation
 // ---------------------------------------------------------------------------
 
-fn demoted(schema: &Schema) -> Arc<Schema> {
-    if schema.is_temporal() {
-        Arc::new(schema.demote_time_attrs())
-    } else {
-        Arc::new(schema.clone())
-    }
-}
-
-fn require_temporal(schema: &Schema, context: &'static str) -> Result<()> {
-    if schema.is_temporal() {
-        Ok(())
-    } else {
-        Err(Error::NotTemporal { context })
-    }
-}
-
-fn metered(op: BoxOp, id: usize, sink: &SharedSink) -> BoxOp {
-    Box::new(Metered {
-        inner: op,
-        id,
-        sink: sink.clone(),
-    })
-}
-
-fn blocking(children: Vec<BoxOp>, kind: BlockKind, out_schema: Arc<Schema>) -> BoxOp {
-    Box::new(BlockingOp {
-        children,
-        kind,
-        out_schema,
-        out: None,
-        perm: None,
-        pos: 0,
-        reserved: None,
-    })
-}
-
 /// Build the operator tree for a plan node. Returns the (metered)
 /// operator and its node id; ids are assigned post-order, so a node's id
-/// indexes the plan's post-order `facts` and the metrics
-/// sequence is the plan's post-order.
+/// indexes the plan's post-order `facts` and the metrics sequence is the
+/// plan's post-order. Every schema comes from the facts.
 fn build(
-    node: &PlanNode,
+    node: &Arc<PlanNode>,
     facts: &[NodeFacts],
     env: &Env,
     sink: &SharedSink,
 ) -> Result<(BoxOp, usize)> {
-    let mut child_ops = Vec::new();
+    let mut children = Vec::new();
     let mut child_ids = Vec::new();
     for c in node.children() {
         let (op, id) = build(c, facts, env, sink)?;
-        child_ops.push(op);
+        children.push(op);
         child_ids.push(id);
     }
     let id = sink.borrow().nodes.len();
     let own = &facts[id];
-    let mut kids = child_ops.into_iter();
+    let in_schemas: Vec<Arc<Schema>> = child_ids.iter().map(|&c| facts[c].schema.clone()).collect();
+    let all_columns = || (0..own.schema.arity()).collect();
+    let mut kids = children.into_iter();
     let mut next = || kids.next().expect("child built");
 
-    let op: BoxOp = match node {
-        PlanNode::Scan { name, .. } => Box::new(ScanOp {
-            table: env.get(name)?.columnar()?,
+    let op: BoxOp = match &**node {
+        _ if is_breaker(node) => Box::new(BlockingOp {
+            node: Arc::clone(node),
+            keys: own.keys.clone(),
+            children: kids.collect(),
+            in_schemas,
+            out_schema: own.schema.clone(),
+            out: None,
+            perm: None,
             pos: 0,
+            reserved: None,
         }),
-        PlanNode::Select { predicate, .. } => {
-            let child = next();
-            let schema = child.out_schema();
-            let compiled = exprs::compile(predicate, &schema);
-            Box::new(FilterOp {
-                child,
-                predicate: predicate.clone(),
-                compiled,
-                schema,
-            })
-        }
-        PlanNode::Project { items, .. } => {
-            let child = next();
-            if items.is_empty() {
+        PlanNode::Scan { name, .. } => {
+            // Lowering typed the plan against the scan's declared schema;
+            // the name may be bound to something else at run time.
+            let table = env.get(name)?.columnar()?;
+            if !table.schema().union_compatible(&own.schema) {
                 return Err(Error::Plan {
-                    reason: "projection needs at least one item".into(),
+                    reason: format!(
+                        "scan of `{name}` declares ({}) but the bound relation has ({})",
+                        own.schema,
+                        table.schema()
+                    ),
                 });
             }
-            let child_schema = child.out_schema();
-            let out_schema = Arc::new(ops::project::project_schema(&child_schema, items)?);
-            let col_refs: Option<Vec<usize>> = items
+            Box::new(ScanOp { table, pos: 0 })
+        }
+        PlanNode::Select { predicate, .. } => Box::new(FilterOp {
+            child: next(),
+            predicate: predicate.clone(),
+            compiled: exprs::compile(predicate, &in_schemas[0]),
+            schema: in_schemas[0].clone(),
+        }),
+        PlanNode::Project { items, .. } => {
+            let child_schema = in_schemas[0].clone();
+            let col_refs = items
                 .iter()
                 .map(|item| match &item.expr {
                     Expr::Col(name) => child_schema.index_of(name),
                     _ => None,
                 })
                 .collect();
-            let validate = out_schema.is_temporal() && !ops::project::periods_passthrough(items);
             Box::new(ProjectOp {
-                child,
+                child: next(),
                 items: items.clone(),
-                out_schema,
+                child_schema,
+                out_schema: own.schema.clone(),
                 col_refs,
-                validate,
+                validate: own.schema.is_temporal() && !ops::project::periods_passthrough(items),
             })
         }
-        PlanNode::UnionAll { .. } => {
-            let left = next();
-            let right = next();
-            left.out_schema()
-                .check_union_compatible(&right.out_schema(), "union ALL")?;
-            let schema = left.out_schema();
-            Box::new(UnionAllOp {
-                left,
-                right,
-                schema,
-                on_right: false,
-            })
-        }
-        PlanNode::Product { .. } => {
-            let left = next();
-            let right = next();
-            let out = Arc::new(ops::product::product_schema(
-                &left.out_schema(),
-                &right.out_schema(),
-            )?);
-            let kind = match &own.keys {
-                None => BlockKind::Product,
-                Some(keys) => BlockKind::ProductHashEqui(keys.clone()),
-            };
-            blocking(vec![left, right], kind, out)
-        }
-        PlanNode::Difference { .. } => {
-            let left = next();
-            let right = next();
-            let ls = left.out_schema();
-            ls.check_union_compatible(&right.out_schema(), "difference")?;
-            let key_idx = (0..ls.arity()).collect();
-            let out_schema = demoted(&ls);
-            Box::new(DifferenceOp {
-                left,
-                right,
-                out_schema,
-                key_idx,
-                table: RowTable::default(),
-                store: KeyStore::for_keys(&Schema::default(), &[]),
-                reserved: None,
-            })
-        }
-        PlanNode::Aggregate { group_by, aggs, .. } => {
-            let child = next();
-            let out = Arc::new(ops::aggregate::aggregate_schema(
-                &child.out_schema(),
-                group_by,
-                aggs,
-            )?);
-            if group_by.is_empty() && aggs.is_empty() {
-                return Err(Error::Plan {
-                    reason: "aggregation needs groups or aggregates".into(),
-                });
-            }
-            blocking(
-                vec![child],
-                BlockKind::Aggregate {
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                },
-                out,
-            )
-        }
-        PlanNode::Rdup { .. } => {
-            let child = next();
-            let schema = child.out_schema();
-            let key_idx = (0..schema.arity()).collect();
-            let out_schema = demoted(&schema);
-            Box::new(RdupOp {
-                child,
-                out_schema,
-                key_idx,
-                table: RowTable::default(),
-                store: KeyStore::for_keys(&Schema::default(), &[]),
-                reserved: None,
-            })
-        }
-        PlanNode::UnionMax { .. } => {
-            let left = next();
-            let right = next();
-            let ls = left.out_schema();
-            ls.check_union_compatible(&right.out_schema(), "union")?;
-            let out = demoted(&ls);
-            blocking(vec![left, right], BlockKind::UnionMax, out)
-        }
-        PlanNode::Sort { order, .. } => {
-            let child = next();
-            let schema = child.out_schema();
-            for key in order.keys() {
-                schema.resolve(&key.attr)?;
-            }
-            blocking(vec![child], BlockKind::Sort(order.clone()), schema)
-        }
+        PlanNode::UnionAll { .. } => Box::new(UnionAllOp {
+            left: next(),
+            right: next(),
+            schema: own.schema.clone(),
+            on_right: false,
+        }),
+        PlanNode::Difference { .. } => Box::new(DifferenceOp {
+            left: next(),
+            right: next(),
+            out_schema: own.schema.clone(),
+            key_idx: all_columns(),
+            table: RowTable::default(),
+            store: KeyStore::for_keys(&in_schemas[1], &all_columns()),
+            reserved: None,
+        }),
+        PlanNode::Rdup { .. } => Box::new(RdupOp {
+            child: next(),
+            out_schema: own.schema.clone(),
+            key_idx: all_columns(),
+            table: RowTable::default(),
+            store: KeyStore::for_keys(&in_schemas[0], &all_columns()),
+            reserved: None,
+        }),
         PlanNode::Limit { limit, offset, .. } => Box::new(LimitOp {
             child: next(),
             limit: *limit,
@@ -1094,67 +897,10 @@ fn build(
             skipped: 0,
             emitted: 0,
         }),
-        PlanNode::ProductT { .. } => {
-            let left = next();
-            let right = next();
-            let out = Arc::new(ops::temporal::product_t::product_t_schema(
-                &left.out_schema(),
-                &right.out_schema(),
-            )?);
-            let kind = match &own.keys {
-                None => BlockKind::ProductT,
-                Some(keys) => BlockKind::ProductTHashEqui(keys.clone()),
-            };
-            blocking(vec![left, right], kind, out)
-        }
-        PlanNode::DifferenceT { .. } => {
-            let left = next();
-            let right = next();
-            let ls = left.out_schema();
-            require_temporal(&ls, "temporal difference")?;
-            require_temporal(&right.out_schema(), "temporal difference")?;
-            blocking(vec![left, right], BlockKind::DifferenceT, ls)
-        }
-        PlanNode::AggregateT { group_by, aggs, .. } => {
-            let child = next();
-            let out = Arc::new(ops::temporal::aggregate_t::aggregate_t_schema(
-                &child.out_schema(),
-                group_by,
-                aggs,
-            )?);
-            blocking(
-                vec![child],
-                BlockKind::AggregateT {
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                },
-                out,
-            )
-        }
-        PlanNode::RdupT { .. } => {
-            let child = next();
-            let schema = child.out_schema();
-            require_temporal(&schema, "temporal duplicate elimination")?;
-            blocking(vec![child], BlockKind::RdupT, schema)
-        }
-        PlanNode::UnionT { .. } => {
-            let left = next();
-            let right = next();
-            let ls = left.out_schema();
-            require_temporal(&ls, "temporal union")?;
-            require_temporal(&right.out_schema(), "temporal union")?;
-            ls.check_union_compatible(&right.out_schema(), "temporal union")?;
-            blocking(vec![left, right], BlockKind::UnionT, ls)
-        }
-        PlanNode::Coalesce { .. } => {
-            let child = next();
-            let schema = child.out_schema();
-            require_temporal(&schema, "coalescing")?;
-            blocking(vec![child], BlockKind::Coalesce, schema)
-        }
         PlanNode::TransferS { .. } | PlanNode::TransferD { .. } => {
             Box::new(TransferOp { child: next() })
         }
+        _ => unreachable!("every breaker is built by the arm above"),
     };
     sink.borrow_mut().nodes.push(NodeStats {
         label: label(node, own),
@@ -1162,7 +908,14 @@ fn build(
         children: child_ids,
         ..NodeStats::default()
     });
-    Ok((metered(op, id, sink), id))
+    Ok((
+        Box::new(Metered {
+            inner: op,
+            id,
+            sink: sink.clone(),
+        }),
+        id,
+    ))
 }
 
 /// Execute a lowered plan through the batch pipeline. Every operator
@@ -1170,9 +923,8 @@ fn build(
 pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMetrics)> {
     let _span = trace::span(Category::Exec, "batch.pipeline");
     let sink: SharedSink = Rc::new(RefCell::new(Sink::default()));
-    let (mut root, _) = build(plan.root(), plan.facts(), env, &sink)?;
+    let (mut root, root_id) = build(plan.root(), plan.facts(), env, &sink)?;
     root.open()?;
-    let schema = root.out_schema();
     let mut batches = Vec::new();
     while let Some(b) = root.next_batch()? {
         if !b.is_empty() {
@@ -1187,7 +939,7 @@ pub fn execute_batch(plan: &PhysicalPlan, env: &Env) -> Result<(Relation, ExecMe
     // this output reads these columns, not a rebuild. The budget is
     // charged for a compaction the sink allocates, the last allocation it
     // can deny.
-    let columnar = concat(schema, &batches);
+    let columnar = concat(plan.facts()[root_id].schema.clone(), &batches);
     if !super::tiles_shared_columns(&batches) {
         context::reserve_current(columnar.approx_bytes())?;
     }
@@ -1251,6 +1003,27 @@ mod tests {
         assert_eq!(metrics.operators.len(), 1);
         assert_eq!(metrics.operators[0].batches, 3); // 1024 + 1024 + 452
         assert_eq!(metrics.operators[0].rows_out, 2500);
+    }
+
+    #[test]
+    fn a_scan_whose_declared_schema_is_not_its_bindings_fails_typed() {
+        // `R` is bound to a temporal relation; the plan declares a
+        // snapshot one, so every fact above the scan would be wrong.
+        let e = env();
+        let declared = Schema::of(&[("E", DataType::Str)]);
+        let logical = PlanBuilder::scan("R", BaseProps::unordered(declared, 2500))
+            .rdup()
+            .build_multiset();
+        let p = lower(&logical, PlannerConfig::default()).unwrap();
+        let direct = crate::executor::execute_mode(&p, &e, crate::ExecMode::Batch);
+        assert!(matches!(direct, Err(Error::Plan { .. })), "{direct:?}");
+        let sched = crate::Scheduler::new(crate::SchedulerConfig {
+            workers: 1,
+            max_queries: 2,
+        });
+        let staged = sched.run(&p, &e, crate::SubmitOptions::default());
+        assert!(matches!(staged, Err(Error::Plan { .. })), "{staged:?}");
+        sched.shutdown();
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use tqo_core::error::Result;
 use tqo_core::plan::{BaseProps, PlanNode};
 
+use crate::batch::pipeline::is_breaker;
 use crate::physical::{NodeFacts, PhysicalPlan};
 
 /// One breaker-bounded fragment of a lowered plan, executable as soon
@@ -52,25 +53,6 @@ pub struct StageGraph {
     /// Breaker-bounded fragments, dependencies before dependents.
     pub stages: Vec<Stage>,
     prefix: String,
-}
-
-/// Pipeline breakers: operators that fully materialize their output
-/// before anything downstream can consume a row — the only places a
-/// plan can be cut for free.
-fn is_breaker(node: &PlanNode) -> bool {
-    matches!(
-        node,
-        PlanNode::Sort { .. }
-            | PlanNode::Aggregate { .. }
-            | PlanNode::AggregateT { .. }
-            | PlanNode::Product { .. }
-            | PlanNode::ProductT { .. }
-            | PlanNode::DifferenceT { .. }
-            | PlanNode::RdupT { .. }
-            | PlanNode::UnionMax { .. }
-            | PlanNode::UnionT { .. }
-            | PlanNode::Coalesce { .. }
-    )
 }
 
 /// A fragment under construction: the rewritten node, the stages it

@@ -200,6 +200,73 @@ mod tests {
         PlanBuilder::scan(name, BaseProps::unordered(s, 100))
     }
 
+    #[test]
+    fn lowering_refuses_every_ill_typed_plan() {
+        use std::mem::discriminant;
+        use tqo_core::error::Error;
+        let snapshot = || {
+            let s = Schema::of(&[("E", DataType::Str)]);
+            PlanBuilder::scan("S", BaseProps::unordered(s, 100))
+        };
+        let unknown = Error::UnknownAttribute {
+            name: String::new(),
+            schema: String::new(),
+        };
+        let plan = Error::Plan {
+            reason: String::new(),
+        };
+        let not_temporal = Error::NotTemporal { context: "" };
+        let mismatch = Error::SchemaMismatch {
+            left: String::new(),
+            right: String::new(),
+            context: "",
+        };
+        let cases = [
+            (
+                "sort on a missing key",
+                tscan("R").sort(Order::asc(&["X"])),
+                &unknown,
+            ),
+            ("empty π", tscan("R").project(Vec::new()), &plan),
+            (
+                "ξ without groups or aggregates",
+                tscan("R").aggregate(Vec::new(), Vec::new()),
+                &plan,
+            ),
+            ("rdupᵀ of a snapshot", snapshot().rdup_t(), &not_temporal),
+            ("coalᵀ of a snapshot", snapshot().coalesce(), &not_temporal),
+            (
+                "\\ᵀ of snapshots",
+                snapshot().difference_t(snapshot()),
+                &not_temporal,
+            ),
+            (
+                "∪ᵀ of snapshots",
+                snapshot().union_t(snapshot()),
+                &not_temporal,
+            ),
+            (
+                "incompatible ⊔",
+                snapshot().union_all(join_scan("B")),
+                &mismatch,
+            ),
+            (
+                "incompatible ∪",
+                snapshot().union_max(join_scan("B")),
+                &mismatch,
+            ),
+            (
+                "incompatible \\",
+                snapshot().difference(join_scan("B")),
+                &mismatch,
+            ),
+        ];
+        for (what, plan, expected) in cases {
+            let err = lower(&plan.build_multiset(), PlannerConfig::default()).expect_err(what);
+            assert_eq!(discriminant(&err), discriminant(expected), "{what}: {err}");
+        }
+    }
+
     fn lowered(plan: &LogicalPlan) -> String {
         lower(plan, PlannerConfig::default()).unwrap().explain()
     }

@@ -75,8 +75,14 @@ struct Inner {
 /// accepting. Queries execute through the server's own multi-query
 /// [`Scheduler`]; mutations go through the catalog's sequenced
 /// primitives. Results are byte-identical to serial single-query runs
-/// (ARCHITECTURE invariant 16).
+/// (ARCHITECTURE invariant 16). A scheduler without workers runs no
+/// query, so `workers: 0` is refused.
 pub fn serve(catalog: Catalog, config: ServerConfig) -> Result<Server> {
+    if config.scheduler.workers == 0 {
+        return Err(Error::Unsupported {
+            construct: "a server whose scheduler has no worker to run its queries".into(),
+        });
+    }
     let listener = TcpListener::bind(&config.addr).map_err(io_err)?;
     listener.set_nonblocking(true).map_err(io_err)?;
     let addr = listener.local_addr().map_err(io_err)?;

@@ -128,13 +128,6 @@ impl Stratum {
         self
     }
 
-    /// Override the optimizer's cost model (e.g. measured transfer costs
-    /// for a real DBMS connection).
-    pub fn with_cost_model(mut self, model: tqo_core::cost::CostModel) -> Stratum {
-        self.optimizer.cost_model = model;
-        self
-    }
-
     pub fn dbms(&self) -> &SimulatedDbms {
         &self.dbms
     }

@@ -1,13 +1,18 @@
 //! A server that has served many short sessions holds on to none of their
 //! threads. A session thread that returned but was never joined keeps its
 //! stack mapped, so address space would grow by about one stack per
-//! connection ever served. This file holds one test, so it runs in a
-//! process of its own and no sibling test's threads share the address
-//! space it measures.
+//! connection ever served. That test runs in a process of its own, so no
+//! other suite's threads share the address space it measures. Its one
+//! sibling here starts no server thread, and the two never run at once
+//! (`ONE_AT_A_TIME`): a thread that first allocates while the address
+//! space is being measured can map a fresh allocator arena (64 MiB with
+//! glibc), which reads as leaked session stacks.
 
 use tqo_exec::SchedulerConfig;
 use tqo_serve::{serve, Client, ServerConfig};
 use tqo_storage::paper;
+
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The process's virtual memory size in KiB (`VmSize` in
 /// `/proc/self/status`), or `None` where procfs does not provide it.
@@ -26,6 +31,7 @@ fn connect_ping_close(addr: std::net::SocketAddr, cycles: usize) {
 
 #[test]
 fn closed_sessions_release_their_threads() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut server = serve(
         paper::catalog(),
         ServerConfig {
@@ -55,4 +61,22 @@ fn closed_sessions_release_their_threads() {
         grown_mib < 64,
         "address space grew {grown_mib} MiB over 200 closed sessions ({before} → {after} KiB)"
     );
+}
+
+#[test]
+fn a_server_without_workers_is_refused() {
+    // With no worker no query would ever run: every `QueryHandle::wait`
+    // would block, and `Server::stop` would wait on that session forever.
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let refused = serve(
+        paper::catalog(),
+        ServerConfig {
+            scheduler: SchedulerConfig {
+                workers: 0,
+                max_queries: 4,
+            },
+            ..ServerConfig::default()
+        },
+    );
+    assert!(matches!(refused, Err(tqo_core::Error::Unsupported { .. })));
 }
