@@ -1,8 +1,9 @@
 //! Quick-mode exec throughput: runs each case's operator a few times on
 //! the batch engine and through the reference interpreter's operator, and
 //! writes `BENCH_exec.json` (rows/sec per operator, the interpreter's time
-//! over the engine's, per-operator cardinality-estimation q-errors, and
-//! what tracing and governance cost when off) to the current directory —
+//! over the engine's, what one sequenced insert+delete pair costs a stored
+//! table, per-operator cardinality-estimation q-errors, and what tracing
+//! and governance cost when off) to the current directory —
 //! the perf *and* estimation trajectories CI tracks. The `observability`
 //! and `governance` blocks are also written standalone as
 //! `BENCH_obs.json` and `BENCH_robust.json` for the CI artifacts.
@@ -15,9 +16,13 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use tqo_bench::{estimation_workload, exec_throughput_workload, ExecCase};
+use tqo_core::expr::Expr;
 use tqo_core::interp::Env;
+use tqo_core::time::Period;
+use tqo_core::value::Value;
 use tqo_core::Relation;
 use tqo_exec::{execute_logical, execute_mode, ExecMode, PlannerConfig};
+use tqo_storage::{mutation, GenConfig, Table, WorkloadGenerator};
 
 const ITERS: usize = 11;
 
@@ -65,6 +70,84 @@ fn time_case(case: &ExecCase, env: &Env) -> Timed {
         interp_op,
         result: result.expect("ITERS > 0"),
     }
+}
+
+/// The storage block: one sequenced insert+delete pair — the write a
+/// churning client makes — on a generated `rows`-row temporal table, best
+/// of `ITERS`, through a stored [`Table`] (the served path: columns in,
+/// columns out, properties and statistics maintained) and through the
+/// tuple-wise pure `mutation::*` functions, interleaved. The pair
+/// restores the table's list, so every iteration starts from the same
+/// one. `mutation_speedup` is the tuple-wise time over the table's, the
+/// median over the interleaved iterations: both legs are allocation-bound,
+/// and a ratio of the two best times moves with whichever leg had the
+/// luckier iteration, by more than the CI guard's tolerance.
+fn storage_block(rows: usize) -> String {
+    let cfg = GenConfig {
+        classes: (rows / 10).max(1),
+        ..GenConfig::default()
+    };
+    let initial = WorkloadGenerator::new(17)
+        .employees(&cfg, 10)
+        .expect("generation");
+    let values = vec![Value::from("scratch"), Value::from("scratch")];
+    let scratch = Expr::eq(Expr::col("EmpName"), Expr::lit("scratch"));
+    let period = Period::of(1, 5);
+    let mut table = Table::new("EMPLOYEE", initial.clone()).expect("registers");
+    let pair = |table: &mut Table| {
+        table
+            .insert_sequenced(values.clone(), period)
+            .expect("insert");
+        table.delete_sequenced(&scratch, period).expect("delete");
+    };
+    // The first pair opens the modification ledger, once per table.
+    pair(&mut table);
+    let (mut through_table, mut through_mutation) = (Duration::MAX, Duration::MAX);
+    let mut ratios = Vec::with_capacity(ITERS);
+    for _ in 0..ITERS {
+        let started = Instant::now();
+        pair(&mut table);
+        let table_time = started.elapsed();
+        let started = Instant::now();
+        let inserted =
+            mutation::insert_sequenced(&initial, values.clone(), period).expect("insert");
+        let restored = mutation::delete_sequenced(&inserted, &scratch, period).expect("delete");
+        let mutation_time = started.elapsed();
+        through_table = through_table.min(table_time);
+        through_mutation = through_mutation.min(mutation_time);
+        ratios.push(mutation_time.as_secs_f64() / table_time.as_secs_f64().max(1e-9));
+        assert_eq!(restored, initial, "the pair restores the list");
+    }
+    // Compared once, after the timing: the comparison builds the version's
+    // tuples, and a timed pair would then pay for freeing them.
+    assert_eq!(table.relation(), &initial, "the pair restores the table");
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    let speedup = tqo_exec::metrics::median(&mut ratios).expect("ITERS > 0");
+    eprintln!(
+        "\n{:<22} {:>10} {:>12} {:>12} {:>9}",
+        "storage", "rows", "table us", "mutation us", "speedup"
+    );
+    eprintln!(
+        "{:<22} {:>10} {:>12.1} {:>12.1} {:>8.2}x",
+        "insert_delete_pair",
+        initial.len(),
+        us(through_table),
+        us(through_mutation),
+        speedup
+    );
+    let mut block = String::new();
+    writeln!(block, "  \"storage\": {{").unwrap();
+    writeln!(block, "    \"rows\": {},", initial.len()).unwrap();
+    writeln!(block, "    \"table_pair_us\": {:.1},", us(through_table)).unwrap();
+    writeln!(
+        block,
+        "    \"mutation_pair_us\": {:.1},",
+        us(through_mutation)
+    )
+    .unwrap();
+    writeln!(block, "    \"mutation_speedup\": {speedup:.3}").unwrap();
+    writeln!(block, "  }},").unwrap();
+    block
 }
 
 fn main() {
@@ -171,6 +254,7 @@ fn main() {
     }
     writeln!(json, "    ]").unwrap();
     writeln!(json, "  }},").unwrap();
+    json.push_str(&storage_block(rows));
 
     // Estimation accuracy: per-operator median q-error over the bench
     // workloads, so estimation quality gets a tracked trajectory alongside

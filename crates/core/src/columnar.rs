@@ -779,6 +779,12 @@ impl ColumnarRelation {
         self.rows
     }
 
+    /// Row `i` as a row-layout tuple, built alone (for code that visits a
+    /// few rows, not the whole list).
+    pub fn tuple(&self, i: usize) -> Tuple {
+        Tuple::new(self.columns.iter().map(|c| c.value(i)).collect())
+    }
+
     /// Approximate materialized footprint in bytes — the sum of the
     /// column footprints (see [`Column::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {

@@ -29,9 +29,9 @@ use crate::value::Value;
 /// Either layout may be the one a relation is born with: a relation built
 /// from tuples transposes on its first [`Relation::columnar`] call, and one
 /// built from columns ([`Relation::from_columnar`]) builds its tuple list on
-/// its first [`Relation::tuples`] call. Engine results and wire-decoded
-/// relations are column-born, so a result that is only scanned, counted or
-/// re-encoded never has its tuples built.
+/// its first [`Relation::tuples`] call. Engine results, wire-decoded
+/// relations and modified table versions are column-born, so a relation
+/// that is only scanned, counted or re-encoded never has its tuples built.
 #[derive(Clone)]
 pub struct Relation {
     body: Arc<Body>,

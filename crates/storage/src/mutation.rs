@@ -7,21 +7,22 @@
 //! exactly the `Changeᵀ` arithmetic of `rdupᵀ`), and update rewrites only
 //! the covered fragments.
 //!
-//! Each modification is computed once, as a delta: the next tuple list
-//! plus the tuples that left and entered. The free functions are the pure
-//! `Relation → Relation` reading of it; the [`crate::table::Table`]
-//! methods hand the same delta to the table, which derives the next
-//! version's properties and statistics from the tuples that moved instead
-//! of from the whole list.
+//! The free functions are the pure `Relation → Relation` reading, tuple by
+//! tuple — the literal definition. The [`crate::table::Table`] methods
+//! compute the same list over the table's columns, as a delta: the next
+//! version, born in columns, plus the tuples that left and entered, from
+//! which the table derives the next version's properties and statistics
+//! instead of from the whole list.
 
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::Expr;
 use tqo_core::relation::Relation;
+use tqo_core::schema::Schema;
 use tqo_core::time::Period;
 use tqo_core::tuple::Tuple;
 use tqo_core::value::Value;
 
-use crate::table::Delta;
+use crate::table::{Delta, NextColumns};
 
 fn require_temporal(relation: &Relation, context: &'static str) -> Result<()> {
     if relation.is_temporal() {
@@ -45,76 +46,139 @@ fn sequenced_tuple(relation: &Relation, mut values: Vec<Value>, period: Period) 
     Ok(Tuple::new(values))
 }
 
+/// The checks a rewrite makes before it reads any tuple: the relation is
+/// temporal, and the predicate's names resolve — the period test spares
+/// most tuples the predicate, so name resolution must not depend on which
+/// tuples reach it.
+fn check_rewrite(relation: &Relation, predicate: &Expr, context: &'static str) -> Result<()> {
+    require_temporal(relation, context)?;
+    for name in predicate.attrs() {
+        relation.schema().resolve(&name)?;
+    }
+    Ok(())
+}
+
+/// The fragments that replace a rewritten tuple `t` with period `p`: its
+/// parts outside `period` with the old values, then what `inside` says
+/// replaces it over the covered part.
+fn fragments(
+    schema: &Schema,
+    t: &Tuple,
+    p: Period,
+    period: Period,
+    covered: Period,
+    inside: &impl Fn(&Tuple, Period) -> Result<Option<Tuple>>,
+) -> Result<Vec<Tuple>> {
+    let mut out = p
+        .subtract(&period)
+        .into_iter()
+        .map(|fragment| t.with_period(schema, fragment))
+        .collect::<Result<Vec<_>>>()?;
+    out.extend(inside(t, covered)?);
+    Ok(out)
+}
+
 /// Rewrite every tuple that satisfies `predicate` and overlaps `period`:
 /// its fragments outside the period survive with the old values, and
 /// `inside` says what (if anything) replaces it over the covered part.
+///
+/// The literal definition, tuple by tuple: the pure modifications below
+/// use it, and it is the oracle the tables' column-wise
+/// [`rewrite_columns`] is held to.
 fn rewrite(
     relation: &Relation,
     predicate: &Expr,
     period: Period,
     context: &'static str,
     inside: impl Fn(&Tuple, Period) -> Result<Option<Tuple>>,
-) -> Result<Delta> {
-    require_temporal(relation, context)?;
+) -> Result<Vec<Tuple>> {
+    check_rewrite(relation, predicate, context)?;
     let schema = relation.schema();
-    // The period test below spares most tuples the predicate, so name
-    // resolution must not depend on which tuples reach it.
-    for name in predicate.attrs() {
-        schema.resolve(&name)?;
-    }
-    let mut delta = Delta {
-        next: Vec::with_capacity(relation.len() + 4),
-        removed: Vec::new(),
-        added: Vec::new(),
-    };
+    let mut next = Vec::with_capacity(relation.len() + 4);
     for t in relation.tuples() {
         let p = t.period(schema)?;
-        let covered = match p.intersect(&period) {
-            Some(covered) if predicate.eval_predicate(schema, t)? => covered,
-            _ => {
-                delta.next.push(t.clone());
-                continue;
+        match p.intersect(&period) {
+            Some(covered) if predicate.eval_predicate(schema, t)? => {
+                next.extend(fragments(schema, t, p, period, covered, &inside)?);
             }
-        };
-        delta.removed.push(t.clone());
-        let entering = delta.added.len();
-        for fragment in p.subtract(&period) {
-            delta.added.push(t.with_period(schema, fragment)?);
+            _ => next.push(t.clone()),
         }
-        delta.added.extend(inside(t, covered)?);
-        delta.next.extend(delta.added[entering..].iter().cloned());
     }
-    Ok(delta)
+    Ok(next)
 }
 
-fn delete_delta(relation: &Relation, predicate: &Expr, period: Period) -> Result<Delta> {
-    rewrite(relation, predicate, period, "sequenced delete", |_, _| {
-        Ok(None)
-    })
-}
-
-fn update_delta(
+/// [`rewrite`] over a table version's columns, as a [`Delta`]: the period
+/// test runs on the `T1`/`T2` columns, only the rows it passes are built
+/// as tuples (one at a time) for the predicate, and the next version is
+/// born in columns — runs of untouched rows copied a column at a time,
+/// each rewritten row's fragments pushed in its place.
+fn rewrite_columns(
     relation: &Relation,
     predicate: &Expr,
     period: Period,
-    apply: impl Fn(&Tuple) -> Result<Tuple>,
+    context: &'static str,
+    inside: impl Fn(&Tuple, Period) -> Result<Option<Tuple>>,
 ) -> Result<Delta> {
+    check_rewrite(relation, predicate, context)?;
     let schema = relation.schema();
-    rewrite(
-        relation,
-        predicate,
-        period,
-        "sequenced update",
-        |t, covered| {
-            let updated = apply(t)?;
-            if updated.arity() != t.arity() {
-                return Err(Error::MalformedTuple {
-                    reason: "sequenced update must preserve arity".into(),
-                });
-            }
-            updated.with_period(schema, covered).map(Some)
-        },
-    )
+    let current = relation.columnar()?;
+    let (t1, t2) = current.period_columns()?;
+    let mut hits = Vec::new();
+    for (i, (&start, &end)) in t1.iter().zip(t2).enumerate() {
+        // `Period::intersect`'s test.
+        if start.max(period.start) >= end.min(period.end) {
+            continue;
+        }
+        let t = current.tuple(i);
+        if predicate.eval_predicate(schema, &t)? {
+            hits.push((i, t));
+        }
+    }
+    let mut delta = Delta {
+        next: relation.clone(),
+        removed: Vec::with_capacity(hits.len()),
+        added: Vec::new(),
+    };
+    if hits.is_empty() {
+        return Ok(delta);
+    }
+    let mut next = NextColumns::new(&current, hits.len() * 2);
+    let mut untouched = 0;
+    for (i, t) in hits {
+        next.keep(untouched, i);
+        untouched = i + 1;
+        let p = Period::of(t1[i], t2[i]);
+        let covered = p.intersect(&period).expect("the period test passed");
+        for fragment in fragments(schema, &t, p, period, covered, &inside)? {
+            next.push(&fragment)?;
+            delta.added.push(fragment);
+        }
+        delta.removed.push(t);
+    }
+    next.keep(untouched, current.rows());
+    delta.next = next.finish();
+    Ok(delta)
+}
+
+fn delete_nothing(_: &Tuple, _: Period) -> Result<Option<Tuple>> {
+    Ok(None)
+}
+
+/// What a sequenced update puts over the covered part of `t`: `apply`'s
+/// values, valid over `covered`.
+fn updated(
+    schema: &Schema,
+    t: &Tuple,
+    covered: Period,
+    apply: impl Fn(&Tuple) -> Result<Tuple>,
+) -> Result<Option<Tuple>> {
+    let updated = apply(t)?;
+    if updated.arity() != t.arity() {
+        return Err(Error::MalformedTuple {
+            reason: "sequenced update must preserve arity".into(),
+        });
+    }
+    updated.with_period(schema, covered).map(Some)
 }
 
 /// Sequenced INSERT: append a tuple valid over `period`.
@@ -132,8 +196,14 @@ pub fn insert_sequenced(
 /// `predicate` over `period`. Tuples whose periods straddle the deletion
 /// window are split; fully covered tuples disappear.
 pub fn delete_sequenced(relation: &Relation, predicate: &Expr, period: Period) -> Result<Relation> {
-    let delta = delete_delta(relation, predicate, period)?;
-    Relation::new(relation.schema().clone(), delta.next)
+    let next = rewrite(
+        relation,
+        predicate,
+        period,
+        "sequenced delete",
+        delete_nothing,
+    )?;
+    Relation::new(relation.schema().clone(), next)
 }
 
 /// Sequenced UPDATE: for every tuple satisfying `predicate`, replace the
@@ -145,8 +215,15 @@ pub fn update_sequenced(
     period: Period,
     apply: impl Fn(&Tuple) -> Result<Tuple>,
 ) -> Result<Relation> {
-    let delta = update_delta(relation, predicate, period, apply)?;
-    Relation::new(relation.schema().clone(), delta.next)
+    let schema = relation.schema();
+    let next = rewrite(
+        relation,
+        predicate,
+        period,
+        "sequenced update",
+        |t, covered| updated(schema, t, covered, &apply),
+    )?;
+    Relation::new(schema.clone(), next)
 }
 
 impl crate::table::Table {
@@ -158,7 +235,14 @@ impl crate::table::Table {
 
     /// Sequenced DELETE on a stored table.
     pub fn delete_sequenced(&mut self, predicate: &Expr, period: Period) -> Result<()> {
-        self.succeed(delete_delta(self.relation(), predicate, period)?)
+        let delta = rewrite_columns(
+            self.relation(),
+            predicate,
+            period,
+            "sequenced delete",
+            delete_nothing,
+        )?;
+        self.succeed(delta)
     }
 
     /// Sequenced UPDATE on a stored table.
@@ -168,7 +252,15 @@ impl crate::table::Table {
         period: Period,
         apply: impl Fn(&Tuple) -> Result<Tuple>,
     ) -> Result<()> {
-        self.succeed(update_delta(self.relation(), predicate, period, apply)?)
+        let schema = self.relation().schema();
+        let delta = rewrite_columns(
+            self.relation(),
+            predicate,
+            period,
+            "sequenced update",
+            |t, covered| updated(schema, t, covered, &apply),
+        )?;
+        self.succeed(delta)
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use tqo_core::columnar::{Column, ColumnarRelation};
 use tqo_core::error::Result;
 use tqo_core::plan::BaseProps;
 use tqo_core::relation::{self, Relation};
@@ -12,14 +13,17 @@ use tqo_core::tuple::Tuple;
 
 use crate::ledger::Ledger;
 
-/// One version of a stored relation: the tuples (with their columnar
-/// transpose, resident in the relation's storage once built), Table 2's
-/// base properties of exactly those tuples, and their statistics. The
-/// catalog publishes versions behind an `Arc` and never changes one; a
-/// query that pinned a version plans and runs against the same data.
+/// One version of a stored relation: its list (tuples, columns, or both —
+/// each layout resident in the relation's storage once built), Table 2's
+/// base properties of exactly that list, and its statistics. The catalog
+/// publishes versions behind an `Arc` and never changes one; a query that
+/// pinned a version plans and runs against the same data.
 ///
 /// The `&mut self` modifiers turn a working copy into the *next* version.
-/// They validate only the tuples that enter, and bring properties and
+/// A registered version is born with its tuples; every version a modifier
+/// makes is born in columns, copied run by run from the current version's
+/// columns, and builds its tuple list only if someone asks for it. The
+/// modifiers validate only the tuples that enter, and bring properties and
 /// statistics up to date from a modification ledger by re-examining only
 /// the value classes those tuples belong to — with results equal to
 /// deriving both from scratch ([`derive_props`],
@@ -107,32 +111,36 @@ impl Table {
 
     /// Append tuples. A rejected tuple leaves the table untouched.
     pub fn insert(&mut self, tuples: Vec<Tuple>) -> Result<()> {
-        let mut next = self.relation.tuples().to_vec();
-        next.extend(tuples.iter().cloned());
+        if tuples.is_empty() {
+            return Ok(());
+        }
+        let current = self.relation.columnar()?;
+        let mut next = NextColumns::new(&current, tuples.len());
+        next.keep(0, current.rows());
+        for t in &tuples {
+            next.push(t)?;
+        }
         self.succeed(Delta {
-            next,
+            next: next.finish(),
             removed: Vec::new(),
             added: tuples,
         })
     }
 
-    /// Become the next version. Only `delta.added` is validated and only
-    /// the value classes of the tuples that moved are re-examined.
+    /// Become the next version. Only the value classes of the tuples that
+    /// moved are re-examined.
     pub(crate) fn succeed(&mut self, delta: Delta) -> Result<()> {
         if delta.removed.is_empty() && delta.added.is_empty() {
             return Ok(());
         }
         let schema = self.relation.schema();
-        for t in &delta.added {
-            relation::validate(schema, t)?;
-        }
         let mut ledger = match self.ledger.take() {
             Some(open) => open,
             None => Box::new(Ledger::open(&self.relation)?),
         };
         ledger.apply(schema, &delta.removed, &delta.added)?;
         let (props, summary) = ledger.describe(schema);
-        self.relation = Relation::new_unchecked(schema.clone(), delta.next);
+        self.relation = delta.next;
         self.props = props;
         self.stats = OnceLock::from(Arc::new(summary));
         self.ledger = Some(ledger);
@@ -142,13 +150,63 @@ impl Table {
 
 /// What a modification does to a table's tuple list.
 pub(crate) struct Delta {
-    /// The list afterwards: untouched tuples keep their relative order and
-    /// the fragments of a rewritten tuple take its place.
-    pub(crate) next: Vec<Tuple>,
+    /// The list afterwards, born in columns: untouched tuples keep their
+    /// relative order and the fragments of a rewritten tuple take its
+    /// place.
+    pub(crate) next: Relation,
     /// Tuples of the current list that are not in `next`.
     pub(crate) removed: Vec<Tuple>,
-    /// Tuples of `next` that are not in the current list.
+    /// Tuples of `next` that are not in the current list, each validated
+    /// on its way in ([`NextColumns::push`]).
     pub(crate) added: Vec<Tuple>,
+}
+
+/// The next version's columns, built from the current version's: runs of
+/// untouched rows are copied a column at a time, and each tuple that
+/// enters is pushed where it belongs in the list. No tuple list is built
+/// for either version.
+pub(crate) struct NextColumns<'a> {
+    current: &'a ColumnarRelation,
+    columns: Vec<Column>,
+}
+
+impl<'a> NextColumns<'a> {
+    /// An empty builder with room for the current rows and `entering` more.
+    pub(crate) fn new(current: &'a ColumnarRelation, entering: usize) -> NextColumns<'a> {
+        let columns = current
+            .columns()
+            .iter()
+            .map(|c| Column::with_capacity(c.dtype(), current.rows() + entering))
+            .collect();
+        NextColumns { current, columns }
+    }
+
+    /// Copy the current rows `start..end`, unchanged and in order.
+    pub(crate) fn keep(&mut self, start: usize, end: usize) {
+        if start < end {
+            for (next, current) in self.columns.iter_mut().zip(self.current.columns()) {
+                next.extend_range(current, start, end);
+            }
+        }
+    }
+
+    /// Validate a tuple against the schema and append it.
+    pub(crate) fn push(&mut self, t: &Tuple) -> Result<()> {
+        relation::validate(self.current.schema(), t)?;
+        for (column, v) in self.columns.iter_mut().zip(t.values()) {
+            column.push(v)?;
+        }
+        Ok(())
+    }
+
+    /// The next version's relation, resident in columns only.
+    pub(crate) fn finish(self) -> Relation {
+        let columns = self.columns.into_iter().map(Arc::new).collect();
+        Relation::from_columnar(ColumnarRelation::new(
+            Arc::clone(self.current.schema()),
+            columns,
+        ))
+    }
 }
 
 /// Measure the honest base properties of a relation.

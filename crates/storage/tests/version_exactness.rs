@@ -8,16 +8,23 @@
 //! class-local deltas; the oracles are `mutation::*` for the list,
 //! [`derive_props`] and [`TableSummary::measure`] for what describes it,
 //! and [`ColumnarRelation::from_relation`] for the transpose.
+//!
+//! A modified version is born in columns, so the scripts run over two
+//! schemas: one `Str` column, and a wide one with an `Int`, `Float`,
+//! `Bool` and `Str` column and NULLs in each, so every column type and the
+//! null mask go through the copy of untouched rows and the push of
+//! entering ones.
 
 use proptest::prelude::*;
 
 use tqo_core::columnar::ColumnarRelation;
 use tqo_core::expr::Expr;
 use tqo_core::relation::Relation;
+use tqo_core::schema::Schema;
 use tqo_core::stats::TableSummary;
 use tqo_core::time::Period;
 use tqo_core::tuple::Tuple;
-use tqo_core::value::Value;
+use tqo_core::value::{DataType, Value};
 use tqo_storage::table::derive_props;
 use tqo_storage::{mutation, GenConfig, Table, WorkloadGenerator};
 
@@ -90,6 +97,34 @@ fn class(n: usize) -> Value {
     Value::from(format!("e{n}"))
 }
 
+/// The explicit values of class `n` on a one-column schema.
+fn narrow(n: usize) -> Vec<Value> {
+    vec![class(n)]
+}
+
+/// The wide schema: `E` first, so [`predicate`] addresses classes on both.
+fn wide_schema() -> Schema {
+    Schema::temporal(&[
+        ("E", DataType::Str),
+        ("I", DataType::Int),
+        ("F", DataType::Float),
+        ("B", DataType::Bool),
+    ])
+}
+
+/// The explicit values of class `n` on [`wide_schema`]. Each column is
+/// NULL for some classes; class 7's `E` is NULL, so no class predicate
+/// selects it.
+fn wide(n: usize) -> Vec<Value> {
+    let null_or = |null: bool, v: Value| if null { Value::Null } else { v };
+    vec![
+        null_or(n == 7, class(n)),
+        null_or(n.is_multiple_of(3), Value::Int(n as i64 * 10 - 25)),
+        null_or(n % 4 == 1, Value::Float(n as f64 / 4.0)),
+        null_or(n == 5, Value::Bool(n.is_multiple_of(2))),
+    ]
+}
+
 fn predicate(target: &Target) -> Expr {
     match target {
         Target::Class(n) => Expr::eq(Expr::col("E"), Expr::lit(class(*n))),
@@ -97,14 +132,19 @@ fn predicate(target: &Target) -> Expr {
     }
 }
 
-/// The tuple an inserting step adds to `oracle`.
-fn inserted(step: &Step, oracle: &Relation) -> (Vec<Value>, Period) {
+/// The tuple an inserting step adds to `oracle`; `values` gives a class's
+/// explicit values.
+fn inserted(
+    step: &Step,
+    oracle: &Relation,
+    values: fn(usize) -> Vec<Value>,
+) -> (Vec<Value>, Period) {
     match step {
         Step::Insert {
             class: n,
             start,
             len,
-        } => (vec![class(*n)], Period::of(*start, start + len)),
+        } => (values(*n), Period::of(*start, start + len)),
         Step::InsertLike { row, shape } if !oracle.is_empty() => {
             let like = &oracle.tuples()[row % oracle.len()];
             let p = like.period(oracle.schema()).unwrap();
@@ -113,18 +153,23 @@ fn inserted(step: &Step, oracle: &Relation) -> (Vec<Value>, Period) {
                 1 => Period::of(p.end - 1, p.end + 2),
                 _ => Period::of(p.end, p.end + 3),
             };
-            (vec![like.value(0).clone()], period)
+            (like.explicit_values(oracle.schema()), period)
         }
-        _ => (vec![class(0)], Period::of(3, 7)),
+        _ => (values(0), Period::of(3, 7)),
     }
 }
 
 /// Apply `step` to the table and, independently, to the oracle relation.
-fn apply(step: &Step, table: &mut Table, oracle: &Relation) -> Relation {
+fn apply(
+    step: &Step,
+    table: &mut Table,
+    oracle: &Relation,
+    values: fn(usize) -> Vec<Value>,
+) -> Relation {
     let everything = (&Target::Everything, Period::of(i64::MIN / 2, i64::MAX / 2));
     let (target, window) = match step {
         Step::Insert { .. } | Step::InsertLike { .. } => {
-            let (values, period) = inserted(step, oracle);
+            let (values, period) = inserted(step, oracle, values);
             table.insert_sequenced(values.clone(), period).unwrap();
             return mutation::insert_sequenced(oracle, values, period).unwrap();
         }
@@ -138,7 +183,9 @@ fn apply(step: &Step, table: &mut Table, oracle: &Relation) -> Relation {
     if let Step::Update { to_class, .. } = step {
         let rename = |t: &Tuple| {
             let mut t = t.clone();
-            t.set_value(0, class(*to_class));
+            for (i, v) in values(*to_class).into_iter().enumerate() {
+                t.set_value(i, v);
+            }
             Ok(t)
         };
         table.update_sequenced(&p, window, rename).unwrap();
@@ -178,15 +225,36 @@ fn assert_exact(table: &Table, oracle: &Relation, context: &str) {
 }
 
 fn run(seed: u64, cfg: &GenConfig, steps: &[Step]) {
-    let mut oracle = WorkloadGenerator::new(seed).temporal(cfg).unwrap();
+    let initial = WorkloadGenerator::new(seed).temporal(cfg).unwrap();
+    run_from(initial, narrow, steps);
+}
+
+/// Run `steps` from `initial`, whose classes have the explicit values
+/// `values` gives.
+fn run_from(initial: Relation, values: fn(usize) -> Vec<Value>, steps: &[Step]) {
+    let mut oracle = initial;
     let mut table = Table::new("T", oracle.clone()).unwrap();
     // Touching the transpose and the statistics at every step gives each
     // version a predecessor whose resident state could go stale.
     assert_exact(&table, &oracle, "as registered");
     for (i, step) in steps.iter().enumerate() {
-        oracle = apply(step, &mut table, &oracle);
+        oracle = apply(step, &mut table, &oracle, values);
         assert_exact(&table, &oracle, &format!("after step {i}: {step:?}"));
     }
+}
+
+/// A registered relation over [`wide_schema`]: one tuple per
+/// `(class, start, len)`.
+fn wide_relation(rows: &[(usize, i64, i64)]) -> Relation {
+    let tuples = rows
+        .iter()
+        .map(|&(n, start, len)| {
+            let mut values = wide(n);
+            values.extend([Value::Time(start), Value::Time(start + len)]);
+            Tuple::new(values)
+        })
+        .collect();
+    Relation::new(wide_schema(), tuples).unwrap()
 }
 
 proptest! {
@@ -211,6 +279,14 @@ proptest! {
             ..GenConfig::default()
         };
         run(seed, &cfg, &steps);
+    }
+
+    #[test]
+    fn versions_over_every_column_type_and_nulls_stay_exact(
+        rows in proptest::collection::vec((0usize..8, 0i64..60, 1i64..15), 0..24),
+        steps in proptest::collection::vec(arb_step(), 1..24),
+    ) {
+        run_from(wide_relation(&rows), wide, &steps);
     }
 }
 

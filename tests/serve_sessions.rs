@@ -1,12 +1,16 @@
 //! A server that has served many short sessions holds on to none of their
-//! threads. A session thread that returned but was never joined keeps its
-//! stack mapped, so address space would grow by about one stack per
-//! connection ever served. That test runs in a process of its own, so no
-//! other suite's threads share the address space it measures. Its one
-//! sibling here starts no server thread, and the two never run at once
-//! (`ONE_AT_A_TIME`): a thread that first allocates while the address
-//! space is being measured can map a fresh allocator arena (64 MiB with
-//! glibc), which reads as leaked session stacks.
+//! threads. Two leaks are told apart, and each reading is a count, not a
+//! size, so an allocator arena that a thread maps while the test measures
+//! (64 MiB of address space with glibc) does not read as a leak:
+//!
+//! - a session thread that never returns stays in `/proc/self/task`;
+//! - a session thread that returned but was never joined has left
+//!   `/proc/self/task`, yet keeps its stack and guard page mapped, two
+//!   entries in `/proc/self/maps` per connection ever served.
+//!
+//! The test runs in a process of its own, so no other suite's threads
+//! share what it counts, and its one sibling here, which starts no server
+//! thread, never runs at the same time (`ONE_AT_A_TIME`).
 
 use tqo_exec::SchedulerConfig;
 use tqo_serve::{serve, Client, ServerConfig};
@@ -14,12 +18,21 @@ use tqo_storage::paper;
 
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// The process's virtual memory size in KiB (`VmSize` in
-/// `/proc/self/status`), or `None` where procfs does not provide it.
-fn vm_size_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmSize:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
+/// Threads alive in this process, or `None` where procfs does not list
+/// them.
+fn thread_count() -> Option<usize> {
+    Some(std::fs::read_dir("/proc/self/task").ok()?.count())
+}
+
+/// Memory mappings of this process, or `None` where procfs does not list
+/// them.
+fn mapping_count() -> Option<usize> {
+    Some(
+        std::fs::read_to_string("/proc/self/maps")
+            .ok()?
+            .lines()
+            .count(),
+    )
 }
 
 fn connect_ping_close(addr: std::net::SocketAddr, cycles: usize) {
@@ -45,21 +58,26 @@ fn closed_sessions_release_their_threads() {
     .expect("server starts");
     // Warm up: the first sessions pay one-time allocator and pool costs.
     connect_ping_close(server.addr(), 10);
-    let Some(before) = vm_size_kib() else {
-        eprintln!("no /proc/self/status here; nothing to measure");
+    let (Some(threads), Some(mappings)) = (thread_count(), mapping_count()) else {
+        eprintln!("no /proc/self/task or /proc/self/maps here; nothing to count");
         return;
     };
     connect_ping_close(server.addr(), 200);
-    let after = vm_size_kib().expect("VmSize was readable a moment ago");
+    let threads_after = thread_count().expect("procfs was readable a moment ago");
+    let mappings_after = mapping_count().expect("procfs was readable a moment ago");
     server.stop();
-    // Each unjoined session keeps a thread stack (2 MiB by default)
-    // mapped: 200 of them grow the address space by about 400 MiB. A
-    // handful of sessions still closing when the second reading is taken
-    // fit well inside the bound.
-    let grown_mib = after.saturating_sub(before) / 1024;
+    // A handful of sessions may still be closing when the second readings
+    // are taken, and a new allocator arena is one or two mappings; a leak
+    // is one thread, or two mappings, per each of the 200 sessions.
+    let grown = threads_after.saturating_sub(threads);
     assert!(
-        grown_mib < 64,
-        "address space grew {grown_mib} MiB over 200 closed sessions ({before} → {after} KiB)"
+        grown < 16,
+        "{grown} more threads after 200 closed sessions ({threads} → {threads_after})"
+    );
+    let grown = mappings_after.saturating_sub(mappings);
+    assert!(
+        grown < 100,
+        "{grown} more mappings after 200 closed sessions ({mappings} → {mappings_after})"
     );
 }
 

@@ -1,15 +1,16 @@
 //! Versioned tables, guarded by counts that repeat exactly rather than by
 //! timings: reads of an unchanged catalog transpose each touched table
-//! once (not once per read), a modification measures nothing in full, a
-//! read after it transposes only the table that changed, and a stage
-//! scanning another stage's output transposes nothing.
+//! once (not once per read), a modification measures nothing in full and
+//! builds no tuple list, the version it makes is born in columns so a
+//! read after it transposes nothing, and a stage scanning another stage's
+//! output transposes nothing.
 //!
 //! One `#[test]` in a file of its own, so nothing else in the process
 //! moves the process-wide counters between two readings.
 
 use tqo_core::expr::Expr;
 use tqo_core::time::Period;
-use tqo_core::trace::counters::{STATS_CACHE_MISSES, TRANSPOSES_BUILT};
+use tqo_core::trace::counters::{STATS_CACHE_MISSES, TRANSPOSES_BUILT, TUPLES_BUILT};
 use tqo_core::value::Value;
 use tqo_exec::{
     execute_logical, lower, ExecMode, PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions,
@@ -48,6 +49,8 @@ fn reads_transpose_once_per_version_and_mutations_measure_nothing() {
 
     // An insert+delete pair makes two new EMPLOYEE versions and measures
     // neither; their statistics are there for the asking all the same.
+    // Both are born in columns: no tuple list is built for either.
+    let tuples = TUPLES_BUILT.get();
     catalog
         .insert_sequenced(
             "EMPLOYEE",
@@ -65,14 +68,27 @@ fn reads_transpose_once_per_version_and_mutations_measure_nothing() {
         )
         .unwrap();
     assert_eq!(catalog.table_stats("EMPLOYEE").unwrap().rows, 5);
+    assert_eq!(
+        TUPLES_BUILT.get() - tuples,
+        0,
+        "the pair builds no tuple list"
+    );
+    let read_after = TRANSPOSES_BUILT.get();
+    assert_eq!(serve(&catalog, EMPLOYEE_READ), 3);
+    assert_eq!(
+        TRANSPOSES_BUILT.get() - read_after,
+        0,
+        "the version after the pair is read from the columns it was born with"
+    );
     for _ in 0..10 {
         assert_eq!(serve(&catalog, EMPLOYEE_READ), 3);
         assert_eq!(serve(&catalog, PROJECT_READ), 2);
     }
     assert_eq!(STATS_CACHE_MISSES.get() - measures, 2, "no full measure");
-    // Two more transposes: the version read between the pair and the one
-    // after it. PROJECT's single transpose is still the one in use.
-    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 4);
+    // No more transposes: the versions read between and after the pair
+    // were born in columns. PROJECT's single transpose is still the one in
+    // use.
+    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 2);
 
     // A two-stage statement over one base table (the aggregate is a
     // breaker below the sort), staged by the scheduler on a fresh catalog:
