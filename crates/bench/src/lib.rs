@@ -209,6 +209,11 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             scan("TL").difference_t(scan("TR")),
             len("TL") + len("TR"),
         ),
+        case(
+            "union_t",
+            scan("TL").union_t(scan("TR")),
+            len("TL") + len("TR"),
+        ),
         case("rdup_t_faithful", scan("TOV").rdup_t(), len("TOV")),
         // The hash product under the select it serves: its output is the
         // key-matching sub-list of `×` (about two pairs per input row

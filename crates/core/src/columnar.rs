@@ -69,12 +69,19 @@ const NULL_HASH: u64 = 0x9ae1_6a3b_2f90_404f;
 fn hash_str(s: &str) -> u64 {
     // Eight bytes at a time (fx-style), length folded in so prefixes of
     // padded chunks don't collide trivially.
+    // The tail is read as if zero-padded to eight bytes, assembled in a
+    // register rather than copied through a buffer.
     let bytes = s.as_bytes();
     let mut h = 0x517c_c1b7_2722_0a95_u64 ^ bytes.len() as u64;
-    for chunk in bytes.chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        h = (h ^ u64::from_le_bytes(buf)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an eight-byte chunk"));
+        h = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let word = tail.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+        h = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
     h
 }
@@ -829,6 +836,31 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn string_hash_reads_the_tail_zero_padded() {
+        // Every chunk, the last one copied into a zeroed eight-byte word.
+        let padded = |s: &str| {
+            let mut h = 0x517c_c1b7_2722_0a95_u64 ^ s.len() as u64;
+            for chunk in s.as_bytes().chunks(8) {
+                let mut buf = [0u8; 8];
+                buf[..chunk.len()].copy_from_slice(chunk);
+                h = (h ^ u64::from_le_bytes(buf)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
+            h
+        };
+        for s in [
+            "",
+            "a",
+            "e1234",
+            "exactly8",
+            "nine char",
+            "a somewhat longer key",
+            "ünïcödé",
+        ] {
+            assert_eq!(hash_str(s), padded(s), "{s:?}");
+        }
     }
 
     #[test]

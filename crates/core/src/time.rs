@@ -233,13 +233,14 @@ impl CountTimeline {
 
     /// Sweep the timeline producing maximal constant intervals with their
     /// counts; intervals with count zero are skipped. Output is sorted and
-    /// disjoint (adjacent intervals have different counts).
-    pub fn constant_intervals(&self) -> Vec<(Period, i64)> {
+    /// disjoint (adjacent intervals have different counts). The events are
+    /// sorted in place, not copied.
+    pub fn constant_intervals(&mut self) -> Vec<(Period, i64)> {
         if self.events.is_empty() {
             return Vec::new();
         }
-        let mut events = self.events.clone();
-        events.sort();
+        self.events.sort_unstable();
+        let events = &self.events;
         let mut out: Vec<(Period, i64)> = Vec::new();
         let mut count: i64 = 0;
         let mut prev: Instant = events[0].0;

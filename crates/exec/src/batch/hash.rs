@@ -229,16 +229,6 @@ impl KeyStore {
             .zip(key_idx)
             .all(|(store_col, &src)| store_col.eq_at(id as usize, &cols[src], row))
     }
-
-    /// Hash physical row `row` of `cols` over the key columns.
-    #[inline]
-    pub fn hash_row(cols: &[Arc<Column>], key_idx: &[usize], row: usize) -> u64 {
-        let mut h = 0u64;
-        for &src in key_idx {
-            h = tqo_core::columnar::hash_combine(h, cols[src].hash_at(row));
-        }
-        h
-    }
 }
 
 /// Key-space partition of a row hash. The high half of the hash drives
@@ -326,8 +316,7 @@ mod tests {
         let mut table = RowTable::default();
         let mut store = KeyStore::for_keys(c.schema(), &keys);
         let mut ids = Vec::new();
-        for row in 0..c.rows() {
-            let h = KeyStore::hash_row(&cols, &keys, row);
+        for (row, &h) in hash_all(&cols, &keys, c.rows()).iter().enumerate() {
             let (id, inserted) = table.find_or_insert(h, |e| store.eq_row(e, &cols, &keys, row), 0);
             if inserted {
                 store.push_row(&cols, &keys, row);
@@ -351,8 +340,7 @@ mod tests {
         let keys = [0usize];
         let mut table = RowTable::default();
         let mut store = KeyStore::for_keys(c.schema(), &keys);
-        for row in 0..c.rows() {
-            let h = KeyStore::hash_row(&cols, &keys, row);
+        for (row, &h) in hash_all(&cols, &keys, c.rows()).iter().enumerate() {
             let (_, inserted) = table.find_or_insert(h, |e| store.eq_row(e, &cols, &keys, row), 1);
             if inserted {
                 store.push_row(&cols, &keys, row);

@@ -8,10 +8,11 @@
 //! value-equivalence classes are formed over column-wise row hashes, and
 //! output rows are assembled with per-column gathers.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use tqo_core::columnar::{hash_combine, mix64, Column, ColumnData, ColumnarRelation};
+use tqo_core::columnar::{Column, ColumnData, ColumnarRelation};
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggFunc, AggItem};
@@ -21,9 +22,10 @@ use tqo_core::ops::temporal::product_t::overlapping_pairs;
 use tqo_core::plan::EquiKeys;
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortDir};
-use tqo_core::time::{CountTimeline, Coverage, EndpointSweep, Period};
+use tqo_core::time::{EndpointSweep, LiveSet, Period};
+use tqo_core::value::DataType;
 
-use super::hash::{part_of, radix_scatter, KeyStore, RowTable};
+use super::hash::{part_of, radix_scatter, RowTable};
 
 /// Sort inputs below this row count skip radix partitioning: the
 /// histogram and scatter passes only pay off once the working set
@@ -42,6 +44,9 @@ const RADIX_PARTS: usize = 16;
 /// 20k-row bench set, 16-way partitioning slowed `\ᵀ` and `ρᵀ` builds
 /// ~20%; from ~64k rows the cache-sized private tables win.
 const CLASS_RADIX_MIN_ROWS: usize = 1 << 16;
+
+/// "No row" / "no class" in `u32` row and class id vectors.
+const NONE: u32 = u32::MAX;
 
 /// Stable sort permutation of `input` under `order` (ties keep input
 /// order, matching the interpreter's stable `sort_by`).
@@ -193,6 +198,27 @@ fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>) {
     *pairs = out;
 }
 
+/// Stable counting sort of positions `0..keys.len()` by `keys` (each
+/// `< buckets`): returns `(starts, order)`, where the positions with key
+/// `k` are `order[starts[k]..starts[k + 1]]`, ascending.
+fn counting_sort(keys: &[u32], buckets: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut starts = vec![0u32; buckets + 1];
+    for &k in keys {
+        starts[k as usize + 1] += 1;
+    }
+    for b in 0..buckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut cursor = starts[..buckets].to_vec();
+    let mut order = vec![0u32; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        let at = &mut cursor[k as usize];
+        order[*at as usize] = i as u32;
+        *at += 1;
+    }
+    (starts, order)
+}
+
 /// Value-equivalence classes (or grouping classes) of a relation over a
 /// set of key columns, in first-occurrence order.
 ///
@@ -203,69 +229,138 @@ fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>) {
 /// interleaves the partitions' first-occurrence lists back into global
 /// first-occurrence order — the same class list, same order, as a single
 /// sequential scan.
+///
+/// Members are one flat layout: a counting sort of `class_of_row` lays
+/// every class out as a contiguous run of ascending row ids, so the
+/// per-class kernels walk runs over shared buffers instead of a heap
+/// vector per class.
 pub struct ClassIndex {
-    /// Per-partition probe table + key rows; probes route by
+    /// Per-partition probe table over local class ids; probes route by
     /// [`part_of`] on the key hash.
-    parts: Vec<(RowTable, KeyStore)>,
-    /// Local class id → global class id, per partition.
-    globals: Vec<Vec<u32>>,
-    key_idx: Vec<usize>,
+    tables: Vec<RowTable>,
+    /// Global class id of partition `p`'s local class `l`:
+    /// `globals[part_base[p] + l]`.
+    globals: Vec<u32>,
+    part_base: Vec<u32>,
+    /// The build input's key columns: a class's key is its first row's.
+    keys: Vec<Arc<Column>>,
     /// First member row of each class.
     pub protos: Vec<u32>,
-    /// Member rows of each class, in input order.
-    pub members: Vec<Vec<u32>>,
+    /// Every row id, grouped by class (classes in id order), ascending
+    /// within a class.
+    member_rows: Vec<u32>,
+    /// Class `c`'s members are `member_rows[member_starts[c]..member_starts[c + 1]]`.
+    member_starts: Vec<u32>,
     /// Class id of every input row (row-major accumulation).
     pub class_of_row: Vec<u32>,
+}
+
+/// Whether row `a` of the key columns `keys` equals row `b` of `cols`,
+/// whose key columns sit at `key_idx`.
+#[inline]
+fn keys_eq(
+    keys: &[Arc<Column>],
+    a: usize,
+    cols: &[Arc<Column>],
+    key_idx: &[usize],
+    b: usize,
+) -> bool {
+    keys.iter()
+        .zip(key_idx)
+        .all(|(k, &c)| k.eq_at(a, &cols[c], b))
+}
+
+/// One partition of a [`ClassIndex`] build over the ascending rows
+/// `part` (`len` of them): its probe table over local class ids and each
+/// local class's first row. Records every row's local class id in
+/// `local_of_row`.
+fn build_partition(
+    part: impl Iterator<Item = u32>,
+    len: usize,
+    hashes: &[u64],
+    keys: &[Arc<Column>],
+    cols: &[Arc<Column>],
+    key_idx: &[usize],
+    local_of_row: &mut [u32],
+) -> (RowTable, Vec<u32>) {
+    let mut table = RowTable::with_capacity(len);
+    let mut protos = Vec::new();
+    for rid in part {
+        let row = rid as usize;
+        let (id, inserted) = table.find_or_insert(
+            hashes[row],
+            |e| keys_eq(keys, protos[e as usize] as usize, cols, key_idx, row),
+            0,
+        );
+        if inserted {
+            protos.push(rid);
+        }
+        local_of_row[row] = id;
+    }
+    (table, protos)
 }
 
 impl ClassIndex {
     /// Build the index over `key_idx` columns of `input`.
     pub fn build(input: &ColumnarRelation, key_idx: Vec<usize>) -> ClassIndex {
-        let cols = input.columns().to_vec();
+        let cols = input.columns();
         let rows = input.rows();
-        let hashes = super::hash::hash_all(&cols, &key_idx, rows);
-        let nparts = if rows < CLASS_RADIX_MIN_ROWS {
-            1
-        } else {
-            RADIX_PARTS
-        };
-        let (offsets, ids) = radix_scatter(&hashes, nparts);
-
-        let mut parts = Vec::with_capacity(nparts);
-        let mut local_protos: Vec<Vec<u32>> = Vec::with_capacity(nparts);
-        let mut local_members: Vec<Vec<Vec<u32>>> = Vec::with_capacity(nparts);
+        let keys: Vec<Arc<Column>> = key_idx.iter().map(|&c| cols[c].clone()).collect();
+        let hashes = super::hash::hash_all(cols, &key_idx, rows);
         // Local class id of every row (globalized after the merge).
         let mut local_of_row = vec![0u32; rows];
-        for p in 0..nparts {
+        if rows < CLASS_RADIX_MIN_ROWS {
+            // One partition: local ids are first-occurrence ids already.
+            let (table, protos) = build_partition(
+                0..rows as u32,
+                rows,
+                &hashes,
+                &keys,
+                cols,
+                &key_idx,
+                &mut local_of_row,
+            );
+            let (member_starts, member_rows) = counting_sort(&local_of_row, protos.len());
+            return ClassIndex {
+                tables: vec![table],
+                globals: (0..protos.len() as u32).collect(),
+                part_base: vec![0, protos.len() as u32],
+                keys,
+                protos,
+                member_rows,
+                member_starts,
+                class_of_row: local_of_row,
+            };
+        }
+
+        let (offsets, ids) = radix_scatter(&hashes, RADIX_PARTS);
+        let mut tables = Vec::with_capacity(RADIX_PARTS);
+        let mut local_protos: Vec<Vec<u32>> = Vec::with_capacity(RADIX_PARTS);
+        for p in 0..RADIX_PARTS {
             let slice = &ids[offsets[p] as usize..offsets[p + 1] as usize];
-            let mut table = RowTable::with_capacity(slice.len());
-            let mut store = KeyStore::for_keys(input.schema(), &key_idx);
-            let mut protos_p = Vec::new();
-            let mut members_p: Vec<Vec<u32>> = Vec::new();
-            for &rid in slice {
-                let row = rid as usize;
-                let (id, inserted) =
-                    table.find_or_insert(hashes[row], |e| store.eq_row(e, &cols, &key_idx, row), 0);
-                if inserted {
-                    store.push_row(&cols, &key_idx, row);
-                    protos_p.push(rid);
-                    members_p.push(Vec::new());
-                }
-                members_p[id as usize].push(rid);
-                local_of_row[row] = id;
-            }
-            parts.push((table, store));
-            local_protos.push(protos_p);
-            local_members.push(members_p);
+            let (table, protos) = build_partition(
+                slice.iter().copied(),
+                slice.len(),
+                &hashes,
+                &keys,
+                cols,
+                &key_idx,
+                &mut local_of_row,
+            );
+            tables.push(table);
+            local_protos.push(protos);
         }
 
         // Merge: interleave the partitions' (ascending) proto lists into
         // the global first-occurrence order.
-        let total: usize = local_protos.iter().map(Vec::len).sum();
+        let mut part_base = vec![0u32; RADIX_PARTS + 1];
+        for (p, plist) in local_protos.iter().enumerate() {
+            part_base[p + 1] = part_base[p] + plist.len() as u32;
+        }
+        let total = part_base[RADIX_PARTS] as usize;
         let mut protos = Vec::with_capacity(total);
-        let mut members = Vec::with_capacity(total);
-        let mut globals: Vec<Vec<u32>> = local_protos.iter().map(|p| vec![0u32; p.len()]).collect();
-        let mut cursor = vec![0usize; nparts];
+        let mut globals = vec![0u32; total];
+        let mut cursor = [0usize; RADIX_PARTS];
         for _ in 0..total {
             let mut best: Option<(u32, usize)> = None;
             for (p, plist) in local_protos.iter().enumerate() {
@@ -276,42 +371,63 @@ impl ClassIndex {
                 }
             }
             let (proto, p) = best.expect("cursor invariant");
-            globals[p][cursor[p]] = protos.len() as u32;
+            globals[part_base[p] as usize + cursor[p]] = protos.len() as u32;
             protos.push(proto);
-            members.push(std::mem::take(&mut local_members[p][cursor[p]]));
             cursor[p] += 1;
         }
 
-        let mut class_of_row = Vec::with_capacity(rows);
-        for (row, &h) in hashes.iter().enumerate() {
-            let p = part_of(h, nparts);
-            class_of_row.push(globals[p][local_of_row[row] as usize]);
-        }
-
+        let class_of_row: Vec<u32> = hashes
+            .iter()
+            .zip(&local_of_row)
+            .map(|(&h, &local)| globals[(part_base[part_of(h, RADIX_PARTS)] + local) as usize])
+            .collect();
+        let (member_starts, member_rows) = counting_sort(&class_of_row, total);
         ClassIndex {
-            parts,
+            tables,
             globals,
-            key_idx,
+            part_base,
+            keys,
             protos,
-            members,
+            member_rows,
+            member_starts,
             class_of_row,
         }
     }
 
-    /// Class id of physical `row` of `cols` (same key layout), if present.
-    pub fn find(&self, cols: &[Arc<Column>], row: usize) -> Option<u32> {
-        self.find_keyed(cols, &self.key_idx, row)
+    /// Member rows of class `class`, ascending.
+    #[inline]
+    pub fn members(&self, class: usize) -> &[u32] {
+        let (s, e) = (self.member_starts[class], self.member_starts[class + 1]);
+        &self.member_rows[s as usize..e as usize]
     }
 
-    /// Class id of physical `row` of `cols`, whose key columns sit at
-    /// `key_idx` (parallel to the build keys, same domains), if present.
-    pub fn find_keyed(&self, cols: &[Arc<Column>], key_idx: &[usize], row: usize) -> Option<u32> {
-        let h = KeyStore::hash_row(cols, key_idx, row);
-        let p = part_of(h, self.parts.len());
-        let (table, store) = &self.parts[p];
-        table
-            .find(h, |e| store.eq_row(e, cols, key_idx, row))
-            .map(|local| self.globals[p][local as usize])
+    /// Every class's member rows, in class order.
+    pub fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.member_starts
+            .windows(2)
+            .map(|w| &self.member_rows[w[0] as usize..w[1] as usize])
+    }
+
+    /// Class id of every row of `cols`, whose key columns sit at `key_idx`
+    /// (parallel to the build keys, same domains), or `u32::MAX` where
+    /// the key has no class. Hashes column-at-a-time, then probes.
+    pub fn probe_all(&self, cols: &[Arc<Column>], key_idx: &[usize], rows: usize) -> Vec<u32> {
+        let hashes = super::hash::hash_all(cols, key_idx, rows);
+        let nparts = self.tables.len();
+        hashes
+            .iter()
+            .enumerate()
+            .map(|(row, &h)| {
+                let p = part_of(h, nparts);
+                let global = |local: u32| self.globals[(self.part_base[p] + local) as usize];
+                self.tables[p]
+                    .find(h, |local| {
+                        let proto = self.protos[global(local) as usize];
+                        keys_eq(&self.keys, proto as usize, cols, key_idx, row)
+                    })
+                    .map_or(NONE, global)
+            })
+            .collect()
     }
 
     /// Number of classes.
@@ -577,11 +693,12 @@ fn accumulate(
 
 /// `ξᵀ`: per group — a [`ClassIndex`] class over the grouping columns, in
 /// first-occurrence order — one [`EndpointSweep`] over the raw period
-/// columns through the interpreter's own [`IntervalAggregates`], so the
-/// output is `tqo_core::ops::aggregate_t`'s list (and its literal
-/// definition's). Key columns are gathered from each class's first row;
-/// aggregate and period columns are built as the intervals are emitted.
-/// One governance poll per group.
+/// columns, so the output is `tqo_core::ops::aggregate_t`'s list (and its
+/// literal definition's). `COUNT`, integer `SUM`, `MIN` and `MAX` keep
+/// typed state (`TypedAgg`) and emit into `i64` vectors and row
+/// gathers; float `SUM`, `AVG` and anything unresolvable go through the
+/// interpreter's own [`IntervalAggregates`]. Key columns are gathered from
+/// each class's first row. One governance poll per group.
 pub fn aggregate_t(
     input: &ColumnarRelation,
     group_by: &[String],
@@ -594,21 +711,40 @@ pub fn aggregate_t(
         .collect::<Result<_>>()?;
     let (s, e) = input.period_columns()?;
     let classes = ClassIndex::build(input, key_idx.clone());
-    let mut live = IntervalAggregates::new(input, input.schema(), aggs);
-    let mut sweep = EndpointSweep::default();
-    let mut results: Vec<Column> = (0..aggs.len())
-        .map(|k| Column::with_capacity(out_schema.attr(key_idx.len() + k).dtype, 0))
+    let mut generic_items = Vec::new();
+    let typed: Vec<TypedAgg> = aggs
+        .iter()
+        .map(|agg| {
+            TypedAgg::of(input, agg).unwrap_or_else(|| {
+                generic_items.push(agg.clone());
+                TypedAgg::Generic(generic_items.len() - 1)
+            })
+        })
         .collect();
-    let (mut protos, mut t1, mut t2) = (Vec::new(), Vec::new(), Vec::new());
-    for (members, &proto) in classes.members.iter().zip(&classes.protos) {
+    let mut live = LiveAggs {
+        live: 0,
+        alive: vec![false; input.rows()],
+        typed,
+        generic: IntervalAggregates::new(input, input.schema(), &generic_items),
+    };
+    // A group of `k` rows has at most `2k − 1` constant intervals.
+    let cap = 2 * input.rows();
+    let mut outs: Vec<AggOut> = live.typed.iter().map(|acc| acc.out(cap)).collect();
+    let mut sweep = EndpointSweep::default();
+    let (mut protos, mut t1, mut t2) = (
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+    );
+    for (members, &proto) in classes.runs().zip(&classes.protos) {
         context::check_current()?;
         let periods = members
             .iter()
             .map(|&r| Ok((r, Period::new(s[r as usize], e[r as usize])?)));
         live.reset(members);
         sweep.run(periods, &mut live, |live, p| {
-            for (k, col) in results.iter_mut().enumerate() {
-                col.push(&live.value(k)?)?;
+            for (acc, out) in live.typed.iter().zip(&mut outs) {
+                acc.emit(live, out)?;
             }
             protos.push(proto);
             t1.push(p.start);
@@ -620,10 +756,297 @@ pub fn aggregate_t(
         .iter()
         .map(|&k| Arc::new(input.column(k).gather(&protos)))
         .collect();
-    columns.extend(results.into_iter().map(Arc::new));
+    for (k, (acc, out)) in live.typed.iter().zip(outs).enumerate() {
+        let dtype = out_schema.attr(key_idx.len() + k).dtype;
+        columns.push(Arc::new(acc.finish(dtype, out)?));
+    }
     columns.push(time_column(t1));
     columns.push(time_column(t2));
     Ok(ColumnarRelation::new(out_schema, columns))
+}
+
+/// One `ξᵀ` aggregate's state over a group's live rows, typed where the
+/// argument's column allows — the state `IntervalAggregates` keeps, read
+/// straight off the columns.
+enum TypedAgg<'a> {
+    /// `COUNT(*)`, or `COUNT` of a column without NULLs: the live count.
+    Rows,
+    /// `COUNT(attr)` over a column with NULLs: live non-NULL values.
+    NonNull { nulls: &'a [bool], n: i64 },
+    /// `SUM` over an `Int`/`Time` column: a wrapping running sum and the
+    /// live non-NULL count, NULL at zero.
+    IntSum {
+        col: &'a Column,
+        data: &'a [i64],
+        sum: i64,
+        n: i64,
+    },
+    /// `MIN`/`MAX`: the live non-NULL rows in a binary heap, the answer —
+    /// the extreme value, ties to the earliest row — on top. A row that
+    /// leaves stays until it surfaces; the top is always live.
+    Extreme {
+        col: &'a Column,
+        /// The payload of an `Int`/`Time` column, compared directly.
+        ints: Option<&'a [i64]>,
+        max: bool,
+        heap: Vec<u32>,
+    },
+    /// The `k`-th aggregate of the interpreter's state.
+    Generic(usize),
+}
+
+/// One aggregate's emitted values: `i64`s with a NULL mask, rows to
+/// gather (`NONE` = NULL), or values.
+struct AggOut {
+    ints: Vec<i64>,
+    nulls: Vec<bool>,
+    rows: Vec<u32>,
+    values: Vec<tqo_core::Value>,
+}
+
+impl<'a> TypedAgg<'a> {
+    /// Typed state for `agg` over `input`, or `None` for the generic path.
+    fn of(input: &'a ColumnarRelation, agg: &AggItem) -> Option<TypedAgg<'a>> {
+        let Some(attr) = agg.arg_index(input.schema()).ok()? else {
+            return Some(TypedAgg::Rows);
+        };
+        let col: &'a Column = input.column(attr);
+        match agg.func {
+            AggFunc::Count => Some(match col.nulls() {
+                Some(nulls) => TypedAgg::NonNull { nulls, n: 0 },
+                None => TypedAgg::Rows,
+            }),
+            AggFunc::Sum => match col.data() {
+                ColumnData::Int(data) | ColumnData::Time(data) => Some(TypedAgg::IntSum {
+                    col,
+                    data,
+                    sum: 0,
+                    n: 0,
+                }),
+                _ => None,
+            },
+            AggFunc::Min | AggFunc::Max => Some(TypedAgg::Extreme {
+                col,
+                ints: match col.data() {
+                    ColumnData::Int(data) | ColumnData::Time(data) => Some(data),
+                    _ => None,
+                },
+                max: agg.func == AggFunc::Max,
+                heap: Vec::new(),
+            }),
+            AggFunc::Avg => None,
+        }
+    }
+
+    /// An empty output for this aggregate, with room for `cap` values.
+    fn out(&self, cap: usize) -> AggOut {
+        let (ints, nulls, rows, values) = match self {
+            TypedAgg::Rows | TypedAgg::NonNull { .. } => (cap, 0, 0, 0),
+            TypedAgg::IntSum { .. } => (cap, cap, 0, 0),
+            TypedAgg::Extreme { .. } => (0, 0, cap, 0),
+            TypedAgg::Generic(_) => (0, 0, 0, cap),
+        };
+        AggOut {
+            ints: Vec::with_capacity(ints),
+            nulls: Vec::with_capacity(nulls),
+            rows: Vec::with_capacity(rows),
+            values: Vec::with_capacity(values),
+        }
+    }
+
+    fn reset(&mut self) {
+        match self {
+            TypedAgg::NonNull { n, .. } => *n = 0,
+            TypedAgg::IntSum { sum, n, .. } => (*sum, *n) = (0, 0),
+            TypedAgg::Extreme { heap, .. } => heap.clear(),
+            TypedAgg::Rows | TypedAgg::Generic(_) => {}
+        }
+    }
+
+    fn enter(&mut self, row: u32) {
+        let r = row as usize;
+        match self {
+            TypedAgg::NonNull { nulls, n } => *n += i64::from(!nulls[r]),
+            TypedAgg::IntSum { col, data, sum, n } if !col.is_null(r) => {
+                *sum = sum.wrapping_add(data[r]);
+                *n += 1;
+            }
+            TypedAgg::Extreme {
+                col,
+                ints,
+                max,
+                heap,
+            } if !col.is_null(r) => {
+                heap_push(heap, row, |a, b| first(col, *ints, *max, a, b));
+            }
+            _ => {}
+        }
+    }
+
+    fn leave(&mut self, row: u32, alive: &[bool]) {
+        let r = row as usize;
+        match self {
+            TypedAgg::NonNull { nulls, n } => *n -= i64::from(!nulls[r]),
+            TypedAgg::IntSum { col, data, sum, n } if !col.is_null(r) => {
+                *sum = sum.wrapping_sub(data[r]);
+                *n -= 1;
+            }
+            TypedAgg::Extreme {
+                col,
+                ints,
+                max,
+                heap,
+            } => {
+                while heap.first().is_some_and(|&top| !alive[top as usize]) {
+                    heap_pop(heap, |a, b| first(col, *ints, *max, a, b));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Append the aggregate over the current live set to `out`.
+    fn emit(&self, live: &LiveAggs, out: &mut AggOut) -> Result<()> {
+        match self {
+            TypedAgg::Rows => out.ints.push(live.live),
+            TypedAgg::NonNull { n, .. } => out.ints.push(*n),
+            TypedAgg::IntSum { sum, n, .. } => {
+                out.ints.push(*sum);
+                out.nulls.push(*n == 0);
+            }
+            TypedAgg::Extreme { heap, .. } => out.rows.push(heap.first().copied().unwrap_or(NONE)),
+            TypedAgg::Generic(k) => out.values.push(live.generic.value(*k)?),
+        }
+        Ok(())
+    }
+
+    /// The output column of `dtype` over everything emitted.
+    fn finish(&self, dtype: DataType, out: AggOut) -> Result<Column> {
+        match self {
+            TypedAgg::Rows | TypedAgg::NonNull { .. } | TypedAgg::IntSum { .. } => {
+                let data = match dtype {
+                    DataType::Time => ColumnData::Time(out.ints),
+                    _ => ColumnData::Int(out.ints),
+                };
+                Ok(if out.nulls.is_empty() {
+                    Column::from_data(data)
+                } else {
+                    Column::with_nulls(data, out.nulls)
+                })
+            }
+            TypedAgg::Extreme { col, .. } if !out.rows.contains(&NONE) => Ok(col.gather(&out.rows)),
+            TypedAgg::Extreme { col, .. } => {
+                let mut gathered = Column::with_capacity(dtype, out.rows.len());
+                for &r in &out.rows {
+                    if r == NONE {
+                        gathered.push(&tqo_core::Value::Null)?;
+                    } else {
+                        gathered.push_from(col, r as usize);
+                    }
+                }
+                Ok(gathered)
+            }
+            TypedAgg::Generic(_) => {
+                let mut col = Column::with_capacity(dtype, out.values.len());
+                for v in &out.values {
+                    col.push(v)?;
+                }
+                Ok(col)
+            }
+        }
+    }
+}
+
+/// Whether live row `a` of `col` (payload `ints`, if integral) ranks
+/// before `b` for a `MIN` (`max` false) or `MAX`: by value, ties to the
+/// earlier row — the row `AggItem::fold`'s strict comparisons keep.
+#[inline]
+fn first(col: &Column, ints: Option<&[i64]>, max: bool, a: u32, b: u32) -> bool {
+    let by_value = match ints {
+        Some(data) => data[a as usize].cmp(&data[b as usize]),
+        None => col.cmp_at(a as usize, col, b as usize),
+    };
+    let by_value = if max { by_value.reverse() } else { by_value };
+    by_value.then(a.cmp(&b)) == Ordering::Less
+}
+
+/// Push `x` onto the binary heap `heap` ordered by `before`.
+fn heap_push(heap: &mut Vec<u32>, x: u32, before: impl Fn(u32, u32) -> bool) {
+    heap.push(x);
+    let mut i = heap.len() - 1;
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !before(heap[i], heap[parent]) {
+            break;
+        }
+        heap.swap(i, parent);
+        i = parent;
+    }
+}
+
+/// Remove the top of the binary heap `heap` ordered by `before`.
+fn heap_pop(heap: &mut Vec<u32>, before: impl Fn(u32, u32) -> bool) {
+    let last = heap.pop().expect("popped a non-empty heap");
+    if heap.is_empty() {
+        return;
+    }
+    heap[0] = last;
+    let mut i = 0;
+    loop {
+        let (l, r) = (2 * i + 1, 2 * i + 2);
+        let mut top = i;
+        if l < heap.len() && before(heap[l], heap[top]) {
+            top = l;
+        }
+        if r < heap.len() && before(heap[r], heap[top]) {
+            top = r;
+        }
+        if top == i {
+            return;
+        }
+        heap.swap(i, top);
+        i = top;
+    }
+}
+
+/// `ξᵀ`'s live set: the live count and liveness per row, the typed
+/// aggregates, and the interpreter's state for the rest.
+struct LiveAggs<'a> {
+    live: i64,
+    alive: Vec<bool>,
+    typed: Vec<TypedAgg<'a>>,
+    generic: IntervalAggregates<'a, ColumnarRelation>,
+}
+
+impl LiveAggs<'_> {
+    /// Start a group whose rows are `members`: nothing live.
+    fn reset(&mut self, members: &[u32]) {
+        self.live = 0;
+        for acc in &mut self.typed {
+            acc.reset();
+        }
+        self.generic.reset(members);
+    }
+}
+
+impl LiveSet for LiveAggs<'_> {
+    fn enter(&mut self, row: u32) {
+        self.live += 1;
+        self.alive[row as usize] = true;
+        for acc in &mut self.typed {
+            acc.enter(row);
+        }
+        self.generic.enter(row);
+    }
+
+    fn leave(&mut self, row: u32) {
+        self.live -= 1;
+        self.alive[row as usize] = false;
+        for acc in &mut self.typed {
+            acc.leave(row, &self.alive);
+        }
+        self.generic.leave(row);
+    }
 }
 
 /// Approximate bytes of `×`'s output over inputs of the given footprints
@@ -687,16 +1110,15 @@ fn for_each_key_match(
     let (left_keys, right_keys) = keys.resolve(left.schema(), right.schema())?;
     let index = ClassIndex::build(right, right_keys);
     let cols = left.columns();
-    for i in 0..left.rows() {
+    let classes = index.probe_all(cols, &left_keys, left.rows());
+    for (i, &class) in classes.iter().enumerate() {
         context::check_current()?;
         // `=` is never true of a NULL, whatever is on the other side.
-        if left_keys.iter().any(|&c| cols[c].is_null(i)) {
+        if class == NONE || left_keys.iter().any(|&c| cols[c].is_null(i)) {
             continue;
         }
-        if let Some(class) = index.find_keyed(cols, &left_keys, i) {
-            for &j in &index.members[class as usize] {
-                emit(i as u32, j);
-            }
+        for &j in index.members(class as usize) {
+            emit(i as u32, j);
         }
     }
     Ok(())
@@ -803,8 +1225,102 @@ pub fn product_t_sweep(
     ))
 }
 
-/// `\ᵀ` via per-class count timelines, list-exact against
-/// `tqo_core::ops::difference_t`.
+/// A temporal input's period columns, every period checked as the
+/// interpreter reads it: the first row with `T1 > T2` is its error.
+fn checked_periods(input: &ColumnarRelation) -> Result<(&[i64], &[i64])> {
+    let (s, e) = input.period_columns()?;
+    match s.iter().zip(e).find(|(s, e)| s > e) {
+        Some((&start, &end)) => Err(Error::InvalidPeriod { start, end }),
+        None => Ok((s, e)),
+    }
+}
+
+/// The surplus of `a` over `b` per class of `classes` (built over `a`'s
+/// explicit attributes), as [`CountTimeline`] computes it: for each class
+/// in order, the maximal periods on which more of its `a` rows than `b`
+/// rows are live, chronologically, each repeated by the surplus. Every
+/// class's `±1` events go into one flat buffer, laid out by class, and
+/// each class run is sorted and walked there; an instant where the count
+/// does not change cuts nothing. Returns `(proto rows of a, t1, t2)`. One
+/// governance poll per class run.
+///
+/// [`CountTimeline`]: tqo_core::time::CountTimeline
+fn surplus(
+    a: &ColumnarRelation,
+    classes: &ClassIndex,
+    b: &ColumnarRelation,
+) -> Result<(Vec<u32>, Vec<i64>, Vec<i64>)> {
+    let (as_, ae) = checked_periods(a)?;
+    let (bs, be) = checked_periods(b)?;
+    // Class of every `b` row (`NONE`: no class of `a`).
+    let b_class = classes.probe_all(b.columns(), &b.schema().value_indices(), b.rows());
+    let mut starts = vec![0u32; classes.len() + 1];
+    for (row, &c) in classes.class_of_row.iter().enumerate() {
+        starts[c as usize + 1] += 2 * u32::from(as_[row] < ae[row]);
+    }
+    for (j, &c) in b_class.iter().enumerate() {
+        if c != NONE {
+            starts[c as usize + 1] += 2 * u32::from(bs[j] < be[j]);
+        }
+    }
+    for c in 0..classes.len() {
+        starts[c + 1] += starts[c];
+    }
+    let mut cursor = starts.clone();
+    let mut events = vec![(0i64, 0i64); starts[classes.len()] as usize];
+    let mut put = |c: u32, start: i64, end: i64, weight: i64| {
+        let at = &mut cursor[c as usize];
+        events[*at as usize] = (start, weight);
+        events[*at as usize + 1] = (end, -weight);
+        *at += 2;
+    };
+    for (row, &c) in classes.class_of_row.iter().enumerate() {
+        if as_[row] < ae[row] {
+            put(c, as_[row], ae[row], 1);
+        }
+    }
+    for (j, &c) in b_class.iter().enumerate() {
+        if c != NONE && bs[j] < be[j] {
+            put(c, bs[j], be[j], -1);
+        }
+    }
+
+    let cap = a.rows() + b.rows();
+    let (mut protos, mut t1, mut t2) = (
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+    );
+    for (class, bounds) in starts.windows(2).enumerate() {
+        context::check_current()?;
+        let run = &mut events[bounds[0] as usize..bounds[1] as usize];
+        run.sort_unstable_by_key(|&(at, _)| at);
+        let (mut count, mut from) = (0i64, 0i64);
+        let mut k = 0;
+        while k < run.len() {
+            let at = run[k].0;
+            let mut delta = 0;
+            while k < run.len() && run[k].0 == at {
+                delta += run[k].1;
+                k += 1;
+            }
+            if delta == 0 {
+                continue;
+            }
+            for _ in 0..count.max(0) {
+                protos.push(classes.protos[class]);
+                t1.push(from);
+                t2.push(at);
+            }
+            count += delta;
+            from = at;
+        }
+    }
+    Ok((protos, t1, t2))
+}
+
+/// `\ᵀ`: the left input's surplus over the right per left class
+/// (`surplus`), list-exact against `tqo_core::ops::difference_t`.
 pub fn difference_t(
     left: &ColumnarRelation,
     right: &ColumnarRelation,
@@ -812,84 +1328,214 @@ pub fn difference_t(
 ) -> Result<ColumnarRelation> {
     left.schema()
         .check_union_compatible(right.schema(), "temporal difference")?;
-    let (ls, le) = left.period_columns()?;
-    let (rs, re) = right.period_columns()?;
     let classes = ClassIndex::build(left, left.schema().value_indices());
-
-    let mut timelines: Vec<CountTimeline> = vec![CountTimeline::new(); classes.len()];
-    for (class, members) in classes.members.iter().enumerate() {
-        for &i in members {
-            timelines[class].add(Period::of(ls[i as usize], le[i as usize]), 1);
-        }
-    }
-    let rcols = right.columns().to_vec();
-    for j in 0..right.rows() {
-        if let Some(class) = classes.find(&rcols, j) {
-            timelines[class as usize].add(Period::of(rs[j], re[j]), -1);
-        }
-    }
-
-    let mut protos = Vec::new();
-    let mut t1 = Vec::new();
-    let mut t2 = Vec::new();
-    for (class, tl) in timelines.iter().enumerate() {
-        let proto = classes.protos[class];
-        for (period, count) in tl.constant_intervals() {
-            for _ in 0..count.max(0) {
-                protos.push(proto);
-                t1.push(period.start);
-                t2.push(period.end);
-            }
-        }
-    }
+    let (protos, t1, t2) = surplus(left, &classes, right)?;
     Ok(emit_fragments(left, out_schema, &protos, t1, t2))
 }
 
-/// `rdupᵀ`: each row claims, in list order, what earlier rows of its
-/// class left free of its period — list-exact against
-/// `tqo_core::ops::rdup_t` (and so against the paper's recursion).
-pub fn rdup_t(input: &ColumnarRelation) -> Result<ColumnarRelation> {
-    let (s, e) = input.period_columns()?;
-    let classes = ClassIndex::build(input, input.schema().value_indices());
-    let mut claimed = vec![Coverage::new(); classes.len()];
-    let mut rows = Vec::with_capacity(input.rows());
-    let mut t1 = Vec::with_capacity(input.rows());
-    let mut t2 = Vec::with_capacity(input.rows());
-    for (row, &class) in classes.class_of_row.iter().enumerate() {
-        claimed[class as usize].claim(Period::new(s[row], e[row])?, |p| {
-            rows.push(row as u32);
-            t1.push(p.start);
-            t2.push(p.end);
-        });
+/// `∪ᵀ`: the whole left input, then the right input's surplus over it per
+/// right class (`surplus`) — list-exact against
+/// `tqo_core::ops::union_t`.
+pub fn union_t(
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    out_schema: Arc<Schema>,
+) -> Result<ColumnarRelation> {
+    left.schema()
+        .check_union_compatible(right.schema(), "temporal union")?;
+    let classes = ClassIndex::build(right, right.schema().value_indices());
+    let (protos, t1, t2) = surplus(right, &classes, left)?;
+    let (i1, i2) = (
+        out_schema.t1_index().expect("temporal output"),
+        out_schema.t2_index().expect("temporal output"),
+    );
+    let (ls, le) = left.period_columns()?;
+    let columns = (0..out_schema.arity())
+        .map(|c| match c {
+            _ if c == i1 => time_column([ls, &t1].concat()),
+            _ if c == i2 => time_column([le, &t2].concat()),
+            _ => Arc::new(append_rows(&out_schema, c, left, right, &protos)),
+        })
+        .collect();
+    Ok(ColumnarRelation::new(out_schema, columns))
+}
+
+/// Column `c` of a union's output: all of `left`'s, then `right`'s rows
+/// `extra`.
+fn append_rows(
+    out_schema: &Schema,
+    c: usize,
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    extra: &[u32],
+) -> Column {
+    let mut col = Column::with_capacity(out_schema.attr(c).dtype, left.rows() + extra.len());
+    col.extend_range(left.column(c), 0, left.rows());
+    col.extend_idx(right.column(c), extra);
+    col
+}
+
+/// `∪`: the whole left input, then each right row beyond its value's
+/// count in the left, in right order — list-exact against
+/// `tqo_core::ops::union_max`. The right input's classes count their
+/// left occurrences, and each class run's members past that count are
+/// the surplus. One governance poll per class run.
+pub fn union_max(
+    left: &ColumnarRelation,
+    right: &ColumnarRelation,
+    out_schema: Arc<Schema>,
+) -> Result<ColumnarRelation> {
+    left.schema()
+        .check_union_compatible(right.schema(), "union")?;
+    let all: Vec<usize> = (0..right.schema().arity()).collect();
+    let classes = ClassIndex::build(right, all.clone());
+    let mut in_left = vec![0usize; classes.len()];
+    for c in classes.probe_all(left.columns(), &all, left.rows()) {
+        if c != NONE {
+            in_left[c as usize] += 1;
+        }
     }
-    Ok(emit_fragments(input, input.schema().clone(), &rows, t1, t2))
+    let mut extra = vec![false; right.rows()];
+    for (run, &skip) in classes.runs().zip(&in_left) {
+        context::check_current()?;
+        for &j in run.iter().skip(skip) {
+            extra[j as usize] = true;
+        }
+    }
+    let extra: Vec<u32> = (0..right.rows() as u32)
+        .filter(|&j| extra[j as usize])
+        .collect();
+    let columns = (0..out_schema.arity())
+        .map(|c| Arc::new(append_rows(&out_schema, c, left, right, &extra)))
+        .collect();
+    Ok(ColumnarRelation::new(out_schema, columns))
+}
+
+/// `rdupᵀ`: each row keeps what earlier rows of its class left free of its
+/// period — list-exact against `tqo_core::ops::rdup_t` (and so against the
+/// paper's recursion). So an instant belongs to the earliest row, in list
+/// order, whose period covers it. Per class run, one sweep by start keeps
+/// the covering rows in a min-heap keyed on list position and cuts a
+/// fragment wherever the heap's top — the owner — changes; ended rows
+/// leave the heap lazily, when they surface. The fragments come out by
+/// time; a counting sort by row (its counts kept as the sweep emits)
+/// puts them back in list order, each row's chronologically. One
+/// governance poll per class run.
+pub fn rdup_t(input: &ColumnarRelation) -> Result<ColumnarRelation> {
+    let (s, e) = checked_periods(input)?;
+    let classes = ClassIndex::build(input, input.schema().value_indices());
+    let mut by_start: Vec<(i64, u32)> = Vec::new();
+    let mut covering: BinaryHeap<Reverse<(u32, i64)>> = BinaryHeap::new();
+    let rows = input.rows();
+    let (mut owners, mut t1, mut t2) = (
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+    );
+    // Fragments per row, shifted by one: prefix sums turn it into each
+    // row's first output slot.
+    let mut slot = vec![0u32; rows + 1];
+    for run in classes.runs() {
+        context::check_current()?;
+        by_start.clear();
+        by_start.extend(
+            run.iter()
+                .filter(|&&r| s[r as usize] < e[r as usize])
+                .map(|&r| (s[r as usize], r)),
+        );
+        by_start.sort_unstable_by_key(|&(start, _)| start);
+        covering.clear();
+        let (mut next, mut at) = (0, 0i64);
+        while next < by_start.len() || !covering.is_empty() {
+            if covering.is_empty() {
+                at = by_start[next].0;
+            }
+            while let Some(&(start, r)) = by_start.get(next) {
+                if start > at {
+                    break;
+                }
+                covering.push(Reverse((r, e[r as usize])));
+                next += 1;
+            }
+            while covering.peek().is_some_and(|Reverse((_, end))| *end <= at) {
+                covering.pop();
+            }
+            let Some(&Reverse((owner, end))) = covering.peek() else {
+                continue;
+            };
+            let until = by_start.get(next).map_or(end, |&(start, _)| end.min(start));
+            if owners.last() == Some(&owner) && t2.last() == Some(&at) {
+                *t2.last_mut().expect("just read") = until;
+            } else {
+                owners.push(owner);
+                t1.push(at);
+                t2.push(until);
+                slot[owner as usize + 1] += 1;
+            }
+            at = until;
+        }
+    }
+    for r in 0..rows {
+        slot[r + 1] += slot[r];
+    }
+    let n = owners.len();
+    let (mut by_row, mut t1_out, mut t2_out) = (vec![0u32; n], vec![0i64; n], vec![0i64; n]);
+    for (k, &owner) in owners.iter().enumerate() {
+        let at = &mut slot[owner as usize];
+        let i = *at as usize;
+        (by_row[i], t1_out[i], t2_out[i]) = (owner, t1[k], t2[k]);
+        *at += 1;
+    }
+    Ok(emit_fragments(
+        input,
+        input.schema().clone(),
+        &by_row,
+        t1_out,
+        t2_out,
+    ))
 }
 
 /// `coalᵀ`: [`coalesce_walk`] over [`ClassIndex`] classes and the raw
 /// period columns — list-exact against `tqo_core::ops::coalesce`. The
-/// `(class, instant)` pairs are numbered through a [`RowTable`] on a mix of
-/// the two, each pair stored once for the collision check.
+/// `(class, instant)` pairs are numbered class run by class run: a run's
+/// endpoints are sorted, and each distinct instant takes the next id. One
+/// governance poll per class run.
 pub fn coalesce(input: &ColumnarRelation) -> Result<ColumnarRelation> {
-    let (s, e) = input.period_columns()?;
+    let (s, e) = checked_periods(input)?;
     let classes = ClassIndex::build(input, input.schema().value_indices());
     let rows = input.rows();
-    let mut table = RowTable::with_capacity(2 * rows);
-    let mut pairs: Vec<(u32, i64)> = Vec::with_capacity(2 * rows);
-    let mut number = |class: u32, at: i64| {
-        let hash = hash_combine(mix64(u64::from(class)), mix64(at as u64));
-        let (id, inserted) = table.find_or_insert(hash, |id| pairs[id as usize] == (class, at), 0);
-        if inserted {
-            pairs.push((class, at));
+    let (mut starts_at, mut ends_at) = (vec![0u32; rows], vec![0u32; rows]);
+    // A run's endpoints as `(instant, row << 1 | is_end)`.
+    let mut endpoints: Vec<(i64, u32)> = Vec::new();
+    let mut ids = 0u32;
+    for run in classes.runs() {
+        context::check_current()?;
+        endpoints.clear();
+        for &r in run {
+            endpoints.push((s[r as usize], r << 1));
+            endpoints.push((e[r as usize], r << 1 | 1));
         }
-        id
-    };
-    let (mut starts_at, mut ends_at) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    for (row, &class) in classes.class_of_row.iter().enumerate() {
-        starts_at.push(number(class, s[row]));
-        ends_at.push(number(class, e[row]));
+        endpoints.sort_unstable_by_key(|&(at, _)| at);
+        let mut last = None;
+        for &(at, slot) in &endpoints {
+            if last != Some(at) {
+                last = Some(at);
+                ids += 1;
+            }
+            let ids_of = if slot & 1 == 0 {
+                &mut starts_at
+            } else {
+                &mut ends_at
+            };
+            ids_of[(slot >> 1) as usize] = ids - 1;
+        }
     }
-    let (mut heads, mut t1, mut t2) = (Vec::new(), Vec::new(), Vec::new());
-    coalesce_walk(&starts_at, &ends_at, pairs.len(), |head, first, last| {
+    let (mut heads, mut t1, mut t2) = (
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+        Vec::with_capacity(rows),
+    );
+    coalesce_walk(&starts_at, &ends_at, ids as usize, |head, first, last| {
         heads.push(head as u32);
         t1.push(s[first]);
         t2.push(e[last]);

@@ -9,9 +9,7 @@
 //! `rdup`, hash `difference`, transfers) forward ~1024-row batches as they
 //! arrive; a pipeline breaker (`is_breaker`, the same set the stage
 //! cutter cuts at) materializes its inputs and runs its own plan node's
-//! columnar kernel. The two breakers without a columnar kernel (`∪`,
-//! `∪ᵀ`) run the interpreter's own functions (`ops::{union_max,
-//! union_t}`).
+//! columnar kernel.
 //!
 //! Every operator is wrapped in a `Metered` shell that accumulates
 //! inclusive wall-clock time, output rows, and batch counts into a shared
@@ -728,12 +726,10 @@ impl BlockingOp {
             }
             (PlanNode::RdupT { .. }, _, [input]) => kernels::rdup_t(input)?,
             (PlanNode::Coalesce { .. }, _, [input]) => kernels::coalesce(input)?,
-            (PlanNode::UnionMax { .. }, _, [left, right]) => ColumnarRelation::from_relation(
-                &ops::union_max(&left.to_relation(), &right.to_relation())?,
-            )?,
-            (PlanNode::UnionT { .. }, _, [left, right]) => ColumnarRelation::from_relation(
-                &ops::union_t(&left.to_relation(), &right.to_relation())?,
-            )?,
+            (PlanNode::UnionMax { .. }, _, [left, right]) => {
+                kernels::union_max(left, right, schema)?
+            }
+            (PlanNode::UnionT { .. }, _, [left, right]) => kernels::union_t(left, right, schema)?,
             (node, ..) => unreachable!("`{}` is not a breaker", node.op_name()),
         };
         // Charge the materialized output until close releases it: `×`

@@ -7,8 +7,9 @@
 //!   (`Cancelled`, `DeadlineExceeded`, `MemoryBudget`), never a panic and
 //!   never a third outcome.
 //! * Cancellation at **every checkpoint class** (batch `next_batch`, the
-//!   product kernels' per-left-row polls, scheduler task boundaries, memo
-//!   task pops, stratum fragment dispatch) leaves the engine, catalog, and worker
+//!   product kernels' per-left-row polls, the class-run kernels' per-run
+//!   polls, scheduler task boundaries, memo task pops, stratum fragment
+//!   dispatch) leaves the engine, catalog, and worker
 //!   pool reusable: the next query on the same objects succeeds
 //!   byte-identically to a fresh run.
 //! * **Fault-injected wire runs are byte-identical to clean runs** once
@@ -407,6 +408,77 @@ fn batch_products_poll_per_left_row_and_cancel_mid_operator() {
 
         let (after, _) = execute_mode(&plan, &env, ExecMode::Batch).unwrap();
         assert_eq!(after, clean, "{label} not reusable after cancel");
+    }
+}
+
+/// `R(E, T1, T2)` with `rows` rows over `classes` value classes, each
+/// class's periods overlapping their neighbours'.
+fn overlapping_classes(rows: i64, classes: i64) -> Relation {
+    Relation::new(
+        Schema::temporal(&[("E", DataType::Str)]),
+        (0..rows)
+            .map(|i| {
+                let start = (i / classes) * 3;
+                Tuple::new(vec![
+                    Value::from(format!("e{}", i % classes).as_str()),
+                    Value::Time(start),
+                    Value::Time(start + 5),
+                ])
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// The class-run temporal kernels poll governance once per class run: on
+/// a 50k-row, 5k-class input each polls at least 5k times, so a token
+/// that trips on its 100th poll, or halfway through the classes, cancels
+/// the query — and the next run on the same scheduler is the
+/// interpreter's list.
+#[test]
+fn temporal_kernels_poll_per_class_run_and_cancel_mid_operator() {
+    let env = Env::new()
+        .with("R", overlapping_classes(50_000, 5_000))
+        .with("S", overlapping_classes(5_000, 500));
+    let scan =
+        |name: &str| PlanBuilder::scan(name, BaseProps::measured(env.get(name).unwrap()).unwrap());
+    let scheduler = Scheduler::new(SchedulerConfig {
+        workers: 2,
+        ..SchedulerConfig::default()
+    });
+    for (label, plan) in [
+        ("rdupᵀ", scan("R").rdup_t()),
+        ("coalᵀ", scan("R").coalesce()),
+        ("\\ᵀ", scan("R").difference_t(scan("S"))),
+        ("∪ᵀ", scan("S").union_t(scan("R"))),
+        ("∪", scan("S").union_max(scan("R"))),
+    ] {
+        let plan = plan.build_multiset();
+        let physical = lower(&plan, PlannerConfig::default()).unwrap();
+        let run = |ctx: QueryContext| {
+            let opts = SubmitOptions {
+                ctx,
+                ..SubmitOptions::default()
+            };
+            scheduler.run(&physical, &env, opts)
+        };
+        let watched = QueryContext::new();
+        run(watched.clone()).unwrap();
+        let polls = watched.token().polls();
+        assert!(polls >= 5_000, "{label}: {polls} polls over 5k classes");
+
+        // Early, and past the scans' own polls: only the kernel polls there.
+        for trip in [100, polls - 2_500] {
+            let err = run(QueryContext::new().with_cancel_after(trip)).unwrap_err();
+            assert_eq!(err, Error::Cancelled, "{label} tripping at poll {trip}");
+        }
+        let (after, _) = run(QueryContext::new()).unwrap();
+        assert_eq!(
+            after,
+            tqo_core::interp::eval_plan(&plan, &env).unwrap(),
+            "{label} after a cancel"
+        );
+        assert_eq!(scheduler.resident(), 0, "{label}: an admission slot leaked");
     }
 }
 
