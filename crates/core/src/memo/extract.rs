@@ -84,14 +84,6 @@ pub struct Extractor<'a> {
     closures: HashMap<(ExprId, MemoCtx), Closure>,
 }
 
-fn child_site(node: &PlanNode, site: Site) -> Site {
-    match node {
-        PlanNode::TransferS { .. } => Site::Dbms,
-        PlanNode::TransferD { .. } => Site::Stratum,
-        _ => site,
-    }
-}
-
 /// A derivation chain as `RuleApplication`s firing at `location`.
 fn chain_to_applications(chain: &[DerivationStep], location: &[usize]) -> Vec<RuleApplication> {
     chain
@@ -250,7 +242,7 @@ impl<'a> Extractor<'a> {
         }
 
         let occupants = self.memo.exprs[member].witness_children.clone();
-        let csite = child_site(&op, ctx.site);
+        let csite = op.child_site(ctx.site);
         // The flag vector a child sees depends on sibling interfaces only
         // through snapshot-dup-freedom; enumerate those assumptions and
         // match child entries against them.

@@ -74,15 +74,6 @@ pub struct Explorer<'a> {
     pub stats: ExploreStats,
 }
 
-/// The execution site of `node`'s `i`-th child given the node's own site.
-fn child_site(node: &PlanNode, site: Site) -> Site {
-    match node {
-        PlanNode::TransferS { .. } => Site::Dbms,
-        PlanNode::TransferD { .. } => Site::Stratum,
-        _ => site,
-    }
-}
-
 impl<'a> Explorer<'a> {
     /// An explorer over `memo` applying `rules` within `config` budgets.
     pub fn new(memo: Memo, rules: &'a RuleSet, config: MemoConfig) -> Explorer<'a> {
@@ -225,7 +216,7 @@ impl<'a> Explorer<'a> {
         if child_groups.is_empty() {
             return Ok(());
         }
-        let site = child_site(op, ctx.site);
+        let site = op.child_site(ctx.site);
         let mut variant_sets: Vec<Vec<StaticProps>> = Vec::with_capacity(child_groups.len());
         for &g in child_groups {
             variant_sets.push(self.interface_variants(g, site)?);
@@ -320,7 +311,7 @@ impl<'a> Explorer<'a> {
         if child_groups.is_empty() {
             return Ok(vec![op.clone()]);
         }
-        let site = child_site(op, ctx.site);
+        let site = op.child_site(ctx.site);
         let mut member_sets: Vec<Vec<ExprId>> = Vec::with_capacity(child_groups.len());
         for &g in child_groups {
             member_sets.push(self.memo.members(g));
@@ -372,7 +363,7 @@ impl<'a> Explorer<'a> {
         if gchild_groups.is_empty() {
             return Ok(Some(op));
         }
-        let site = child_site(&op, ctx.site);
+        let site = op.child_site(ctx.site);
         let mut chosen: Vec<Arc<PlanNode>> = Vec::with_capacity(gchild_groups.len());
         let mut stats: Vec<StaticProps> = Vec::with_capacity(gchild_groups.len());
         let mut picks: Vec<ExprId> = Vec::with_capacity(gchild_groups.len());

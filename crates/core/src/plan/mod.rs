@@ -334,18 +334,24 @@ impl PlanNode {
         1 + self.children().iter().map(|c| c.depth()).max().unwrap_or(0)
     }
 
+    /// The execution site of this node's children when the node itself
+    /// runs at `site` (§4.5): below `Tˢ` is the DBMS, below `Tᴰ` the
+    /// stratum, and every other operation keeps its own site.
+    pub fn child_site(&self, site: Site) -> Site {
+        match self {
+            PlanNode::TransferS { .. } => Site::Dbms,
+            PlanNode::TransferD { .. } => Site::Stratum,
+            _ => site,
+        }
+    }
+
     /// Execution site of every node, top-down (Table 2 context). The root
-    /// runs at `root_site`; `Tˢ` puts its subtree in the DBMS, `Tᴰ` back in
-    /// the stratum.
+    /// runs at `root_site`; see [`PlanNode::child_site`].
     pub fn sites(&self, root_site: Site) -> Vec<(Path, Site)> {
         let mut out = Vec::new();
         let mut stack: Vec<(Path, &PlanNode, Site)> = vec![(Vec::new(), self, root_site)];
         while let Some((path, node, site)) = stack.pop() {
-            let child_site = match node {
-                PlanNode::TransferS { .. } => Site::Dbms,
-                PlanNode::TransferD { .. } => Site::Stratum,
-                _ => site,
-            };
+            let child_site = node.child_site(site);
             for (i, c) in node.children().iter().enumerate().rev() {
                 let mut p = path.clone();
                 p.push(i);
@@ -504,6 +510,21 @@ mod tests {
         assert_eq!(find(&[]), Site::Stratum);
         assert_eq!(find(&[0]), Site::Stratum); // the transfer itself
         assert_eq!(find(&[0, 0]), Site::Dbms); // below the transfer
+    }
+
+    #[test]
+    fn child_site_crosses_only_transfers() {
+        let to_dbms = PlanNode::TransferS {
+            input: Arc::new(scan("EMP")),
+        };
+        let to_stratum = PlanNode::TransferD {
+            input: Arc::new(scan("EMP")),
+        };
+        for site in [Site::Stratum, Site::Dbms] {
+            assert_eq!(to_dbms.child_site(site), Site::Dbms);
+            assert_eq!(to_stratum.child_site(site), Site::Stratum);
+            assert_eq!(scan("EMP").child_site(site), site);
+        }
     }
 
     #[test]

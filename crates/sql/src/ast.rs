@@ -46,22 +46,20 @@ pub enum SqlExpr {
     },
 }
 
-/// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlBinOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
-    Add,
-    Sub,
-    Mul,
-    Div,
+impl SqlExpr {
+    /// `left op right`.
+    pub(crate) fn binary(op: SqlBinOp, left: SqlExpr, right: SqlExpr) -> SqlExpr {
+        SqlExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
 }
+
+/// Binary operators: the algebra's own, so the binder maps them as they
+/// are.
+pub use tqo_core::expr::BinOp as SqlBinOp;
 
 /// One select-list item.
 #[derive(Debug, Clone, PartialEq)]

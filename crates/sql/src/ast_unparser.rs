@@ -181,23 +181,6 @@ fn prec(e: &SqlExpr) -> u8 {
     }
 }
 
-fn op_text(op: SqlBinOp) -> &'static str {
-    match op {
-        SqlBinOp::Eq => "=",
-        SqlBinOp::Ne => "<>",
-        SqlBinOp::Lt => "<",
-        SqlBinOp::Le => "<=",
-        SqlBinOp::Gt => ">",
-        SqlBinOp::Ge => ">=",
-        SqlBinOp::And => "AND",
-        SqlBinOp::Or => "OR",
-        SqlBinOp::Add => "+",
-        SqlBinOp::Sub => "-",
-        SqlBinOp::Mul => "*",
-        SqlBinOp::Div => "/",
-    }
-}
-
 /// Render `e`, parenthesizing when its binding strength falls below
 /// `min_prec` (the context's requirement on the operand).
 fn expr(out: &mut String, e: &SqlExpr, min_prec: u8) {
@@ -241,7 +224,7 @@ fn expr(out: &mut String, e: &SqlExpr, min_prec: u8) {
                 p + u8::from(p == 4)
             };
             expr(out, left, left_min);
-            let _ = write!(out, " {} ", op_text(*op));
+            let _ = write!(out, " {op} ");
             expr(out, right, p + 1);
         }
         SqlExpr::Not(inner) => {
@@ -256,14 +239,7 @@ fn expr(out: &mut String, e: &SqlExpr, min_prec: u8) {
             out.push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
         }
         SqlExpr::Agg { func, arg } => {
-            let name = match func {
-                tqo_core::expr::AggFunc::Count => "COUNT",
-                tqo_core::expr::AggFunc::Sum => "SUM",
-                tqo_core::expr::AggFunc::Min => "MIN",
-                tqo_core::expr::AggFunc::Max => "MAX",
-                tqo_core::expr::AggFunc::Avg => "AVG",
-            };
-            let _ = write!(out, "{name}(");
+            let _ = write!(out, "{func}(");
             match arg {
                 None => out.push('*'),
                 Some(a) => expr(out, a, 0),

@@ -307,11 +307,7 @@ impl Parser {
         let mut left = self.and_expr()?;
         while self.eat(&Token::Or) {
             let right = self.and_expr()?;
-            left = SqlExpr::Binary {
-                op: SqlBinOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = SqlExpr::binary(SqlBinOp::Or, left, right);
         }
         Ok(left)
     }
@@ -320,11 +316,7 @@ impl Parser {
         let mut left = self.not_expr()?;
         while self.eat(&Token::And) {
             let right = self.not_expr()?;
-            left = SqlExpr::Binary {
-                op: SqlBinOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = SqlExpr::binary(SqlBinOp::And, left, right);
         }
         Ok(left)
     }
@@ -369,11 +361,7 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let right = self.additive()?;
-            return Ok(SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            });
+            return Ok(SqlExpr::binary(op, left, right));
         }
         // IS [NOT] NULL postfix.
         if self.eat(&Token::Is) {
@@ -418,11 +406,7 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.multiplicative()?;
-            left = SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = SqlExpr::binary(op, left, right);
         }
         Ok(left)
     }
@@ -437,11 +421,7 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.primary()?;
-            left = SqlExpr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = SqlExpr::binary(op, left, right);
         }
         Ok(left)
     }
