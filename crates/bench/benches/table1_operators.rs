@@ -98,15 +98,16 @@ fn bench(c: &mut Criterion) {
     // columnar kernels / vectorized selection over pre-transposed inputs.
     {
         use std::sync::Arc;
-        use tqo_core::columnar::ColumnarRelation;
-        use tqo_exec::batch::{exprs, kernels, Batch};
+        use tqo_core::columnar::{ColumnarRelation, Sel};
+        use tqo_core::exprs;
+        use tqo_exec::batch::kernels;
         let cr = ColumnarRelation::from_relation(&r).expect("columnar");
         let cs = ColumnarRelation::from_relation(&s).expect("columnar");
 
         group.bench_function("select_batch", |b| {
             let compiled = exprs::compile(&pred, r.schema()).expect("total fragment");
-            let batch = Batch::slice(&cr, 0, cr.rows());
-            b.iter(|| exprs::filter(&compiled, &batch).len())
+            let all = Sel::Range(0, cr.rows());
+            b.iter(|| exprs::filter(&compiled, cr.columns(), &all).len())
         });
         group.bench_function("rdup_t_batch", |b| {
             b.iter(|| kernels::rdup_t(&cr).expect("ok").rows())

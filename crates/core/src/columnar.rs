@@ -5,9 +5,11 @@
 //! touch costs an allocation or an enum dispatch. This module provides the
 //! column-major counterpart the batch execution engine in `tqo-exec` runs
 //! on: attribute values are unboxed into native vectors (`T1`/`T2` become
-//! plain `i64` columns), nulls live in an optional side mask, and strings
-//! are shared `Arc<str>`s so gathering rows bumps refcounts instead of
-//! copying payloads.
+//! plain `i64` columns), nulls live in an optional side mask, and a
+//! string column is one byte buffer plus offsets ([`Strings`], the
+//! variable-size binary layout of Apache Arrow), so copying, gathering,
+//! comparing, hashing and freeing strings are slice operations with no
+//! allocation or reference count per value.
 //!
 //! Row-level semantics (hashing, equality, ordering) exactly mirror
 //! [`Value`]'s: within a column the declared [`DataType`] fixes the variant
@@ -34,8 +36,8 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Booleans.
     Bool(Vec<bool>),
-    /// Shared strings (gathers bump refcounts, not bytes).
-    Str(Vec<Arc<str>>),
+    /// Strings, all of a column's bytes in one buffer.
+    Str(Strings),
     /// Instants, stored as raw `i64`.
     Time(Vec<i64>),
 }
@@ -63,15 +65,18 @@ pub fn hash_combine(h: u64, k: u64) -> u64 {
     h.rotate_left(26) ^ k
 }
 
+/// What one string costs the row layout beyond its bytes: the `Arc<str>`
+/// handle a `Value::Str` holds.
+const STR_HANDLE_BYTES: usize = std::mem::size_of::<Arc<str>>();
+
 const NULL_HASH: u64 = 0x9ae1_6a3b_2f90_404f;
 
 #[inline]
-fn hash_str(s: &str) -> u64 {
+fn hash_str(bytes: &[u8]) -> u64 {
     // Eight bytes at a time (fx-style), length folded in so prefixes of
     // padded chunks don't collide trivially.
     // The tail is read as if zero-padded to eight bytes, assembled in a
     // register rather than copied through a buffer.
-    let bytes = s.as_bytes();
     let mut h = 0x517c_c1b7_2722_0a95_u64 ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -86,6 +91,107 @@ fn hash_str(s: &str) -> u64 {
     h
 }
 
+/// A string column's payload: every value's UTF-8 bytes back to back in
+/// one buffer, delimited by `len + 1` offsets (value `i` is
+/// `bytes[offsets[i]..offsets[i + 1]]`). Values compare and hash as byte
+/// slices — UTF-8 byte order is `str` order, so `Value::cmp` and
+/// `Value::eq` semantics hold. Only whole `&str`s or whole values of
+/// another `Strings` enter, so the buffer is UTF-8 at every value boundary.
+#[derive(Debug, Clone)]
+pub struct Strings {
+    bytes: Vec<u8>,
+    offsets: Vec<usize>,
+}
+
+impl Strings {
+    /// An empty payload with room for `rows` values of `bytes` bytes in all.
+    pub fn with_capacity(rows: usize, bytes: usize) -> Strings {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Strings {
+            bytes: Vec::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when the payload holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes of value `i`.
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Value `i` as a string.
+    pub fn str_at(&self, i: usize) -> &str {
+        std::str::from_utf8(self.bytes_at(i)).expect("a string column holds UTF-8 values")
+    }
+
+    /// The summed length of all values.
+    pub fn total_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Append a value.
+    pub fn push(&mut self, s: &str) {
+        self.push_bytes(s.as_bytes());
+    }
+
+    fn push_bytes(&mut self, b: &[u8]) {
+        self.bytes.extend_from_slice(b);
+        self.offsets.push(self.bytes.len());
+    }
+
+    /// Append values `start..end` of `other`: one byte copy, offsets shifted.
+    fn extend_range(&mut self, other: &Strings, start: usize, end: usize) {
+        let (from, to) = (other.offsets[start], other.offsets[end]);
+        let base = self.bytes.len();
+        self.offsets.extend(
+            other.offsets[start + 1..=end]
+                .iter()
+                .map(|&o| o - from + base),
+        );
+        self.bytes.extend_from_slice(&other.bytes[from..to]);
+    }
+
+    /// Append the given values of `other`, their summed length reserved
+    /// before any is copied.
+    fn extend_idx(&mut self, other: &Strings, idx: &[u32]) {
+        let total: usize = idx.iter().map(|&i| other.bytes_at(i as usize).len()).sum();
+        self.bytes.reserve(total);
+        self.offsets.reserve(idx.len());
+        for &i in idx {
+            self.push_bytes(other.bytes_at(i as usize));
+        }
+    }
+}
+
+/// Hands out one `Arc<str>` per run of equal consecutive strings (NULL
+/// slots between them do not end a run), so the values a column gives the
+/// row layout share an allocation while they repeat.
+struct SharedRuns<'a> {
+    strings: &'a Strings,
+    last: Option<Arc<str>>,
+}
+
+impl SharedRuns<'_> {
+    fn at(&mut self, i: usize) -> Arc<str> {
+        let bytes = self.strings.bytes_at(i);
+        match &self.last {
+            Some(s) if s.as_bytes() == bytes => Arc::clone(s),
+            _ => Arc::clone(self.last.insert(Arc::from(self.strings.str_at(i)))),
+        }
+    }
+}
+
 impl Column {
     /// An empty column of the given type with reserved capacity.
     pub fn with_capacity(dtype: DataType, cap: usize) -> Column {
@@ -93,7 +199,7 @@ impl Column {
             DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
-            DataType::Str => ColumnData::Str(Vec::with_capacity(cap)),
+            DataType::Str => ColumnData::Str(Strings::with_capacity(cap, 0)),
             DataType::Time => ColumnData::Time(Vec::with_capacity(cap)),
         };
         Column { data, nulls: None }
@@ -128,33 +234,32 @@ impl Column {
             return 0;
         };
         match &self.nulls {
-            None => v.iter().map(|s| s.len()).sum(),
-            Some(n) => v
+            None => v.total_bytes(),
+            Some(n) => n
                 .iter()
-                .zip(n)
+                .enumerate()
                 .filter(|(_, &null)| !null)
-                .map(|(s, _)| s.len())
+                .map(|(i, _)| v.bytes_at(i).len())
                 .sum(),
         }
     }
 
     /// Approximate footprint in bytes (payload vectors, string bytes,
-    /// null mask), for memory-budget accounting.
+    /// null mask), for memory-budget accounting. A string counts its bytes
+    /// plus the row layout's `Arc<str>` handle to them, so budgets read the
+    /// same whichever layout holds a relation.
     pub fn approx_bytes(&self) -> usize {
         let data = match &self.data {
             ColumnData::Int(v) | ColumnData::Time(v) => v.len() * 8,
             ColumnData::Float(v) => v.len() * 8,
             ColumnData::Bool(v) => v.len(),
-            ColumnData::Str(v) => v
-                .iter()
-                .map(|s| std::mem::size_of::<Arc<str>>() + s.len())
-                .sum(),
+            ColumnData::Str(v) => v.len() * STR_HANDLE_BYTES + v.total_bytes(),
         };
         data + self.nulls.as_ref().map_or(0, Vec::len)
     }
 
     /// Approximate footprint of slot `i` alone (payload plus, for
-    /// strings, the shared bytes), matching [`Column::approx_bytes`]'s
+    /// strings, the value's bytes), matching [`Column::approx_bytes`]'s
     /// per-value accounting — summing this over pushed rows keeps an
     /// incremental byte count consistent with a full recount, without
     /// the `O(len)` rescan.
@@ -163,7 +268,7 @@ impl Column {
         match &self.data {
             ColumnData::Int(_) | ColumnData::Time(_) | ColumnData::Float(_) => 8,
             ColumnData::Bool(_) => 1,
-            ColumnData::Str(v) => std::mem::size_of::<Arc<str>>() + v[i].len(),
+            ColumnData::Str(v) => STR_HANDLE_BYTES + v.bytes_at(i).len(),
         }
     }
 
@@ -221,6 +326,17 @@ impl Column {
         }
     }
 
+    /// The strings of a `Str` column without nulls.
+    pub(crate) fn as_strs(&self) -> Option<&Strings> {
+        if self.nulls.is_some() {
+            return None;
+        }
+        match &self.data {
+            ColumnData::Str(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// The raw `f64` data of a `Float` column without nulls.
     pub fn as_f64(&self) -> Option<&[f64]> {
         if self.nulls.is_some() {
@@ -241,7 +357,7 @@ impl Column {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
+            ColumnData::Str(v) => Value::Str(Arc::from(v.str_at(i))),
             ColumnData::Time(v) => Value::Time(v[i]),
         }
     }
@@ -249,7 +365,7 @@ impl Column {
     /// The string at `i` (must be a non-null `Str` slot).
     pub fn str_at(&self, i: usize) -> &str {
         match &self.data {
-            ColumnData::Str(v) => &v[i],
+            ColumnData::Str(v) => v.str_at(i),
             _ => panic!("str_at on non-string column"),
         }
     }
@@ -282,7 +398,7 @@ impl Column {
                     ColumnData::Int(d) | ColumnData::Time(d) => d.push(0),
                     ColumnData::Float(d) => d.push(0.0),
                     ColumnData::Bool(d) => d.push(false),
-                    ColumnData::Str(d) => d.push(Arc::from("")),
+                    ColumnData::Str(d) => d.push(""),
                 }
                 self.mark_null(at);
                 return Ok(());
@@ -293,7 +409,7 @@ impl Column {
             | (ColumnData::Time(d), Value::Time(x)) => d.push(*x),
             (ColumnData::Float(d), Value::Float(x)) => d.push(*x),
             (ColumnData::Bool(d), Value::Bool(x)) => d.push(*x),
-            (ColumnData::Str(d), Value::Str(x)) => d.push(x.clone()),
+            (ColumnData::Str(d), Value::Str(x)) => d.push(x),
             _ => {
                 return Err(Error::TypeError {
                     expected: "column dtype",
@@ -313,7 +429,7 @@ impl Column {
                 ColumnData::Int(d) | ColumnData::Time(d) => d.push(0),
                 ColumnData::Float(d) => d.push(0.0),
                 ColumnData::Bool(d) => d.push(false),
-                ColumnData::Str(d) => d.push(Arc::from("")),
+                ColumnData::Str(d) => d.push(""),
             }
             let at = self.len() - 1;
             self.mark_null(at);
@@ -326,7 +442,7 @@ impl Column {
             | (ColumnData::Time(d), ColumnData::Time(s)) => d.push(s[i]),
             (ColumnData::Float(d), ColumnData::Float(s)) => d.push(s[i]),
             (ColumnData::Bool(d), ColumnData::Bool(s)) => d.push(s[i]),
-            (ColumnData::Str(d), ColumnData::Str(s)) => d.push(s[i].clone()),
+            (ColumnData::Str(d), ColumnData::Str(s)) => d.push_bytes(s.bytes_at(i)),
             _ => panic!("push_from across incompatible column dtypes"),
         }
         self.push_null_mark(false);
@@ -343,7 +459,7 @@ impl Column {
             | (ColumnData::Time(d), ColumnData::Time(s)) => d.extend_from_slice(&s[start..end]),
             (ColumnData::Float(d), ColumnData::Float(s)) => d.extend_from_slice(&s[start..end]),
             (ColumnData::Bool(d), ColumnData::Bool(s)) => d.extend_from_slice(&s[start..end]),
-            (ColumnData::Str(d), ColumnData::Str(s)) => d.extend_from_slice(&s[start..end]),
+            (ColumnData::Str(d), ColumnData::Str(s)) => d.extend_range(s, start, end),
             _ => panic!("extend_range across incompatible column dtypes"),
         }
         match &other.nulls {
@@ -376,9 +492,7 @@ impl Column {
             (ColumnData::Bool(d), ColumnData::Bool(s)) => {
                 d.extend(idx.iter().map(|&i| s[i as usize]));
             }
-            (ColumnData::Str(d), ColumnData::Str(s)) => {
-                d.extend(idx.iter().map(|&i| s[i as usize].clone()));
-            }
+            (ColumnData::Str(d), ColumnData::Str(s)) => d.extend_idx(s, idx),
             _ => panic!("extend_idx across incompatible column dtypes"),
         }
         match &other.nulls {
@@ -418,9 +532,7 @@ impl Column {
             (ColumnData::Bool(s), ColumnData::Bool(d)) => {
                 d.extend(idx.iter().map(|&i| s[i as usize]));
             }
-            (ColumnData::Str(s), ColumnData::Str(d)) => {
-                d.extend(idx.iter().map(|&i| s[i as usize].clone()));
-            }
+            (ColumnData::Str(s), ColumnData::Str(d)) => d.extend_idx(s, idx),
             _ => unreachable!("with_capacity preserves dtype"),
         }
         if let Some(nulls) = &self.nulls {
@@ -442,7 +554,7 @@ impl Column {
             ColumnData::Int(v) | ColumnData::Time(v) => mix64(v[i] as u64),
             ColumnData::Float(v) => mix64(v[i].to_bits()),
             ColumnData::Bool(v) => mix64(v[i] as u64 + 1),
-            ColumnData::Str(v) => mix64(hash_str(&v[i])),
+            ColumnData::Str(v) => mix64(hash_str(v.bytes_at(i))),
         }
     }
 
@@ -463,7 +575,7 @@ impl Column {
             }
             (ColumnData::Str(v), None) => {
                 for (k, h) in hashes.iter_mut().enumerate() {
-                    *h = hash_combine(*h, mix64(hash_str(&v[start + k])));
+                    *h = hash_combine(*h, mix64(hash_str(v.bytes_at(start + k))));
                 }
             }
             _ => {
@@ -490,7 +602,7 @@ impl Column {
             }
             (ColumnData::Str(v), None) => {
                 for (k, h) in hashes.iter_mut().enumerate() {
-                    *h = hash_combine(*h, mix64(hash_str(&v[idx[k] as usize])));
+                    *h = hash_combine(*h, mix64(hash_str(v.bytes_at(idx[k] as usize))));
                 }
             }
             _ => {
@@ -517,10 +629,7 @@ impl Column {
             ) => a[i] == b[j],
             (ColumnData::Float(a), ColumnData::Float(b)) => a[i].to_bits() == b[j].to_bits(),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
-            // Strings flowing through the engine share allocations (one
-            // `Arc` per distinct source string), so pointer identity
-            // settles most comparisons without touching the bytes.
-            (ColumnData::Str(a), ColumnData::Str(b)) => Arc::ptr_eq(&a[i], &b[j]) || a[i] == b[j],
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i) == b.bytes_at(j),
             _ => panic!("eq_at across incompatible column dtypes"),
         }
     }
@@ -542,13 +651,7 @@ impl Column {
             ) => a[i].cmp(&b[j]),
             (ColumnData::Float(a), ColumnData::Float(b)) => a[i].total_cmp(&b[j]),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i].cmp(&b[j]),
-            (ColumnData::Str(a), ColumnData::Str(b)) => {
-                if Arc::ptr_eq(&a[i], &b[j]) {
-                    Ordering::Equal
-                } else {
-                    a[i].cmp(&b[j])
-                }
-            }
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i).cmp(b.bytes_at(j)),
             _ => panic!("cmp_at across incompatible column dtypes"),
         }
     }
@@ -557,8 +660,15 @@ impl Column {
     /// `Value::cmp` (used by vectorized comparisons against literals).
     pub fn cmp_value(&self, i: usize, v: &Value) -> Ordering {
         // Null handling is the caller's job (SQL comparisons against null
-        // are null, not ordered); this is pure ordering, null-first.
-        self.value(i).cmp(v)
+        // are null, not ordered); this is pure ordering, null-first. A
+        // string against a string literal compares bytes; every other
+        // pairing (variant rank, numeric cross-domain) is `Value::cmp`'s.
+        match (&self.data, v) {
+            (ColumnData::Str(s), Value::Str(lit)) if !self.is_null(i) => {
+                s.bytes_at(i).cmp(lit.as_bytes())
+            }
+            _ => self.value(i).cmp(v),
+        }
     }
 
     /// Order-preserving `u64` prefixes of every value, for radix-assisted
@@ -598,10 +708,9 @@ impl Column {
             // below every real byte for padded order == lexicographic).
             ColumnData::Str(v) => {
                 let mut exact = true;
-                let out = v
-                    .iter()
-                    .map(|s| {
-                        let b = s.as_bytes();
+                let out = (0..v.len())
+                    .map(|i| {
+                        let b = v.bytes_at(i);
                         if b.len() > 8 || b.contains(&0) {
                             exact = false;
                         }
@@ -661,8 +770,7 @@ impl Column {
             }
             (ColumnData::Str(a), ColumnData::Str(b)) => {
                 for ((o, &i), &j) in ok.iter_mut().zip(ids).zip(rows) {
-                    let (x, y) = (&a[i as usize], &b[j as usize]);
-                    *o &= Arc::ptr_eq(x, y) || x == y;
+                    *o &= a.bytes_at(i as usize) == b.bytes_at(j as usize);
                 }
             }
             _ => panic!("eq_pairs across incompatible column dtypes"),
@@ -683,13 +791,8 @@ pub(crate) fn tuples_from_columns(columns: &[Arc<Column>], rows: usize) -> Vec<T
 }
 
 /// Append one value per row buffer from `col` (`out[k]` receives row `k`).
+/// Strings get one `Arc<str>` per run of equal consecutive values.
 fn fill_rows(col: &Column, out: &mut [Vec<Value>]) {
-    if col.has_nulls() {
-        for (k, row) in out.iter_mut().enumerate() {
-            row.push(col.value(k));
-        }
-        return;
-    }
     macro_rules! fill {
         ($v:expr, $wrap:expr) => {
             for (row, x) in out.iter_mut().zip($v.iter()) {
@@ -698,11 +801,88 @@ fn fill_rows(col: &Column, out: &mut [Vec<Value>]) {
         };
     }
     match &col.data {
+        ColumnData::Str(v) => {
+            let mut runs = SharedRuns {
+                strings: v,
+                last: None,
+            };
+            for (k, row) in out.iter_mut().enumerate() {
+                row.push(if col.is_null(k) {
+                    Value::Null
+                } else {
+                    Value::Str(runs.at(k))
+                });
+            }
+        }
+        _ if col.has_nulls() => {
+            for (k, row) in out.iter_mut().enumerate() {
+                row.push(col.value(k));
+            }
+        }
         ColumnData::Int(v) => fill!(v, |x: &i64| Value::Int(*x)),
         ColumnData::Time(v) => fill!(v, |x: &i64| Value::Time(*x)),
         ColumnData::Float(v) => fill!(v, |x: &f64| Value::Float(*x)),
         ColumnData::Bool(v) => fill!(v, |x: &bool| Value::Bool(*x)),
-        ColumnData::Str(v) => fill!(v, |x: &Arc<str>| Value::Str(x.clone())),
+    }
+}
+
+/// The live rows of a set of columns, in output order, as *physical*
+/// indices into the columns.
+#[derive(Debug, Clone)]
+pub enum Sel {
+    /// A contiguous physical window `[start, end)`.
+    Range(usize, usize),
+    /// An explicit, ordered index list.
+    Rows(Arc<Vec<u32>>),
+}
+
+impl Sel {
+    /// Number of live rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Sel::Range(s, e) => e - s,
+            Sel::Rows(v) => v.len(),
+        }
+    }
+
+    /// True when no rows are live.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Iterate the live physical row indices, in logical order.
+    pub fn iter(&self) -> RowIter<'_> {
+        match self {
+            Sel::Range(s, e) => RowIter::Range(*s..*e),
+            Sel::Rows(v) => RowIter::Rows(v.iter()),
+        }
+    }
+}
+
+/// Iterator over a selection's physical row indices.
+pub enum RowIter<'a> {
+    /// Iterating a contiguous window.
+    Range(std::ops::Range<usize>),
+    /// Iterating an explicit index list.
+    Rows(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for RowIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            RowIter::Range(r) => r.next(),
+            RowIter::Rows(it) => it.next().map(|&i| i as usize),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            RowIter::Range(r) => r.size_hint(),
+            RowIter::Rows(it) => it.size_hint(),
+        }
     }
 }
 
@@ -859,7 +1039,7 @@ mod tests {
             "a somewhat longer key",
             "ünïcödé",
         ] {
-            assert_eq!(hash_str(s), padded(s), "{s:?}");
+            assert_eq!(hash_str(s.as_bytes()), padded(s), "{s:?}");
         }
     }
 
@@ -946,6 +1126,235 @@ mod tests {
         assert_eq!(g.value(0), Value::Int(30));
         assert_eq!(g.value(1), Value::Null);
         assert_eq!(g.value(2), Value::Int(10));
+    }
+
+    /// Splitmix64: a seeded generator for the differential tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn indices(&mut self, len: usize, max: usize) -> Vec<u32> {
+            (0..len).map(|_| self.below(max) as u32).collect()
+        }
+    }
+
+    /// Empty, multi-byte, longer-than-eight and NUL-bearing strings (the
+    /// last two leave `sort_prefixes` inexact), some sharing prefixes.
+    const WORDS: [&str; 12] = [
+        "",
+        "a",
+        "ab",
+        "é",
+        "日本",
+        "Sales",
+        "exactly8",
+        "exactly8!",
+        "a somewhat longer key",
+        "a\u{0}b",
+        "a\u{0}",
+        "日本語のテキスト",
+    ];
+
+    /// `n` string values, NULLs among them when `nullable`; the previous
+    /// value repeats often, so runs of equal strings form.
+    fn str_values(rng: &mut Rng, n: usize, nullable: bool) -> Vec<Value> {
+        let mut out: Vec<Value> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let v = match (out.last(), rng.below(8)) {
+                (_, 0) if nullable => Value::Null,
+                (Some(prev), 1 | 2) => prev.clone(),
+                _ => Value::from(WORDS[rng.below(WORDS.len())]),
+            };
+            out.push(v);
+        }
+        out
+    }
+
+    fn str_column(values: &[Value]) -> Column {
+        let mut c = Column::with_capacity(DataType::Str, values.len());
+        for v in values {
+            c.push(v).unwrap();
+        }
+        c
+    }
+
+    fn assert_holds(c: &Column, want: &[Value], what: &str) {
+        assert_eq!(c.len(), want.len(), "{what}: length");
+        for (i, v) in want.iter().enumerate() {
+            assert_eq!(&c.value(i), v, "{what}: value {i}");
+        }
+    }
+
+    /// Seeded differential property: every `Column` operation on string
+    /// columns (with and without NULLs) agrees with the same operation on
+    /// the `Value`s the columns hold.
+    #[test]
+    fn string_columns_agree_with_their_values() {
+        let mut rng = Rng(0x5712_1A6E);
+        let literals: Vec<Value> = WORDS
+            .iter()
+            .map(|&w| Value::from(w))
+            .chain([Value::Null, Value::Int(3), Value::from("b")])
+            .collect();
+        for case in 0..300 {
+            let n = rng.below(40);
+            let a_nullable = rng.below(2) == 0;
+            let va = str_values(&mut rng, n, a_nullable);
+            let vb = str_values(&mut rng, n, case % 3 == 0);
+            let (a, b) = (str_column(&va), str_column(&vb));
+            assert_holds(&a, &va, "push");
+            if n == 0 {
+                continue;
+            }
+
+            let picks = rng.below(2 * n) + 1;
+            let idx = rng.indices(picks, n);
+            let picked: Vec<Value> = idx.iter().map(|&i| va[i as usize].clone()).collect();
+            let mut from = Column::with_capacity(DataType::Str, 0);
+            for &i in &idx {
+                from.push_from(&a, i as usize);
+            }
+            assert_holds(&from, &picked, "push_from");
+            assert_holds(&a.gather(&idx), &picked, "gather");
+            // Appending onto a column that already holds values (and, in
+            // `b`, NULLs) shifts offsets and masks correctly.
+            let mut extended = b.clone();
+            extended.extend_idx(&a, &idx);
+            assert_holds(&extended, &[vb.clone(), picked].concat(), "extend_idx");
+            let (start, end) = {
+                let x = rng.below(n + 1);
+                let y = rng.below(n + 1);
+                (x.min(y), x.max(y))
+            };
+            let mut ranged = b.clone();
+            ranged.extend_range(&a, start, end);
+            assert_holds(
+                &ranged,
+                &[&vb[..], &va[start..end]].concat(),
+                "extend_range",
+            );
+
+            for (i, x) in va.iter().enumerate() {
+                for (j, y) in vb.iter().enumerate() {
+                    assert_eq!(a.eq_at(i, &b, j), x == y, "eq_at {i} {j}");
+                    assert_eq!(a.cmp_at(i, &b, j), x.cmp(y), "cmp_at {i} {j}");
+                    if x == y {
+                        assert_eq!(a.hash_at(i), b.hash_at(j), "hash_at {i} {j}");
+                    }
+                }
+                for v in &literals {
+                    assert_eq!(a.cmp_value(i, v), x.cmp(v), "cmp_value {i} {v}");
+                }
+            }
+            let rows = rng.indices(idx.len(), n);
+            let mut ok = vec![true; idx.len()];
+            a.eq_pairs(&idx, &b, &rows, &mut ok);
+            for (k, (&i, &j)) in idx.iter().zip(&rows).enumerate() {
+                assert_eq!(ok[k], va[i as usize] == vb[j as usize], "eq_pairs {k}");
+            }
+
+            let mut ranged_hashes = vec![7u64; end - start];
+            a.hash_range(start, &mut ranged_hashes);
+            for (k, h) in ranged_hashes.iter().enumerate() {
+                assert_eq!(*h, hash_combine(7, a.hash_at(start + k)), "hash_range {k}");
+            }
+            let mut idx_hashes = vec![7u64; idx.len()];
+            a.hash_idx(&idx, &mut idx_hashes);
+            for (h, &i) in idx_hashes.iter().zip(&idx) {
+                assert_eq!(*h, hash_combine(7, a.hash_at(i as usize)), "hash_idx {i}");
+            }
+
+            let (prefixes, exact) = a.sort_prefixes();
+            for (p, x) in prefixes.iter().zip(&va) {
+                for (q, y) in prefixes.iter().zip(&va) {
+                    if p < q {
+                        assert_eq!(x.cmp(y), Ordering::Less, "prefix {x} {y}");
+                    }
+                    if exact && p == q {
+                        assert_eq!(x, y, "exact prefix");
+                    }
+                }
+            }
+            let claims_exact = va.iter().all(|v| {
+                v.as_str()
+                    .is_ok_and(|s| s.len() <= 8 && !s.as_bytes().contains(&0))
+            });
+            assert_eq!(exact, claims_exact, "exactness");
+
+            let lengths =
+                |vs: &[Value]| -> usize { vs.iter().map(|v| v.as_str().map_or(0, str::len)).sum() };
+            assert_eq!(a.str_bytes(), lengths(&va), "str_bytes");
+            // A frame's null slots may carry bytes: they are no string's.
+            let mut filled = Strings::with_capacity(n, 0);
+            for v in &va {
+                filled.push(v.as_str().unwrap_or("filler"));
+            }
+            let nulls: Vec<bool> = va.iter().map(Value::is_null).collect();
+            let filled = Column::with_nulls(ColumnData::Str(filled), nulls);
+            assert_eq!(filled.str_bytes(), lengths(&va), "str_bytes, filled NULLs");
+            let mask = if a.has_nulls() { n } else { 0 };
+            assert_eq!(
+                a.approx_bytes(),
+                n * STR_HANDLE_BYTES + lengths(&va) + mask,
+                "approx_bytes"
+            );
+            for (i, v) in va.iter().enumerate() {
+                let len = v.as_str().map_or(0, str::len);
+                assert_eq!(
+                    a.approx_bytes_at(i),
+                    STR_HANDLE_BYTES + len,
+                    "approx_bytes_at {i}"
+                );
+            }
+            let relation = Relation::new(
+                Schema::of(&[("A", DataType::Str), ("B", DataType::Str)]),
+                va.iter()
+                    .zip(&vb)
+                    .map(|(x, y)| Tuple::new(vec![x.clone(), y.clone()]))
+                    .collect(),
+            )
+            .unwrap();
+            let tuple_walk: usize = relation.tuples().iter().map(Tuple::approx_bytes).sum();
+            let columns = ColumnarRelation::from_relation(&relation)
+                .unwrap()
+                .to_relation();
+            assert_eq!(columns.approx_bytes(), tuple_walk, "relation footprint");
+            assert_eq!(columns.tuples(), relation.tuples(), "tuples_from_columns");
+        }
+    }
+
+    #[test]
+    fn equal_consecutive_strings_share_one_allocation() {
+        let r = Relation::new(
+            Schema::of(&[("S", DataType::Str)]),
+            vec![
+                tuple!["Sales"],
+                tuple!["Sales"],
+                Tuple::new(vec![Value::Null]),
+                tuple!["Sales"],
+                tuple!["Ads"],
+            ],
+        )
+        .unwrap();
+        let rebuilt = ColumnarRelation::from_relation(&r).unwrap().to_relation();
+        let handles: Vec<usize> = rebuilt
+            .tuples()
+            .iter()
+            .map(|t| match t.value(0) {
+                Value::Str(s) => Arc::strong_count(s),
+                _ => 0,
+            })
+            .collect();
+        // One allocation for the run of "Sales" (a NULL between equal
+        // strings does not end it), one for "Ads".
+        assert_eq!(handles, vec![3, 3, 0, 3, 1]);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Vectorized predicate evaluation.
 //!
 //! [`compile`] translates a predicate [`Expr`] into a small column-indexed
-//! program evaluated batch-at-a-time. Only the *total* fragment of the
-//! expression language is compiled — comparisons between columns and
+//! program evaluated over a selection of rows of a set of columns at a
+//! time — the batch engine's `select` and a stored table's sequenced
+//! delete and update run this one program. Only the *total* fragment of
+//! the expression language is compiled — comparisons between columns and
 //! literals, `AND`/`OR`/`NOT`, `IS NULL`, and boolean columns — i.e.
 //! expressions whose evaluation can never raise (no arithmetic, no
 //! `as_bool` coercions, all attributes resolved). Everything else returns
-//! `None` and the select operator falls back to row-at-a-time
+//! `None` and the caller falls back to row-at-a-time
 //! `Expr::eval_predicate`, preserving the interpreter's error behaviour
 //! (including its short-circuit evaluation order) exactly.
 //!
@@ -16,12 +18,12 @@
 //! failed to short-circuit, and any null operand then nulls the result).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use tqo_core::expr::{BinOp, Expr};
-use tqo_core::schema::Schema;
-use tqo_core::value::{DataType, Value};
-
-use super::{Batch, Sel};
+use crate::columnar::{Column, Sel};
+use crate::expr::{BinOp, Expr};
+use crate::schema::Schema;
+use crate::value::{DataType, Value};
 
 /// A compiled predicate over column indices.
 #[derive(Debug, Clone)]
@@ -183,17 +185,17 @@ fn fill_cmp<T: Copy>(
 }
 
 /// [`fill_cmp`] with logical→physical row translation: getters take
-/// physical indices, the selection shape is dispatched once per batch.
+/// physical indices, the selection shape is dispatched once per call.
 #[inline]
 fn fill_cmp_sel<T: Copy>(
     op: BinOp,
-    batch: &Batch,
+    sel: &Sel,
     vals: &mut [bool],
     at_l: impl Fn(usize) -> T + Copy,
     at_r: impl Fn(usize) -> T + Copy,
     ord: impl Fn(T, T) -> Ordering + Copy,
 ) {
-    match batch.sel() {
+    match sel {
         Sel::Range(s, _) => {
             let s = *s;
             fill_cmp(op, vals, |k| at_l(s + k), |k| at_r(s + k), ord);
@@ -219,18 +221,19 @@ fn float_lit(v: &Value) -> Option<f64> {
     }
 }
 
-/// Evaluate a compiled predicate over a batch's logical rows.
-pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
-    let n = batch.num_rows();
+/// Evaluate a compiled predicate over the rows `sel` names of `columns`
+/// (indexed as the schema it was compiled for), in `sel`'s order.
+pub fn eval(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> BoolVec {
+    let n = sel.len();
     let mut out = BoolVec::new(n);
     match pred {
         Pred::CmpCols(op, l, r) => {
-            let (lc, rc) = (batch.column(*l), batch.column(*r));
+            let (lc, rc) = (&columns[*l], &columns[*r]);
             if let (Some(ld), Some(rd)) = (lc.as_i64(), rc.as_i64()) {
                 // Fast path: two non-null Int/Time columns.
                 fill_cmp_sel(
                     *op,
-                    batch,
+                    sel,
                     &mut out.vals,
                     |i| ld[i],
                     |i| rd[i],
@@ -240,14 +243,24 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
                 // Non-null Float columns: `cmp_at` is `total_cmp`.
                 fill_cmp_sel(
                     *op,
-                    batch,
+                    sel,
                     &mut out.vals,
                     |i| ld[i],
                     |i| rd[i],
                     |a, b| a.total_cmp(&b),
                 );
+            } else if let (Some(ld), Some(rd)) = (lc.as_strs(), rc.as_strs()) {
+                // Non-null Str columns: byte order is `str` order.
+                fill_cmp_sel(
+                    *op,
+                    sel,
+                    &mut out.vals,
+                    |i| ld.bytes_at(i),
+                    |i| rd.bytes_at(i),
+                    |a: &[u8], b: &[u8]| a.cmp(b),
+                );
             } else {
-                for (k, i) in batch.rows().enumerate() {
+                for (k, i) in sel.iter().enumerate() {
                     if lc.is_null(i) || rc.is_null(i) {
                         out.set_null(k);
                     } else {
@@ -257,14 +270,14 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
             }
         }
         Pred::CmpColLit(op, l, v) => {
-            let lc = batch.column(*l);
+            let lc = &columns[*l];
             if v.is_null() {
                 out.nulls = Some(vec![true; n]);
             } else if let (Some(data), Ok(lit)) = (lc.as_i64(), v.as_int()) {
                 // Fast path: non-null Int/Time column vs integer literal.
                 fill_cmp_sel(
                     *op,
-                    batch,
+                    sel,
                     &mut out.vals,
                     |i| data[i],
                     |_| lit,
@@ -274,14 +287,25 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
                 // Non-null Float column vs numeric literal (total order).
                 fill_cmp_sel(
                     *op,
-                    batch,
+                    sel,
                     &mut out.vals,
                     |i| data[i],
                     |_| lit,
                     |a, b| a.total_cmp(&b),
                 );
+            } else if let (Some(data), Value::Str(lit)) = (lc.as_strs(), v) {
+                // Non-null Str column vs string literal, as bytes.
+                let lit = lit.as_bytes();
+                fill_cmp_sel(
+                    *op,
+                    sel,
+                    &mut out.vals,
+                    |i| data.bytes_at(i),
+                    |_| lit,
+                    |a: &[u8], b: &[u8]| a.cmp(b),
+                );
             } else {
-                for (k, i) in batch.rows().enumerate() {
+                for (k, i) in sel.iter().enumerate() {
                     if lc.is_null(i) {
                         out.set_null(k);
                     } else {
@@ -291,13 +315,13 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
             }
         }
         Pred::CmpLitCol(op, v, r) => {
-            let rc = batch.column(*r);
+            let rc = &columns[*r];
             if v.is_null() {
                 out.nulls = Some(vec![true; n]);
             } else if let (Some(data), Ok(lit)) = (rc.as_i64(), v.as_int()) {
                 fill_cmp_sel(
                     *op,
-                    batch,
+                    sel,
                     &mut out.vals,
                     |_| lit,
                     |i| data[i],
@@ -306,14 +330,24 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
             } else if let (Some(data), Some(lit)) = (rc.as_f64(), float_lit(v)) {
                 fill_cmp_sel(
                     *op,
-                    batch,
+                    sel,
                     &mut out.vals,
                     |_| lit,
                     |i| data[i],
                     |a, b| a.total_cmp(&b),
                 );
+            } else if let (Some(data), Value::Str(lit)) = (rc.as_strs(), v) {
+                let lit = lit.as_bytes();
+                fill_cmp_sel(
+                    *op,
+                    sel,
+                    &mut out.vals,
+                    |_| lit,
+                    |i| data.bytes_at(i),
+                    |a: &[u8], b: &[u8]| a.cmp(b),
+                );
             } else {
-                for (k, i) in batch.rows().enumerate() {
+                for (k, i) in sel.iter().enumerate() {
                     if rc.is_null(i) {
                         out.set_null(k);
                     } else {
@@ -331,8 +365,8 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
             }
         }
         Pred::BoolCol(c) => {
-            let col = batch.column(*c);
-            for (k, i) in batch.rows().enumerate() {
+            let col = &columns[*c];
+            for (k, i) in sel.iter().enumerate() {
                 if col.is_null(i) {
                     out.set_null(k);
                 } else if let Value::Bool(b) = col.value(i) {
@@ -343,15 +377,15 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
         Pred::BoolLit(Some(b)) => out.vals.fill(*b),
         Pred::BoolLit(None) => out.nulls = Some(vec![true; n]),
         Pred::IsNullCol(c) => {
-            let col = batch.column(*c);
-            for (k, i) in batch.rows().enumerate() {
+            let col = &columns[*c];
+            for (k, i) in sel.iter().enumerate() {
                 out.vals[k] = col.is_null(i);
             }
         }
         Pred::IsNullLit(b) => out.vals.fill(*b),
         Pred::And(l, r) => {
-            let lv = eval(l, batch);
-            let rv = eval(r, batch);
+            let lv = eval(l, columns, sel);
+            let rv = eval(r, columns, sel);
             if lv.nulls.is_none() && rv.nulls.is_none() {
                 // Null-free inputs: three-valued logic degenerates to a
                 // branch-free bitwise AND.
@@ -373,8 +407,8 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
             }
         }
         Pred::Or(l, r) => {
-            let lv = eval(l, batch);
-            let rv = eval(r, batch);
+            let lv = eval(l, columns, sel);
+            let rv = eval(r, columns, sel);
             if lv.nulls.is_none() && rv.nulls.is_none() {
                 for ((o, &a), &b) in out.vals.iter_mut().zip(&lv.vals).zip(&rv.vals) {
                     *o = a | b;
@@ -392,7 +426,7 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
             }
         }
         Pred::Not(e) => {
-            let ev = eval(e, batch);
+            let ev = eval(e, columns, sel);
             if ev.nulls.is_none() {
                 for (o, &a) in out.vals.iter_mut().zip(&ev.vals) {
                     *o = !a;
@@ -411,17 +445,18 @@ pub fn eval(pred: &Pred, batch: &Batch) -> BoolVec {
     out
 }
 
-/// Filter a batch: physical indices of rows where the predicate is true
-/// (`NULL` counts as not satisfied, as in SQL `WHERE`).
+/// Filter the rows `sel` names of `columns`: the physical indices of rows
+/// where the predicate is true (`NULL` counts as not satisfied, as in SQL
+/// `WHERE`), in `sel`'s order.
 ///
 /// The compaction is branch-free: every candidate index is written at the
 /// output cursor and the cursor advances by the keep flag, so selectivity
 /// never costs branch mispredictions.
-pub fn filter(pred: &Pred, batch: &Batch) -> Vec<u32> {
-    let bv = eval(pred, batch);
+pub fn filter(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> Vec<u32> {
+    let bv = eval(pred, columns, sel);
     let mut kept = vec![0u32; bv.vals.len()];
     let mut m = 0usize;
-    match (batch.sel(), &bv.nulls) {
+    match (sel, &bv.nulls) {
         (Sel::Range(s, _), None) => {
             let s = *s as u32;
             for (k, &keep) in bv.vals.iter().enumerate() {
@@ -456,38 +491,49 @@ pub fn filter(pred: &Pred, batch: &Batch) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use tqo_core::columnar::ColumnarRelation;
-    use tqo_core::relation::Relation;
-    use tqo_core::tuple::Tuple;
-    use tqo_core::{tuple, Schema};
+    use crate::columnar::ColumnarRelation;
+    use crate::relation::Relation;
+    use crate::tuple;
+    use crate::tuple::Tuple;
 
-    fn batch() -> Batch {
+    fn sch() -> Schema {
+        Schema::of(&[
+            ("A", DataType::Int),
+            ("B", DataType::Str),
+            ("C", DataType::Str),
+        ])
+    }
+
+    /// `A` and `B` hold a NULL each; `C` has none, so it takes the typed
+    /// string paths and `B` the per-row fallback.
+    fn table() -> ColumnarRelation {
         let r = Relation::new(
-            Schema::of(&[("A", DataType::Int), ("B", DataType::Str)]),
+            sch(),
             vec![
-                tuple![3i64, "x"],
-                Tuple::new(vec![Value::Null, Value::from("y")]),
-                tuple![7i64, "x"],
-                tuple![5i64, "z"],
+                tuple![3i64, "x", "x"],
+                Tuple::new(vec![Value::Null, Value::from("y"), Value::from("é")]),
+                Tuple::new(vec![Value::Int(7), Value::Null, Value::from("日本")]),
+                tuple![5i64, "z", ""],
+                tuple![2i64, "x", "xy"],
             ],
         )
         .unwrap();
-        let c = ColumnarRelation::from_relation(&r).unwrap();
-        Batch::slice(&c, 0, 4)
+        ColumnarRelation::from_relation(&r).unwrap()
     }
 
-    fn sch() -> Schema {
-        Schema::of(&[("A", DataType::Int), ("B", DataType::Str)])
+    /// The rows of `sel` the row evaluator keeps, in `sel`'s order.
+    fn row_filter(e: &Expr, t: &ColumnarRelation, sel: &Sel) -> Vec<u32> {
+        sel.iter()
+            .filter(|&i| e.eval_predicate(&sch(), &t.tuple(i)).unwrap())
+            .map(|i| i as u32)
+            .collect()
     }
 
     #[test]
     fn agrees_with_row_eval_on_the_total_fragment() {
-        let b = batch();
-        let rel = super::super::concat(Arc::new(sch()), std::slice::from_ref(&b)).to_relation();
-        let exprs = [
+        let t = table();
+        let mut exprs = vec![
             Expr::bin(BinOp::Ge, Expr::col("A"), Expr::lit(5i64)),
-            Expr::eq(Expr::col("B"), Expr::lit("x")),
             Expr::and(
                 Expr::bin(BinOp::Gt, Expr::col("A"), Expr::lit(2i64)),
                 Expr::eq(Expr::col("B"), Expr::lit("x")),
@@ -499,18 +545,44 @@ mod tests {
             Expr::not(Expr::eq(Expr::col("B"), Expr::lit("x"))),
             Expr::IsNull(Box::new(Expr::col("A"))),
             Expr::not(Expr::IsNull(Box::new(Expr::col("A")))),
+            Expr::IsNull(Box::new(Expr::col("B"))),
         ];
+        // Every comparison of a string column (with and without NULLs)
+        // against string literals on either side — empty, multi-byte and
+        // prefix-related ones — against a NULL, against an Int literal
+        // (variant rank), and against the other string column.
+        let ops = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        for op in ops {
+            for col in ["B", "C"] {
+                for lit in [
+                    Value::from("x"),
+                    Value::from(""),
+                    Value::from("é"),
+                    Value::from("xa"),
+                    Value::Null,
+                    Value::Int(3),
+                ] {
+                    exprs.push(Expr::bin(op, Expr::col(col), Expr::Lit(lit.clone())));
+                    exprs.push(Expr::bin(op, Expr::Lit(lit), Expr::col(col)));
+                }
+            }
+            exprs.push(Expr::bin(op, Expr::col("B"), Expr::col("C")));
+            exprs.push(Expr::bin(op, Expr::col("C"), Expr::col("C")));
+        }
+        let sels = [Sel::Range(0, 5), Sel::Rows(Arc::new(vec![4, 2, 0, 1, 3]))];
         for e in &exprs {
             let pred = compile(e, &sch()).expect("total fragment compiles");
-            let got = filter(&pred, &b);
-            let want: Vec<u32> = rel
-                .tuples()
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| e.eval_predicate(&sch(), t).unwrap())
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(got, want, "on {e}");
+            for sel in &sels {
+                let got = filter(&pred, t.columns(), sel);
+                assert_eq!(got, row_filter(e, &t, sel), "on {e} over {sel:?}");
+            }
         }
     }
 
@@ -520,26 +592,18 @@ mod tests {
         // TRUE as Kleene logic would.
         let e = Expr::not(Expr::and(
             Expr::eq(Expr::col("A"), Expr::lit(1i64)), // NULL on row 1
-            Expr::eq(Expr::col("B"), Expr::lit("nope")), // FALSE everywhere
+            Expr::eq(Expr::col("C"), Expr::lit("nope")), // FALSE everywhere
         ));
-        let b = batch();
+        let t = table();
+        let sel = Sel::Range(0, 5);
         let pred = compile(&e, &sch()).unwrap();
-        let got = filter(&pred, &b);
-        let rel = super::super::concat(Arc::new(sch()), &[b]).to_relation();
-        let want: Vec<u32> = rel
-            .tuples()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| e.eval_predicate(&sch(), t).unwrap())
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(got, want);
+        let got = filter(&pred, t.columns(), &sel);
+        assert_eq!(got, row_filter(&e, &t, &sel));
         // Rows with non-null A pass (NOT(FALSE) = TRUE); row 1's NULL AND
         // FALSE is NULL — not FALSE as Kleene logic would have it — so
         // NOT(...) stays NULL and row 1 is excluded.
-        assert_eq!(got, vec![0, 2, 3]);
+        assert_eq!(got, vec![0, 2, 3, 4]);
     }
-
     #[test]
     fn arithmetic_and_unknown_columns_do_not_compile() {
         let s = sch();

@@ -28,8 +28,9 @@
 //!   set of named base relations (the semantic ground truth the execution
 //!   engine in `tqo-exec` is validated against).
 //! * [`columnar`] — column-major relation storage (typed vectors, null
-//!   masks, shared strings), the data layout of `tqo-exec`'s vectorized
-//!   batch engine.
+//!   masks, strings in one byte buffer), the data layout of `tqo-exec`'s
+//!   vectorized batch engine, and [`exprs`], predicates compiled to run
+//!   over it (the batch `select`'s and the stored tables' deletes).
 //! * [`trace`] — the observability layer: structured spans with a
 //!   per-query ring-buffer collector (Chrome trace-event export) and a
 //!   process-wide counter registry, zero-cost when disabled.
@@ -46,6 +47,7 @@ pub mod enumerate;
 pub mod equivalence;
 pub mod error;
 pub mod expr;
+pub mod exprs;
 pub mod interp;
 pub mod memo;
 pub mod ops;

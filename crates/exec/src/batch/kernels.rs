@@ -100,22 +100,14 @@ impl<'a> SortKeys<'a> {
         })
     }
 
-    /// The keys refinement still has to compare once prefixes tie.
-    #[inline]
-    fn refine_keys(&self) -> &[(usize, SortDir)] {
-        if self.exact0 {
-            &self.keys[1..]
-        } else {
-            &self.keys
-        }
-    }
-
     /// Stable-sort ascending row ids (`0..n`, or a fused selection
     /// vector): radix-scatter `(prefix, id)` pairs by the top prefix byte,
     /// sort each bucket unstably on the pair — the id component *is* the
     /// stability tie-break — then refine equal-prefix runs with the
     /// remaining comparator. Equal-prefix runs never span a radix bucket,
     /// so the refinement scan walks the buckets' concatenation directly.
+    /// The later keys' prefixes are computed on the first run that needs
+    /// refining.
     pub fn sort(&self, idx: &mut [u32]) {
         if idx.len() < 2 || self.keys.is_empty() {
             return;
@@ -131,7 +123,7 @@ impl<'a> SortKeys<'a> {
         if self.exact0 && self.keys.len() == 1 {
             return;
         }
-        let rest = self.refine_keys();
+        let mut later: Option<Vec<(Vec<u64>, bool)>> = None;
         let mut start = 0;
         while start < pairs.len() {
             let p = pairs[start].0;
@@ -140,29 +132,53 @@ impl<'a> SortKeys<'a> {
                 end += 1;
             }
             if end - start > 1 {
-                idx[start..end].sort_by(|&a, &b| cmp_rows(self.input, rest, a, b));
+                let later = later.get_or_insert_with(|| {
+                    self.keys[1..]
+                        .iter()
+                        .map(|&(c, _)| self.input.column(c).sort_prefixes())
+                        .collect()
+                });
+                idx[start..end].sort_by(|&a, &b| self.cmp_tied(later, a, b));
             }
             start = end;
         }
     }
-}
 
-/// Compare two rows under a resolved key list, matching the interpreter's
-/// comparator exactly (`cmp_at` per key, `reverse` on descending).
-#[inline]
-fn cmp_rows(input: &ColumnarRelation, keys: &[(usize, SortDir)], a: u32, b: u32) -> Ordering {
-    for &(c, dir) in keys {
-        let col = input.column(c);
-        let ord = col.cmp_at(a as usize, col, b as usize);
-        let ord = match dir {
+    /// Compare two rows whose primary prefixes tie, matching the
+    /// interpreter's comparator exactly (`cmp_at` per key, `reverse` on
+    /// descending). An inexact primary key compares by value; each later
+    /// key by its prefixes (`later`, parallel to `keys[1..]`), and by
+    /// value only where they tie inexactly.
+    #[inline]
+    fn cmp_tied(&self, later: &[(Vec<u64>, bool)], a: u32, b: u32) -> Ordering {
+        let (a, b) = (a as usize, b as usize);
+        let directed = |ord: Ordering, dir: SortDir| match dir {
             SortDir::Asc => ord,
             SortDir::Desc => ord.reverse(),
         };
-        if ord != Ordering::Equal {
-            return ord;
+        if !self.exact0 {
+            let (c, dir) = self.keys[0];
+            let col = self.input.column(c);
+            let ord = directed(col.cmp_at(a, col, b), dir);
+            if ord != Ordering::Equal {
+                return ord;
+            }
         }
+        for (&(c, dir), (prefixes, exact)) in self.keys[1..].iter().zip(later) {
+            let ord = match prefixes[a].cmp(&prefixes[b]) {
+                Ordering::Equal if !exact => {
+                    let col = self.input.column(c);
+                    col.cmp_at(a, col, b)
+                }
+                ord => ord,
+            };
+            let ord = directed(ord, dir);
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
     }
-    Ordering::Equal
 }
 
 /// Sort `(prefix, id)` pairs ascending: one MSB-byte scatter pass into
@@ -1593,6 +1609,61 @@ mod tests {
             .collect();
         let got = ColumnarRelation::new(c.schema().clone(), cols).to_relation();
         assert_eq!(got, ops::sort(&r, &order).unwrap());
+    }
+
+    /// Later keys refine ties by their prefixes, and by value where those
+    /// tie inexactly: strings longer than eight bytes, with NULs, NULLs.
+    #[test]
+    fn multi_key_sorts_match_row_sort_exactly() {
+        use tqo_core::sortspec::SortKey;
+        use tqo_core::value::Value;
+        let words = [
+            "a somewhat longer key",
+            "a somewhat longer kex",
+            "a\u{0}",
+            "a",
+            "",
+            "日本",
+        ];
+        let rows: Vec<Tuple> = (0..60i64)
+            .map(|i| {
+                let b = match i % 7 {
+                    6 => Value::Null,
+                    k => Value::from(words[k as usize % words.len()]),
+                };
+                Tuple::new(vec![
+                    Value::Int(i % 3),
+                    b,
+                    Value::from(words[(i % 4) as usize]),
+                ])
+            })
+            .collect();
+        let r = Relation::new(
+            Schema::of(&[
+                ("A", DataType::Int),
+                ("B", DataType::Str),
+                ("C", DataType::Str),
+            ]),
+            rows,
+        )
+        .unwrap();
+        let c = cr(&r);
+        for keys in [
+            vec![SortKey::asc("A"), SortKey::asc("B")],
+            vec![SortKey::asc("A"), SortKey::desc("B"), SortKey::desc("C")],
+            vec![SortKey::desc("C"), SortKey::asc("B"), SortKey::desc("A")],
+            vec![SortKey::asc("B"), SortKey::asc("C")],
+        ] {
+            let order = Order::new(keys);
+            let idx = sort_indices(&c, &order).unwrap();
+            let cols: Vec<_> = c
+                .columns()
+                .iter()
+                .map(|col| Arc::new(col.gather(&idx)))
+                .collect();
+            let got = ColumnarRelation::new(c.schema().clone(), cols).to_relation();
+            assert_eq!(got, ops::sort(&r, &order).unwrap(), "{order:?}");
+        }
     }
 
     #[test]

@@ -22,70 +22,17 @@
 //! `Relation` equal (`==`) to the interpreter's for the logical plan it was
 //! lowered from.
 
-pub mod exprs;
 pub mod hash;
 pub mod kernels;
 pub mod pipeline;
 
 use std::sync::Arc;
 
-use tqo_core::columnar::{Column, ColumnarRelation};
+use tqo_core::columnar::{Column, ColumnarRelation, RowIter, Sel};
 use tqo_core::schema::Schema;
 
 /// Target logical rows per batch.
 pub const BATCH_SIZE: usize = 1024;
-
-/// The live rows of a batch, in output order, as *physical* indices into
-/// the batch's columns.
-#[derive(Debug, Clone)]
-pub enum Sel {
-    /// A contiguous physical window `[start, end)`.
-    Range(usize, usize),
-    /// An explicit, ordered index list.
-    Rows(Arc<Vec<u32>>),
-}
-
-impl Sel {
-    /// Number of live rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Sel::Range(s, e) => e - s,
-            Sel::Rows(v) => v.len(),
-        }
-    }
-
-    /// True when no rows are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Iterator over a selection's physical row indices.
-pub enum RowIter<'a> {
-    /// Iterating a contiguous window.
-    Range(std::ops::Range<usize>),
-    /// Iterating an explicit index list.
-    Rows(std::slice::Iter<'a, u32>),
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            RowIter::Range(r) => r.next(),
-            RowIter::Rows(it) => it.next().map(|&i| i as usize),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            RowIter::Range(r) => r.size_hint(),
-            RowIter::Rows(it) => it.size_hint(),
-        }
-    }
-}
 
 /// A column-major chunk of rows flowing through the pipeline.
 ///
@@ -174,10 +121,7 @@ impl Batch {
 
     /// Iterate the live physical row indices, in logical order.
     pub fn rows(&self) -> RowIter<'_> {
-        match &self.sel {
-            Sel::Range(s, e) => RowIter::Range(*s..*e),
-            Sel::Rows(v) => RowIter::Rows(v.iter()),
-        }
+        self.sel.iter()
     }
 
     /// The same columns under a narrowed selection (zero row copies). The

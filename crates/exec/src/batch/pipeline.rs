@@ -25,6 +25,7 @@ use tqo_core::columnar::ColumnarRelation;
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{Expr, ProjItem};
+use tqo_core::exprs::{self, Pred};
 use tqo_core::interp::Env;
 use tqo_core::ops;
 use tqo_core::plan::{EquiKeys, PlanNode};
@@ -37,7 +38,6 @@ use tqo_core::tuple::Tuple;
 use crate::metrics::{ExecMetrics, OperatorMetrics};
 use crate::physical::{label, NodeFacts, PhysicalPlan};
 
-use super::exprs::{self, Pred};
 use super::hash::{KeyStore, RowTable};
 use super::kernels;
 use super::{concat, Batch, BATCH_SIZE};
@@ -202,7 +202,7 @@ impl BatchOperator for FilterOp {
                 return Ok(None);
             };
             let kept = match &self.compiled {
-                Some(pred) => exprs::filter(pred, &batch),
+                Some(pred) => exprs::filter(pred, batch.columns(), batch.sel()),
                 None => {
                     let mut kept = Vec::with_capacity(batch.num_rows());
                     for i in batch.rows() {

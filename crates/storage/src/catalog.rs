@@ -104,11 +104,10 @@ impl Catalog {
         let writer = self.writer(name);
         let mut parked = writer.lock();
         *parked = None;
-        self.tables
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| unknown_table(name))
+        // The dropped table is released after the catalog-wide lock, as in
+        // `with_table_mut`.
+        let dropped = self.tables.write().remove(name);
+        dropped.map(|_| ()).ok_or_else(|| unknown_table(name))
     }
 
     pub fn get(&self, name: &str) -> Result<Arc<Table>> {
@@ -151,9 +150,14 @@ impl Catalog {
         working.ledger = parked.take();
         f(&mut working)?;
         *parked = working.ledger.take();
-        self.tables
+        let displaced = self
+            .tables
             .write()
             .insert(name.to_owned(), Arc::new(working));
+        // Released only now, after the catalog-wide lock: freeing a
+        // version's columns (on a first write, also the registered
+        // version's tuple list) must not make readers of other tables wait.
+        drop(displaced);
         Ok(())
     }
 

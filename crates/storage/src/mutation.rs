@@ -14,8 +14,12 @@
 //! which the table derives the next version's properties and statistics
 //! instead of from the whole list.
 
+use std::sync::Arc;
+
+use tqo_core::columnar::Sel;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::Expr;
+use tqo_core::exprs;
 use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
 use tqo_core::time::Period;
@@ -108,10 +112,13 @@ fn rewrite(
 }
 
 /// [`rewrite`] over a table version's columns, as a [`Delta`]: the period
-/// test runs on the `T1`/`T2` columns, only the rows it passes are built
-/// as tuples (one at a time) for the predicate, and the next version is
-/// born in columns — runs of untouched rows copied a column at a time,
-/// each rewritten row's fragments pushed in its place.
+/// test runs on the `T1`/`T2` columns, and the predicate over the rows it
+/// passes — compiled, as the batch engine's `select` runs it, so only the
+/// rows the rewrite removes are built as tuples. A predicate outside the
+/// compiled fragment is evaluated tuple by tuple instead, exactly as the
+/// `select` falls back. The next version is born in columns — runs of
+/// untouched rows copied a column at a time, each rewritten row's
+/// fragments pushed in its place.
 fn rewrite_columns(
     relation: &Relation,
     predicate: &Expr,
@@ -123,17 +130,27 @@ fn rewrite_columns(
     let schema = relation.schema();
     let current = relation.columnar()?;
     let (t1, t2) = current.period_columns()?;
-    let mut hits = Vec::new();
-    for (i, (&start, &end)) in t1.iter().zip(t2).enumerate() {
-        // `Period::intersect`'s test.
-        if start.max(period.start) >= end.min(period.end) {
-            continue;
+    // `Period::intersect`'s test.
+    let overlapping: Vec<u32> = (0..current.rows())
+        .filter(|&i| t1[i].max(period.start) < t2[i].min(period.end))
+        .map(|i| i as u32)
+        .collect();
+    let hits: Vec<(usize, Tuple)> = match exprs::compile(predicate, schema) {
+        Some(pred) => exprs::filter(&pred, current.columns(), &Sel::Rows(Arc::new(overlapping)))
+            .into_iter()
+            .map(|i| (i as usize, current.tuple(i as usize)))
+            .collect(),
+        None => {
+            let mut hits = Vec::new();
+            for i in overlapping.into_iter().map(|i| i as usize) {
+                let t = current.tuple(i);
+                if predicate.eval_predicate(schema, &t)? {
+                    hits.push((i, t));
+                }
+            }
+            hits
         }
-        let t = current.tuple(i);
-        if predicate.eval_predicate(schema, &t)? {
-            hits.push((i, t));
-        }
-    }
+    };
     let mut delta = Delta {
         next: relation.clone(),
         removed: Vec::with_capacity(hits.len()),
@@ -438,6 +455,50 @@ mod tests {
         cat.update_sequenced("D", &is_john(), Period::of(2, 4), |t| Ok(t.clone()))
             .unwrap();
         assert!(cat.table_stats("D").is_some());
+    }
+
+    #[test]
+    fn stored_deletes_match_the_tuple_wise_oracle_on_both_predicate_paths() {
+        use tqo_core::expr::BinOp;
+        let r = Relation::new(
+            Schema::temporal(&[("E", DataType::Str), ("N", DataType::Int)]),
+            vec![
+                tuple!["a", 1i64, 1i64, 6i64],
+                tuple!["b", 2i64, 3i64, 9i64],
+                tuple!["a", 2i64, 7i64, 12i64],
+            ],
+        )
+        .unwrap();
+        let is_three = |n: Expr| Expr::eq(n, Expr::lit(3i64));
+        let predicates = [
+            // Compiled.
+            Expr::eq(Expr::col("N"), Expr::lit(2i64)),
+            Expr::eq(Expr::col("E"), Expr::lit("a")),
+            // Outside the compiled fragment: arithmetic, evaluated per
+            // tuple, and one that fails on every tuple it reaches.
+            is_three(Expr::bin(BinOp::Add, Expr::col("N"), Expr::lit(1i64))),
+            is_three(Expr::bin(BinOp::Add, Expr::col("E"), Expr::lit(1i64))),
+        ];
+        let mut errors = 0;
+        for predicate in &predicates {
+            for period in [Period::of(2, 8), Period::of(20, 30)] {
+                let oracle = delete_sequenced(&r, predicate, period);
+                let mut table = crate::table::Table::new("R", r.clone()).unwrap();
+                let stored = table.delete_sequenced(predicate, period);
+                match (oracle, stored) {
+                    (Ok(want), Ok(())) => {
+                        assert_eq!(table.relation().tuples(), want.tuples(), "{predicate}")
+                    }
+                    (Err(want), Err(got)) => {
+                        assert_eq!(got, want, "{predicate}");
+                        errors += 1;
+                    }
+                    (want, got) => panic!("{predicate} over {period:?}: {want:?} vs {got:?}"),
+                }
+            }
+        }
+        // Only the failing predicate, and only where a tuple reaches it.
+        assert_eq!(errors, 1);
     }
 
     #[test]

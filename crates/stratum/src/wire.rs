@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use tqo_core::columnar::{Column, ColumnData, ColumnarRelation};
-use tqo_core::context::StridePoll;
+use tqo_core::columnar::{Column, ColumnData, ColumnarRelation, Strings};
+use tqo_core::context::{Reservation, StridePoll};
 use tqo_core::error::{Error, Result};
 use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
@@ -187,27 +187,24 @@ fn put_column(buf: &mut BytesMut, col: &Column) -> Result<()> {
     Ok(())
 }
 
-/// Runs of equal strings, in one pass: the run count is patched in once
-/// the runs are written. Strings flowing out of the engine share one
-/// allocation per distinct source string, so pointer identity settles
-/// most comparisons without touching the bytes.
-fn put_runs(buf: &mut BytesMut, v: &[Arc<str>]) -> Result<()> {
+/// Runs of equal strings (byte equality), in one pass: the run count is
+/// patched in once the runs are written.
+fn put_runs(buf: &mut BytesMut, v: &Strings) -> Result<()> {
     let count_at = buf.len();
     buf.put_u32(0);
     let mut count = 0u32;
     let mut start = 0;
     while start < v.len() {
-        let s = &v[start];
+        let s = v.bytes_at(start);
         let end = start
             + 1
-            + v[start + 1..]
-                .iter()
-                .take_while(|t| Arc::ptr_eq(t, s) || *t == s)
+            + (start + 1..v.len())
+                .take_while(|&j| v.bytes_at(j) == s)
                 .count();
         // A run is at most the row count, which the header checked.
         buf.put_u32((end - start) as u32);
         buf.put_u32(wire_len(s.len(), "string length")?);
-        buf.put_slice(s.as_bytes());
+        buf.put_slice(s);
         count += 1;
         start = end;
     }
@@ -223,6 +220,8 @@ fn storage(reason: String) -> Error {
 /// payload surfaces as a typed `Storage` error.
 struct Reader<'a> {
     buf: &'a [u8],
+    /// The budget reservations of the string bytes built so far.
+    strings: Vec<Reservation>,
 }
 
 impl<'a> Reader<'a> {
@@ -271,10 +270,11 @@ impl<'a> Reader<'a> {
     }
 
     /// A string column's runs. The run headers are read and checked (run
-    /// count, run lengths, string lengths, UTF-8) before any row is built,
-    /// so a lying header costs what its bytes cost; then each run becomes
-    /// one shared allocation.
-    fn runs(&mut self, rows: usize, poll: &mut StridePoll) -> Result<Vec<Arc<str>>> {
+    /// count, run lengths, string lengths, UTF-8) and the bytes the runs
+    /// expand to are reserved against the budget before any row is built,
+    /// so a lying header costs what its bytes cost; then each run's string
+    /// is appended once per row.
+    fn runs(&mut self, rows: usize, poll: &mut StridePoll) -> Result<Strings> {
         let count = self.u32("string run count")?;
         // Every run covers at least one row and takes at least eight bytes.
         if count > rows || count.saturating_mul(8) > self.buf.len() {
@@ -284,6 +284,7 @@ impl<'a> Reader<'a> {
         }
         let mut runs = Vec::with_capacity(count);
         let mut covered = 0usize;
+        let mut expanded = 0usize;
         for _ in 0..count {
             let n = self.u32("string run length")?;
             if n == 0 || n > rows - covered {
@@ -296,6 +297,7 @@ impl<'a> Reader<'a> {
             let bytes = self.take(len, "string")?;
             let s =
                 std::str::from_utf8(bytes).map_err(|e| storage(format!("wire: bad utf8: {e}")))?;
+            expanded = expanded.saturating_add(n.saturating_mul(len));
             runs.push((n, s));
         }
         if covered != rows {
@@ -303,12 +305,13 @@ impl<'a> Reader<'a> {
                 "wire: string runs cover {covered} of {rows} rows"
             )));
         }
-        let mut out = Vec::with_capacity(rows);
+        self.strings
+            .extend(tqo_core::context::reserve_current(expanded)?);
+        let mut out = Strings::with_capacity(rows, expanded);
         for (n, s) in runs {
-            let shared: Arc<str> = Arc::from(s);
             for _ in 0..n {
                 poll.poll()?;
-                out.push(shared.clone());
+                out.push(s);
             }
         }
         Ok(out)
@@ -340,7 +343,10 @@ impl<'a> Reader<'a> {
 /// non-null and non-empty column-wise. Truncation, bad run lengths, bad
 /// UTF-8 and trailing bytes surface as typed `Storage` errors.
 pub fn decode(schema: &Schema, bytes: Bytes) -> Result<Relation> {
-    let mut r = Reader { buf: &bytes };
+    let mut r = Reader {
+        buf: &bytes,
+        strings: Vec::new(),
+    };
     let arity = r.u32("header")?;
     if arity != schema.arity() {
         return Err(storage(format!(
@@ -387,6 +393,7 @@ pub fn decode(schema: &Schema, bytes: Bytes) -> Result<Relation> {
     let relation =
         Relation::from_columnar(ColumnarRelation::new(Arc::new(schema.clone()), columns));
     drop(building);
+    drop(r);
     // Decoded rows are materialized stratum-side state that lives to the
     // end of the query (fragment results are bound into the local plan's
     // environment): charge them to the query's memory budget, denying
@@ -445,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_strings_travel_once_and_decode_shared() {
+    fn equal_strings_travel_once_and_decode_into_one_buffer() {
         let rows: Vec<Tuple> = (0..100).map(|i| tuple!["Sales", i as i64]).collect();
         let r = Relation::new(
             Schema::of(&[("D", DataType::Str), ("N", DataType::Int)]),
@@ -460,7 +467,10 @@ mod tests {
         let ColumnData::Str(v) = col.column(0).data() else {
             panic!("string column decoded as another dtype");
         };
-        assert!(v.iter().all(|s| Arc::ptr_eq(s, &v[0])));
+        // One buffer holds the column: 100 values of five bytes.
+        assert_eq!(v.len(), 100);
+        assert_eq!(v.total_bytes(), 500);
+        assert!((0..100).all(|i| v.str_at(i) == "Sales"));
         assert_eq!(decoded, r);
     }
 
@@ -628,6 +638,29 @@ mod tests {
         let err = decode(r.schema(), Bytes::from(huge)).unwrap_err();
         assert!(matches!(err, Error::MemoryBudget { .. }), "{err}");
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn string_runs_are_reserved_before_they_expand() {
+        use tqo_core::context::{install, QueryContext};
+        // One 4 KiB string over 4 096 rows: a 4 KiB frame that expands to
+        // 16 MiB of column bytes, denied before any is copied.
+        let (rows, text) = (4096u32, [b'x'; 4096]);
+        let mut body = vec![0u8];
+        for word in [1, rows, text.len() as u32] {
+            body.extend_from_slice(&word.to_be_bytes());
+        }
+        body.extend_from_slice(&text);
+        let ctx = QueryContext::new().with_memory_limit(1 << 20);
+        let _guard = install(&ctx);
+        match decode(
+            &Schema::of(&[("S", DataType::Str)]),
+            payload(1, rows, &body),
+        ) {
+            Err(Error::MemoryBudget { requested, .. }) => assert_eq!(requested, 4096 * 4096),
+            other => panic!("expected the string bytes denied, got {other:?}"),
+        }
+        assert_eq!(ctx.budget().used(), 0);
     }
 
     const DTYPES: [DataType; 5] = [
