@@ -69,8 +69,9 @@ pub enum Error {
     /// distinctly from execution failures (clients should retry later).
     AdmissionRejected { active: usize, limit: usize },
     /// A bug, not a query outcome: the scheduler caught a panic while
-    /// running one of the query's stages. Only that query fails; `reason`
-    /// is the panic message.
+    /// running one of the query's stages, or a serving session caught one
+    /// while answering a request. Only that query fails; `reason` is the
+    /// panic message.
     Internal { reason: String },
 }
 
@@ -154,6 +155,21 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl Error {
+    /// The [`Error::Internal`] a caught panic becomes, carrying the message
+    /// it was raised with (`panic!` payloads are `&str` or `String`).
+    pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> Error {
+        let reason = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "panicked".to_owned()
+        };
+        Error::Internal { reason }
+    }
+}
 
 /// Convenience alias used throughout the workspace.
 pub type Result<T> = std::result::Result<T, Error>;

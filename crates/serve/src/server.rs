@@ -2,6 +2,7 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -73,10 +74,11 @@ struct Inner {
 
 /// Bind and start serving `catalog` — returns once the listener is
 /// accepting. Queries execute through the server's own multi-query
-/// [`Scheduler`]; mutations go through the catalog's sequenced
+/// [`Scheduler`], each session thread running its query's stages itself
+/// whenever a slot is free; mutations go through the catalog's sequenced
 /// primitives. Results are byte-identical to serial single-query runs
-/// (ARCHITECTURE invariant 16). A scheduler without workers runs no
-/// query, so `workers: 0` is refused.
+/// (ARCHITECTURE invariant 16). A scheduler without workers has no slot
+/// to run a query in, so `workers: 0` is refused.
 pub fn serve(catalog: Catalog, config: ServerConfig) -> Result<Server> {
     if config.scheduler.workers == 0 {
         return Err(Error::Unsupported {
@@ -213,13 +215,22 @@ fn session(stream: TcpStream, inner: &Inner) {
             Err(_) => return, // Transport failure; session over.
         };
         counters::SERVE_REQUESTS.incr();
-        let (resp, shutdown_after) = match decode_request(payload) {
-            Ok(Request::Shutdown) => (Response::Done, true),
-            Ok(req) => (handle(req, inner), false),
-            // A malformed request still gets a framed, typed answer.
-            Err(e) => (Response::Fail(e), false),
-        };
-        let frame = encode(resp, inner);
+        // A panic while answering (in compile, bind, lower, a stage this
+        // thread runs, or encode) fails this request alone: the client
+        // gets the typed `Error::Internal` and the connection serves on.
+        let answered = panic::catch_unwind(AssertUnwindSafe(|| {
+            let (resp, shutdown_after) = match decode_request(payload) {
+                Ok(Request::Shutdown) => (Response::Done, true),
+                Ok(req) => (handle(req, inner), false),
+                // A malformed request still gets a framed, typed answer.
+                Err(e) => (Response::Fail(e), false),
+            };
+            (encode(resp, inner), shutdown_after)
+        }));
+        let (frame, shutdown_after) = answered.unwrap_or_else(|payload| {
+            let fail = Response::Fail(Error::from_panic(payload.as_ref()));
+            (encode_response(&fail), false)
+        });
         if write_frame(&mut stream, &frame).is_err() {
             return;
         }
@@ -243,7 +254,7 @@ fn encode(resp: Response, inner: &Inner) -> Bytes {
 }
 
 /// Execute one request. Every failure path returns a typed
-/// [`Response::Fail`]; nothing here panics the session.
+/// [`Response::Fail`]; a panic is caught by the session.
 fn handle(req: Request, inner: &Inner) -> Response {
     match run(req, inner) {
         Ok(resp) => resp,
@@ -262,6 +273,8 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             memory_limit,
             cancel_polls,
         } => {
+            #[cfg(test)]
+            tests::panic_if_marked(&sql);
             // Injected pre-execution fault: the same transient shape the
             // stratum link produces, surfaced typed to the client.
             if let Some(f) = &inner.faults {
@@ -378,4 +391,40 @@ fn read_exact_polling(
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use tqo_storage::paper;
+
+    /// A query whose text carries this marker panics on the session
+    /// thread: the test-only stand-in for a bug in compile or bind.
+    const PANIC_MARKER: &str = "__panic_session";
+
+    pub(super) fn panic_if_marked(sql: &str) {
+        if sql.contains(PANIC_MARKER) {
+            panic!("injected session panic");
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_fails_alone_and_the_connection_serves_on() {
+        let catalog = paper::catalog();
+        let sql = "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE COALESCE ORDER BY EmpName";
+        let plan = tqo_sql::compile(sql, &catalog).unwrap();
+        let expected = tqo_core::interp::eval_plan(&plan, &catalog.env()).unwrap();
+        let mut server = serve(catalog, ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        match client.query(&format!("SELECT EmpName FROM {PANIC_MARKER}")) {
+            Err(Error::Internal { reason }) => {
+                assert!(reason.contains("injected session panic"), "{reason}")
+            }
+            other => panic!("expected Error::Internal, got {other:?}"),
+        }
+        // Same connection, same session thread: the next query answers.
+        assert_eq!(client.query(sql).unwrap(), expected);
+        server.stop();
+    }
 }
