@@ -1,4 +1,4 @@
-//! Memo search vs exhaustive enumeration on widening union chains — the
+//! Memo search vs the Figure 5 closure on widening union chains — the
 //! shape whose Figure 5 closure grows multiplicatively with chain width
 //! (transfer placements × dedup positions × sort positions) until the
 //! 4096-plan budget walls, while the memo's expression table grows with
@@ -6,13 +6,14 @@
 //!
 //! The printed table is the acceptance evidence: at every width the memo
 //! visits fewer materialized expressions than the enumerator's plan count
-//! and finds a plan at least as cheap; past the wall, the exhaustive
+//! and finds a plan at least as cheap; past the wall, the closure's
 //! "best" is only the best of a truncated prefix.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tqo_bench::union_chain_plan;
-use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
+use tqo_core::enumerate::{enumerate, EnumerationConfig};
+use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::rules::RuleSet;
 
 fn bench(c: &mut Criterion) {
@@ -22,11 +23,8 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(800));
 
     let rules = RuleSet::standard();
-    let exhaustive_cfg = OptimizerConfig::default();
-    let memo_cfg = OptimizerConfig {
-        strategy: SearchStrategy::Memo,
-        ..Default::default()
-    };
+    let memo_cfg = OptimizerConfig::default();
+    let closure_cfg = EnumerationConfig::default();
 
     println!(
         "{:>5} {:>12} {:>10} {:>12} {:>10} {:>10} {:>6}",
@@ -35,32 +33,38 @@ fn bench(c: &mut Criterion) {
     for width in [2usize, 4, 6, 8, 10, 12] {
         let plan = union_chain_plan(width, 500);
 
-        let exhaustive = optimize(&plan, &rules, &exhaustive_cfg).expect("exhaustive");
+        let closure = enumerate(&plan, &rules, closure_cfg).expect("closure");
+        let (_, closure_cost) = closure
+            .cheapest(&memo_cfg.cost_model)
+            .expect("closure prices");
         let memo = optimize(&plan, &rules, &memo_cfg).expect("memo");
-        let stats = memo.memo.expect("memo stats");
+        let stats = memo.memo;
         assert!(
-            memo.cost.0 <= exhaustive.cost.0 * (1.0 + 1e-9),
+            memo.cost.0 <= closure_cost.0 * (1.0 + 1e-9),
             "memo must match or beat the (possibly truncated) enumerator"
         );
         // Narrow chains fit in a handful of plans and the memo's per-node
         // bookkeeping dominates; the expression-vs-plan win is the claim
         // for the widths the enumerator can no longer close.
-        if exhaustive.truncated {
-            assert!(stats.exprs < exhaustive.enumeration.plans.len());
+        if closure.truncated {
+            assert!(stats.exprs < closure.plans.len());
         }
         println!(
             "{:>5} {:>12} {:>10.0} {:>12} {:>10.0} {:>10} {:>6}",
             width,
-            exhaustive.enumeration.plans.len(),
-            exhaustive.cost.0,
+            closure.plans.len(),
+            closure_cost.0,
             stats.exprs,
             memo.cost.0,
             stats.groups,
-            if exhaustive.truncated { "yes" } else { "no" },
+            if closure.truncated { "yes" } else { "no" },
         );
 
-        group.bench_with_input(BenchmarkId::new("exhaustive", width), &plan, |b, plan| {
-            b.iter(|| optimize(plan, &rules, &exhaustive_cfg).expect("ok").cost.0)
+        group.bench_with_input(BenchmarkId::new("closure", width), &plan, |b, plan| {
+            b.iter(|| {
+                let closure = enumerate(plan, &rules, closure_cfg).expect("ok");
+                closure.cheapest(&memo_cfg.cost_model).expect("ok").1 .0
+            })
         });
         group.bench_with_input(BenchmarkId::new("memo", width), &plan, |b, plan| {
             b.iter(|| optimize(plan, &rules, &memo_cfg).expect("ok").cost.0)

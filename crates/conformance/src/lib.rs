@@ -10,8 +10,9 @@
 //!   `statement ok` / `query <types> [rowsort]` / `query error`
 //!   directives over deterministic fixtures ([`fixtures`]). Each `query`
 //!   runs through the full mode matrix — reference interpreter, the
-//!   batch engine, the multi-query scheduler, memo and exhaustive
-//!   optimizer strategies, and the layered stratum engine. Every leg running
+//!   batch engine, the multi-query scheduler, the memo optimizer and the
+//!   Figure 5 closure it is checked against, and the layered stratum
+//!   engine. Every leg running
 //!   the query's own plan must return the interpreter's exact relation;
 //!   the legs running a rewritten plan must render **byte-identical**
 //!   canonical results.

@@ -9,7 +9,7 @@
 //! | reference | interpreter | pinned block in the file |
 //! | engine | batch | `==` reference relation |
 //! | scheduler | stage graph via the shared multi-query pool | `==` reference relation |
-//! | optimizer | memo + exhaustive, via interpreter | byte-identical rendering |
+//! | optimizer | memo + Figure 5 closure, via interpreter | byte-identical rendering |
 //! | stratum | layered | `==` reference relation |
 //! | stratum optimized | layered, then rewritten | byte-identical rendering |
 //!
@@ -30,10 +30,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use tqo_core::cost::CostModel;
-use tqo_core::enumerate::EnumerationConfig;
+use tqo_core::enumerate::{enumerate, EnumerationConfig};
 use tqo_core::equivalence::ResultType;
 use tqo_core::interp::{eval_plan, Env};
-use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
+use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::rules::RuleSet;
 use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOptions};
 use tqo_storage::Catalog;
@@ -62,12 +62,12 @@ pub struct FileOutcome {
 /// Row count above which blessed blocks are pinned as digests.
 const HASH_THRESHOLD: usize = 24;
 
-/// Plan budget of the exhaustive-closure legs. They check that *a chosen
+/// Plan budget of the Figure 5 closure leg. It checks that *a chosen
 /// plan* evaluates to the reference, which a truncated closure still
 /// provides; at the default 4096 every join query runs the closure to
-/// truncation twice and the matrix takes minutes instead of seconds.
+/// truncation and the matrix takes minutes instead of seconds.
 /// Cost-equality at full budget is `tests/memo_optimizer.rs`'s job.
-const EXHAUSTIVE_BUDGET: EnumerationConfig = EnumerationConfig { max_plans: 256 };
+const CLOSURE_BUDGET: EnumerationConfig = EnumerationConfig { max_plans: 256 };
 
 /// Run one `.slt` file. `bless` rewrites expected blocks in place.
 pub fn run_slt_file(path: &Path, bless: bool) -> Result<FileOutcome, String> {
@@ -234,17 +234,9 @@ fn run_matrix(
         return Err("unordered query must use rowsort".into());
     }
 
-    // Under `≡ˢ` (DISTINCT without ORDER BY) optimized plans are held to
-    // set equivalence only, so the canonical form is the sorted, deduped
-    // line set. A no-op on the (duplicate-free) reference itself.
-    let set_result = matches!(plan.result_type, ResultType::Set);
-    let canon = |rel: &tqo_core::relation::Relation| {
-        let mut rows = render_rows(rel, sort);
-        if set_result {
-            rows.dedup();
-        }
-        rows
-    };
+    // Every leg is held to the same canonical lines: the exact list under
+    // ORDER BY, the sorted rows with duplicates kept otherwise.
+    let canon = |rel: &tqo_core::relation::Relation| render_rows(rel, sort);
 
     let canonical = canon(&reference);
     // The batch engine, then the multi-query scheduler: the plan cut
@@ -268,21 +260,20 @@ fn run_matrix(
         return Ok((canonical, actual_types));
     }
 
-    // Optimizer strategies, evaluated through the interpreter.
+    // The memo's plan and the Figure 5 closure's cheapest plan (the
+    // oracle), evaluated through the interpreter.
     let rules = RuleSet::standard();
-    for strategy in [SearchStrategy::Memo, SearchStrategy::Exhaustive] {
-        let config = OptimizerConfig {
-            strategy,
-            enumeration: EXHAUSTIVE_BUDGET,
-            ..OptimizerConfig::default()
-        };
-        let optimized =
-            optimize(&plan, &rules, &config).map_err(|e| format!("{strategy:?}: {e}"))?;
-        let got = eval_plan(&optimized.best, env).map_err(|e| format!("{strategy:?} eval: {e}"))?;
+    let memo = optimize(&plan, &rules, &OptimizerConfig::default())
+        .map_err(|e| format!("memo: {e}"))?
+        .best;
+    let closure = enumerate(&plan, &rules, CLOSURE_BUDGET).map_err(|e| format!("closure: {e}"))?;
+    let (cheapest, _) = closure
+        .cheapest(&CostModel::default())
+        .map_err(|e| format!("closure: {e}"))?;
+    for (leg, best) in [("memo", &memo), ("closure", &closure.plans[cheapest].plan)] {
+        let got = eval_plan(best, env).map_err(|e| format!("{leg} eval: {e}"))?;
         if canon(&got) != canonical {
-            return Err(format!(
-                "{strategy:?}-optimized plan diverges from reference"
-            ));
+            return Err(format!("{leg}-optimized plan diverges from reference"));
         }
     }
 
@@ -296,19 +287,8 @@ fn run_matrix(
             if got != reference {
                 return Err("stratum relation differs from the interpreter".into());
             }
-            // `run_sql_optimized` with the closure budgeted: the same
-            // search (exhaustive, priced by the stratum's cost model) over
-            // the same layered plan, then `run`.
-            let config = OptimizerConfig {
-                enumeration: EXHAUSTIVE_BUDGET,
-                cost_model: CostModel::calibrated(),
-                ..OptimizerConfig::default()
-            };
-            let best = optimize(&layered, &rules, &config)
-                .map_err(|e| format!("stratum optimize: {e}"))?
-                .best;
-            let (got, _) = stratum
-                .run(&best)
+            let (got, _, _) = stratum
+                .run_sql_optimized(sql)
                 .map_err(|e| format!("stratum optimized: {e}"))?;
             if canon(&got) != canonical {
                 return Err("optimized stratum diverges from reference".into());

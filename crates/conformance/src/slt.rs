@@ -40,7 +40,7 @@ use crate::render::SortMode;
 /// corpus doubles as the shared-pool concurrency oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModeSet {
-    /// Everything: engines, scheduler, optimizer strategies, stratum.
+    /// Everything: engines, scheduler, memo and closure plans, stratum.
     All,
     /// Engine + scheduler legs only (batch, shared-pool stage graphs)
     /// — for large generated fixtures where the

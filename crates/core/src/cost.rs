@@ -18,8 +18,8 @@
 //! neither does its price: the sweeps (`×ᵀ`, `\ᵀ`, `ξᵀ`, `rdupᵀ`, `∪ᵀ`) cost `n log n`-ish
 //! work, the chained `coalᵀ` and the hash operators are linear, and only
 //! `×`'s nested loop is quadratic. The [`CostEstimator`] trait is the one interface
-//! both search strategies (exhaustive Figure 5 closure and memo
-//! extraction) consume, so they price plans identically by construction.
+//! the memo's extraction and its oracle, Figure 5's closure, consume, so
+//! they price plans identically by construction.
 //!
 //! Temporal operations have no DBMS implementation; a plan placing one in
 //! the DBMS is invalid ([`Cost::INVALID`]).
@@ -92,8 +92,8 @@ fn nlogn(n: f64) -> f64 {
     n * (n.max(2.0)).log2()
 }
 
-/// The single costing interface both plan-search engines consume: the
-/// exhaustive Figure 5 closure prices whole plans via [`estimate_plan`],
+/// The single costing interface of plan search: Figure 5's closure (the
+/// memo's test oracle) prices whole plans via [`estimate_plan`],
 /// the memo extractor prices (node, context) cells via [`estimate_node`] —
 /// same formulas, same statistics, identical totals.
 ///

@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::cost::{Cost, CostModel};
 use crate::equivalence::EquivalenceType;
 use crate::error::Result;
 use crate::plan::props::{annotate, Annotations};
@@ -53,7 +54,7 @@ pub struct EnumeratedPlan {
 }
 
 /// The enumeration result.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Enumeration {
     /// Every enumerated plan, the initial one first.
     pub plans: Vec<EnumeratedPlan>,
@@ -73,6 +74,21 @@ impl Enumeration {
         }
         chain.reverse();
         chain
+    }
+
+    /// The index and cost of the cheapest plan under `model` (the first
+    /// among equals, so plan 0 wins unless a rewrite is strictly cheaper).
+    /// The closure's optimum: the oracle [`crate::optimizer::optimize`]'s
+    /// memo search is held to wherever the closure finishes.
+    pub fn cheapest(&self, model: &CostModel) -> Result<(usize, Cost)> {
+        let mut best = (0, Cost::INVALID);
+        for (i, candidate) in self.plans.iter().enumerate() {
+            let c = model.cost(&candidate.plan)?;
+            if c < best.1 {
+                best = (i, c);
+            }
+        }
+        Ok(best)
     }
 }
 

@@ -209,8 +209,8 @@ impl<'a> Extractor<'a> {
     }
 
     /// All admissible compositions of one member over the current child
-    /// cells: per slot, entries forward-reachable from the member's
-    /// identity occupant under the context the composition induces.
+    /// cells: per occupant tuple, the entries each slot can reach from its
+    /// occupant under the context the composition induces.
     fn member_entries(
         &mut self,
         member: ExprId,
@@ -241,7 +241,7 @@ impl<'a> Extractor<'a> {
             return Ok(());
         }
 
-        let occupants = self.memo.exprs[member].witness_children.clone();
+        let alternatives = self.memo.exprs[member].occupants.clone();
         let csite = op.child_site(ctx.site);
         // The flag vector a child sees depends on sibling interfaces only
         // through snapshot-dup-freedom; enumerate those assumptions and
@@ -273,72 +273,92 @@ impl<'a> Extractor<'a> {
                     site: csite,
                 })
                 .collect();
-            // Pull the child cells (registering demand for the next sweep)
-            // and keep reachable entries matching the sdf assumption.
-            let mut candidate_sets: Vec<Vec<(Entry, Vec<DerivationStep>)>> =
-                Vec::with_capacity(child_groups.len());
-            for (i, (&g, cctx)) in child_groups.iter().zip(&child_ctxs).enumerate() {
+            // Register demand on the child cells for the next sweep.
+            for (&g, cctx) in child_groups.iter().zip(&child_ctxs) {
                 self.demand(g, *cctx);
-                let closure = self.closure(occupants[i], *cctx);
-                let matching: Vec<(Entry, Vec<DerivationStep>)> = self.cells[&(g, *cctx)]
-                    .iter()
-                    .filter(|e| e.stat.snapshot_dup_free == assumed[i])
-                    .filter_map(|e| closure.get(&e.expr).map(|chain| (e.clone(), chain.clone())))
-                    .collect();
-                candidate_sets.push(matching);
             }
-            for combo in cross(&candidate_sets) {
-                let child_cost: f64 = combo.iter().map(|(e, _)| e.cost).sum();
-                if child_cost > upper {
-                    continue;
+            // Per occupant tuple: the child entries reachable from it
+            // that match the sdf assumption, and every combination.
+            for occupants in &alternatives {
+                let mut candidate_sets: Vec<Vec<(Entry, Vec<DerivationStep>)>> =
+                    Vec::with_capacity(child_groups.len());
+                for (i, (&g, cctx)) in child_groups.iter().zip(&child_ctxs).enumerate() {
+                    let closure = self.closure(occupants[i], *cctx);
+                    let matching: Vec<(Entry, Vec<DerivationStep>)> = self.cells[&(g, *cctx)]
+                        .iter()
+                        .filter(|e| e.stat.snapshot_dup_free == assumed[i])
+                        .filter_map(|e| {
+                            closure.get(&e.expr).map(|chain| (e.clone(), chain.clone()))
+                        })
+                        .collect();
+                    candidate_sets.push(matching);
                 }
-                let nodes: Vec<Arc<PlanNode>> =
-                    combo.iter().map(|(e, _)| Arc::clone(&e.node)).collect();
-                let stats: Vec<StaticProps> = combo.iter().map(|(e, _)| e.stat.clone()).collect();
-                let Ok(node) = self.memo.exprs[member].rebuild(nodes) else {
-                    continue;
-                };
-                let Ok(mut stat) = derive_one(&node, &stats) else {
-                    continue;
-                };
-                // §4.5: results produced inside the DBMS are unordered
-                // unless the operation is the sort itself (same erasure
-                // `annotate` applies).
-                if ctx.site == Site::Dbms && !matches!(node, PlanNode::Sort { .. }) {
-                    stat.order = Order::unordered();
+                for combo in cross(&candidate_sets) {
+                    self.compose(member, ctx, &combo, upper, out)?;
                 }
-                let child_refs: Vec<&StaticProps> = stats.iter().collect();
-                let Some(work) = self
-                    .cost_model
-                    .estimate_node(&node, &stat, &child_refs, ctx.site)
-                else {
-                    continue;
-                };
-                let cost = child_cost + work;
-                if cost > upper {
-                    continue;
-                }
-                let mut derivation: Vec<RuleApplication> = Vec::new();
-                for (i, (child, switch_chain)) in combo.iter().enumerate() {
-                    derivation.extend(chain_to_applications(switch_chain, &[i]));
-                    derivation.extend(child.derivation.iter().map(|app| {
-                        let mut loc = vec![i];
-                        loc.extend_from_slice(&app.location);
-                        RuleApplication {
-                            location: loc,
-                            ..app.clone()
-                        }
-                    }));
-                }
-                out.push(Entry {
-                    expr: member,
-                    node: Arc::new(node),
-                    stat,
-                    cost,
-                    derivation,
-                });
             }
         }
+        Ok(())
+    }
+
+    /// Price `member` over one combination of child entries (each with the
+    /// rule chain that swaps it into its slot) and push the composed entry
+    /// unless it is inadmissible or exceeds `upper`.
+    fn compose(
+        &mut self,
+        member: ExprId,
+        ctx: MemoCtx,
+        combo: &[&(Entry, Vec<DerivationStep>)],
+        upper: f64,
+        out: &mut Vec<Entry>,
+    ) -> Result<()> {
+        let child_cost: f64 = combo.iter().map(|(e, _)| e.cost).sum();
+        if child_cost > upper {
+            return Ok(());
+        }
+        let nodes: Vec<Arc<PlanNode>> = combo.iter().map(|(e, _)| Arc::clone(&e.node)).collect();
+        let stats: Vec<StaticProps> = combo.iter().map(|(e, _)| e.stat.clone()).collect();
+        let Ok(node) = self.memo.exprs[member].rebuild(nodes) else {
+            return Ok(());
+        };
+        let Ok(mut stat) = derive_one(&node, &stats) else {
+            return Ok(());
+        };
+        // §4.5: results produced inside the DBMS are unordered unless the
+        // operation is the sort itself (same erasure `annotate` applies).
+        if ctx.site == Site::Dbms && !matches!(node, PlanNode::Sort { .. }) {
+            stat.order = Order::unordered();
+        }
+        let child_refs: Vec<&StaticProps> = stats.iter().collect();
+        let Some(work) = self
+            .cost_model
+            .estimate_node(&node, &stat, &child_refs, ctx.site)
+        else {
+            return Ok(());
+        };
+        let cost = child_cost + work;
+        if cost > upper {
+            return Ok(());
+        }
+        let mut derivation: Vec<RuleApplication> = Vec::new();
+        for (i, (child, switch_chain)) in combo.iter().enumerate() {
+            derivation.extend(chain_to_applications(switch_chain, &[i]));
+            derivation.extend(child.derivation.iter().map(|app| {
+                let mut loc = vec![i];
+                loc.extend_from_slice(&app.location);
+                RuleApplication {
+                    location: loc,
+                    ..app.clone()
+                }
+            }));
+        }
+        out.push(Entry {
+            expr: member,
+            node: Arc::new(node),
+            stat,
+            cost,
+            derivation,
+        });
         Ok(())
     }
 }

@@ -14,6 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::plan::props::{annotate_with, PropsFlags, StaticProps};
 use crate::plan::{PlanNode, Site};
+use crate::rules::conventional::compose_projections;
 use crate::schema::Schema;
 use crate::value::DataType;
 
@@ -60,21 +61,6 @@ impl MemoCtx {
     }
 }
 
-/// How an expression entered the memo.
-#[derive(Debug, Clone)]
-pub enum Provenance {
-    /// Inserted as a concrete subtree of the initial plan or of a rule's
-    /// replacement — the identity choice, valid in every context.
-    Base,
-    /// Produced by a transformation rule at this location.
-    Rule {
-        /// The rule's name.
-        name: String,
-        /// The strongest equivalence the rule preserves.
-        equivalence: crate::equivalence::EquivalenceType,
-    },
-}
-
 /// One operator whose children are groups.
 #[derive(Debug)]
 pub struct MemoExpr {
@@ -86,10 +72,12 @@ pub struct MemoExpr {
     /// Child groups, canonical at insertion time (re-canonicalize with
     /// [`Memo::find`] after merges).
     pub children: Vec<GroupId>,
-    /// The expressions the witness's children hash-consed to — the
-    /// *identity occupants* of the child slots. Extraction reports a rule
-    /// application exactly when it deviates from them.
-    pub witness_children: Vec<ExprId>,
+    /// The *identity occupants* of the child slots: for every distinct
+    /// concrete subtree that hash-consed to this expression (the witness
+    /// first), the expressions its children hash-consed to. Extraction
+    /// fills a slot only with what is forward-reachable from an occupant
+    /// tuple, and reports a rule application exactly where it deviates.
+    pub occupants: Vec<Vec<ExprId>>,
     /// A concrete subtree realizing this expression.
     pub witness: Arc<PlanNode>,
     /// True when the expression is valid in any context (identity
@@ -97,12 +85,6 @@ pub struct MemoExpr {
     pub base: bool,
     /// Maximal contexts a rule derived this expression under.
     pub ctxs: Vec<MemoCtx>,
-    /// Every rule recorded as deriving this expression (kept even for base
-    /// expressions, whose reachability doesn't need it, so extraction can
-    /// name the rewrite that swaps them in at a foreign location).
-    pub derived_via: Vec<(MemoCtx, String, crate::equivalence::EquivalenceType)>,
-    /// How the expression entered the memo.
-    pub provenance: Provenance,
 }
 
 impl MemoExpr {
@@ -181,12 +163,19 @@ pub struct Memo {
     /// Live (non-aliased) expression count, maintained incrementally so
     /// the insertion budget check is O(1).
     live_exprs: usize,
+    /// Whether projection cascades compose as they enter.
+    compose: bool,
 }
 
 impl Memo {
-    /// An empty memo.
-    pub fn new() -> Memo {
-        Memo::default()
+    /// An empty memo. With `compose` (the rule set holds
+    /// `project-compose`), projection cascades compose as they enter
+    /// ([`Memo::insert_subtree`]).
+    pub fn new(compose: bool) -> Memo {
+        Memo {
+            compose,
+            ..Memo::default()
+        }
     }
 
     /// Number of live (canonical) groups.
@@ -252,23 +241,36 @@ impl Memo {
     /// Insert a concrete subtree, hash-consing every node. Returns the
     /// expression for the root (existing or fresh) or `None` when the
     /// expression budget is exhausted.
+    ///
+    /// When the memo composes, a projection cascade `π_A(π_B(r))` enters
+    /// as `π_{A∘B}(r)` (`project-compose`, ≡L, applied eagerly). Without
+    /// it the remapping `π` that `product-commute` wraps around every swap
+    /// stacks up, one layer per swap, and a layered join never closes.
     pub fn insert_subtree(&mut self, node: &Arc<PlanNode>, max_exprs: usize) -> Option<ExprId> {
         if let Some(&e) = self.witness_index.get(node) {
             return Some(self.find_expr(e));
         }
+        if let Some(composed) = self.compose.then(|| compose_projections(node)).flatten() {
+            let e = self.insert_subtree(&Arc::new(composed), max_exprs)?;
+            self.witness_index.insert(Arc::clone(node), e);
+            return Some(e);
+        }
         let mut children = Vec::with_capacity(node.children().len());
-        let mut witness_children = Vec::with_capacity(node.children().len());
+        let mut occupants = Vec::with_capacity(node.children().len());
         for c in node.children() {
             let e = self.insert_subtree(c, max_exprs)?;
-            witness_children.push(e);
+            occupants.push(e);
             children.push(self.group_of(e));
         }
         let key = self.shallow_key(node, &children);
         if let Some(&e) = self.expr_index.get(&key) {
             let e = self.find_expr(e);
             // Same operator over the same groups: the concrete tree is an
-            // alternative witness; remember the mapping, keep the first
-            // witness (any witness works for binding purposes).
+            // alternative witness. Keep the first witness (any works for
+            // binding), but remember this tree's children as occupants:
+            // which tree arrives first depends on exploration order, and
+            // what the slots can reach must not.
+            self.add_occupants(e, vec![occupants]);
             self.witness_index.insert(Arc::clone(node), e);
             return Some(e);
         }
@@ -288,12 +290,10 @@ impl Memo {
             id,
             op: Arc::clone(node),
             children,
-            witness_children,
+            occupants: vec![occupants],
             witness: Arc::clone(node),
             base: true,
             ctxs: Vec::new(),
-            derived_via: Vec::new(),
-            provenance: Provenance::Base,
         });
         self.expr_index.insert(key, id);
         self.witness_index.insert(Arc::clone(node), id);
@@ -302,35 +302,26 @@ impl Memo {
         Some(id)
     }
 
-    /// Record that expression `e` is reachable under `ctx` via `rule`.
-    /// Returns true when this extends the expression's usable contexts.
-    pub fn record_rule_ctx(
-        &mut self,
-        e: ExprId,
-        ctx: MemoCtx,
-        rule: &str,
-        equivalence: crate::equivalence::EquivalenceType,
-    ) -> bool {
+    /// Add occupant tuples to expression `e`, skipping ones it has.
+    fn add_occupants(&mut self, e: ExprId, tuples: Vec<Vec<ExprId>>) {
+        for tuple in tuples {
+            let tuple: Vec<ExprId> = tuple.into_iter().map(|c| self.find_expr(c)).collect();
+            if !self.exprs[e].occupants.contains(&tuple) {
+                self.exprs[e].occupants.push(tuple);
+            }
+        }
+    }
+
+    /// Record that a rule derived expression `e` under `ctx`. Returns true
+    /// when this extends the expression's usable contexts.
+    pub fn record_rule_ctx(&mut self, e: ExprId, ctx: MemoCtx) -> bool {
         let e = self.find_expr(e);
         let expr = &mut self.exprs[e];
-        if !expr
-            .derived_via
-            .iter()
-            .any(|(c, n, _)| *c == ctx && n == rule)
-        {
-            expr.derived_via.push((ctx, rule.to_owned(), equivalence));
-        }
         if expr.base || expr.ctxs.iter().any(|c| c.covers(&ctx)) {
             return false;
         }
         expr.ctxs.retain(|c| !ctx.covers(c));
         expr.ctxs.push(ctx);
-        if matches!(expr.provenance, Provenance::Base) {
-            expr.provenance = Provenance::Rule {
-                name: rule.to_owned(),
-                equivalence,
-            };
-        }
         true
     }
 
@@ -470,10 +461,12 @@ impl Memo {
         if winner == loser {
             return;
         }
-        let (ctxs, derived_via, base) = {
+        let (ctxs, base) = {
             let l = &self.exprs[loser];
-            (l.ctxs.clone(), l.derived_via.clone(), l.base)
+            (l.ctxs.clone(), l.base)
         };
+        let occupants = std::mem::take(&mut self.exprs[loser].occupants);
+        self.add_occupants(winner, occupants);
         {
             let w = &mut self.exprs[winner];
             w.base |= base;
@@ -481,11 +474,6 @@ impl Memo {
                 if !w.ctxs.iter().any(|have| have.covers(&c)) {
                     w.ctxs.retain(|have| !c.covers(have));
                     w.ctxs.push(c);
-                }
-            }
-            for d in derived_via {
-                if !w.derived_via.iter().any(|(c, n, _)| *c == d.0 && *n == d.1) {
-                    w.derived_via.push(d);
                 }
             }
         }
@@ -531,7 +519,7 @@ mod tests {
 
     #[test]
     fn shared_subtrees_hash_cons() {
-        let mut memo = Memo::new();
+        let mut memo = Memo::new(true);
         let a = Arc::new(tscan("A").rdup_t().coalesce().node());
         let b = Arc::new(
             tscan("A")
@@ -548,7 +536,7 @@ mod tests {
 
     #[test]
     fn merge_unifies_groups() {
-        let mut memo = Memo::new();
+        let mut memo = Memo::new(true);
         let a = Arc::new(tscan("A").rdup_t().rdup_t().node());
         let b = Arc::new(tscan("A").rdup_t().node());
         let ea = memo.insert_subtree(&a, 1000).unwrap();
@@ -564,7 +552,7 @@ mod tests {
         // sort(rdupT(rdupT(A))) and sort(rdupT(A)): merging the sort
         // inputs must alias the two sort expressions and merge their
         // groups — upward congruence.
-        let mut memo = Memo::new();
+        let mut memo = Memo::new(true);
         let order = crate::sortspec::Order::asc(&["E"]);
         let deep = Arc::new(tscan("A").rdup_t().rdup_t().sort(order.clone()).node());
         let flat = Arc::new(tscan("A").rdup_t().sort(order).node());
@@ -605,7 +593,7 @@ mod tests {
 
     #[test]
     fn budget_stops_insertion() {
-        let mut memo = Memo::new();
+        let mut memo = Memo::new(true);
         let a = Arc::new(tscan("A").rdup_t().coalesce().node());
         assert!(memo.insert_subtree(&a, 2).is_none());
         assert!(memo.expr_count() <= 2);

@@ -1,4 +1,5 @@
-//! A Cascades-style memo optimizer for the Figure 5 rule space.
+//! A Cascades-style memo optimizer for the Figure 5 rule space — the one
+//! search [`crate::optimizer::optimize`] runs.
 //!
 //! The exhaustive enumerator ([`crate::enumerate`]) materializes every
 //! equivalent plan as a standalone tree: a closure with `v` variants in
@@ -25,8 +26,9 @@
 //!
 //! Module layout:
 //!
-//! * [`group`] — the memo table: hash-consed expressions, union-find over
-//!   groups, context records;
+//! * [`group`] — the memo table: hash-consed expressions (projection
+//!   cascades composed as they enter), union-find over groups, context
+//!   records;
 //! * [`task`] — the exploration engine: a worklist of
 //!   (expression, context) tasks that applies the [`crate::rules::RuleSet`]
 //!   to depth-bounded bindings and merges the results back in;

@@ -10,11 +10,13 @@ use crate::memo::group::{Memo, MemoCtx};
 use crate::memo::task::{Explorer, Task};
 use crate::memo::MemoConfig;
 use crate::plan::props::PropsFlags;
-use crate::plan::LogicalPlan;
-use crate::rules::RuleSet;
+use crate::plan::{LogicalPlan, Path, PlanNode};
+use crate::rules::conventional::{compose_projections, ProjectCompose};
+use crate::rules::{Rule, RuleSet};
 use crate::trace::{self, counters, Category};
 
-/// Search-space counters for comparing against the exhaustive enumerator.
+/// Search-space counters (compare `exprs` with the Figure 5 closure's
+/// plan count).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoStats {
     /// Distinct equivalence groups after merging.
@@ -56,7 +58,8 @@ pub fn memo_search(
     cost_model: &dyn CostEstimator,
     config: MemoConfig,
 ) -> Result<MemoResult> {
-    let mut memo = Memo::new();
+    let compose = rules.by_name(ProjectCompose.name()).is_some();
+    let mut memo = Memo::new(compose);
     let root_expr = memo
         .insert_subtree(&initial.root, config.max_exprs)
         .ok_or_else(|| Error::Plan {
@@ -121,6 +124,12 @@ pub fn memo_search(
     match best {
         Some(entry) => {
             let stats = stats_snapshot(&memo, truncated);
+            let mut derivation = if compose {
+                entry_compositions(&initial.root)
+            } else {
+                Vec::new()
+            };
+            derivation.extend(entry.derivation);
             Ok(MemoResult {
                 best: LogicalPlan {
                     root: Arc::clone(&entry.node),
@@ -128,12 +137,12 @@ pub fn memo_search(
                     root_site: initial.root_site,
                 },
                 cost: Cost(entry.cost),
-                derivation: entry.derivation,
+                derivation,
                 stats,
             })
         }
         // No admissible extraction (e.g. the input plan itself prices as
-        // invalid): fall back to the input, like the exhaustive optimizer
+        // invalid): fall back to the input, like Figure 5's closure
         // whose enumeration always contains plan 0.
         None => Ok(MemoResult {
             best: initial.clone(),
@@ -144,10 +153,39 @@ pub fn memo_search(
     }
 }
 
+/// The `project-compose` applications [`Memo::insert_subtree`] performs
+/// as `root` enters the memo, in the order it performs them: each
+/// location is a path in the plan as it stands once the compositions
+/// before it have fired. The memo holds only the composed tree, so these
+/// lead every derivation it extracts.
+fn entry_compositions(root: &Arc<PlanNode>) -> Vec<RuleApplication> {
+    fn walk(node: &Arc<PlanNode>, path: &mut Path, out: &mut Vec<RuleApplication>) {
+        let mut node = Arc::clone(node);
+        while let Some(composed) = compose_projections(&node) {
+            out.push(RuleApplication {
+                rule: ProjectCompose.name().to_string(),
+                equivalence: ProjectCompose.equivalence(),
+                location: path.clone(),
+                parent: 0,
+            });
+            node = Arc::new(composed);
+        }
+        for (i, child) in node.children().iter().enumerate() {
+            path.push(i);
+            walk(child, path, out);
+            path.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, &mut Vec::new(), &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::expr::Expr;
     use crate::plan::{BaseProps, PlanBuilder};
     use crate::schema::Schema;
     use crate::sortspec::Order;
@@ -216,6 +254,57 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out2.best.root.op_name(), "scan");
+    }
+
+    #[test]
+    fn a_composed_input_cascade_leads_the_derivation() {
+        let cols = ["E", "T1", "T2"];
+        let plan = tscan("R", 100)
+            .project_cols(&cols)
+            .project_cols(&cols)
+            .project_cols(&cols)
+            .rdup_t()
+            .build_multiset();
+        let out = memo_search(
+            &plan,
+            &RuleSet::standard(),
+            &CostModel::default(),
+            MemoConfig::default(),
+        )
+        .unwrap();
+        assert_ne!(out.best.root, plan.root);
+        let leading: Vec<_> = out
+            .derivation
+            .iter()
+            .take(2)
+            .map(|app| (app.rule.as_str(), app.location.clone()))
+            .collect();
+        assert_eq!(
+            leading,
+            [("project-compose", vec![0]), ("project-compose", vec![0])]
+        );
+    }
+
+    #[test]
+    fn a_layered_join_closes_in_a_small_memo() {
+        // σ(×(Tˢ a, Tˢ b)): every product swap wraps a remapping π, and the
+        // transfer rules move those π's across Tˢ. Composed on insert, the
+        // cascades collapse and the memo closes small; uncomposed, they
+        // stack one swap-π deeper per round until the budget stops them.
+        let plan = tscan("A", 1000)
+            .transfer_s()
+            .product(tscan("B", 1000).transfer_s())
+            .select(Expr::eq(Expr::col("1.E"), Expr::col("2.E")))
+            .build_multiset();
+        let out = memo_search(
+            &plan,
+            &RuleSet::standard(),
+            &CostModel::default(),
+            MemoConfig::default(),
+        )
+        .unwrap();
+        assert!(!out.stats.truncated);
+        assert!(out.stats.exprs < 64, "{} expressions", out.stats.exprs);
     }
 
     #[test]

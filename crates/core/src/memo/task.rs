@@ -282,9 +282,7 @@ impl<'a> Explorer<'a> {
                         self.stats.truncated = true;
                         continue;
                     };
-                    let extended =
-                        self.memo
-                            .record_rule_ctx(derived, ctx, rule.name(), rule.equivalence());
+                    let extended = self.memo.record_rule_ctx(derived, ctx);
                     self.memo
                         .record_edge(task.expr, derived, ctx, rule.name(), rule.equivalence());
                     let group = self.memo.merge(task.expr, derived);

@@ -1,62 +1,43 @@
-//! End-to-end optimizer: Figure 5 enumeration followed by cost-based plan
-//! selection (the composition the paper names as future work in §7).
+//! End-to-end optimizer: the Figure 5 rule closure searched by the memo
+//! ([`crate::memo`]), followed by cost-based plan selection (the
+//! composition the paper names as future work in §7).
+//!
+//! Figure 5's closure itself ([`crate::enumerate::enumerate`]) stays as
+//! the oracle: wherever it finishes, the memo finds an equally cheap plan
+//! (ARCHITECTURE invariant 5).
+//!
+//! ```
+//! use tqo_core::cost::CostModel;
+//! use tqo_core::enumerate::{enumerate, EnumerationConfig};
+//! use tqo_core::optimizer::{optimize, OptimizerConfig};
+//! use tqo_core::plan::{BaseProps, PlanBuilder};
+//! use tqo_core::rules::RuleSet;
+//! use tqo_core::schema::Schema;
+//! use tqo_core::value::DataType;
+//!
+//! let schema = Schema::temporal(&[("E", DataType::Str)]);
+//! let plan = PlanBuilder::scan("R", BaseProps::unordered(schema, 100))
+//!     .rdup_t()
+//!     .rdup_t() // redundant — the search eliminates it
+//!     .build_multiset();
+//! let rules = RuleSet::standard();
+//! let memo = optimize(&plan, &rules, &OptimizerConfig::default()).unwrap();
+//! let closure = enumerate(&plan, &rules, EnumerationConfig::default()).unwrap();
+//! let (_, oracle) = closure.cheapest(&CostModel::default()).unwrap();
+//! assert!((oracle.0 - memo.cost.0).abs() <= 1e-9 * oracle.0);
+//! ```
 
 use crate::cost::{Cost, CostModel};
-use crate::enumerate::{enumerate, Enumeration, EnumerationConfig, RuleApplication};
+use crate::enumerate::{Enumeration, RuleApplication};
 use crate::error::Result;
 use crate::memo::{memo_search, MemoConfig, MemoStats};
 use crate::plan::LogicalPlan;
 use crate::rules::RuleSet;
-use crate::trace::{self, counters, Category};
-
-/// Which plan-search engine drives the optimizer.
-///
-/// Both strategies search the same rule-generated plan space under the
-/// same cost model, so where the exhaustive closure completes they find
-/// equally cheap plans:
-///
-/// ```
-/// use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
-/// use tqo_core::plan::{BaseProps, PlanBuilder};
-/// use tqo_core::rules::RuleSet;
-/// use tqo_core::schema::Schema;
-/// use tqo_core::value::DataType;
-///
-/// let schema = Schema::temporal(&[("E", DataType::Str)]);
-/// let plan = PlanBuilder::scan("R", BaseProps::unordered(schema, 100))
-///     .rdup_t()
-///     .rdup_t() // redundant — both strategies eliminate it
-///     .build_multiset();
-/// let rules = RuleSet::standard();
-/// let exhaustive = optimize(&plan, &rules, &OptimizerConfig::default()).unwrap();
-/// let memo = optimize(
-///     &plan,
-///     &rules,
-///     &OptimizerConfig { strategy: SearchStrategy::Memo, ..Default::default() },
-/// )
-/// .unwrap();
-/// assert!((exhaustive.cost.0 - memo.cost.0).abs() <= 1e-9 * exhaustive.cost.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Figure 5's exhaustive closure: every equivalent plan materialized,
-    /// deduplicated structurally, capped by `max_plans`. The oracle the
-    /// memo strategy is validated against.
-    #[default]
-    Exhaustive,
-    /// Cascades-style memo search ([`crate::memo`]): shared subtrees,
-    /// context-gated groups, branch-and-bound extraction. Scales to rule
-    /// closures whose materialized form exceeds any plan budget.
-    Memo,
-}
+use crate::trace::{self, Category};
 
 /// Optimizer configuration.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizerConfig {
-    /// The plan-search engine to use.
-    pub strategy: SearchStrategy,
-    /// Budgets for the exhaustive Figure 5 closure.
-    pub enumeration: EnumerationConfig,
     /// Budgets for the memo search.
     pub memo: MemoConfig,
     /// The cost model pricing candidate plans.
@@ -70,23 +51,28 @@ pub struct Optimized {
     pub best: LogicalPlan,
     /// Its estimated cost.
     pub cost: Cost,
-    /// Index of the best plan within the enumeration (0 for non-exhaustive
-    /// strategies, whose searches are not index-addressable).
-    pub best_index: usize,
     /// The rule applications that derived the best plan from the initial
-    /// one.
+    /// one. The initial plan's projection cascades lead it as
+    /// `project-compose` applications (the memo composes them as the plan
+    /// enters); a cascade a later rewrite forms is composed within that
+    /// rewrite's application.
     pub derivation: Vec<RuleApplication>,
     /// True when a search budget stopped the closure early: `best` is the
     /// best plan *found*, not necessarily the best plan overall.
     pub truncated: bool,
-    /// Memo search-space counters (memo strategy only).
-    pub memo: Option<MemoStats>,
-    /// The full enumeration (for inspection; plan 0 is the input). Empty
-    /// for non-exhaustive strategies.
+    /// Memo search-space counters.
+    pub memo: MemoStats,
+    /// Dead field, always empty: the memo materializes no plan list.
+    /// Figure 5's closure, plan by plan, is [`crate::enumerate::enumerate`].
+    /// It stays only because the benchmark's per-layer probe
+    /// (`benchmark/src/bin/layers.rs`) still reads it, so that probe's
+    /// `optimizer.plans_explored` reads 0 and means nothing; delete the
+    /// field once the probe reports [`MemoStats::exprs`] instead.
     pub enumeration: Enumeration,
 }
 
-/// Optimize with the configured [`SearchStrategy`].
+/// Search the Figure 5 rule space by memo and return the cheapest
+/// admissible plan.
 ///
 /// The initial plan is always part of the search space, so as long as it
 /// is itself admissible the optimizer can never do worse than the input.
@@ -96,77 +82,20 @@ pub fn optimize(
     config: &OptimizerConfig,
 ) -> Result<Optimized> {
     let mut span = trace::span(Category::Optimizer, "optimize");
-    span.note_with(|| format!("\"strategy\": \"{:?}\"", config.strategy));
-    let out = match config.strategy {
-        SearchStrategy::Exhaustive => optimize_exhaustive(initial, rules, config),
-        SearchStrategy::Memo => optimize_memo(initial, rules, config),
-    };
-    if let Ok(o) = &out {
-        span.note_with(|| format!("\"cost\": {:.0}, \"truncated\": {}", o.cost.0, o.truncated));
-    }
-    out
-}
-
-/// Enumerate equivalent plans (Figure 5) and return the cheapest
-/// admissible one.
-pub fn optimize_exhaustive(
-    initial: &LogicalPlan,
-    rules: &RuleSet,
-    config: &OptimizerConfig,
-) -> Result<Optimized> {
-    let enumeration = {
-        let mut span = trace::span(Category::Optimizer, "enumerate");
-        let e = enumerate(initial, rules, config.enumeration)?;
-        span.note_with(|| {
-            format!(
-                "\"plans\": {}, \"applications\": {}",
-                e.plans.len(),
-                e.applications
-            )
-        });
-        e
-    };
-    counters::RULES_FIRED.add(enumeration.applications as u64);
-    let mut best_index = 0;
-    let mut best_cost = Cost::INVALID;
-    for (i, candidate) in enumeration.plans.iter().enumerate() {
-        let c = config.cost_model.cost(&candidate.plan)?;
-        if c < best_cost {
-            best_cost = c;
-            best_index = i;
-        }
-    }
-    let derivation = enumeration.derivation_chain(best_index);
-    Ok(Optimized {
-        best: enumeration.plans[best_index].plan.clone(),
-        cost: best_cost,
-        best_index,
-        derivation,
-        truncated: enumeration.truncated,
-        memo: None,
-        enumeration,
-    })
-}
-
-/// Optimize by memo search (see [`crate::memo`]).
-pub fn optimize_memo(
-    initial: &LogicalPlan,
-    rules: &RuleSet,
-    config: &OptimizerConfig,
-) -> Result<Optimized> {
     let result = memo_search(initial, rules, &config.cost_model, config.memo)?;
+    span.note_with(|| {
+        format!(
+            "\"cost\": {:.0}, \"truncated\": {}",
+            result.cost.0, result.stats.truncated
+        )
+    });
     Ok(Optimized {
         best: result.best,
         cost: result.cost,
-        best_index: 0,
         derivation: result.derivation,
         truncated: result.stats.truncated,
-        memo: Some(result.stats),
-        enumeration: Enumeration {
-            plans: Vec::new(),
-            truncated: false,
-            applications: 0,
-        },
+        memo: result.stats,
+        enumeration: Enumeration::default(),
     })
 }
 

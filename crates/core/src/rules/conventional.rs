@@ -444,6 +444,41 @@ impl Rule for SelectPastAggregate {
 /// inner expressions is attempted beyond substitution).
 pub struct ProjectCompose;
 
+/// `π_{A∘B}(r)` for a `node` of the form `π_A(π_B(r))` whose outer items
+/// are columns of the inner projection; `None` for any other node. The
+/// memo composes every such cascade as it enters
+/// ([`crate::memo::Memo::insert_subtree`]), through this same function.
+pub fn compose_projections(node: &PlanNode) -> Option<PlanNode> {
+    let PlanNode::Project {
+        input,
+        items: outer,
+    } = node
+    else {
+        return None;
+    };
+    let PlanNode::Project {
+        input: inner_input,
+        items: inner,
+    } = input.as_ref()
+    else {
+        return None;
+    };
+    let composed = outer
+        .iter()
+        .map(|item| match &item.expr {
+            Expr::Col(name) => inner
+                .iter()
+                .find(|i| &i.alias == name)
+                .map(|src| ProjItem::new(src.expr.clone(), item.alias.clone())),
+            _ => None, // computed outer items: skip
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(PlanNode::Project {
+        input: inner_input.clone(),
+        items: composed,
+    })
+}
+
 impl Rule for ProjectCompose {
     fn name(&self) -> &str {
         "project-compose"
@@ -454,39 +489,10 @@ impl Rule for ProjectCompose {
     }
 
     fn try_apply(&self, node: &PlanNode, _path: &Path, _ann: &Annotations) -> Vec<RuleMatch> {
-        if let PlanNode::Project {
-            input,
-            items: outer,
-        } = node
-        {
-            if let PlanNode::Project {
-                input: inner_input,
-                items: inner,
-            } = input.as_ref()
-            {
-                let mut composed = Vec::with_capacity(outer.len());
-                for item in outer {
-                    match &item.expr {
-                        Expr::Col(name) => match inner.iter().find(|i| &i.alias == name) {
-                            Some(src) => {
-                                composed.push(ProjItem::new(src.expr.clone(), item.alias.clone()))
-                            }
-                            None => return vec![],
-                        },
-                        _ => return vec![], // computed outer items: skip
-                    }
-                }
-                let replacement = PlanNode::Project {
-                    input: inner_input.clone(),
-                    items: composed,
-                };
-                return vec![RuleMatch::new(
-                    replacement,
-                    vec![vec![], vec![0], vec![0, 0]],
-                )];
-            }
-        }
-        vec![]
+        compose_projections(node)
+            .map(|replacement| RuleMatch::new(replacement, vec![vec![], vec![0], vec![0, 0]]))
+            .into_iter()
+            .collect()
     }
 }
 

@@ -89,7 +89,7 @@ counters! {
         "memo_groups",
         "equivalence groups created by memo search"
     );
-    /// Successful transformation-rule applications (memo + exhaustive).
+    /// Rule applications attempted by memo search.
     pub static RULES_FIRED = (
         "rules_fired",
         "transformation rule applications during plan search"

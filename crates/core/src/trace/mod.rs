@@ -79,7 +79,7 @@ thread_local! {
 pub enum Category {
     /// SQL front end: parse and bind.
     Sql,
-    /// Plan search: memo exploration, exhaustive closure, extraction.
+    /// Plan search: memo exploration and extraction.
     Optimizer,
     /// Lowering and algorithm selection.
     Planner,

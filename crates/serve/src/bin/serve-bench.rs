@@ -10,12 +10,18 @@
 //! Admission rejections are retried (that is the protocol's contract:
 //! back-pressure, not failure) and counted separately.
 //!
+//! Each level is measured over three consecutive windows, each with fresh
+//! client connections. One window on a shared 2-vCPU host moved by up to
+//! ~40% between runs, so a level reports the median window's QPS with the
+//! min–max across its windows, the median window p50/p99, and the ops,
+//! rejections and errors summed over the windows.
+//!
 //! On a single-core host the QPS across levels measures scheduling
 //! overhead, not parallel speedup — `host_parallelism` is committed next
 //! to the numbers so they read correctly.
 //!
 //! Usage: `serve-bench [output-path]`; `SERVE_BENCH_SECS` overrides the
-//! ~1.5 s measured window per level.
+//! ~1.5 s measured window (three per level).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,6 +36,9 @@ use tqo_serve::{serve, Client, ServerConfig};
 use tqo_storage::paper;
 
 const LEVELS: &[usize] = &[1, 8, 64];
+
+/// Measured windows per level.
+const WINDOWS: usize = 3;
 
 const QUERIES: &[&str] = &[
     "SELECT EmpName FROM EMPLOYEE",
@@ -106,6 +115,58 @@ fn client_loop(addr: std::net::SocketAddr, thread: usize, stop: &AtomicBool) -> 
     tally
 }
 
+/// One measured window at one client level.
+struct Window {
+    qps: f64,
+    p50: u64,
+    p99: u64,
+    ops: u64,
+    mutations: u64,
+    rejected: u64,
+    errors: u64,
+}
+
+/// Run `clients` closed-loop client threads against `addr` for `secs`.
+fn window(addr: std::net::SocketAddr, clients: usize, secs: f64) -> Window {
+    let stop = Arc::new(AtomicBool::new(false));
+    let started = Instant::now();
+    let threads: Vec<_> = (0..clients)
+        .map(|t| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || client_loop(addr, t, &stop))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_secs_f64(secs));
+    stop.store(true, Ordering::Relaxed);
+    let tallies: Vec<Tally> = threads
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect();
+    let elapsed = started.elapsed().as_secs_f64();
+
+    let mut latencies: Vec<u64> = tallies
+        .iter()
+        .flat_map(|t| t.latencies_us.iter().copied())
+        .collect();
+    latencies.sort_unstable();
+    let ops: u64 = tallies.iter().map(|t| t.ops).sum();
+    Window {
+        qps: ops as f64 / elapsed,
+        p50: percentile(&latencies, 0.50),
+        p99: percentile(&latencies, 0.99),
+        ops,
+        mutations: tallies.iter().map(|t| t.mutations).sum(),
+        rejected: tallies.iter().map(|t| t.rejected).sum(),
+        errors: tallies.iter().map(|t| t.errors).sum(),
+    }
+}
+
+/// The median of an odd number of values.
+fn median<T: PartialOrd + Copy>(mut values: Vec<T>) -> T {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+    values[values.len() / 2]
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -133,37 +194,22 @@ fn main() {
 
     let mut levels_json = String::new();
     for (li, &clients) in LEVELS.iter().enumerate() {
-        let stop = Arc::new(AtomicBool::new(false));
-        let started = Instant::now();
-        let threads: Vec<_> = (0..clients)
-            .map(|t| {
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || client_loop(addr, t, &stop))
-            })
-            .collect();
-        std::thread::sleep(Duration::from_secs_f64(secs));
-        stop.store(true, Ordering::Relaxed);
-        let tallies: Vec<Tally> = threads
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect();
-        let elapsed = started.elapsed().as_secs_f64();
-
-        let mut latencies: Vec<u64> = tallies
-            .iter()
-            .flat_map(|t| t.latencies_us.iter().copied())
-            .collect();
-        latencies.sort_unstable();
-        let ops: u64 = tallies.iter().map(|t| t.ops).sum();
-        let mutations: u64 = tallies.iter().map(|t| t.mutations).sum();
-        let rejected: u64 = tallies.iter().map(|t| t.rejected).sum();
-        let errors: u64 = tallies.iter().map(|t| t.errors).sum();
-        let qps = ops as f64 / elapsed;
-        let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+        let windows: Vec<Window> = (0..WINDOWS).map(|_| window(addr, clients, secs)).collect();
+        let qps: Vec<f64> = windows.iter().map(|w| w.qps).collect();
+        let (lo, hi) = qps.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &q| {
+            (lo.min(q), hi.max(q))
+        });
+        let qps = median(qps);
+        let p50 = median(windows.iter().map(|w| w.p50).collect());
+        let p99 = median(windows.iter().map(|w| w.p99).collect());
+        let ops: u64 = windows.iter().map(|w| w.ops).sum();
+        let mutations: u64 = windows.iter().map(|w| w.mutations).sum();
+        let rejected: u64 = windows.iter().map(|w| w.rejected).sum();
+        let errors: u64 = windows.iter().map(|w| w.errors).sum();
 
         println!(
-            "serve-bench: {clients:>2} client(s): {ops} ops in {elapsed:.2}s \
-             -> {qps:.0} qps, p50 {p50} us, p99 {p99} us \
+            "serve-bench: {clients:>2} client(s): {ops} ops in {WINDOWS} windows \
+             -> median {qps:.0} qps ({lo:.0}–{hi:.0}), p50 {p50} us, p99 {p99} us \
              ({mutations} mutation pairs, {rejected} rejected, {errors} errors)"
         );
         if li > 0 {
@@ -172,7 +218,8 @@ fn main() {
         write!(
             levels_json,
             "    {{\"clients\": {clients}, \"ops\": {ops}, \"mutation_pairs\": {mutations}, \
-             \"qps\": {qps:.1}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
+             \"qps\": {qps:.1}, \"qps_min\": {lo:.1}, \"qps_max\": {hi:.1}, \
+             \"p50_us\": {p50}, \"p99_us\": {p99}, \
              \"admission_rejected\": {rejected}, \"errors\": {errors}}}"
         )
         .expect("format level");
@@ -183,7 +230,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"host_parallelism\": {host},\n  \
          \"scheduler_workers\": {workers},\n  \"window_secs\": {secs},\n  \
-         \"levels\": [\n{levels_json}\n  ]\n}}\n"
+         \"windows_per_level\": {WINDOWS},\n  \"levels\": [\n{levels_json}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_serve.json");
     println!("serve-bench: wrote {out_path}");

@@ -179,19 +179,6 @@ impl Statement {
             }
         }
     }
-
-    /// Is `DISTINCT` specified at the outermost SELECT level?
-    pub fn outermost_distinct(&self) -> bool {
-        match self {
-            Statement::Select(q) => q.distinct,
-            // A set operation's result duplicates depend on its own kind;
-            // treat non-ALL set ops as distinct-producing.
-            Statement::Except { all, .. } | Statement::Union { all, .. } => !all,
-            Statement::OrderBy { inner, .. } | Statement::Limit { inner, .. } => {
-                inner.outermost_distinct()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,18 +211,6 @@ mod tests {
         };
         assert!(s.is_valid_time());
         assert!(!simple(false, false).is_valid_time());
-    }
-
-    #[test]
-    fn outermost_distinct_through_order_by() {
-        let s = Statement::OrderBy {
-            inner: Box::new(simple(false, true)),
-            keys: vec![OrderItem {
-                column: "A".into(),
-                dir: SortDir::Asc,
-            }],
-        };
-        assert!(s.outermost_distinct());
     }
 
     #[test]

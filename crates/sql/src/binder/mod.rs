@@ -48,7 +48,11 @@ pub fn bind(stmt: &Statement, catalog: &Catalog) -> Result<LogicalPlan> {
     };
     let node = bind_statement(core, catalog)?;
 
-    // Definition 5.1: the outermost clauses fix the result type.
+    // Definition 5.1: the outermost clauses fix the result type — a list
+    // under ORDER BY, a multiset otherwise. An outermost DISTINCT (or
+    // UNION / EXCEPT) is typed as a multiset too, not as Definition 5.1's
+    // set: the client is promised the duplicate-free rows, and under ≡S
+    // D3 would drop the root `rdup` that keeps that promise.
     let (node, result_type) = match core {
         Statement::OrderBy { keys, .. } => {
             let keys = keys.iter().map(|k| SortKey {
@@ -62,7 +66,6 @@ pub fn bind(stmt: &Statement, catalog: &Catalog) -> Result<LogicalPlan> {
             };
             (sorted, ResultType::List(order))
         }
-        _ if core.outermost_distinct() => (node, ResultType::Set),
         _ => (node, ResultType::Multiset),
     };
 
@@ -236,9 +239,11 @@ mod tests {
             mk("SELECT EmpName FROM EMPLOYEE"),
             ResultType::Multiset
         ));
+        // DISTINCT is a multiset over the root `rdup`, so no rewrite may
+        // drop it.
         assert!(matches!(
             mk("SELECT DISTINCT EmpName FROM EMPLOYEE"),
-            ResultType::Set
+            ResultType::Multiset
         ));
         assert!(matches!(
             mk("SELECT EmpName FROM EMPLOYEE ORDER BY EmpName"),

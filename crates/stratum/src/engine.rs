@@ -117,17 +117,6 @@ impl Stratum {
         self.retry
     }
 
-    /// Select the plan-search engine `run_sql_optimized` uses (exhaustive
-    /// Figure 5 closure by default; memo search for production shapes the
-    /// closure cannot materialize).
-    pub fn with_search_strategy(
-        mut self,
-        strategy: tqo_core::optimizer::SearchStrategy,
-    ) -> Stratum {
-        self.optimizer.strategy = strategy;
-        self
-    }
-
     pub fn dbms(&self) -> &SimulatedDbms {
         &self.dbms
     }
@@ -164,10 +153,7 @@ impl Stratum {
         let mut counter = 0usize;
         let local_root = self.bind_fragments(&plan.root, &mut env, &mut counter, metrics)?;
         let local_plan = LogicalPlan::new(local_root, plan.result_type.clone());
-        let config = tqo_exec::PlannerConfig {
-            strategy: self.optimizer.strategy,
-            ..tqo_exec::PlannerConfig::default()
-        };
+        let config = tqo_exec::PlannerConfig::default();
         let span = trace::span(Category::Stratum, "stratum.local");
         let started = Instant::now();
         let physical = tqo_exec::lower(&local_plan, config)?;
@@ -389,7 +375,7 @@ impl Stratum {
         self.run(&layered)
     }
 
-    /// Compile, layer, optimize (enumeration + cost), and execute. Returns
+    /// Compile, layer, optimize (memo search + cost), and execute. Returns
     /// the chosen plan alongside the result.
     pub fn run_sql_optimized(&self, sql: &str) -> Result<(Relation, StratumMetrics, LogicalPlan)> {
         let plan = tqo_sql::compile(sql, self.dbms.catalog())?;
@@ -461,31 +447,26 @@ mod tests {
         let (plain, _) = stratum.run_sql(sql).unwrap();
         let (optimized, _, chosen) = stratum.run_sql_optimized(sql).unwrap();
         assert_eq!(plain, optimized);
+        assert_eq!(optimized, paper::figure1_result());
         // The optimizer kept the plan layered and valid.
         validate_layered(&chosen).unwrap();
-    }
-
-    #[test]
-    fn memo_strategy_runs_the_layer_end_to_end() {
-        use tqo_core::optimizer::SearchStrategy;
-        let sql = "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE \
-                   EXCEPT VALIDTIME SELECT DISTINCT EmpName FROM PROJECT \
-                   COALESCE ORDER BY EmpName";
-        let exhaustive = Stratum::new(paper::catalog());
-        let memo = Stratum::new(paper::catalog()).with_search_strategy(SearchStrategy::Memo);
-        let (r1, _, chosen1) = exhaustive.run_sql_optimized(sql).unwrap();
-        let (r2, _, chosen2) = memo.run_sql_optimized(sql).unwrap();
-        // Same answer, both layered-valid, and equally cheap plans.
-        assert_eq!(r1, r2);
-        assert_eq!(r1, paper::figure1_result());
-        validate_layered(&chosen1).unwrap();
-        validate_layered(&chosen2).unwrap();
-        let model = tqo_core::cost::CostModel::default();
-        let c1 = model.cost(&chosen1).unwrap();
-        let c2 = model.cost(&chosen2).unwrap();
+        // The chosen layered plan is as cheap as the Figure 5 closure's
+        // optimum under the layer's own (calibrated) cost model.
+        let layered =
+            make_layered(&tqo_sql::compile(sql, stratum.dbms().catalog()).unwrap()).unwrap();
+        let closure = tqo_core::enumerate::enumerate(
+            &layered,
+            &tqo_core::rules::RuleSet::standard(),
+            tqo_core::enumerate::EnumerationConfig::default(),
+        )
+        .unwrap();
+        assert!(!closure.truncated);
+        let model = &stratum.optimizer.cost_model;
+        let (_, oracle) = closure.cheapest(model).unwrap();
+        let got = model.cost(&chosen).unwrap();
         assert!(
-            (c1.0 - c2.0).abs() <= 1e-9 * c1.0.max(1.0),
-            "{c1:?} vs {c2:?}"
+            (oracle.0 - got.0).abs() <= 1e-9 * oracle.0.max(1.0),
+            "{oracle:?} vs {got:?}"
         );
     }
 

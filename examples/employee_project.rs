@@ -62,12 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Figure 2(a): the initial plan, with Figure 6's property vectors ===\n");
     println!("{}", annotated_to_string(&initial)?);
 
-    // ── §6: enumerate + cost-select (the optimizer composition the paper
-    //        defers to future work).
+    // ── §6: search the Figure 5 rule space + cost-select (the optimizer
+    //        composition the paper defers to future work).
     let out = optimize(&initial, &RuleSet::standard(), &OptimizerConfig::default())?;
     println!(
-        "=== Optimization: {} plans enumerated, best cost {:.0} (initial {:.0}) ===\n",
-        out.enumeration.plans.len(),
+        "=== Optimization: {} memo expressions, best cost {:.0} (initial {:.0}) ===\n",
+        out.memo.exprs,
         out.cost.0,
         OptimizerConfig::default().cost_model.cost(&initial)?.0,
     );

@@ -6,8 +6,8 @@
 //!    tables the estimator has statistics for, the median q-error
 //!    (`max(est/act, act/est)` of the root operator) stays ≤ 4.
 //! 2. **Admissibility** — statistics never talk the optimizer into an
-//!    inadmissible plan: on scans carrying measured summaries, both search
-//!    strategies still agree on cost and every extracted plan annotates
+//!    inadmissible plan: on scans carrying measured summaries, the memo
+//!    still matches the Figure 5 closure's cost and every plan annotates
 //!    and prices as valid (the checks of `tests/memo_optimizer.rs`).
 //! 3. **Plan sensitivity** — swapping a table's statistics (same
 //!    cardinality, different value distribution) demonstrably flips the
@@ -17,9 +17,10 @@
 mod common;
 
 use tqo_core::cost::CostModel;
+use tqo_core::enumerate::{enumerate, EnumerationConfig};
 use tqo_core::equivalence::ResultType;
 use tqo_core::expr::Expr;
-use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
+use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::plan::props::annotate;
 use tqo_core::plan::{LogicalPlan, PlanBuilder, PlanNode};
 use tqo_core::relation::Relation;
@@ -102,27 +103,26 @@ fn median_q_error_at_most_four_on_generated_workloads() {
     );
 }
 
+/// The closure's pick, in the shape of the memo's.
+struct ClosurePick {
+    best: LogicalPlan,
+    cost: tqo_core::cost::Cost,
+    truncated: bool,
+}
+
 /// The admissibility checks of `tests/memo_optimizer.rs`, over plans whose
 /// scans carry measured statistics.
 fn check_admissible(plan: &LogicalPlan) {
-    let exhaustive = optimize(
-        plan,
-        &tqo_core::rules::RuleSet::standard(),
-        &OptimizerConfig {
-            strategy: SearchStrategy::Exhaustive,
-            ..OptimizerConfig::default()
-        },
-    )
-    .unwrap();
-    let memo = optimize(
-        plan,
-        &tqo_core::rules::RuleSet::standard(),
-        &OptimizerConfig {
-            strategy: SearchStrategy::Memo,
-            ..OptimizerConfig::default()
-        },
-    )
-    .unwrap();
+    let rules = tqo_core::rules::RuleSet::standard();
+    let memo = optimize(plan, &rules, &OptimizerConfig::default()).unwrap();
+    // Invariant 5's oracle: the Figure 5 closure's cheapest plan.
+    let closure = enumerate(plan, &rules, EnumerationConfig::default()).unwrap();
+    let (cheapest, cost) = closure.cheapest(&CostModel::default()).unwrap();
+    let exhaustive = ClosurePick {
+        best: closure.plans[cheapest].plan.clone(),
+        cost,
+        truncated: closure.truncated,
+    };
     // Extracted plans annotate cleanly and price as valid.
     annotate(&memo.best).expect("memo plan annotates");
     annotate(&exhaustive.best).expect("exhaustive plan annotates");
@@ -139,7 +139,7 @@ fn check_admissible(plan: &LogicalPlan) {
             memo.cost.0
         );
     }
-    // Both strategies agree on cost when the oracle finished.
+    // The memo matches the closure's cost when the oracle finished.
     if !exhaustive.truncated && !memo.truncated {
         let close = (exhaustive.cost.0 - memo.cost.0).abs()
             <= 1e-9 * exhaustive.cost.0.abs().max(memo.cost.0.abs()).max(1.0);
@@ -248,28 +248,6 @@ fn join_site_placement_flips_with_table_statistics() {
         "TS",
         "constant stats should keep the join in the stratum:\n{:?}",
         chosen_constant.best.root
-    );
-
-    // The memo strategy flips the same way.
-    let memo_config = OptimizerConfig {
-        strategy: SearchStrategy::Memo,
-        ..OptimizerConfig::default()
-    };
-    assert_eq!(
-        optimize(&join_plan(&selective), &rules, &memo_config)
-            .unwrap()
-            .best
-            .root
-            .op_name(),
-        "TS"
-    );
-    assert_ne!(
-        optimize(&join_plan(&constant), &rules, &memo_config)
-            .unwrap()
-            .best
-            .root
-            .op_name(),
-        "TS"
     );
 
     // Both chosen plans compute the same relation. Execute each over the

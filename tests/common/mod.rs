@@ -116,6 +116,12 @@ pub fn optimizer_fixtures(scale: u64) -> Vec<LogicalPlan> {
         tc("R").rdup_t().build_multiset(),
         t("R").rdup_t().coalesce().build_multiset(),
         t("R").coalesce().coalesce().build_multiset(),
+        // A projection cascade, which the memo composes as it enters.
+        t("R")
+            .project_cols(&["E", "T1", "T2"])
+            .project_cols(&["E", "T1", "T2"])
+            .rdup_t()
+            .build_multiset(),
         t("A").union_t(t("B")).rdup_t().build_set(),
         // Temporal difference region structure (§5.3).
         t("A")

@@ -1,5 +1,5 @@
-//! Memo-vs-exhaustive agreement: on every fixture the exhaustive Figure 5
-//! closure can finish, the memo strategy must find an equally cheap plan;
+//! Memo-vs-closure agreement: on every fixture the exhaustive Figure 5
+//! closure can finish, the memo search must find an equally cheap plan;
 //! on fixtures where the closure truncates, the memo must close the space
 //! anyway and do at least as well as the truncated oracle. Every
 //! memo-extracted plan must be admissible under the plan property
@@ -11,29 +11,35 @@ mod common;
 use common::{fixture_tscan, optimizer_fixtures, SQL_POOL};
 use proptest::prelude::*;
 
-use tqo_core::cost::CostModel;
+use tqo_core::cost::{Cost, CostModel};
+use tqo_core::enumerate::{enumerate, Enumeration, EnumerationConfig};
+use tqo_core::error::Result as TqoResult;
 use tqo_core::interp::eval_plan;
-use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
+use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::plan::props::annotate;
 use tqo_core::plan::LogicalPlan;
 use tqo_core::rules::RuleSet;
 use tqo_core::sortspec::Order;
 
-fn exhaustive_config() -> OptimizerConfig {
-    OptimizerConfig {
-        strategy: SearchStrategy::Exhaustive,
-        ..OptimizerConfig::default()
-    }
+/// The oracle: Figure 5's closure at its default budget, and the cost of
+/// its cheapest plan.
+struct Closure {
+    cost: Cost,
+    truncated: bool,
+    enumeration: Enumeration,
 }
 
-fn memo_config() -> OptimizerConfig {
-    OptimizerConfig {
-        strategy: SearchStrategy::Memo,
-        ..OptimizerConfig::default()
-    }
+fn closure(plan: &LogicalPlan, rules: &RuleSet) -> TqoResult<Closure> {
+    let enumeration = enumerate(plan, rules, EnumerationConfig::default())?;
+    let (_, cost) = enumeration.cheapest(&CostModel::default())?;
+    Ok(Closure {
+        cost,
+        truncated: enumeration.truncated,
+        enumeration,
+    })
 }
 
-/// Relative tolerance for cost comparison: both strategies sum identical
+/// Relative tolerance for cost comparison: both searches sum identical
 /// per-node terms, but in different association orders.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -43,9 +49,9 @@ fn close(a: f64, b: f64) -> bool {
 /// the violation (proptest-compatible), `Ok(solved)` otherwise, where
 /// `solved` says whether the exhaustive oracle finished.
 fn check_fixture(plan: &LogicalPlan, rules: &RuleSet) -> Result<bool, String> {
-    let exhaustive =
-        optimize(plan, rules, &exhaustive_config()).map_err(|e| format!("exhaustive: {e:?}"))?;
-    let memo = optimize(plan, rules, &memo_config()).map_err(|e| format!("memo: {e:?}"))?;
+    let exhaustive = closure(plan, rules).map_err(|e| format!("exhaustive: {e:?}"))?;
+    let memo =
+        optimize(plan, rules, &OptimizerConfig::default()).map_err(|e| format!("memo: {e:?}"))?;
     if memo.truncated {
         return Err("memo budgets must cover every fixture".into());
     }
@@ -124,7 +130,7 @@ proptest! {
 
     /// Agreement is scale-independent: base cardinalities shift which plan
     /// wins (transfer costs vs operator costs), never whether the
-    /// strategies agree.
+    /// searches agree.
     #[test]
     fn memo_agrees_across_cardinalities(scale in prop::sample::select(vec![
         1u64, 10, 250, 5_000, 80_000, 2_000_000,
@@ -155,14 +161,14 @@ fn memo_survives_shapes_where_enumeration_truncates() {
         .sort(Order::asc(&["E"]))
         .build_list(Order::asc(&["E"]));
 
-    let exhaustive = optimize(&plan, &rules, &exhaustive_config()).expect("exhaustive");
+    let exhaustive = closure(&plan, &rules).expect("exhaustive");
     assert!(
         exhaustive.truncated,
         "expected the exhaustive budget to truncate; closure had {} plans",
         exhaustive.enumeration.plans.len()
     );
 
-    let memo = optimize(&plan, &rules, &memo_config()).expect("memo");
+    let memo = optimize(&plan, &rules, &OptimizerConfig::default()).expect("memo");
     assert!(
         !memo.truncated,
         "memo should close this space without truncation"
@@ -177,7 +183,7 @@ fn memo_survives_shapes_where_enumeration_truncates() {
         memo.cost.0,
         exhaustive.cost.0
     );
-    let stats = memo.memo.expect("memo stats");
+    let stats = memo.memo;
     assert!(
         stats.exprs < exhaustive.enumeration.plans.len(),
         "memo materialized {} exprs vs {} enumerated plans",
@@ -190,7 +196,7 @@ fn memo_survives_shapes_where_enumeration_truncates() {
 fn memo_derivations_name_real_rules() {
     let rules = RuleSet::standard();
     for plan in optimizer_fixtures(1000) {
-        let memo = optimize(&plan, &rules, &memo_config()).expect("memo");
+        let memo = optimize(&plan, &rules, &OptimizerConfig::default()).expect("memo");
         for app in &memo.derivation {
             assert!(
                 rules.by_name(&app.rule).is_some(),
@@ -220,17 +226,7 @@ fn memo_plans_for_layered_sql_are_admissible() {
     let catalog = tqo_storage::paper::catalog();
     let env = catalog.env();
     let rules = RuleSet::standard();
-    // The memo is valid at every prefix of its worklist, so admissibility
-    // must hold under any budget; a small one keeps the layered joins
-    // (which otherwise run ~10 s each to the default 20k expressions)
-    // from dominating the suite.
-    let config = OptimizerConfig {
-        memo: tqo_core::memo::MemoConfig {
-            max_exprs: 2_000,
-            ..Default::default()
-        },
-        ..memo_config()
-    };
+    let config = OptimizerConfig::default();
     let layered_union = "VALIDTIME SELECT EmpName FROM EMPLOYEE UNION \
                          VALIDTIME SELECT EmpName FROM PROJECT";
     for sql in SQL_POOL.iter().chain([&layered_union]) {
@@ -241,6 +237,7 @@ fn memo_plans_for_layered_sql_are_admissible() {
         };
         let reference = eval_plan(&plan, &env).unwrap();
         let memo = optimize(&layered, &rules, &config).expect("memo");
+        assert!(!memo.truncated, "layered memo for `{sql}` truncated");
         annotate(&memo.best).expect("memo plan annotates");
         tqo_stratum::validate_layered(&memo.best).expect("memo plan stays layered");
         let got = eval_plan(&memo.best, &env).unwrap();

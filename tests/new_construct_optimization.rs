@@ -5,7 +5,7 @@
 //! not just that it runs.
 
 use tqo_core::interp::eval_plan;
-use tqo_core::optimizer::{optimize, OptimizerConfig, SearchStrategy};
+use tqo_core::optimizer::{optimize, OptimizerConfig};
 use tqo_core::plan::display::plan_to_string;
 use tqo_core::plan::props::{annotate, PropsFlags};
 use tqo_core::plan::{LogicalPlan, PlanNode};
@@ -16,13 +16,6 @@ use tqo_core::tuple::Tuple;
 use tqo_core::value::{DataType, Value};
 use tqo_exec::{execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SubmitOptions};
 use tqo_storage::{paper, Catalog};
-
-fn memo() -> OptimizerConfig {
-    OptimizerConfig {
-        strategy: SearchStrategy::Memo,
-        ..OptimizerConfig::default()
-    }
-}
 
 /// A temporal relation `(EmpName: Str, T1, T2)` of `n` distinct names —
 /// snapshot-duplicate-free by construction.
@@ -91,7 +84,7 @@ fn having_selection_stays_above_the_aggregate() {
     let plan = tqo_sql::compile(sql, &catalog).unwrap();
     let reference = eval_plan(&plan, &catalog.env()).unwrap();
 
-    let optimized = optimize(&plan, &RuleSet::standard(), &memo()).unwrap();
+    let optimized = optimize(&plan, &RuleSet::standard(), &OptimizerConfig::default()).unwrap();
     let text = plan_to_string(&optimized.best.root);
     let select_at = text
         .find('σ')
@@ -124,7 +117,7 @@ fn not_exists_and_not_in_converge_on_figure1() {
     for sql in [via_not_in, via_not_exists] {
         let plan = tqo_sql::compile(sql, &catalog).unwrap();
         let reference = eval_plan(&plan, &env).unwrap();
-        let optimized = optimize(&plan, &RuleSet::standard(), &memo()).unwrap();
+        let optimized = optimize(&plan, &RuleSet::standard(), &OptimizerConfig::default()).unwrap();
         let got = eval_plan(&optimized.best, &env).unwrap();
         assert_eq!(got, reference, "memo changed the result of {sql}");
         results.push(reference);
@@ -175,7 +168,7 @@ fn limit_stays_above_the_sort_through_memo() {
     let reference = eval_plan(&plan, &env).unwrap();
     assert_eq!(reference.len(), 3);
 
-    let optimized = optimize(&plan, &RuleSet::standard(), &memo()).unwrap();
+    let optimized = optimize(&plan, &RuleSet::standard(), &OptimizerConfig::default()).unwrap();
     assert!(
         matches!(*optimized.best.root, PlanNode::Limit { .. }),
         "memo moved LIMIT off the root:\n{}",

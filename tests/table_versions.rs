@@ -28,7 +28,6 @@ fn serve(catalog: &tqo_storage::Catalog, sql: &str) -> usize {
     let plan = tqo_sql::compile(sql, &snapshot).unwrap();
     let config = PlannerConfig {
         mode: ExecMode::Batch,
-        ..PlannerConfig::default()
     };
     let (rows, _) = execute_logical(&plan, &snapshot.env(), config).unwrap();
     rows.len()
