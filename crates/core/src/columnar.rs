@@ -50,13 +50,17 @@ pub struct Column {
     nulls: Option<Vec<bool>>,
 }
 
-/// Cheap 64-bit value mixer (one multiply): hash *quality* only needs to
-/// spread table slots — equality is always verified against the stored
-/// row, so collisions cost a comparison, never correctness.
+/// 64-bit value finalizer (splitmix64's: two multiplies, three
+/// xor-shifts), so every input bit reaches every output bit. Batch hash
+/// tables index slots by the low bits (`hash & mask`), and a short string's
+/// distinguishing bytes sit high in its word; one multiply never moves them
+/// down. Equality is always verified against the stored row, so hash
+/// quality costs comparisons and probes, never correctness.
 #[inline]
 pub fn mix64(z: u64) -> u64 {
-    let z = z.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z ^ (z >> 29)
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Combine a finalized value hash into a row hash.
@@ -1041,6 +1045,23 @@ mod tests {
         ] {
             assert_eq!(hash_str(s.as_bytes()), padded(s), "{s:?}");
         }
+    }
+
+    /// Batch hash tables index slots by a hash's low bits (`hash & mask`),
+    /// so every input bit must reach them: short keys that differ only in
+    /// their trailing bytes (`emp0` … `emp4999`) must spread over the
+    /// slots of an 8 192-slot table, as 5 000 random keys fill ≈ 3 780.
+    #[test]
+    fn string_hashes_spread_over_the_low_bits() {
+        let mut column = Column::with_capacity(DataType::Str, 5000);
+        for i in 0..5000 {
+            column.push(&Value::from(format!("emp{i}"))).unwrap();
+        }
+        let mut hashes = vec![0u64; 5000];
+        column.hash_range(0, &mut hashes);
+        let slots: std::collections::HashSet<u64> =
+            hashes.iter().map(|h| h & ((1 << 13) - 1)).collect();
+        assert!(slots.len() >= 3000, "{} of 8192 slots", slots.len());
     }
 
     #[test]

@@ -41,6 +41,22 @@ pub struct Task {
     pub ctx: MemoCtx,
 }
 
+/// The tasks that depend on one group: in first-dependence order, each
+/// once.
+#[derive(Default)]
+struct Dependents {
+    order: Vec<Task>,
+    seen: HashSet<Task>,
+}
+
+impl Dependents {
+    fn insert(&mut self, task: Task) {
+        if self.seen.insert(task) {
+            self.order.push(task);
+        }
+    }
+}
+
 /// Counters reported by the explorer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ExploreStats {
@@ -65,8 +81,10 @@ pub struct Explorer<'a> {
     queue: VecDeque<Task>,
     queued: HashSet<Task>,
     explored: HashSet<Task>,
-    /// Reverse dependencies: group → tasks whose bindings draw from it.
-    dependents: HashMap<GroupId, HashSet<Task>>,
+    /// Reverse dependencies: group → tasks whose bindings draw from it,
+    /// in the order they first did, so re-exploration follows the search
+    /// and not a hash table's iteration.
+    dependents: HashMap<GroupId, Dependents>,
     /// Bindings already rule-matched (per context): re-explorations after a
     /// group change only pay for combinations involving new members.
     seen_bindings: HashSet<(PlanNode, MemoCtx)>,
@@ -144,7 +162,10 @@ impl<'a> Explorer<'a> {
     fn requeue_dirty(&mut self) {
         for (loser, winner) in std::mem::take(&mut self.memo.merges) {
             if let Some(tasks) = self.dependents.remove(&loser) {
-                self.dependents.entry(winner).or_default().extend(tasks);
+                let into = self.dependents.entry(winner).or_default();
+                for task in tasks.order {
+                    into.insert(task);
+                }
             }
         }
         let dirty = std::mem::take(&mut self.memo.dirty);
@@ -153,7 +174,7 @@ impl<'a> Explorer<'a> {
             let Some(tasks) = self.dependents.get(&g) else {
                 continue;
             };
-            for task in tasks.clone() {
+            for task in tasks.order.clone() {
                 self.explored.remove(&task);
                 if self.queued.insert(task) {
                     self.queue.push_back(task);

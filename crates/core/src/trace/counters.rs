@@ -186,6 +186,17 @@ counters! {
         "sched_tasks",
         "pipeline-stage tasks executed by the shared worker pool"
     );
+    /// Served queries answered with a cached plan: the statement was
+    /// compiled before against the versions its tables have now.
+    pub static PLAN_CACHE_HITS = (
+        "plan_cache_hits",
+        "served queries that reused a plan compiled for the same table versions"
+    );
+    /// Served queries whose plan was compiled and lowered on arrival.
+    pub static PLAN_CACHE_MISSES = (
+        "plan_cache_misses",
+        "served queries compiled and lowered because no current plan was cached"
+    );
     /// TCP connections accepted by the serving front-end.
     pub static SERVE_CONNECTIONS = (
         "serve_connections",

@@ -1,7 +1,7 @@
 //! Closed-loop serving benchmark: hammers an in-process server with a
 //! mixed read+mutation workload at 1, 8, and 64 concurrent clients and
 //! writes `BENCH_serve.json` (sustained QPS, p50/p99 latency, error
-//! counts per level).
+//! counts, and the server's plan-cache hits and misses per level).
 //!
 //! Each client thread is closed-loop: connect once, then issue requests
 //! back to back for the measured window — ~87% queries drawn round-robin
@@ -194,7 +194,11 @@ fn main() {
 
     let mut levels_json = String::new();
     for (li, &clients) in LEVELS.iter().enumerate() {
+        let cache_before = server.plan_cache();
         let windows: Vec<Window> = (0..WINDOWS).map(|_| window(addr, clients, secs)).collect();
+        let cache_after = server.plan_cache();
+        let hits = cache_after.hits - cache_before.hits;
+        let misses = cache_after.misses - cache_before.misses;
         let qps: Vec<f64> = windows.iter().map(|w| w.qps).collect();
         let (lo, hi) = qps.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &q| {
             (lo.min(q), hi.max(q))
@@ -210,7 +214,8 @@ fn main() {
         println!(
             "serve-bench: {clients:>2} client(s): {ops} ops in {WINDOWS} windows \
              -> median {qps:.0} qps ({lo:.0}–{hi:.0}), p50 {p50} us, p99 {p99} us \
-             ({mutations} mutation pairs, {rejected} rejected, {errors} errors)"
+             ({mutations} mutation pairs, {rejected} rejected, {errors} errors; \
+             plan cache {hits} hits, {misses} misses)"
         );
         if li > 0 {
             levels_json.push_str(",\n");
@@ -220,7 +225,8 @@ fn main() {
             "    {{\"clients\": {clients}, \"ops\": {ops}, \"mutation_pairs\": {mutations}, \
              \"qps\": {qps:.1}, \"qps_min\": {lo:.1}, \"qps_max\": {hi:.1}, \
              \"p50_us\": {p50}, \"p99_us\": {p99}, \
-             \"admission_rejected\": {rejected}, \"errors\": {errors}}}"
+             \"admission_rejected\": {rejected}, \"errors\": {errors}, \
+             \"plan_cache_hits\": {hits}, \"plan_cache_misses\": {misses}}}"
         )
         .expect("format level");
     }

@@ -16,15 +16,21 @@
 //! injected faults — cross the wire as typed errors attributed to their
 //! own query, and the pool keeps serving everyone else.
 //!
+//! A served statement compiles once per version of the tables it binds:
+//! the server keeps its lowered plan and reuses it while those versions are
+//! current ([`Server::plan_cache`] reads the hit and miss counts).
+//!
 //! Binaries: `tqo-serve` (stand-alone server over the paper catalog) and
 //! `serve-bench` (closed-loop load driver emitting `BENCH_serve.json`).
 
 #![warn(missing_docs)]
 
 pub mod client;
+mod plan_cache;
 pub mod protocol;
 pub mod server;
 
 pub use client::{Client, QueryOpts};
+pub use plan_cache::{PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use protocol::{Request, Response};
 pub use server::{serve, Server, ServerConfig};

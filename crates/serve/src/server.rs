@@ -14,11 +14,12 @@ use tqo_core::context::QueryContext;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::Expr;
 use tqo_core::trace::counters;
-use tqo_exec::{lower, PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions};
+use tqo_exec::{Scheduler, SchedulerConfig, SubmitOptions};
 use tqo_storage::Catalog;
 use tqo_stratum::fault::FaultInjector;
 use tqo_stratum::FaultConfig;
 
+use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::protocol::{
     decode_request, encode_response, encode_response_faulted, write_frame, Request, Response,
 };
@@ -61,6 +62,7 @@ impl Default for ServerConfig {
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    plans: Arc<PlanCache>,
     accept: Option<thread::JoinHandle<()>>,
 }
 
@@ -68,6 +70,7 @@ pub struct Server {
 struct Inner {
     catalog: Catalog,
     scheduler: Scheduler,
+    plans: Arc<PlanCache>,
     faults: Option<FaultInjector>,
     shutdown: Arc<AtomicBool>,
 }
@@ -75,10 +78,12 @@ struct Inner {
 /// Bind and start serving `catalog` — returns once the listener is
 /// accepting. Queries execute through the server's own multi-query
 /// [`Scheduler`], each session thread running its query's stages itself
-/// whenever a slot is free; mutations go through the catalog's sequenced
-/// primitives. Results are byte-identical to serial single-query runs
-/// (ARCHITECTURE invariant 16). A scheduler without workers has no slot
-/// to run a query in, so `workers: 0` is refused.
+/// whenever a slot is free, on the plan the server's plan cache holds for
+/// the statement and the current versions of its tables (compiled on a
+/// miss); mutations go through the catalog's sequenced primitives. Results
+/// are byte-identical to serial single-query runs (ARCHITECTURE invariant
+/// 16). A scheduler without workers has no slot to run a query in, so
+/// `workers: 0` is refused.
 pub fn serve(catalog: Catalog, config: ServerConfig) -> Result<Server> {
     if config.scheduler.workers == 0 {
         return Err(Error::Unsupported {
@@ -89,9 +94,11 @@ pub fn serve(catalog: Catalog, config: ServerConfig) -> Result<Server> {
     listener.set_nonblocking(true).map_err(io_err)?;
     let addr = listener.local_addr().map_err(io_err)?;
     let shutdown = Arc::new(AtomicBool::new(false));
+    let plans = Arc::new(PlanCache::default());
     let inner = Arc::new(Inner {
         catalog,
         scheduler: Scheduler::new(config.scheduler.clone()),
+        plans: Arc::clone(&plans),
         faults: config.faults.map(FaultInjector::new),
         shutdown: Arc::clone(&shutdown),
     });
@@ -104,6 +111,7 @@ pub fn serve(catalog: Catalog, config: ServerConfig) -> Result<Server> {
     Ok(Server {
         addr,
         shutdown,
+        plans,
         accept: Some(accept),
     })
 }
@@ -112,6 +120,11 @@ impl Server {
     /// The bound address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Hits, misses and entries of this server's plan cache so far.
+    pub fn plan_cache(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 
     /// Block until the server exits on its own — i.e. until a client's
@@ -295,12 +308,12 @@ fn run(req: Request, inner: &Inner) -> Result<Response> {
             if cancel_polls > 0 {
                 ctx = ctx.with_cancel_after(cancel_polls);
             }
-            // Pin every table's version at admission. Binding and
-            // execution read this one snapshot, however mutations
+            // Pin every table's version at admission. The plan is the one
+            // compiled against these versions (cached or fresh), and
+            // execution reads this one snapshot, however mutations
             // interleave.
             let snapshot = inner.catalog.snapshot();
-            let logical = tqo_sql::compile(&sql, &snapshot)?;
-            let physical = lower(&logical, PlannerConfig::default())?;
+            let physical = inner.plans.plan(&sql, &snapshot)?;
             let env = snapshot.env();
             let (rows, _metrics) = inner.scheduler.run(
                 &physical,
