@@ -17,8 +17,9 @@
 //! own query, and the pool keeps serving everyone else.
 //!
 //! A served statement compiles once per version of the tables it binds:
-//! the server keeps its lowered plan and reuses it while those versions are
-//! current ([`Server::plan_cache`] reads the hit and miss counts).
+//! the server keeps its lowered plan and reuses it, for every session,
+//! while those versions are current and the session that compiled it
+//! lives ([`Server::plan_cache`] reads the hit and miss counts).
 //!
 //! Binaries: `tqo-serve` (stand-alone server over the paper catalog) and
 //! `serve-bench` (closed-loop load driver emitting `BENCH_serve.json`).

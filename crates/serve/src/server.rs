@@ -171,7 +171,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                 next_session += 1;
                 let handle = thread::Builder::new()
                     .name(format!("tqo-serve-session-{id}"))
-                    .spawn(move || session(stream, &inner))
+                    .spawn(move || {
+                        session(stream, &inner);
+                        inner.plans.end_session();
+                    })
                     .expect("spawn session thread");
                 sessions.push(handle);
             }

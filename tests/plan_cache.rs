@@ -86,9 +86,35 @@ fn a_sequenced_write_to_a_bound_table_misses_and_answers_the_new_version() {
     );
     assert_eq!(deleted, oracle(&catalog, AUDIT_READ));
     assert_eq!(deleted, before);
-    // And the new version's plan is reused in turn.
+    // Its plans went stale without a hit, so the statement churns: the
+    // cache kept only the versions. Asked again at them, it compiles once
+    // more and keeps that plan, which the next request reuses.
+    assert_eq!(client.query(AUDIT_READ).unwrap(), before);
+    assert_eq!(counts(&server), (0, 4));
+    assert_eq!(client.query(AUDIT_READ).unwrap(), before);
+    assert_eq!(counts(&server), (1, 4));
+    server.stop();
+}
+
+/// A plan that served hits is replaced by the next version's plan at once:
+/// only a statement whose plans go stale unused waits for a second request.
+#[test]
+fn a_plan_that_served_hits_is_kept_across_a_write() {
+    let (catalog, mut server, mut client) = start();
     client.query(AUDIT_READ).unwrap();
-    assert_eq!(counts(&server), (1, 3));
+    client.query(AUDIT_READ).unwrap();
+    assert_eq!(counts(&server), (1, 1));
+    client
+        .insert(
+            "AUDIT",
+            vec![Value::from("Zoe"), Value::from("Audit")],
+            Period::of(2, 9),
+        )
+        .unwrap();
+    client.query(AUDIT_READ).unwrap();
+    let rows = client.query(AUDIT_READ).unwrap();
+    assert_eq!(counts(&server), (2, 2));
+    assert_eq!(rows, oracle(&catalog, AUDIT_READ));
     server.stop();
 }
 
@@ -195,5 +221,31 @@ fn more_statements_than_the_cap_keep_the_cache_at_the_cap() {
     );
     assert_eq!(client.query(&last).unwrap(), oracle(&catalog, &last));
     assert_eq!(server.plan_cache().hits, 1);
+    server.stop();
+}
+
+/// A session's plans go with it: the next connection compiles afresh, and
+/// while a session lives its plans serve every other session.
+#[test]
+fn a_sessions_plans_end_with_it_and_serve_other_sessions_meanwhile() {
+    let (_catalog, mut server, mut client) = start();
+    client.query(EMPLOYEE_READ).unwrap();
+    let mut other = Client::connect(server.addr()).expect("connect");
+    other.query(EMPLOYEE_READ).unwrap();
+    assert_eq!(counts(&server), (1, 1), "a live session's plan is shared");
+    drop(client);
+    drop(other);
+    // Both session threads notice the closed connections and end.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while server.plan_cache().entries > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "ended sessions left their plans"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let mut next = Client::connect(server.addr()).expect("connect");
+    next.query(EMPLOYEE_READ).unwrap();
+    assert_eq!(counts(&server), (1, 2));
     server.stop();
 }
