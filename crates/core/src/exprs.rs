@@ -210,6 +210,44 @@ fn fill_cmp_sel<T: Copy>(
     }
 }
 
+/// [`fill_cmp_sel`] over two byte-string getters. `=` and `<>` need only
+/// equality ([`bytes_eq`]), where `cmp` makes a `memcmp` call per row. The
+/// order comparisons stay lexicographic (byte order is `str` order).
+#[inline]
+fn fill_cmp_strs<'a>(
+    op: BinOp,
+    sel: &Sel,
+    vals: &mut [bool],
+    at_l: impl Fn(usize) -> &'a [u8] + Copy,
+    at_r: impl Fn(usize) -> &'a [u8] + Copy,
+) {
+    match op {
+        // Unequal reads as `Less`, which `=` and `<>` do not tell from
+        // `Greater`.
+        BinOp::Eq | BinOp::Ne => fill_cmp_sel(op, sel, vals, at_l, at_r, |a, b| {
+            if bytes_eq(a, b) {
+                Ordering::Equal
+            } else {
+                Ordering::Less
+            }
+        }),
+        _ => fill_cmp_sel(op, sel, vals, at_l, at_r, |a: &[u8], b: &[u8]| a.cmp(b)),
+    }
+}
+
+/// Lengths first, which most unequal values already differ in, then the
+/// bytes: inline for short strings, through slice `==` (one `memcmp`)
+/// past 16 bytes, where the call costs less than the byte loop.
+#[inline]
+fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len()
+        && if a.len() <= 16 {
+            a.iter().zip(b).all(|(x, y)| x == y)
+        } else {
+            a == b
+        }
+}
+
 /// A float-comparable view of a literal, exactly where `Value::cmp`
 /// against a `Float` is numeric (`Float` and `Int` operands; `Time` vs
 /// `Float` compares by variant rank and must not take this path).
@@ -250,14 +288,13 @@ pub fn eval(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> BoolVec {
                     |a, b| a.total_cmp(&b),
                 );
             } else if let (Some(ld), Some(rd)) = (lc.as_strs(), rc.as_strs()) {
-                // Non-null Str columns: byte order is `str` order.
-                fill_cmp_sel(
+                // Non-null Str columns.
+                fill_cmp_strs(
                     *op,
                     sel,
                     &mut out.vals,
                     |i| ld.bytes_at(i),
                     |i| rd.bytes_at(i),
-                    |a: &[u8], b: &[u8]| a.cmp(b),
                 );
             } else {
                 for (k, i) in sel.iter().enumerate() {
@@ -296,14 +333,7 @@ pub fn eval(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> BoolVec {
             } else if let (Some(data), Value::Str(lit)) = (lc.as_strs(), v) {
                 // Non-null Str column vs string literal, as bytes.
                 let lit = lit.as_bytes();
-                fill_cmp_sel(
-                    *op,
-                    sel,
-                    &mut out.vals,
-                    |i| data.bytes_at(i),
-                    |_| lit,
-                    |a: &[u8], b: &[u8]| a.cmp(b),
-                );
+                fill_cmp_strs(*op, sel, &mut out.vals, |i| data.bytes_at(i), |_| lit);
             } else {
                 for (k, i) in sel.iter().enumerate() {
                     if lc.is_null(i) {
@@ -338,14 +368,7 @@ pub fn eval(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> BoolVec {
                 );
             } else if let (Some(data), Value::Str(lit)) = (rc.as_strs(), v) {
                 let lit = lit.as_bytes();
-                fill_cmp_sel(
-                    *op,
-                    sel,
-                    &mut out.vals,
-                    |_| lit,
-                    |i| data.bytes_at(i),
-                    |a: &[u8], b: &[u8]| a.cmp(b),
-                );
+                fill_cmp_strs(*op, sel, &mut out.vals, |_| lit, |i| data.bytes_at(i));
             } else {
                 for (k, i) in sel.iter().enumerate() {
                     if rc.is_null(i) {
@@ -501,20 +524,44 @@ mod tests {
             ("A", DataType::Int),
             ("B", DataType::Str),
             ("C", DataType::Str),
+            ("D", DataType::Str),
         ])
     }
 
-    /// `A` and `B` hold a NULL each; `C` has none, so it takes the typed
-    /// string paths and `B` the per-row fallback.
+    /// Past the length at which string equality stops comparing inline.
+    const LONG: &str = "abcdefghijklmnopqrst";
+
+    /// `A` and `B` hold a NULL each; `C` and `D` have none, so they take
+    /// the typed string paths and `B` the per-row fallback. Row by row, `D`
+    /// equals `C`, is a multi-byte character's ASCII look-alike, extends it,
+    /// is empty with it, differs in its last byte, and differs in the last
+    /// byte of a long string.
     fn table() -> ColumnarRelation {
+        let long_d = format!("{}u", &LONG[..LONG.len() - 1]);
         let r = Relation::new(
             sch(),
             vec![
-                tuple![3i64, "x", "x"],
-                Tuple::new(vec![Value::Null, Value::from("y"), Value::from("é")]),
-                Tuple::new(vec![Value::Int(7), Value::Null, Value::from("日本")]),
-                tuple![5i64, "z", ""],
-                tuple![2i64, "x", "xy"],
+                tuple![3i64, "x", "x", "x"],
+                Tuple::new(vec![
+                    Value::Null,
+                    Value::from("y"),
+                    Value::from("é"),
+                    Value::from("e"),
+                ]),
+                Tuple::new(vec![
+                    Value::Int(7),
+                    Value::Null,
+                    Value::from("日本"),
+                    Value::from("日本語"),
+                ]),
+                tuple![5i64, "z", "", ""],
+                tuple![2i64, "x", "xy", "xa"],
+                Tuple::new(vec![
+                    Value::Int(4),
+                    Value::from("xyz"),
+                    Value::from(LONG),
+                    Value::from(long_d),
+                ]),
             ],
         )
         .unwrap();
@@ -548,9 +595,10 @@ mod tests {
             Expr::IsNull(Box::new(Expr::col("B"))),
         ];
         // Every comparison of a string column (with and without NULLs)
-        // against string literals on either side — empty, multi-byte and
-        // prefix-related ones — against a NULL, against an Int literal
-        // (variant rank), and against the other string column.
+        // against string literals on either side — empty, multi-byte,
+        // long, and ones sharing a prefix but not a length — against a
+        // NULL, against an Int literal (variant rank), and of every pair
+        // of string columns both ways.
         let ops = [
             BinOp::Eq,
             BinOp::Ne,
@@ -560,12 +608,17 @@ mod tests {
             BinOp::Ge,
         ];
         for op in ops {
-            for col in ["B", "C"] {
+            for col in ["B", "C", "D"] {
                 for lit in [
                     Value::from("x"),
                     Value::from(""),
                     Value::from("é"),
+                    Value::from("e"),
                     Value::from("xa"),
+                    Value::from("xy"),
+                    Value::from("日本語"),
+                    Value::from(LONG),
+                    Value::from(format!("{LONG}u")),
                     Value::Null,
                     Value::Int(3),
                 ] {
@@ -573,10 +626,14 @@ mod tests {
                     exprs.push(Expr::bin(op, Expr::Lit(lit), Expr::col(col)));
                 }
             }
-            exprs.push(Expr::bin(op, Expr::col("B"), Expr::col("C")));
-            exprs.push(Expr::bin(op, Expr::col("C"), Expr::col("C")));
+            for (l, r) in [("B", "C"), ("C", "D"), ("D", "C"), ("C", "C")] {
+                exprs.push(Expr::bin(op, Expr::col(l), Expr::col(r)));
+            }
         }
-        let sels = [Sel::Range(0, 5), Sel::Rows(Arc::new(vec![4, 2, 0, 1, 3]))];
+        let sels = [
+            Sel::Range(0, 6),
+            Sel::Rows(Arc::new(vec![5, 4, 2, 0, 1, 3])),
+        ];
         for e in &exprs {
             let pred = compile(e, &sch()).expect("total fragment compiles");
             for sel in &sels {

@@ -187,15 +187,16 @@ counters! {
         "pipeline-stage tasks executed by the shared worker pool"
     );
     /// Served queries answered with a cached plan: the statement was
-    /// compiled before against the versions its tables have now.
+    /// compiled before against the schemas its tables have now, whatever
+    /// was written to them since.
     pub static PLAN_CACHE_HITS = (
         "plan_cache_hits",
-        "served queries that reused a plan compiled for the same table versions"
+        "served queries that reused a plan compiled for the same table schemas"
     );
     /// Served queries whose plan was compiled and lowered on arrival.
     pub static PLAN_CACHE_MISSES = (
         "plan_cache_misses",
-        "served queries compiled and lowered because no current plan was cached"
+        "served queries compiled and lowered because no plan for their schemas was cached"
     );
     /// TCP connections accepted by the serving front-end.
     pub static SERVE_CONNECTIONS = (

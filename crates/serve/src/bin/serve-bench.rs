@@ -1,7 +1,9 @@
 //! Closed-loop serving benchmark: hammers an in-process server with a
 //! mixed read+mutation workload at 1, 8, and 64 concurrent clients and
 //! writes `BENCH_serve.json` (sustained QPS, p50/p99 latency, error
-//! counts, and the server's plan-cache hits and misses per level).
+//! counts, and the server's plan-cache hits and misses per level, next to
+//! the query-pool size that bounds the misses: writes keep plans, so each
+//! client session compiles each pool statement at most once).
 //!
 //! Each client thread is closed-loop: connect once, then issue requests
 //! back to back for the measured window — ~87% queries drawn round-robin
@@ -236,7 +238,9 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"host_parallelism\": {host},\n  \
          \"scheduler_workers\": {workers},\n  \"window_secs\": {secs},\n  \
-         \"windows_per_level\": {WINDOWS},\n  \"levels\": [\n{levels_json}\n  ]\n}}\n"
+         \"windows_per_level\": {WINDOWS},\n  \"query_pool\": {},\n  \
+         \"levels\": [\n{levels_json}\n  ]\n}}\n",
+        QUERIES.len()
     );
     std::fs::write(&out_path, json).expect("write BENCH_serve.json");
     println!("serve-bench: wrote {out_path}");

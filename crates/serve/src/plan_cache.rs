@@ -1,28 +1,23 @@
 //! Prepared plans: the server-wide cache of lowered plans.
 //!
-//! A served statement compiles and lowers against a pinned snapshot, and
-//! what that produces is fixed by the statement text and by the versions
-//! of the tables it binds: each table version fixes Table 2's base
-//! properties and the statistics the plan was licensed and estimated by.
-//! So an entry is the statement's exact bytes, the `(name, version)` of
-//! every table its plan scans, and the lowered plan. A lookup hits only
-//! when every one of those tables has the same version in the snapshot the
-//! query then executes on, so plan, properties and data are always one
-//! version. A sequenced write publishes a new version and invalidates by
-//! mismatch; no protocol runs between writers and the cache.
+//! A served plan is fixed by the statement text and by the schemas of the
+//! tables it binds, and by nothing else a write can change: lowering reads
+//! no Table 2 property, and execution reads its data only from the pinned
+//! snapshot's environment and reads no estimate. So an entry is the
+//! statement's exact bytes, the `(name, schema)` of every table its plan
+//! scans, and the lowered plan. A lookup hits when every one of those
+//! tables has the same schema in the query's own snapshot, and the plan
+//! then runs on that snapshot's data, so its rows are those a fresh
+//! `compile` + `lower` would give. A sequenced write keeps every entry; a
+//! dropped table, or one registered again with another schema, misses.
+//! Only the reused plan's row estimates describe the version it was
+//! compiled on.
 //!
-//! Versions are [`Table::version`](tqo_storage::Table::version) ids, never
-//! `Arc<Table>` addresses: a freed version's address can be reused by its
-//! successor, and a plan keyed on it would hit stale. The cache holds no
-//! table either, so it pins no version's columns.
+//! The cache holds no table, so it pins no version's columns; a plan pins
+//! only the small statistics summary its scans were estimated from.
 //!
-//! Two rules keep plans from costing memory or time elsewhere. An entry
-//! lives no longer than the session that compiled it, so no plan outlives
-//! its thread's allocator arena ([`PlanCache::end_session`]). And a
-//! statement whose plan went stale without serving a hit keeps only its
-//! versions until it is asked for again at them, so a table written
-//! between every two reads makes no session free another's plan
-//! ([`PlanCache::plan`]).
+//! An entry lives no longer than the session that compiled it, so no plan
+//! outlives its thread's allocator arena ([`PlanCache::end_session`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,38 +26,25 @@ use std::thread::{self, ThreadId};
 
 use tqo_core::error::Result;
 use tqo_core::plan::PlanNode;
+use tqo_core::schema::Schema;
 use tqo_core::trace::{self, counters, Category};
 use tqo_exec::{lower, PhysicalPlan, PlannerConfig};
 use tqo_storage::Catalog;
 
 /// Most statements a server keeps an entry for. A new statement at the cap
 /// evicts an arbitrary entry; an entry holds a plan and its scans'
-/// properties, never relation data.
+/// schemas, never relation data.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
 
-/// The `(name, version)` of every table a plan scans, sorted and unique.
-type Versions = Vec<(String, u64)>;
+/// The `(name, schema)` of every table a plan scans, sorted and unique.
+type Schemas = Vec<(String, Arc<Schema>)>;
 
 struct Entry {
-    versions: Versions,
-    /// `None` while the statement churns: its last plan went stale without
-    /// serving a hit, so the next one is kept only once the statement is
-    /// asked for again at the versions it was compiled for.
-    plan: Option<Arc<PhysicalPlan>>,
-    /// Whether `plan` has served a hit.
-    hit: bool,
+    schemas: Schemas,
+    plan: Arc<PhysicalPlan>,
     /// The session thread that compiled it: the entry lives no longer than
     /// that session ([`PlanCache::end_session`]).
     owner: ThreadId,
-}
-
-/// What a lookup found.
-enum Lookup {
-    Hit(Arc<PhysicalPlan>),
-    /// Compile; keep the plan only if `keep`.
-    Miss {
-        keep: bool,
-    },
 }
 
 /// A point-in-time reading of one server's plan cache.
@@ -70,13 +52,13 @@ enum Lookup {
 pub struct PlanCacheStats {
     /// Lookups answered by a cached plan.
     pub hits: u64,
-    /// Lookups that compiled (no entry, or an entry of older versions).
+    /// Lookups that compiled (no entry, or an entry of other schemas).
     pub misses: u64,
     /// Statements the cache holds an entry for now.
     pub entries: usize,
 }
 
-/// The cache: one entry per statement text, for the versions it was last
+/// The cache: one entry per statement text, for the schemas it was last
 /// compiled against.
 #[derive(Default)]
 pub(crate) struct PlanCache {
@@ -87,38 +69,28 @@ pub(crate) struct PlanCache {
 
 impl PlanCache {
     /// The lowered plan of `sql` on `snapshot`: the cached one when every
-    /// table it scans is at the version it was compiled against, else a
-    /// fresh `compile` + `lower`. Compiling runs outside the lock, so two
-    /// sessions that miss on one statement may both compile it; the later
-    /// insert wins.
-    ///
-    /// A successful compile is kept unless the statement churns: when its
-    /// previous plan went stale without serving a hit, only the versions
-    /// are kept, and the plan of a later compile at those same versions is.
-    /// Under a write between every two reads no plan is kept, so none is
-    /// freed by another session: with two sessions, freeing a plan the
-    /// other one compiled took ~10 µs, against ~1.4 µs for one's own.
+    /// table it scans has the schema it was compiled against, else a fresh
+    /// `compile` + `lower`, kept if it succeeds. Compiling runs outside the
+    /// lock, so two sessions that miss on one statement may both compile
+    /// it; the later insert wins.
     pub(crate) fn plan(&self, sql: &str, snapshot: &Catalog) -> Result<Arc<PhysicalPlan>> {
         let found = {
             let mut span = trace::span(Category::Planner, "plan-cache");
             let found = self.lookup(sql, snapshot);
-            span.note_with(|| format!("\"hit\": {}", matches!(found, Lookup::Hit(_))));
+            span.note_with(|| format!("\"hit\": {}", found.is_some()));
             found
         };
-        let keep = match found {
-            Lookup::Hit(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                counters::PLAN_CACHE_HITS.incr();
-                return Ok(plan);
-            }
-            Lookup::Miss { keep } => keep,
-        };
+        if let Some(plan) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters::PLAN_CACHE_HITS.incr();
+            return Ok(plan);
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         counters::PLAN_CACHE_MISSES.incr();
         let logical = tqo_sql::compile(sql, snapshot)?;
         let plan = Arc::new(lower(&logical, PlannerConfig::default())?);
-        if let Some(versions) = scanned_versions(&logical.root, snapshot) {
-            self.insert(sql, versions, keep.then(|| Arc::clone(&plan)));
+        if let Some(schemas) = scanned_schemas(&logical.root, snapshot) {
+            self.insert(sql, schemas, Arc::clone(&plan));
         }
         Ok(plan)
     }
@@ -129,27 +101,19 @@ impl PlanCache {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lookup(&self, sql: &str, snapshot: &Catalog) -> Lookup {
-        let mut entries = self.entries();
-        let Some(entry) = entries.get_mut(sql) else {
-            return Lookup::Miss { keep: true };
-        };
-        let current = entry
-            .versions
-            .iter()
-            .all(|(name, version)| snapshot.get(name).is_ok_and(|t| t.version() == *version));
-        match (&entry.plan, current) {
-            (Some(plan), true) => {
-                entry.hit = true;
-                Lookup::Hit(Arc::clone(plan))
-            }
-            // Asked again at the versions it was compiled for.
-            (None, true) => Lookup::Miss { keep: true },
-            (_, false) => Lookup::Miss { keep: entry.hit },
-        }
+    fn lookup(&self, sql: &str, snapshot: &Catalog) -> Option<Arc<PhysicalPlan>> {
+        let entries = self.entries();
+        let entry = entries.get(sql)?;
+        let bound = entry.schemas.iter().all(|(name, schema)| {
+            snapshot.get(name).is_ok_and(|t| {
+                let now = t.schema();
+                Arc::ptr_eq(now, schema) || **now == **schema
+            })
+        });
+        bound.then(|| Arc::clone(&entry.plan))
     }
 
-    fn insert(&self, sql: &str, versions: Versions, plan: Option<Arc<PhysicalPlan>>) {
+    fn insert(&self, sql: &str, schemas: Schemas, plan: Arc<PhysicalPlan>) {
         let displaced = {
             let mut entries = self.entries();
             let evicted = if entries.len() >= PLAN_CACHE_CAPACITY && !entries.contains_key(sql) {
@@ -159,9 +123,8 @@ impl PlanCache {
                 None
             };
             let entry = Entry {
-                versions,
+                schemas,
                 plan,
-                hit: false,
                 owner: thread::current().id(),
             };
             (evicted, entries.insert(sql.to_owned(), entry))
@@ -190,23 +153,24 @@ impl PlanCache {
     }
 }
 
-/// The version in `snapshot` of every table `root` scans, subqueries
+/// The schema in `snapshot` of every table `root` scans, subqueries
 /// included (the binder leaves them as subtrees of the one plan); `None`
 /// if a scanned name is not a table of the snapshot.
-fn scanned_versions(root: &PlanNode, snapshot: &Catalog) -> Option<Versions> {
-    fn walk(node: &PlanNode, snapshot: &Catalog, out: &mut Versions) -> Option<()> {
+fn scanned_schemas(root: &PlanNode, snapshot: &Catalog) -> Option<Schemas> {
+    fn walk(node: &PlanNode, snapshot: &Catalog, out: &mut Schemas) -> Option<()> {
         if let PlanNode::Scan { name, .. } = node {
-            out.push((name.clone(), snapshot.get(name).ok()?.version()));
+            let table = snapshot.get(name).ok()?;
+            out.push((name.clone(), Arc::clone(table.schema())));
         }
         node.children()
             .into_iter()
             .try_for_each(|c| walk(c, snapshot, out))
     }
-    let mut versions = Vec::new();
-    walk(root, snapshot, &mut versions)?;
-    versions.sort_unstable();
-    versions.dedup();
-    Some(versions)
+    let mut schemas = Vec::new();
+    walk(root, snapshot, &mut schemas)?;
+    schemas.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    schemas.dedup_by(|a, b| a.0 == b.0);
+    Some(schemas)
 }
 
 #[cfg(test)]
@@ -220,11 +184,11 @@ mod tests {
     fn a_plan_records_every_table_it_scans_once() {
         let catalog = paper::catalog();
         let logical = tqo_sql::compile(SQL, &catalog).unwrap();
-        let versions = scanned_versions(&logical.root, &catalog).unwrap();
-        let names: Vec<&str> = versions.iter().map(|(n, _)| n.as_str()).collect();
+        let schemas = scanned_schemas(&logical.root, &catalog).unwrap();
+        let names: Vec<&str> = schemas.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["EMPLOYEE", "PROJECT"]);
-        for (name, version) in &versions {
-            assert_eq!(*version, catalog.get(name).unwrap().version());
+        for (name, schema) in &schemas {
+            assert!(Arc::ptr_eq(schema, catalog.get(name).unwrap().schema()));
         }
     }
 
@@ -246,7 +210,8 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
-    /// A trace says why a hit has no `parse`, `bind` or `lower` span.
+    /// A trace says why a hit has no `parse`, `bind` or `lower` span, also
+    /// when the table was written since the plan was compiled.
     #[test]
     fn a_traced_hit_records_the_lookup_in_place_of_the_front_end() {
         use tqo_core::trace::{install, Collector};
@@ -272,11 +237,18 @@ mod tests {
         for phase in ["parse", "bind", "lower"] {
             assert!(miss.iter().any(|e| e.starts_with(phase)), "{miss:?}");
         }
+        catalog
+            .insert_sequenced(
+                "EMPLOYEE",
+                vec!["Zoe".into(), "Audit".into()],
+                tqo_core::time::Period::of(2, 9),
+            )
+            .unwrap();
         let hit = traced(&cache);
         assert_eq!(hit, ["plan-cache \"hit\": true"]);
     }
 
-    /// The cost the cache adds to a hit: the lookup and the version check.
+    /// The cost the cache adds to a hit: the lookup and the schema check.
     /// Printed, not asserted (`--nocapture` shows it); a debug build reads
     /// several times a release one.
     #[test]
@@ -288,7 +260,7 @@ mod tests {
         let n = 10_000u32;
         let started = std::time::Instant::now();
         for _ in 0..n {
-            assert!(matches!(cache.lookup(SQL, &snapshot), Lookup::Hit(_)));
+            assert!(cache.lookup(SQL, &snapshot).is_some());
         }
         eprintln!("plan cache hit: {:?} per lookup", started.elapsed() / n);
     }

@@ -150,7 +150,6 @@ impl Catalog {
         working.ledger = parked.take();
         f(&mut working)?;
         *parked = working.ledger.take();
-        working.publish();
         let displaced = self
             .tables
             .write()
@@ -296,10 +295,6 @@ mod tests {
             .with_table_mut("T", |t| t.insert(vec![tuple!["x", 9i64, 3i64]]))
             .is_err());
         assert!(Arc::ptr_eq(&before, &cat.get("T").unwrap()));
-        // A successful one publishes a version with an id of its own.
-        cat.with_table_mut("T", |t| t.insert(vec![tuple!["c", 2i64, 4i64]]))
-            .unwrap();
-        assert!(cat.get("T").unwrap().version() > before.version());
     }
 
     /// A query binds and runs against one snapshot: the base properties a

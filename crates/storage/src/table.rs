@@ -1,13 +1,13 @@
 //! Stored tables: one immutable version of a relation and everything the
 //! planner and the engines need to know about it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use tqo_core::columnar::{Column, ColumnarRelation};
 use tqo_core::error::Result;
 use tqo_core::plan::BaseProps;
 use tqo_core::relation::{self, Relation};
+use tqo_core::schema::Schema;
 use tqo_core::stats::{RelationProfile, TableSummary};
 use tqo_core::trace::counters;
 use tqo_core::tuple::Tuple;
@@ -30,14 +30,11 @@ use crate::ledger::Ledger;
 /// deriving both from scratch ([`derive_props`],
 /// [`TableSummary::measure`]). Statistics of a version nobody modified yet
 /// are measured in full, lazily, on first use.
-///
-/// Every published version carries a [`Table::version`] id, unique in the
-/// process: whatever was derived from one version (a compiled plan, its
-/// licences and estimates) stays exact for as long as that id is current.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    version: u64,
+    /// Shared by every version a registration's modifications make.
+    schema: Arc<Schema>,
     relation: Relation,
     props: BaseProps,
     stats: OnceLock<Arc<TableSummary>>,
@@ -54,7 +51,7 @@ impl Table {
     pub fn new(name: impl Into<String>, relation: Relation) -> Result<Table> {
         Ok(Table {
             name: name.into(),
-            version: next_version(),
+            schema: Arc::new(relation.schema().clone()),
             props: derive_props(&relation)?,
             relation,
             stats: OnceLock::new(),
@@ -70,18 +67,11 @@ impl Table {
         &self.relation
     }
 
-    /// This version's id: drawn when the version is published (by
-    /// [`Table::new`], or by the catalog swapping a modified working copy
-    /// in) and never reused, not even by a version that later lives at the
-    /// same address. A working copy keeps its predecessor's id until it is
-    /// published.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Give this working copy a fresh version id, as it is published.
-    pub(crate) fn publish(&mut self) {
-        self.version = next_version();
+    /// The relation's schema, one allocation for [`Table::new`]'s version
+    /// and every version modified from it: what a served plan is typed
+    /// against, and the only part of a table it depends on.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
     }
 
     /// Declared base properties *without* statistics; planners wanting
@@ -169,15 +159,6 @@ impl Table {
     }
 }
 
-/// Draw a version id from the process-wide counter; ids start at 1 and are
-/// never handed out twice.
-fn next_version() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    // Relaxed: uniqueness needs only the atomic increment. The id publishes
-    // no data; its version is published through the catalog's lock.
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
 /// What a modification does to a table's tuple list.
 pub(crate) struct Delta {
     /// The list afterwards, born in columns: untouched tuples keep their
@@ -250,7 +231,6 @@ pub fn derive_props(relation: &Relation) -> Result<BaseProps> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tqo_core::schema::Schema;
     use tqo_core::tuple;
     use tqo_core::value::DataType;
 
@@ -318,18 +298,6 @@ mod tests {
         assert!(pinned.props().coalesced);
         assert_eq!(pinned.relation(), &r);
         assert_eq!(pinned.stats().rows, 1);
-    }
-
-    #[test]
-    fn every_published_version_has_its_own_id() {
-        let r = Relation::new(schema(), vec![tuple!["a", 1i64, 5i64]]).unwrap();
-        let first = Table::new("T", r.clone()).unwrap();
-        let again = Table::new("T", r).unwrap();
-        assert_ne!(first.version(), again.version());
-        let mut next = first.clone();
-        assert_eq!(next.version(), first.version(), "a working copy");
-        next.publish();
-        assert!(next.version() > again.version());
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! The server's plan cache: a served statement compiles once per version of
-//! the tables it binds. Every test owns its server and reads hits and
-//! misses from that server's own cache, so the suite's tests cannot count
-//! each other's queries.
+//! The server's plan cache: a served statement compiles once per schema of
+//! the tables it binds, and writes keep its plan. Every test owns its
+//! server and reads hits and misses from that server's own cache, so the
+//! suite's tests cannot count each other's queries.
 //!
 //! Each test holds the cache to two things: when it hits and when it
 //! misses, and that the answer is the interpreter's over the catalog's
 //! current versions either way (ARCHITECTURE invariant 16).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tqo_core::error::Error;
+use tqo_core::expr::Expr;
 use tqo_core::interp::eval_plan;
 use tqo_core::relation::Relation;
 use tqo_core::time::Period;
+use tqo_core::tuple;
 use tqo_core::value::Value;
 use tqo_serve::{serve, Client, PlanCacheStats, Server, ServerConfig, PLAN_CACHE_CAPACITY};
 use tqo_storage::{paper, Catalog};
@@ -20,6 +24,10 @@ const AUDIT_READ: &str = "VALIDTIME SELECT EmpName FROM AUDIT ORDER BY EmpName";
 
 /// Reads only EMPLOYEE.
 const EMPLOYEE_READ: &str = "SELECT EmpName, Dept FROM EMPLOYEE ORDER BY EmpName, Dept";
+
+/// A join with AUDIT on one side and EMPLOYEE on the other.
+const JOIN: &str = "SELECT e.EmpName AS EmpName FROM EMPLOYEE e, AUDIT a \
+                    WHERE e.EmpName = a.EmpName ORDER BY EmpName";
 
 /// The paper catalog plus a scratch copy of EMPLOYEE named AUDIT, and a
 /// server over it. The returned catalog shares the server's tables.
@@ -56,8 +64,10 @@ fn the_same_statement_twice_hits_with_identical_rows() {
     server.stop();
 }
 
+/// A write changes the rows a plan reads, never the plan: the next read
+/// hits, and runs the plan against the query's own snapshot.
 #[test]
-fn a_sequenced_write_to_a_bound_table_misses_and_answers_the_new_version() {
+fn a_sequenced_write_to_a_bound_table_hits_and_answers_the_new_version() {
     let (catalog, mut server, mut client) = start();
     let before = client.query(AUDIT_READ).unwrap();
     client
@@ -68,36 +78,21 @@ fn a_sequenced_write_to_a_bound_table_misses_and_answers_the_new_version() {
         )
         .unwrap();
     let inserted = client.query(AUDIT_READ).unwrap();
-    assert_eq!(
-        counts(&server),
-        (0, 2),
-        "the insert published a new version"
-    );
+    assert_eq!(counts(&server), (1, 1), "the insert kept the plan");
     assert_eq!(inserted, oracle(&catalog, AUDIT_READ));
     assert_eq!(inserted.len(), before.len() + 1);
     client
         .delete("AUDIT", "EmpName", Value::from("Zoe"), Period::of(2, 9))
         .unwrap();
     let deleted = client.query(AUDIT_READ).unwrap();
-    assert_eq!(
-        counts(&server),
-        (0, 3),
-        "the delete published a new version"
-    );
+    assert_eq!(counts(&server), (2, 1), "the delete kept the plan");
     assert_eq!(deleted, oracle(&catalog, AUDIT_READ));
     assert_eq!(deleted, before);
-    // Its plans went stale without a hit, so the statement churns: the
-    // cache kept only the versions. Asked again at them, it compiles once
-    // more and keeps that plan, which the next request reuses.
-    assert_eq!(client.query(AUDIT_READ).unwrap(), before);
-    assert_eq!(counts(&server), (0, 4));
-    assert_eq!(client.query(AUDIT_READ).unwrap(), before);
-    assert_eq!(counts(&server), (1, 4));
     server.stop();
 }
 
-/// A plan that served hits is replaced by the next version's plan at once:
-/// only a statement whose plans go stale unused waits for a second request.
+/// A plan that served hits serves more after a write, with the written
+/// rows.
 #[test]
 fn a_plan_that_served_hits_is_kept_across_a_write() {
     let (catalog, mut server, mut client) = start();
@@ -113,7 +108,7 @@ fn a_plan_that_served_hits_is_kept_across_a_write() {
         .unwrap();
     client.query(AUDIT_READ).unwrap();
     let rows = client.query(AUDIT_READ).unwrap();
-    assert_eq!(counts(&server), (2, 2));
+    assert_eq!(counts(&server), (3, 1));
     assert_eq!(rows, oracle(&catalog, AUDIT_READ));
     server.stop();
 }
@@ -135,17 +130,16 @@ fn a_write_to_an_unbound_table_keeps_the_entry() {
     server.stop();
 }
 
-/// A plan over two tables is current only while both are: a write to
-/// either one misses.
+/// A plan over two tables is kept through a write to either one, and
+/// answers with both tables' current rows.
 #[test]
-fn a_write_to_either_table_of_a_join_misses() {
+fn a_write_to_either_table_of_a_join_keeps_the_plan() {
     let (catalog, mut server, mut client) = start();
-    let sql = "SELECT e.EmpName AS EmpName FROM EMPLOYEE e, AUDIT a \
-               WHERE e.EmpName = a.EmpName ORDER BY EmpName";
-    client.query(sql).unwrap();
-    client.query(sql).unwrap();
+    client.query(JOIN).unwrap();
+    client.query(JOIN).unwrap();
     assert_eq!(counts(&server), (1, 1));
-    for (table, misses) in [("EMPLOYEE", 2), ("AUDIT", 3)] {
+    for (table, hits) in [("EMPLOYEE", 3), ("AUDIT", 5)] {
+        let before = client.query(JOIN).unwrap();
         catalog
             .insert_sequenced(
                 table,
@@ -153,9 +147,10 @@ fn a_write_to_either_table_of_a_join_misses() {
                 Period::of(20, 30),
             )
             .unwrap();
-        let rows = client.query(sql).unwrap();
-        assert_eq!(counts(&server), (1, misses), "after a write to {table}");
-        assert_eq!(rows, oracle(&catalog, sql));
+        let rows = client.query(JOIN).unwrap();
+        assert_eq!(counts(&server), (hits, 1), "after a write to {table}");
+        assert_eq!(rows, oracle(&catalog, JOIN));
+        assert_ne!(rows, before, "the write reached the join's answer");
     }
     server.stop();
 }
@@ -177,6 +172,169 @@ fn a_table_dropped_and_registered_again_misses_and_answers_from_the_new_table() 
     let old_column = "SELECT Dept FROM AUDIT";
     assert!(client.query(old_column).is_err());
     server.stop();
+}
+
+/// The same name and the same schema, with other rows: the plan is typed
+/// right for the new table, so it is kept and reads the new rows. A query
+/// while the name is unbound fails typed and leaves the entry alone.
+#[test]
+fn a_table_registered_again_with_the_same_schema_hits_and_answers_its_rows() {
+    let (catalog, mut server, mut client) = start();
+    let before = client.query(AUDIT_READ).unwrap();
+    catalog.drop_table("AUDIT").unwrap();
+    assert!(matches!(
+        client.query(AUDIT_READ),
+        Err(Error::Storage { .. })
+    ));
+    let other = Relation::new(
+        paper::employee_schema(),
+        vec![
+            tuple!["Zoe", "Audit", 1i64, 4i64],
+            tuple!["Yan", "Sales", 3i64, 9i64],
+        ],
+    )
+    .unwrap();
+    catalog.register("AUDIT", other).unwrap();
+    let rows = client.query(AUDIT_READ).unwrap();
+    assert_eq!(counts(&server), (1, 2), "the same schema kept the plan");
+    assert_eq!(rows, oracle(&catalog, AUDIT_READ));
+    assert_eq!(rows.len(), 2);
+    assert_ne!(rows, before);
+    server.stop();
+}
+
+/// Statements whose answers hang on AUDIT's duplicates (`DISTINCT`) and
+/// coalescing (`COALESCE`) as well as its rows, and a join with a side on
+/// each written table.
+const REPLAYED: &[&str] = &[
+    AUDIT_READ,
+    "SELECT DISTINCT EmpName, Dept FROM AUDIT ORDER BY EmpName, Dept",
+    "VALIDTIME SELECT EmpName, Dept FROM AUDIT COALESCE ORDER BY EmpName, Dept",
+    JOIN,
+];
+
+const NAMES: &[&str] = &["Anna", "John", "Zoe"];
+const DEPTS: &[&str] = &["Sales", "Advertising", "Audit"];
+
+fn is(name: &str) -> Expr {
+    Expr::eq(Expr::col("EmpName"), Expr::lit(name))
+}
+
+/// A row of `table` now, if it has one: a duplicate of it, or a row of its
+/// value class next to it, moves Table 2's properties.
+fn some_row(catalog: &Catalog, table: &str, rng: &mut StdRng) -> Option<(Vec<Value>, Period)> {
+    let table = catalog.get(table).unwrap();
+    let relation = table.relation();
+    let tuples = relation.tuples();
+    let row = tuples.get(rng.gen_range(0..tuples.len().max(1)))?;
+    Some((
+        row.values()[..2].to_vec(),
+        row.period(relation.schema()).unwrap(),
+    ))
+}
+
+/// One seeded sequenced write to AUDIT or EMPLOYEE: through `client` where
+/// the wire has the verb, through the shared catalog for an update.
+fn seeded_write(rng: &mut StdRng, catalog: &Catalog, client: &mut Client) {
+    let table = ["AUDIT", "EMPLOYEE"][rng.gen_range(0..2usize)];
+    let name = NAMES[rng.gen_range(0..NAMES.len())];
+    let dept = DEPTS[rng.gen_range(0..DEPTS.len())];
+    let start = rng.gen_range(0i64..14);
+    let period = Period::of(start, start + rng.gen_range(1i64..6));
+    match rng.gen_range(0u8..5) {
+        0 => client
+            .insert(table, vec![Value::from(name), Value::from(dept)], period)
+            .unwrap(),
+        1 => client
+            .delete(table, "EmpName", Value::from(name), period)
+            .unwrap(),
+        2 => catalog
+            .update_sequenced(table, &is(name), period, |t| {
+                let mut t = t.clone();
+                t.set_value(1, Value::from(dept));
+                Ok(t)
+            })
+            .unwrap(),
+        // A duplicate of a stored row, or a row that abuts one of its
+        // value class: the table stops being duplicate-free or coalesced.
+        abut => {
+            if let Some((values, p)) = some_row(catalog, table, rng) {
+                let p = if abut == 3 {
+                    p
+                } else {
+                    Period::of(p.end, p.end + 2)
+                };
+                client.insert(table, values, p).unwrap();
+            }
+        }
+    }
+}
+
+/// Run fixed writes that move AUDIT's Table 2 properties, then seeded
+/// ones, over `sessions` sessions that take turns writing and reading.
+/// After every step each session reads every statement and gets the
+/// interpreter's answer, and the server has compiled each statement once.
+fn writes_keep_plans(sessions: usize, seed: u64) {
+    let (catalog, mut server, first) = start();
+    let mut clients = vec![first];
+    for _ in 1..sessions {
+        clients.push(Client::connect(server.addr()).expect("connect"));
+    }
+    let audit = |catalog: &Catalog| catalog.get("AUDIT").unwrap().props().clone();
+    assert!(audit(&catalog).dup_free && !audit(&catalog).coalesced);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut reads = 0u64;
+    for step in 0..28usize {
+        let writer = &mut clients[step % sessions];
+        match step {
+            0 => {}
+            // Anna's abutting Sales rows go: AUDIT is now coalesced.
+            1 => {
+                writer
+                    .delete("AUDIT", "EmpName", Value::from("Anna"), Period::of(6, 12))
+                    .unwrap();
+                assert!(audit(&catalog).coalesced);
+            }
+            // Abuts John's Sales row [1, 8): no longer coalesced.
+            2 => {
+                let row = vec![Value::from("John"), Value::from("Sales")];
+                writer.insert("AUDIT", row, Period::of(8, 10)).unwrap();
+                assert!(!audit(&catalog).coalesced);
+            }
+            // A second copy of a stored row: no longer duplicate-free.
+            3 => {
+                let row = vec![Value::from("Anna"), Value::from("Sales")];
+                writer.insert("AUDIT", row, Period::of(2, 6)).unwrap();
+                assert!(!audit(&catalog).dup_free);
+            }
+            _ => seeded_write(&mut rng, &catalog, writer),
+        }
+        for (i, sql) in REPLAYED.iter().enumerate() {
+            for k in 0..sessions {
+                let served = clients[(step + i + k) % sessions].query(sql).unwrap();
+                assert_eq!(served, oracle(&catalog, sql), "step {step}: {sql}");
+                reads += 1;
+            }
+        }
+        let (hits, misses) = counts(&server);
+        assert_eq!(
+            misses,
+            REPLAYED.len() as u64,
+            "step {step}: a write cost a compile"
+        );
+        assert_eq!(hits + misses, reads);
+    }
+    server.stop();
+}
+
+#[test]
+fn writes_keep_plans_and_answers_stay_right_in_one_session() {
+    writes_keep_plans(1, 7);
+}
+
+#[test]
+fn writes_keep_plans_and_answers_stay_right_across_interleaved_sessions() {
+    writes_keep_plans(2, 11);
 }
 
 #[test]
