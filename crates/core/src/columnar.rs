@@ -675,55 +675,59 @@ impl Column {
         }
     }
 
-    /// Order-preserving `u64` prefixes of every value, for radix-assisted
-    /// sorting. Returns `(prefixes, exact)`. Unsigned ascending order of
-    /// the prefixes never contradicts [`Column::cmp_at`]: `prefix[a] <
+    /// Order-preserving `u64` prefixes of the values at `rows` (every
+    /// value when `None`), in that order, for radix-assisted sorting.
+    /// Returns `(prefixes, exact)`. Unsigned ascending order of the
+    /// prefixes never contradicts [`Column::cmp_at`]: `prefix[a] <
     /// prefix[b]` implies value `a` orders before value `b`. When `exact`
     /// is true the encoding is also injective on ordering — equal
     /// prefixes mean equal values — so a sort may skip the comparator
     /// entirely. Descending order is the caller's bitwise complement
     /// (`!p`), which flips the whole order including null placement.
-    pub fn sort_prefixes(&self) -> (Vec<u64>, bool) {
+    pub fn sort_prefixes(&self, rows: Option<&[u32]>) -> (Vec<u64>, bool) {
         const SIGN: u64 = 1 << 63;
+        /// `f` of every row of `rows`, or of `0..n`.
+        fn each(n: usize, rows: Option<&[u32]>, f: impl FnMut(usize) -> u64) -> Vec<u64> {
+            match rows {
+                Some(rows) => rows.iter().map(|&i| i as usize).map(f).collect(),
+                None => (0..n).map(f).collect(),
+            }
+        }
         let n = self.len();
         let (mut out, mut exact): (Vec<u64>, bool) = match &self.data {
             // i64 ascending == unsigned ascending after flipping the sign.
             ColumnData::Int(v) | ColumnData::Time(v) => {
-                (v.iter().map(|&x| (x as u64) ^ SIGN).collect(), true)
+                (each(n, rows, |i| (v[i] as u64) ^ SIGN), true)
             }
             // `total_cmp` order: flip all bits of negatives, the sign bit
             // of non-negatives (IEEE 754 totalOrder as unsigned ints).
             ColumnData::Float(v) => (
-                v.iter()
-                    .map(|&x| {
-                        let b = x.to_bits();
-                        if b & SIGN != 0 {
-                            !b
-                        } else {
-                            b ^ SIGN
-                        }
-                    })
-                    .collect(),
+                each(n, rows, |i| {
+                    let b = v[i].to_bits();
+                    if b & SIGN != 0 {
+                        !b
+                    } else {
+                        b ^ SIGN
+                    }
+                }),
                 true,
             ),
-            ColumnData::Bool(v) => (v.iter().map(|&x| x as u64).collect(), true),
+            ColumnData::Bool(v) => (each(n, rows, |i| v[i] as u64), true),
             // First eight bytes, big-endian, zero-padded: exact iff every
             // string fits and is NUL-free (the pad byte must sort strictly
             // below every real byte for padded order == lexicographic).
             ColumnData::Str(v) => {
                 let mut exact = true;
-                let out = (0..v.len())
-                    .map(|i| {
-                        let b = v.bytes_at(i);
-                        if b.len() > 8 || b.contains(&0) {
-                            exact = false;
-                        }
-                        let mut buf = [0u8; 8];
-                        let take = b.len().min(8);
-                        buf[..take].copy_from_slice(&b[..take]);
-                        u64::from_be_bytes(buf)
-                    })
-                    .collect();
+                let out = each(n, rows, |i| {
+                    let b = v.bytes_at(i);
+                    if b.len() > 8 || b.contains(&0) {
+                        exact = false;
+                    }
+                    let mut buf = [0u8; 8];
+                    let take = b.len().min(8);
+                    buf[..take].copy_from_slice(&b[..take]);
+                    u64::from_be_bytes(buf)
+                });
                 (out, exact)
             }
         };
@@ -731,12 +735,13 @@ impl Column {
             // Null-first: nulls collapse to 0, everything else keeps its
             // order in the upper half. The dropped low bit makes the
             // encoding non-injective, hence inexact.
-            for (p, &is_null) in out.iter_mut().zip(nulls.iter()) {
-                *p = if is_null { 0 } else { (*p >> 1) | SIGN };
+            for (k, p) in out.iter_mut().enumerate() {
+                let row = rows.map_or(k, |rows| rows[k] as usize);
+                *p = if nulls[row] { 0 } else { (*p >> 1) | SIGN };
             }
             exact = false;
         }
-        debug_assert_eq!(out.len(), n);
+        debug_assert_eq!(out.len(), rows.map_or(n, <[u32]>::len));
         (out, exact)
     }
 
@@ -1292,7 +1297,10 @@ mod tests {
                 assert_eq!(*h, hash_combine(7, a.hash_at(i as usize)), "hash_idx {i}");
             }
 
-            let (prefixes, exact) = a.sort_prefixes();
+            let (prefixes, exact) = a.sort_prefixes(None);
+            let (picked, _) = a.sort_prefixes(Some(&idx));
+            let gathered: Vec<u64> = idx.iter().map(|&i| prefixes[i as usize]).collect();
+            assert_eq!(picked, gathered, "sort_prefixes of picked rows");
             for (p, x) in prefixes.iter().zip(&va) {
                 for (q, y) in prefixes.iter().zip(&va) {
                     if p < q {

@@ -139,7 +139,7 @@ pub trait CostEstimator {
                 .map(|i| {
                     let mut p = path.clone();
                     p.push(i);
-                    &ann[&p].stat
+                    &*ann[&p].stat
                 })
                 .collect();
             match self.estimate_node(node, &props.stat, &child_stats, props.site) {

@@ -10,9 +10,12 @@
 //! products rule matching draws from.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use crate::plan::props::{annotate_with, PropsFlags, StaticProps};
+use crate::memo::task::stat_refs;
+use crate::memo::Map;
+use crate::plan::props::{node_stat, PropsFlags, StaticProps};
 use crate::plan::{PlanNode, Site};
 use crate::rules::conventional::compose_projections;
 use crate::schema::Schema;
@@ -118,6 +121,25 @@ fn group_placeholder(gid: GroupId) -> Arc<PlanNode> {
     })
 }
 
+/// A plan tree keyed by identity. The key owns its tree, so no address
+/// is reused while it is keyed; equal trees at two addresses are two keys.
+#[derive(Debug, Clone)]
+pub(crate) struct ByPtr(pub(crate) Arc<PlanNode>);
+
+impl PartialEq for ByPtr {
+    fn eq(&self, other: &ByPtr) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for ByPtr {}
+
+impl Hash for ByPtr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::ptr::hash(Arc::as_ptr(&self.0), state);
+    }
+}
+
 /// One step of a forward-derivation chain: the rule that produced the
 /// expression from its predecessor.
 #[derive(Debug, Clone)]
@@ -141,20 +163,26 @@ pub struct Memo {
     /// Group each expression currently belongs to (canonical after `find`).
     group_of: Vec<GroupId>,
     /// Hash-consing index: shallow key (op + canonical child groups) → expr.
+    /// Keyed by plan content, which carries a client's names and literals,
+    /// so it keeps the default keyed hash.
     expr_index: HashMap<PlanNode, ExprId>,
-    /// Concrete subtree → expr, to make repeat insertions cheap.
+    /// Concrete subtree → expr, to make repeat insertions cheap (keyed by
+    /// plan content, like `expr_index`).
     witness_index: HashMap<Arc<PlanNode>, ExprId>,
+    /// The same index by address: rewrites share their unchanged subtrees
+    /// with the trees they rewrite, and an address lookup hashes no tree.
+    witness_ptrs: Map<ByPtr, ExprId>,
     /// Parent expressions drawing on a group (by insertion-time id).
-    parents_index: HashMap<GroupId, Vec<ExprId>>,
-    /// Bottom-up static props of witnesses per site (site affects the
-    /// DBMS order-erasure of §4.5).
-    stat_cache: HashMap<(ExprId, Site), StaticProps>,
+    parents_index: Map<GroupId, Vec<ExprId>>,
+    /// Bottom-up static props of every concrete tree the search has
+    /// derived them for, per site (site affects the DBMS order-erasure of
+    /// §4.5): each node is derived once from its children's.
+    tree_stats: Map<(ByPtr, Site), Arc<StaticProps>>,
     /// Directed rule applications: source expression → (result, context,
     /// rule, equivalence). Group membership is symmetric but the Figure 5
     /// closure is not — extraction may only substitute expressions
     /// *forward-reachable* from a location's identity occupant.
-    rule_edges:
-        HashMap<ExprId, Vec<(ExprId, MemoCtx, String, crate::equivalence::EquivalenceType)>>,
+    rule_edges: Map<ExprId, Vec<(ExprId, MemoCtx, String, crate::equivalence::EquivalenceType)>>,
     /// Groups whose member set changed since dependents last looked.
     pub dirty: Vec<GroupId>,
     /// Log of (loser, winner) group unions, for callers maintaining their
@@ -165,6 +193,8 @@ pub struct Memo {
     live_exprs: usize,
     /// Whether projection cascades compose as they enter.
     compose: bool,
+    /// Each group's placeholder leaf, built once.
+    placeholders: Vec<Arc<PlanNode>>,
 }
 
 impl Memo {
@@ -220,7 +250,7 @@ impl Memo {
     /// Canonical members of a group, deduplicated.
     pub fn members(&mut self, g: GroupId) -> Vec<ExprId> {
         let g = self.find(g);
-        let raw = self.groups[g].members.clone();
+        let raw = std::mem::take(&mut self.groups[g].members);
         let mut out = Vec::with_capacity(raw.len());
         for e in raw {
             let e = self.find_expr(e);
@@ -228,13 +258,22 @@ impl Memo {
                 out.push(e);
             }
         }
-        self.groups[g].members = out.clone();
+        self.groups[g].members.clone_from(&out);
         out
     }
 
     /// The shallow hash-consing key for an operator over child groups.
     fn shallow_key(&mut self, op: &PlanNode, children: &[GroupId]) -> PlanNode {
-        let placeholders = children.iter().map(|&g| group_placeholder(g)).collect();
+        let placeholders = children
+            .iter()
+            .map(|&g| {
+                while self.placeholders.len() <= g {
+                    let next = group_placeholder(self.placeholders.len());
+                    self.placeholders.push(next);
+                }
+                Arc::clone(&self.placeholders[g])
+            })
+            .collect();
         op.with_children(placeholders).expect("arity preserved")
     }
 
@@ -247,12 +286,17 @@ impl Memo {
     /// it the remapping `π` that `product-commute` wraps around every swap
     /// stacks up, one layer per swap, and a layered join never closes.
     pub fn insert_subtree(&mut self, node: &Arc<PlanNode>, max_exprs: usize) -> Option<ExprId> {
+        let by_ptr = ByPtr(Arc::clone(node));
+        if let Some(&e) = self.witness_ptrs.get(&by_ptr) {
+            return Some(self.find_expr(e));
+        }
         if let Some(&e) = self.witness_index.get(node) {
+            self.witness_ptrs.insert(by_ptr, e);
             return Some(self.find_expr(e));
         }
         if let Some(composed) = self.compose.then(|| compose_projections(node)).flatten() {
             let e = self.insert_subtree(&Arc::new(composed), max_exprs)?;
-            self.witness_index.insert(Arc::clone(node), e);
+            self.index_witness(node, e);
             return Some(e);
         }
         let mut children = Vec::with_capacity(node.children().len());
@@ -271,7 +315,7 @@ impl Memo {
             // which tree arrives first depends on exploration order, and
             // what the slots can reach must not.
             self.add_occupants(e, vec![occupants]);
-            self.witness_index.insert(Arc::clone(node), e);
+            self.index_witness(node, e);
             return Some(e);
         }
         if self.expr_count() >= max_exprs {
@@ -296,10 +340,15 @@ impl Memo {
             ctxs: Vec::new(),
         });
         self.expr_index.insert(key, id);
-        self.witness_index.insert(Arc::clone(node), id);
+        self.index_witness(node, id);
         self.live_exprs += 1;
         self.dirty.push(gid);
         Some(id)
+    }
+
+    fn index_witness(&mut self, node: &Arc<PlanNode>, e: ExprId) {
+        self.witness_index.insert(Arc::clone(node), e);
+        self.witness_ptrs.insert(ByPtr(Arc::clone(node)), e);
     }
 
     /// Add occupant tuples to expression `e`, skipping ones it has.
@@ -352,13 +401,13 @@ impl Memo {
     /// whose recorded context covers `ctx`, each with the chain of rule
     /// steps that realizes it (shortest-first BFS order). Keys are
     /// canonical expression ids.
-    pub fn forward_closure(
+    pub(crate) fn forward_closure(
         &mut self,
         occupant: ExprId,
         ctx: &MemoCtx,
-    ) -> HashMap<ExprId, Vec<DerivationStep>> {
+    ) -> Map<ExprId, Vec<DerivationStep>> {
         let occupant = self.find_expr(occupant);
-        let mut out: HashMap<ExprId, Vec<DerivationStep>> = HashMap::new();
+        let mut out: Map<ExprId, Vec<DerivationStep>> = Map::default();
         out.insert(occupant, Vec::new());
         let mut frontier = std::collections::VecDeque::from([occupant]);
         while let Some(from) = frontier.pop_front() {
@@ -492,15 +541,36 @@ impl Memo {
 
     /// Bottom-up static properties of an expression's witness, assuming the
     /// subtree executes at `site` (flags do not influence static props).
-    pub fn witness_stat(&mut self, e: ExprId, site: Site) -> crate::error::Result<StaticProps> {
+    pub fn witness_stat(
+        &mut self,
+        e: ExprId,
+        site: Site,
+    ) -> crate::error::Result<Arc<StaticProps>> {
         let e = self.find_expr(e);
-        if let Some(s) = self.stat_cache.get(&(e, site)) {
-            return Ok(s.clone());
-        }
         let witness = Arc::clone(&self.exprs[e].witness);
-        let ann = annotate_with(&witness, MemoCtx::top(site).flags, site)?;
-        let stat = ann[&Vec::new()].stat.clone();
-        self.stat_cache.insert((e, site), stat.clone());
+        self.tree_stat(&witness, site)
+    }
+
+    /// Bottom-up static properties of a concrete tree executing at
+    /// `site`: what `annotate` derives at its root, with every
+    /// subtree the memo has seen derived once.
+    pub fn tree_stat(
+        &mut self,
+        node: &Arc<PlanNode>,
+        site: Site,
+    ) -> crate::error::Result<Arc<StaticProps>> {
+        let key = (ByPtr(Arc::clone(node)), site);
+        if let Some(s) = self.tree_stats.get(&key) {
+            return Ok(Arc::clone(s));
+        }
+        let csite = node.child_site(site);
+        let children = node
+            .children()
+            .into_iter()
+            .map(|c| self.tree_stat(c, csite))
+            .collect::<crate::error::Result<Vec<_>>>()?;
+        let stat = Arc::new(node_stat(node, &stat_refs(&children), site)?);
+        self.tree_stats.insert(key, Arc::clone(&stat));
         Ok(stat)
     }
 }

@@ -34,9 +34,12 @@
 //!   to depth-bounded bindings and merges the results back in;
 //! * [`search`] — the public entry point [`search::memo_search`], driving
 //!   exploration to a fixpoint under budgets;
-//! * [`extract`] — cost-guided best-plan extraction: a Pareto
-//!   Bellman-Ford over (group, context) cells against the existing
+//! * [`extract`] — cost-guided best-plan extraction: a Pareto fixpoint
+//!   over (group, context) cells against the existing
 //!   [`crate::cost::CostModel`], pruned by the initial plan's cost.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 pub mod extract;
 pub mod group;
@@ -82,5 +85,66 @@ impl Default for MemoConfig {
             max_tasks: usize::MAX,
             time_budget_ms: None,
         }
+    }
+}
+
+/// The memo's id-keyed hash maps and sets. Their keys are ids and
+/// addresses the search itself makes, never a client's names or
+/// literals, so a fixed multiplicative hash serves where the default keyed
+/// one would spend most of a lookup hashing.
+pub(crate) type Map<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// See [`Map`].
+pub(crate) type Set<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// A word-at-a-time rotate-xor-multiply hash (the Firefox/rustc "Fx"
+/// hash), with the high half folded into the low so that aligned
+/// addresses do not crowd a table's low-bit buckets.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
 }

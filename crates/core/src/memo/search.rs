@@ -48,10 +48,15 @@ pub struct MemoResult {
     pub stats: MemoStats,
 }
 
+/// How much cheaper, relatively, an extracted plan must be than the input
+/// to replace it.
+const TIE: f64 = 1e-9;
+
 /// Optimize `initial` by memo search: build the group/expression table,
 /// close it under `rules` with the Figure 5 admissibility gating, and
 /// extract the cheapest plan against `cost_model`, pruned by the initial
-/// plan's cost.
+/// plan's cost. The initial plan is returned unless the cheapest is
+/// cheaper by more than a relative 1e-9.
 pub fn memo_search(
     initial: &LogicalPlan,
     rules: &RuleSet,
@@ -122,17 +127,21 @@ pub fn memo_search(
     drop(extract_span);
     let truncated = explore_stats.truncated || !converged;
     match best {
-        Some(entry) => {
+        // The input stands unless the search found a plan cheaper by more
+        // than rounding: two sums of one plan's costs in different orders
+        // differ in the last bits, and a rewrite that buys nothing the
+        // model can price is a risk the model cannot see.
+        Some((entry, applications)) if entry.cost < upper * (1.0 - TIE) => {
             let stats = stats_snapshot(&memo, truncated);
             let mut derivation = if compose {
                 entry_compositions(&initial.root)
             } else {
                 Vec::new()
             };
-            derivation.extend(entry.derivation);
+            derivation.extend(applications);
             Ok(MemoResult {
                 best: LogicalPlan {
-                    root: Arc::clone(&entry.node),
+                    root: entry.node()?,
                     result_type: initial.result_type.clone(),
                     root_site: initial.root_site,
                 },
@@ -141,12 +150,12 @@ pub fn memo_search(
                 stats,
             })
         }
-        // No admissible extraction (e.g. the input plan itself prices as
-        // invalid): fall back to the input, like Figure 5's closure
-        // whose enumeration always contains plan 0.
-        None => Ok(MemoResult {
+        // No cheaper plan, or no admissible extraction (e.g. the input
+        // plan itself prices as invalid): the input, like Figure 5's
+        // closure whose enumeration always contains plan 0.
+        _ => Ok(MemoResult {
             best: initial.clone(),
-            cost: cost_model.estimate_plan(initial)?,
+            cost: Cost(upper),
             derivation: Vec::new(),
             stats: stats_snapshot(&memo, truncated),
         }),

@@ -21,14 +21,14 @@
 //!    the group. New members re-dirty dependent expressions, driving the
 //!    closure to a fixpoint.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::enumerate::applicable;
 use crate::error::Result;
 use crate::memo::group::{ExprId, GroupId, Memo, MemoCtx};
-use crate::memo::MemoConfig;
-use crate::plan::props::{annotate_with, child_flags, StaticProps};
+use crate::memo::{Map, MemoConfig, Set};
+use crate::plan::props::{child_flags, node_stat, Annotations, NodeProps, StaticProps};
 use crate::plan::{PlanNode, Site};
 use crate::rules::RuleSet;
 
@@ -46,7 +46,7 @@ pub struct Task {
 #[derive(Default)]
 struct Dependents {
     order: Vec<Task>,
-    seen: HashSet<Task>,
+    seen: Set<Task>,
 }
 
 impl Dependents {
@@ -55,6 +55,18 @@ impl Dependents {
             self.order.push(task);
         }
     }
+}
+
+/// A binding's identity: the root expression, each child slot's member
+/// with the grandchild witnesses it was expanded over, and the context.
+/// Equal keys build equal trees, so a key names what was rule-matched
+/// without hashing the tree.
+type BindingKey = (ExprId, Vec<(ExprId, Vec<ExprId>)>, MemoCtx);
+
+/// One concrete tree to rule-match, with its identity.
+struct Binding {
+    node: PlanNode,
+    key: BindingKey,
 }
 
 /// Counters reported by the explorer.
@@ -79,15 +91,19 @@ pub struct Explorer<'a> {
     rules: &'a RuleSet,
     config: MemoConfig,
     queue: VecDeque<Task>,
-    queued: HashSet<Task>,
-    explored: HashSet<Task>,
+    queued: Set<Task>,
+    explored: Set<Task>,
     /// Reverse dependencies: group → tasks whose bindings draw from it,
     /// in the order they first did, so re-exploration follows the search
     /// and not a hash table's iteration.
-    dependents: HashMap<GroupId, Dependents>,
+    dependents: Map<GroupId, Dependents>,
     /// Bindings already rule-matched (per context): re-explorations after a
     /// group change only pay for combinations involving new members.
-    seen_bindings: HashSet<(PlanNode, MemoCtx)>,
+    seen_bindings: Set<BindingKey>,
+    /// Each member expanded over its grandchild witnesses, built once so
+    /// that the tree, its derived properties and the rewrites sharing it
+    /// are one allocation.
+    expanded: Map<(ExprId, Vec<ExprId>), Arc<PlanNode>>,
     /// Exploration counters.
     pub stats: ExploreStats,
 }
@@ -100,10 +116,11 @@ impl<'a> Explorer<'a> {
             rules,
             config,
             queue: VecDeque::new(),
-            queued: HashSet::new(),
-            explored: HashSet::new(),
-            dependents: HashMap::new(),
-            seen_bindings: HashSet::new(),
+            queued: Set::default(),
+            explored: Set::default(),
+            dependents: Map::default(),
+            seen_bindings: Set::default(),
+            expanded: Map::default(),
             stats: ExploreStats::default(),
         }
     }
@@ -187,8 +204,8 @@ impl<'a> Explorer<'a> {
     /// member's static props per observed snapshot-dup-freedom value (the
     /// only interface bit the flag relaxation reads besides the schema,
     /// which is invariant across a group).
-    fn interface_variants(&mut self, g: GroupId, site: Site) -> Result<Vec<StaticProps>> {
-        let mut variants: Vec<StaticProps> = Vec::new();
+    fn interface_variants(&mut self, g: GroupId, site: Site) -> Result<Vec<Arc<StaticProps>>> {
+        let mut variants: Vec<Arc<StaticProps>> = Vec::new();
         for e in self.memo.members(g) {
             let stat = self.memo.witness_stat(e, site)?;
             if !variants
@@ -238,13 +255,13 @@ impl<'a> Explorer<'a> {
             return Ok(());
         }
         let site = op.child_site(ctx.site);
-        let mut variant_sets: Vec<Vec<StaticProps>> = Vec::with_capacity(child_groups.len());
+        let mut variant_sets: Vec<Vec<Arc<StaticProps>>> = Vec::with_capacity(child_groups.len());
         for &g in child_groups {
             variant_sets.push(self.interface_variants(g, site)?);
         }
         for combo in cross(&variant_sets) {
-            let stats: Vec<StaticProps> = combo.into_iter().cloned().collect();
-            let flags = child_flags(op, ctx.flags, &stats.iter().collect::<Vec<_>>());
+            let stats: Vec<&StaticProps> = combo.into_iter().map(|s| &**s).collect();
+            let flags = child_flags(op, ctx.flags, &stats);
             for (i, f) in flags.into_iter().enumerate() {
                 let cctx = MemoCtx { flags: f, site };
                 for m in self.memo.members(child_groups[i]) {
@@ -267,12 +284,12 @@ impl<'a> Explorer<'a> {
     /// roots.
     fn apply_rules(&mut self, task: Task, op: &PlanNode, child_groups: &[GroupId]) -> Result<()> {
         let ctx = task.ctx;
-        let bindings = self.enumerate_bindings(op, ctx, child_groups)?;
-        for binding in bindings {
-            if !self.seen_bindings.insert((binding.clone(), ctx)) {
+        let bindings = self.enumerate_bindings(task, op, child_groups)?;
+        for Binding { node: binding, key } in bindings {
+            if !self.seen_bindings.insert(key) {
                 continue;
             }
-            let Ok(ann) = annotate_with(&binding, ctx.flags, ctx.site) else {
+            let Ok(ann) = self.annotate_binding(&binding, ctx) else {
                 continue;
             };
             let root_path: Vec<usize> = Vec::new();
@@ -282,20 +299,19 @@ impl<'a> Explorer<'a> {
                     if !applicable(rule.equivalence(), &root_path, &m.matched, &ann) {
                         continue;
                     }
-                    let Ok(cand_ann) = annotate_with(&m.replacement, ctx.flags, ctx.site) else {
+                    let replacement = Arc::new(m.replacement);
+                    let Ok(cand) = self.memo.tree_stat(&replacement, ctx.site) else {
                         continue;
                     };
                     // The enumerator's guard: a snapshot-equivalence rewrite
                     // must not destroy a statically established
                     // snapshot-dup-freedom the surrounding licences rely on.
-                    if rule.equivalence().is_snapshot() {
-                        let was = ann[&root_path].stat.snapshot_dup_free;
-                        let now = cand_ann[&root_path].stat.snapshot_dup_free;
-                        if was && !now {
-                            continue;
-                        }
+                    if rule.equivalence().is_snapshot()
+                        && ann[&root_path].stat.snapshot_dup_free
+                        && !cand.snapshot_dup_free
+                    {
+                        continue;
                     }
-                    let replacement = Arc::new(m.replacement);
                     let Some(derived) = self
                         .memo
                         .insert_subtree(&replacement, self.config.max_exprs)
@@ -317,18 +333,79 @@ impl<'a> Explorer<'a> {
         Ok(())
     }
 
+    /// What `annotate` says of the binding, rooted under `ctx`, at the
+    /// binding's top three levels, the deepest any rule reads or matches:
+    /// the grandchildren are memo witnesses and the children expanded
+    /// members, whose properties the memo derived once, so only the root
+    /// is derived here.
+    fn annotate_binding(&mut self, binding: &PlanNode, ctx: MemoCtx) -> Result<Annotations> {
+        let csite = binding.child_site(ctx.site);
+        let children = binding.children();
+        let mut child_stats = Vec::with_capacity(children.len());
+        let mut grand_stats = Vec::with_capacity(children.len());
+        for child in &children {
+            child_stats.push(self.memo.tree_stat(child, csite)?);
+            let gsite = child.child_site(csite);
+            let grands = child
+                .children()
+                .into_iter()
+                .map(|g| self.memo.tree_stat(g, gsite))
+                .collect::<Result<Vec<_>>>()?;
+            grand_stats.push(grands);
+        }
+        let root = node_stat(binding, &stat_refs(&child_stats), ctx.site)?;
+        let flags = child_flags(binding, ctx.flags, &stat_refs(&child_stats));
+        let mut ann = Annotations::new();
+        for (i, (child, f)) in children.iter().zip(flags).enumerate() {
+            let gsite = child.child_site(csite);
+            let grands = &grand_stats[i];
+            let grand_flags = child_flags(child, f, &stat_refs(grands));
+            for (j, (g, gf)) in grands.iter().zip(grand_flags).enumerate() {
+                let stat = Arc::clone(g);
+                ann.insert(
+                    vec![i, j],
+                    NodeProps {
+                        stat,
+                        flags: gf,
+                        site: gsite,
+                    },
+                );
+            }
+            let stat = Arc::clone(&child_stats[i]);
+            ann.insert(
+                vec![i],
+                NodeProps {
+                    stat,
+                    flags: f,
+                    site: csite,
+                },
+            );
+        }
+        let root = NodeProps {
+            stat: Arc::new(root),
+            flags: ctx.flags,
+            site: ctx.site,
+        };
+        ann.insert(Vec::new(), root);
+        Ok(ann)
+    }
+
     /// Concrete trees whose root is this expression's operator and whose
     /// top two levels range over group members (witnesses below) — the
     /// depth the rule catalogue inspects. Children are filtered by
     /// usability under the context they would occupy.
     fn enumerate_bindings(
         &mut self,
+        task: Task,
         op: &PlanNode,
-        ctx: MemoCtx,
         child_groups: &[GroupId],
-    ) -> Result<Vec<PlanNode>> {
+    ) -> Result<Vec<Binding>> {
+        let Task { expr, ctx } = task;
         if child_groups.is_empty() {
-            return Ok(vec![op.clone()]);
+            return Ok(vec![Binding {
+                node: op.clone(),
+                key: (expr, Vec::new(), ctx),
+            }]);
         }
         let site = op.child_site(ctx.site);
         let mut member_sets: Vec<Vec<ExprId>> = Vec::with_capacity(child_groups.len());
@@ -342,15 +419,19 @@ impl<'a> Explorer<'a> {
             for &m in &members {
                 stats.push(self.memo.witness_stat(m, site)?);
             }
-            let flags = child_flags(op, ctx.flags, &stats.iter().collect::<Vec<_>>());
+            let flags = child_flags(op, ctx.flags, &stat_refs(&stats));
             let mut subtrees: Vec<Arc<PlanNode>> = Vec::with_capacity(members.len());
+            let mut slots = Vec::with_capacity(members.len());
             for (&m, f) in members.iter().zip(flags) {
                 let cctx = MemoCtx { flags: f, site };
                 if !self.memo.exprs[m].usable_under(&cctx) {
                     continue 'combos;
                 }
                 match self.expand_member(m, cctx)? {
-                    Some(trees) => subtrees.push(trees),
+                    Some((tree, picks)) => {
+                        subtrees.push(tree);
+                        slots.push((m, picks));
+                    }
                     None => continue 'combos,
                 }
             }
@@ -359,32 +440,38 @@ impl<'a> Explorer<'a> {
                 break;
             }
             self.stats.bindings += 1;
-            out.push(op.with_children(subtrees)?);
+            out.push(Binding {
+                node: op.with_children(subtrees)?,
+                key: (expr, slots, ctx),
+            });
         }
         Ok(out)
     }
 
     /// A member as a concrete subtree for binding purposes: its own
-    /// operator over child-group *witnesses*. Returns `None` when a
-    /// grandchild slot has no usable member.
+    /// operator over child-group *witnesses*, with the witnesses' ids.
+    /// Returns `None` when a grandchild slot has no usable member.
     ///
     /// Grandchildren use one representative witness rather than ranging
     /// over members: rules read grandchild *properties* (not deeper
     /// structure), and property variants surface through the re-exploration
     /// a dirtied group triggers, where each new member becomes the witness
     /// of its own expression.
-    fn expand_member(&mut self, m: ExprId, ctx: MemoCtx) -> Result<Option<Arc<PlanNode>>> {
+    fn expand_member(
+        &mut self,
+        m: ExprId,
+        ctx: MemoCtx,
+    ) -> Result<Option<(Arc<PlanNode>, Vec<ExprId>)>> {
         let op = Arc::clone(&self.memo.exprs[m].op);
         let gchild_groups: Vec<GroupId> = {
             let gs = self.memo.exprs[m].children.clone();
             gs.into_iter().map(|g| self.memo.find(g)).collect()
         };
         if gchild_groups.is_empty() {
-            return Ok(Some(op));
+            return Ok(Some((op, Vec::new())));
         }
         let site = op.child_site(ctx.site);
-        let mut chosen: Vec<Arc<PlanNode>> = Vec::with_capacity(gchild_groups.len());
-        let mut stats: Vec<StaticProps> = Vec::with_capacity(gchild_groups.len());
+        let mut stats: Vec<Arc<StaticProps>> = Vec::with_capacity(gchild_groups.len());
         let mut picks: Vec<ExprId> = Vec::with_capacity(gchild_groups.len());
         for &g in &gchild_groups {
             // Representative: the first member (the original subtree at
@@ -395,16 +482,34 @@ impl<'a> Explorer<'a> {
             stats.push(self.memo.witness_stat(first, site)?);
             picks.push(first);
         }
-        let flags = child_flags(&op, ctx.flags, &stats.iter().collect::<Vec<_>>());
+        let flags = child_flags(&op, ctx.flags, &stat_refs(&stats));
         for (&p, f) in picks.iter().zip(flags) {
             let cctx = MemoCtx { flags: f, site };
             if !self.memo.exprs[p].usable_under(&cctx) {
                 return Ok(None);
             }
-            chosen.push(Arc::clone(&self.memo.exprs[p].witness));
         }
-        Ok(Some(Arc::new(op.with_children(chosen)?)))
+        let key = (m, picks);
+        let tree = match self.expanded.get(&key) {
+            Some(tree) => Arc::clone(tree),
+            None => {
+                let witnesses = key
+                    .1
+                    .iter()
+                    .map(|&p| Arc::clone(&self.memo.exprs[p].witness));
+                let tree = Arc::new(op.with_children(witnesses.collect())?);
+                self.expanded.insert(key.clone(), Arc::clone(&tree));
+                tree
+            }
+        };
+        Ok(Some((tree, key.1)))
     }
+}
+
+/// Borrow shared properties as the slice [`child_flags`] and
+/// [`node_stat`] take.
+pub(crate) fn stat_refs(stats: &[Arc<StaticProps>]) -> Vec<&StaticProps> {
+    stats.iter().map(|s| &**s).collect()
 }
 
 /// Iterate the cross product of several slices (empty product = one empty

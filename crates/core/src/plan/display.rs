@@ -111,7 +111,7 @@ pub fn explain_with_cost(plan: &LogicalPlan, model: &CostModel) -> Result<String
             .map(|i| {
                 let mut p = path.clone();
                 p.push(i);
-                &ann[&p].stat
+                &*ann[&p].stat
             })
             .collect();
         let cost = model.estimate_node(node, &props.stat, &child_stats, props.site);

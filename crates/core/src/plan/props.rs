@@ -35,7 +35,7 @@ use crate::stats::{self, ColumnEstimate, DerivedStats, TableSummary};
 
 /// Statically declared properties of a base relation, carried by `Scan`
 /// nodes so plans are self-contained.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BaseProps {
     /// The stored relation's schema.
     pub schema: Schema,
@@ -53,6 +53,20 @@ pub struct BaseProps {
     /// declared-only plans, in which case every estimate degrades to the
     /// constant-factor guesses and `card`.
     pub stats: Option<Arc<TableSummary>>,
+}
+
+/// Hashes everything but the statistics summary: equal props hash
+/// equally still, and the optimizer's hash-consing of plan trees no longer
+/// walks every scan's histograms.
+impl std::hash::Hash for BaseProps {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.schema.hash(state);
+        self.order.hash(state);
+        self.dup_free.hash(state);
+        self.snapshot_dup_free.hash(state);
+        self.coalesced.hash(state);
+        self.card.hash(state);
+    }
 }
 
 impl BaseProps {
@@ -211,8 +225,9 @@ impl PropsFlags {
 /// Everything known about one plan node.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeProps {
-    /// Bottom-up output properties (Table 1).
-    pub stat: StaticProps,
+    /// Bottom-up output properties (Table 1), shared: the memo annotates
+    /// many bindings over the same subtrees.
+    pub stat: Arc<StaticProps>,
     /// Top-down operation-property demands (Table 2).
     pub flags: PropsFlags,
     /// The execution site.
@@ -223,27 +238,15 @@ pub struct NodeProps {
 pub type Annotations = HashMap<Path, NodeProps>;
 
 /// Annotate every node of a plan with static properties, operation
-/// properties, and execution site.
+/// properties, and execution site. (The memo derives the same properties
+/// tree by tree, `Memo::tree_stat`, and a binding's top levels from them.)
 pub fn annotate(plan: &LogicalPlan) -> Result<Annotations> {
+    let root = &*plan.root;
     let root_flags = PropsFlags::for_result_type(&plan.result_type);
-    annotate_with(&plan.root, root_flags, plan.root_site)
-}
-
-/// Annotate a subtree as if it were rooted at a location with the given
-/// operation-property `root_flags` and execution `root_site`.
-///
-/// `annotate` is the whole-plan special case (root flags from the query's
-/// result type); the memo optimizer uses this form directly, treating each
-/// group's context as the root of its extracted fragment.
-pub fn annotate_with(
-    root: &PlanNode,
-    root_flags: PropsFlags,
-    root_site: Site,
-) -> Result<Annotations> {
     let mut out: HashMap<Path, NodeProps> = HashMap::new();
 
     // Pass 1: sites, top-down.
-    let sites: HashMap<Path, Site> = root.sites(root_site).into_iter().collect();
+    let sites: HashMap<Path, Site> = root.sites(plan.root_site).into_iter().collect();
 
     // Pass 2: static props, bottom-up.
     let mut stats: HashMap<Path, StaticProps> = HashMap::new();
@@ -269,7 +272,14 @@ pub fn annotate_with(
             .remove(&path)
             .expect("static props computed for every node");
         let site = sites[&path];
-        out.insert(path, NodeProps { stat, flags, site });
+        out.insert(
+            path,
+            NodeProps {
+                stat: Arc::new(stat),
+                flags,
+                site,
+            },
+        );
     }
     Ok(out)
 }
@@ -289,16 +299,28 @@ fn compute_static(
         path.pop();
     }
 
-    let mut props = derive_one(node, &child_props)?;
+    let children: Vec<&StaticProps> = child_props.iter().collect();
+    let props = node_stat(node, &children, sites[path.as_slice()])?;
+    out.insert(path.clone(), props.clone());
+    Ok(props)
+}
 
-    // §4.5: results produced inside the DBMS have no guaranteed order —
-    // "we cannot be sure how the DBMS implementation of the operation will
-    // sort its result, operation sort being the only exception".
-    if sites[path.as_slice()] == Site::Dbms && !matches!(node, PlanNode::Sort { .. }) {
+/// One node's static properties at execution site `site`, from its
+/// children's: Table 1 ([`derive_one`]), then §4.5's erasure — results
+/// produced inside the DBMS have no guaranteed order ("we cannot be sure
+/// how the DBMS implementation of the operation will sort its result,
+/// operation sort being the only exception"). `pub(crate)` so the memo
+/// derives the properties of its trees and of the plans it composes with
+/// the same rules.
+pub(crate) fn node_stat(
+    node: &PlanNode,
+    child: &[&StaticProps],
+    site: Site,
+) -> Result<StaticProps> {
+    let mut props = derive_one(node, child)?;
+    if site == Site::Dbms && !matches!(node, PlanNode::Sort { .. }) {
         props.order = Order::unordered();
     }
-
-    out.insert(path.clone(), props.clone());
     Ok(props)
 }
 
@@ -309,9 +331,8 @@ pub fn scaled_rows(rows: u64, fraction: f64) -> u64 {
     ((rows as f64 * fraction) as u64).max(1)
 }
 
-/// Table 1, one operation at a time. `pub(crate)` so the memo optimizer's
-/// extraction derives composed-plan properties with the same rules.
-pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<StaticProps> {
+/// Table 1, one operation at a time.
+fn derive_one(node: &PlanNode, child: &[&StaticProps]) -> Result<StaticProps> {
     Ok(match node {
         PlanNode::Scan { base, .. } => StaticProps {
             schema: base.schema.clone(),
@@ -334,7 +355,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         },
 
         PlanNode::Select { predicate, .. } => {
-            let c = &child[0];
+            let c = child[0];
             let sel = stats::selectivity(predicate, &c.schema, &c.stats);
             let rows = scaled_rows(c.stats.rows, sel);
             StaticProps {
@@ -348,7 +369,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Project { items, .. } => {
-            let c = &child[0];
+            let c = child[0];
             let schema = project_schema(&c.schema, items)?;
             // Only identity pass-through items keep their order key alive.
             let kept: Vec<String> = items
@@ -397,7 +418,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::UnionAll { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             c1.schema
                 .check_union_compatible(&c2.schema, "union ALL plan")?;
             let rows = c1.stats.rows.saturating_add(c2.stats.rows);
@@ -423,7 +444,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Product { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             let schema = product_schema(&c1.schema, &c2.schema)?;
             let dup_free = c1.dup_free && c2.dup_free;
             let rows = c1.stats.rows.saturating_mul(c2.stats.rows);
@@ -452,7 +473,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Difference { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             c1.schema
                 .check_union_compatible(&c2.schema, "difference plan")?;
             let temporal_in = c1.schema.is_temporal();
@@ -485,7 +506,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Aggregate { group_by, aggs, .. } => {
-            let c = &child[0];
+            let c = child[0];
             let schema = aggregate_schema(&c.schema, group_by, aggs)?;
             let kept: Vec<String> = group_by.iter().map(|g| demote_name(g)).collect();
             // Groups = product of group-column distinct counts when all are
@@ -534,7 +555,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Rdup { .. } => {
-            let c = &child[0];
+            let c = child[0];
             let temporal_in = c.schema.is_temporal();
             let schema = if temporal_in {
                 c.schema.demote_time_attrs()
@@ -565,7 +586,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::UnionMax { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             c1.schema.check_union_compatible(&c2.schema, "union plan")?;
             let temporal_in = c1.schema.is_temporal();
             let schema = if temporal_in {
@@ -597,7 +618,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Sort { order, .. } => {
-            let c = &child[0];
+            let c = child[0];
             for key in order.keys() {
                 c.schema.resolve(&key.attr)?;
             }
@@ -619,7 +640,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Limit { limit, offset, .. } => {
-            let c = &child[0];
+            let c = child[0];
             // Truncation keeps a contiguous prefix: order, duplicate-freedom,
             // and coalescing of the argument survive; cardinality is capped.
             let avail = c.stats.rows.saturating_sub(*offset as u64);
@@ -639,7 +660,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::ProductT { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             let schema = product_t_schema(&c1.schema, &c2.schema)?;
             // Pairing probability from the time ranges and mean durations
             // when both sides have them; the paper-era half otherwise.
@@ -680,7 +701,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::DifferenceT { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             if !c1.schema.is_temporal() || !c2.schema.is_temporal() {
                 return Err(Error::NotTemporal {
                     context: "temporal difference plan",
@@ -714,7 +735,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::AggregateT { group_by, aggs, .. } => {
-            let c = &child[0];
+            let c = child[0];
             let schema = aggregate_t_schema(&c.schema, group_by, aggs)?;
             let rows = c.stats.rows.saturating_mul(2).max(1);
             StaticProps {
@@ -735,20 +756,18 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::RdupT { .. } => {
-            let c = &child[0];
+            let c = child[0];
             if !c.schema.is_temporal() {
                 return Err(Error::NotTemporal {
                     context: "rdupT plan",
                 });
             }
-            // On a snapshot-duplicate-free input `rdupᵀ` is the identity;
-            // otherwise the Changeᵀ arithmetic can split every tuple once.
-            let identity = c.snapshot_dup_free || c.stats.overlap == Some(1);
-            let rows = if identity {
-                c.stats.rows.max(1)
-            } else {
-                c.stats.rows.saturating_mul(2).max(1)
-            };
+            // One fragment per input tuple: on a snapshot-duplicate-free
+            // input `rdupᵀ` is the identity, and otherwise the fragments a
+            // split adds are about as many as the overlapped tuples it
+            // empties (BENCH_exec's `estimation` block read q-error 2.20
+            // while this doubled the input).
+            let rows = c.stats.rows.max(1);
             let mut stats = c.stats.scaled_to(rows);
             stats.rows = rows;
             stats.distinct_rows = rows;
@@ -764,7 +783,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::UnionT { .. } => {
-            let (c1, c2) = (&child[0], &child[1]);
+            let (c1, c2) = (child[0], child[1]);
             if !c1.schema.is_temporal() || !c2.schema.is_temporal() {
                 return Err(Error::NotTemporal {
                     context: "temporal union plan",
@@ -801,7 +820,7 @@ pub(crate) fn derive_one(node: &PlanNode, child: &[StaticProps]) -> Result<Stati
         }
 
         PlanNode::Coalesce { .. } => {
-            let c = &child[0];
+            let c = child[0];
             if !c.schema.is_temporal() {
                 return Err(Error::NotTemporal {
                     context: "coalescing plan",

@@ -195,8 +195,9 @@ pub struct ColumnSummary {
     pub min: Option<Value>,
     /// Largest non-null value.
     pub max: Option<Value>,
-    /// Equi-depth histogram of the non-null values, when measured.
-    pub histogram: Option<Histogram>,
+    /// Equi-depth histogram of the non-null values, when measured; shared
+    /// with every estimate a plan derives from it.
+    pub histogram: Option<Arc<Histogram>>,
 }
 
 /// Measured statistics of one stored relation, attached to `Scan` nodes so
@@ -372,7 +373,7 @@ impl TableSummary {
                 nulls,
                 min: values.first().cloned(),
                 max: values.last().cloned(),
-                histogram: Histogram::from_sorted(&values, HISTOGRAM_BUCKETS),
+                histogram: Histogram::from_sorted(&values, HISTOGRAM_BUCKETS).map(Arc::new),
             });
         }
         let profile = RelationProfile::measure(relation)?;
@@ -428,7 +429,7 @@ impl ColumnEstimate {
             nulls: Some(s.nulls),
             min: s.min.clone(),
             max: s.max.clone(),
-            histogram: s.histogram.clone().map(Arc::new),
+            histogram: s.histogram.clone(),
         }
     }
 

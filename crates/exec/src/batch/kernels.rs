@@ -51,19 +51,19 @@ const NONE: u32 = u32::MAX;
 /// Stable sort permutation of `input` under `order` (ties keep input
 /// order, matching the interpreter's stable `sort_by`).
 pub fn sort_indices(input: &ColumnarRelation, order: &Order) -> Result<Vec<u32>> {
-    let keys = SortKeys::new(input, order)?;
-    let mut idx: Vec<u32> = (0..input.rows() as u32).collect();
-    keys.sort(&mut idx);
-    Ok(idx)
+    Ok(SortKeys::new(input, order, None)?.sort())
 }
 
 /// Precomputed sort state shared by [`sort_indices`] and the pipeline's
-/// fused selection sort: per-row normalized `u64` prefixes of the primary
-/// key (unsigned ascending order never contradicting the full comparator
-/// — see [`Column::sort_prefixes`]) plus the resolved key list for
-/// refinement.
+/// fused selection sort: normalized `u64` prefixes of the primary key for
+/// the rows being sorted (unsigned ascending order never contradicting
+/// the full comparator — see [`Column::sort_prefixes`]) plus the resolved
+/// key list for refinement.
 pub(super) struct SortKeys<'a> {
     input: &'a ColumnarRelation,
+    /// The rows to sort, strictly ascending (every row when `None`).
+    /// Prefixes are built for these rows only, and indexed by position.
+    rows: Option<&'a [u32]>,
     keys: Vec<(usize, SortDir)>,
     prefixes: Vec<u64>,
     /// Prefix order fully decides the primary key (equal prefixes mean
@@ -72,15 +72,22 @@ pub(super) struct SortKeys<'a> {
 }
 
 impl<'a> SortKeys<'a> {
-    pub fn new(input: &'a ColumnarRelation, order: &Order) -> Result<SortKeys<'a>> {
+    /// Sort state for `rows` of `input` (every row when `None`); `rows`
+    /// must be strictly ascending, so position order is stream order.
+    pub fn new(
+        input: &'a ColumnarRelation,
+        order: &Order,
+        rows: Option<&'a [u32]>,
+    ) -> Result<SortKeys<'a>> {
         let mut keys = Vec::with_capacity(order.keys().len());
         for k in order.keys() {
             keys.push((input.schema().resolve(&k.attr)?, k.dir));
         }
+        let n = rows.map_or(input.rows(), <[u32]>::len);
         let (prefixes, exact0) = match keys.first() {
-            None => (vec![0u64; input.rows()], true),
+            None => (vec![0u64; n], true),
             Some(&(c, dir)) => {
-                let (mut p, exact) = input.column(c).sort_prefixes();
+                let (mut p, exact) = input.column(c).sort_prefixes(rows);
                 if dir == SortDir::Desc {
                     // Complementing inverts the whole prefix order,
                     // null placement included (null-first → null-last,
@@ -94,63 +101,76 @@ impl<'a> SortKeys<'a> {
         };
         Ok(SortKeys {
             input,
+            rows,
             keys,
             prefixes,
             exact0,
         })
     }
 
-    /// Stable-sort ascending row ids (`0..n`, or a fused selection
-    /// vector): radix-scatter `(prefix, id)` pairs by the top prefix byte,
-    /// sort each bucket unstably on the pair — the id component *is* the
-    /// stability tie-break — then refine equal-prefix runs with the
-    /// remaining comparator. Equal-prefix runs never span a radix bucket,
-    /// so the refinement scan walks the buckets' concatenation directly.
-    /// The later keys' prefixes are computed on the first run that needs
-    /// refining.
-    pub fn sort(&self, idx: &mut [u32]) {
-        if idx.len() < 2 || self.keys.is_empty() {
-            return;
-        }
-        let mut pairs: Vec<(u64, u32)> = idx
-            .iter()
-            .map(|&i| (self.prefixes[i as usize], i))
-            .collect();
-        radix_sort_pairs(&mut pairs);
-        for (slot, &(_, i)) in idx.iter_mut().zip(pairs.iter()) {
-            *slot = i;
-        }
-        if self.exact0 && self.keys.len() == 1 {
-            return;
-        }
-        let mut later: Option<Vec<(Vec<u64>, bool)>> = None;
-        let mut start = 0;
-        while start < pairs.len() {
-            let p = pairs[start].0;
-            let mut end = start + 1;
-            while end < pairs.len() && pairs[end].0 == p {
-                end += 1;
-            }
-            if end - start > 1 {
-                let later = later.get_or_insert_with(|| {
-                    self.keys[1..]
-                        .iter()
-                        .map(|&(c, _)| self.input.column(c).sort_prefixes())
-                        .collect()
-                });
-                idx[start..end].sort_by(|&a, &b| self.cmp_tied(later, a, b));
-            }
-            start = end;
-        }
+    /// The row at position `k` of the rows being sorted.
+    #[inline]
+    fn row(&self, k: u32) -> u32 {
+        self.rows.map_or(k, |rows| rows[k as usize])
     }
 
-    /// Compare two rows whose primary prefixes tie, matching the
-    /// interpreter's comparator exactly (`cmp_at` per key, `reverse` on
-    /// descending). An inexact primary key compares by value; each later
-    /// key by its prefixes (`later`, parallel to `keys[1..]`), and by
-    /// value only where they tie inexactly.
+    /// The stable sort of the rows, as row ids: radix-scatter `(prefix,
+    /// position)` pairs by the top prefix byte, sort each bucket unstably
+    /// on the pair — the position component *is* the stability tie-break
+    /// — then refine equal-prefix runs with the remaining comparator.
+    /// Equal-prefix runs never span a radix bucket, so the refinement scan
+    /// walks the buckets' concatenation directly. The later keys' prefixes
+    /// are computed on the first run that needs refining.
+    pub fn sort(&self) -> Vec<u32> {
+        let mut pairs: Vec<(u64, u32)> = self
+            .prefixes
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| (p, k as u32))
+            .collect();
+        if pairs.len() > 1 && !self.keys.is_empty() {
+            radix_sort_pairs(&mut pairs);
+        }
+        let mut idx: Vec<u32> = pairs.iter().map(|&(_, k)| k).collect();
+        // Refine equal-prefix runs, unless the prefixes decide the order.
+        let decided = self.keys.is_empty() || (self.exact0 && self.keys.len() == 1);
+        if !decided {
+            let mut later: Option<Vec<(Vec<u64>, bool)>> = None;
+            let mut start = 0;
+            while start < pairs.len() {
+                let p = pairs[start].0;
+                let mut end = start + 1;
+                while end < pairs.len() && pairs[end].0 == p {
+                    end += 1;
+                }
+                if end - start > 1 {
+                    let later = later.get_or_insert_with(|| {
+                        self.keys[1..]
+                            .iter()
+                            .map(|&(c, _)| self.input.column(c).sort_prefixes(self.rows))
+                            .collect()
+                    });
+                    idx[start..end].sort_by(|&a, &b| self.cmp_tied(later, a, b));
+                }
+                start = end;
+            }
+        }
+        if self.rows.is_some() {
+            for k in idx.iter_mut() {
+                *k = self.row(*k);
+            }
+        }
+        idx
+    }
+
+    /// Compare the rows at two positions whose primary prefixes tie,
+    /// matching the interpreter's comparator exactly (`cmp_at` per key,
+    /// `reverse` on descending). An inexact primary key compares by value;
+    /// each later key by its prefixes (`later`, parallel to `keys[1..]`),
+    /// and by value only where they tie inexactly.
     #[inline]
     fn cmp_tied(&self, later: &[(Vec<u64>, bool)], a: u32, b: u32) -> Ordering {
+        let (ra, rb) = (self.row(a) as usize, self.row(b) as usize);
         let (a, b) = (a as usize, b as usize);
         let directed = |ord: Ordering, dir: SortDir| match dir {
             SortDir::Asc => ord,
@@ -159,7 +179,7 @@ impl<'a> SortKeys<'a> {
         if !self.exact0 {
             let (c, dir) = self.keys[0];
             let col = self.input.column(c);
-            let ord = directed(col.cmp_at(a, col, b), dir);
+            let ord = directed(col.cmp_at(ra, col, rb), dir);
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -168,7 +188,7 @@ impl<'a> SortKeys<'a> {
             let ord = match prefixes[a].cmp(&prefixes[b]) {
                 Ordering::Equal if !exact => {
                     let col = self.input.column(c);
-                    col.cmp_at(a, col, b)
+                    col.cmp_at(ra, col, rb)
                 }
                 ord => ord,
             };
@@ -1663,6 +1683,80 @@ mod tests {
                 .collect();
             let got = ColumnarRelation::new(c.schema().clone(), cols).to_relation();
             assert_eq!(got, ops::sort(&r, &order).unwrap(), "{order:?}");
+        }
+    }
+
+    /// The fused sort builds prefixes for the selected rows only; its
+    /// permutation must be the one `sort_indices` gives the compacted
+    /// selection, mapped back to row ids: ascending and descending,
+    /// several keys, NULLs and long strings, sparse and dense selections.
+    #[test]
+    fn the_fused_selection_sort_matches_sorting_the_compacted_rows() {
+        use tqo_core::sortspec::SortKey;
+        use tqo_core::value::Value;
+        let words = [
+            "a somewhat longer key",
+            "a somewhat longer kex",
+            "b",
+            "a",
+            "",
+        ];
+        let rows: Vec<Tuple> = (0..500i64)
+            .map(|i| {
+                let a = if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int((i * 7919) % 13 - 6)
+                };
+                let b = match i % 9 {
+                    8 => Value::Null,
+                    k => Value::from(words[k as usize % words.len()]),
+                };
+                Tuple::new(vec![a, b, Value::Float(((i * 31) % 17) as f64 - 8.5)])
+            })
+            .collect();
+        let r = Relation::new(
+            Schema::of(&[
+                ("A", DataType::Int),
+                ("B", DataType::Str),
+                ("F", DataType::Float),
+            ]),
+            rows,
+        )
+        .unwrap();
+        let c = cr(&r);
+        let sparse: Vec<u32> = (0..500).filter(|i| i % 37 == 3).collect();
+        let dense: Vec<u32> = (0..500).filter(|i| i % 5 != 0).collect();
+        let single: Vec<u32> = vec![42];
+        for keys in [
+            vec![SortKey::asc("A")],
+            vec![SortKey::desc("A")],
+            vec![SortKey::desc("B"), SortKey::asc("A")],
+            vec![SortKey::asc("F"), SortKey::desc("B"), SortKey::desc("A")],
+            vec![],
+        ] {
+            let order = Order::new(keys);
+            for sel in [&sparse, &dense, &single] {
+                let fused = SortKeys::new(&c, &order, Some(sel)).unwrap().sort();
+                let compact_cols = c
+                    .columns()
+                    .iter()
+                    .map(|col| Arc::new(col.gather(sel)))
+                    .collect();
+                let compact = ColumnarRelation::new(c.schema().clone(), compact_cols);
+                let expected: Vec<u32> = sort_indices(&compact, &order)
+                    .unwrap()
+                    .into_iter()
+                    .map(|k| sel[k as usize])
+                    .collect();
+                assert_eq!(fused, expected, "{order:?}, {} selected", sel.len());
+            }
+            let all: Vec<u32> = (0..500).collect();
+            assert_eq!(
+                SortKeys::new(&c, &order, Some(&all)).unwrap().sort(),
+                sort_indices(&c, &order).unwrap(),
+                "{order:?}, every row selected"
+            );
         }
     }
 

@@ -643,26 +643,23 @@ impl BlockingOp {
     /// The sort breaker, with the fused selection-into-breaker path: when
     /// the drained batches are all views over one shared set of columns
     /// (a scan/filter/project pipeline), the selection vector feeds the
-    /// sort directly — prefixes are built over the shared columns, the
-    /// selection ids are sorted in place, and the result is emitted as
-    /// selection views over those same columns. No compacted intermediate
-    /// is ever built, so the budget is charged for what is actually
-    /// allocated: the prefix buffer and the permutation.
+    /// sort directly — prefixes are built for the selected rows only, the
+    /// selected ids are sorted, and the result is emitted as selection
+    /// views over those same columns. No compacted intermediate is ever
+    /// built, so the budget is charged for what is actually allocated:
+    /// the prefixes and pairs of the kept rows, and the permutation.
     fn compute_sort(&mut self, order: &Order) -> Result<()> {
         let schema = self.in_schemas[0].clone();
         let batches = drain_batches(&mut self.children[0])?;
         if let Some((columns, sel)) = super::shared_selection(&batches) {
             if sel.as_deref().is_none_or(is_ascending) {
                 let input = ColumnarRelation::new(schema, columns);
-                let mut idx = match sel {
-                    Some(s) => s,
-                    None => (0..input.rows() as u32).collect(),
-                };
-                // Charge the sort's working state (prefixes + pairs) for
-                // the kernel's duration, then the permutation until close.
-                let _work_reserved = context::reserve_current(input.rows() * 8 + idx.len() * 12)?;
-                let keys = kernels::SortKeys::new(&input, order)?;
-                keys.sort(&mut idx);
+                let kept = sel.as_ref().map_or(input.rows(), Vec::len);
+                // Charge the sort's working state (a prefix and a
+                // (prefix, position) pair per kept row) for the kernel's
+                // duration, then the permutation until close.
+                let _work_reserved = context::reserve_current(kept * (8 + 16))?;
+                let idx = kernels::SortKeys::new(&input, order, sel.as_deref())?.sort();
                 self.reserved = context::reserve_current(idx.len() * 4)?;
                 self.perm = Some(idx);
                 self.out = Some(input);

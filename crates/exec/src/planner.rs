@@ -91,7 +91,7 @@ fn collect_facts(
     };
     facts.push(NodeFacts {
         rows: Some(rows),
-        schema: Arc::new(stat.schema),
+        schema: Arc::new(stat.schema.clone()),
         keys,
     });
 }

@@ -2,8 +2,10 @@
 //! mixed read+mutation workload at 1, 8, and 64 concurrent clients and
 //! writes `BENCH_serve.json` (sustained QPS, p50/p99 latency, error
 //! counts, and the server's plan-cache hits and misses per level, next to
-//! the query-pool size that bounds the misses: writes keep plans, so each
-//! client session compiles each pool statement at most once).
+//! the query-pool size that bounds the misses: writes that move no base
+//! property keep plans, so each client session plans each pool statement
+//! at most once; and how many of those misses chose a plan other than the
+//! compiled one, and how many searches a budget cut short).
 //!
 //! Each client thread is closed-loop: connect once, then issue requests
 //! back to back for the measured window — ~87% queries drawn round-robin
@@ -201,6 +203,8 @@ fn main() {
         let cache_after = server.plan_cache();
         let hits = cache_after.hits - cache_before.hits;
         let misses = cache_after.misses - cache_before.misses;
+        let optimized = cache_after.optimized - cache_before.optimized;
+        let truncated = cache_after.truncated - cache_before.truncated;
         let qps: Vec<f64> = windows.iter().map(|w| w.qps).collect();
         let (lo, hi) = qps.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &q| {
             (lo.min(q), hi.max(q))
@@ -217,7 +221,8 @@ fn main() {
             "serve-bench: {clients:>2} client(s): {ops} ops in {WINDOWS} windows \
              -> median {qps:.0} qps ({lo:.0}–{hi:.0}), p50 {p50} us, p99 {p99} us \
              ({mutations} mutation pairs, {rejected} rejected, {errors} errors; \
-             plan cache {hits} hits, {misses} misses)"
+             plan cache {hits} hits, {misses} misses, {optimized} optimized, \
+             {truncated} truncated)"
         );
         if li > 0 {
             levels_json.push_str(",\n");
@@ -228,7 +233,8 @@ fn main() {
              \"qps\": {qps:.1}, \"qps_min\": {lo:.1}, \"qps_max\": {hi:.1}, \
              \"p50_us\": {p50}, \"p99_us\": {p99}, \
              \"admission_rejected\": {rejected}, \"errors\": {errors}, \
-             \"plan_cache_hits\": {hits}, \"plan_cache_misses\": {misses}}}"
+             \"plan_cache_hits\": {hits}, \"plan_cache_misses\": {misses}, \
+             \"plan_cache_optimized\": {optimized}, \"plan_cache_truncated\": {truncated}}}"
         )
         .expect("format level");
     }

@@ -1,17 +1,29 @@
-//! Prepared plans: the server-wide cache of lowered plans.
+//! Prepared plans: the server-wide cache of optimized, lowered plans.
 //!
-//! A served plan is fixed by the statement text and by the schemas of the
-//! tables it binds, and by nothing else a write can change: lowering reads
-//! no Table 2 property, and execution reads its data only from the pinned
-//! snapshot's environment and reads no estimate. So an entry is the
-//! statement's exact bytes, the `(name, schema)` of every table its plan
-//! scans, and the lowered plan. A lookup hits when every one of those
-//! tables has the same schema in the query's own snapshot, and the plan
-//! then runs on that snapshot's data, so its rows are those a fresh
-//! `compile` + `lower` would give. A sequenced write keeps every entry; a
-//! dropped table, or one registered again with another schema, misses.
-//! Only the reused plan's row estimates describe the version it was
-//! compiled on.
+//! A miss plans a statement the way the paper does: compile, then the memo
+//! search of Figure 5's rules gated by Table 2's properties
+//! ([`optimize_and_lower`]: calibrated costs, the default budgets, no
+//! wall-clock cut, so a statement plans alike every time), then lower.
+//! The search is paid once per statement and session; every hit after it
+//! runs the chosen plan.
+//!
+//! A served plan is fixed by the statement text and, for every table it
+//! scans, by two things a table can change: the schema the plan is typed
+//! against, and Table 2's base properties (duplicate-freedom,
+//! snapshot-duplicate-freedom, coalescedness, order), which license the
+//! rewrites the search chose — a plan that dropped an `rdupᵀ` because its
+//! input was snapshot-duplicate-free is wrong on an input that is not.
+//! Lowering reads neither beyond that, and execution reads its data only
+//! from the pinned snapshot's environment and reads no estimate. So an
+//! entry is the statement's exact bytes, the `(name, schema, base
+//! properties)` of every table its plan scans, and the lowered plan. A
+//! lookup hits when every one of those tables has the same schema and
+//! base properties in the query's own snapshot, and the plan then runs on
+//! that snapshot's data, so its rows are those a fresh compile, optimize
+//! and lower would give. A sequenced write that leaves every property
+//! alone keeps every entry; one that flips a property, a dropped table, or
+//! one registered again with another schema, misses. Only the reused
+//! plan's row estimates describe the version it was planned on.
 //!
 //! The cache holds no table, so it pins no version's columns; a plan pins
 //! only the small statistics summary its scans were estimated from.
@@ -21,26 +33,63 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, ThreadId};
 
 use tqo_core::error::Result;
-use tqo_core::plan::PlanNode;
+use tqo_core::plan::{BaseProps, PlanNode};
+use tqo_core::rules::RuleSet;
 use tqo_core::schema::Schema;
+use tqo_core::sortspec::Order;
 use tqo_core::trace::{self, counters, Category};
-use tqo_exec::{lower, PhysicalPlan, PlannerConfig};
+use tqo_exec::planner::optimize_and_lower;
+use tqo_exec::{PhysicalPlan, PlannerConfig};
 use tqo_storage::Catalog;
 
 /// Most statements a server keeps an entry for. A new statement at the cap
 /// evicts an arbitrary entry; an entry holds a plan and its scans'
-/// schemas, never relation data.
+/// schemas and base properties, never relation data.
 pub const PLAN_CACHE_CAPACITY: usize = 256;
 
-/// The `(name, schema)` of every table a plan scans, sorted and unique.
-type Schemas = Vec<(String, Arc<Schema>)>;
+/// Table 2's base properties of one scanned table: what licenses the
+/// rewrites a served plan was chosen under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Licences {
+    dup_free: bool,
+    snapshot_dup_free: bool,
+    coalesced: bool,
+    order: Order,
+}
+
+impl Licences {
+    fn of(props: &BaseProps) -> Licences {
+        Licences {
+            dup_free: props.dup_free,
+            snapshot_dup_free: props.snapshot_dup_free,
+            coalesced: props.coalesced,
+            order: props.order.clone(),
+        }
+    }
+
+    fn hold_for(&self, props: &BaseProps) -> bool {
+        self.dup_free == props.dup_free
+            && self.snapshot_dup_free == props.snapshot_dup_free
+            && self.coalesced == props.coalesced
+            && self.order == props.order
+    }
+}
+
+/// What a plan binds of one table it scans.
+#[derive(Debug, Clone)]
+struct Bound {
+    name: String,
+    schema: Arc<Schema>,
+    licences: Licences,
+}
 
 struct Entry {
-    schemas: Schemas,
+    /// Every table the plan scans, sorted by name and unique.
+    bound: Vec<Bound>,
     plan: Arc<PhysicalPlan>,
     /// The session thread that compiled it: the entry lives no longer than
     /// that session ([`PlanCache::end_session`]).
@@ -52,34 +101,45 @@ struct Entry {
 pub struct PlanCacheStats {
     /// Lookups answered by a cached plan.
     pub hits: u64,
-    /// Lookups that compiled (no entry, or an entry of other schemas).
+    /// Lookups that planned (no entry, or an entry bound to other schemas
+    /// or base properties).
     pub misses: u64,
+    /// Misses whose optimized plan differs from the compiled one.
+    pub optimized: u64,
+    /// Misses whose search a budget stopped before it closed.
+    pub truncated: u64,
     /// Statements the cache holds an entry for now.
     pub entries: usize,
 }
 
-/// The cache: one entry per statement text, for the schemas it was last
-/// compiled against.
+/// The cache: one entry per statement text, for the tables it was last
+/// planned against.
 #[derive(Default)]
 pub(crate) struct PlanCache {
     entries: Mutex<HashMap<String, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    optimized: AtomicU64,
+    truncated: AtomicU64,
+}
+
+/// The rules every served plan is searched under, built once.
+fn rules() -> &'static RuleSet {
+    static RULES: OnceLock<RuleSet> = OnceLock::new();
+    RULES.get_or_init(RuleSet::standard)
 }
 
 impl PlanCache {
     /// The lowered plan of `sql` on `snapshot`: the cached one when every
-    /// table it scans has the schema it was compiled against, else a fresh
-    /// `compile` + `lower`, kept if it succeeds. Compiling runs outside the
-    /// lock, so two sessions that miss on one statement may both compile
-    /// it; the later insert wins.
+    /// table it scans has the schema and base properties it was planned
+    /// against, else a fresh compile, optimize and lower, kept if it
+    /// succeeds. Planning runs outside the lock, so two sessions that miss
+    /// on one statement may both plan it; the later insert wins. A miss
+    /// traces its phases inside the `plan-cache` span.
     pub(crate) fn plan(&self, sql: &str, snapshot: &Catalog) -> Result<Arc<PhysicalPlan>> {
-        let found = {
-            let mut span = trace::span(Category::Planner, "plan-cache");
-            let found = self.lookup(sql, snapshot);
-            span.note_with(|| format!("\"hit\": {}", found.is_some()));
-            found
-        };
+        let mut span = trace::span(Category::Planner, "plan-cache");
+        let found = self.lookup(sql, snapshot);
+        span.note_with(|| format!("\"hit\": {}", found.is_some()));
         if let Some(plan) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
             counters::PLAN_CACHE_HITS.incr();
@@ -88,9 +148,16 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         counters::PLAN_CACHE_MISSES.incr();
         let logical = tqo_sql::compile(sql, snapshot)?;
-        let plan = Arc::new(lower(&logical, PlannerConfig::default())?);
-        if let Some(schemas) = scanned_schemas(&logical.root, snapshot) {
-            self.insert(sql, schemas, Arc::clone(&plan));
+        let (plan, optimized) = optimize_and_lower(&logical, rules(), PlannerConfig::default())?;
+        if optimized.best.root != logical.root {
+            self.optimized.fetch_add(1, Ordering::Relaxed);
+        }
+        if optimized.truncated {
+            self.truncated.fetch_add(1, Ordering::Relaxed);
+        }
+        let plan = Arc::new(plan);
+        if let Some(bound) = bound_tables(&logical.root, snapshot) {
+            self.insert(sql, bound, Arc::clone(&plan));
         }
         Ok(plan)
     }
@@ -104,16 +171,17 @@ impl PlanCache {
     fn lookup(&self, sql: &str, snapshot: &Catalog) -> Option<Arc<PhysicalPlan>> {
         let entries = self.entries();
         let entry = entries.get(sql)?;
-        let bound = entry.schemas.iter().all(|(name, schema)| {
-            snapshot.get(name).is_ok_and(|t| {
+        let bound = entry.bound.iter().all(|b| {
+            snapshot.get(&b.name).is_ok_and(|t| {
                 let now = t.schema();
-                Arc::ptr_eq(now, schema) || **now == **schema
+                (Arc::ptr_eq(now, &b.schema) || **now == *b.schema)
+                    && b.licences.hold_for(t.props())
             })
         });
         bound.then(|| Arc::clone(&entry.plan))
     }
 
-    fn insert(&self, sql: &str, schemas: Schemas, plan: Arc<PhysicalPlan>) {
+    fn insert(&self, sql: &str, bound: Vec<Bound>, plan: Arc<PhysicalPlan>) {
         let displaced = {
             let mut entries = self.entries();
             let evicted = if entries.len() >= PLAN_CACHE_CAPACITY && !entries.contains_key(sql) {
@@ -123,7 +191,7 @@ impl PlanCache {
                 None
             };
             let entry = Entry {
-                schemas,
+                bound,
                 plan,
                 owner: thread::current().id(),
             };
@@ -148,29 +216,36 @@ impl PlanCache {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            optimized: self.optimized.load(Ordering::Relaxed),
+            truncated: self.truncated.load(Ordering::Relaxed),
             entries: self.entries().len(),
         }
     }
 }
 
-/// The schema in `snapshot` of every table `root` scans, subqueries
-/// included (the binder leaves them as subtrees of the one plan); `None`
-/// if a scanned name is not a table of the snapshot.
-fn scanned_schemas(root: &PlanNode, snapshot: &Catalog) -> Option<Schemas> {
-    fn walk(node: &PlanNode, snapshot: &Catalog, out: &mut Schemas) -> Option<()> {
+/// The schema and base properties in `snapshot` of every table `root`
+/// scans, subqueries included (the binder leaves them as subtrees of the
+/// one plan); `None` if a scanned name is not a table of the snapshot.
+/// Read from the compiled plan: rewrites move scans but never add one.
+fn bound_tables(root: &PlanNode, snapshot: &Catalog) -> Option<Vec<Bound>> {
+    fn walk(node: &PlanNode, snapshot: &Catalog, out: &mut Vec<Bound>) -> Option<()> {
         if let PlanNode::Scan { name, .. } = node {
             let table = snapshot.get(name).ok()?;
-            out.push((name.clone(), Arc::clone(table.schema())));
+            out.push(Bound {
+                name: name.clone(),
+                schema: Arc::clone(table.schema()),
+                licences: Licences::of(table.props()),
+            });
         }
         node.children()
             .into_iter()
             .try_for_each(|c| walk(c, snapshot, out))
     }
-    let mut schemas = Vec::new();
-    walk(root, snapshot, &mut schemas)?;
-    schemas.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    schemas.dedup_by(|a, b| a.0 == b.0);
-    Some(schemas)
+    let mut bound = Vec::new();
+    walk(root, snapshot, &mut bound)?;
+    bound.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+    bound.dedup_by(|a, b| a.name == b.name);
+    Some(bound)
 }
 
 #[cfg(test)]
@@ -184,15 +259,18 @@ mod tests {
     fn a_plan_records_every_table_it_scans_once() {
         let catalog = paper::catalog();
         let logical = tqo_sql::compile(SQL, &catalog).unwrap();
-        let schemas = scanned_schemas(&logical.root, &catalog).unwrap();
-        let names: Vec<&str> = schemas.iter().map(|(n, _)| n.as_str()).collect();
+        let bound = bound_tables(&logical.root, &catalog).unwrap();
+        let names: Vec<&str> = bound.iter().map(|b| b.name.as_str()).collect();
         assert_eq!(names, ["EMPLOYEE", "PROJECT"]);
-        for (name, schema) in &schemas {
-            assert!(Arc::ptr_eq(schema, catalog.get(name).unwrap().schema()));
+        for b in &bound {
+            let table = catalog.get(&b.name).unwrap();
+            assert!(Arc::ptr_eq(&b.schema, table.schema()));
+            assert!(b.licences.hold_for(table.props()));
         }
     }
 
-    /// A hit is the plan `compile` + `lower` builds on the same snapshot.
+    /// A hit is the plan compile, optimize and lower build on the same
+    /// snapshot.
     #[test]
     fn a_hit_is_the_plan_a_fresh_compile_builds() {
         let catalog = paper::catalog();
@@ -200,42 +278,53 @@ mod tests {
         let first = cache.plan(SQL, &catalog.snapshot()).unwrap();
         let second = cache.plan(SQL, &catalog.snapshot()).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
-        let fresh = lower(
-            &tqo_sql::compile(SQL, &catalog).unwrap(),
-            PlannerConfig::default(),
-        )
-        .unwrap();
+        let compiled = tqo_sql::compile(SQL, &catalog).unwrap();
+        let (fresh, _) =
+            optimize_and_lower(&compiled, &RuleSet::standard(), PlannerConfig::default()).unwrap();
         assert_eq!(*second, fresh);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!(stats.truncated, 0);
     }
 
-    /// A trace says why a hit has no `parse`, `bind` or `lower` span, also
-    /// when the table was written since the plan was compiled.
+    /// A trace says why a hit has no `parse`, `bind`, `optimize` or
+    /// `lower` span, also when the table was written since the plan was
+    /// compiled; on a miss those spans nest in the `plan-cache` span.
     #[test]
     fn a_traced_hit_records_the_lookup_in_place_of_the_front_end() {
-        use tqo_core::trace::{install, Collector};
+        use tqo_core::trace::{install, Collector, Phase, TraceEvent};
         let catalog = paper::catalog();
         let cache = PlanCache::default();
         let traced = |cache: &PlanCache| {
-            let collector = Collector::with_capacity(64);
+            let collector = Collector::with_capacity(4096);
             {
                 let _installed = install(&collector);
                 cache.plan(SQL, &catalog.snapshot()).unwrap();
             }
-            let events = collector.finish().events;
+            collector.finish().events
+        };
+        let named = |events: &[TraceEvent]| {
             events
-                .into_iter()
+                .iter()
                 .map(|e| format!("{} {}", e.name, e.args))
                 .collect::<Vec<_>>()
         };
-        let miss = traced(&cache);
+        let span = |e: &TraceEvent| match e.ph {
+            Phase::Complete { dur } => (e.ts, e.ts + dur),
+            Phase::Instant => (e.ts, e.ts),
+        };
+        let events = traced(&cache);
+        let miss = named(&events);
         assert!(
             miss.contains(&"plan-cache \"hit\": false".to_owned()),
             "{miss:?}"
         );
-        for phase in ["parse", "bind", "lower"] {
-            assert!(miss.iter().any(|e| e.starts_with(phase)), "{miss:?}");
+        let lookup = events.iter().find(|e| e.name == "plan-cache").unwrap();
+        let (start, end) = span(lookup);
+        for phase in ["parse", "bind", "optimize", "lower"] {
+            let inner = events.iter().find(|e| e.name == phase);
+            let (s, e) = span(inner.unwrap_or_else(|| panic!("no {phase}: {miss:?}")));
+            assert!(start <= s && e <= end, "{phase} outside plan-cache");
         }
         catalog
             .insert_sequenced(
@@ -244,7 +333,7 @@ mod tests {
                 tqo_core::time::Period::of(2, 9),
             )
             .unwrap();
-        let hit = traced(&cache);
+        let hit = named(&traced(&cache));
         assert_eq!(hit, ["plan-cache \"hit\": true"]);
     }
 

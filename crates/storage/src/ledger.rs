@@ -13,6 +13,7 @@
 //! holds it to that after every step of random modification sequences.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use tqo_core::error::{Error, Result};
 use tqo_core::plan::BaseProps;
@@ -198,7 +199,8 @@ impl Ledger {
                     c.values.iter().map(|(v, n)| (v, *n)),
                     self.rows - c.nulls,
                     HISTOGRAM_BUCKETS as u64,
-                ),
+                )
+                .map(Arc::new),
             })
             .collect();
         (

@@ -8,8 +8,10 @@
 //! One `#[test]` in a file of its own, so nothing else in the process
 //! moves the process-wide counters between two readings.
 
+use tqo_core::rules::RuleSet;
 use tqo_core::trace::counters::{TRANSPOSES_BUILT, TUPLES_BUILT};
-use tqo_exec::{lower, PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions};
+use tqo_exec::planner::optimize_and_lower;
+use tqo_exec::{PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions};
 use tqo_serve::protocol::{decode_response, encode_response, Response};
 use tqo_storage::paper;
 
@@ -33,7 +35,10 @@ fn results_travel_in_columns_and_tuples_are_built_on_read() {
         .chain(STAGED)
         .map(|sql| {
             let logical = tqo_sql::compile(sql, &snapshot).unwrap();
-            (*sql, lower(&logical, PlannerConfig::default()).unwrap())
+            let rules = RuleSet::standard();
+            let (physical, _) =
+                optimize_and_lower(&logical, &rules, PlannerConfig::default()).unwrap();
+            (*sql, physical)
         })
         .collect();
     // What the server does per query, minus the socket: run, then encode.

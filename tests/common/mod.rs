@@ -235,3 +235,168 @@ pub const SQL_POOL: &[&str] = &[
     "SELECT EmpName FROM EMPLOYEE ORDER BY EmpName LIMIT 3 OFFSET 1",
     "VALIDTIME SELECT EmpName FROM EMPLOYEE ORDER BY EmpName, T1 LIMIT 4",
 ];
+
+/// The read templates of the benchmark's four workloads, copied from
+/// `benchmark/src/workloads.rs` (the root workspace cannot import the
+/// benchmark's crate): `(workload, template, statement)`.
+pub const BENCHMARK_TEMPLATES: &[(&str, &str, &str)] = &[
+    (
+        "short_read",
+        "point_where",
+        "SELECT EmpName, Dept FROM EMPLOYEE WHERE EmpName = 'emp17'",
+    ),
+    (
+        "short_read",
+        "distinct_dept",
+        "SELECT DISTINCT Dept FROM EMPLOYEE",
+    ),
+    (
+        "short_read",
+        "group_by_dept",
+        "SELECT Dept, COUNT(*) AS n FROM EMPLOYEE GROUP BY Dept",
+    ),
+    (
+        "short_read",
+        "validtime_where",
+        "VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept = 'd3'",
+    ),
+    (
+        "short_read",
+        "validtime_period_where",
+        "VALIDTIME SELECT EmpName, Dept FROM EMPLOYEE WHERE T1 >= 20 AND Dept = 'd1'",
+    ),
+    (
+        "short_read",
+        "coalesce_order",
+        "VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept = 'd5' COALESCE ORDER BY EmpName",
+    ),
+    (
+        "short_read",
+        "project_group_by",
+        "SELECT Prj, COUNT(*) AS n FROM PROJECT GROUP BY Prj",
+    ),
+    (
+        "churn_mix",
+        "point_where",
+        "SELECT EmpName, Dept FROM EMPLOYEE WHERE EmpName = 'emp42'",
+    ),
+    (
+        "churn_mix",
+        "coalesce_order",
+        "VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept = 'd7' COALESCE ORDER BY EmpName",
+    ),
+    (
+        "churn_mix",
+        "filtered_count",
+        "SELECT Dept, COUNT(*) AS n FROM EMPLOYEE WHERE Dept = 'd2' GROUP BY Dept",
+    ),
+    (
+        "scan_heavy",
+        "selective_filter",
+        "SELECT EmpName, Dept FROM EMPLOYEE WHERE Dept = 'd11'",
+    ),
+    (
+        "scan_heavy",
+        "group_by_dept",
+        "SELECT Dept, COUNT(*) AS n FROM EMPLOYEE GROUP BY Dept",
+    ),
+    (
+        "scan_heavy",
+        "full_order_by",
+        "SELECT EmpName, Dept FROM EMPLOYEE ORDER BY EmpName",
+    ),
+    (
+        "scan_heavy",
+        "validtime_coalesce_order",
+        "VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept < 'd2' COALESCE ORDER BY EmpName",
+    ),
+    (
+        "scan_heavy",
+        "validtime_group_by",
+        "VALIDTIME SELECT Dept, COUNT(*) AS n FROM EMPLOYEE GROUP BY Dept",
+    ),
+    (
+        "scan_heavy",
+        "distinct_project",
+        "SELECT DISTINCT EmpName, Prj FROM PROJECT",
+    ),
+    (
+        "plan_sensitive",
+        "running_example",
+        "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE EXCEPT \
+         VALIDTIME SELECT DISTINCT EmpName FROM PROJECT COALESCE ORDER BY EmpName",
+    ),
+    (
+        "plan_sensitive",
+        "rdup_t",
+        "VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE",
+    ),
+    (
+        "plan_sensitive",
+        "equi_join_filtered",
+        "SELECT e.EmpName, p.Prj FROM EMPLOYEE_S e, PROJECT_S p \
+         WHERE e.EmpName = p.EmpName AND e.Dept = 'd1'",
+    ),
+    (
+        "plan_sensitive",
+        "temporal_equi_join",
+        "VALIDTIME SELECT e.EmpName, p.Prj FROM EMPLOYEE_S e, PROJECT_S p \
+         WHERE e.EmpName = p.EmpName",
+    ),
+];
+
+/// A workload's catalog at test scale, generated and registered the way
+/// `benchmark/src/workloads.rs` registers it: one EMPLOYEE/PROJECT pair
+/// per `(suffix, scale)` from one generator, in order (`plan_sensitive`
+/// takes its `_S` pair first). The benchmark's scales are 25, 100, 500
+/// and 6 + 50; these keep each table to a few hundred rows.
+pub fn benchmark_catalog(workload: &str, seed: u64) -> tqo_storage::Catalog {
+    let tables: &[(&str, usize)] = match workload {
+        "plan_sensitive" => &[("_S", 1), ("", 3)],
+        "scan_heavy" => &[("", 4)],
+        _ => &[("", 2)],
+    };
+    let mut generator = tqo_storage::WorkloadGenerator::new(seed);
+    let catalog = tqo_storage::Catalog::new();
+    for (suffix, scale) in tables {
+        let pair = generator.figure1_workload(*scale).unwrap();
+        for base in ["EMPLOYEE", "PROJECT"] {
+            let relation = pair.get(base).unwrap().relation().clone();
+            catalog
+                .register(format!("{base}{suffix}"), relation)
+                .unwrap();
+        }
+    }
+    catalog
+}
+
+/// Whether `got` answers a statement of result type `result_type` whose
+/// reference answer is `expected`: the exact list under `ORDER BY`, the
+/// same rows with duplicates kept otherwise (what a client is promised;
+/// an optimized plan may deliver an unordered result in another order).
+pub fn same_answer(
+    result_type: &tqo_core::equivalence::ResultType,
+    expected: &Relation,
+    got: &Relation,
+) -> bool {
+    use tqo_core::equivalence::ResultType;
+    match result_type {
+        ResultType::List(_) => {
+            got.tuples() == expected.tuples() && got.schema() == expected.schema()
+        }
+        _ => ResultType::Multiset.admits(expected, got).unwrap_or(false),
+    }
+}
+
+/// Panic unless `got` is the interpreter's answer to `sql` over
+/// `catalog`'s current versions, under the statement's result type.
+pub fn assert_answers(catalog: &tqo_storage::Catalog, sql: &str, got: &Relation) {
+    let plan = tqo_sql::compile(sql, catalog).unwrap();
+    let expected = tqo_core::interp::eval_plan(&plan, &catalog.env()).unwrap();
+    assert!(
+        same_answer(&plan.result_type, &expected, got),
+        "`{sql}`: {} rows for the interpreter's {}",
+        got.len(),
+        expected.len()
+    );
+}

@@ -52,6 +52,26 @@ fn committed_estimation(json: &str) -> (usize, BTreeMap<String, f64>) {
     (scale, medians)
 }
 
+/// Every operator's q-errors over the exact workload `exec_quick` uses
+/// (same seed, the given scale), grouped as `exec_quick` groups them: by
+/// the operator name without the algorithm/table tag.
+fn measured_q_errors(scale: usize) -> BTreeMap<String, Vec<f64>> {
+    let (cat, cases) = tqo_bench::estimation_workload(scale, 23);
+    let env = cat.env();
+    let mut per_label: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for case in &cases {
+        let (_, metrics) = execute_logical(&case.plan, &env, PlannerConfig::default())
+            .expect("estimation plan executes");
+        for op in &metrics.operators {
+            if let Some(q) = op.q_error() {
+                let label = op.label.split(['[', '(']).next().unwrap_or("?").to_owned();
+                per_label.entry(label).or_default().push(q);
+            }
+        }
+    }
+    per_label
+}
+
 #[test]
 fn committed_estimation_medians_do_not_regress() {
     let json = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_exec.json"))
@@ -62,24 +82,7 @@ fn committed_estimation_medians_do_not_regress() {
         "estimation block lists per-operator medians"
     );
 
-    // Recompute with the exact workload exec_quick used (same seed, the
-    // committed scale).
-    let (cat, cases) = tqo_bench::estimation_workload(scale, 23);
-    let env = cat.env();
-    let mut per_label: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for case in &cases {
-        let (_, metrics) = execute_logical(&case.plan, &env, PlannerConfig::default())
-            .expect("estimation plan executes");
-        for op in &metrics.operators {
-            if let Some(q) = op.q_error() {
-                // Same grouping as exec_quick: the operator name without
-                // the algorithm/table tag.
-                let label = op.label.split(['[', '(']).next().unwrap_or("?").to_owned();
-                per_label.entry(label).or_default().push(q);
-            }
-        }
-    }
-
+    let mut per_label = measured_q_errors(scale);
     let mut failures = Vec::new();
     for (label, &committed_q) in &committed {
         let Some(qs) = per_label.get_mut(label) else {
@@ -115,4 +118,26 @@ fn guard_parses_the_committed_block_shape() {
         assert!(medians.contains_key(label), "missing `{label}` median");
     }
     assert!(medians.values().all(|&q| q >= 1.0), "q-errors are ≥ 1");
+}
+
+/// `rdupᵀ` estimates one fragment per input tuple, and coalescing reads
+/// that estimate: their medians hold the baseline that estimate set
+/// (1.099 and 1.730 at the committed scale; 2.198 and 3.459 while `rdupᵀ`
+/// estimated twice its input), within a quarter, which the 2× guard above
+/// is too loose to see.
+#[test]
+fn temporal_duplicate_elimination_holds_its_estimation_baseline() {
+    let json = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_exec.json"))
+        .expect("committed BENCH_exec.json");
+    let (scale, committed) = committed_estimation(&json);
+    let mut measured = measured_q_errors(scale);
+    for (label, baseline) in [("rdup-t", 1.099), ("coalesce", 1.730)] {
+        assert_eq!(committed.get(label), Some(&baseline), "committed `{label}`");
+        let qs = measured.get_mut(label).expect("sampled");
+        let current = tqo_exec::metrics::median(qs).expect("samples exist");
+        assert!(
+            current <= baseline * 1.25,
+            "`{label}` median q-error {current:.3} against a baseline of {baseline}"
+        );
+    }
 }

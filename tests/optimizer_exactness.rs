@@ -1,13 +1,16 @@
 //! The optimizer's answer is the client's answer: for every `SQL_POOL`
 //! query over the paper catalog and three generated ones, plain and
-//! layered, `optimize` closes its search untruncated at the default
-//! budgets, and the plan it chooses returns the interpreter's rows — the
-//! exact list under `ORDER BY`, the same rows with duplicates kept
-//! otherwise (so an outermost `DISTINCT` stays duplicate-free).
+//! layered, and for every benchmark template over its workload's catalog,
+//! `optimize` closes its search untruncated at the default budgets, and
+//! the plan it chooses returns the interpreter's rows — the exact list
+//! under `ORDER BY`, the same rows with duplicates kept otherwise (so an
+//! outermost `DISTINCT` stays duplicate-free). A server, which serves the
+//! chosen plans, answers every template the same way.
 
 mod common;
 
-use common::SQL_POOL;
+use common::{benchmark_catalog, same_answer, BENCHMARK_TEMPLATES, SQL_POOL};
+use tqo_core::cost::CostModel;
 use tqo_core::equivalence::ResultType;
 use tqo_core::interp::eval_plan;
 use tqo_core::optimizer::{optimize, OptimizerConfig};
@@ -105,5 +108,75 @@ fn repeated_searches_explore_alike() {
     let first = search();
     for run in 1..20 {
         assert_eq!(search(), first, "search {run} differs from the first");
+    }
+}
+
+/// The benchmark's 20 templates, each over its workload's catalog at test
+/// scale, plain and layered, priced as served (calibrated) and by the
+/// default model: every search closes, and every chosen plan returns the
+/// interpreter's rows under the template's result type.
+#[test]
+fn benchmark_templates_choose_plans_that_return_the_interpreters_rows() {
+    let rules = RuleSet::standard();
+    let mut legs = 0;
+    for seed in [7u64, 19] {
+        for &(workload, name, sql) in BENCHMARK_TEMPLATES {
+            let catalog = benchmark_catalog(workload, seed);
+            let env = catalog.env();
+            let plan = tqo_sql::compile(sql, &catalog).unwrap();
+            let reference = eval_plan(&plan, &env).unwrap();
+            let layered = tqo_stratum::make_layered(&plan).unwrap();
+            for cost_model in [CostModel::calibrated(), CostModel::default()] {
+                let config = OptimizerConfig {
+                    cost_model,
+                    ..OptimizerConfig::default()
+                };
+                for (form, input) in [("plain", &plan), ("layered", &layered)] {
+                    let leg = format!("seed {seed}, {workload}/{name}, {form}");
+                    let optimized = optimize(input, &rules, &config).unwrap();
+                    assert!(!optimized.truncated, "{leg}: the memo search truncated");
+                    let got = eval_plan(&optimized.best, &env).unwrap();
+                    assert!(
+                        same_answer(&plan.result_type, &reference, &got),
+                        "{leg}: {} rows for the interpreter's {}\n{}",
+                        got.len(),
+                        reference.len(),
+                        plan_to_string(&optimized.best.root)
+                    );
+                    legs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(legs, 2 * BENCHMARK_TEMPLATES.len() * 2 * 2);
+}
+
+/// Through a server, which plans each statement by the memo search and
+/// serves the chosen plan: every template answers as the interpreter
+/// does, on a miss and on the hit after it, and no search truncated.
+#[test]
+fn served_templates_answer_like_the_interpreter() {
+    use tqo_serve::{serve, Client, ServerConfig};
+    let mut workloads: Vec<&str> = BENCHMARK_TEMPLATES.iter().map(|t| t.0).collect();
+    workloads.dedup();
+    for workload in workloads {
+        let catalog = benchmark_catalog(workload, 7);
+        let mut server = serve(catalog.clone(), ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let templates: Vec<_> = BENCHMARK_TEMPLATES
+            .iter()
+            .filter(|t| t.0 == workload)
+            .collect();
+        for _ in 0..2 {
+            for &&(_, _, sql) in &templates {
+                let got = client.query(sql).unwrap();
+                common::assert_answers(&catalog, sql, &got);
+            }
+        }
+        let stats = server.plan_cache();
+        assert_eq!(stats.misses, templates.len() as u64, "{workload}");
+        assert_eq!(stats.hits, templates.len() as u64, "{workload}");
+        assert_eq!(stats.truncated, 0, "{workload}");
+        server.stop();
     }
 }

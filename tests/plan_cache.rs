@@ -1,17 +1,24 @@
-//! The server's plan cache: a served statement compiles once per schema of
-//! the tables it binds, and writes keep its plan. Every test owns its
-//! server and reads hits and misses from that server's own cache, so the
-//! suite's tests cannot count each other's queries.
+//! The server's plan cache: a served statement is planned (compiled and
+//! optimized) once per schema and Table 2 base properties of the tables it
+//! binds, and writes that leave those alone keep its plan. Every test owns
+//! its server and reads hits and misses from that server's own cache, so
+//! the suite's tests cannot count each other's queries.
 //!
 //! Each test holds the cache to two things: when it hits and when it
 //! misses, and that the answer is the interpreter's over the catalog's
-//! current versions either way (ARCHITECTURE invariant 16).
+//! current versions either way, under the statement's result type
+//! (ARCHITECTURE invariant 16).
+
+mod common;
+
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tqo_core::error::Error;
 use tqo_core::expr::Expr;
 use tqo_core::interp::eval_plan;
+use tqo_core::plan::BaseProps;
 use tqo_core::relation::Relation;
 use tqo_core::time::Period;
 use tqo_core::tuple;
@@ -64,11 +71,13 @@ fn the_same_statement_twice_hits_with_identical_rows() {
     server.stop();
 }
 
-/// A write changes the rows a plan reads, never the plan: the next read
-/// hits, and runs the plan against the query's own snapshot.
+/// A write that moves no Table 2 property changes the rows a plan reads,
+/// never the plan: the next read hits, and runs the plan against the
+/// query's own snapshot.
 #[test]
 fn a_sequenced_write_to_a_bound_table_hits_and_answers_the_new_version() {
     let (catalog, mut server, mut client) = start();
+    let props = licences(&catalog, "AUDIT");
     let before = client.query(AUDIT_READ).unwrap();
     client
         .insert(
@@ -77,6 +86,7 @@ fn a_sequenced_write_to_a_bound_table_hits_and_answers_the_new_version() {
             Period::of(2, 9),
         )
         .unwrap();
+    assert_eq!(licences(&catalog, "AUDIT"), props);
     let inserted = client.query(AUDIT_READ).unwrap();
     assert_eq!(counts(&server), (1, 1), "the insert kept the plan");
     assert_eq!(inserted, oracle(&catalog, AUDIT_READ));
@@ -174,9 +184,10 @@ fn a_table_dropped_and_registered_again_misses_and_answers_from_the_new_table() 
     server.stop();
 }
 
-/// The same name and the same schema, with other rows: the plan is typed
-/// right for the new table, so it is kept and reads the new rows. A query
-/// while the name is unbound fails typed and leaves the entry alone.
+/// The same name, the same schema and the same base properties, with other
+/// rows: the plan is typed and licensed right for the new table, so it is
+/// kept and reads the new rows. A query while the name is unbound fails
+/// typed and leaves the entry alone.
 #[test]
 fn a_table_registered_again_with_the_same_schema_hits_and_answers_its_rows() {
     let (catalog, mut server, mut client) = start();
@@ -186,32 +197,63 @@ fn a_table_registered_again_with_the_same_schema_hits_and_answers_its_rows() {
         client.query(AUDIT_READ),
         Err(Error::Storage { .. })
     ));
+    // Like EMPLOYEE: duplicate-free and snapshot-duplicate-free, not
+    // coalesced (Zoe's two periods meet).
     let other = Relation::new(
         paper::employee_schema(),
         vec![
             tuple!["Zoe", "Audit", 1i64, 4i64],
+            tuple!["Zoe", "Audit", 4i64, 6i64],
             tuple!["Yan", "Sales", 3i64, 9i64],
         ],
     )
     .unwrap();
+    let employee = licences(&catalog, "EMPLOYEE");
     catalog.register("AUDIT", other).unwrap();
+    assert_eq!(licences(&catalog, "AUDIT"), employee);
     let rows = client.query(AUDIT_READ).unwrap();
     assert_eq!(counts(&server), (1, 2), "the same schema kept the plan");
     assert_eq!(rows, oracle(&catalog, AUDIT_READ));
-    assert_eq!(rows.len(), 2);
+    assert_eq!(rows.len(), 3);
     assert_ne!(rows, before);
     server.stop();
 }
 
 /// Statements whose answers hang on AUDIT's duplicates (`DISTINCT`) and
-/// coalescing (`COALESCE`) as well as its rows, and a join with a side on
-/// each written table.
-const REPLAYED: &[&str] = &[
-    AUDIT_READ,
-    "SELECT DISTINCT EmpName, Dept FROM AUDIT ORDER BY EmpName, Dept",
-    "VALIDTIME SELECT EmpName, Dept FROM AUDIT COALESCE ORDER BY EmpName, Dept",
-    JOIN,
+/// coalescing (`COALESCE`) as well as its rows, one whose plan drops its
+/// `rdupᵀ` exactly while AUDIT is snapshot-duplicate-free, and a join
+/// with a side on each written table; each with the tables it binds.
+const REPLAYED: &[(&str, &[&str])] = &[
+    (AUDIT_READ, &["AUDIT"]),
+    (
+        "SELECT DISTINCT EmpName, Dept FROM AUDIT ORDER BY EmpName, Dept",
+        &["AUDIT"],
+    ),
+    (
+        "VALIDTIME SELECT EmpName, Dept FROM AUDIT COALESCE ORDER BY EmpName, Dept",
+        &["AUDIT"],
+    ),
+    (SDF_READ, &["AUDIT"]),
+    (JOIN, &["AUDIT", "EMPLOYEE"]),
 ];
+
+/// Its optimized plan is a bare scan while AUDIT is
+/// snapshot-duplicate-free (D2 drops the `rdupᵀ`), and keeps the `rdupᵀ`
+/// otherwise.
+const SDF_READ: &str = "VALIDTIME SELECT DISTINCT * FROM AUDIT";
+
+/// Table 2's base properties of a table now: what licenses the rewrites
+/// a served plan was chosen under.
+fn licences(catalog: &Catalog, table: &str) -> (bool, bool, bool, String) {
+    let BaseProps {
+        dup_free,
+        snapshot_dup_free,
+        coalesced,
+        order,
+        ..
+    } = catalog.get(table).unwrap().props().clone();
+    (dup_free, snapshot_dup_free, coalesced, format!("{order:?}"))
+}
 
 const NAMES: &[&str] = &["Anna", "John", "Zoe"];
 const DEPTS: &[&str] = &["Sales", "Advertising", "Audit"];
@@ -273,7 +315,9 @@ fn seeded_write(rng: &mut StdRng, catalog: &Catalog, client: &mut Client) {
 /// Run fixed writes that move AUDIT's Table 2 properties, then seeded
 /// ones, over `sessions` sessions that take turns writing and reading.
 /// After every step each session reads every statement and gets the
-/// interpreter's answer, and the server has compiled each statement once.
+/// interpreter's answer, and the server has planned a statement again
+/// exactly when a table it binds reads other base properties than when it
+/// was last planned: the writes that move none cost no plan.
 fn writes_keep_plans(sessions: usize, seed: u64) {
     let (catalog, mut server, first) = start();
     let mut clients = vec![first];
@@ -284,6 +328,8 @@ fn writes_keep_plans(sessions: usize, seed: u64) {
     assert!(audit(&catalog).dup_free && !audit(&catalog).coalesced);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut reads = 0u64;
+    let mut planned: HashMap<&str, Vec<_>> = HashMap::new();
+    let mut replans = 0u64;
     for step in 0..28usize {
         let writer = &mut clients[step % sessions];
         match step {
@@ -309,21 +355,63 @@ fn writes_keep_plans(sessions: usize, seed: u64) {
             }
             _ => seeded_write(&mut rng, &catalog, writer),
         }
-        for (i, sql) in REPLAYED.iter().enumerate() {
+        for (i, &(sql, tables)) in REPLAYED.iter().enumerate() {
+            let now: Vec<_> = tables.iter().map(|t| licences(&catalog, t)).collect();
+            if planned
+                .insert(sql, now.clone())
+                .is_some_and(|then| then != now)
+            {
+                replans += 1;
+            }
             for k in 0..sessions {
                 let served = clients[(step + i + k) % sessions].query(sql).unwrap();
-                assert_eq!(served, oracle(&catalog, sql), "step {step}: {sql}");
+                common::assert_answers(&catalog, sql, &served);
                 reads += 1;
             }
         }
         let (hits, misses) = counts(&server);
         assert_eq!(
             misses,
-            REPLAYED.len() as u64,
-            "step {step}: a write cost a compile"
+            REPLAYED.len() as u64 + replans,
+            "step {step}: a write that moved no base property cost a plan"
         );
         assert_eq!(hits + misses, reads);
     }
+    assert!(replans >= 3, "the writes moved AUDIT's properties");
+    server.stop();
+}
+
+/// A plan licensed by snapshot-duplicate-freedom is not served once a
+/// write takes it away: the statement misses, is planned again with its
+/// `rdupᵀ`, and answers the new version's rows; then it hits again.
+#[test]
+fn a_write_that_takes_away_a_licence_misses_and_answers_the_new_version() {
+    let (catalog, mut server, mut client) = start();
+    assert!(
+        licences(&catalog, "AUDIT").1,
+        "AUDIT starts snapshot-dup-free"
+    );
+    let first = client.query(SDF_READ).unwrap();
+    common::assert_answers(&catalog, SDF_READ, &first);
+    let stats = server.plan_cache();
+    assert_eq!((stats.misses, stats.optimized), (1, 1), "the rdupT went");
+    // A second copy of Anna's Sales period: two Anna/Sales tuples alive at
+    // once, so AUDIT has snapshot duplicates.
+    client
+        .insert(
+            "AUDIT",
+            vec![Value::from("Anna"), Value::from("Sales")],
+            Period::of(2, 6),
+        )
+        .unwrap();
+    assert!(!licences(&catalog, "AUDIT").1);
+    let after = client.query(SDF_READ).unwrap();
+    assert_eq!(counts(&server), (0, 2), "the flipped property missed");
+    common::assert_answers(&catalog, SDF_READ, &after);
+    assert_eq!(after.len(), first.len(), "rdupT removed the copy again");
+    let again = client.query(SDF_READ).unwrap();
+    assert_eq!(counts(&server), (1, 2));
+    common::assert_answers(&catalog, SDF_READ, &again);
     server.stop();
 }
 
@@ -377,7 +465,7 @@ fn more_statements_than_the_cap_keep_the_cache_at_the_cap() {
         "SELECT EmpName FROM EMPLOYEE WHERE T1 >= {}",
         statements - 1
     );
-    assert_eq!(client.query(&last).unwrap(), oracle(&catalog, &last));
+    common::assert_answers(&catalog, &last, &client.query(&last).unwrap());
     assert_eq!(server.plan_cache().hits, 1);
     server.stop();
 }

@@ -20,9 +20,11 @@ use std::thread;
 
 use tqo_core::error::Error;
 use tqo_core::relation::Relation;
+use tqo_core::rules::RuleSet;
 use tqo_core::time::Period;
 use tqo_core::value::Value;
-use tqo_exec::{execute_logical, ExecMode, PlannerConfig, SchedulerConfig};
+use tqo_exec::planner::optimize_and_lower;
+use tqo_exec::{execute_mode, ExecMode, PlannerConfig, SchedulerConfig};
 use tqo_serve::{serve, Client, QueryOpts, Server, ServerConfig};
 use tqo_storage::{paper, Catalog};
 use tqo_stratum::FaultConfig;
@@ -52,17 +54,23 @@ fn serving_catalog() -> Catalog {
 
 /// Serial single-query runs of `queries` on `catalog` — the oracle every
 /// concurrent response is compared against, computed through the exact
-/// pipeline the server uses (compile, lower with the same
-/// `PlannerConfig`, execute).
+/// pipeline the server uses (compile, optimize and lower with the same
+/// rules and `PlannerConfig`, execute). Each is also the interpreter's
+/// answer under the statement's result type.
 fn serial_oracle(catalog: &Catalog, queries: &[&str]) -> Vec<Relation> {
     let env = catalog.env();
+    let rules = RuleSet::standard();
     queries
         .iter()
         .map(|sql| {
             let plan = tqo_sql::compile(sql, catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
-            execute_logical(&plan, &env, PlannerConfig::default())
+            let (physical, _) = optimize_and_lower(&plan, &rules, PlannerConfig::default())
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let rows = execute_mode(&physical, &env, ExecMode::default())
                 .unwrap_or_else(|e| panic!("{sql}: {e}"))
-                .0
+                .0;
+            common::assert_answers(catalog, sql, &rows);
+            rows
         })
         .collect()
 }

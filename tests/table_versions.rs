@@ -9,11 +9,13 @@
 //! moves the process-wide counters between two readings.
 
 use tqo_core::expr::Expr;
+use tqo_core::rules::RuleSet;
 use tqo_core::time::Period;
 use tqo_core::trace::counters::{STATS_CACHE_MISSES, TRANSPOSES_BUILT, TUPLES_BUILT};
 use tqo_core::value::Value;
+use tqo_exec::planner::optimize_and_lower;
 use tqo_exec::{
-    execute_logical, lower, ExecMode, PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions,
+    execute_mode, lower, ExecMode, PlannerConfig, Scheduler, SchedulerConfig, SubmitOptions,
 };
 use tqo_storage::{paper, StatisticsProvider};
 
@@ -22,14 +24,16 @@ use tqo_storage::{paper, StatisticsProvider};
 const EMPLOYEE_READ: &str = "SELECT EmpName, Dept FROM EMPLOYEE WHERE Dept = 'Sales'";
 const PROJECT_READ: &str = "SELECT EmpName FROM PROJECT WHERE Prj = 'P1'";
 
-/// What the server does per query: pin, bind, lower, run.
+/// What the server does per query on a plan-cache miss: pin, bind,
+/// optimize, lower, run.
 fn serve(catalog: &tqo_storage::Catalog, sql: &str) -> usize {
     let snapshot = catalog.snapshot();
     let plan = tqo_sql::compile(sql, &snapshot).unwrap();
     let config = PlannerConfig {
         mode: ExecMode::Batch,
     };
-    let (rows, _) = execute_logical(&plan, &snapshot.env(), config).unwrap();
+    let (physical, _) = optimize_and_lower(&plan, &RuleSet::standard(), config).unwrap();
+    let (rows, _) = execute_mode(&physical, &snapshot.env(), config.mode).unwrap();
     rows.len()
 }
 
