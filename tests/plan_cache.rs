@@ -495,3 +495,53 @@ fn a_sessions_plans_end_with_it_and_serve_other_sessions_meanwhile() {
     assert_eq!(counts(&server), (1, 2));
     server.stop();
 }
+
+/// The benchmark's churn: a scratch row inserted into EMPLOYEE and deleted
+/// again. The generator's EMPLOYEE reads all three base properties false
+/// and unordered (so do all four tables at the benchmark's own scales,
+/// seeds 7 and 19; a small PROJECT can be duplicate-free), so no such
+/// write can flip one, and the churned statements keep hitting.
+#[test]
+fn benchmark_churn_writes_move_no_base_property_and_hit() {
+    let unordered = format!("{:?}", tqo_core::sortspec::Order::unordered());
+    for workload in ["short_read", "churn_mix", "scan_heavy", "plan_sensitive"] {
+        let catalog = common::benchmark_catalog(workload, 7);
+        for table in ["EMPLOYEE", "EMPLOYEE_S"]
+            .into_iter()
+            .filter(|t| catalog.get(t).is_ok())
+        {
+            let none = (false, false, false, unordered.clone());
+            assert_eq!(licences(&catalog, table), none, "{workload}: {table}");
+        }
+    }
+    let catalog = common::benchmark_catalog("churn_mix", 7);
+    let mut server = serve(catalog.clone(), ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let statements: Vec<&str> = common::BENCHMARK_TEMPLATES
+        .iter()
+        .filter(|t| t.0 == "churn_mix")
+        .map(|t| t.2)
+        .collect();
+    let props = licences(&catalog, "EMPLOYEE");
+    for round in 0..3u64 {
+        for sql in &statements {
+            common::assert_answers(&catalog, sql, &client.query(sql).unwrap());
+        }
+        let scratch = vec![Value::from("scratch0"), Value::from("scratch")];
+        client
+            .insert("EMPLOYEE", scratch, Period::of(0, 5))
+            .unwrap();
+        assert_eq!(licences(&catalog, "EMPLOYEE"), props, "round {round}");
+        client
+            .delete(
+                "EMPLOYEE",
+                "EmpName",
+                Value::from("scratch0"),
+                Period::of(0, 5),
+            )
+            .unwrap();
+        let n = statements.len() as u64;
+        assert_eq!(counts(&server), (round * n, n), "round {round}");
+    }
+    server.stop();
+}
