@@ -169,9 +169,6 @@ pub struct Memo {
     /// Concrete subtree → expr, to make repeat insertions cheap (keyed by
     /// plan content, like `expr_index`).
     witness_index: HashMap<Arc<PlanNode>, ExprId>,
-    /// The same index by address: rewrites share their unchanged subtrees
-    /// with the trees they rewrite, and an address lookup hashes no tree.
-    witness_ptrs: Map<ByPtr, ExprId>,
     /// Parent expressions drawing on a group (by insertion-time id).
     parents_index: Map<GroupId, Vec<ExprId>>,
     /// Bottom-up static props of every concrete tree the search has
@@ -286,17 +283,12 @@ impl Memo {
     /// it the remapping `π` that `product-commute` wraps around every swap
     /// stacks up, one layer per swap, and a layered join never closes.
     pub fn insert_subtree(&mut self, node: &Arc<PlanNode>, max_exprs: usize) -> Option<ExprId> {
-        let by_ptr = ByPtr(Arc::clone(node));
-        if let Some(&e) = self.witness_ptrs.get(&by_ptr) {
-            return Some(self.find_expr(e));
-        }
         if let Some(&e) = self.witness_index.get(node) {
-            self.witness_ptrs.insert(by_ptr, e);
             return Some(self.find_expr(e));
         }
         if let Some(composed) = self.compose.then(|| compose_projections(node)).flatten() {
             let e = self.insert_subtree(&Arc::new(composed), max_exprs)?;
-            self.index_witness(node, e);
+            self.witness_index.insert(Arc::clone(node), e);
             return Some(e);
         }
         let mut children = Vec::with_capacity(node.children().len());
@@ -315,7 +307,7 @@ impl Memo {
             // which tree arrives first depends on exploration order, and
             // what the slots can reach must not.
             self.add_occupants(e, vec![occupants]);
-            self.index_witness(node, e);
+            self.witness_index.insert(Arc::clone(node), e);
             return Some(e);
         }
         if self.expr_count() >= max_exprs {
@@ -340,15 +332,10 @@ impl Memo {
             ctxs: Vec::new(),
         });
         self.expr_index.insert(key, id);
-        self.index_witness(node, id);
+        self.witness_index.insert(Arc::clone(node), id);
         self.live_exprs += 1;
         self.dirty.push(gid);
         Some(id)
-    }
-
-    fn index_witness(&mut self, node: &Arc<PlanNode>, e: ExprId) {
-        self.witness_index.insert(Arc::clone(node), e);
-        self.witness_ptrs.insert(ByPtr(Arc::clone(node)), e);
     }
 
     /// Add occupant tuples to expression `e`, skipping ones it has.

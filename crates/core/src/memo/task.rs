@@ -10,8 +10,9 @@
 //!    induce different vectors (the coalescing license, the `\ᵀ` right
 //!    branch), so variants are scheduled per observed interface.
 //! 2. **Bind**: materialize concrete subtrees whose top two levels range
-//!    over the child/grandchild group members — the depth the rule
-//!    catalogue inspects — with member witnesses below. Each candidate
+//!    over the child/grandchild group members, with member witnesses
+//!    below, and annotate them as deep as the rule catalogue matches
+//!    (three levels below the root). Each candidate
 //!    child must itself be usable under the context it would occupy, which
 //!    is exactly the reachability invariant the exhaustive enumerator
 //!    maintains by construction.
@@ -28,9 +29,13 @@ use crate::enumerate::applicable;
 use crate::error::Result;
 use crate::memo::group::{ExprId, GroupId, Memo, MemoCtx};
 use crate::memo::{Map, MemoConfig, Set};
-use crate::plan::props::{child_flags, node_stat, Annotations, NodeProps, StaticProps};
+use crate::plan::props::{child_flags, node_stat, Annotations, NodeProps, PropsFlags, StaticProps};
 use crate::plan::{PlanNode, Site};
 use crate::rules::RuleSet;
+
+/// How many levels below a binding's root the rules read and match: C5
+/// to C9 match the arguments of the root's grandchildren (`[0, 0, 0]`).
+const RULE_DEPTH: usize = 3;
 
 /// One unit of exploration work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -296,6 +301,11 @@ impl<'a> Explorer<'a> {
             for rule in self.rules.rules() {
                 for m in rule.try_apply(&binding, &root_path, &ann) {
                     self.stats.applications += 1;
+                    debug_assert!(
+                        m.matched.iter().all(|p| ann.contains_key(p)),
+                        "{} matched below the annotated depth",
+                        rule.name()
+                    );
                     if !applicable(rule.equivalence(), &root_path, &m.matched, &ann) {
                         continue;
                     }
@@ -333,56 +343,18 @@ impl<'a> Explorer<'a> {
         Ok(())
     }
 
-    /// What `annotate` says of the binding, rooted under `ctx`, at the
-    /// binding's top three levels, the deepest any rule reads or matches:
-    /// the grandchildren are memo witnesses and the children expanded
-    /// members, whose properties the memo derived once, so only the root
-    /// is derived here.
+    /// What `annotate` says of the binding, rooted under `ctx`, down to
+    /// [`RULE_DEPTH`] levels below its root. Every node below the root is
+    /// a member or a witness subtree whose properties the memo derived
+    /// once, so only the root is derived here.
     fn annotate_binding(&mut self, binding: &PlanNode, ctx: MemoCtx) -> Result<Annotations> {
-        let csite = binding.child_site(ctx.site);
-        let children = binding.children();
-        let mut child_stats = Vec::with_capacity(children.len());
-        let mut grand_stats = Vec::with_capacity(children.len());
-        for child in &children {
-            child_stats.push(self.memo.tree_stat(child, csite)?);
-            let gsite = child.child_site(csite);
-            let grands = child
-                .children()
-                .into_iter()
-                .map(|g| self.memo.tree_stat(g, gsite))
-                .collect::<Result<Vec<_>>>()?;
-            grand_stats.push(grands);
-        }
-        let root = node_stat(binding, &stat_refs(&child_stats), ctx.site)?;
-        let flags = child_flags(binding, ctx.flags, &stat_refs(&child_stats));
         let mut ann = Annotations::new();
-        for (i, (child, f)) in children.iter().zip(flags).enumerate() {
-            let gsite = child.child_site(csite);
-            let grands = &grand_stats[i];
-            let grand_flags = child_flags(child, f, &stat_refs(grands));
-            for (j, (g, gf)) in grands.iter().zip(grand_flags).enumerate() {
-                let stat = Arc::clone(g);
-                ann.insert(
-                    vec![i, j],
-                    NodeProps {
-                        stat,
-                        flags: gf,
-                        site: gsite,
-                    },
-                );
-            }
-            let stat = Arc::clone(&child_stats[i]);
-            ann.insert(
-                vec![i],
-                NodeProps {
-                    stat,
-                    flags: f,
-                    site: csite,
-                },
-            );
-        }
+        let mut path = Vec::with_capacity(RULE_DEPTH);
+        let child_stats = self.annotate_below(
+            binding, ctx.flags, ctx.site, RULE_DEPTH, &mut path, &mut ann,
+        )?;
         let root = NodeProps {
-            stat: Arc::new(root),
+            stat: Arc::new(node_stat(binding, &stat_refs(&child_stats), ctx.site)?),
             flags: ctx.flags,
             site: ctx.site,
         };
@@ -390,10 +362,44 @@ impl<'a> Explorer<'a> {
         Ok(ann)
     }
 
+    /// Annotate the descendants of `node` (at `path`, under `flags`, at
+    /// `site`) `depth` levels down; returns its children's properties.
+    fn annotate_below(
+        &mut self,
+        node: &PlanNode,
+        flags: PropsFlags,
+        site: Site,
+        depth: usize,
+        path: &mut Vec<usize>,
+        ann: &mut Annotations,
+    ) -> Result<Vec<Arc<StaticProps>>> {
+        let csite = node.child_site(site);
+        let children = node.children();
+        let stats = children
+            .iter()
+            .map(|c| self.memo.tree_stat(c, csite))
+            .collect::<Result<Vec<_>>>()?;
+        let flags = child_flags(node, flags, &stat_refs(&stats));
+        for (i, (child, f)) in children.into_iter().zip(flags).enumerate() {
+            path.push(i);
+            if depth > 1 {
+                self.annotate_below(child, f, csite, depth - 1, path, ann)?;
+            }
+            let props = NodeProps {
+                stat: Arc::clone(&stats[i]),
+                flags: f,
+                site: csite,
+            };
+            ann.insert(path.clone(), props);
+            path.pop();
+        }
+        Ok(stats)
+    }
+
     /// Concrete trees whose root is this expression's operator and whose
-    /// top two levels range over group members (witnesses below) — the
-    /// depth the rule catalogue inspects. Children are filtered by
-    /// usability under the context they would occupy.
+    /// top two levels range over group members (witnesses below): rules
+    /// match structure no deeper than a grandchild's operator. Children
+    /// are filtered by usability under the context they would occupy.
     fn enumerate_bindings(
         &mut self,
         task: Task,

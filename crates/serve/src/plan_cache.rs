@@ -31,9 +31,9 @@
 //! An entry lives no longer than the session that compiled it, so no plan
 //! outlives its thread's allocator arena ([`PlanCache::end_session`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, ThreadId};
 
 use tqo_core::error::Result;
@@ -69,13 +69,6 @@ impl Licences {
             coalesced: props.coalesced,
             order: props.order.clone(),
         }
-    }
-
-    fn hold_for(&self, props: &BaseProps) -> bool {
-        self.dup_free == props.dup_free
-            && self.snapshot_dup_free == props.snapshot_dup_free
-            && self.coalesced == props.coalesced
-            && self.order == props.order
     }
 }
 
@@ -117,10 +110,34 @@ pub struct PlanCacheStats {
 #[derive(Default)]
 pub(crate) struct PlanCache {
     entries: Mutex<HashMap<String, Entry>>,
+    /// Statements a session is planning now.
+    planning: Mutex<HashSet<String>>,
+    /// Signalled when a statement leaves `planning`.
+    planned: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     optimized: AtomicU64,
     truncated: AtomicU64,
+}
+
+/// One session's claim on planning a statement; dropping it wakes the
+/// sessions waiting for that search.
+struct Claim<'c> {
+    cache: &'c PlanCache,
+    sql: &'c str,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut planning = self
+            .cache
+            .planning
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        planning.remove(self.sql);
+        drop(planning);
+        self.cache.planned.notify_all();
+    }
 }
 
 /// The rules every served plan is searched under, built once.
@@ -133,12 +150,22 @@ impl PlanCache {
     /// The lowered plan of `sql` on `snapshot`: the cached one when every
     /// table it scans has the schema and base properties it was planned
     /// against, else a fresh compile, optimize and lower, kept if it
-    /// succeeds. Planning runs outside the lock, so two sessions that miss
-    /// on one statement may both plan it; the later insert wins. A miss
-    /// traces its phases inside the `plan-cache` span.
+    /// succeeds. Planning runs outside the entries lock, but one session
+    /// at a time plans a statement: sessions that miss on it meanwhile
+    /// wait for that search and look its plan up. A miss traces its phases
+    /// inside the `plan-cache` span.
     pub(crate) fn plan(&self, sql: &str, snapshot: &Catalog) -> Result<Arc<PhysicalPlan>> {
         let mut span = trace::span(Category::Planner, "plan-cache");
-        let found = self.lookup(sql, snapshot);
+        // Looked up again once claimed: an entry may have landed between
+        // the first lookup and the claim.
+        let mut claim = None;
+        let found = loop {
+            let found = self.lookup(sql, snapshot);
+            if found.is_some() || claim.is_some() {
+                break found;
+            }
+            claim = self.claim(sql);
+        };
         span.note_with(|| format!("\"hit\": {}", found.is_some()));
         if let Some(plan) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -162,6 +189,24 @@ impl PlanCache {
         Ok(plan)
     }
 
+    /// Claim the search for `sql`; while another session runs it, wait
+    /// for that search to end and return `None` instead. The claim ends
+    /// when the returned guard drops, after the plan is inserted or the
+    /// search failed.
+    fn claim<'c>(&'c self, sql: &'c str) -> Option<Claim<'c>> {
+        let mut planning = self.planning.lock().unwrap_or_else(|e| e.into_inner());
+        if planning.insert(sql.to_owned()) {
+            return Some(Claim { cache: self, sql });
+        }
+        while planning.contains(sql) {
+            planning = self
+                .planned
+                .wait(planning)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        None
+    }
+
     /// The map, recovered if a session panicked while holding it: every
     /// update is one `HashMap` call, so the map is whole at every step.
     fn entries(&self) -> MutexGuard<'_, HashMap<String, Entry>> {
@@ -175,7 +220,7 @@ impl PlanCache {
             snapshot.get(&b.name).is_ok_and(|t| {
                 let now = t.schema();
                 (Arc::ptr_eq(now, &b.schema) || **now == *b.schema)
-                    && b.licences.hold_for(t.props())
+                    && Licences::of(t.props()) == b.licences
             })
         });
         bound.then(|| Arc::clone(&entry.plan))
@@ -265,7 +310,7 @@ mod tests {
         for b in &bound {
             let table = catalog.get(&b.name).unwrap();
             assert!(Arc::ptr_eq(&b.schema, table.schema()));
-            assert!(b.licences.hold_for(table.props()));
+            assert_eq!(Licences::of(table.props()), b.licences);
         }
     }
 
@@ -285,6 +330,32 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.truncated, 0);
+    }
+
+    /// Sessions that miss on one statement together run one search: the
+    /// others wait for it and hit its plan.
+    #[test]
+    fn concurrent_misses_on_one_statement_plan_it_once() {
+        let catalog = paper::catalog();
+        let cache = PlanCache::default();
+        let sessions = 4;
+        let start = std::sync::Barrier::new(sessions);
+        let plans: Vec<Arc<PhysicalPlan>> = thread::scope(|s| {
+            let workers: Vec<_> = (0..sessions)
+                .map(|_| {
+                    s.spawn(|| {
+                        let snapshot = catalog.snapshot();
+                        start.wait();
+                        cache.plan(SQL, &snapshot).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (sessions as u64 - 1, 1));
+        assert!(cache.planning.lock().unwrap().is_empty());
     }
 
     /// A trace says why a hit has no `parse`, `bind`, `optimize` or

@@ -192,6 +192,71 @@ fn memo_survives_shapes_where_enumeration_truncates() {
     );
 }
 
+/// C5 to C8 match the argument of a grandchild of their root
+/// (`coalᵀ(⊔(coalᵀ(r1), coalᵀ(r2)))`, `coalᵀ(ξᵀ(coalᵀ(r)))`, ...), so the
+/// memo must annotate a binding that deep or `applicable` rejects them.
+/// Each shape sits on the right of a `\ᵀ`, where periods need not be
+/// preserved; alone in its rule set, each rule is the only way to the
+/// oracle's cheaper plan.
+#[test]
+fn memo_fires_rules_that_match_three_levels_deep() {
+    use tqo_core::expr::AggItem;
+    use tqo_core::rules::coal;
+
+    let t = |n: &str| fixture_tscan(n, 1000, false).transfer_s();
+    let count = || vec![AggItem::count_star("n")];
+    let shapes = [
+        (
+            "C5",
+            t("A").difference_t(t("B").coalesce().union_all(t("C").coalesce()).coalesce()),
+        ),
+        (
+            "C6",
+            t("A").difference_t(t("B").coalesce().union_t(t("C").coalesce()).coalesce()),
+        ),
+        (
+            "C7",
+            t("A").aggregate_t(vec!["E".into()], count()).difference_t(
+                t("B")
+                    .coalesce()
+                    .aggregate_t(vec!["E".into()], count())
+                    .coalesce(),
+            ),
+        ),
+        (
+            "C8",
+            t("A").difference_t(
+                t("B")
+                    .coalesce()
+                    .project_cols(&["E", "T1", "T2"])
+                    .coalesce(),
+            ),
+        ),
+    ];
+    for (name, shape) in shapes {
+        let plan = shape.build_multiset();
+        let rules = RuleSet::new(
+            coal::rules()
+                .into_iter()
+                .filter(|r| r.name() == name)
+                .collect(),
+        );
+        assert_eq!(rules.len(), 1, "{name}");
+        assert_eq!(check_fixture(&plan, &rules), Ok(true), "{name}");
+        let memo = optimize(&plan, &rules, &OptimizerConfig::default()).expect("memo");
+        let initial = CostModel::default().cost(&plan).unwrap();
+        assert!(
+            memo.cost.0 < initial.0,
+            "{name} did not fire: {}",
+            memo.cost.0
+        );
+        assert!(
+            memo.derivation.iter().any(|app| app.rule == name),
+            "{name} missing from the derivation"
+        );
+    }
+}
+
 #[test]
 fn memo_derivations_name_real_rules() {
     let rules = RuleSet::standard();
