@@ -12,10 +12,10 @@
 //! 2. **Bind**: materialize concrete subtrees whose top two levels range
 //!    over the child/grandchild group members, with member witnesses
 //!    below, and annotate them as deep as the rule catalogue matches
-//!    (three levels below the root). Each candidate
-//!    child must itself be usable under the context it would occupy, which
-//!    is exactly the reachability invariant the exhaustive enumerator
-//!    maintains by construction.
+//!    (three levels below the root). Each candidate child must itself be
+//!    usable under the context it would occupy, which is exactly the
+//!    reachability invariant the exhaustive enumerator maintains by
+//!    construction.
 //! 3. **Apply rules at the root** of every binding, gated by the
 //!    enumerator's own admissibility test ([`crate::enumerate::applicable`]) and
 //!    its snapshot-duplicate-freedom guard, and merge results back into
