@@ -25,15 +25,15 @@
 //! [`BaseProps`]: crate::plan::BaseProps
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::columnar::Column;
 use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::time::{Instant, Period};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Default number of equi-depth histogram buckets.
 pub const HISTOGRAM_BUCKETS: usize = 8;
@@ -266,6 +266,72 @@ impl ClassFacts {
     }
 }
 
+/// Rows grouped by their values in some columns (a relation's value
+/// classes, a column's distinct values): per-row hashes, then one
+/// open-addressing pass that checks each match against the class's first
+/// row in the columns themselves, so no value is copied out.
+#[derive(Debug, Clone)]
+pub struct ValueClasses {
+    /// Row indices, class by class in order of first occurrence, each
+    /// class's rows in list order.
+    rows: Vec<u32>,
+    /// Class `c` is `rows[bounds[c]..bounds[c + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl ValueClasses {
+    /// Group the first `rows` rows of `keys` (columns of at least that
+    /// length) by their values in every key column; NULLs equal NULLs.
+    pub fn group(keys: &[&Column], rows: usize) -> ValueClasses {
+        let mut hashes = vec![0u64; rows];
+        for key in keys {
+            key.hash_range(0, &mut hashes);
+        }
+        let mask = (rows * 2).next_power_of_two() - 1;
+        let mut slots = vec![u32::MAX; mask + 1];
+        let mut first: Vec<u32> = Vec::new();
+        let mut class_of = Vec::with_capacity(rows);
+        for (i, &h) in hashes.iter().enumerate() {
+            let mut slot = h as usize & mask;
+            while slots[slot] != u32::MAX {
+                let f = first[slots[slot] as usize] as usize;
+                if hashes[f] == h && keys.iter().all(|k| k.eq_at(f, k, i)) {
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+            if slots[slot] == u32::MAX {
+                slots[slot] = first.len() as u32;
+                first.push(i as u32);
+            }
+            class_of.push(slots[slot] as usize);
+        }
+        // A stable counting sort by class.
+        let mut bounds = vec![0usize; first.len() + 1];
+        for &c in &class_of {
+            bounds[c + 1] += 1;
+        }
+        for c in 1..bounds.len() {
+            bounds[c] += bounds[c - 1];
+        }
+        let mut next = bounds.clone();
+        let mut grouped = vec![0u32; rows];
+        for (i, &c) in class_of.iter().enumerate() {
+            grouped[next[c]] = i as u32;
+            next[c] += 1;
+        }
+        ValueClasses {
+            rows: grouped,
+            bounds,
+        }
+    }
+
+    /// Each class's rows (never empty), in order of first occurrence.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.bounds.windows(2).map(|w| &self.rows[w[0]..w[1]])
+    }
+}
+
 /// The whole-relation facts that Table 2's base properties and the
 /// non-column half of a [`TableSummary`] are functions of. Measured in one
 /// pass over the value classes ([`RelationProfile::measure`]), or kept
@@ -287,11 +353,21 @@ pub struct RelationProfile {
 }
 
 impl RelationProfile {
-    /// Profile a relation: one grouping pass, then each class examined once.
+    /// Profile a relation from its columns: one grouping into value
+    /// classes (by every value, on a snapshot relation), then each class's
+    /// periods, read off the `T1`/`T2` columns, examined once.
     pub fn measure(relation: &Relation) -> Result<RelationProfile> {
         let schema = relation.schema();
+        let columns = relation.columnar()?;
+        let keyed = if schema.is_temporal() {
+            schema.value_indices()
+        } else {
+            (0..schema.arity()).collect()
+        };
+        let keys: Vec<&Column> = keyed.iter().map(|&i| &**columns.column(i)).collect();
+        let classes = ValueClasses::group(&keys, columns.rows());
         let mut profile = RelationProfile {
-            rows: relation.len() as u64,
+            rows: columns.rows() as u64,
             distinct_rows: 0,
             max_class_overlap: 0,
             uncoalesced_classes: 0,
@@ -299,31 +375,96 @@ impl RelationProfile {
             total_duration: 0,
         };
         if !relation.is_temporal() {
-            let distinct: HashSet<&[Value]> =
-                relation.tuples().iter().map(|t| t.values()).collect();
-            profile.distinct_rows = distinct.len() as u64;
+            profile.distinct_rows = classes.iter().count() as u64;
             return Ok(profile);
         }
-        let value_idx = schema.value_indices();
-        let mut classes: HashMap<Vec<&Value>, Vec<Period>> = HashMap::new();
-        for t in relation.tuples() {
-            let p = t.period(schema)?;
-            profile.total_duration += p.duration() as i128;
-            profile.time_range = Some(
-                profile
-                    .time_range
-                    .map_or(p, |r| Period::of(r.start.min(p.start), r.end.max(p.end))),
+        let (t1, t2) = columns.period_columns()?;
+        profile.total_duration = t1.iter().zip(t2).map(|(s, e)| (e - s) as i128).sum();
+        profile.time_range = t1
+            .iter()
+            .min()
+            .zip(t2.iter().max())
+            .map(|(&start, &end)| Period::of(start, end));
+        let mut periods = Vec::new();
+        for rows in classes.iter() {
+            periods.clear();
+            periods.extend(
+                rows.iter()
+                    .map(|&r| Period::of(t1[r as usize], t2[r as usize])),
             );
-            let key = value_idx.iter().map(|&i| t.value(i)).collect();
-            classes.entry(key).or_default().push(p);
-        }
-        for periods in classes.values_mut() {
-            let facts = ClassFacts::of(periods);
+            let facts = ClassFacts::of(&mut periods);
             profile.distinct_rows += facts.distinct;
             profile.max_class_overlap = profile.max_class_overlap.max(facts.overlap);
             profile.uncoalesced_classes += u64::from(facts.adjacent);
         }
         Ok(profile)
+    }
+}
+
+/// A column's NULL count and its non-null values in ascending order, as
+/// runs `(value, occurrences)`. An `i64` column without NULLs is sorted as
+/// a slice; any other has its distinct values found by hash first
+/// ([`ValueClasses::group`]), and only those sorted and made [`Value`]s.
+pub fn sorted_runs(column: &Column) -> (u64, Vec<(Value, u64)>) {
+    if let Some(ints) = column.as_i64() {
+        let wrap = match column.dtype() {
+            DataType::Time => Value::Time,
+            _ => Value::Int,
+        };
+        let mut sorted = ints.to_vec();
+        sorted.sort_unstable();
+        let runs = sorted
+            .chunk_by(|a, b| a == b)
+            .map(|run| (wrap(run[0]), run.len() as u64))
+            .collect();
+        return (0, runs);
+    }
+    let mut nulls = 0;
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    for rows in ValueClasses::group(&[column], column.len()).iter() {
+        if column.is_null(rows[0] as usize) {
+            nulls = rows.len() as u64;
+        } else {
+            firsts.push(rows[0]);
+            counts.push(rows.len() as u64);
+        }
+    }
+    // Sorted by order-preserving prefixes; the values themselves are
+    // compared only where two prefixes tie, which exact prefixes of
+    // distinct values never do.
+    let (prefixes, _) = column.sort_prefixes(Some(&firsts));
+    let mut distinct: Vec<(u64, usize, u64)> = prefixes
+        .into_iter()
+        .zip(firsts)
+        .zip(counts)
+        .map(|((p, row), n)| (p, row as usize, n))
+        .collect();
+    distinct.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| column.cmp_at(a.1, column, b.1)));
+    let runs = distinct
+        .into_iter()
+        .map(|(_, row, n)| (column.value(row), n))
+        .collect();
+    (nulls, runs)
+}
+
+impl ColumnSummary {
+    /// Measure one column ([`sorted_runs`]).
+    fn measure(name: String, column: &Column) -> ColumnSummary {
+        let (nulls, runs) = sorted_runs(column);
+        ColumnSummary {
+            name,
+            distinct: runs.len() as u64,
+            nulls,
+            min: runs.first().map(|(v, _)| v.clone()),
+            max: runs.last().map(|(v, _)| v.clone()),
+            histogram: Histogram::from_runs(
+                runs.iter().map(|(v, n)| (v, *n)),
+                column.len() as u64 - nulls,
+                HISTOGRAM_BUCKETS as u64,
+            )
+            .map(Arc::new),
+        }
     }
 }
 
@@ -335,13 +476,12 @@ impl TableSummary {
 
     /// Measure the summary of any in-memory relation — no catalog needed.
     ///
-    /// This is the one full statistics computation in the system:
-    /// `tqo-storage` runs it for a cataloged table's first statistics
-    /// request (and as the oracle its maintained statistics must equal),
-    /// and [`crate::plan::BaseProps::measured`] runs it on any in-memory
-    /// relation a plan scans. Handles empty, all-NULL,
-    /// and single-row inputs (no histogram / min / max where nothing was
-    /// observed).
+    /// This is the one full statistics computation in the system, a typed
+    /// pass over the relation's columns: `tqo-storage` runs it as the
+    /// oracle a table's maintained statistics must equal, and
+    /// [`crate::plan::BaseProps::measured`] on any in-memory relation a
+    /// plan scans. Handles empty, all-NULL, and single-row inputs (no
+    /// histogram / min / max where nothing was observed).
     pub fn measure(relation: &Relation) -> Result<TableSummary> {
         Ok(TableSummary::profiled(relation)?.0)
     }
@@ -349,35 +489,22 @@ impl TableSummary {
     /// [`TableSummary::measure`], also returning the profile it measured
     /// on the way — so the base properties come from the same pass.
     pub fn profiled(relation: &Relation) -> Result<(TableSummary, RelationProfile)> {
-        let schema = relation.schema();
-        let mut columns = Vec::with_capacity(schema.arity());
-        for (i, attr) in schema.attrs().iter().enumerate() {
-            let mut nulls = 0u64;
-            let mut values: Vec<Value> = Vec::with_capacity(relation.len());
-            for t in relation.tuples() {
-                let v = t.value(i);
-                if v.is_null() {
-                    nulls += 1;
-                } else {
-                    values.push(v.clone());
-                }
-            }
-            values.sort_unstable();
-            // Distinct count from the sorted run (Value's Eq is defined as
-            // its total order's Equal, so this matches a hash-set count).
-            let distinct =
-                (values.len() - values.windows(2).filter(|w| w[0] == w[1]).count()) as u64;
-            columns.push(ColumnSummary {
-                name: attr.name.clone(),
-                distinct,
-                nulls,
-                min: values.first().cloned(),
-                max: values.last().cloned(),
-                histogram: Histogram::from_sorted(&values, HISTOGRAM_BUCKETS).map(Arc::new),
-            });
-        }
         let profile = RelationProfile::measure(relation)?;
-        Ok((TableSummary::assemble(&profile, columns), profile))
+        Ok((TableSummary::with_profile(relation, &profile)?, profile))
+    }
+
+    /// The summary of a relation whose profile is already measured: only
+    /// the per-column half is read, from each column's [`sorted_runs`].
+    pub fn with_profile(relation: &Relation, profile: &RelationProfile) -> Result<TableSummary> {
+        let columns = relation.columnar()?;
+        let summaries = relation
+            .schema()
+            .attrs()
+            .iter()
+            .zip(columns.columns())
+            .map(|(attr, column)| ColumnSummary::measure(attr.name.clone(), column))
+            .collect();
+        Ok(TableSummary::assemble(profile, summaries))
     }
 
     /// Put a summary together from a relation's profile and its per-column
@@ -936,5 +1063,124 @@ mod tests {
         let h = a.histogram.as_ref().unwrap();
         assert_eq!(h.total, 64);
         assert!((h.fraction_le(&Value::Int(7)) - 0.5).abs() < 0.2);
+    }
+
+    /// The columnar measure against the definitions walked tuple by tuple
+    /// (sorted values, runs counted by `Value` equality, classes keyed by
+    /// their explicit values), over every column type, NULLs in each,
+    /// `-0.0` beside `0.0`, on temporal and snapshot schemas.
+    #[test]
+    fn columnar_measure_equals_the_tuple_walk() {
+        use crate::tuple::Tuple;
+        use std::collections::{HashMap, HashSet};
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % m
+        };
+        let attrs = [
+            ("I", DataType::Int),
+            ("F", DataType::Float),
+            ("B", DataType::Bool),
+            ("S", DataType::Str),
+        ];
+        for temporal in [true, false] {
+            let schema = if temporal {
+                Schema::temporal(&attrs)
+            } else {
+                Schema::of(&attrs)
+            };
+            for rows in [0, 1, 2, 7, 60, 300] {
+                let tuples: Vec<Tuple> = (0..rows)
+                    .map(|_| {
+                        let mut v = vec![
+                            Value::Int(draw(7) as i64 - 3),
+                            Value::Float([0.5, -0.0, 0.0, 2.25][draw(4) as usize]),
+                            Value::Bool(draw(2) == 1),
+                            Value::Str(format!("s{}", draw(5)).into()),
+                        ];
+                        for x in v.iter_mut() {
+                            if draw(6) == 0 {
+                                *x = Value::Null;
+                            }
+                        }
+                        if temporal {
+                            let start = draw(10) as i64;
+                            v.push(Value::Time(start));
+                            v.push(Value::Time(start + 1 + draw(4) as i64));
+                        }
+                        Tuple::new(v)
+                    })
+                    .collect();
+                let r = Relation::new(schema.clone(), tuples).unwrap();
+
+                let mut profile = RelationProfile {
+                    rows: rows as u64,
+                    distinct_rows: 0,
+                    max_class_overlap: 0,
+                    uncoalesced_classes: 0,
+                    time_range: None,
+                    total_duration: 0,
+                };
+                if temporal {
+                    let mut classes: HashMap<Vec<Value>, Vec<Period>> = HashMap::new();
+                    for t in r.tuples() {
+                        let p = t.period(&schema).unwrap();
+                        profile.total_duration += p.duration() as i128;
+                        profile.time_range = Some(
+                            profile
+                                .time_range
+                                .map_or(p, |q| Period::of(q.start.min(p.start), q.end.max(p.end))),
+                        );
+                        classes
+                            .entry(t.explicit_values(&schema))
+                            .or_default()
+                            .push(p);
+                    }
+                    for periods in classes.values_mut() {
+                        let facts = ClassFacts::of(periods);
+                        profile.distinct_rows += facts.distinct;
+                        profile.max_class_overlap = profile.max_class_overlap.max(facts.overlap);
+                        profile.uncoalesced_classes += u64::from(facts.adjacent);
+                    }
+                } else {
+                    let distinct: HashSet<&[Value]> =
+                        r.tuples().iter().map(|t| t.values()).collect();
+                    profile.distinct_rows = distinct.len() as u64;
+                }
+                let columns = schema
+                    .attrs()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, attr)| {
+                        let mut values: Vec<Value> = r
+                            .tuples()
+                            .iter()
+                            .map(|t| t.value(i).clone())
+                            .filter(|v| !v.is_null())
+                            .collect();
+                        values.sort_unstable();
+                        let distinct =
+                            values.len() - values.windows(2).filter(|w| w[0] == w[1]).count();
+                        ColumnSummary {
+                            name: attr.name.clone(),
+                            distinct: distinct as u64,
+                            nulls: (rows - values.len()) as u64,
+                            min: values.first().cloned(),
+                            max: values.last().cloned(),
+                            histogram: Histogram::from_sorted(&values, HISTOGRAM_BUCKETS)
+                                .map(Arc::new),
+                        }
+                    })
+                    .collect();
+
+                let (summary, measured) = TableSummary::profiled(&r).unwrap();
+                let leg = format!("temporal {temporal}, {rows} rows");
+                assert_eq!(measured, profile, "{leg}");
+                assert_eq!(summary, TableSummary::assemble(&profile, columns), "{leg}");
+            }
+        }
     }
 }

@@ -103,7 +103,7 @@ counters! {
     /// Table-statistics requests that ran a full measurement over the rows.
     pub static STATS_CACHE_MISSES = (
         "stats_cache_misses",
-        "table statistics measured in full from base rows"
+        "table statistics measured from a version's columns"
     );
     /// Statistics discarded through `StatisticsProvider::invalidate_stats`.
     pub static STATS_CACHE_INVALIDATIONS = (

@@ -96,19 +96,15 @@ fn collect_facts(
     });
 }
 
-/// Optimize a logical plan, pricing it with the cost model calibrated to
-/// the batch engine that will execute it, then lower the winner to a
-/// physical plan.
+/// Optimize a logical plan, pricing it with the cost model fitted to the
+/// batch engine that will execute it (`CostModel::default`), then lower
+/// the winner to a physical plan.
 pub fn optimize_and_lower(
     plan: &LogicalPlan,
     rules: &RuleSet,
     config: PlannerConfig,
 ) -> Result<(PhysicalPlan, Optimized)> {
-    let search = OptimizerConfig {
-        cost_model: tqo_core::cost::CostModel::calibrated(),
-        ..OptimizerConfig::default()
-    };
-    let optimized = optimize(plan, rules, &search)?;
+    let optimized = optimize(plan, rules, &OptimizerConfig::default())?;
     let physical = lower(&optimized.best, config)?;
     Ok((physical, optimized))
 }
@@ -142,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_and_lower_finds_the_closures_calibrated_optimum() {
+    fn optimize_and_lower_finds_the_closures_optimum() {
         use tqo_core::cost::CostModel;
         use tqo_core::enumerate::{enumerate, EnumerationConfig};
         use tqo_core::rules::RuleSet;
@@ -151,11 +147,11 @@ mod tests {
         let (physical, optimized) =
             optimize_and_lower(&plan, &rules, PlannerConfig::default()).unwrap();
         assert!(!optimized.truncated);
-        // The memo matches the Figure 5 closure's optimum under the cost
-        // model every production caller prices with.
+        // The memo matches the Figure 5 closure's optimum under the one
+        // cost model.
         let closure = enumerate(&plan, &rules, EnumerationConfig::default()).unwrap();
         assert!(!closure.truncated);
-        let (_, oracle) = closure.cheapest(&CostModel::calibrated()).unwrap();
+        let (_, oracle) = closure.cheapest(&CostModel::default()).unwrap();
         assert!(
             (oracle.0 - optimized.cost.0).abs() <= 1e-9 * oracle.0.max(1.0),
             "{oracle:?} vs {:?}",

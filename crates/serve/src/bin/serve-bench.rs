@@ -24,6 +24,10 @@
 //! overhead, not parallel speedup — `host_parallelism` is committed next
 //! to the numbers so they read correctly.
 //!
+//! Before the levels, `connect_ping_p50_us` times what every client pays
+//! once: [`CONNECT_PINGS`] sequential connect + `Ping` round trips on a
+//! fresh server, each on a new connection, reported as their median.
+//!
 //! Usage: `serve-bench [output-path]`; `SERVE_BENCH_SECS` overrides the
 //! ~1.5 s measured window (three per level).
 
@@ -43,6 +47,9 @@ const LEVELS: &[usize] = &[1, 8, 64];
 
 /// Measured windows per level.
 const WINDOWS: usize = 3;
+
+/// Sequential connect + `Ping` round trips behind `connect_ping_p50_us`.
+const CONNECT_PINGS: usize = 200;
 
 const QUERIES: &[&str] = &[
     "SELECT EmpName FROM EMPLOYEE",
@@ -165,6 +172,24 @@ fn window(addr: std::net::SocketAddr, clients: usize, secs: f64) -> Window {
     }
 }
 
+/// The median time of [`CONNECT_PINGS`] sequential connect + `Ping`
+/// round trips on a fresh server of the paper catalog, in µs.
+fn connect_ping_p50_us() -> u64 {
+    let mut server = serve(paper::catalog(), ServerConfig::default()).expect("start server");
+    let mut times: Vec<u64> = (0..CONNECT_PINGS)
+        .map(|_| {
+            let started = Instant::now();
+            Client::connect(server.addr())
+                .and_then(|mut client| client.ping())
+                .expect("connect + ping");
+            started.elapsed().as_micros() as u64
+        })
+        .collect();
+    server.stop();
+    times.sort_unstable();
+    percentile(&times, 0.50)
+}
+
 /// The median of an odd number of values.
 fn median<T: PartialOrd + Copy>(mut values: Vec<T>) -> T {
     values.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
@@ -179,6 +204,9 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.5);
+
+    let connect_ping = connect_ping_p50_us();
+    println!("serve-bench: {CONNECT_PINGS} connect + ping round trips -> p50 {connect_ping} us");
 
     let catalog = paper::catalog();
     catalog
@@ -245,6 +273,7 @@ fn main() {
         "{{\n  \"bench\": \"serve\",\n  \"host_parallelism\": {host},\n  \
          \"scheduler_workers\": {workers},\n  \"window_secs\": {secs},\n  \
          \"windows_per_level\": {WINDOWS},\n  \"query_pool\": {},\n  \
+         \"connect_ping_p50_us\": {connect_ping},\n  \
          \"levels\": [\n{levels_json}\n  ]\n}}\n",
         QUERIES.len()
     );

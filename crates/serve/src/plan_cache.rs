@@ -2,7 +2,7 @@
 //!
 //! A miss plans a statement the way the paper does: compile, then the memo
 //! search of Figure 5's rules gated by Table 2's properties
-//! ([`optimize_and_lower`]: calibrated costs, the default budgets, no
+//! ([`optimize_and_lower`]: the default cost model, the default budgets, no
 //! wall-clock cut, so a statement plans alike every time), then lower.
 //! The search is paid once per statement and session; every hit after it
 //! runs the chosen plan.

@@ -13,9 +13,12 @@
 //!
 //! All generation is deterministic in the seed.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use tqo_core::columnar::{Column, ColumnarRelation};
 use tqo_core::error::Result;
 use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
@@ -192,35 +195,47 @@ impl WorkloadGenerator {
     }
 
     /// Shared generation core: per class, generate periods and attach the
-    /// class's explicit values.
+    /// class's explicit values. The relation is born in columns: each row's
+    /// values are pushed onto them and the shuffle is one gather, with the
+    /// rng draws (and so the list) of building and shuffling tuples.
     fn temporal_with_values(
         &mut self,
         cfg: &GenConfig,
         schema: Schema,
         mut values_of: impl FnMut(usize) -> Vec<Value>,
     ) -> Result<Relation> {
-        let mut tuples = Vec::with_capacity(cfg.base_rows());
+        let mut columns: Vec<Column> = schema
+            .attrs()
+            .iter()
+            .map(|a| Column::with_capacity(a.dtype, cfg.base_rows()))
+            .collect();
+        let explicit_idx = schema.value_indices();
+        let [t1, t2] = [schema.t1_index(), schema.t2_index()].map(|i| i.expect("temporal"));
         for class in 0..cfg.classes {
             let explicit = values_of(class);
             for (start, end) in self.class_periods(cfg) {
-                let mut values = explicit.clone();
-                values.push(Value::Time(start));
-                values.push(Value::Time(end));
-                let t = Tuple::new(values);
-                if self.rng.gen::<f64>() < cfg.duplicate_prob {
-                    tuples.push(t.clone());
+                let duplicated = self.rng.gen::<f64>() < cfg.duplicate_prob;
+                for _ in 0..1 + usize::from(duplicated) {
+                    for (&i, v) in explicit_idx.iter().zip(&explicit) {
+                        columns[i].push(v)?;
+                    }
+                    columns[t1].push_time(start);
+                    columns[t2].push_time(end);
                 }
-                tuples.push(t);
             }
         }
+        let rows = columns.first().map_or(0, Column::len);
+        let mut order: Vec<u32> = (0..rows as u32).collect();
         if cfg.shuffle {
             // Fisher–Yates with the generator's rng (deterministic in seed).
-            for i in (1..tuples.len()).rev() {
+            for i in (1..rows).rev() {
                 let j = self.rng.gen_range(0..=i);
-                tuples.swap(i, j);
+                order.swap(i, j);
             }
         }
-        Relation::new(schema, tuples)
+        let columns = columns.iter().map(|c| Arc::new(c.gather(&order))).collect();
+        let columnar = ColumnarRelation::new(Arc::new(schema), columns);
+        Ok(Relation::from_columnar(columnar))
     }
 
     /// A conventional relation `(A: Int, B: Str)` with controlled

@@ -15,12 +15,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use tqo_core::columnar::Column;
 use tqo_core::error::{Error, Result};
-use tqo_core::plan::BaseProps;
 use tqo_core::relation::Relation;
 use tqo_core::schema::Schema;
 use tqo_core::stats::{
-    ClassFacts, ColumnSummary, Histogram, RelationProfile, TableSummary, HISTOGRAM_BUCKETS,
+    sorted_runs, ClassFacts, ColumnSummary, Histogram, RelationProfile, TableSummary, ValueClasses,
+    HISTOGRAM_BUCKETS,
 };
 use tqo_core::time::Period;
 use tqo_core::tuple::Tuple;
@@ -61,18 +62,46 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// Open a ledger over a relation's current contents.
+    /// Open a ledger over a relation's current contents, read off its
+    /// columns: each column's sorted runs, and one grouping into value
+    /// classes, each class examined once.
     pub(crate) fn open(relation: &Relation) -> Result<Ledger> {
+        let schema = relation.schema();
+        let current = relation.columnar()?;
+        let periods = schema
+            .is_temporal()
+            .then(|| current.period_columns())
+            .transpose()?;
+        let durations = periods.map(|(t1, t2)| t1.iter().zip(t2).map(|(s, e)| (e - s) as i128));
+        let columns = current.columns().iter().map(|c| ColumnLedger::open(c));
         let mut ledger = Ledger {
             classes: HashMap::new(),
-            columns: vec![ColumnLedger::default(); relation.schema().arity()],
-            rows: 0,
+            columns: columns.collect(),
+            rows: current.rows() as u64,
             distinct_rows: 0,
             uncoalesced_classes: 0,
-            total_duration: 0,
+            total_duration: durations.map_or(0, Iterator::sum),
             overlap_degrees: BTreeMap::new(),
         };
-        ledger.apply(relation.schema(), &[], relation.tuples())?;
+        // Keyed as `apply` keys a tuple: by its explicit values.
+        let value_idx = schema.value_indices();
+        let keys: Vec<&Column> = value_idx.iter().map(|&i| &**current.column(i)).collect();
+        for rows in ValueClasses::group(&keys, current.rows()).iter() {
+            let mut class = Class {
+                rows: rows.len() as u64,
+                ..Class::default()
+            };
+            if let Some((t1, t2)) = periods {
+                class.periods = rows
+                    .iter()
+                    .map(|&r| Period::of(t1[r as usize], t2[r as usize]))
+                    .collect();
+            }
+            class.examine(periods.is_some());
+            ledger.account(ClassFacts::default(), class.facts);
+            let key = keys.iter().map(|c| c.value(rows[0] as usize)).collect();
+            ledger.classes.insert(key, class);
+        }
         Ok(ledger)
     }
 
@@ -131,29 +160,28 @@ impl Ledger {
                 .get_mut(&key)
                 .expect("touched class is recorded");
             let before = class.facts;
-            class.facts = if temporal {
-                ClassFacts::of(&mut class.periods)
-            } else {
-                ClassFacts {
-                    distinct: class.rows.min(1),
-                    ..ClassFacts::default()
-                }
-            };
+            class.examine(temporal);
             let after = class.facts;
             if class.rows == 0 {
                 self.classes.remove(&key);
             }
-            self.distinct_rows = self.distinct_rows - before.distinct + after.distinct;
-            self.uncoalesced_classes =
-                self.uncoalesced_classes - u64::from(before.adjacent) + u64::from(after.adjacent);
-            if before.overlap != after.overlap {
-                take_one(&mut self.overlap_degrees, &before.overlap);
-                if after.overlap > 0 {
-                    *self.overlap_degrees.entry(after.overlap).or_default() += 1;
-                }
-            }
+            self.account(before, after);
         }
         Ok(())
+    }
+
+    /// Move one class's contribution to the relation-level sums from
+    /// `before` to `after` (a new class's `before` is the default).
+    fn account(&mut self, before: ClassFacts, after: ClassFacts) {
+        self.distinct_rows = self.distinct_rows - before.distinct + after.distinct;
+        self.uncoalesced_classes =
+            self.uncoalesced_classes - u64::from(before.adjacent) + u64::from(after.adjacent);
+        if before.overlap != after.overlap {
+            take_one(&mut self.overlap_degrees, &before.overlap);
+            if after.overlap > 0 {
+                *self.overlap_degrees.entry(after.overlap).or_default() += 1;
+            }
+        }
     }
 
     /// The relation-level facts, as [`RelationProfile::measure`] would
@@ -182,8 +210,8 @@ impl Ledger {
         }
     }
 
-    /// The base properties and the summary of the current contents.
-    pub(crate) fn describe(&self, schema: &Schema) -> (BaseProps, TableSummary) {
+    /// The profile and the summary of the current contents.
+    pub(crate) fn describe(&self, schema: &Schema) -> (RelationProfile, TableSummary) {
         let profile = self.profile(schema);
         let columns = schema
             .attrs()
@@ -203,14 +231,35 @@ impl Ledger {
                 .map(Arc::new),
             })
             .collect();
-        (
-            BaseProps::from_profile(schema.clone(), &profile),
-            TableSummary::assemble(&profile, columns),
-        )
+        let summary = TableSummary::assemble(&profile, columns);
+        (profile, summary)
+    }
+}
+
+impl Class {
+    /// Bring `facts` up to date with the class's periods (its row count,
+    /// on a snapshot relation).
+    fn examine(&mut self, temporal: bool) {
+        self.facts = if temporal {
+            ClassFacts::of(&mut self.periods)
+        } else {
+            ClassFacts {
+                distinct: self.rows.min(1),
+                ..ClassFacts::default()
+            }
+        };
     }
 }
 
 impl ColumnLedger {
+    fn open(column: &Column) -> ColumnLedger {
+        let (nulls, runs) = sorted_runs(column);
+        ColumnLedger {
+            nulls,
+            values: runs.into_iter().collect(),
+        }
+    }
+
     fn record(&mut self, v: &Value, entering: bool) {
         if v.is_null() {
             self.nulls = self

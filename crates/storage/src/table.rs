@@ -20,16 +20,16 @@ use crate::ledger::Ledger;
 /// publishes versions behind an `Arc` and never changes one; a query that
 /// pinned a version plans and runs against the same data.
 ///
-/// The `&mut self` modifiers turn a working copy into the *next* version.
-/// A registered version is born with its tuples; every version a modifier
-/// makes is born in columns, copied run by run from the current version's
-/// columns, and builds its tuple list only if someone asks for it. The
-/// modifiers validate only the tuples that enter, and bring properties and
-/// statistics up to date from a modification ledger by re-examining only
-/// the value classes those tuples belong to — with results equal to
+/// Every version is born in columns, its tuple list built only on demand:
+/// [`Table::new`] keeps its relation's columns (transposing a tuple-born
+/// one once), and the `&mut self` modifiers, which turn a working copy
+/// into the *next* version, copy the current version's columns run by
+/// run. They validate only the tuples that enter, and bring properties
+/// and statistics up to date from a modification ledger by re-examining
+/// only the value classes those tuples belong to — with results equal to
 /// deriving both from scratch ([`derive_props`],
-/// [`TableSummary::measure`]). Statistics of a version nobody modified yet
-/// are measured in full, lazily, on first use.
+/// [`TableSummary::measure`]). Statistics of a version nobody modified
+/// yet are measured on first use, reusing registration's class profile.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -37,6 +37,9 @@ pub struct Table {
     schema: Arc<Schema>,
     relation: Relation,
     props: BaseProps,
+    /// What `props` was read off, reused by the first statistics request;
+    /// forgotten with the statistics.
+    profile: Option<RelationProfile>,
     stats: OnceLock<Arc<TableSummary>>,
     /// Opened by the first modification and carried from each working copy
     /// to the next (the catalog parks it between modifications); never on
@@ -47,12 +50,17 @@ pub struct Table {
 impl Table {
     /// Create a table, deriving honest base properties from the data:
     /// duplicate-freedom, snapshot-duplicate-freedom, and coalescedness are
-    /// measured, not assumed.
+    /// measured, not assumed, in one pass over the columns. The table keeps
+    /// `relation`'s columns only (a tuple-born relation is transposed here,
+    /// once); its tuple list, if it has one, stays with the caller.
     pub fn new(name: impl Into<String>, relation: Relation) -> Result<Table> {
+        let relation = Relation::from_columnar((*relation.columnar()?).clone());
+        let profile = RelationProfile::measure(&relation)?;
         Ok(Table {
             name: name.into(),
             schema: Arc::new(relation.schema().clone()),
-            props: derive_props(&relation)?,
+            props: BaseProps::from_profile(relation.schema().clone(), &profile),
+            profile: Some(profile),
             relation,
             stats: OnceLock::new(),
             ledger: None,
@@ -86,8 +94,9 @@ impl Table {
         self.props.clone().with_summary(self.stats())
     }
 
-    /// This version's statistics, measured in full on first use unless a
-    /// modification already brought them up to date.
+    /// This version's statistics, measured from the columns (and the
+    /// profile, if it was forgotten) on first use unless a modification
+    /// already brought them up to date.
     pub fn stats(&self) -> Arc<TableSummary> {
         if let Some(known) = self.stats.get() {
             counters::STATS_CACHE_HITS.incr();
@@ -95,10 +104,11 @@ impl Table {
         }
         Arc::clone(self.stats.get_or_init(|| {
             counters::STATS_CACHE_MISSES.incr();
-            Arc::new(
-                TableSummary::measure(&self.relation)
-                    .expect("statistics over a validated relation cannot fail"),
-            )
+            let summary = match &self.profile {
+                Some(profile) => TableSummary::with_profile(&self.relation, profile),
+                None => TableSummary::measure(&self.relation),
+            };
+            Arc::new(summary.expect("statistics over a validated relation cannot fail"))
         }))
     }
 
@@ -109,6 +119,7 @@ impl Table {
         if self.stats.take().is_some() {
             counters::STATS_CACHE_INVALIDATIONS.incr();
         }
+        self.profile = None;
         self.ledger = None;
     }
 
@@ -150,9 +161,10 @@ impl Table {
             None => Box::new(Ledger::open(&self.relation)?),
         };
         ledger.apply(schema, &delta.removed, &delta.added)?;
-        let (props, summary) = ledger.describe(schema);
+        let (profile, summary) = ledger.describe(schema);
+        self.props = BaseProps::from_profile(schema.clone(), &profile);
         self.relation = delta.next;
-        self.props = props;
+        self.profile = Some(profile);
         self.stats = OnceLock::from(Arc::new(summary));
         self.ledger = Some(ledger);
         Ok(())

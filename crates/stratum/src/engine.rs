@@ -74,16 +74,13 @@ impl Stratum {
     pub fn new(catalog: Catalog) -> Stratum {
         Stratum {
             dbms: SimulatedDbms::new(catalog),
-            optimizer: tqo_core::optimizer::OptimizerConfig {
-                // Site placement is statistics-driven end to end: plans
-                // compiled against the catalog embed measured table
-                // summaries (row counts, distinct counts, histograms), so
-                // the transfer-cost decision prices estimated rows from
-                // data; the work factors are calibrated to the batch
-                // engine that executes the stratum's operators.
-                cost_model: tqo_core::cost::CostModel::calibrated(),
-                ..Default::default()
-            },
+            // Site placement is statistics-driven end to end: plans
+            // compiled against the catalog embed measured table summaries
+            // (row counts, distinct counts, histograms), so the
+            // transfer-cost decision prices estimated rows from data; the
+            // default cost model's work factors are fitted to the batch
+            // engine that executes the stratum's operators.
+            optimizer: tqo_core::optimizer::OptimizerConfig::default(),
             faults: None,
             retry: RetryPolicy::default(),
         }
@@ -451,7 +448,7 @@ mod tests {
         // The optimizer kept the plan layered and valid.
         validate_layered(&chosen).unwrap();
         // The chosen layered plan is as cheap as the Figure 5 closure's
-        // optimum under the layer's own (calibrated) cost model.
+        // optimum under the layer's own (default) cost model.
         let layered =
             make_layered(&tqo_sql::compile(sql, stratum.dbms().catalog()).unwrap()).unwrap();
         let closure = tqo_core::enumerate::enumerate(

@@ -27,12 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                WHERE e.EmpName = p.EmpName";
     println!("query: {sql}\n");
 
-    // ── Before execution: the `\costs` view. The cost model is calibrated
-    // to the batch engine that will run the plan; the optimizer's choice
+    // ── Before execution: the `\costs` view. The cost model is fitted to
+    // the batch engine that will run the plan; the optimizer's choice
     // rests entirely on estimated rows and costs.
     let plan = tqo_sql::compile(sql, &catalog)?;
     let layered = make_layered(&plan)?;
-    let model = CostModel::calibrated();
+    let model = CostModel::default();
     let optimized = optimize(
         &layered,
         &RuleSet::standard(),

@@ -239,9 +239,9 @@ fn dispatch(input: &str, shell: &mut Shell) -> Result<String, Box<dyn std::error
         // estimated output rows, and the estimated cost contribution.
         let plan = tqo_sql::compile(sql, catalog)?;
         let layered = make_layered(&plan)?;
-        // Match the stratum's own optimizer: calibrated to the batch
-        // engine the stratum executes with.
-        let model = tqo_core::cost::CostModel::calibrated();
+        // The stratum's own optimizer's model, fitted to the batch engine
+        // the stratum executes with.
+        let model = tqo_core::cost::CostModel::default();
         let optimized = tqo_core::optimizer::optimize(
             &layered,
             &RuleSet::standard(),

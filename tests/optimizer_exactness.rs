@@ -10,7 +10,6 @@
 mod common;
 
 use common::{benchmark_catalog, same_answer, BENCHMARK_TEMPLATES, SQL_POOL};
-use tqo_core::cost::CostModel;
 use tqo_core::equivalence::ResultType;
 use tqo_core::interp::eval_plan;
 use tqo_core::optimizer::{optimize, OptimizerConfig};
@@ -112,8 +111,8 @@ fn repeated_searches_explore_alike() {
 }
 
 /// The benchmark's 20 templates, each over its workload's catalog at test
-/// scale, plain and layered, priced as served (calibrated) and by the
-/// default model: every search closes, and every chosen plan returns the
+/// scale, plain and layered, priced as served (by the one cost model):
+/// every search closes, and every chosen plan returns the
 /// interpreter's rows under the template's result type.
 #[test]
 fn benchmark_templates_choose_plans_that_return_the_interpreters_rows() {
@@ -126,29 +125,24 @@ fn benchmark_templates_choose_plans_that_return_the_interpreters_rows() {
             let plan = tqo_sql::compile(sql, &catalog).unwrap();
             let reference = eval_plan(&plan, &env).unwrap();
             let layered = tqo_stratum::make_layered(&plan).unwrap();
-            for cost_model in [CostModel::calibrated(), CostModel::default()] {
-                let config = OptimizerConfig {
-                    cost_model,
-                    ..OptimizerConfig::default()
-                };
-                for (form, input) in [("plain", &plan), ("layered", &layered)] {
-                    let leg = format!("seed {seed}, {workload}/{name}, {form}");
-                    let optimized = optimize(input, &rules, &config).unwrap();
-                    assert!(!optimized.truncated, "{leg}: the memo search truncated");
-                    let got = eval_plan(&optimized.best, &env).unwrap();
-                    assert!(
-                        same_answer(&plan.result_type, &reference, &got),
-                        "{leg}: {} rows for the interpreter's {}\n{}",
-                        got.len(),
-                        reference.len(),
-                        plan_to_string(&optimized.best.root)
-                    );
-                    legs += 1;
-                }
+            let config = OptimizerConfig::default();
+            for (form, input) in [("plain", &plan), ("layered", &layered)] {
+                let leg = format!("seed {seed}, {workload}/{name}, {form}");
+                let optimized = optimize(input, &rules, &config).unwrap();
+                assert!(!optimized.truncated, "{leg}: the memo search truncated");
+                let got = eval_plan(&optimized.best, &env).unwrap();
+                assert!(
+                    same_answer(&plan.result_type, &reference, &got),
+                    "{leg}: {} rows for the interpreter's {}\n{}",
+                    got.len(),
+                    reference.len(),
+                    plan_to_string(&optimized.best.root)
+                );
+                legs += 1;
             }
         }
     }
-    assert_eq!(legs, 2 * BENCHMARK_TEMPLATES.len() * 2 * 2);
+    assert_eq!(legs, 2 * BENCHMARK_TEMPLATES.len() * 2);
 }
 
 /// Through a server, which plans each statement by the memo search and

@@ -1,9 +1,9 @@
 //! Versioned tables, guarded by counts that repeat exactly rather than by
-//! timings: reads of an unchanged catalog transpose each touched table
-//! once (not once per read), a modification measures nothing in full and
-//! builds no tuple list, the version it makes is born in columns so a
-//! read after it transposes nothing, and a stage scanning another stage's
-//! output transposes nothing.
+//! timings: every version is born in columns — a registered one transposed
+//! at registration, a modified one copied from its predecessor's columns —
+//! so reads transpose nothing, a modification measures nothing in full and
+//! builds no tuple list, and a stage scanning another stage's output
+//! transposes nothing.
 //!
 //! One `#[test]` in a file of its own, so nothing else in the process
 //! moves the process-wide counters between two readings.
@@ -46,8 +46,9 @@ fn reads_transpose_once_per_version_and_mutations_measure_nothing() {
         assert_eq!(serve(&catalog, EMPLOYEE_READ), 3);
         assert_eq!(serve(&catalog, PROJECT_READ), 2);
     }
-    // Ten reads of each table: one transpose and one measurement each.
-    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 2);
+    // Ten reads of each table: no transpose (the registered versions are
+    // born in columns) and one measurement each.
+    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 0);
     assert_eq!(STATS_CACHE_MISSES.get() - measures, 2);
 
     // An insert+delete pair makes two new EMPLOYEE versions and measures
@@ -88,15 +89,14 @@ fn reads_transpose_once_per_version_and_mutations_measure_nothing() {
         assert_eq!(serve(&catalog, PROJECT_READ), 2);
     }
     assert_eq!(STATS_CACHE_MISSES.get() - measures, 2, "no full measure");
-    // No more transposes: the versions read between and after the pair
-    // were born in columns. PROJECT's single transpose is still the one in
-    // use.
-    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 2);
+    // No transposes at all: every version read was born in columns.
+    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 0);
 
     // A two-stage statement over one base table (the aggregate is a
     // breaker below the sort), staged by the scheduler on a fresh catalog:
-    // the base table is transposed, the aggregate's output is handed to
-    // the sort's stage with the columns it was built from.
+    // the base table was transposed at registration, the aggregate's
+    // output is handed to the sort's stage with the columns it was built
+    // from.
     let fresh = paper::catalog().snapshot();
     let staged = "SELECT Dept, COUNT(*) AS n FROM EMPLOYEE GROUP BY Dept ORDER BY Dept";
     let plan = lower(
@@ -123,5 +123,5 @@ fn reads_transpose_once_per_version_and_mutations_measure_nothing() {
         1,
         "one stage reads another's output"
     );
-    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 1);
+    assert_eq!(TRANSPOSES_BUILT.get() - transposes, 0);
 }
