@@ -158,6 +158,31 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             .expect("generation"),
     );
 
+    // EMPLOYEE and PROJECT of a Figure 1 workload of about `rows`
+    // employee rows, as a catalog registers them (string columns over
+    // sorted dictionaries), from a generator of their own so the tables
+    // above keep their draws. The string-keyed cases read them: EMPLOYEE
+    // whole, and PROJECT's `(EmpName, Prj)` as a conventional relation.
+    let figure1 = WorkloadGenerator::new(seed)
+        .figure1_workload((rows / 42).max(1))
+        .expect("generation");
+    let table = |name: &str| figure1.get(name).expect("registered").relation().clone();
+    env.insert("EMPLOYEE", table("EMPLOYEE"));
+    let project = table("PROJECT").columnar().expect("columns");
+    let keys = ["EmpName", "Prj"].map(|a| project.schema().resolve(a).expect("attribute"));
+    env.insert(
+        "EP",
+        tqo_core::Relation::from_columnar(tqo_core::columnar::ColumnarRelation::new(
+            std::sync::Arc::new(tqo_core::schema::Schema::of(&[
+                ("EmpName", tqo_core::value::DataType::Str),
+                ("Prj", tqo_core::value::DataType::Str),
+            ])),
+            keys.iter()
+                .map(|&k| std::sync::Arc::clone(project.column(k)))
+                .collect(),
+        )),
+    );
+
     let scan = |name: &str| {
         let rel = env.get(name).expect("registered");
         PlanBuilder::scan(
@@ -228,6 +253,14 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             len("TL") + len("TR"),
         ),
         case("coalesce", scan("TFRAG").coalesce(), len("TFRAG")),
+        // String keys: a sort on a sorted dictionary's codes, and value
+        // classes over two dictionary-coded columns.
+        case(
+            "sort_str",
+            scan("EMPLOYEE").sort(Order::asc(&["EmpName"])),
+            len("EMPLOYEE"),
+        ),
+        case("rdup_str2", scan("EP").rdup(), len("EP")),
         // `ξᵀ`'s endpoint sweep with an incremental count, integer sum
         // and extreme at once (`E` is TOV's only explicit attribute).
         case(

@@ -6,10 +6,12 @@
 //! column-major counterpart the batch execution engine in `tqo-exec` runs
 //! on: attribute values are unboxed into native vectors (`T1`/`T2` become
 //! plain `i64` columns), nulls live in an optional side mask, and a
-//! string column is one byte buffer plus offsets ([`Strings`], the
-//! variable-size binary layout of Apache Arrow), so copying, gathering,
-//! comparing, hashing and freeing strings are slice operations with no
-//! allocation or reference count per value.
+//! string column is one `u32` code per row into a shared dictionary of
+//! unique entries ([`Strings`], [`Dict`]): copying and gathering strings
+//! copy codes, value equality within one dictionary compares codes, hashes
+//! are read from the entry, and a sorted dictionary's codes order the
+//! values exactly (the integer-code execution of Abadi, Madden and
+//! Ferreira over order-preserving dictionaries).
 //!
 //! Row-level semantics (hashing, equality, ordering) exactly mirror
 //! [`Value`]'s: within a column the declared [`DataType`] fixes the variant
@@ -19,7 +21,7 @@
 //! relation equal (`==`) to the original.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{Error, Result};
 use crate::relation::Relation;
@@ -36,7 +38,7 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Booleans.
     Bool(Vec<bool>),
-    /// Strings, all of a column's bytes in one buffer.
+    /// Strings, as codes into a shared dictionary.
     Str(Strings),
     /// Instants, stored as raw `i64`.
     Time(Vec<i64>),
@@ -95,104 +97,426 @@ fn hash_str(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A string column's payload: every value's UTF-8 bytes back to back in
-/// one buffer, delimited by `len + 1` offsets (value `i` is
-/// `bytes[offsets[i]..offsets[i + 1]]`). Values compare and hash as byte
-/// slices — UTF-8 byte order is `str` order, so `Value::cmp` and
-/// `Value::eq` semantics hold. Only whole `&str`s or whole values of
-/// another `Strings` enter, so the buffer is UTF-8 at every value boundary.
+/// "No code" in a dictionary's probe table.
+const NO_CODE: u32 = u32::MAX;
+
+/// A string column's dictionary: each distinct value ("entry") stored once,
+/// with its finalized hash (what [`Column::hash_at`] returns for it), its
+/// byte length and, built on first use, the `Arc<str>` every row-layout
+/// value of it shares. Entries are unique, so within one dictionary equal
+/// codes are equal values; `sorted` records that the entries are strictly
+/// ascending, so code order is also value order (UTF-8 byte order is `str`
+/// order). Columns share a dictionary through an `Arc`: a gather, copy or
+/// filter copies codes, never strings.
+#[derive(Debug, Clone)]
+pub struct Dict {
+    bytes: Vec<u8>,
+    /// Entry `c` is `bytes[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<usize>,
+    hashes: Vec<u64>,
+    shared: Vec<OnceLock<Arc<str>>>,
+    sorted: bool,
+    /// Open-addressing table of codes by hash, for interning; built by the
+    /// first lookup and kept current by appends.
+    index: OnceLock<Vec<u32>>,
+}
+
+/// The finalized hash of a string value.
+#[inline]
+fn entry_hash(bytes: &[u8]) -> u64 {
+    mix64(hash_str(bytes))
+}
+
+/// Enter `code` into a probe table with room for it.
+fn index_insert(slots: &mut [u32], hash: u64, code: u32) {
+    let mask = slots.len() - 1;
+    let mut s = hash as usize & mask;
+    while slots[s] != NO_CODE {
+        s = (s + 1) & mask;
+    }
+    slots[s] = code;
+}
+
+impl Dict {
+    fn new() -> Dict {
+        Dict {
+            bytes: Vec::new(),
+            offsets: vec![0],
+            hashes: Vec::new(),
+            shared: Vec::new(),
+            sorted: true,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// A dictionary of `entries`, which must be strictly ascending.
+    pub fn from_ascending<'a>(entries: impl IntoIterator<Item = &'a str>) -> Dict {
+        let mut dict = Dict::new();
+        for e in entries {
+            dict.append(e.as_bytes(), entry_hash(e.as_bytes()));
+        }
+        debug_assert!(dict.sorted, "entries must be strictly ascending");
+        dict
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// True when the dictionary holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// True when the entries are strictly ascending (code order is value
+    /// order).
+    pub fn is_sorted(&self) -> bool {
+        self.sorted
+    }
+
+    /// The bytes of entry `code`.
+    #[inline]
+    pub fn bytes(&self, code: u32) -> &[u8] {
+        let c = code as usize;
+        &self.bytes[self.offsets[c]..self.offsets[c + 1]]
+    }
+
+    /// Entry `code` as a string.
+    pub fn entry(&self, code: u32) -> &str {
+        std::str::from_utf8(self.bytes(code)).expect("a dictionary holds UTF-8 entries")
+    }
+
+    #[inline]
+    fn len_of(&self, code: u32) -> usize {
+        let c = code as usize;
+        self.offsets[c + 1] - self.offsets[c]
+    }
+
+    #[inline]
+    fn hash(&self, code: u32) -> u64 {
+        self.hashes[code as usize]
+    }
+
+    /// The one `Arc<str>` of entry `code`, built on first use.
+    pub(crate) fn shared(&self, code: u32) -> Arc<str> {
+        Arc::clone(self.shared[code as usize].get_or_init(|| Arc::from(self.entry(code))))
+    }
+
+    /// The code of the entry with these bytes (and this hash), if any.
+    fn find(&self, bytes: &[u8], hash: u64) -> Option<u32> {
+        let slots = self.index.get_or_init(|| {
+            let mut slots = vec![NO_CODE; (2 * self.len() + 2).next_power_of_two()];
+            for (c, &h) in self.hashes.iter().enumerate() {
+                index_insert(&mut slots, h, c as u32);
+            }
+            slots
+        });
+        let mask = slots.len() - 1;
+        let mut s = hash as usize & mask;
+        loop {
+            match slots[s] {
+                NO_CODE => return None,
+                c if self.hashes[c as usize] == hash && self.bytes(c) == bytes => return Some(c),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Append a new entry (not already present) and return its code.
+    fn append(&mut self, bytes: &[u8], hash: u64) -> u32 {
+        let code = u32::try_from(self.len())
+            .ok()
+            .filter(|&c| c != NO_CODE)
+            .expect("a dictionary holds fewer than 2^32 - 1 entries");
+        if let Some(last) = code.checked_sub(1) {
+            self.sorted &= self.bytes(last) < bytes;
+        }
+        self.bytes.extend_from_slice(bytes);
+        self.offsets.push(self.bytes.len());
+        self.hashes.push(hash);
+        self.shared.push(OnceLock::new());
+        if let Some(slots) = self.index.get_mut() {
+            if slots.len() < 2 * self.hashes.len() {
+                // Rebuilt at twice the size by the next lookup.
+                self.index = OnceLock::new();
+            } else {
+                index_insert(slots, hash, code);
+            }
+        }
+        code
+    }
+}
+
+/// A string column's payload: one `u32` code per row into a [`Dict`]
+/// shared with every column gathered or copied from it. Values compare and
+/// hash on codes within one dictionary, and on cached hashes then bytes
+/// across two; row-layout values clone the entry's one `Arc<str>`.
 #[derive(Debug, Clone)]
 pub struct Strings {
-    bytes: Vec<u8>,
-    offsets: Vec<usize>,
+    dict: Arc<Dict>,
+    codes: Vec<u32>,
+    /// Σ entry length over the rows: the bytes the row layout would hold.
+    bytes: usize,
 }
 
 impl Strings {
-    /// An empty payload with room for `rows` values of `bytes` bytes in all.
-    pub fn with_capacity(rows: usize, bytes: usize) -> Strings {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
+    /// An empty payload, over a new dictionary, with room for `rows` values.
+    pub fn with_capacity(rows: usize) -> Strings {
         Strings {
-            bytes: Vec::with_capacity(bytes),
-            offsets,
+            dict: Arc::new(Dict::new()),
+            codes: Vec::with_capacity(rows),
+            bytes: 0,
         }
+    }
+
+    /// A payload of `codes` into `dict`; a code past its entries panics.
+    pub fn new(dict: Arc<Dict>, codes: Vec<u32>) -> Strings {
+        let mut strings = Strings {
+            dict,
+            codes,
+            bytes: 0,
+        };
+        strings.bytes = strings.bytes_of(&strings.codes);
+        strings
     }
 
     /// Number of values.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.codes.len()
     }
 
     /// True when the payload holds no values.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.codes.is_empty()
+    }
+
+    /// The dictionary the codes index.
+    pub fn dict(&self) -> &Arc<Dict> {
+        &self.dict
+    }
+
+    /// One code per row.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
     }
 
     /// The bytes of value `i`.
     #[inline]
     pub fn bytes_at(&self, i: usize) -> &[u8] {
-        &self.bytes[self.offsets[i]..self.offsets[i + 1]]
+        self.dict.bytes(self.codes[i])
     }
 
     /// Value `i` as a string.
     pub fn str_at(&self, i: usize) -> &str {
-        std::str::from_utf8(self.bytes_at(i)).expect("a string column holds UTF-8 values")
+        self.dict.entry(self.codes[i])
     }
 
     /// The summed length of all values.
     pub fn total_bytes(&self) -> usize {
-        self.bytes.len()
+        self.bytes
     }
 
     /// Append a value.
     pub fn push(&mut self, s: &str) {
-        self.push_bytes(s.as_bytes());
+        let code = self.intern(s.as_bytes(), entry_hash(s.as_bytes()));
+        self.push_code(code);
     }
 
-    fn push_bytes(&mut self, b: &[u8]) {
-        self.bytes.extend_from_slice(b);
-        self.offsets.push(self.bytes.len());
+    #[inline]
+    fn push_code(&mut self, code: u32) {
+        self.bytes += self.dict.len_of(code);
+        self.codes.push(code);
     }
 
-    /// Append values `start..end` of `other`: one byte copy, offsets shifted.
+    /// The code of a value in this dictionary, appending it if new. Only
+    /// an append copies a dictionary that other columns share.
+    fn intern(&mut self, bytes: &[u8], hash: u64) -> u32 {
+        match self.dict.find(bytes, hash) {
+            Some(code) => code,
+            None => Arc::make_mut(&mut self.dict).append(bytes, hash),
+        }
+    }
+
+    /// Whether `other`'s codes are codes here, adopting its dictionary
+    /// while this one is empty (so an output column shares its input's).
+    fn shares(&mut self, other: &Strings) -> bool {
+        if self.dict.is_empty() {
+            self.dict = Arc::clone(&other.dict);
+        }
+        Arc::ptr_eq(&self.dict, &other.dict)
+    }
+
+    /// Σ entry length over `codes`.
+    fn bytes_of(&self, codes: &[u32]) -> usize {
+        codes.iter().map(|&c| self.dict.len_of(c)).sum()
+    }
+
+    /// Append values `start..end` of `other`: one copy of their codes when
+    /// the dictionary is shared, whose byte count is read off the shorter
+    /// of the range and the rest of `other`.
     fn extend_range(&mut self, other: &Strings, start: usize, end: usize) {
-        let (from, to) = (other.offsets[start], other.offsets[end]);
-        let base = self.bytes.len();
-        self.offsets.extend(
-            other.offsets[start + 1..=end]
-                .iter()
-                .map(|&o| o - from + base),
-        );
-        self.bytes.extend_from_slice(&other.bytes[from..to]);
+        if !self.shares(other) {
+            return self.translate(other, start..end);
+        }
+        let range = &other.codes[start..end];
+        self.bytes += if 2 * range.len() <= other.len() {
+            other.bytes_of(range)
+        } else {
+            other.bytes
+                - other.bytes_of(&other.codes[..start])
+                - other.bytes_of(&other.codes[end..])
+        };
+        self.codes.extend_from_slice(range);
     }
 
-    /// Append the given values of `other`, their summed length reserved
-    /// before any is copied.
+    /// Append the values of `other` at `idx`.
     fn extend_idx(&mut self, other: &Strings, idx: &[u32]) {
-        let total: usize = idx.iter().map(|&i| other.bytes_at(i as usize).len()).sum();
-        self.bytes.reserve(total);
-        self.offsets.reserve(idx.len());
-        for &i in idx {
-            self.push_bytes(other.bytes_at(i as usize));
+        if !self.shares(other) {
+            return self.translate(other, idx.iter().map(|&i| i as usize));
+        }
+        let at = self.codes.len();
+        self.codes
+            .extend(idx.iter().map(|&i| other.codes[i as usize]));
+        self.bytes += self.bytes_of(&self.codes[at..]);
+    }
+
+    /// Append the values of `other` at `rows`, another dictionary's:
+    /// each value interned once per run of equal codes.
+    fn translate(&mut self, other: &Strings, rows: impl ExactSizeIterator<Item = usize>) {
+        self.codes.reserve(rows.len());
+        let mut last: Option<(u32, u32)> = None;
+        for i in rows {
+            let theirs = other.codes[i];
+            let code = match last {
+                Some((t, mine)) if t == theirs => mine,
+                _ => {
+                    let mine = self.intern(other.dict.bytes(theirs), other.dict.hash(theirs));
+                    last = Some((theirs, mine));
+                    mine
+                }
+            };
+            self.push_code(code);
         }
     }
-}
 
-/// Hands out one `Arc<str>` per run of equal consecutive strings (NULL
-/// slots between them do not end a run), so the values a column gives the
-/// row layout share an allocation while they repeat.
-struct SharedRuns<'a> {
-    strings: &'a Strings,
-    last: Option<Arc<str>>,
-}
-
-impl SharedRuns<'_> {
-    fn at(&mut self, i: usize) -> Arc<str> {
-        let bytes = self.strings.bytes_at(i);
-        match &self.last {
-            Some(s) if s.as_bytes() == bytes => Arc::clone(s),
-            _ => Arc::clone(self.last.insert(Arc::from(self.strings.str_at(i)))),
+    /// The values at `idx`, over this payload's dictionary.
+    fn gather(&self, idx: &[u32]) -> Strings {
+        let codes: Vec<u32> = idx.iter().map(|&i| self.codes[i as usize]).collect();
+        Strings {
+            bytes: self.bytes_of(&codes),
+            dict: Arc::clone(&self.dict),
+            codes,
         }
+    }
+
+    /// The entries the rows use, ascending by value, and each row's code
+    /// among them. `O(rows + entries used)` when the dictionary is within
+    /// a small multiple of the rows; sorts the codes otherwise, so a few
+    /// rows of a large dictionary never cost a pass over it.
+    pub fn used_ascending(&self) -> (Vec<u32>, Vec<u32>) {
+        let dict = &self.dict;
+        let by_value = |used: &mut Vec<u32>| {
+            if !dict.sorted {
+                used.sort_unstable_by(|&a, &b| dict.bytes(a).cmp(dict.bytes(b)));
+            }
+        };
+        if dict.len() <= 2 * self.codes.len() + 64 {
+            let mut rank = vec![NO_CODE; dict.len()];
+            for &c in &self.codes {
+                rank[c as usize] = 0;
+            }
+            let mut used: Vec<u32> = (0..dict.len() as u32)
+                .filter(|&c| rank[c as usize] == 0)
+                .collect();
+            by_value(&mut used);
+            for (r, &c) in used.iter().enumerate() {
+                rank[c as usize] = r as u32;
+            }
+            let codes = self.codes.iter().map(|&c| rank[c as usize]).collect();
+            return (used, codes);
+        }
+        let mut used = self.codes.clone();
+        used.sort_unstable();
+        used.dedup();
+        by_value(&mut used);
+        let rank: std::collections::HashMap<u32, u32> = used
+            .iter()
+            .enumerate()
+            .map(|(r, &c)| (c, r as u32))
+            .collect();
+        let codes = self.codes.iter().map(|c| rank[c]).collect();
+        (used, codes)
+    }
+
+    /// The same values over a sorted dictionary: this payload when its
+    /// dictionary already is, else one of only the entries the rows use.
+    pub fn sorted(&self) -> Strings {
+        if self.dict.sorted {
+            return self.clone();
+        }
+        let (used, codes) = self.used_ascending();
+        let dict = Dict::from_ascending(used.iter().map(|&c| self.dict.entry(c)));
+        Strings {
+            dict: Arc::new(dict),
+            codes,
+            bytes: self.bytes,
+        }
+    }
+
+    /// Value equality: codes within one dictionary, cached hashes and
+    /// then bytes across two.
+    #[inline]
+    fn eq_at(&self, i: usize, other: &Strings, j: usize) -> bool {
+        let (a, b) = (self.codes[i], other.codes[j]);
+        if Arc::ptr_eq(&self.dict, &other.dict) {
+            a == b
+        } else {
+            self.dict.hash(a) == other.dict.hash(b) && self.dict.bytes(a) == other.dict.bytes(b)
+        }
+    }
+
+    /// Value order: codes within one sorted dictionary, bytes otherwise.
+    #[inline]
+    fn cmp_at(&self, i: usize, other: &Strings, j: usize) -> Ordering {
+        let (a, b) = (self.codes[i], other.codes[j]);
+        if Arc::ptr_eq(&self.dict, &other.dict) && (a == b || self.dict.sorted) {
+            a.cmp(&b)
+        } else {
+            self.dict.bytes(a).cmp(other.dict.bytes(b))
+        }
+    }
+
+    /// A literal as a key that [`Strings::rank_at`] orders against like
+    /// the values themselves: `2·code + 1` for an entry, `2·insertion
+    /// point` otherwise, found by binary search in a sorted dictionary.
+    /// An unsorted one answers only for an `equality` test, by lookup
+    /// (`0`, which no row's key equals, when the literal is no entry).
+    pub(crate) fn literal_rank(&self, lit: &[u8], equality: bool) -> Option<u64> {
+        let dict = &self.dict;
+        if !dict.sorted {
+            return equality.then(|| {
+                dict.find(lit, entry_hash(lit))
+                    .map_or(0, |c| 2 * u64::from(c) + 1)
+            });
+        }
+        let (mut lo, mut hi) = (0, dict.len() as u32);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if dict.bytes(mid) < lit {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let found = (lo as usize) < dict.len() && dict.bytes(lo) == lit;
+        Some(2 * u64::from(lo) + u64::from(found))
+    }
+
+    /// Row `i`'s ordering key against [`Strings::literal_rank`].
+    #[inline]
+    pub(crate) fn rank_at(&self, i: usize) -> u64 {
+        2 * u64::from(self.codes[i]) + 1
     }
 }
 
@@ -203,7 +527,7 @@ impl Column {
             DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
-            DataType::Str => ColumnData::Str(Strings::with_capacity(cap, 0)),
+            DataType::Str => ColumnData::Str(Strings::with_capacity(cap)),
             DataType::Time => ColumnData::Time(Vec::with_capacity(cap)),
         };
         Column { data, nulls: None }
@@ -243,7 +567,7 @@ impl Column {
                 .iter()
                 .enumerate()
                 .filter(|(_, &null)| !null)
-                .map(|(i, _)| v.bytes_at(i).len())
+                .map(|(i, _)| v.dict.len_of(v.codes[i]))
                 .sum(),
         }
     }
@@ -272,7 +596,7 @@ impl Column {
         match &self.data {
             ColumnData::Int(_) | ColumnData::Time(_) | ColumnData::Float(_) => 8,
             ColumnData::Bool(_) => 1,
-            ColumnData::Str(v) => STR_HANDLE_BYTES + v.bytes_at(i).len(),
+            ColumnData::Str(v) => STR_HANDLE_BYTES + v.dict.len_of(v.codes[i]),
         }
     }
 
@@ -352,6 +676,19 @@ impl Column {
         }
     }
 
+    /// This string column over a sorted dictionary of only the entries
+    /// its rows use; `None` when the column is no string column or its
+    /// dictionary is already sorted.
+    pub fn sorted_strings(&self) -> Option<Column> {
+        match &self.data {
+            ColumnData::Str(v) if !v.dict.sorted => Some(Column {
+                data: ColumnData::Str(v.sorted()),
+                nulls: self.nulls.clone(),
+            }),
+            _ => None,
+        }
+    }
+
     /// Reconstruct the row-layout value at `i`.
     pub fn value(&self, i: usize) -> Value {
         if self.is_null(i) {
@@ -361,7 +698,7 @@ impl Column {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Str(v) => Value::Str(Arc::from(v.str_at(i))),
+            ColumnData::Str(v) => Value::Str(v.dict.shared(v.codes[i])),
             ColumnData::Time(v) => Value::Time(v[i]),
         }
     }
@@ -446,7 +783,7 @@ impl Column {
             | (ColumnData::Time(d), ColumnData::Time(s)) => d.push(s[i]),
             (ColumnData::Float(d), ColumnData::Float(s)) => d.push(s[i]),
             (ColumnData::Bool(d), ColumnData::Bool(s)) => d.push(s[i]),
-            (ColumnData::Str(d), ColumnData::Str(s)) => d.push_bytes(s.bytes_at(i)),
+            (ColumnData::Str(d), ColumnData::Str(s)) => d.extend_range(s, i, i + 1),
             _ => panic!("push_from across incompatible column dtypes"),
         }
         self.push_null_mark(false);
@@ -522,23 +859,19 @@ impl Column {
         self.push_null_mark(false);
     }
 
-    /// Gather the given physical rows into a fresh column.
+    /// Gather the given physical rows into a fresh column (a string column
+    /// shares this one's dictionary).
     pub fn gather(&self, idx: &[u32]) -> Column {
-        let mut out = Column::with_capacity(self.dtype(), idx.len());
-        match (&self.data, &mut out.data) {
-            (ColumnData::Int(s), ColumnData::Int(d))
-            | (ColumnData::Time(s), ColumnData::Time(d)) => {
-                d.extend(idx.iter().map(|&i| s[i as usize]));
-            }
-            (ColumnData::Float(s), ColumnData::Float(d)) => {
-                d.extend(idx.iter().map(|&i| s[i as usize]));
-            }
-            (ColumnData::Bool(s), ColumnData::Bool(d)) => {
-                d.extend(idx.iter().map(|&i| s[i as usize]));
-            }
-            (ColumnData::Str(s), ColumnData::Str(d)) => d.extend_idx(s, idx),
-            _ => unreachable!("with_capacity preserves dtype"),
+        fn pick<T: Copy>(s: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter().map(|&i| s[i as usize]).collect()
         }
+        let mut out = Column::from_data(match &self.data {
+            ColumnData::Int(s) => ColumnData::Int(pick(s, idx)),
+            ColumnData::Time(s) => ColumnData::Time(pick(s, idx)),
+            ColumnData::Float(s) => ColumnData::Float(pick(s, idx)),
+            ColumnData::Bool(s) => ColumnData::Bool(pick(s, idx)),
+            ColumnData::Str(s) => ColumnData::Str(s.gather(idx)),
+        });
         if let Some(nulls) = &self.nulls {
             if idx.iter().any(|&i| nulls[i as usize]) {
                 out.nulls = Some(idx.iter().map(|&i| nulls[i as usize]).collect());
@@ -558,7 +891,7 @@ impl Column {
             ColumnData::Int(v) | ColumnData::Time(v) => mix64(v[i] as u64),
             ColumnData::Float(v) => mix64(v[i].to_bits()),
             ColumnData::Bool(v) => mix64(v[i] as u64 + 1),
-            ColumnData::Str(v) => mix64(hash_str(v.bytes_at(i))),
+            ColumnData::Str(v) => v.dict.hash(v.codes[i]),
         }
     }
 
@@ -578,8 +911,8 @@ impl Column {
                 }
             }
             (ColumnData::Str(v), None) => {
-                for (k, h) in hashes.iter_mut().enumerate() {
-                    *h = hash_combine(*h, mix64(hash_str(v.bytes_at(start + k))));
+                for (h, &c) in hashes.iter_mut().zip(&v.codes[start..]) {
+                    *h = hash_combine(*h, v.dict.hash(c));
                 }
             }
             _ => {
@@ -605,8 +938,8 @@ impl Column {
                 }
             }
             (ColumnData::Str(v), None) => {
-                for (k, h) in hashes.iter_mut().enumerate() {
-                    *h = hash_combine(*h, mix64(hash_str(v.bytes_at(idx[k] as usize))));
+                for (h, &i) in hashes.iter_mut().zip(idx) {
+                    *h = hash_combine(*h, v.dict.hash(v.codes[i as usize]));
                 }
             }
             _ => {
@@ -633,7 +966,7 @@ impl Column {
             ) => a[i] == b[j],
             (ColumnData::Float(a), ColumnData::Float(b)) => a[i].to_bits() == b[j].to_bits(),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i) == b.bytes_at(j),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.eq_at(i, b, j),
             _ => panic!("eq_at across incompatible column dtypes"),
         }
     }
@@ -655,7 +988,7 @@ impl Column {
             ) => a[i].cmp(&b[j]),
             (ColumnData::Float(a), ColumnData::Float(b)) => a[i].total_cmp(&b[j]),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i].cmp(&b[j]),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes_at(i).cmp(b.bytes_at(j)),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.cmp_at(i, b, j),
             _ => panic!("cmp_at across incompatible column dtypes"),
         }
     }
@@ -713,6 +1046,18 @@ impl Column {
                 true,
             ),
             ColumnData::Bool(v) => (each(n, rows, |i| v[i] as u64), true),
+            // A sorted dictionary's codes are the order itself: exact, with
+            // NULLs first at 0.
+            ColumnData::Str(v) if v.dict.sorted => {
+                let out = each(n, rows, |i| {
+                    if self.is_null(i) {
+                        0
+                    } else {
+                        u64::from(v.codes[i]) + 1
+                    }
+                });
+                return (out, true);
+            }
             // First eight bytes, big-endian, zero-padded: exact iff every
             // string fits and is NUL-free (the pad byte must sort strictly
             // below every real byte for padded order == lexicographic).
@@ -777,9 +1122,14 @@ impl Column {
                     *o &= a[i as usize] == b[j as usize];
                 }
             }
+            (ColumnData::Str(a), ColumnData::Str(b)) if Arc::ptr_eq(&a.dict, &b.dict) => {
+                for ((o, &i), &j) in ok.iter_mut().zip(ids).zip(rows) {
+                    *o &= a.codes[i as usize] == b.codes[j as usize];
+                }
+            }
             (ColumnData::Str(a), ColumnData::Str(b)) => {
                 for ((o, &i), &j) in ok.iter_mut().zip(ids).zip(rows) {
-                    *o &= a.bytes_at(i as usize) == b.bytes_at(j as usize);
+                    *o &= a.eq_at(i as usize, b, j as usize);
                 }
             }
             _ => panic!("eq_pairs across incompatible column dtypes"),
@@ -800,7 +1150,7 @@ pub(crate) fn tuples_from_columns(columns: &[Arc<Column>], rows: usize) -> Vec<T
 }
 
 /// Append one value per row buffer from `col` (`out[k]` receives row `k`).
-/// Strings get one `Arc<str>` per run of equal consecutive values.
+/// Strings clone their dictionary entry's one `Arc<str>`.
 fn fill_rows(col: &Column, out: &mut [Vec<Value>]) {
     macro_rules! fill {
         ($v:expr, $wrap:expr) => {
@@ -811,15 +1161,11 @@ fn fill_rows(col: &Column, out: &mut [Vec<Value>]) {
     }
     match &col.data {
         ColumnData::Str(v) => {
-            let mut runs = SharedRuns {
-                strings: v,
-                last: None,
-            };
-            for (k, row) in out.iter_mut().enumerate() {
+            for (k, (row, &code)) in out.iter_mut().zip(&v.codes).enumerate() {
                 row.push(if col.is_null(k) {
                     Value::Null
                 } else {
-                    Value::Str(runs.at(k))
+                    Value::Str(v.dict.shared(code))
                 });
             }
         }
@@ -1311,17 +1657,23 @@ mod tests {
                     }
                 }
             }
-            let claims_exact = va.iter().all(|v| {
-                v.as_str()
-                    .is_ok_and(|s| s.len() <= 8 && !s.as_bytes().contains(&0))
-            });
+            // A sorted dictionary's codes are exact; byte prefixes are
+            // exact only for short NUL-free strings without NULLs.
+            let ColumnData::Str(strings) = a.data() else {
+                unreachable!("a string column")
+            };
+            let claims_exact = strings.dict().is_sorted()
+                || va.iter().all(|v| {
+                    v.as_str()
+                        .is_ok_and(|s| s.len() <= 8 && !s.as_bytes().contains(&0))
+                });
             assert_eq!(exact, claims_exact, "exactness");
 
             let lengths =
                 |vs: &[Value]| -> usize { vs.iter().map(|v| v.as_str().map_or(0, str::len)).sum() };
             assert_eq!(a.str_bytes(), lengths(&va), "str_bytes");
             // A frame's null slots may carry bytes: they are no string's.
-            let mut filled = Strings::with_capacity(n, 0);
+            let mut filled = Strings::with_capacity(n);
             for v in &va {
                 filled.push(v.as_str().unwrap_or("filler"));
             }
@@ -1360,15 +1712,15 @@ mod tests {
     }
 
     #[test]
-    fn equal_consecutive_strings_share_one_allocation() {
+    fn equal_strings_share_their_entry_allocation() {
         let r = Relation::new(
             Schema::of(&[("S", DataType::Str)]),
             vec![
                 tuple!["Sales"],
-                tuple!["Sales"],
+                tuple!["Ads"],
                 Tuple::new(vec![Value::Null]),
                 tuple!["Sales"],
-                tuple!["Ads"],
+                tuple!["Sales"],
             ],
         )
         .unwrap();
@@ -1381,9 +1733,41 @@ mod tests {
                 _ => 0,
             })
             .collect();
-        // One allocation for the run of "Sales" (a NULL between equal
-        // strings does not end it), one for "Ads".
-        assert_eq!(handles, vec![3, 3, 0, 3, 1]);
+        // One allocation per dictionary entry, held by the entry itself
+        // and every value of it: "Sales" three times, "Ads" once.
+        assert_eq!(handles, vec![4, 2, 0, 4, 4]);
+    }
+
+    #[test]
+    fn dictionaries_are_shared_and_copied_only_to_grow() {
+        let mut base = Column::with_capacity(DataType::Str, 4);
+        for w in ["b", "d", "b"] {
+            base.push(&Value::from(w)).unwrap();
+        }
+        let dict = |c: &Column| match c.data() {
+            ColumnData::Str(v) => Arc::clone(v.dict()),
+            _ => unreachable!(),
+        };
+        // Registration sorts: "b" < "d" were appended in order already.
+        assert!(base.sorted_strings().is_none());
+        let mut next = Column::with_capacity(DataType::Str, 4);
+        next.extend_range(&base, 0, 3);
+        assert!(Arc::ptr_eq(&dict(&next), &dict(&base)));
+        // A value the dictionary holds copies nothing; a new one copies
+        // it once, and a value past the last entry keeps it sorted.
+        next.push(&Value::from("d")).unwrap();
+        assert!(Arc::ptr_eq(&dict(&next), &dict(&base)));
+        next.push(&Value::from("e")).unwrap();
+        assert!(!Arc::ptr_eq(&dict(&next), &dict(&base)));
+        assert!(dict(&next).is_sorted());
+        next.push(&Value::from("a")).unwrap();
+        assert!(!dict(&next).is_sorted());
+        let sorted = next.sorted_strings().unwrap();
+        assert!(dict(&sorted).is_sorted());
+        for i in 0..next.len() {
+            assert_eq!(sorted.value(i), next.value(i));
+        }
+        assert_eq!(dict(&base).len(), 2);
     }
 
     #[test]

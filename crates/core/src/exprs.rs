@@ -331,9 +331,20 @@ pub fn eval(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> BoolVec {
                     |a, b| a.total_cmp(&b),
                 );
             } else if let (Some(data), Value::Str(lit)) = (lc.as_strs(), v) {
-                // Non-null Str column vs string literal, as bytes.
+                // Non-null Str column vs string literal: on codes when the
+                // dictionary places the literal, as bytes otherwise.
                 let lit = lit.as_bytes();
-                fill_cmp_strs(*op, sel, &mut out.vals, |i| data.bytes_at(i), |_| lit);
+                match data.literal_rank(lit, matches!(op, BinOp::Eq | BinOp::Ne)) {
+                    Some(key) => fill_cmp_sel(
+                        *op,
+                        sel,
+                        &mut out.vals,
+                        |i| data.rank_at(i),
+                        |_| key,
+                        |a, b| a.cmp(&b),
+                    ),
+                    None => fill_cmp_strs(*op, sel, &mut out.vals, |i| data.bytes_at(i), |_| lit),
+                }
             } else {
                 for (k, i) in sel.iter().enumerate() {
                     if lc.is_null(i) {
@@ -368,7 +379,17 @@ pub fn eval(pred: &Pred, columns: &[Arc<Column>], sel: &Sel) -> BoolVec {
                 );
             } else if let (Some(data), Value::Str(lit)) = (rc.as_strs(), v) {
                 let lit = lit.as_bytes();
-                fill_cmp_strs(*op, sel, &mut out.vals, |_| lit, |i| data.bytes_at(i));
+                match data.literal_rank(lit, matches!(op, BinOp::Eq | BinOp::Ne)) {
+                    Some(key) => fill_cmp_sel(
+                        *op,
+                        sel,
+                        &mut out.vals,
+                        |_| key,
+                        |i| data.rank_at(i),
+                        |a, b| a.cmp(&b),
+                    ),
+                    None => fill_cmp_strs(*op, sel, &mut out.vals, |_| lit, |i| data.bytes_at(i)),
+                }
             } else {
                 for (k, i) in sel.iter().enumerate() {
                     if rc.is_null(i) {

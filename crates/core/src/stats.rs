@@ -27,7 +27,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::columnar::Column;
+use crate::columnar::{Column, ColumnData};
 use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::relation::Relation;
@@ -403,9 +403,31 @@ impl RelationProfile {
 
 /// A column's NULL count and its non-null values in ascending order, as
 /// runs `(value, occurrences)`. An `i64` column without NULLs is sorted as
-/// a slice; any other has its distinct values found by hash first
-/// ([`ValueClasses::group`]), and only those sorted and made [`Value`]s.
+/// a slice; a string column over a sorted dictionary counts its codes,
+/// which are already in value order; any other has its distinct values
+/// found by hash first ([`ValueClasses::group`]), and only those sorted
+/// and made [`Value`]s.
 pub fn sorted_runs(column: &Column) -> (u64, Vec<(Value, u64)>) {
+    if let ColumnData::Str(v) = column.data() {
+        let dict = v.dict();
+        if dict.is_sorted() && dict.len() <= 2 * column.len() + 64 {
+            let mut counts = vec![0u64; dict.len()];
+            let mut nulls = 0;
+            for (i, &code) in v.codes().iter().enumerate() {
+                if column.is_null(i) {
+                    nulls += 1;
+                } else {
+                    counts[code as usize] += 1;
+                }
+            }
+            let runs = (0..dict.len() as u32)
+                .zip(counts)
+                .filter(|&(_, n)| n > 0)
+                .map(|(code, n)| (Value::Str(dict.shared(code)), n))
+                .collect();
+            return (nulls, runs);
+        }
+    }
     if let Some(ints) = column.as_i64() {
         let wrap = match column.dtype() {
             DataType::Time => Value::Time,

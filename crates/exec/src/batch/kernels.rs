@@ -114,13 +114,11 @@ impl<'a> SortKeys<'a> {
         self.rows.map_or(k, |rows| rows[k as usize])
     }
 
-    /// The stable sort of the rows, as row ids: radix-scatter `(prefix,
-    /// position)` pairs by the top prefix byte, sort each bucket unstably
-    /// on the pair — the position component *is* the stability tie-break
-    /// — then refine equal-prefix runs with the remaining comparator.
-    /// Equal-prefix runs never span a radix bucket, so the refinement scan
-    /// walks the buckets' concatenation directly. The later keys' prefixes
-    /// are computed on the first run that needs refining.
+    /// The stable sort of the rows, as row ids: sort `(prefix, position)`
+    /// pairs ([`radix_sort_pairs`]) — the position component *is* the
+    /// stability tie-break — then refine equal-prefix runs with the
+    /// remaining comparator. The later keys' prefixes are computed on the
+    /// first run that needs refining.
     pub fn sort(&self) -> Vec<u32> {
         let mut pairs: Vec<(u64, u32)> = self
             .prefixes
@@ -201,37 +199,38 @@ impl<'a> SortKeys<'a> {
     }
 }
 
-/// Sort `(prefix, id)` pairs ascending: one MSB-byte scatter pass into
-/// 256 cache-sized buckets, then an unstable per-bucket sort (exact,
-/// because distinct ids make every pair distinct). Small inputs sort
-/// directly — the scatter only pays off past cache size.
+/// Sort `(prefix, position)` pairs, whose positions are distinct and
+/// arrive ascending, into ascending order: an LSD radix over only the
+/// bytes in which the prefixes differ (the OR of every prefix XOR the
+/// first), one stable counting scatter per such byte, so equal prefixes
+/// keep position order. Dictionary codes, small integers and strings
+/// sharing a first letter all differ in a few low bytes only. Small inputs
+/// sort directly — the scatters only pay off past cache size.
 fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>) {
     if pairs.len() < RADIX_MIN_ROWS {
         pairs.sort_unstable();
         return;
     }
-    let mut counts = [0u32; 257];
-    for &(p, _) in pairs.iter() {
-        counts[(p >> 56) as usize + 1] += 1;
-    }
-    for b in 0..256 {
-        counts[b + 1] += counts[b];
-    }
-    let offsets = counts;
-    let mut cursor = offsets;
-    let mut out = vec![(0u64, 0u32); pairs.len()];
-    for &pr in pairs.iter() {
-        let b = (pr.0 >> 56) as usize;
-        out[cursor[b] as usize] = pr;
-        cursor[b] += 1;
-    }
-    for b in 0..256 {
-        let (s, e) = (offsets[b] as usize, offsets[b + 1] as usize);
-        if e - s > 1 {
-            out[s..e].sort_unstable();
+    let first = pairs[0].0;
+    let differ = pairs.iter().fold(0, |d, &(p, _)| d | (p ^ first));
+    let mut from = std::mem::take(pairs);
+    let mut to = vec![(0u64, 0u32); from.len()];
+    for shift in (0..64).step_by(8).filter(|s| (differ >> s) & 0xff != 0) {
+        let mut starts = [0usize; 257];
+        for &(p, _) in &from {
+            starts[((p >> shift) & 0xff) as usize + 1] += 1;
         }
+        for b in 0..256 {
+            starts[b + 1] += starts[b];
+        }
+        for &pair in &from {
+            let b = ((pair.0 >> shift) & 0xff) as usize;
+            to[starts[b]] = pair;
+            starts[b] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
     }
-    *pairs = out;
+    *pairs = from;
 }
 
 /// Stable counting sort of positions `0..keys.len()` by `keys` (each
@@ -1605,6 +1604,68 @@ mod tests {
             rows.iter().map(|&(v, s, e)| tuple![v, s, e]).collect(),
         )
         .unwrap()
+    }
+
+    /// The radix sort of `(prefix, position)` pairs is a stable sort by
+    /// prefix: strings sharing their top byte, negative and positive
+    /// integers, floats, dictionary codes and all-equal keys, on both
+    /// sides of `RADIX_MIN_ROWS`.
+    #[test]
+    fn radix_sort_pairs_is_a_stable_sort_by_prefix() {
+        use tqo_core::value::Value;
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            tqo_core::columnar::mix64(state)
+        };
+        for n in [
+            0,
+            1,
+            7,
+            RADIX_MIN_ROWS - 1,
+            RADIX_MIN_ROWS,
+            RADIX_MIN_ROWS + 1,
+            10_000,
+        ] {
+            let mut kinds: Vec<(&str, Column)> = Vec::new();
+            let mut names = Column::with_capacity(DataType::Str, n);
+            let mut ints = Column::with_capacity(DataType::Int, n);
+            let mut floats = Column::with_capacity(DataType::Float, n);
+            let mut same = Column::with_capacity(DataType::Int, n);
+            for _ in 0..n {
+                let r = next();
+                names
+                    .push(&Value::from(format!("emp{}", r % 3000)))
+                    .unwrap();
+                ints.push(&Value::Int((r % 20_000) as i64 - 10_000))
+                    .unwrap();
+                floats
+                    .push(&Value::Float((r % 1000) as f64 / 7.0 - 60.0))
+                    .unwrap();
+                same.push(&Value::Int(42)).unwrap();
+            }
+            let codes = names.sorted_strings().unwrap_or_else(|| names.clone());
+            kinds.extend([
+                ("strings", names),
+                ("codes", codes),
+                ("ints", ints),
+                ("floats", floats),
+                ("all-equal", same),
+            ]);
+            for (kind, col) in &kinds {
+                let (prefixes, _) = col.sort_prefixes(None);
+                let mut pairs: Vec<(u64, u32)> = prefixes
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &p)| (p, k as u32))
+                    .collect();
+                radix_sort_pairs(&mut pairs);
+                let mut want: Vec<u32> = (0..n as u32).collect();
+                want.sort_by_key(|&k| prefixes[k as usize]);
+                let got: Vec<u32> = pairs.iter().map(|&(_, k)| k).collect();
+                assert_eq!(got, want, "{kind}, {n} rows");
+            }
+        }
     }
 
     #[test]

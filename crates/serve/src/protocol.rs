@@ -8,9 +8,9 @@
 //! [`tqo_stratum::wire`]'s tagged binary encoding verbatim; a result
 //! relation rides as an inline schema plus a [`wire::encode`] column
 //! frame — per column a null flag (and mask), then fixed-width values, one
-//! byte per `Bool`, or runs of equal strings — which the client decodes
-//! into typed columns without building a tuple (see [`wire::encode`] for
-//! the layout).
+//! byte per `Bool`, or a string column's used dictionary entries and one
+//! code per row — which the client decodes into typed columns without
+//! building a tuple (see [`wire::encode`] for the layout).
 //!
 //! Sessions are sequential per connection: a client writes one request
 //! frame and reads exactly one response frame before the next request.
@@ -413,16 +413,18 @@ pub fn decode_request(mut bytes: Bytes) -> Result<Request> {
 
 // --- responses ------------------------------------------------------------
 
-/// Encode a response into a frame payload. `truncate_rows_at` is the
-/// fault-injection hook: `Some(injector-cut)` replaces a `Rows` payload
-/// with a truncated copy (its advertised length shrinks with it, so
-/// framing survives and the client's decode fails typed).
+/// Encode a response into a frame payload. A `Rows` payload is written
+/// into the same buffer as the tag and schema, which grows once, up front,
+/// to the column frame's size bound.
 pub fn encode_response(resp: &Response) -> Bytes {
     encode_response_inner(resp, None)
 }
 
 /// [`encode_response`] with a row-payload mutilator (seeded fault
-/// injection; tests only drive this through the server's fault config).
+/// injection; tests only drive this through the server's fault config):
+/// a `Rows` payload is replaced by the mutilator's copy, and its
+/// advertised length shrinks with it, so framing survives and the
+/// client's decode fails typed.
 pub fn encode_response_faulted(resp: &Response, mutilate: impl FnOnce(Bytes) -> Bytes) -> Bytes {
     encode_response_inner(resp, Some(Box::new(mutilate)))
 }
@@ -435,20 +437,23 @@ fn encode_response_inner(
     let mut buf = BytesMut::with_capacity(64);
     match resp {
         Response::Pong => buf.put_u8(0),
-        Response::Rows(rel) => match wire::encode(rel) {
-            Ok(mut payload) => {
-                buf.put_u8(1);
-                put_schema(&mut buf, rel.schema());
-                if let Some(f) = mutilate {
-                    payload = f(payload);
-                }
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(&payload);
-            }
+        Response::Rows(rel) => {
+            buf.put_u8(1);
+            put_schema(&mut buf, rel.schema());
+            let at = buf.len();
+            buf.put_u32(0);
+            let written = match mutilate {
+                None => wire::encode_into(&mut buf, rel),
+                Some(f) => wire::encode(rel).map(|payload| buf.put_slice(&f(payload))),
+            };
             // A relation that cannot be laid out in columns fails its
             // own query, typed, rather than the connection.
-            Err(e) => return encode_response_inner(&Response::Fail(e), None),
-        },
+            if let Err(e) = written {
+                return encode_response_inner(&Response::Fail(e), None);
+            }
+            let len = (buf.len() - at - 4) as u32;
+            buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        }
         Response::Done => buf.put_u8(2),
         Response::Fail(e) => {
             buf.put_u8(3);
@@ -583,6 +588,23 @@ mod tests {
                 reason: "arithmetic error: division by zero".into()
             })
         );
+    }
+
+    #[test]
+    fn a_rows_payload_is_the_tag_schema_and_column_frame_in_one_buffer() {
+        let rel = Relation::new(
+            Schema::temporal(&[("E", DataType::Str)]),
+            vec![tuple!["a", 1i64, 4i64], tuple!["b", 2i64, 5i64]],
+        )
+        .unwrap();
+        let payload = encode_response(&Response::Rows(rel.clone()));
+        let mut want = BytesMut::with_capacity(0);
+        want.put_u8(1);
+        put_schema(&mut want, rel.schema());
+        let frame = wire::encode(&rel).unwrap();
+        want.put_u32(frame.len() as u32);
+        want.put_slice(&frame);
+        assert_eq!(&payload[..], &want[..]);
     }
 
     #[test]

@@ -128,6 +128,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Make room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }

@@ -52,9 +52,20 @@ impl Table {
     /// duplicate-freedom, snapshot-duplicate-freedom, and coalescedness are
     /// measured, not assumed, in one pass over the columns. The table keeps
     /// `relation`'s columns only (a tuple-born relation is transposed here,
-    /// once); its tuple list, if it has one, stays with the caller.
+    /// once), each string column over a sorted dictionary, so scans order
+    /// and compare its values on codes; its tuple list, if it has one,
+    /// stays with the caller.
     pub fn new(name: impl Into<String>, relation: Relation) -> Result<Table> {
-        let relation = Relation::from_columnar((*relation.columnar()?).clone());
+        let columnar = relation.columnar()?;
+        let columns = columnar
+            .columns()
+            .iter()
+            .map(|c| c.sorted_strings().map_or_else(|| Arc::clone(c), Arc::new))
+            .collect();
+        let relation = Relation::from_columnar(ColumnarRelation::new(
+            Arc::clone(columnar.schema()),
+            columns,
+        ));
         let profile = RelationProfile::measure(&relation)?;
         Ok(Table {
             name: name.into(),

@@ -201,9 +201,9 @@ fn mutated_sql_corpus_never_panics() {
 /// truncate, corrupt, extend, and re-decode. Decode must return a clean
 /// `Err` (or a valid relation, for semantically neutral mutations) —
 /// never panic, and never trust the claimed row count. The relations
-/// cover every dtype, with and without NULLs, string runs, a temporal
+/// cover every dtype, with and without NULLs, repeated strings, a temporal
 /// schema and an empty relation, so every section of the column frame is
-/// mutated.
+/// mutated; so are frames whose string entries or codes are malformed.
 #[test]
 fn mutated_wire_bytes_never_panic() {
     use tqo_core::relation::Relation;
@@ -296,11 +296,49 @@ fn mutated_wire_bytes_never_panic() {
             let _ = tqo_stratum::wire::decode(rel.schema(), bytes::Bytes::from(bytes));
         }
     }
+
+    // Malformed string columns: a code past the entries, entries out of
+    // order, and a duplicated entry. Each fails typed as sent, and its
+    // mutations never panic either.
+    let strs = Schema::of(&[("S", DataType::Str)]);
+    let frame = |entries: &[&str], codes: &[u8]| {
+        let mut bytes = Vec::new();
+        for word in [1u32, codes.len() as u32, entries.len() as u32] {
+            bytes.extend_from_slice(&word.to_be_bytes());
+        }
+        bytes.insert(8, 0); // no null mask
+        for e in entries {
+            bytes.extend_from_slice(&(e.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(e.as_bytes());
+        }
+        bytes.extend_from_slice(codes);
+        bytes
+    };
+    for malformed in [
+        frame(&["Ads", "Sales"], &[0, 2, 1]),
+        frame(&["Sales", "Ads"], &[0, 1, 1]),
+        frame(&["Ads", "Ads"], &[0, 1, 0]),
+    ] {
+        let sent = tqo_stratum::wire::decode(&strs, bytes::Bytes::from(malformed.clone()));
+        assert!(
+            matches!(sent, Err(tqo_core::error::Error::Storage { .. })),
+            "{sent:?}"
+        );
+        for _ in 0..500 {
+            let mut bytes = malformed.clone();
+            let at = rng.gen_range(0..bytes.len());
+            match rng.gen_range(0u8..3) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = rng.gen_range(0u8..=255),
+                _ => bytes.insert(at, rng.gen_range(0u8..=255)),
+            }
+            let _ = tqo_stratum::wire::decode(&strs, bytes::Bytes::from(bytes));
+        }
+    }
 }
 
-/// Hostile headers over tiny payloads — a row count of four billion, a
-/// run count, a run length and a string length past anything the payload
-/// holds, and a row count for a schema without columns (whose rows take no
+/// Hostile headers over tiny payloads — a row count of four billion, an
+/// entry count and string lengths past anything the payload holds, and a row count for a schema without columns (whose rows take no
 /// wire bytes at all) — must each be rejected quickly, typed, without
 /// attempting the allocation they claim.
 #[test]
@@ -330,17 +368,17 @@ fn hostile_row_count_header_is_clamped() {
             &ints,
             frame(1, u32::MAX, &[], &7i64.to_be_bytes()),
         ),
-        // rows = u32::MAX, one honest one-row run.
+        // rows = u32::MAX, one honest one-byte entry.
         (
-            "row count over runs",
+            "row count over string codes",
             &strs,
             frame(1, u32::MAX, &[1, 1, 1], b"x"),
         ),
-        // A run count no payload of this size could hold.
-        ("run count", &strs, frame(1, 3, &[u32::MAX, 3, 1], b"x")),
-        // One run longer than the rows.
-        ("run length", &strs, frame(1, 3, &[1, u32::MAX, 1], b"x")),
-        // A string longer than the payload.
+        // An entry count no payload of this size could hold.
+        ("entry count", &strs, frame(1, 3, &[u32::MAX, 3, 1], b"x")),
+        // An entry longer than the payload.
+        ("entry length", &strs, frame(1, 3, &[1, u32::MAX, 1], b"x")),
+        // An entry running into the codes, which are not UTF-8.
         ("string length", &strs, frame(1, 3, &[1, 3, u32::MAX], b"x")),
         // Zero-column rows: eight bytes claiming four billion rows.
         ("zero-column rows", &Schema::of(&[]), {
