@@ -261,6 +261,17 @@ pub fn exec_throughput_workload(rows: usize, seed: u64) -> (tqo_core::interp::En
             len("EMPLOYEE"),
         ),
         case("rdup_str2", scan("EP").rdup(), len("EP")),
+        // Grouping by a dictionary-coded column: `ξ` and `ξᵀ` by `Dept`.
+        case(
+            "aggregate_str",
+            scan("EMPLOYEE").aggregate(vec!["Dept".into()], vec![AggItem::count_star("n")]),
+            len("EMPLOYEE"),
+        ),
+        case(
+            "aggregate_t_str",
+            scan("EMPLOYEE").aggregate_t(vec!["Dept".into()], vec![AggItem::count_star("n")]),
+            len("EMPLOYEE"),
+        ),
         // `ξᵀ`'s endpoint sweep with an incremental count, integer sum
         // and extreme at once (`E` is TOV's only explicit attribute).
         case(

@@ -203,6 +203,13 @@ impl Dict {
         Arc::clone(self.shared[code as usize].get_or_init(|| Arc::from(self.entry(code))))
     }
 
+    /// The code here of entry `code` of `other`, if this dictionary holds
+    /// its value: one probe of the interning table by the entry's cached
+    /// hash, so translating another dictionary's codes rehashes nothing.
+    pub fn find_entry(&self, other: &Dict, code: u32) -> Option<u32> {
+        self.find(other.bytes(code), other.hash(code))
+    }
+
     /// The code of the entry with these bytes (and this hash), if any.
     fn find(&self, bytes: &[u8], hash: u64) -> Option<u32> {
         let slots = self.index.get_or_init(|| {

@@ -174,7 +174,7 @@ impl CostModel {
             // into the nested loop's order is cheap beside emitting them.
             PlanNode::ProductT { .. } => nlogn(c0 + c1) + out_card,
             PlanNode::DifferenceT { .. } => nlogn(c0 + c1),
-            // One endpoint sweep per group.
+            // One endpoint sweep over every group's events.
             PlanNode::AggregateT { .. } => nlogn(c0) + out_card,
             // Per-class claims in list order.
             PlanNode::RdupT { .. } => nlogn(c0) + out_card,

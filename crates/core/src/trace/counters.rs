@@ -186,6 +186,15 @@ counters! {
         "sched_tasks",
         "pipeline-stage tasks executed by the shared worker pool"
     );
+    /// Grouping builds (value classes, `rdup`, `\`) keyed by row hashes:
+    /// a key column is no string column, the product of the key
+    /// dictionaries' sizes overflows `u64`, or a stream's values left its
+    /// first batch's dictionaries. Every other grouping numbers rows
+    /// straight from their dictionary codes.
+    pub static GROUPINGS_HASHED = (
+        "groupings_hashed",
+        "grouping builds keyed by row hashes instead of dictionary codes"
+    );
     /// Served queries answered with a cached plan: the statement was
     /// compiled before against the schemas its tables have now, whatever
     /// was written to them since.

@@ -1,5 +1,10 @@
-//! Row-oriented hash machinery for the batch operators.
+//! Grouping machinery for the batch operators: rows numbered by key, in
+//! first-occurrence order.
 //!
+//! String keys are numbered straight from their dictionary codes
+//! (`CodeKeys`, `CodeIds`): a row's key is its codes read as one
+//! mixed-radix number, and equal keys are equal values, so nothing is
+//! hashed or verified. Keys with a column of another type are hashed:
 //! [`RowTable`] is a linear-probing table keyed by precomputed 64-bit row
 //! hashes; collisions are resolved by a caller-supplied equality closure
 //! over the backing columns, so the table itself never touches values.
@@ -9,21 +14,473 @@
 //!
 //! [`KeyStore`] accumulates the key columns of inserted rows so later rows
 //! (possibly from other batches or the probe side of a binary operator)
-//! can be compared against entry ids.
+//! can be compared against entry ids. [`StreamKeys`] numbers the keys of a
+//! stream of batches either way.
 
 use std::sync::Arc;
 
-use tqo_core::columnar::Column;
+use tqo_core::columnar::{Column, ColumnData, Dict, Sel};
 use tqo_core::schema::Schema;
+use tqo_core::trace::counters;
+use tqo_core::value::Value;
 
 const EMPTY: u32 = u32::MAX;
+
+/// "No entry" in id vectors.
+pub const NONE: u32 = u32::MAX;
+
+/// The key of a row holding a value its keys' dictionaries do not: no
+/// entry has it (every key is below the domain, which is at most this).
+pub const NO_KEY: u64 = u64::MAX;
+
+/// A translated code's digit when the value is not in the dictionary.
+const ABSENT: u32 = u32::MAX;
+
+/// Row keys read off dictionary codes. Each key column gives a digit — 0
+/// for NULL, code + 1 otherwise — and a row's key is its digits read as
+/// one mixed-radix number, each column's radix its dictionary's size plus
+/// one. A dictionary's entries are unique, so equal keys are equal values.
+#[derive(Debug, Clone)]
+pub(crate) struct CodeKeys {
+    dicts: Vec<Arc<Dict>>,
+    /// The place value of each column's digit.
+    places: Vec<u64>,
+    /// The product of the radices: every key is below it.
+    domain: u64,
+}
+
+impl CodeKeys {
+    /// Keys over the dictionaries of `cols`; `None` when one is no string
+    /// column or the product of the radices overflows `u64`.
+    pub fn of<'a>(cols: impl IntoIterator<Item = &'a Column>) -> Option<CodeKeys> {
+        let (mut dicts, mut places, mut domain) = (Vec::new(), Vec::new(), 1u64);
+        for col in cols {
+            let ColumnData::Str(s) = col.data() else {
+                return None;
+            };
+            places.push(domain);
+            domain = domain.checked_mul(s.dict().len() as u64 + 1)?;
+            dicts.push(Arc::clone(s.dict()));
+        }
+        Some(CodeKeys {
+            dicts,
+            places,
+            domain,
+        })
+    }
+
+    /// The number of distinct keys there can be.
+    pub fn domain(&self) -> u64 {
+        self.domain
+    }
+
+    /// The key of every row of `sel` over `cols` (parallel to the key
+    /// columns), in selection order; [`NO_KEY`] where a value is not in
+    /// the keys' dictionary. A column over another dictionary translates
+    /// each distinct code it meets once ([`Dict::find_entry`]).
+    pub fn keys(&self, cols: &[&Column], sel: &Sel) -> Vec<u64> {
+        match sel {
+            Sel::Range(s, e) => self.keys_of(cols, *s..*e, Some(*s), e - s),
+            Sel::Rows(rows) => {
+                self.keys_of(cols, rows.iter().map(|&i| i as usize), None, rows.len())
+            }
+        }
+    }
+
+    /// [`CodeKeys::keys`] of the `n` `rows`, which are `start..start + n`
+    /// when `start` is given.
+    fn keys_of(
+        &self,
+        cols: &[&Column],
+        rows: impl Iterator<Item = usize> + Clone,
+        start: Option<usize>,
+        n: usize,
+    ) -> Vec<u64> {
+        let mut keys = vec![0u64; n];
+        let mut absent: Option<Vec<bool>> = None;
+        for ((col, dict), &place) in cols.iter().zip(&self.dicts).zip(&self.places) {
+            let ColumnData::Str(s) = col.data() else {
+                return vec![NO_KEY; n];
+            };
+            let (codes, nulls) = (s.codes(), col.nulls());
+            if Arc::ptr_eq(s.dict(), dict) {
+                match (nulls, start) {
+                    (None, Some(start)) => {
+                        for (k, &code) in keys.iter_mut().zip(&codes[start..start + n]) {
+                            *k += (u64::from(code) + 1) * place;
+                        }
+                    }
+                    _ => {
+                        for (k, i) in keys.iter_mut().zip(rows.clone()) {
+                            let live = !nulls.is_some_and(|nulls| nulls[i]);
+                            *k += u64::from(live) * (u64::from(codes[i]) + 1) * place;
+                        }
+                    }
+                }
+                continue;
+            }
+            // Each code's digit here, `0` until it is looked up (a looked
+            // up value is never NULL). A dictionary holds fewer than
+            // 2³² − 1 entries, so `ABSENT` is no digit.
+            let mut digits = vec![0u32; s.dict().len()];
+            let absent = absent.get_or_insert_with(|| vec![false; n]);
+            for ((k, i), out) in keys.iter_mut().zip(rows.clone()).zip(absent.iter_mut()) {
+                if nulls.is_some_and(|nulls| nulls[i]) {
+                    continue;
+                }
+                let digit = &mut digits[codes[i] as usize];
+                if *digit == 0 {
+                    *digit = dict
+                        .find_entry(s.dict(), codes[i])
+                        .map_or(ABSENT, |code| code + 1);
+                }
+                match *digit {
+                    ABSENT => *out = true,
+                    d => *k += u64::from(d) * place,
+                }
+            }
+        }
+        for (k, _) in keys
+            .iter_mut()
+            .zip(absent.iter().flatten())
+            .filter(|(_, &a)| a)
+        {
+            *k = NO_KEY;
+        }
+        keys
+    }
+
+    /// The key columns' values of `key`.
+    fn values(&self, key: u64) -> impl Iterator<Item = Value> + '_ {
+        self.dicts
+            .iter()
+            .zip(&self.places)
+            .map(
+                move |(dict, &place)| match (key / place) % (dict.len() as u64 + 1) {
+                    0 => Value::Null,
+                    d => Value::from(dict.entry(d as u32 - 1)),
+                },
+            )
+    }
+}
+
+/// Entry ids of `CodeKeys` keys, in insertion order: one slot per key
+/// when the domain is small, else a [`RowTable`] of the packed keys, each
+/// stored as `code_hash``(key)` — a bijection, so an equal stored hash
+/// is the equal key and nothing is verified.
+#[derive(Debug)]
+pub(crate) enum CodeIds {
+    /// `slots[key]` is the key's id + 1, or 0; `len` entries.
+    Dense { slots: Vec<u32>, len: u32 },
+    /// Sparse keys by their finalized hash.
+    Table(RowTable),
+}
+
+/// A packed key's slot hash: Fibonacci hashing (the key times 2⁶⁴/φ, an
+/// odd number, so a bijection), its high half rotated into the low bits
+/// a table indexes by.
+#[inline]
+fn code_hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32)
+}
+
+impl CodeIds {
+    /// Ids for keys below `domain`, about `rows` of them: dense slots when
+    /// the domain is at most `2 · rows + 1024`.
+    pub fn new(domain: u64, rows: usize) -> CodeIds {
+        if domain <= 2 * rows as u64 + 1024 {
+            CodeIds::Dense {
+                slots: vec![0; domain as usize],
+                len: 0,
+            }
+        } else {
+            CodeIds::Table(RowTable::with_capacity(rows))
+        }
+    }
+
+    /// Append the id of each of `keys` (none [`NO_KEY`]) to `ids`,
+    /// inserting the new ones; the index of each key that inserted one is
+    /// appended to `firsts`, offset by `base`.
+    pub fn number(&mut self, keys: &[u64], base: u32, ids: &mut Vec<u32>, firsts: &mut Vec<u32>) {
+        match self {
+            CodeIds::Dense { slots, len } => {
+                for (k, &key) in (base..).zip(keys) {
+                    let slot = &mut slots[key as usize];
+                    if *slot == 0 {
+                        *len += 1;
+                        *slot = *len;
+                        firsts.push(k);
+                    }
+                    ids.push(*slot - 1);
+                }
+            }
+            CodeIds::Table(table) => {
+                for (k, &key) in (base..).zip(keys) {
+                    let (id, new) = table.find_or_insert(code_hash(key), |_| true);
+                    if new {
+                        firsts.push(k);
+                    }
+                    ids.push(id);
+                }
+            }
+        }
+    }
+
+    /// The id of `key`, if inserted.
+    #[inline]
+    pub fn find(&self, key: u64) -> Option<u32> {
+        match self {
+            CodeIds::Dense { slots, .. } => slots.get(key as usize).and_then(|&s| s.checked_sub(1)),
+            CodeIds::Table(table) => table.find(code_hash(key), |_| true),
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match self {
+            CodeIds::Dense { len, .. } => *len as usize,
+            CodeIds::Table(table) => table.len(),
+        }
+    }
+
+    /// Approximate footprint in bytes, for memory-budget accounting.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            CodeIds::Dense { slots, .. } => slots.len() * 4,
+            CodeIds::Table(table) => table.approx_bytes(),
+        }
+    }
+}
+
+/// The distinct keys of a stream of batches over `key_idx`, numbered in
+/// first-occurrence order — the state of the streaming `rdup` and `\`.
+/// String keys are numbered by their codes in the first batch's
+/// dictionaries (`CodeKeys`); a key with another column type, a domain
+/// past `u64`, or a later batch holding a value those dictionaries lack
+/// is hashed ([`RowTable`] and [`KeyStore`]), the entries so far carried
+/// over with their ids.
+#[derive(Debug)]
+pub struct StreamKeys {
+    key_idx: Vec<usize>,
+    state: Keyed,
+}
+
+#[derive(Debug)]
+enum Keyed {
+    /// String keys, before the first batch.
+    Unset,
+    Codes {
+        keys: CodeKeys,
+        ids: CodeIds,
+        /// Every entry's key, by id.
+        entries: Vec<u64>,
+    },
+    Hashed {
+        table: RowTable,
+        store: KeyStore,
+    },
+}
+
+impl StreamKeys {
+    /// Keys over the `key_idx` columns of a stream of `schema`.
+    pub fn new(schema: &Schema, key_idx: Vec<usize>) -> StreamKeys {
+        let strings = key_idx
+            .iter()
+            .all(|&c| schema.attr(c).dtype == tqo_core::value::DataType::Str);
+        let state = if strings {
+            Keyed::Unset
+        } else {
+            counters::GROUPINGS_HASHED.incr();
+            Keyed::Hashed {
+                table: RowTable::default(),
+                store: KeyStore::for_keys(schema, &key_idx),
+            }
+        };
+        StreamKeys { key_idx, state }
+    }
+
+    /// Number of distinct keys inserted.
+    pub fn len(&self) -> usize {
+        match &self.state {
+            Keyed::Unset => 0,
+            Keyed::Codes { ids, .. } => ids.len(),
+            Keyed::Hashed { table, .. } => table.len(),
+        }
+    }
+
+    /// True when no key is inserted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate footprint in bytes, for memory-budget accounting.
+    pub fn approx_bytes(&self) -> usize {
+        match &self.state {
+            Keyed::Unset => 0,
+            Keyed::Codes { ids, entries, .. } => ids.approx_bytes() + entries.len() * 8,
+            Keyed::Hashed { table, store } => table.approx_bytes() + store.approx_bytes(),
+        }
+    }
+
+    /// The entry id of every live row of `batch`, in order, inserting the
+    /// keys not seen before; the physical ids of the rows that inserted
+    /// one are appended to `inserted`, in order.
+    pub fn insert(&mut self, batch: &super::Batch, inserted: &mut Vec<u32>) -> Vec<u32> {
+        let cols = batch.columns();
+        if let Keyed::Unset = self.state {
+            let key_cols = self.key_idx.iter().map(|&c| &*cols[c]);
+            self.state = match CodeKeys::of(key_cols) {
+                Some(keys) => Keyed::Codes {
+                    ids: CodeIds::new(keys.domain(), cols[0].len()),
+                    keys,
+                    entries: Vec::new(),
+                },
+                None => self.hashed(batch.schema()),
+            };
+        }
+        let key_cols = self.key_cols(batch);
+        match &mut self.state {
+            Keyed::Unset => unreachable!("set above"),
+            Keyed::Codes { keys, ids, entries } => {
+                let row_keys = keys.keys(&key_cols, batch.sel());
+                if row_keys.contains(&NO_KEY) {
+                    self.state = self.hashed(batch.schema());
+                    return self.insert(batch, inserted);
+                }
+                let (mut row_ids, mut firsts) = (Vec::with_capacity(row_keys.len()), Vec::new());
+                ids.number(&row_keys, 0, &mut row_ids, &mut firsts);
+                let rows: Vec<usize> = match firsts.is_empty() {
+                    true => Vec::new(),
+                    false => batch.rows().collect(),
+                };
+                for k in firsts {
+                    entries.push(row_keys[k as usize]);
+                    inserted.push(rows[k as usize] as u32);
+                }
+                row_ids
+            }
+            Keyed::Hashed { table, store } => {
+                insert_hashed(table, store, &self.key_idx, batch, inserted)
+            }
+        }
+    }
+
+    /// The entry id of every live row of `batch`, in order, or [`NONE`]
+    /// for a key not inserted.
+    pub fn find(&self, batch: &super::Batch) -> Vec<u32> {
+        let cols = batch.columns();
+        match &self.state {
+            Keyed::Unset => vec![NONE; batch.num_rows()],
+            Keyed::Codes { keys, ids, .. } => keys
+                .keys(&self.key_cols(batch), batch.sel())
+                .into_iter()
+                .map(|key| ids.find(key).unwrap_or(NONE))
+                .collect(),
+            Keyed::Hashed { table, store } => hash_batch(batch, &self.key_idx)
+                .into_iter()
+                .zip(batch.rows())
+                .map(|(h, i)| {
+                    table
+                        .find(h, |e| store.eq_row(e, cols, &self.key_idx, i))
+                        .unwrap_or(NONE)
+                })
+                .collect(),
+        }
+    }
+
+    fn key_cols<'a>(&self, batch: &'a super::Batch) -> Vec<&'a Column> {
+        self.key_idx.iter().map(|&c| &**batch.column(c)).collect()
+    }
+
+    /// The hashed state holding the entries so far, with their ids.
+    fn hashed(&self, schema: &Schema) -> Keyed {
+        counters::GROUPINGS_HASHED.incr();
+        let mut store = KeyStore::for_keys(schema, &self.key_idx);
+        if let Keyed::Codes { keys, entries, .. } = &self.state {
+            for &key in entries {
+                store.push_values(keys.values(key));
+            }
+        }
+        let mut hashes = vec![0u64; store.len()];
+        for col in store.columns() {
+            col.hash_range(0, &mut hashes);
+        }
+        let mut table = RowTable::with_capacity(hashes.len());
+        for h in hashes {
+            // The entries are distinct keys.
+            table.find_or_insert(h, |_| false);
+        }
+        Keyed::Hashed { table, store }
+    }
+}
+
+/// [`StreamKeys::insert`] by row hashes, in two phases. Phase 1 resolves
+/// each row against the *frozen* table by hash alone and batches the
+/// candidates; their keys are then verified column-wise — one dtype
+/// dispatch per key column per batch instead of per row. Rows with no
+/// hash-equal entry (new keys, intra-batch duplicates of them) and the
+/// rare failed candidates (full 64-bit hash collisions) take phase 2: the
+/// serial insert-or-find walk, in row order, which is the only phase that
+/// mutates the table.
+fn insert_hashed(
+    table: &mut RowTable,
+    store: &mut KeyStore,
+    key_idx: &[usize],
+    batch: &super::Batch,
+    inserted: &mut Vec<u32>,
+) -> Vec<u32> {
+    let cols = batch.columns();
+    let hashes = hash_batch(batch, key_idx);
+    let rows: Vec<u32> = batch.rows().map(|i| i as u32).collect();
+    let mut ids = vec![NONE; rows.len()];
+    let (mut cand, mut cand_rows, mut cand_ids) = (Vec::new(), Vec::new(), Vec::new());
+    let mut pending: Vec<usize> = Vec::new();
+    for (k, &h) in hashes.iter().enumerate() {
+        match table.find_first_hash(h) {
+            Some(e) => {
+                cand.push(k);
+                cand_rows.push(rows[k]);
+                cand_ids.push(e);
+            }
+            None => pending.push(k),
+        }
+    }
+    let mut ok = vec![true; cand.len()];
+    for (store_col, &src) in store.columns().iter().zip(key_idx) {
+        store_col.eq_pairs(&cand_ids, &cols[src], &cand_rows, &mut ok);
+    }
+    // Verified candidates are keys of frozen entries. Failed ones rejoin
+    // the pending rows, re-sorted into row order (only ever on a genuine
+    // 64-bit hash collision).
+    let mut failed = false;
+    for (j, &k) in cand.iter().enumerate() {
+        if ok[j] {
+            ids[k] = cand_ids[j];
+        } else {
+            pending.push(k);
+            failed = true;
+        }
+    }
+    if failed {
+        pending.sort_unstable();
+    }
+    for k in pending {
+        let i = rows[k] as usize;
+        let (id, new) = table.find_or_insert(hashes[k], |e| store.eq_row(e, cols, key_idx, i));
+        if new {
+            store.push_row(cols, key_idx, i);
+            inserted.push(rows[k]);
+        }
+        ids[k] = id;
+    }
+    ids
+}
 
 /// A linear-probing hash table over externally stored rows.
 #[derive(Debug)]
 pub struct RowTable {
     slots: Vec<u32>,
     hashes: Vec<u64>,
-    payloads: Vec<i64>,
     mask: usize,
 }
 
@@ -40,7 +497,6 @@ impl RowTable {
         RowTable {
             slots: vec![EMPTY; cap],
             hashes: Vec::with_capacity(n),
-            payloads: Vec::with_capacity(n),
             mask: cap - 1,
         }
     }
@@ -50,10 +506,10 @@ impl RowTable {
         self.hashes.len()
     }
 
-    /// Approximate footprint in bytes (slot array + hashes + payloads),
-    /// for memory-budget accounting.
+    /// Approximate footprint in bytes (slot array + hashes), for
+    /// memory-budget accounting.
     pub fn approx_bytes(&self) -> usize {
-        self.slots.len() * 4 + self.hashes.len() * 8 + self.payloads.len() * 8
+        self.slots.len() * 4 + self.hashes.len() * 8
     }
 
     /// True when no entries have been inserted.
@@ -61,15 +517,10 @@ impl RowTable {
         self.hashes.is_empty()
     }
 
-    /// Find the entry with this hash satisfying `eq`, or insert a new one
-    /// with `payload`. Returns `(entry_id, inserted)`.
+    /// Find the entry with this hash satisfying `eq`, or insert a new
+    /// one. Returns `(entry_id, inserted)`.
     #[inline]
-    pub fn find_or_insert(
-        &mut self,
-        hash: u64,
-        mut eq: impl FnMut(u32) -> bool,
-        payload: i64,
-    ) -> (u32, bool) {
+    pub fn find_or_insert(&mut self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> (u32, bool) {
         if (self.hashes.len() + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
@@ -80,7 +531,6 @@ impl RowTable {
                 let id = self.hashes.len() as u32;
                 self.slots[i] = id;
                 self.hashes.push(hash);
-                self.payloads.push(payload);
                 return (id, true);
             }
             if self.hashes[e as usize] == hash && eq(e) {
@@ -125,18 +575,6 @@ impl RowTable {
             }
             i = (i + 1) & self.mask;
         }
-    }
-
-    #[inline]
-    /// The payload of entry `id`.
-    pub fn payload(&self, id: u32) -> i64 {
-        self.payloads[id as usize]
-    }
-
-    #[inline]
-    /// Mutable payload of entry `id`.
-    pub fn payload_mut(&mut self, id: u32) -> &mut i64 {
-        &mut self.payloads[id as usize]
     }
 
     fn grow(&mut self) {
@@ -221,6 +659,16 @@ impl KeyStore {
         }
     }
 
+    /// Append a key row of values, one per key column.
+    pub fn push_values(&mut self, values: impl IntoIterator<Item = Value>) {
+        for (store_col, v) in self.columns.iter_mut().zip(values) {
+            store_col
+                .push(&v)
+                .expect("a key value of its column's type");
+            self.bytes += store_col.approx_bytes_at(store_col.len() - 1);
+        }
+    }
+
     /// Compare stored row `id` against physical row `row` of `cols`.
     #[inline]
     pub fn eq_row(&self, id: u32, cols: &[Arc<Column>], key_idx: &[usize], row: usize) -> bool {
@@ -229,41 +677,6 @@ impl KeyStore {
             .zip(key_idx)
             .all(|(store_col, &src)| store_col.eq_at(id as usize, &cols[src], row))
     }
-}
-
-/// Key-space partition of a row hash. The high half of the hash drives
-/// partition choice while probe tables index slots with the low bits, so
-/// partition and slot choice stay decorrelated. `nparts` is a power of
-/// two, so the modulus is a mask, not a division per row.
-#[inline]
-pub(super) fn part_of(hash: u64, nparts: usize) -> usize {
-    debug_assert!(nparts.is_power_of_two());
-    ((hash >> 32) & (nparts as u64 - 1)) as usize
-}
-
-/// Two-pass (histogram, scatter) radix partitioning of row ids by hash
-/// partition. Returns `(offsets, ids)` where partition `p`'s rows are
-/// `ids[offsets[p] as usize..offsets[p + 1] as usize]`. The scatter is
-/// stable, so each partition's ids stay ascending — the property that
-/// makes a per-partition build equivalent to a serial first-occurrence
-/// scan restricted to that partition.
-pub(super) fn radix_scatter(hashes: &[u64], nparts: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut counts = vec![0u32; nparts + 1];
-    for &h in hashes {
-        counts[part_of(h, nparts) + 1] += 1;
-    }
-    for p in 0..nparts {
-        counts[p + 1] += counts[p];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut ids = vec![0u32; hashes.len()];
-    for (row, &h) in hashes.iter().enumerate() {
-        let p = part_of(h, nparts);
-        ids[cursor[p] as usize] = row as u32;
-        cursor[p] += 1;
-    }
-    (offsets, ids)
 }
 
 /// Hash a whole batch's live rows over the key columns, column-at-a-time
@@ -317,7 +730,7 @@ mod tests {
         let mut store = KeyStore::for_keys(c.schema(), &keys);
         let mut ids = Vec::new();
         for (row, &h) in hash_all(&cols, &keys, c.rows()).iter().enumerate() {
-            let (id, inserted) = table.find_or_insert(h, |e| store.eq_row(e, &cols, &keys, row), 0);
+            let (id, inserted) = table.find_or_insert(h, |e| store.eq_row(e, &cols, &keys, row));
             if inserted {
                 store.push_row(&cols, &keys, row);
             }
@@ -341,23 +754,11 @@ mod tests {
         let mut table = RowTable::default();
         let mut store = KeyStore::for_keys(c.schema(), &keys);
         for (row, &h) in hash_all(&cols, &keys, c.rows()).iter().enumerate() {
-            let (_, inserted) = table.find_or_insert(h, |e| store.eq_row(e, &cols, &keys, row), 1);
+            let (_, inserted) = table.find_or_insert(h, |e| store.eq_row(e, &cols, &keys, row));
             if inserted {
                 store.push_row(&cols, &keys, row);
             }
         }
         assert_eq!(table.len(), 400);
-    }
-
-    #[test]
-    fn payloads_are_mutable() {
-        let mut table = RowTable::default();
-        let (id, inserted) = table.find_or_insert(42, |_| true, 5);
-        assert!(inserted);
-        *table.payload_mut(id) -= 2;
-        assert_eq!(table.payload(id), 3);
-        let (id2, inserted2) = table.find_or_insert(42, |_| true, 0);
-        assert!(!inserted2);
-        assert_eq!(id2, id);
     }
 }

@@ -5,14 +5,17 @@
 //! `tqo_core::ops` / `crate::operators`: same rows, same order, so the two
 //! engines can be compared with `==`. The temporal kernels never touch
 //! `Value`s on their hot path — periods are swept as raw `i64` columns,
-//! value-equivalence classes are formed over column-wise row hashes, and
-//! output rows are assembled with per-column gathers.
+//! value-equivalence classes ([`ClassIndex`]) are numbered straight from
+//! the key columns' dictionary codes (row hashes only for a key with a
+//! column of another type), and output rows are assembled with
+//! per-column gathers.
 
+use std::cell::OnceCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use tqo_core::columnar::{Column, ColumnData, ColumnarRelation};
+use tqo_core::columnar::{Column, ColumnData, ColumnarRelation, Sel};
 use tqo_core::context;
 use tqo_core::error::{Error, Result};
 use tqo_core::expr::{AggFunc, AggItem};
@@ -22,31 +25,17 @@ use tqo_core::ops::temporal::product_t::overlapping_pairs;
 use tqo_core::plan::EquiKeys;
 use tqo_core::schema::Schema;
 use tqo_core::sortspec::{Order, SortDir};
-use tqo_core::time::{EndpointSweep, LiveSet, Period};
+use tqo_core::time::LiveSet;
+use tqo_core::trace::counters;
 use tqo_core::value::DataType;
 
-use super::hash::{part_of, radix_scatter, RowTable};
+use super::hash::{CodeIds, CodeKeys, RowTable, NONE, NO_KEY};
+use super::BATCH_SIZE;
 
 /// Sort inputs below this row count skip radix partitioning: the
 /// histogram and scatter passes only pay off once the working set
 /// outgrows the caches.
 const RADIX_MIN_ROWS: usize = 4096;
-
-/// Partition count of the serial radix-partitioned hash builds. Sixteen
-/// partitions keep each probe table and key store a cache-sized fraction
-/// of the input while the merge stays `O(classes · 16)` — noise.
-const RADIX_PARTS: usize = 16;
-
-/// Serial hash builds partition later than sort: a linear-probe table
-/// over tens of thousands of rows still fits L2, and below that point
-/// the extra scatter pass plus the partition-scattered (non-sequential)
-/// key accesses cost more than the locality they buy. Measured on the
-/// 20k-row bench set, 16-way partitioning slowed `\ᵀ` and `ρᵀ` builds
-/// ~20%; from ~64k rows the cache-sized private tables win.
-const CLASS_RADIX_MIN_ROWS: usize = 1 << 16;
-
-/// "No row" / "no class" in `u32` row and class id vectors.
-const NONE: u32 = u32::MAX;
 
 /// Stable sort permutation of `input` under `order` (ties keep input
 /// order, matching the interpreter's stable `sort_by`).
@@ -257,37 +246,37 @@ fn counting_sort(keys: &[u32], buckets: usize) -> (Vec<u32>, Vec<u32>) {
 /// Value-equivalence classes (or grouping classes) of a relation over a
 /// set of key columns, in first-occurrence order.
 ///
-/// The build is radix-partitioned past `CLASS_RADIX_MIN_ROWS`: a two-pass
-/// (histogram, scatter) pass splits rows by the high half of their key
-/// hash, each partition builds a private cache-sized probe table over its
-/// stable (ascending) row slice, and a cheap `O(classes · parts)` merge
-/// interleaves the partitions' first-occurrence lists back into global
-/// first-occurrence order — the same class list, same order, as a single
-/// sequential scan.
+/// String keys are numbered straight from their dictionary codes
+/// (`CodeKeys`): one pass reads each row's key and looks up its id in
+/// `CodeIds` — a dense slot array when the key domain is small, a table
+/// of packed keys otherwise — with no hash and no verify. A key with a
+/// column of another type, or whose domain overflows `u64`, is hashed
+/// and verified against each class's first row (counted by
+/// `groupings_hashed`).
 ///
-/// Members are one flat layout: a counting sort of `class_of_row` lays
-/// every class out as a contiguous run of ascending row ids, so the
-/// per-class kernels walk runs over shared buffers instead of a heap
-/// vector per class.
+/// Members are one flat layout, built on first use: a counting sort of
+/// `class_of_row` lays every class out as a contiguous run of ascending
+/// row ids, so the per-class kernels walk runs over shared buffers
+/// instead of a heap vector per class.
 pub struct ClassIndex {
-    /// Per-partition probe table over local class ids; probes route by
-    /// [`part_of`] on the key hash.
-    tables: Vec<RowTable>,
-    /// Global class id of partition `p`'s local class `l`:
-    /// `globals[part_base[p] + l]`.
-    globals: Vec<u32>,
-    part_base: Vec<u32>,
-    /// The build input's key columns: a class's key is its first row's.
-    keys: Vec<Arc<Column>>,
+    lookup: Lookup,
     /// First member row of each class.
     pub protos: Vec<u32>,
-    /// Every row id, grouped by class (classes in id order), ascending
-    /// within a class.
-    member_rows: Vec<u32>,
-    /// Class `c`'s members are `member_rows[member_starts[c]..member_starts[c + 1]]`.
-    member_starts: Vec<u32>,
+    /// `(member_starts, member_rows)`: every row id, grouped by class
+    /// (classes in id order), ascending within a class; class `c`'s
+    /// members are `member_rows[member_starts[c]..member_starts[c + 1]]`.
+    members: OnceCell<(Vec<u32>, Vec<u32>)>,
     /// Class id of every input row (row-major accumulation).
     pub class_of_row: Vec<u32>,
+}
+
+/// How a [`ClassIndex`] finds a key's class.
+enum Lookup {
+    /// Classes by code key.
+    Codes(CodeKeys, CodeIds),
+    /// Classes by row hash, verified against each class's first row in
+    /// the build input's key columns.
+    Hashed(RowTable, Vec<Arc<Column>>),
 }
 
 /// Whether row `a` of the key columns `keys` equals row `b` of `cols`,
@@ -305,164 +294,118 @@ fn keys_eq(
         .all(|(k, &c)| k.eq_at(a, &cols[c], b))
 }
 
-/// One partition of a [`ClassIndex`] build over the ascending rows
-/// `part` (`len` of them): its probe table over local class ids and each
-/// local class's first row. Records every row's local class id in
-/// `local_of_row`.
-fn build_partition(
-    part: impl Iterator<Item = u32>,
-    len: usize,
-    hashes: &[u64],
-    keys: &[Arc<Column>],
-    cols: &[Arc<Column>],
-    key_idx: &[usize],
-    local_of_row: &mut [u32],
-) -> (RowTable, Vec<u32>) {
-    let mut table = RowTable::with_capacity(len);
-    let mut protos = Vec::new();
-    for rid in part {
-        let row = rid as usize;
-        let (id, inserted) = table.find_or_insert(
-            hashes[row],
-            |e| keys_eq(keys, protos[e as usize] as usize, cols, key_idx, row),
-            0,
-        );
-        if inserted {
-            protos.push(rid);
-        }
-        local_of_row[row] = id;
-    }
-    (table, protos)
-}
-
 impl ClassIndex {
     /// Build the index over `key_idx` columns of `input`.
     pub fn build(input: &ColumnarRelation, key_idx: Vec<usize>) -> ClassIndex {
+        match CodeKeys::of(key_idx.iter().map(|&c| &**input.column(c))) {
+            Some(code_keys) => Self::build_codes(input, key_idx, code_keys),
+            None => Self::build_hashed(input, key_idx),
+        }
+    }
+
+    fn build_codes(
+        input: &ColumnarRelation,
+        key_idx: Vec<usize>,
+        code_keys: CodeKeys,
+    ) -> ClassIndex {
+        let rows = input.rows();
+        let key_cols: Vec<&Column> = key_idx.iter().map(|&c| &**input.column(c)).collect();
+        let mut ids = CodeIds::new(code_keys.domain(), rows);
+        let (mut protos, mut class_of_row) = (Vec::new(), Vec::with_capacity(rows));
+        // A batch of keys at a time, so the keys stay in cache.
+        for start in (0..rows).step_by(BATCH_SIZE) {
+            let sel = Sel::Range(start, rows.min(start + BATCH_SIZE));
+            let keys = code_keys.keys(&key_cols, &sel);
+            ids.number(&keys, start as u32, &mut class_of_row, &mut protos);
+        }
+        Self::from_classes(Lookup::Codes(code_keys, ids), protos, class_of_row)
+    }
+
+    /// The hashed build, whatever the key columns: classes by row hash,
+    /// verified against each class's first row. [`ClassIndex::build`]
+    /// takes it only for keys it cannot number by code; it is public as
+    /// the reference the code-numbered build is tested against.
+    pub fn build_hashed(input: &ColumnarRelation, key_idx: Vec<usize>) -> ClassIndex {
+        counters::GROUPINGS_HASHED.incr();
         let cols = input.columns();
         let rows = input.rows();
         let keys: Vec<Arc<Column>> = key_idx.iter().map(|&c| cols[c].clone()).collect();
         let hashes = super::hash::hash_all(cols, &key_idx, rows);
-        // Local class id of every row (globalized after the merge).
-        let mut local_of_row = vec![0u32; rows];
-        if rows < CLASS_RADIX_MIN_ROWS {
-            // One partition: local ids are first-occurrence ids already.
-            let (table, protos) = build_partition(
-                0..rows as u32,
-                rows,
-                &hashes,
-                &keys,
-                cols,
-                &key_idx,
-                &mut local_of_row,
-            );
-            let (member_starts, member_rows) = counting_sort(&local_of_row, protos.len());
-            return ClassIndex {
-                tables: vec![table],
-                globals: (0..protos.len() as u32).collect(),
-                part_base: vec![0, protos.len() as u32],
-                keys,
-                protos,
-                member_rows,
-                member_starts,
-                class_of_row: local_of_row,
-            };
-        }
-
-        let (offsets, ids) = radix_scatter(&hashes, RADIX_PARTS);
-        let mut tables = Vec::with_capacity(RADIX_PARTS);
-        let mut local_protos: Vec<Vec<u32>> = Vec::with_capacity(RADIX_PARTS);
-        for p in 0..RADIX_PARTS {
-            let slice = &ids[offsets[p] as usize..offsets[p + 1] as usize];
-            let (table, protos) = build_partition(
-                slice.iter().copied(),
-                slice.len(),
-                &hashes,
-                &keys,
-                cols,
-                &key_idx,
-                &mut local_of_row,
-            );
-            tables.push(table);
-            local_protos.push(protos);
-        }
-
-        // Merge: interleave the partitions' (ascending) proto lists into
-        // the global first-occurrence order.
-        let mut part_base = vec![0u32; RADIX_PARTS + 1];
-        for (p, plist) in local_protos.iter().enumerate() {
-            part_base[p + 1] = part_base[p] + plist.len() as u32;
-        }
-        let total = part_base[RADIX_PARTS] as usize;
-        let mut protos = Vec::with_capacity(total);
-        let mut globals = vec![0u32; total];
-        let mut cursor = [0usize; RADIX_PARTS];
-        for _ in 0..total {
-            let mut best: Option<(u32, usize)> = None;
-            for (p, plist) in local_protos.iter().enumerate() {
-                if let Some(&proto) = plist.get(cursor[p]) {
-                    if best.is_none_or(|(b, _)| proto < b) {
-                        best = Some((proto, p));
-                    }
+        let mut table = RowTable::with_capacity(rows);
+        let mut protos: Vec<u32> = Vec::new();
+        let class_of_row = (0..rows)
+            .map(|row| {
+                let (id, new) = table.find_or_insert(hashes[row], |e| {
+                    keys_eq(&keys, protos[e as usize] as usize, cols, &key_idx, row)
+                });
+                if new {
+                    protos.push(row as u32);
                 }
-            }
-            let (proto, p) = best.expect("cursor invariant");
-            globals[part_base[p] as usize + cursor[p]] = protos.len() as u32;
-            protos.push(proto);
-            cursor[p] += 1;
-        }
-
-        let class_of_row: Vec<u32> = hashes
-            .iter()
-            .zip(&local_of_row)
-            .map(|(&h, &local)| globals[(part_base[part_of(h, RADIX_PARTS)] + local) as usize])
+                id
+            })
             .collect();
-        let (member_starts, member_rows) = counting_sort(&class_of_row, total);
+        Self::from_classes(Lookup::Hashed(table, keys), protos, class_of_row)
+    }
+
+    fn from_classes(lookup: Lookup, protos: Vec<u32>, class_of_row: Vec<u32>) -> ClassIndex {
         ClassIndex {
-            tables,
-            globals,
-            part_base,
-            keys,
+            lookup,
             protos,
-            member_rows,
-            member_starts,
+            members: OnceCell::new(),
             class_of_row,
         }
+    }
+
+    fn member_layout(&self) -> &(Vec<u32>, Vec<u32>) {
+        self.members
+            .get_or_init(|| counting_sort(&self.class_of_row, self.protos.len()))
     }
 
     /// Member rows of class `class`, ascending.
     #[inline]
     pub fn members(&self, class: usize) -> &[u32] {
-        let (s, e) = (self.member_starts[class], self.member_starts[class + 1]);
-        &self.member_rows[s as usize..e as usize]
+        let (starts, rows) = self.member_layout();
+        &rows[starts[class] as usize..starts[class + 1] as usize]
     }
 
     /// Every class's member rows, in class order.
     pub fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.member_starts
+        let (starts, rows) = self.member_layout();
+        starts
             .windows(2)
-            .map(|w| &self.member_rows[w[0] as usize..w[1] as usize])
+            .map(|w| &rows[w[0] as usize..w[1] as usize])
     }
 
     /// Class id of every row of `cols`, whose key columns sit at `key_idx`
     /// (parallel to the build keys, same domains), or `u32::MAX` where
-    /// the key has no class. Hashes column-at-a-time, then probes.
+    /// the key has no class. Code keys translate another dictionary's
+    /// codes once per distinct code; hashed keys hash column-at-a-time,
+    /// then probe.
     pub fn probe_all(&self, cols: &[Arc<Column>], key_idx: &[usize], rows: usize) -> Vec<u32> {
-        let hashes = super::hash::hash_all(cols, key_idx, rows);
-        let nparts = self.tables.len();
-        hashes
-            .iter()
-            .enumerate()
-            .map(|(row, &h)| {
-                let p = part_of(h, nparts);
-                let global = |local: u32| self.globals[(self.part_base[p] + local) as usize];
-                self.tables[p]
-                    .find(h, |local| {
-                        let proto = self.protos[global(local) as usize];
-                        keys_eq(&self.keys, proto as usize, cols, key_idx, row)
+        match &self.lookup {
+            Lookup::Codes(code_keys, ids) => {
+                let key_cols: Vec<&Column> = key_idx.iter().map(|&c| &*cols[c]).collect();
+                code_keys
+                    .keys(&key_cols, &Sel::Range(0, rows))
+                    .into_iter()
+                    .map(|key| match key {
+                        NO_KEY => NONE,
+                        key => ids.find(key).unwrap_or(NONE),
                     })
-                    .map_or(NONE, global)
-            })
-            .collect()
+                    .collect()
+            }
+            Lookup::Hashed(table, keys) => super::hash::hash_all(cols, key_idx, rows)
+                .iter()
+                .enumerate()
+                .map(|(row, &h)| {
+                    table
+                        .find(h, |c| {
+                            keys_eq(keys, self.protos[c as usize] as usize, cols, key_idx, row)
+                        })
+                        .unwrap_or(NONE)
+                })
+                .collect(),
+        }
     }
 
     /// Number of classes.
@@ -726,12 +669,15 @@ fn accumulate(
     Ok(out)
 }
 
-/// `ξᵀ`: per group — a [`ClassIndex`] class over the grouping columns, in
-/// first-occurrence order — one [`EndpointSweep`] over the raw period
-/// columns, so the output is `tqo_core::ops::aggregate_t`'s list (and its
-/// literal definition's). `COUNT`, integer `SUM`, `MIN` and `MAX` keep
-/// typed state (`TypedAgg`) and emit into `i64` vectors and row
-/// gathers; float `SUM`, `AVG` and anything unresolvable go through the
+/// `ξᵀ`: every group — a [`ClassIndex`] class over the grouping columns,
+/// in first-occurrence order — split at each distinct endpoint of its
+/// periods, an empty period's too, with one row per piece on which some
+/// member is live, chronologically: `tqo_core::ops::aggregate_t`'s list
+/// (and its literal definition's). One pass sweeps all groups over their
+/// events laid out class by class, each class's sorted in place
+/// (`ClassEvents`), resetting the live set at each class boundary. `COUNT`, integer `SUM`, `MIN` and `MAX` keep
+/// typed state (`TypedAgg`) and emit into `i64` vectors and row gathers;
+/// float `SUM`, `AVG` and anything unresolvable go through the
 /// interpreter's own [`IntervalAggregates`]. Key columns are gathered from
 /// each class's first row. One governance poll per group.
 pub fn aggregate_t(
@@ -746,6 +692,15 @@ pub fn aggregate_t(
         .collect::<Result<_>>()?;
     let (s, e) = input.period_columns()?;
     let classes = ClassIndex::build(input, key_idx.clone());
+    // The definition reads a group's periods before it sweeps the group:
+    // the first invalid period, class by class, is the error.
+    let invalid = (0..s.len()).filter(|&r| s[r] > e[r]);
+    if let Some(r) = invalid.min_by_key(|&r| (classes.class_of_row[r], r)) {
+        return Err(Error::InvalidPeriod {
+            start: s[r],
+            end: e[r],
+        });
+    }
     let mut generic_items = Vec::new();
     let typed: Vec<TypedAgg> = aggs
         .iter()
@@ -758,6 +713,7 @@ pub fn aggregate_t(
         .collect();
     let mut live = LiveAggs {
         live: 0,
+        counts_only: typed.iter().all(|acc| matches!(acc, TypedAgg::Rows)),
         alive: vec![false; input.rows()],
         typed,
         generic: IntervalAggregates::new(input, input.schema(), &generic_items),
@@ -765,27 +721,33 @@ pub fn aggregate_t(
     // A group of `k` rows has at most `2k − 1` constant intervals.
     let cap = 2 * input.rows();
     let mut outs: Vec<AggOut> = live.typed.iter().map(|acc| acc.out(cap)).collect();
-    let mut sweep = EndpointSweep::default();
     let (mut protos, mut t1, mut t2) = (
         Vec::with_capacity(cap),
         Vec::with_capacity(cap),
         Vec::with_capacity(cap),
     );
-    for (members, &proto) in classes.runs().zip(&classes.protos) {
+    let events = ClassEvents::new(&classes, s, e);
+    for (c, bounds) in events.starts.windows(2).enumerate() {
         context::check_current()?;
-        let periods = members
-            .iter()
-            .map(|&r| Ok((r, Period::new(s[r as usize], e[r as usize])?)));
-        live.reset(members);
-        sweep.run(periods, &mut live, |live, p| {
-            for (acc, out) in live.typed.iter().zip(&mut outs) {
-                acc.emit(live, out)?;
+        let run = &events.events[bounds[0] as usize..bounds[1] as usize];
+        live.reset(match generic_items.is_empty() {
+            true => &[],
+            false => classes.members(c),
+        });
+        for (k, &event) in run.iter().enumerate() {
+            live.step(event as u32);
+            // The last event at its instant; a live row ends at a later
+            // one of its class.
+            let next = run.get(k + 1).copied().unwrap_or(u64::MAX);
+            if next >> 32 != event >> 32 && live.live > 0 {
+                for (acc, out) in live.typed.iter().zip(&mut outs) {
+                    acc.emit(&live, out)?;
+                }
+                protos.push(classes.protos[c]);
+                t1.push(events.at(event));
+                t2.push(events.at(next));
             }
-            protos.push(proto);
-            t1.push(p.start);
-            t2.push(p.end);
-            Ok(())
-        })?;
+        }
     }
     let mut columns: Vec<Arc<Column>> = key_idx
         .iter()
@@ -798,6 +760,82 @@ pub fn aggregate_t(
     columns.push(time_column(t1));
     columns.push(time_column(t2));
     Ok(ColumnarRelation::new(out_schema, columns))
+}
+
+/// What an event of `ClassEvents` does, in its tag's low two bits
+/// (the row id is the rest).
+const LEAVE: u32 = 0;
+const ENTER: u32 = 1;
+const SPLIT: u32 = 2;
+
+/// Every row's endpoint events — its start and end, or a split for an
+/// empty period — as `instant << 32 | row << 2 | what`, laid out by class
+/// and sorted by instant within each class's run. An instant is its
+/// offset from the earliest one, or, when the input spans 2³² instants or
+/// more, its rank among the distinct ones. Rows number fewer than 2³⁰.
+struct ClassEvents {
+    /// Class `c`'s events are `events[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    events: Vec<u64>,
+    /// The earliest instant; with `ranks`, the distinct instants.
+    first: i64,
+    ranks: Option<Vec<i64>>,
+}
+
+impl ClassEvents {
+    fn new(classes: &ClassIndex, s: &[i64], e: &[i64]) -> ClassEvents {
+        let first = s.iter().copied().min().unwrap_or(0);
+        let last = e.iter().copied().max().unwrap_or(0);
+        let ranks = ((last as u64).wrapping_sub(first as u64) >> 32 != 0).then(|| {
+            let mut instants = [s, e].concat();
+            instants.sort_unstable();
+            instants.dedup();
+            instants
+        });
+        let instant = |t: i64| match &ranks {
+            None => t.wrapping_sub(first) as u64,
+            Some(ranks) => ranks.partition_point(|&r| r < t) as u64,
+        };
+        let mut starts = vec![0u32; classes.len() + 1];
+        for (row, &c) in classes.class_of_row.iter().enumerate() {
+            starts[c as usize + 1] += if s[row] == e[row] { 1 } else { 2 };
+        }
+        for c in 0..classes.len() {
+            starts[c + 1] += starts[c];
+        }
+        let mut cursor = starts.clone();
+        let mut events = vec![0u64; starts[classes.len()] as usize];
+        for (row, &c) in classes.class_of_row.iter().enumerate() {
+            let at = &mut cursor[c as usize];
+            let tag = u64::from(row as u32) << 2;
+            if s[row] == e[row] {
+                events[*at as usize] = instant(s[row]) << 32 | tag | u64::from(SPLIT);
+                *at += 1;
+            } else {
+                events[*at as usize] = instant(s[row]) << 32 | tag | u64::from(ENTER);
+                events[*at as usize + 1] = instant(e[row]) << 32 | tag | u64::from(LEAVE);
+                *at += 2;
+            }
+        }
+        for bounds in starts.windows(2) {
+            events[bounds[0] as usize..bounds[1] as usize].sort_unstable();
+        }
+        ClassEvents {
+            starts,
+            events,
+            first,
+            ranks,
+        }
+    }
+
+    /// The instant of an event.
+    #[inline]
+    fn at(&self, event: u64) -> i64 {
+        match &self.ranks {
+            None => self.first.wrapping_add((event >> 32) as i64),
+            Some(ranks) => ranks[(event >> 32) as usize],
+        }
+    }
 }
 
 /// One `ξᵀ` aggregate's state over a group's live rows, typed where the
@@ -1048,6 +1086,8 @@ fn heap_pop(heap: &mut Vec<u32>, before: impl Fn(u32, u32) -> bool) {
 /// aggregates, and the interpreter's state for the rest.
 struct LiveAggs<'a> {
     live: i64,
+    /// Every aggregate is a live count ([`TypedAgg::Rows`]).
+    counts_only: bool,
     alive: Vec<bool>,
     typed: Vec<TypedAgg<'a>>,
     generic: IntervalAggregates<'a, ColumnarRelation>,
@@ -1061,6 +1101,21 @@ impl LiveAggs<'_> {
             acc.reset();
         }
         self.generic.reset(members);
+    }
+
+    /// Apply an event's `row << 2 | what` tag. When every aggregate reads
+    /// only the live count, that is all an event moves, without a branch.
+    #[inline]
+    fn step(&mut self, tag: u32) {
+        if self.counts_only {
+            self.live += [-1, 1, 0, 0][(tag & 3) as usize];
+            return;
+        }
+        match tag & 3 {
+            ENTER => self.enter(tag >> 2),
+            LEAVE => self.leave(tag >> 2),
+            _ => {}
+        }
     }
 }
 

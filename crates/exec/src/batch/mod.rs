@@ -10,8 +10,8 @@
 //!   source columns plus a *selection* ([`Sel`]) naming the live rows, so
 //!   `select` and column-keeping `project` are pure selection-vector /
 //!   schema manipulation with zero row copies;
-//! * streaming operators (scan, select, project, union-all, hash `rdup`,
-//!   hash `difference`, transfers) forward batches as they arrive;
+//! * streaming operators (scan, select, project, union-all, keyed `rdup`,
+//!   keyed `difference`, transfers) forward batches as they arrive;
 //! * pipeline breakers (sort, aggregation, products, the temporal
 //!   sweeps) gather their input into a [`ColumnarRelation`], run a
 //!   columnar kernel from [`kernels`], and stream the result back out in

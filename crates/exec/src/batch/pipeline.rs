@@ -5,8 +5,8 @@
 //! is typed and checked, and every output and input schema the engine
 //! uses is the node's [`NodeFacts`] schema. The one thing lowering cannot
 //! know — what a scanned name is bound to at run time — is checked at the
-//! scan. Streaming operators (scan, select, project, union-all, hash
-//! `rdup`, hash `difference`, transfers) forward ~1024-row batches as they
+//! scan. Streaming operators (scan, select, project, union-all, keyed
+//! `rdup`, keyed `difference`, transfers) forward ~1024-row batches as they
 //! arrive; a pipeline breaker (`is_breaker`, the same set the stage
 //! cutter cuts at) materializes its inputs and runs its own plan node's
 //! columnar kernel.
@@ -38,7 +38,7 @@ use tqo_core::tuple::Tuple;
 use crate::metrics::{ExecMetrics, OperatorMetrics};
 use crate::physical::{label, NodeFacts, PhysicalPlan};
 
-use super::hash::{KeyStore, RowTable};
+use super::hash::StreamKeys;
 use super::kernels;
 use super::{concat, Batch, BATCH_SIZE};
 
@@ -392,30 +392,25 @@ impl BatchOperator for UnionAllOp {
     }
 }
 
-/// Hash `rdup`: streaming first-occurrence filter over column-wise row
-/// hashes. Kept rows are emitted as selection views of the input batch;
-/// their key values are appended to a dense store for cross-batch
-/// equality.
+/// Streaming `rdup`: a first-occurrence filter over the stream's keys
+/// ([`StreamKeys`]: dictionary codes for string rows, row hashes
+/// otherwise). Kept rows are emitted as selection views of the input
+/// batch.
 struct RdupOp {
     child: BoxOp,
     out_schema: Arc<Schema>,
-    key_idx: Vec<usize>,
-    table: RowTable,
-    store: KeyStore,
-    /// Budget reservation tracking the hash state, resized per batch.
+    keys: StreamKeys,
+    /// Budget reservation tracking the key state, resized per batch.
     reserved: Option<context::Reservation>,
 }
 
-impl RdupOp {
-    /// Resize the reservation to the hash state's current footprint.
-    fn charge_state(&mut self) -> Result<()> {
-        let bytes = self.table.approx_bytes() + self.store.approx_bytes();
-        match &mut self.reserved {
-            Some(r) => r.grow_to(bytes),
-            None => {
-                self.reserved = context::reserve_current(bytes)?;
-                Ok(())
-            }
+/// Resize `reserved` to `bytes`, reserving on first use.
+fn charge(reserved: &mut Option<context::Reservation>, bytes: usize) -> Result<()> {
+    match reserved {
+        Some(r) => r.grow_to(bytes),
+        None => {
+            *reserved = context::reserve_current(bytes)?;
+            Ok(())
         }
     }
 }
@@ -430,62 +425,9 @@ impl BatchOperator for RdupOp {
             let Some(batch) = self.child.next_batch()? else {
                 return Ok(None);
             };
-            let cols = batch.columns();
-            let hashes = super::hash::hash_batch(&batch, &self.key_idx);
-            // Two-phase probe. Phase 1 resolves each row against the
-            // *frozen* table by hash alone and batches the candidates;
-            // their keys are then verified column-wise — one dtype
-            // dispatch per key column per batch instead of per row.
-            // Rows with no hash-equal entry (new keys, intra-batch
-            // duplicates of them) and the rare failed candidates (full
-            // 64-bit hash collisions) take phase 2: the serial
-            // insert-or-find walk, in original row order, which is the
-            // only phase that mutates the table.
-            let mut cand_rows: Vec<u32> = Vec::new();
-            let mut cand_ids: Vec<u32> = Vec::new();
-            let mut cand_hash: Vec<u64> = Vec::new();
-            let mut pending: Vec<(u32, u64)> = Vec::new();
-            for (k, i) in batch.rows().enumerate() {
-                match self.table.find_first_hash(hashes[k]) {
-                    Some(e) => {
-                        cand_rows.push(i as u32);
-                        cand_ids.push(e);
-                        cand_hash.push(hashes[k]);
-                    }
-                    None => pending.push((i as u32, hashes[k])),
-                }
-            }
-            let mut ok = vec![true; cand_rows.len()];
-            for (store_col, &src) in self.store.columns().iter().zip(&self.key_idx) {
-                store_col.eq_pairs(&cand_ids, &cols[src], &cand_rows, &mut ok);
-            }
-            // Verified candidates are duplicates of frozen entries and
-            // drop out. Failed candidates rejoin the pending stream,
-            // re-sorted by row so phase 2 sees original first-occurrence
-            // order (`pending` is built ascending; the sort only ever
-            // runs on a genuine 64-bit hash collision).
-            if ok.iter().any(|&o| !o) {
-                for (k, &o) in ok.iter().enumerate() {
-                    if !o {
-                        pending.push((cand_rows[k], cand_hash[k]));
-                    }
-                }
-                pending.sort_unstable_by_key(|&(row, _)| row);
-            }
             let mut kept = Vec::new();
-            for &(row, hash) in &pending {
-                let i = row as usize;
-                let (_, inserted) = self.table.find_or_insert(
-                    hash,
-                    |e| self.store.eq_row(e, cols, &self.key_idx, i),
-                    0,
-                );
-                if inserted {
-                    self.store.push_row(cols, &self.key_idx, i);
-                    kept.push(row);
-                }
-            }
-            self.charge_state()?;
+            self.keys.insert(&batch, &mut kept);
+            charge(&mut self.reserved, self.keys.approx_bytes())?;
             if !kept.is_empty() {
                 return Ok(Some(
                     batch
@@ -502,18 +444,18 @@ impl BatchOperator for RdupOp {
     }
 }
 
-/// Hash multiset difference: the right side is built into a count table at
-/// `open`; left batches stream through, consuming counts, and survivors
-/// are emitted as selection views (earliest occurrences are the ones
-/// removed, as in `ops::difference`).
+/// Streaming multiset difference: the right side's keys and their counts
+/// are built at `open`; left batches stream through, consuming counts,
+/// and survivors are emitted as selection views (earliest occurrences are
+/// the ones removed, as in `ops::difference`).
 struct DifferenceOp {
     left: BoxOp,
     right: BoxOp,
     out_schema: Arc<Schema>,
-    key_idx: Vec<usize>,
-    table: RowTable,
-    store: KeyStore,
-    /// Budget reservation tracking the build-side hash state.
+    keys: StreamKeys,
+    /// Right rows left to remove, per key.
+    counts: Vec<u32>,
+    /// Budget reservation tracking the build-side key state.
     reserved: Option<context::Reservation>,
 }
 
@@ -522,26 +464,17 @@ impl BatchOperator for DifferenceOp {
         self.left.open()?;
         self.right.open()?;
         while let Some(batch) = self.right.next_batch()? {
-            let cols = batch.columns();
-            let hashes = super::hash::hash_batch(&batch, &self.key_idx);
-            for (k, i) in batch.rows().enumerate() {
-                let (id, inserted) = self.table.find_or_insert(
-                    hashes[k],
-                    |e| self.store.eq_row(e, cols, &self.key_idx, i),
-                    0,
-                );
-                if inserted {
-                    self.store.push_row(cols, &self.key_idx, i);
-                }
-                *self.table.payload_mut(id) += 1;
+            let ids = self.keys.insert(&batch, &mut Vec::new());
+            self.counts.resize(self.keys.len(), 0);
+            for id in ids {
+                self.counts[id as usize] += 1;
             }
             // Re-charge the build state after each batch so the budget
-            // tracks hash growth at batch granularity.
-            let bytes = self.table.approx_bytes() + self.store.approx_bytes();
-            match &mut self.reserved {
-                Some(r) => r.grow_to(bytes)?,
-                None => self.reserved = context::reserve_current(bytes)?,
-            }
+            // tracks its growth at batch granularity.
+            charge(
+                &mut self.reserved,
+                self.keys.approx_bytes() + self.counts.len() * 4,
+            )?;
         }
         Ok(())
     }
@@ -551,17 +484,11 @@ impl BatchOperator for DifferenceOp {
             let Some(batch) = self.left.next_batch()? else {
                 return Ok(None);
             };
-            let cols = batch.columns();
-            let hashes = super::hash::hash_batch(&batch, &self.key_idx);
+            let ids = self.keys.find(&batch);
             let mut kept = Vec::with_capacity(batch.num_rows());
-            for (k, i) in batch.rows().enumerate() {
-                let hit = self
-                    .table
-                    .find(hashes[k], |e| self.store.eq_row(e, cols, &self.key_idx, i));
-                match hit {
-                    Some(id) if self.table.payload(id) > 0 => {
-                        *self.table.payload_mut(id) -= 1;
-                    }
+            for (id, i) in ids.into_iter().zip(batch.rows()) {
+                match self.counts.get_mut(id as usize) {
+                    Some(n) if *n > 0 => *n -= 1,
                     _ => kept.push(i as u32),
                 }
             }
@@ -870,17 +797,14 @@ fn build(
             left: next(),
             right: next(),
             out_schema: own.schema.clone(),
-            key_idx: all_columns(),
-            table: RowTable::default(),
-            store: KeyStore::for_keys(&in_schemas[1], &all_columns()),
+            keys: StreamKeys::new(&in_schemas[1], all_columns()),
+            counts: Vec::new(),
             reserved: None,
         }),
         PlanNode::Rdup { .. } => Box::new(RdupOp {
             child: next(),
             out_schema: own.schema.clone(),
-            key_idx: all_columns(),
-            table: RowTable::default(),
-            store: KeyStore::for_keys(&in_schemas[0], &all_columns()),
+            keys: StreamKeys::new(&in_schemas[0], all_columns()),
             reserved: None,
         }),
         PlanNode::Limit { limit, offset, .. } => Box::new(LimitOp {

@@ -11,10 +11,15 @@
 //! | logical op | algorithm | cost |
 //! |------------|-----------|------|
 //! | `rdupᵀ` | per-class claims in list order (the recursion's list) | `O(n log n)` |
-//! | `coalᵀ` | per-(class, instant) chains walked in list order (the fixpoint's list) | `O(n)` after hashing |
+//! | `coalᵀ` | per-(class, instant) chains walked in list order (the fixpoint's list) | `O(n)` after numbering (class, instant) pairs |
 //! | `×ᵀ` | endpoint plane sweep, pairs sorted into the nested loop's order | `O((n + m) log(n + m))` + sorted output |
 //! | `\ᵀ` | per-class count timelines | `O(n log n)` |
-//! | `ξᵀ` | one endpoint sweep per group | `O(n log n)` + output |
+//! | `ξᵀ` | one endpoint sweep over every group's events, laid out by group | `O(n log n)` + output |
+//!
+//! Every operator groups rows by value — classes, groups, distinct rows —
+//! in first-occurrence order, numbering string keys straight from their
+//! dictionary codes and hashing only keys with a column of another type
+//! ([`batch::hash`]).
 //!
 //! The one physical choice is the hash equi-join: below a `Select` with
 //! equality conjuncts across its inputs ([`tqo_core::plan::equi_keys`]),

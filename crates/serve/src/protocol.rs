@@ -417,7 +417,15 @@ pub fn decode_request(mut bytes: Bytes) -> Result<Request> {
 /// into the same buffer as the tag and schema, which grows once, up front,
 /// to the column frame's size bound.
 pub fn encode_response(resp: &Response) -> Bytes {
-    encode_response_inner(resp, None)
+    let mut buf = BytesMut::with_capacity(64);
+    encode_response_into(&mut buf, resp);
+    buf.freeze()
+}
+
+/// [`encode_response`] into `buf`, replacing what it held: a session
+/// that keeps one buffer reuses its pages for every response.
+pub fn encode_response_into(buf: &mut BytesMut, resp: &Response) {
+    encode_response_inner(buf, resp, None);
 }
 
 /// [`encode_response`] with a row-payload mutilator (seeded fault
@@ -426,30 +434,33 @@ pub fn encode_response(resp: &Response) -> Bytes {
 /// advertised length shrinks with it, so framing survives and the
 /// client's decode fails typed.
 pub fn encode_response_faulted(resp: &Response, mutilate: impl FnOnce(Bytes) -> Bytes) -> Bytes {
-    encode_response_inner(resp, Some(Box::new(mutilate)))
+    let mut buf = BytesMut::with_capacity(64);
+    encode_response_inner(&mut buf, resp, Some(Box::new(mutilate)));
+    buf.freeze()
 }
 
 #[allow(clippy::type_complexity)]
 fn encode_response_inner(
+    buf: &mut BytesMut,
     resp: &Response,
     mutilate: Option<Box<dyn FnOnce(Bytes) -> Bytes + '_>>,
-) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+) {
+    buf.clear();
     match resp {
         Response::Pong => buf.put_u8(0),
         Response::Rows(rel) => {
             buf.put_u8(1);
-            put_schema(&mut buf, rel.schema());
+            put_schema(buf, rel.schema());
             let at = buf.len();
             buf.put_u32(0);
             let written = match mutilate {
-                None => wire::encode_into(&mut buf, rel),
+                None => wire::encode_into(buf, rel),
                 Some(f) => wire::encode(rel).map(|payload| buf.put_slice(&f(payload))),
             };
             // A relation that cannot be laid out in columns fails its
             // own query, typed, rather than the connection.
             if let Err(e) = written {
-                return encode_response_inner(&Response::Fail(e), None);
+                return encode_response_inner(buf, &Response::Fail(e), None);
             }
             let len = (buf.len() - at - 4) as u32;
             buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
@@ -457,10 +468,9 @@ fn encode_response_inner(
         Response::Done => buf.put_u8(2),
         Response::Fail(e) => {
             buf.put_u8(3);
-            put_error(&mut buf, e);
+            put_error(buf, e);
         }
     }
-    buf.freeze()
 }
 
 /// Decode a response frame payload. A truncated or corrupted row payload
@@ -494,7 +504,7 @@ pub fn decode_response(mut bytes: Bytes) -> Result<Response> {
 // --- framing --------------------------------------------------------------
 
 /// Write one frame (`u32` length prefix + payload) to `w`.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &Bytes) -> std::io::Result<()> {
+pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(&(payload.len() as u32).to_be_bytes())?;
     w.write_all(payload)?;
     w.flush()

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use tqo_core::context::QueryContext;
 use tqo_core::error::{Error, Result};
@@ -21,7 +21,8 @@ use tqo_stratum::FaultConfig;
 
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::protocol::{
-    decode_request, encode_response, encode_response_faulted, write_frame, Request, Response,
+    decode_request, encode_response, encode_response_faulted, encode_response_into, write_frame,
+    Request, Response,
 };
 
 /// How often a session's blocked read re-checks the shutdown flag (and
@@ -232,11 +233,13 @@ fn reap_ended(sessions: &mut Vec<thread::JoinHandle<()>>) {
 }
 
 /// One connection: sequential request/response frames until EOF, a fatal
-/// transport error, or server shutdown.
+/// transport error, or server shutdown. Every response is encoded into
+/// one buffer the session keeps, so its pages are faulted in once.
 fn session(stream: TcpStream, inner: &Inner) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
     let mut stream = stream;
+    let mut frame = BytesMut::with_capacity(64);
     loop {
         let payload = match read_frame(&mut stream, &inner.shutdown) {
             Ok(Some(p)) => p,
@@ -263,11 +266,13 @@ fn session(stream: TcpStream, inner: &Inner) {
                 // A malformed request still gets a framed, typed answer.
                 Err(e) => (Response::Fail(e), false),
             };
-            (encode(resp, inner), shutdown_after)
+            encode(&mut frame, resp, inner);
+            shutdown_after
         }));
-        let (frame, shutdown_after) = answered.unwrap_or_else(|payload| {
+        let shutdown_after = answered.unwrap_or_else(|payload| {
             let fail = Response::Fail(Error::from_panic(payload.as_ref()));
-            (encode_response(&fail), false)
+            encode_response_into(&mut frame, &fail);
+            false
         });
         if write_frame(&mut stream, &frame).is_err() {
             return;
@@ -280,15 +285,16 @@ fn session(stream: TcpStream, inner: &Inner) {
     }
 }
 
-/// Encode a response, routing `Rows` through the fault injector when
-/// one is configured.
-fn encode(resp: Response, inner: &Inner) -> Bytes {
+/// Encode a response into `frame`, routing `Rows` through the fault
+/// injector when one is configured.
+fn encode(frame: &mut BytesMut, resp: Response, inner: &Inner) {
     match (&resp, &inner.faults) {
         (Response::Rows(_), Some(f)) if f.should_truncate() => {
             counters::FAULTS_INJECTED.incr();
-            encode_response_faulted(&resp, |b| f.truncate(b))
+            frame.clear();
+            frame.put_slice(&encode_response_faulted(&resp, |b| f.truncate(b)));
         }
-        _ => encode_response(&resp),
+        _ => encode_response_into(frame, &resp),
     }
 }
 

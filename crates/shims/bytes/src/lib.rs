@@ -128,6 +128,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Empty the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
     /// Make room for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
@@ -228,6 +233,14 @@ mod tests {
         assert!(Arc::ptr_eq(&head.data, &b.data));
         assert_eq!(&*b, b"body");
         assert_eq!(b.remaining(), 4);
+    }
+
+    #[test]
+    fn clear_keeps_the_capacity() {
+        let mut w = BytesMut::with_capacity(64);
+        w.put_slice(b"headbody");
+        w.clear();
+        assert!(w.is_empty() && w.data.capacity() >= 64);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Kernel equivalence on adversarial layouts.
 //!
-//! The PR-8 kernel rewrites (radix-partitioned hash builds, fused
+//! The PR-8 kernel rewrites (group builds, fused
 //! selection-into-breaker pipelines, prefix-assisted cache-conscious
 //! sort, branch-free predicate/sweep kernels) promise to change *time
 //! only, never bytes* (ARCHITECTURE invariant 15). This suite drives
 //! each rewritten kernel through the layouts most likely to break that
-//! promise — all-duplicate keys collapsing every row into one radix
-//! bucket, empty inputs, selections of density 0% and 100% feeding
+//! promise — all-duplicate keys collapsing every row into one class,
+//! empty inputs, selections of density 0% and 100% feeding
 //! breakers and sinks, sort inputs past the radix threshold with heavy
 //! ties, strings sharing long prefixes (inexact sort prefixes forcing
 //! refinement), floats including NaN and -0.0, and nulls under DESC —
@@ -82,12 +82,12 @@ fn temporal_rel(rows: Vec<(&str, i64, i64)>) -> Relation {
 }
 
 // ---------------------------------------------------------------------
-// Radix-partitioned hash builds: rdup / aggregate / difference
+// Group builds: rdup / aggregate / difference
 // ---------------------------------------------------------------------
 
-/// Every row shares one key, so every row hashes into the *same* radix
-/// bucket: maximal skew for the partitioned build, and the first-kept-
-/// occurrence order is the whole answer.
+/// Every row shares one key, so every row lands in the *same* class:
+/// maximal skew for the group build, and the first-kept-occurrence order
+/// is the whole answer.
 #[test]
 fn all_duplicate_keys_collapse_identically() {
     let rel = kv_rel((0..3000).map(|_| (7, "same", 1.5)).collect());
@@ -103,10 +103,8 @@ fn all_duplicate_keys_collapse_identically() {
     assert_eq!(out.tuples().len(), 1);
 }
 
-/// 70k rows — past the serial radix threshold, so the partitioned hash
-/// build runs — over a tiny key domain: 51 classes crowd into few radix
-/// buckets, with intra-batch duplicates interleaved across batch
-/// boundaries.
+/// 70k rows over a tiny key domain: 51 classes, with intra-batch
+/// duplicates interleaved across batch boundaries.
 #[test]
 fn skewed_buckets_preserve_first_occurrence_order() {
     let rel = kv_rel(
@@ -346,7 +344,7 @@ fn sweep_kernels_agree_on_degenerate_periods() {
 }
 
 /// Aggregation with MIN/MAX/SUM/AVG over the skewed key domain — the
-/// radix-partitioned group build must keep group emission order.
+/// group build must keep group emission order.
 #[test]
 fn aggregate_functions_agree_over_radix_groups() {
     let rel = kv_rel(
@@ -407,9 +405,9 @@ fn assert_join_exact(plan: &LogicalPlan, env: &Env, hash: bool, context: &str) -
     assert_kernels_exact(plan, env, context)
 }
 
-/// Every right row carries the one key there is — 70k rows, past the
-/// radix threshold, all in one bucket — so the match list of each probing
-/// left row *is* the right input, in order.
+/// Every right row carries the one key there is — 70k rows, all in one
+/// class — so the match list of each probing left row *is* the right
+/// input, in order.
 #[test]
 fn hash_join_over_all_duplicate_keys_in_one_radix_bucket() {
     let env = Env::new()
@@ -568,9 +566,8 @@ fn temporal_hash_join_keeps_the_list() {
     );
 }
 
-/// `ξᵀ` as one endpoint sweep per group: the batch kernel ≡ the scheduler
-/// ≡ the interpreter as lists — over 70k rows (past the radix threshold of
-/// the class build),
+/// `ξᵀ` as one endpoint sweep over every group: the batch kernel ≡ the scheduler
+/// ≡ the interpreter as lists — over 70k rows,
 /// NULL group keys, and one deep group of 2k overlapping periods.
 #[test]
 fn temporal_aggregation_is_one_list_on_every_engine() {
@@ -689,7 +686,7 @@ fn faithful_rdup_t_is_the_recursions_list_on_every_engine() {
     let small = Relation::new(schema.clone(), rows(3000, 4)).unwrap();
     let env = Env::new()
         .with("T", small.clone())
-        // Past the radix threshold of the class build.
+        // 70k rows in one class build.
         .with("BIG", Relation::new(schema, rows(70_000, 40)).unwrap());
     for name in ["T", "BIG"] {
         let plan = scan(name, &env).rdup_t().build_multiset();
@@ -700,8 +697,8 @@ fn faithful_rdup_t_is_the_recursions_list_on_every_engine() {
     }
 }
 
-/// `coalᵀ` and `×ᵀ` over 70k rows — past the radix threshold of the class
-/// build — with shuffled adjacency chains running both ways, exact
+/// `coalᵀ` and `×ᵀ` over 70k rows with shuffled adjacency chains running
+/// both ways, exact
 /// duplicates, overlaps and NULL explicit values: all engines produce the
 /// definitions' own lists. The small relation is also checked against the
 /// literal definitions.

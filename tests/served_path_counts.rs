@@ -2,8 +2,9 @@
 //! with: from registration (`benchmark_catalog`), through a server
 //! planning and answering every benchmark template once, a churn
 //! insert+delete pair and a pass after it, no tuple list is built and
-//! nothing is transposed. Counts, not timings, so the check repeats
-//! exactly.
+//! nothing is transposed. Every grouping on that path numbers its rows
+//! from dictionary codes: none falls back to hashing. Counts, not
+//! timings, so the check repeats exactly.
 //!
 //! One `#[test]` in a file of its own, so nothing else in the process
 //! moves the process-wide counters between two readings.
@@ -13,7 +14,7 @@ mod common;
 use common::{benchmark_catalog, same_answer, BENCHMARK_TEMPLATES};
 use tqo_core::interp::eval_plan;
 use tqo_core::time::Period;
-use tqo_core::trace::counters::{TRANSPOSES_BUILT, TUPLES_BUILT};
+use tqo_core::trace::counters::{GROUPINGS_HASHED, TRANSPOSES_BUILT, TUPLES_BUILT};
 use tqo_core::value::Value;
 use tqo_serve::{serve, Client, ServerConfig};
 
@@ -41,7 +42,11 @@ fn the_served_path_builds_no_tuple_list_and_transposes_nothing() {
         })
         .collect();
 
-    let (tuples, transposes) = (TUPLES_BUILT.get(), TRANSPOSES_BUILT.get());
+    let (tuples, transposes, hashed) = (
+        TUPLES_BUILT.get(),
+        TRANSPOSES_BUILT.get(),
+        GROUPINGS_HASHED.get(),
+    );
     let mut answers = Vec::new();
     for &workload in &workloads {
         let catalog = benchmark_catalog(workload, SEED);
@@ -77,6 +82,11 @@ fn the_served_path_builds_no_tuple_list_and_transposes_nothing() {
     }
     assert_eq!(TUPLES_BUILT.get() - tuples, 0, "tuple lists built");
     assert_eq!(TRANSPOSES_BUILT.get() - transposes, 0, "transposes built");
+    assert_eq!(
+        GROUPINGS_HASHED.get() - hashed,
+        0,
+        "groupings keyed by hashes"
+    );
 
     // Checked only now: comparing builds the answers' tuple lists.
     let mut checked = 0;

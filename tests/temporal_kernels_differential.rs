@@ -162,9 +162,8 @@ fn equal_nested_adjacent_and_one_instant_periods() {
     }
 }
 
-/// Past the class index's radix threshold (65 536 rows) the builds are
-/// partitioned, and the probes of the binary operators route through the
-/// partitions: the same lists.
+/// Over 70 000 rows the class builds, and the probes of the binary
+/// operators, give the same lists.
 #[test]
 fn partitioned_class_builds_keep_the_lists() {
     let relation = |shift: i64| {
