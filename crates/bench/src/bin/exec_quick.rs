@@ -2,8 +2,9 @@
 //! the batch engine and through the reference interpreter's operator, and
 //! writes `BENCH_exec.json` (rows/sec per operator, the interpreter's time
 //! over the engine's, what one sequenced insert+delete pair costs a stored
-//! table, per-operator cardinality-estimation q-errors, and what tracing
-//! and governance cost when off) to the current directory —
+//! table, per-operator cardinality-estimation q-errors, what tracing and
+//! governance cost when off, and what a decoded result's tuple list costs
+//! to build and free) to the current directory —
 //! the perf *and* estimation trajectories CI tracks. The `observability`
 //! and `governance` blocks are also written standalone as
 //! `BENCH_obs.json` and `BENCH_robust.json` for the CI artifacts.
@@ -16,11 +17,12 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use tqo_bench::{estimation_workload, exec_throughput_workload, ExecCase};
+use tqo_core::columnar::ColumnarRelation;
 use tqo_core::expr::Expr;
 use tqo_core::interp::Env;
 use tqo_core::time::Period;
 use tqo_core::value::Value;
-use tqo_core::Relation;
+use tqo_core::{Relation, Schema};
 use tqo_exec::{execute_logical, execute_mode, ExecMode, PlannerConfig};
 use tqo_storage::{mutation, GenConfig, Table, WorkloadGenerator};
 
@@ -150,6 +152,71 @@ fn storage_block(rows: usize) -> String {
     block
 }
 
+/// The materialize block: what a client pays to read a decoded result
+/// row by row. For a `rows`-row `(EmpName, Dept)` result and a 4-column
+/// temporal one, each decoded through `tqo_stratum::wire::transfer`
+/// afresh per iteration (untimed), the best of `ITERS` times of the
+/// first `Relation::tuples` call (the tuple list's build) and of dropping
+/// the relation (the list's free; its columns are held elsewhere, so the
+/// drop frees only the list).
+fn materialize_block(rows: usize) -> String {
+    let cfg = GenConfig {
+        classes: (rows / 10).max(1),
+        ..GenConfig::default()
+    };
+    let employees = WorkloadGenerator::new(17)
+        .employees(&cfg, 50)
+        .expect("generation");
+    let columns = employees.columnar().expect("column-born");
+    let emp_dept = Relation::from_columnar(ColumnarRelation::new(
+        std::sync::Arc::new(Schema::new(employees.schema().attrs()[..2].to_vec()).expect("schema")),
+        columns.columns()[..2].to_vec(),
+    ));
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    eprintln!(
+        "\n{:<22} {:>10} {:>6} {:>12} {:>12}",
+        "materialize", "rows", "arity", "build ms", "drop ms"
+    );
+    let mut block = String::new();
+    writeln!(block, "  \"materialize\": {{").unwrap();
+    writeln!(block, "    \"cases\": [").unwrap();
+    let cases = [("emp_dept", &emp_dept), ("employee_t", &employees)];
+    for (i, (name, relation)) in cases.iter().enumerate() {
+        let (mut build, mut free) = (Duration::MAX, Duration::MAX);
+        for _ in 0..ITERS {
+            let (decoded, _) = tqo_stratum::wire::transfer(relation).expect("transfer");
+            let held = decoded.columnar().expect("decoded in columns");
+            let started = Instant::now();
+            std::hint::black_box(decoded.tuples());
+            build = build.min(started.elapsed());
+            let started = Instant::now();
+            drop(decoded);
+            free = free.min(started.elapsed());
+            drop(held);
+        }
+        let arity = relation.schema().arity();
+        eprintln!(
+            "{:<22} {:>10} {:>6} {:>12.3} {:>12.3}",
+            name,
+            relation.len(),
+            arity,
+            ms(build),
+            ms(free)
+        );
+        writeln!(block, "      {{").unwrap();
+        writeln!(block, "        \"name\": \"{name}\",").unwrap();
+        writeln!(block, "        \"rows\": {},", relation.len()).unwrap();
+        writeln!(block, "        \"arity\": {arity},").unwrap();
+        writeln!(block, "        \"build_ms\": {:.3},", ms(build)).unwrap();
+        writeln!(block, "        \"drop_ms\": {:.3}", ms(free)).unwrap();
+        let comma = if i + 1 < cases.len() { "," } else { "" };
+        writeln!(block, "      }}{comma}").unwrap();
+    }
+    writeln!(block, "    ]").unwrap();
+    writeln!(block, "  }},").unwrap();
+    block
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let rows: usize = args
@@ -255,6 +322,7 @@ fn main() {
     writeln!(json, "    ]").unwrap();
     writeln!(json, "  }},").unwrap();
     json.push_str(&storage_block(rows));
+    json.push_str(&materialize_block(rows));
 
     // Estimation accuracy: per-operator median q-error over the bench
     // workloads, so estimation quality gets a tracked trajectory alongside

@@ -1145,40 +1145,59 @@ impl Column {
 }
 
 /// Transpose columns of `rows` values each into row-layout tuples, in
-/// physical order. One dtype dispatch per column — not per value — so
-/// the row layer's tagged enums are built in tight per-column loops.
+/// physical order. The values go into one row-major block, filled column
+/// by column with one dtype dispatch per column, and the tuples are the
+/// block's rows: one allocation for the list's values, not one per row.
+/// (A list past `u32::MAX` values is cut into several blocks.)
 pub(crate) fn tuples_from_columns(columns: &[Arc<Column>], rows: usize) -> Vec<Tuple> {
     let arity = columns.len();
-    let mut bufs: Vec<Vec<Value>> = (0..rows).map(|_| Vec::with_capacity(arity)).collect();
-    for col in columns {
-        fill_rows(col, &mut bufs);
+    if arity == 0 {
+        return (0..rows).map(|_| Tuple::new(Vec::new())).collect();
     }
-    bufs.into_iter().map(Tuple::new).collect()
+    let rows_per_block = u32::MAX as usize / arity;
+    let mut tuples = Vec::with_capacity(rows);
+    for lo in (0..rows).step_by(rows_per_block) {
+        let hi = rows.min(lo + rows_per_block);
+        let mut block = vec![Value::Null; (hi - lo) * arity];
+        for (c, col) in columns.iter().enumerate() {
+            fill_rows(col, lo..hi, &mut block, c, arity);
+        }
+        tuples.extend(Tuple::block_rows(block, arity));
+    }
+    tuples
 }
 
-/// Append one value per row buffer from `col` (`out[k]` receives row `k`).
-/// Strings clone their dictionary entry's one `Arc<str>`.
-fn fill_rows(col: &Column, out: &mut [Vec<Value>]) {
+/// Write rows `rows` of `col` into position `c` of each `arity`-value row
+/// of the row-major `block` (block row `k` receives column row
+/// `rows.start + k`).
+/// Strings clone their dictionary entry's one `Arc<str>`; NULLs stay the
+/// block's `Value::Null`.
+fn fill_rows(
+    col: &Column,
+    rows: std::ops::Range<usize>,
+    block: &mut [Value],
+    c: usize,
+    arity: usize,
+) {
+    let out = block.chunks_exact_mut(arity);
     macro_rules! fill {
         ($v:expr, $wrap:expr) => {
-            for (row, x) in out.iter_mut().zip($v.iter()) {
-                row.push($wrap(x));
+            for (row, x) in out.zip(&$v[rows]) {
+                row[c] = $wrap(x);
             }
         };
     }
     match &col.data {
         ColumnData::Str(v) => {
-            for (k, (row, &code)) in out.iter_mut().zip(&v.codes).enumerate() {
-                row.push(if col.is_null(k) {
-                    Value::Null
-                } else {
-                    Value::Str(v.dict.shared(code))
-                });
+            for (row, (k, &code)) in out.zip(rows.clone().zip(&v.codes[rows])) {
+                if !col.is_null(k) {
+                    row[c] = Value::Str(v.dict.shared(code));
+                }
             }
         }
         _ if col.has_nulls() => {
-            for (k, row) in out.iter_mut().enumerate() {
-                row.push(col.value(k));
+            for (row, k) in out.zip(rows) {
+                row[c] = col.value(k);
             }
         }
         ColumnData::Int(v) => fill!(v, |x: &i64| Value::Int(*x)),

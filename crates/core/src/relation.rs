@@ -32,6 +32,14 @@ use crate::value::Value;
 /// its first [`Relation::tuples`] call. Engine results, wire-decoded
 /// relations and modified table versions are column-born, so a relation
 /// that is only scanned, counted or re-encoded never has its tuples built.
+///
+/// A column-born relation's tuple list is built once, by one transpose:
+/// its values go into one row-major block that every tuple of the list is
+/// a row of, so building the list allocates the list and the block, not
+/// one buffer per row, and dropping it frees the two. A tuple cloned out
+/// of the list owns its values (the block stays the list's alone), so
+/// operators pay for the tuples they copy as they would for tuples built
+/// one at a time.
 #[derive(Clone)]
 pub struct Relation {
     body: Arc<Body>,
